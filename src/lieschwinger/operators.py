@@ -5,9 +5,16 @@ leftmost site as the most significant base-M digit, and act as the identity
 elsewhere.  Matrices are dense complex; Hermitian / anti-Hermitian structure
 is checked against a tolerance, never assumed from storage format.
 
-Matrix exponentials of anti-Hermitian generators go through the
-eigendecomposition of iS, so the resulting conjugation is exactly unitary
-and preserves spectra to machine precision.
+The sweep's generators have rank two, S = y vac^dag - vac y^dag with y
+orthogonal to vac, so exp(S) is a rotation by theta = ||y|| in
+span{vac, y}.  ``rotation_factors`` writes it in closed form as
+exp(S) = I + W C W^dag with W = [vac, y/theta] and a 2x2 block C: exactly
+unitary, never a Pade or series approximation, so conjugations preserve
+spectra to machine precision.  ``conjugate_by_unitary`` applies
+1_L (x) exp(S) (x) 1_R to a potential on a containing interval through a
+reshaped view, at O(D^2) cost and without forming the embedded unitary.
+``unitary_exp`` keeps the general eigendecomposition route as the
+reference.
 """
 
 from __future__ import annotations
@@ -181,7 +188,51 @@ def conjugate_exact(op: LocalOperator, gen: LocalOperator,
     return LocalOperator(op.support, B)
 
 
-def conjugate_by_unitary(op_matrix: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """U A U^dag with re-symmetrization, for a precomputed unitary."""
-    B = U @ op_matrix @ U.conj().T
-    return (B + B.conj().T) / 2
+def rotation_factors(y: np.ndarray, vac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors W (d x 2) and C (2 x 2) with exp(y vac^dag - vac y^dag) = I + W C W^dag.
+
+    ``vac`` must be a unit vector and ``y`` orthogonal to it; otherwise the
+    generator is not a vacuum rotation and GeneratorError is raised.  On the
+    orthonormal pair (vac, y/theta), theta = ||y||, the generator acts as
+    theta [[0, -1], [1, 0]], so C = [[cos - 1, -sin], [sin, cos - 1]] with
+    cos(theta) - 1 written as -2 sin^2(theta/2) to keep small angles accurate.
+    """
+    y = np.asarray(y, dtype=complex)
+    vac = np.asarray(vac, dtype=complex)
+    theta = float(np.linalg.norm(y))
+    overlap = abs(np.vdot(vac, y))
+    if overlap > TOL_HERM * max(1.0, theta):
+        raise GeneratorError(f"generator is not a vacuum rotation: |vac^dag y| = {overlap:.3e}")
+    y_hat = y / theta if theta > 0.0 else y
+    c = -2.0 * np.sin(theta / 2) ** 2
+    s = np.sin(theta)
+    return np.stack([vac, y_hat], axis=1), np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _rotate_left(A: np.ndarray, WC: np.ndarray, W_dag: np.ndarray, left: int) -> np.ndarray:
+    """(1_L (x) (I + W C W^dag) (x) 1_R) A for a square A, via a (L, d, rest) view."""
+    A3 = A.reshape(left, W_dag.shape[1], -1)
+    out = WC @ (W_dag @ A3)
+    out += A3
+    return out.reshape(A.shape)
+
+
+def conjugate_by_unitary(op_matrix: np.ndarray, W: np.ndarray, C: np.ndarray,
+                         left: int = 1) -> np.ndarray:
+    """U_J A U_J^dag with re-symmetrization, U_J = 1_L (x) (I + W C W^dag) (x) 1_R.
+
+    ``left`` is the dimension L of the identity factor before the rotated
+    sites; the one after them follows from the size of A.  The embedded
+    unitary is never formed: X = U_J A is a left product on a reshaped view,
+    and the right product comes from the same left product on X^T with the
+    conjugated factors, Z = conj(U_J) X^T = conj(U_J A^dag U_J^dag).  Hence
+    (B + B^dag)/2 = (conj(Z) + Z^T)/2 for B = U_J A U_J^dag.
+    """
+    WC = W @ C
+    W_dag = W.conj().T
+    X = _rotate_left(op_matrix, WC, W_dag, left)
+    Z = _rotate_left(np.ascontiguousarray(X.T), WC.conj(), W_dag.conj(), left)
+    out = Z.conj()
+    out += Z.T
+    out *= 0.5
+    return out

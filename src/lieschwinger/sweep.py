@@ -16,12 +16,22 @@ vacuum energy, and the higher-order terms (V)_j follow the recursion
 
 The series is truncated once the term norm |t|^j ||(V)_j|| drops below a
 cutoff; the operationally meaningful check is the off-diagonal residual of
-the replaced potential, which is verified separately.  The conjugation
-itself always uses the exactly unitary exponential of the truncated S, so
-spectra are preserved to machine precision regardless of truncation.
+the replaced potential, which is verified separately.
+
+Every S_j has the form y_j vac^dag - vac y_j^dag with y_j = (G - E)^{-1}
+P+ (V)_j vac orthogonal to vac, so S = y vac^dag - vac y^dag has rank two
+and exp(S) is the closed-form rotation by ||y|| in span{vac, y}
+(``operators.rotation_factors``).  It is exactly unitary, so spectra are
+preserved to machine precision regardless of truncation, and ||S|| = ||y||.
+
+One eigendecomposition of the excited block of G per step serves the
+ground-state check, the gap and the resolvent: once the leak check has
+passed, G is block-diagonal and spec G = {E} u spec(excited block).
 
 Transport of the other potentials follows the support relation between
-their interval J and the step interval I:
+their interval J and the step interval I.  The rotation acts on the sites
+of I only; on a containing J it is applied to a reshaped view of the
+potential, never as an embedded unitary:
 
   * J disjoint from I, J shorter than I, or J overlapping without
     containment: unchanged (copied by reference);
@@ -51,7 +61,8 @@ from .operators import (
     conjugate_by_unitary,
     embed,
     op_norm,
-    unitary_exp,
+    rotation_factors,
+    unitary_exp,  # unused here; perfbench/tracing.py looks it up on this module
 )
 
 ASSEMBLY_GUARD = 4096
@@ -100,12 +111,20 @@ class BlockDiagState:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    S: np.ndarray
+    """Summed generator S = y vac^dag - vac y^dag, the series terms (V)_j
+    and per-order term norms."""
+
+    y: np.ndarray
+    vac: np.ndarray
     order: int
-    converged: bool
+    v_terms: tuple[np.ndarray, ...]
     v_term_norms: tuple[float, ...]
     s_term_norms: tuple[float, ...]
-    diag_series: np.ndarray
+
+    @property
+    def S(self) -> np.ndarray:
+        """The generator as a dense matrix; the sweep itself uses only y."""
+        return np.outer(self.y, self.vac.conj()) - np.outer(self.vac, self.y.conj())
 
 
 def initial_state(model: ChainModel) -> BlockDiagState:
@@ -147,11 +166,26 @@ def _offdiag_norm(mat: np.ndarray, pair: ProjectorPair) -> float:
     return float(np.linalg.norm(u))
 
 
+def plus_block_eigh(G: np.ndarray, pair: ProjectorPair) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of G on the excited block."""
+    Qp = pair.plus_basis
+    return np.linalg.eigh(Qp.conj().T @ G @ Qp)
+
+
 def vacuum_energy(G: LocalOperator, pair: ProjectorPair,
-                  tol_od: float = 1e-8, step: StepIndex | None = None) -> float:
-    """Scalar of the rank-1 vacuum block; must match the ground energy of G."""
+                  tol_od: float = 1e-8, step: StepIndex | None = None,
+                  plus_spectrum: np.ndarray | None = None) -> float:
+    """Scalar of the rank-1 vacuum block; must match the ground energy of G.
+
+    With ``plus_spectrum`` (the ascending spectrum of the excited block of a
+    block-diagonal G), the ground energy is min(E, plus_spectrum[0]) and no
+    eigensolve runs.
+    """
     E = float(np.real(pair.vac.conj() @ G.matrix @ pair.vac))
-    ground = float(np.linalg.eigvalsh(G.matrix)[0])
+    if plus_spectrum is None:
+        ground = float(np.linalg.eigvalsh(G.matrix)[0])
+    else:
+        ground = min(E, float(plus_spectrum[0]))
     if abs(E - ground) > tol_od * (1 + abs(E)):
         raise GapError(
             f"vacuum energy {E:.9f} is not the ground energy {ground:.9f} of the local Hamiltonian",
@@ -161,13 +195,17 @@ def vacuum_energy(G: LocalOperator, pair: ProjectorPair,
 
 
 def local_gap(G: LocalOperator, pair: ProjectorPair, E: float | None = None,
-              gap_min: float | None = None, step: StepIndex | None = None) -> float:
-    """Spectral gap of G above its vacuum energy, on the excited block."""
+              gap_min: float | None = None, step: StepIndex | None = None,
+              plus_spectrum: np.ndarray | None = None) -> float:
+    """Spectral gap of G above its vacuum energy, on the excited block.
+
+    ``plus_spectrum`` is that block's ascending spectrum, if already known.
+    """
     if E is None:
         E = float(np.real(pair.vac.conj() @ G.matrix @ pair.vac))
-    Qp = pair.plus_basis
-    plus_block = Qp.conj().T @ G.matrix @ Qp
-    gap = float(np.linalg.eigvalsh(plus_block)[0]) - E
+    if plus_spectrum is None:
+        plus_spectrum = plus_block_eigh(G.matrix, pair)[0]
+    gap = float(plus_spectrum[0]) - E
     if gap_min is not None and gap < gap_min:
         raise GapError(
             f"local gap {gap:.6f} fell below the abort threshold {gap_min}",
@@ -178,43 +216,42 @@ def local_gap(G: LocalOperator, pair: ProjectorPair, E: float | None = None,
 
 def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray,
                      t: float, controls: SeriesControls,
-                     step: StepIndex | None = None) -> SeriesResult:
-    """Accumulate S = sum_j t^j S_j and the block-diagonal series parts.
+                     step: StepIndex | None = None,
+                     plus_eig: tuple[np.ndarray, np.ndarray] | None = None) -> SeriesResult:
+    """Accumulate y = sum_j t^j y_j, the vector of S = sum_j t^j S_j.
 
     Terminates once |t|^j ||(V)_j|| < tol_series; reaching jmax with the last
     term still above the cutoff raises SeriesError, reporting that norm.
     The nested commutator sums are evaluated through tables T[X][(m, p)]
     holding the order-m, depth-p chains acting on X in {G, V}, extended one
-    order at a time (outermost generator index last).
+    order at a time (outermost generator index last).  ``plus_eig`` is the
+    result of ``plus_block_eigh(G, pair)``, if already computed.
     """
     vac = pair.vac
     Qp = pair.plus_basis
-    w, Z = np.linalg.eigh(Qp.conj().T @ G @ Qp)
+    w, Z = plus_eig if plus_eig is not None else plus_block_eigh(G, pair)
     denom = w - E
     if np.min(denom) <= 0:
         raise GapError("excited block of the local Hamiltonian reaches the vacuum energy",
                        step=step, reason="gap-assumption-violated", value=float(np.min(denom)))
 
-    def make_S(Vterm: np.ndarray) -> np.ndarray:
+    def make_y(Vterm: np.ndarray) -> np.ndarray:
         u = Vterm @ vac
         u = u - vac * (vac.conj() @ u)
-        y = Qp @ (Z @ ((Z.conj().T @ (Qp.conj().T @ u)) / denom))
-        return np.outer(y, vac.conj()) - np.outer(vac, y.conj())
+        return Qp @ (Z @ ((Z.conj().T @ (Qp.conj().T @ u)) / denom))
 
-    def diag_part(X: np.ndarray) -> np.ndarray:
-        u = X @ vac
-        u = u - vac * (vac.conj() @ u)
-        od = np.outer(u, vac.conj())
-        return X - od - od.conj().T
+    def make_S(y_term: np.ndarray) -> np.ndarray:
+        return np.outer(y_term, vac.conj()) - np.outer(vac, y_term.conj())
 
     v_terms = [V]
-    s_terms = [make_S(V)]
-    S = t * s_terms[0]
-    diag_series = diag_part(V).astype(complex)
+    v_norms = [op_norm(V)]
+    y_terms = [make_y(V)]
+    s_terms = [make_S(y_terms[0])]
+    y = t * y_terms[0]
     TG: dict[tuple[int, int], np.ndarray] = {}
     TV: dict[tuple[int, int], np.ndarray] = {}
     order = 1
-    while order < controls.jmax and abs(t) ** order * op_norm(v_terms[-1]) >= controls.tol_series:
+    while order < controls.jmax and abs(t) ** order * v_norms[-1] >= controls.tol_series:
         j = order + 1
         m = j - 1  # newest generator index available as a chain head
         TG[(m, 1)] = s_terms[m - 1] @ G - G @ s_terms[m - 1]
@@ -239,30 +276,29 @@ def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray
                 Vj = Vj + term / factorial(p)
         Vj = (Vj + Vj.conj().T) / 2
         v_terms.append(Vj)
-        s_terms.append(make_S(Vj))
-        S = S + t ** j * s_terms[-1]
-        diag_series = diag_series + t ** (j - 1) * diag_part(Vj)
+        v_norms.append(op_norm(Vj))
+        y_terms.append(make_y(Vj))
+        s_terms.append(make_S(y_terms[-1]))
+        y = y + t ** j * y_terms[-1]
         order = j
 
-    last = abs(t) ** order * op_norm(v_terms[-1])
-    converged = last < controls.tol_series
-    if not converged:
+    last = abs(t) ** order * v_norms[-1]
+    if last >= controls.tol_series:
         raise SeriesError(
             f"series did not converge by order {order}: last term norm {last:.3e}",
             step=step, last_term_norm=last,
         )
     return SeriesResult(
-        S=S, order=order, converged=converged,
-        v_term_norms=tuple(op_norm(x) for x in v_terms),
-        s_term_norms=tuple(op_norm(x) for x in s_terms),
-        diag_series=diag_series,
+        y=y, vac=vac, order=order, v_terms=tuple(v_terms), v_term_norms=tuple(v_norms),
+        s_term_norms=tuple(float(np.linalg.norm(x)) for x in y_terms),
     )
 
 
-def diagonalized_potential(G: np.ndarray, V: np.ndarray, S: np.ndarray, t: float,
+def diagonalized_potential(G: np.ndarray, V: np.ndarray, y: np.ndarray, t: float,
                            pair: ProjectorPair, tol_od: float = 1e-8,
                            step: StepIndex | None = None) -> tuple[np.ndarray, float]:
-    """Replacement potential (exp(S)(G + tV)exp(-S) - G)/t and its residual.
+    """Replacement potential (exp(S)(G + tV)exp(-S) - G)/t and its residual,
+    for S = y vac^dag - vac y^dag.
 
     Uses the closed form rather than the summed diagonal series, so the only
     truncation in play is the one already inside S.  The residual is the
@@ -270,8 +306,7 @@ def diagonalized_potential(G: np.ndarray, V: np.ndarray, S: np.ndarray, t: float
     """
     if t == 0.0:
         return V, _offdiag_norm(V, pair)
-    U = unitary_exp(S)
-    out = (conjugate_by_unitary(G + t * V, U) - G) / t
+    out = (conjugate_by_unitary(G + t * V, *rotation_factors(y, pair.vac)) - G) / t
     out = (out + out.conj().T) / 2
     residual = _offdiag_norm(out, pair)
     if residual > tol_od:
@@ -298,14 +333,15 @@ def advance(state: BlockDiagState, model: ChainModel,
     I = Interval(step.k, step.q)
     G = local_hamiltonian(state, model, I, controls.tol_od)
     pair = build_projectors(I, model.omega)
-    E = vacuum_energy(G, pair, controls.tol_od, step)
-    gap = local_gap(G, pair, E, gap_min=controls.gap_min, step=step)
+    w, Z = plus_block_eigh(G.matrix, pair)
+    E = vacuum_energy(G, pair, controls.tol_od, step, plus_spectrum=w)
+    gap = local_gap(G, pair, E, gap_min=controls.gap_min, step=step, plus_spectrum=w)
 
     V_op = state.potentials.get(I)
     dim = I.dim(model.M)
     V = V_op.matrix if V_op is not None else np.zeros((dim, dim), dtype=complex)
-    series = generator_series(G.matrix, E, pair, V, model.t, controls, step)
-    s_norm = op_norm(series.S) if np.any(series.S) else 0.0
+    series = generator_series(G.matrix, E, pair, V, model.t, controls, step, plus_eig=(w, Z))
+    s_norm = float(np.linalg.norm(series.y))
 
     if s_norm == 0.0:
         # Zero generator (t = 0, zero potential, or already block-diagonal):
@@ -314,11 +350,11 @@ def advance(state: BlockDiagState, model: ChainModel,
                                0.0, series.v_term_norms, series.s_term_norms)
         return BlockDiagState(step, state.potentials, state.diagnostics + (diag,))
 
-    V_new, residual = diagonalized_potential(G.matrix, V, series.S, model.t, pair,
+    V_new, residual = diagonalized_potential(G.matrix, V, series.y, model.t, pair,
                                              controls.tol_od, step)
     new_pots = dict(state.potentials)
     new_pots[I] = LocalOperator(I, V_new)
-    U = unitary_exp(series.S)
+    W, C = rotation_factors(series.y, pair.vac)
 
     # Intervals strictly containing the step interval: conjugate, and on a
     # shared endpoint add the growth terms from overlapping shorter supports.
@@ -331,11 +367,11 @@ def advance(state: BlockDiagState, model: ChainModel,
             sources = [s for s in _growth_sources(I, J) if s in state.potentials]
             if old is None and not sources:
                 continue
-            UJ = embed(LocalOperator(I, U), J, model.M).matrix
-            acc = conjugate_by_unitary(old.matrix, UJ) if old is not None else None
+            left = model.M ** (I.q - J.q)
+            acc = conjugate_by_unitary(old.matrix, W, C, left) if old is not None else None
             for src in sources:
                 We = embed(state.potentials[src], J, model.M).matrix
-                grown = conjugate_by_unitary(We, UJ) - We
+                grown = conjugate_by_unitary(We, W, C, left) - We
                 acc = grown if acc is None else acc + grown
             new_pots[J] = LocalOperator(J, (acc + acc.conj().T) / 2)
 

@@ -7,10 +7,12 @@ from lieschwinger.intervals import Interval
 from lieschwinger.operators import (
     LocalOperator,
     build_projectors,
+    conjugate_by_unitary,
     conjugate_exact,
     embed,
     op_norm,
     orthogonal_complement_basis,
+    rotation_factors,
     unitary_exp,
 )
 
@@ -155,6 +157,49 @@ class TestConjugateExact:
         S = LocalOperator(Interval(1, 2), np.zeros((4, 4)))
         with pytest.raises(EmbeddingError):
             conjugate_exact(A, S)
+
+
+def random_rotation(rng, d, theta):
+    """A generator y vac^dag - vac y^dag: complex unit vac, y orthogonal to it, ||y|| = theta."""
+    vac = rng.normal(size=d) + 1j * rng.normal(size=d)
+    vac = vac / np.linalg.norm(vac)
+    y = rng.normal(size=d) + 1j * rng.normal(size=d)
+    y = y - vac * np.vdot(vac, y)
+    return theta * y / np.linalg.norm(y), vac
+
+
+class TestRotation:
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, 1e-3, 0.3, 2.0])
+    def test_factors_reproduce_eigendecomposition_exponential(self, rng, theta):
+        for d in (2, 4, 9, 27):
+            y, vac = random_rotation(rng, d, theta)
+            W, C = rotation_factors(y, vac)
+            U = np.eye(d) + W @ C @ W.conj().T
+            S = np.outer(y, vac.conj()) - np.outer(vac, y.conj())
+            assert np.max(np.abs(U - unitary_exp(S))) <= 1e-13
+            assert np.max(np.abs(U.conj().T @ U - np.eye(d))) <= 1e-14
+
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_local_kernel_matches_embedded_conjugation(self, rng, M):
+        # oracle: embed exp(S) into J, then two dense products
+        J = Interval(3, 1)
+        A = random_hermitian(rng, J.dim(M), norm=1.0)
+        # step interval at the left end of J, the right end, and inside it
+        for I in (Interval(1, 1), Interval(1, 3), Interval(1, 2), Interval(0, 3)):
+            y, vac = random_rotation(rng, I.dim(M), 0.4)
+            S = np.outer(y, vac.conj()) - np.outer(vac, y.conj())
+            UJ = embed(LocalOperator(I, unitary_exp(S)), J, M).matrix
+            dense = UJ @ A @ UJ.conj().T
+            dense = (dense + dense.conj().T) / 2
+            out = conjugate_by_unitary(A, *rotation_factors(y, vac), left=M ** (I.q - J.q))
+            assert np.max(np.abs(out - dense)) <= 1e-13
+            assert np.array_equal(out, out.conj().T)
+
+    def test_rejects_generator_not_orthogonal_to_vacuum(self, rng):
+        y, vac = random_rotation(rng, 4, 0.5)
+        A = random_hermitian(rng, 8)
+        with pytest.raises(GeneratorError, match="vacuum rotation"):
+            conjugate_by_unitary(A, *rotation_factors(y + 1e-3 * vac, vac), left=2)
 
 
 def test_embedding_of_exponential_is_exponential_of_embedding(rng):

@@ -5,7 +5,15 @@ from conftest import SX, anchor_model, kron_chain
 from lieschwinger.errors import DimensionError, GapError, SeriesError
 from lieschwinger.intervals import Interval, StepIndex
 from lieschwinger.model import build_chain_model, random_chain_model
-from lieschwinger.operators import LocalOperator, build_projectors, embed, op_norm, unitary_exp
+from lieschwinger.operators import (
+    LocalOperator,
+    build_projectors,
+    embed,
+    hermitian_defect,
+    op_norm,
+    unitary_exp,
+)
+from lieschwinger.oracle import compare
 from lieschwinger.sweep import (
     BlockDiagState,
     SeriesControls,
@@ -19,6 +27,18 @@ from lieschwinger.sweep import (
     sweep,
     vacuum_energy,
 )
+
+
+def summed_diagonal_series(res, pair, t):
+    """sum_j t^(j-1) D((V)_j), with D dropping the block off-diagonal parts."""
+    vac = pair.vac
+    out = np.zeros_like(res.v_terms[0], dtype=complex)
+    for j, X in enumerate(res.v_terms, start=1):
+        u = X @ vac
+        u = u - vac * (vac.conj() @ u)
+        od = np.outer(u, vac.conj())
+        out = out + t ** (j - 1) * (X - od - od.conj().T)
+    return out
 
 
 def anchor_pieces(t=0.1):
@@ -121,7 +141,7 @@ class TestGeneratorSeries:
         W = np.diag(rng.normal(size=4)).astype(complex)  # commutes with the pair
         res = generator_series(G.matrix, 0.0, pair, W, 0.1, SeriesControls())
         assert not np.any(res.S)
-        np.testing.assert_allclose(res.diag_series, W, atol=1e-14)
+        np.testing.assert_allclose(summed_diagonal_series(res, pair, 0.1), W, atol=1e-14)
 
     def test_anchor_first_order_generator(self):
         # hand evaluation: P+ V vac = |11>, (G - E)|11> = 2|11>,
@@ -167,7 +187,7 @@ class TestGeneratorSeries:
 class TestDiagonalizedPotential:
     def test_zero_generator_identity(self, rng):
         model, state, I, G, pair, V = anchor_pieces()
-        out, residual = diagonalized_potential(G.matrix, V, np.zeros((4, 4)), 0.0, pair)
+        out, residual = diagonalized_potential(G.matrix, V, np.zeros(4), 0.0, pair)
         np.testing.assert_array_equal(out, V)
 
     def test_anchor_vacuum_entry(self):
@@ -175,7 +195,7 @@ class TestDiagonalizedPotential:
         t = 0.1
         model, state, I, G, pair, V = anchor_pieces(t)
         res = generator_series(G.matrix, 0.0, pair, V, t, SeriesControls())
-        out, residual = diagonalized_potential(G.matrix, V, res.S, t, pair)
+        out, residual = diagonalized_potential(G.matrix, V, res.y, t, pair)
         assert out[0, 0].real == pytest.approx((1 - np.sqrt(1 + t * t)) / t, abs=1e-9)
         assert residual <= 1e-8
         assert op_norm(out) <= 2.0 * op_norm(V)
@@ -184,8 +204,8 @@ class TestDiagonalizedPotential:
         t = 0.01
         model, state, I, G, pair, V = anchor_pieces(t)
         res = generator_series(G.matrix, 0.0, pair, V, t, SeriesControls())
-        out, _ = diagonalized_potential(G.matrix, V, res.S, t, pair)
-        np.testing.assert_allclose(out, res.diag_series, atol=1e-10)
+        out, _ = diagonalized_potential(G.matrix, V, res.y, t, pair)
+        np.testing.assert_allclose(out, summed_diagonal_series(res, pair, t), atol=1e-10)
 
 
 def _conjugated_full(state_before, model, S, interval):
@@ -296,6 +316,38 @@ class TestSweep:
             sweep(model)
         assert excinfo.value.step == StepIndex(1, 1)
         assert excinfo.value.partial_state.step == StepIndex(0, 2)
+
+
+def non_basis_vacuum_model(N, M, kbar, t, seed):
+    """On-site Q diag(0, ..., M-1) Q^dag for a random unitary Q, so the
+    vacuum is a complex vector that is not a basis vector."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M)))
+    onsite = Q @ np.diag(np.arange(M, dtype=float)) @ Q.conj().T
+    interactions = {}
+    for k in range(1, kbar + 1):
+        for q in range(1, N - k + 1):
+            d = M ** (k + 1)
+            A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            V = (A + A.conj().T) / 2
+            interactions[Interval(k, q)] = V / np.max(np.abs(np.linalg.eigvalsh(V)))
+    return build_chain_model(N, M, onsite, interactions, t, kbar)
+
+
+class TestNonBasisVacuum:
+    @pytest.mark.parametrize("N,M,kbar", [(5, 2, 1), (5, 2, 2), (4, 3, 1), (4, 3, 2), (5, 3, 2)])
+    def test_sweep_matches_oracle_and_stays_block_diagonal(self, N, M, kbar):
+        model = non_basis_vacuum_model(N, M, kbar, 0.02, seed=10 * N + M + kbar)
+        assert np.count_nonzero(np.abs(model.omega) > 1e-3) == M
+        controls = SeriesControls()
+        final = sweep(model, controls)
+        cmp_ = compare(final, model)
+        assert cmp_.spectrum_distance <= 1e-12
+        assert cmp_.blockwise_match
+        for iv, op in final.potentials.items():
+            pair = build_projectors(iv, model.omega)
+            assert hermitian_defect(op.matrix) <= controls.tol_od
+            assert np.linalg.norm(pair.p_plus @ op.matrix @ pair.p_minus) <= controls.tol_od
 
 
 class TestAssembleFull:
