@@ -16,7 +16,6 @@ from .certify import (
     NormLedgerEntry,
     check_ledger,
     check_series_majorant,
-    certify,
     decay_bound,
     excited_block_lower_bound,
     projector_inequalities,
@@ -41,7 +40,6 @@ from .operators import (
     LocalOperator,
     ProjectorPair,
     build_projectors,
-    conjugate_exact,
     embed,
     op_norm,
 )
@@ -57,7 +55,6 @@ from .sweep import (
     initial_state,
     local_gap,
     local_hamiltonian,
-    sweep,
     vacuum_energy,
 )
 

@@ -23,10 +23,9 @@ import numpy as np
 from .errors import CertificationError, DimensionError, ValidationError
 from .intervals import Interval, StepIndex
 from .model import ChainModel
-from .operators import LocalOperator, build_projectors, embed, op_norm
-from .sweep import BlockDiagState, assemble_full, local_hamiltonian, _offdiag_norm
-
-GAP_TARGET = 0.5
+from .operators import DENSE_GUARD, LocalOperator, build_projectors, embed, op_norm
+from .sweep import (BlockDiagState, SeriesControls, assemble_full, local_hamiltonian,
+                    _offdiag_norm)
 
 
 def decay_bound(r: int, t: float) -> float:
@@ -82,7 +81,7 @@ def check_ledger(state: BlockDiagState, t: float) -> list[NormLedgerEntry]:
 
 
 def certify(state: BlockDiagState, model: ChainModel,
-            tol_od: float = 1e-8) -> GapReport:
+            tol_od: float = SeriesControls.tol_od) -> GapReport:
     """Ground energy, gap, and block-diagonality of the fully swept Hamiltonian."""
     final = StepIndex(model.N - 1, 1)
     if state.step != final:
@@ -109,7 +108,7 @@ def certify(state: BlockDiagState, model: ChainModel,
     )
 
 
-def solve_majorant(norm_v: float, jmax: int = 20) -> MajorantParams:
+def solve_majorant(norm_v: float, jmax: int = SeriesControls.jmax) -> MajorantParams:
     """Majorant coefficients for a series whose first term has norm ``norm_v``.
 
     The root a is found by bisection on (0, 1] to 1e-12; the residual there
@@ -159,7 +158,7 @@ def projector_inequalities(n: int, M: int, r: int = 1,
     placement, (r+1) times the summed excited-site projectors dominates the
     sum of r-edge interval complement projectors.
     """
-    if M ** n > 4096:
+    if M ** n > DENSE_GUARD:
         raise DimensionError(f"projector check dimension {M**n} exceeds guard")
     if omega is None:
         omega = np.eye(M, dtype=complex)[:, 0]
@@ -173,8 +172,8 @@ def projector_inequalities(n: int, M: int, r: int = 1,
     perp = [embed(LocalOperator(Interval(0, i), perp_site), chain, M).matrix
             for i in range(1, n + 1)]
     total_perp = sum(perp)
-    pair = build_projectors(chain, omega)
-    diff = total_perp - (np.eye(dim) - pair.p_minus)
+    vac = build_projectors(chain, omega).vac
+    diff = total_perp - (np.eye(dim) - np.outer(vac, vac.conj()))
     if float(np.linalg.eigvalsh(diff)[0]) < -tol:
         return False
 
@@ -182,8 +181,9 @@ def projector_inequalities(n: int, M: int, r: int = 1,
         plus = {}
         for i in range(1, n - r + 1):
             sub = Interval(r, i)
-            pm = build_projectors(sub, omega).p_minus
-            plus[i] = np.eye(dim) - embed(LocalOperator(sub, pm), chain, M).matrix
+            vac = build_projectors(sub, omega).vac
+            pm = LocalOperator(sub, np.outer(vac, vac.conj()))
+            plus[i] = np.eye(dim) - embed(pm, chain, M).matrix
         for lo in range(1, n - r + 1):
             for hi in range(lo, n - r + 1):
                 lhs = sum(plus[i] for i in range(lo, hi + 1))

@@ -1,11 +1,13 @@
-"""Command-line runner: load a model file, sweep, certify, compare, report.
+"""Command-line runner: load a model file, run the estimator's pipeline
+(sweep, certify, compare) once per coupling, and report.
 
 Reports serialize deterministically: keys are emitted in sorted order and
 floats with 17 significant digits, so identical inputs and flags reproduce
 byte-identical output apart from the "timings" section.
 
 Exit codes: 0 success, 2 validation or parse failure, 3 series not
-converged, 4 gap assumption violated.
+converged, 4 gap assumption violated; each is the ``exit_code`` of the
+raised error.  Every failure still writes a report.
 """
 
 from __future__ import annotations
@@ -20,20 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import kitaev as kit
-from .certify import certify
-from .errors import (
-    CertificationError,
-    ChainError,
-    DimensionError,
-    GapError,
-    RegroupError,
-    SeriesError,
-    ValidationError,
-)
+from .certify import certify  # unused here; perfbench/tracing.py patches it on this module
+from .errors import ChainError, ValidationError
+from .estimator import ORACLE_POLICIES, BlockDiagonalizer
 from .intervals import Interval
-from .model import ChainModel, build_chain_model
-from .oracle import GUARD, compare
-from .sweep import SeriesControls, sweep
+from .model import ChainModel, build_chain_model, validate_chain_model
+from .oracle import compare  # unused here; perfbench/tracing.py patches it on this module
+from .sweep import SeriesControls, sweep  # sweep: as for compare
 
 SPEC_VERSION = "1"
 
@@ -48,6 +43,8 @@ def _parse_matrix(rows, what: str) -> np.ndarray:
         raise ValidationError(f"{what}: matrix entries must be [re, im] pairs") from err
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"{what}: matrix must be square, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValidationError(f"{what}: matrix entries must be finite")
     return mat
 
 
@@ -56,8 +53,36 @@ def _matrix_to_json(mat: np.ndarray):
     return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
 
 
+_REQUIRED = object()
+_NUMBER = (int, float)
+
+
+def _field(block, key: str, kind, where: str, default=_REQUIRED):
+    """``block[key]`` from a JSON object, checked to be an instance of ``kind``."""
+    if not isinstance(block, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    value = block.get(key, default)
+    if value is _REQUIRED:
+        raise ValidationError(f"{where} missing required field {key!r}")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(f"{where} field {key!r} has the wrong type: {value!r}")
+    return value
+
+
+def _support(entry, where: str) -> Interval:
+    support = _field(entry, "support", list, where)
+    if len(support) != 2 or not all(type(site) is int for site in support):
+        raise ValidationError(f"{where} field 'support' must be [first_site, last_site]")
+    first, last = support
+    return Interval(last - first, first)
+
+
 def load_model(path):
-    """Parse and validate a model file; returns ChainModel or KitaevModel."""
+    """Parse and validate a model file; returns ChainModel or KitaevModel.
+
+    Every malformed or invalid file raises ValidationError naming the
+    offending field.
+    """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"model file not found: {path}")
@@ -65,6 +90,8 @@ def load_model(path):
         spec = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ValidationError(f"model file is not valid JSON: {err}") from err
+    if not isinstance(spec, dict):
+        raise ValidationError("model file must be a JSON object")
     if spec.get("version") != SPEC_VERSION:
         raise ValidationError(f"unsupported model file version {spec.get('version')!r}")
     if "kitaev" in spec:
@@ -73,35 +100,36 @@ def load_model(path):
 
 
 def _load_chain(spec) -> ChainModel:
-    for key in ("N", "M", "H", "interactions", "t"):
-        if key not in spec:
-            raise ValidationError(f"model file missing required field {key!r}")
-    H = _parse_matrix(spec["H"], "on-site matrix")
+    where = "model file"
+    H = _parse_matrix(_field(spec, "H", list, where), "on-site matrix")
     interactions = {}
-    for entry in spec["interactions"]:
-        first, last = entry["support"]
-        iv = Interval(last - first, first)
-        interactions[iv] = _parse_matrix(entry["matrix"], f"interaction on {iv}")
+    for entry in _field(spec, "interactions", list, where):
+        iv = _support(entry, "interaction")
+        interactions[iv] = _parse_matrix(_field(entry, "matrix", list, f"interaction on {iv}"),
+                                         f"interaction on {iv}")
     return build_chain_model(
-        N=spec["N"], M=spec["M"], onsite=H, interactions=interactions,
-        t=spec["t"], kbar=spec.get("kbar"),
+        N=_field(spec, "N", int, where), M=_field(spec, "M", int, where), onsite=H,
+        interactions=interactions, t=_field(spec, "t", _NUMBER, where),
+        kbar=_field(spec, "kbar", (int, type(None)), where, None),
     )
 
 
 def _load_kitaev(block) -> kit.KitaevModel:
-    for key in ("N", "beta", "perturbations"):
-        if key not in block:
-            raise ValidationError(f"kitaev block missing required field {key!r}")
-    alg = kit.fermion_algebra(int(block["N"]))
+    where = "kitaev block"
+    alg = kit.fermion_algebra(_field(block, "N", int, where))
     perts = []
-    for entry in block["perturbations"]:
-        first, last = entry["support"]
-        mat = kit.perturbation_matrix(alg, entry["terms"])
-        perts.append((Interval(last - first, first), mat))
+    for entry in _field(block, "perturbations", list, where):
+        iv = _support(entry, "perturbation")
+        terms = _field(entry, "terms", list, f"perturbation on {iv}")
+        try:
+            mat = kit.perturbation_matrix(alg, terms)
+        except (KeyError, IndexError, TypeError, ValueError) as err:
+            raise ValidationError(f"perturbation on {iv}: malformed field 'terms' ({err!r})") from err
+        perts.append((iv, mat))
     return kit.build_kitaev_model(
-        N=block["N"], beta=block["beta"], perturbations=perts,
-        mu=block.get("mu", 0.0), tau=block.get("tau", 1.0),
-        delta=block.get("delta", 1.0), meta={"source": "file"},
+        N=alg.N, beta=_field(block, "beta", _NUMBER, where), perturbations=perts,
+        mu=_field(block, "mu", _NUMBER, where, 0.0), tau=_field(block, "tau", _NUMBER, where, 1.0),
+        delta=_field(block, "delta", _NUMBER, where, 1.0), meta={"source": "file"},
     )
 
 
@@ -158,8 +186,8 @@ def emit(report, fmt: str = "json") -> str:
         reports = report if isinstance(report, list) else [report]
         lines = ["kind,t,k,q,E,gap,series_order,od_residual,s_norm,r,interval_q,norm,bound,ok"]
         for rep in reports:
-            t = rep.get("controls", {}).get("t", 0.0)
-            ts = _format_float(t)
+            t = (rep.get("controls") or {}).get("t")
+            ts = "" if t is None else _format_float(t)
             for row in rep.get("steps", []):
                 lines.append(",".join([
                     "step", ts, str(row["k"]), str(row["q"]),
@@ -180,23 +208,6 @@ def emit(report, fmt: str = "json") -> str:
 
 # ---------------------------------------------------------------------------
 # run orchestration
-
-_EXIT_CODES = (
-    (SeriesError, 3),
-    (GapError, 4),
-    (ValidationError, 2),
-    (DimensionError, 2),
-    (RegroupError, 2),
-    (CertificationError, 2),
-)
-
-
-def _exit_code_for(err: ChainError) -> int:
-    for cls, code in _EXIT_CODES:
-        if isinstance(err, cls):
-            return code
-    return 1
-
 
 def _steps_json(state) -> list:
     return [
@@ -222,93 +233,91 @@ def _model_echo(model: ChainModel) -> dict:
     }
 
 
+def _report(model=None, controls=None, kitaev=None) -> dict:
+    """A report with every key present, before any stage of a run has filled it."""
+    return {
+        "version": SPEC_VERSION, "status": "ok", "error": None,
+        "model": model, "controls": controls, "steps": [], "ledger": [],
+        "gap_report": None, "oracle": None, "kitaev": kitaev, "timings": {},
+    }
+
+
+def _record_failure(report: dict, err: ChainError) -> int:
+    """Mark ``report`` failed: error block, exit code, and the steps reached
+    before the failure if the error carries them.  Returns the exit code."""
+    code = err.exit_code
+    step = getattr(err, "step", None)
+    report["status"] = "failed"
+    report["error"] = {
+        "type": type(err).__name__,
+        "message": str(err),
+        "step": [step.k, step.q] if step is not None else None,
+        "exit_code": code,
+    }
+    partial = getattr(err, "partial_state", None)
+    if partial is not None:
+        report["steps"] = _steps_json(partial)
+    return code
+
+
 def run(model, controls: SeriesControls, oracle_policy: str = "auto",
         seed=None, kitaev_extra=None):
-    """Execute sweep + certification + oracle; returns (report dict, exit code)."""
+    """Fit the pipeline to ``model`` and serialize every stage it reached;
+    returns (report dict, exit code)."""
     started = time.perf_counter()
-    report = {
-        "version": SPEC_VERSION,
-        "status": "ok",
-        "error": None,
-        "model": _model_echo(model),
-        "controls": {
+    report = _report(
+        model=_model_echo(model),
+        controls={
             "jmax": controls.jmax, "tol_series": controls.tol_series,
             "tol_od": controls.tol_od, "gap_min": controls.gap_min,
             "oracle": oracle_policy, "seed": seed, "t": model.t,
         },
-        "steps": [], "ledger": [], "gap_report": None, "oracle": None,
-        "kitaev": kitaev_extra, "timings": {},
-    }
+        kitaev=kitaev_extra,
+    )
+    est = BlockDiagonalizer(oracle=oracle_policy, **dataclasses.asdict(controls))
     code = 0
     try:
-        t0 = time.perf_counter()
-        state = sweep(model, controls)
-        report["timings"]["sweep_s"] = time.perf_counter() - t0
-        report["steps"] = _steps_json(state)
-        gap_report = certify(state, model, controls.tol_od)
+        est.fit(model)
+    except ChainError as err:
+        code = _record_failure(report, err)
+    if est.state_ is not None:
+        report["steps"] = _steps_json(est.state_)
+    if est.report_ is not None:
         report["ledger"] = [
             {"r": e.interval.k, "interval_q": e.interval.q, "norm": e.norm,
              "bound": e.bound, "ok": e.ok}
-            for e in gap_report.ledger
+            for e in est.report_.ledger
         ]
-        report["gap_report"] = {
-            "ground_energy": gap_report.ground_energy,
-            "gap": gap_report.gap,
-            "unique_ground": gap_report.unique_ground,
-            "od_residual": gap_report.od_residual,
-        }
-        run_oracle = oracle_policy == "force" or (
-            oracle_policy == "auto" and model.M ** model.N <= GUARD
-        )
-        if run_oracle:
-            cmp_ = compare(state, model, gap_report.ground_energy)
-            report["oracle"] = {
-                "spectrum_distance": cmp_.spectrum_distance,
-                "gap_ed": cmp_.gap_ed,
-                "ground_degeneracy": cmp_.ground_degeneracy,
-                "blockwise_match": cmp_.blockwise_match,
-                "ground_ed": cmp_.ground_ed,
-                "low_spectrum": list(cmp_.low_spectrum),
-            }
-    except ChainError as err:
-        code = _exit_code_for(err)
-        report["status"] = "failed"
-        step = getattr(err, "step", None)
-        report["error"] = {
-            "type": type(err).__name__,
-            "message": str(err),
-            "step": [step.k, step.q] if step is not None else None,
-            "exit_code": code,
-        }
-        partial = getattr(err, "partial_state", None)
-        if partial is not None:
-            report["steps"] = _steps_json(partial)
-    report["timings"]["total_s"] = time.perf_counter() - started
+        report["gap_report"] = {key: getattr(est.report_, key) for key in
+                                ("ground_energy", "gap", "unique_ground", "od_residual")}
+    if est.comparison_ is not None:
+        report["oracle"] = dataclasses.asdict(est.comparison_)
+    report["timings"] = {**est.timings_, "total_s": time.perf_counter() - started}
     return report, code
 
 
 def _prepare_model(loaded, t_value):
-    """Resolve a loaded model and an optional coupling override to a ChainModel."""
-    kitaev_extra = None
-    if isinstance(loaded, kit.KitaevModel):
-        kmodel = loaded if t_value is None else dataclasses.replace(loaded, beta=float(t_value))
-        bulk, boundary = kit.regroup_perturbations(kmodel)
-        model = kit.restricted_chain_model(bulk, kmodel.beta)
-        kitaev_extra = {
-            "N_fermion": kmodel.N, "beta": kmodel.beta,
-            "bulk_terms": len(bulk), "boundary_terms": len(boundary),
-            "norm_scale": model.seed_info.get("norm_scale", 1.0),
-            "doubling_ok": (
-                kit.doubling_check_terms(kmodel.N, bulk, kmodel.beta)
-                if 2 ** kmodel.N <= GUARD else None
-            ),
-        }
-        if boundary and 2 ** kmodel.N <= GUARD:
-            splitting, gap_above = kit.boundary_gap_check(kmodel)
-            kitaev_extra["boundary_splitting"] = splitting
-            kitaev_extra["boundary_gap_above_pair"] = gap_above
-        return model, kitaev_extra
-    model = loaded if t_value is None else dataclasses.replace(loaded, t=float(t_value))
+    """Resolve a loaded model and an optional coupling override to a
+    validated ChainModel, plus the Kitaev report block for Kitaev files."""
+    if not isinstance(loaded, kit.KitaevModel):
+        if t_value is None:
+            return loaded, None
+        model = dataclasses.replace(loaded, t=float(t_value))
+        validate_chain_model(model)
+        return model, None
+    kmodel = loaded if t_value is None else dataclasses.replace(loaded, beta=float(t_value))
+    bulk, boundary = kit.regroup_perturbations(kmodel)
+    model = kit.restricted_chain_model(bulk, kmodel.beta)
+    kitaev_extra = {
+        "N_fermion": kmodel.N, "beta": kmodel.beta,
+        "bulk_terms": len(bulk), "boundary_terms": len(boundary),
+        "norm_scale": model.seed_info.get("norm_scale", 1.0),
+        "doubling_ok": kit.doubling_check_terms(kmodel.N, bulk, kmodel.beta),
+    }
+    if boundary:
+        splitting, gap_above = kit.boundary_gap_check(kmodel)
+        kitaev_extra["boundary_splitting"] = splitting
+        kitaev_extra["boundary_gap_above_pair"] = gap_above
     return model, kitaev_extra
 
 
@@ -322,19 +331,16 @@ def main(argv=None) -> int:
     group.add_argument("--t", type=float, default=None, help="override coupling")
     group.add_argument("--t-sweep", default=None,
                        help="comma-separated couplings; emits one report per value")
-    parser.add_argument("--jmax", type=int, default=20)
-    parser.add_argument("--tol-od", type=float, default=1e-8)
-    parser.add_argument("--tol-series", type=float, default=1e-14)
-    parser.add_argument("--gap-min", type=float, default=0.5)
-    parser.add_argument("--oracle", choices=["auto", "force", "off"], default="auto")
+    parser.add_argument("--jmax", type=int, default=SeriesControls.jmax)
+    parser.add_argument("--tol-od", type=float, default=SeriesControls.tol_od)
+    parser.add_argument("--tol-series", type=float, default=SeriesControls.tol_series)
+    parser.add_argument("--gap-min", type=float, default=SeriesControls.gap_min)
+    parser.add_argument("--oracle", choices=ORACLE_POLICIES, default="auto")
     parser.add_argument("--report", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--seed", type=int, default=None,
                         help="echoed into the report controls")
     args = parser.parse_args(argv)
-
-    controls = SeriesControls(jmax=args.jmax, tol_series=args.tol_series,
-                              tol_od=args.tol_od, gap_min=args.gap_min)
 
     def emit_out(payload) -> None:
         text = emit(payload, args.format)
@@ -344,44 +350,34 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
 
     try:
+        controls = SeriesControls(jmax=args.jmax, tol_series=args.tol_series,
+                                  tol_od=args.tol_od, gap_min=args.gap_min)
+        t_values = [args.t]
+        if args.t_sweep is not None:
+            try:
+                t_values = [float(v) for v in args.t_sweep.split(",") if v.strip()]
+            except ValueError:
+                t_values = []
+            if not t_values:
+                raise ValidationError("--t-sweep expects one or more comma-separated numbers")
         loaded = load_model(args.config)
     except ChainError as err:
-        code = _exit_code_for(err)
-        emit_out({
-            "version": SPEC_VERSION, "status": "failed",
-            "error": {"type": type(err).__name__, "message": str(err),
-                      "step": None, "exit_code": code},
-            "model": None, "controls": None, "steps": [], "ledger": [],
-            "gap_report": None, "oracle": None, "kitaev": None, "timings": {},
-        })
+        report = _report()
+        code = _record_failure(report, err)
+        emit_out(report)
         return code
-
-    t_values = [None]
-    if args.t is not None:
-        t_values = [args.t]
-    elif args.t_sweep is not None:
-        try:
-            t_values = [float(v) for v in args.t_sweep.split(",") if v.strip()]
-        except ValueError:
-            parser.error("--t-sweep expects comma-separated numbers")
 
     reports, worst = [], 0
     for t_value in t_values:
         try:
             model, kitaev_extra = _prepare_model(loaded, t_value)
         except ChainError as err:
-            code = _exit_code_for(err)
-            reports.append({
-                "version": SPEC_VERSION, "status": "failed",
-                "error": {"type": type(err).__name__, "message": str(err),
-                          "step": None, "exit_code": code},
-                "model": None, "controls": {"t": t_value}, "steps": [],
-                "ledger": [], "gap_report": None, "oracle": None,
-                "kitaev": None, "timings": {},
-            })
-            worst = worst or code
-            continue
-        report, code = run(model, controls, args.oracle, args.seed, kitaev_extra)
+            # reports never hold NaN or infinity, so a non-finite coupling is echoed as null
+            finite = t_value is None or np.isfinite(t_value)
+            report = _report(controls={"t": t_value if finite else None})
+            code = _record_failure(report, err)
+        else:
+            report, code = run(model, controls, args.oracle, args.seed, kitaev_extra)
         reports.append(report)
         worst = worst or code
     emit_out(reports if len(reports) > 1 else reports[0])

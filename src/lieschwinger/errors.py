@@ -4,11 +4,18 @@ from __future__ import annotations
 
 
 class ChainError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``exit_code`` is the command-line runner's exit status for the error.
+    """
+
+    exit_code = 1
 
 
 class ValidationError(ChainError):
     """A model, operator, or input file violates a stated constraint."""
+
+    exit_code = 2
 
 
 class EmbeddingError(ChainError):
@@ -26,12 +33,16 @@ class OrderError(ChainError):
 class DimensionError(ChainError):
     """A full-space assembly would exceed the dense-matrix guard."""
 
+    exit_code = 2
+
 
 class GapError(ChainError):
     """Gap assumption violated: vacuum not the ground state, or gap below threshold.
 
     Carries the failing step and a short reason so a run report can name it.
     """
+
+    exit_code = 4
 
     def __init__(self, message, step=None, reason="", value=None):
         super().__init__(message)
@@ -43,6 +54,8 @@ class GapError(ChainError):
 class SeriesError(ChainError):
     """Generator series failed to converge at the allowed order."""
 
+    exit_code = 3
+
     def __init__(self, message, step=None, last_term_norm=None, residual=None):
         super().__init__(message)
         self.step = step
@@ -53,6 +66,10 @@ class SeriesError(ChainError):
 class CertificationError(ChainError):
     """Final block-diagonality residual exceeded the accepted tolerance."""
 
+    exit_code = 2
+
 
 class RegroupError(ChainError):
     """A perturbation classified as bulk fails the zero-mode commutation check."""
+
+    exit_code = 2

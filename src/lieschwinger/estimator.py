@@ -1,24 +1,29 @@
-"""Estimator-style front end over the sweep engine.
+"""Estimator-style front end over the sweep engine, and the one run pipeline.
 
 Follows the scikit-learn parameter protocol (constructor hyperparameters,
 ``fit`` returning self, fitted attributes with trailing underscores,
 ``get_params`` / ``set_params``) so runs compose with grid tooling.  There
 is no transform or predict surface: the accumulated global unitary is never
 materialized, so the fitted artifacts are the state, the gap report, and
-the optional oracle comparison.
+the optional oracle comparison.  ``fit`` is the one run pipeline; the
+command line calls it and only serializes what it fitted.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import numpy as np
 
 from .certify import certify
 from .errors import ValidationError
 from .model import ChainModel, validate_chain_model
-from .oracle import GUARD, compare
+from .operators import DENSE_GUARD
+from .oracle import compare
 from .sweep import SeriesControls, sweep
+
+ORACLE_POLICIES = ("auto", "force", "off")
 
 
 class BlockDiagonalizer:
@@ -29,7 +34,8 @@ class BlockDiagonalizer:
     always runs it, "off" never does.
     """
 
-    def __init__(self, jmax=20, tol_series=1e-14, tol_od=1e-8, gap_min=0.5,
+    def __init__(self, jmax=SeriesControls.jmax, tol_series=SeriesControls.tol_series,
+                 tol_od=SeriesControls.tol_od, gap_min=SeriesControls.gap_min,
                  oracle="auto"):
         self.jmax = jmax
         self.tol_series = tol_series
@@ -54,20 +60,24 @@ class BlockDiagonalizer:
                               tol_od=self.tol_od, gap_min=self.gap_min)
 
     def fit(self, model: ChainModel):
-        if self.oracle not in ("auto", "force", "off"):
+        """Validate, sweep, certify and, per the oracle policy, compare.
+
+        Each fitted attribute is set as its stage completes, so after a
+        failed fit the stages not reached are None."""
+        self.model_ = self.state_ = self.report_ = self.comparison_ = None
+        self.timings_ = {}
+        if self.oracle not in ORACLE_POLICIES:
             raise ValidationError(f"oracle policy {self.oracle!r} not in auto/force/off")
         validate_chain_model(model)
         self.model_ = model
+        started = time.perf_counter()
         self.state_ = sweep(model, self.controls())
+        self.timings_["sweep_s"] = time.perf_counter() - started
         self.report_ = certify(self.state_, model, self.tol_od)
-        run_oracle = self.oracle == "force" or (
-            self.oracle == "auto" and model.M ** model.N <= GUARD
-        )
-        self.comparison_ = (
-            compare(self.state_, model, self.report_.ground_energy)
-            if run_oracle else None
-        )
-        if self.comparison_ is not None:
+        if self.oracle == "force" or (
+            self.oracle == "auto" and model.M ** model.N <= DENSE_GUARD
+        ):
+            self.comparison_ = compare(self.state_, model, self.report_.ground_energy)
             self.report_ = dataclasses.replace(self.report_, oracle=self.comparison_)
         return self
 

@@ -28,9 +28,8 @@ from scipy import sparse
 from .errors import DimensionError, RegroupError, ValidationError
 from .intervals import Interval
 from .model import ChainModel, build_chain_model
-from .operators import LocalOperator, embed, hermitian_defect
+from .operators import DENSE_GUARD, LocalOperator, embed, hermitian_defect
 
-GUARD = 4096
 CAR_TOL = 1e-12
 
 
@@ -61,6 +60,10 @@ class DModeAlgebra:
 
 
 def fermion_algebra(N: int) -> FermionAlgebra:
+    """Jordan-Wigner annihilators; every dense fermion-space routine starts
+    here, so this is where the dense-dimension guard is enforced."""
+    if 2 ** N > DENSE_GUARD:
+        raise DimensionError(f"fermion space dimension {2**N} exceeds guard {DENSE_GUARD}")
     sz = sparse.csr_matrix(np.array([[1, 0], [0, -1]], dtype=complex))
     low = sparse.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
     eye2 = sparse.identity(2, dtype=complex, format="csr")
@@ -100,8 +103,6 @@ def parity_operator(alg: FermionAlgebra):
 
 def kitaev_hamiltonian(N: int) -> np.ndarray:
     """Sweet-spot Hamiltonian; the Majorana and number-operator forms must agree."""
-    if 2 ** N > GUARD:
-        raise DimensionError(f"fermion space dimension {2**N} exceeds guard {GUARD}")
     alg = fermion_algebra(N)
     gA, gB = majoranas(alg)
     dmodes = d_mode_algebra(alg)
@@ -168,8 +169,6 @@ def perturbation_matrix(alg: FermionAlgebra, terms) -> sparse.csr_matrix:
 def build_kitaev_model(N, beta, perturbations, mu=0.0, tau=1.0, delta=1.0,
                        meta=None) -> KitaevModel:
     """Validate supports, Hermiticity, and parity-evenness of each perturbation."""
-    if 2 ** N > GUARD:
-        raise DimensionError(f"fermion space dimension {2**N} exceeds guard {GUARD}")
     if not (mu == 0.0 and tau == delta):
         raise ValidationError("only the sweet spot mu=0, tau=delta is supported")
     alg = fermion_algebra(N)
@@ -306,8 +305,6 @@ def perturbed_full_hamiltonian(N: int, bulk, beta: float) -> np.ndarray:
 def doubling_check_terms(N: int, bulk, beta: float, tol: float = 1e-9) -> bool:
     """Full spectrum equals the restricted spectrum doubled, and every
     eigenvalue has even multiplicity."""
-    if 2 ** N > GUARD:
-        raise DimensionError(f"fermion space dimension {2**N} exceeds guard {GUARD}")
     H = perturbed_full_hamiltonian(N, bulk, beta)
     dmodes = d_mode_algebra(fermion_algebra(N))
     R = zero_sector_basis(dmodes)
@@ -342,8 +339,6 @@ def boundary_gap_check(model: KitaevModel) -> tuple[float, float]:
     block-diagonalizing unitary on the degenerate sector.  Returns
     (splitting of the two lowest levels, gap from them to the third).
     """
-    if 2 ** model.N > GUARD:
-        raise DimensionError(f"fermion space dimension {2**model.N} exceeds guard {GUARD}")
     H = sparse.csr_matrix(kitaev_hamiltonian(model.N))
     for _, mat in model.perturbations:
         H = H + model.beta * mat

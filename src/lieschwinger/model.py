@@ -76,6 +76,8 @@ def validate_chain_model(model: ChainModel, tol: float = _TOL) -> None:
         raise ValidationError(f"need at least 2 sites, got N={model.N}")
     if model.M < 2:
         raise ValidationError(f"need on-site dimension >= 2, got M={model.M}")
+    if not np.isfinite(model.t):
+        raise ValidationError(f"coupling t must be finite, got t={model.t}")
     H = model.onsite
     if H.shape != (model.M, model.M):
         raise ValidationError(f"on-site matrix shape {H.shape} does not match M={model.M}")

@@ -27,6 +27,8 @@ from .errors import EmbeddingError, GeneratorError, ValidationError
 from .intervals import Interval
 
 TOL_HERM = 1e-10
+# Largest full-space dimension that any dense assembly or check may reach.
+DENSE_GUARD = 4096
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -130,16 +132,14 @@ def orthogonal_complement_basis(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProjectorPair:
-    """Rank-1 product-vacuum projector and its complement on one interval.
+    """Rank-1 product-vacuum projector vac vac^dag and its complement on one interval.
 
-    ``plus_basis`` holds an orthonormal basis of range(p_plus) so blocks can
-    be restricted without picking up spurious zero modes from range(p_minus).
+    ``plus_basis`` holds an orthonormal basis of the complement of vac so
+    blocks can be restricted without picking up a spurious zero mode.
     """
 
     support: Interval
     vac: np.ndarray
-    p_minus: np.ndarray
-    p_plus: np.ndarray
     plus_basis: np.ndarray
 
 
@@ -150,10 +150,7 @@ def build_projectors(interval: Interval, omega: np.ndarray) -> ProjectorPair:
     vac = omega
     for _ in range(interval.k):
         vac = np.kron(vac, omega)
-    d = vac.shape[0]
-    p_minus = np.outer(vac, vac.conj())
-    p_plus = np.eye(d, dtype=complex) - p_minus
-    return ProjectorPair(interval, vac, p_minus, p_plus, orthogonal_complement_basis(vac))
+    return ProjectorPair(interval, vac, orthogonal_complement_basis(vac))
 
 
 def unitary_exp(S: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:
@@ -164,28 +161,6 @@ def unitary_exp(S: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:
         raise GeneratorError(f"generator not anti-Hermitian: |S + S^dag| = {defect:.3e}")
     lam, U = np.linalg.eigh(1j * (S - S.conj().T) / 2)
     return (U * np.exp(-1j * lam)) @ U.conj().T
-
-
-def conjugate_exact(op: LocalOperator, gen: LocalOperator,
-                    tol_herm: float = TOL_HERM) -> LocalOperator:
-    """exp(S) A exp(-S) on a common support, re-symmetrized.
-
-    The generator must be anti-Hermitian within tol_herm; the conjugated
-    matrix is re-symmetrized as (B + B^dag)/2 after checking that the
-    Hermiticity drift stays below tol_herm.
-    """
-    if op.support != gen.support:
-        raise EmbeddingError(
-            f"supports differ: {op.support} vs {gen.support}; embed before conjugating"
-        )
-    U = unitary_exp(gen.matrix, tol_herm)
-    B = U @ op.matrix @ U.conj().T
-    defect = hermitian_defect(B)
-    if hermitian_defect(op.matrix) <= tol_herm * max(1.0, float(np.max(np.abs(op.matrix)))):
-        if defect > tol_herm * max(1.0, float(np.max(np.abs(B)))):
-            raise GeneratorError(f"conjugation broke Hermiticity: drift {defect:.3e}")
-        B = (B + B.conj().T) / 2
-    return LocalOperator(op.support, B)
 
 
 def rotation_factors(y: np.ndarray, vac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DimensionError
 from .model import ChainModel
+from .operators import DENSE_GUARD
 
-GUARD = 4096
 DEGENERACY_TOL = 1e-9
 
 
@@ -45,8 +45,8 @@ def _embed_full(term: np.ndarray, first: int, last: int, N: int, M: int) -> np.n
 def assemble_direct(model: ChainModel) -> np.ndarray:
     """Model Hamiltonian assembled straight from its definition."""
     dim = model.M ** model.N
-    if dim > GUARD:
-        raise DimensionError(f"full-space dimension {dim} exceeds oracle guard {GUARD}")
+    if dim > DENSE_GUARD:
+        raise DimensionError(f"full-space dimension {dim} exceeds oracle guard {DENSE_GUARD}")
     K = model.energy_offset * np.eye(dim, dtype=complex)
     for site in range(1, model.N + 1):
         K += _embed_full(model.onsite, site, site, model.N, model.M)

@@ -47,14 +47,15 @@ potential, never as an embedded unitary:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
-from .errors import DimensionError, GapError, OrderError, SeriesError
+from .errors import DimensionError, GapError, OrderError, SeriesError, ValidationError
 from .intervals import Interval, StepIndex, initial_step, iter_steps, successor
 from .model import ChainModel
 from .operators import (
+    DENSE_GUARD,
     LocalOperator,
     ProjectorPair,
     build_projectors,
@@ -65,12 +66,11 @@ from .operators import (
     unitary_exp,  # unused here; perfbench/tracing.py looks it up on this module
 )
 
-ASSEMBLY_GUARD = 4096
-
 
 @dataclass(frozen=True)
 class SeriesControls:
-    """Truncation and acceptance thresholds for one sweep."""
+    """Truncation and acceptance thresholds for one sweep; the field
+    defaults are the package-wide defaults, read from here everywhere."""
 
     jmax: int = 20
     tol_series: float = 1e-14
@@ -79,9 +79,11 @@ class SeriesControls:
 
     def __post_init__(self):
         if self.jmax < 1:
-            raise ValueError("jmax must be at least 1")
+            raise ValidationError(f"jmax must be at least 1, got {self.jmax}")
+        if not all(isfinite(x) for x in (self.tol_series, self.tol_od, self.gap_min)):
+            raise ValidationError("tolerances and gap_min must be finite")
         if min(self.tol_series, self.tol_od) <= 0:
-            raise ValueError("tolerances must be positive")
+            raise ValidationError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,8 @@ def initial_state(model: ChainModel) -> BlockDiagState:
 
 
 def local_hamiltonian(state: BlockDiagState, model: ChainModel,
-                      interval: Interval, tol_od: float = 1e-8) -> LocalOperator:
+                      interval: Interval,
+                      tol_od: float = SeriesControls.tol_od) -> LocalOperator:
     """On-site terms plus every transported shorter potential inside ``interval``.
 
     All proper subintervals must already be block-diagonalized, which makes
@@ -173,7 +176,7 @@ def plus_block_eigh(G: np.ndarray, pair: ProjectorPair) -> tuple[np.ndarray, np.
 
 
 def vacuum_energy(G: LocalOperator, pair: ProjectorPair,
-                  tol_od: float = 1e-8, step: StepIndex | None = None,
+                  tol_od: float = SeriesControls.tol_od, step: StepIndex | None = None,
                   plus_spectrum: np.ndarray | None = None) -> float:
     """Scalar of the rank-1 vacuum block; must match the ground energy of G.
 
@@ -295,7 +298,7 @@ def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray
 
 
 def diagonalized_potential(G: np.ndarray, V: np.ndarray, y: np.ndarray, t: float,
-                           pair: ProjectorPair, tol_od: float = 1e-8,
+                           pair: ProjectorPair, tol_od: float = SeriesControls.tol_od,
                            step: StepIndex | None = None) -> tuple[np.ndarray, float]:
     """Replacement potential (exp(S)(G + tV)exp(-S) - G)/t and its residual,
     for S = y vac^dag - vac y^dag.
@@ -399,8 +402,8 @@ def sweep(model: ChainModel, controls: SeriesControls = SeriesControls()) -> Blo
 def assemble_full(state: BlockDiagState, model: ChainModel) -> np.ndarray:
     """Embed on-site terms and every stored potential into the full chain."""
     dim = model.M ** model.N
-    if dim > ASSEMBLY_GUARD:
-        raise DimensionError(f"full-space dimension {dim} exceeds guard {ASSEMBLY_GUARD}")
+    if dim > DENSE_GUARD:
+        raise DimensionError(f"full-space dimension {dim} exceeds guard {DENSE_GUARD}")
     chain = Interval(model.N - 1, 1)
     K = model.energy_offset * np.eye(dim, dtype=complex)
     for site in range(1, model.N + 1):

@@ -211,3 +211,83 @@ class TestMain:
         assert report["kitaev"]["doubling_ok"] is True
         assert report["gap_report"]["gap"] >= 1.0
         assert report["gap_report"]["ground_energy"] == pytest.approx(-4.0, abs=0.1)
+
+
+def _list_file(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([chain_spec()]))
+    return path
+
+
+def _no_support_file(tmp_path):
+    spec = chain_spec()
+    del spec["interactions"][0]["support"]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+def _bad_n_file(tmp_path):
+    spec = chain_spec()
+    spec["N"] = "two"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+class TestBadInputs:
+    """Every bad value ends in exit 2 with a parseable report, never a traceback."""
+
+    @pytest.mark.parametrize("make_config,flags,bad_index", [
+        pytest.param(None, ["--t", "nan"], None, id="t-nan"),
+        pytest.param(None, ["--t", "inf"], None, id="t-inf"),
+        pytest.param(None, ["--t-sweep", "0.1,nan"], 1, id="t-sweep-nan"),
+        pytest.param(None, ["--jmax", "0"], None, id="jmax-0"),
+        pytest.param(None, ["--tol-od", "-1"], None, id="tol-od-negative"),
+        pytest.param(None, ["--t-sweep", "0.1,abc"], None, id="t-sweep-not-a-number"),
+        pytest.param(None, ["--t-sweep", ","], None, id="t-sweep-empty"),
+        pytest.param(_list_file, [], None, id="top-level-list"),
+        pytest.param(_no_support_file, [], None, id="no-support"),
+        pytest.param(_bad_n_file, [], None, id="N-not-integer"),
+    ])
+    def test_exit_two_with_report(self, demo_config, tmp_path, make_config, flags, bad_index):
+        config = demo_config if make_config is None else make_config(tmp_path)
+        out = tmp_path / "report.json"
+        assert main(["--config", str(config), "--report", str(out)] + flags) == 2
+        report = json.loads(out.read_text())
+        if bad_index is not None:
+            # the valid couplings of a sweep keep their reports
+            assert [r["status"] for r in report] == ["ok", "failed"]
+            report = report[bad_index]
+        assert report["status"] == "failed"
+        assert report["error"]["type"] == "ValidationError"
+        assert report["error"]["exit_code"] == 2
+        # a rejected coupling is echoed as null: reports never hold NaN or infinity
+        assert report["controls"] in (None, {"t": None})
+
+    @pytest.mark.parametrize("make_config,flags", [
+        pytest.param(_list_file, [], id="load-failure"),
+        pytest.param(None, ["--t", "nan"], id="coupling-failure"),
+    ])
+    def test_failure_report_as_csv(self, demo_config, tmp_path, make_config, flags):
+        config = demo_config if make_config is None else make_config(tmp_path)
+        out = tmp_path / "report.csv"
+        assert main(["--config", str(config), "--format", "csv",
+                     "--report", str(out)] + flags) == 2
+        header = "kind,t,k,q,E,gap,series_order,od_residual,s_norm,r,interval_q,norm,bound,ok"
+        assert out.read_text() == header + "\n"
+
+    def test_malformed_file_names_field(self, tmp_path):
+        with pytest.raises(ValidationError, match="'support'"):
+            load_model(_no_support_file(tmp_path))
+        with pytest.raises(ValidationError, match="'N'"):
+            load_model(_bad_n_file(tmp_path))
+        with pytest.raises(ValidationError, match="JSON object"):
+            load_model(_list_file(tmp_path))
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"version": "1", "kitaev": {
+            "N": 5, "beta": 0.01,
+            "perturbations": [{"support": [3, 3], "terms": [{"coeff": [1.0, 0.0]}]}],
+        }}))
+        with pytest.raises(ValidationError, match="'terms'"):
+            load_model(path)

@@ -50,6 +50,13 @@ def test_rejects_support_outside_chain():
                           {Interval(1, 2): np.kron(SX, SX)}, t=0.1)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_rejects_non_finite_coupling(t):
+    with pytest.raises(ValidationError, match="finite"):
+        build_chain_model(2, 2, np.diag([0.0, 1.0]),
+                          {Interval(1, 1): np.kron(SX, SX)}, t=t)
+
+
 def test_random_model_reproducible():
     a = random_chain_model(4, 1e-3, seed=11)
     b = random_chain_model(4, 1e-3, seed=11)

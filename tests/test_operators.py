@@ -8,7 +8,6 @@ from lieschwinger.operators import (
     LocalOperator,
     build_projectors,
     conjugate_by_unitary,
-    conjugate_exact,
     embed,
     op_norm,
     orthogonal_complement_basis,
@@ -89,19 +88,20 @@ class TestOpNorm:
 class TestProjectors:
     def test_single_site(self):
         pair = build_projectors(Interval(0, 3), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(pair.p_minus, np.diag([1.0, 0.0]))
+        np.testing.assert_allclose(np.outer(pair.vac, pair.vac.conj()), np.diag([1.0, 0.0]))
 
     def test_ranks(self):
         pair = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
-        assert np.linalg.matrix_rank(pair.p_minus) == 1
-        assert np.linalg.matrix_rank(pair.p_plus) == 3
+        assert np.linalg.matrix_rank(np.outer(pair.vac, pair.vac.conj())) == 1
+        assert np.linalg.matrix_rank(pair.plus_basis @ pair.plus_basis.conj().T) == 3
 
     @pytest.mark.parametrize("seed", range(20))
     def test_pair_invariants_random_omega(self, seed):
         rng = np.random.default_rng(seed)
         omega = rng.normal(size=3) + 1j * rng.normal(size=3)
         pair = build_projectors(Interval(1, 1), omega)
-        pm, pp = pair.p_minus, pair.p_plus
+        pm = np.outer(pair.vac, pair.vac.conj())
+        pp = pair.plus_basis @ pair.plus_basis.conj().T
         np.testing.assert_allclose(pm @ pm, pm, atol=1e-12)
         np.testing.assert_allclose(pp @ pp, pp, atol=1e-12)
         np.testing.assert_allclose(pm @ pp, np.zeros_like(pm), atol=1e-12)
@@ -116,47 +116,11 @@ class TestProjectors:
                                    np.zeros(7), atol=1e-12)
 
 
-class TestConjugateExact:
-    def test_zero_generator_is_identity(self, rng):
-        A = LocalOperator(Interval(1, 1), random_hermitian(rng, 4))
-        S = LocalOperator(Interval(1, 1), np.zeros((4, 4)))
-        out = conjugate_exact(A, S)
-        np.testing.assert_allclose(out.matrix, A.matrix, atol=1e-15)
-
-    def test_spectrum_preserved(self, rng):
-        # oracle: full diagonalization of both sides
-        for _ in range(5):
-            A = random_hermitian(rng, 8)
-            S = 1j * random_hermitian(rng, 8)
-            out = conjugate_exact(LocalOperator(Interval(2, 1), A),
-                                  LocalOperator(Interval(2, 1), S))
-            np.testing.assert_allclose(
-                np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(A), atol=1e-10
-            )
-
-    def test_commuting_generator_fixes_operator(self, rng):
-        A = np.diag(rng.normal(size=4)).astype(complex)
-        S = 1j * np.diag(rng.normal(size=4)).astype(complex)
-        out = conjugate_exact(LocalOperator(Interval(1, 1), A),
-                              LocalOperator(Interval(1, 1), S))
-        np.testing.assert_allclose(out.matrix, A, atol=1e-12)
-
+class TestUnitaryExp:
     def test_exactly_unitary_exponential(self, rng):
         S = 1j * random_hermitian(rng, 6)
         U = unitary_exp(S)
         np.testing.assert_allclose(U @ U.conj().T, np.eye(6), atol=1e-13)
-
-    def test_rejects_non_antihermitian(self, rng):
-        A = LocalOperator(Interval(1, 1), random_hermitian(rng, 4))
-        bad = LocalOperator(Interval(1, 1), random_hermitian(rng, 4))
-        with pytest.raises(GeneratorError):
-            conjugate_exact(A, bad)
-
-    def test_rejects_support_mismatch(self, rng):
-        A = LocalOperator(Interval(1, 1), random_hermitian(rng, 4))
-        S = LocalOperator(Interval(1, 2), np.zeros((4, 4)))
-        with pytest.raises(EmbeddingError):
-            conjugate_exact(A, S)
 
 
 def random_rotation(rng, d, theta):
