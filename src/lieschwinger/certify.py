@@ -201,8 +201,8 @@ def excited_block_lower_bound(state: BlockDiagState, model: ChainModel,
     Returns (smallest eigenvalue of the shifted excited block, scalar).
     """
     t = abs(model.t)
-    G = local_hamiltonian(state, model, interval)
     pair = build_projectors(interval, model.omega)
+    G = local_hamiltonian(state, model, pair)
     shift = 0.0
     for sub, op in state.potentials.items():
         if interval.contains(sub) and sub != interval:

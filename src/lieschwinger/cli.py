@@ -116,20 +116,20 @@ def _load_chain(spec) -> ChainModel:
 
 def _load_kitaev(block) -> kit.KitaevModel:
     where = "kitaev block"
-    alg = kit.fermion_algebra(_field(block, "N", int, where))
+    frame = kit.fermion_frame(_field(block, "N", int, where))
     perts = []
     for entry in _field(block, "perturbations", list, where):
         iv = _support(entry, "perturbation")
         terms = _field(entry, "terms", list, f"perturbation on {iv}")
         try:
-            mat = kit.perturbation_matrix(alg, terms)
+            mat = kit.perturbation_matrix(frame.alg, terms)
         except (KeyError, IndexError, TypeError, ValueError) as err:
             raise ValidationError(f"perturbation on {iv}: malformed field 'terms' ({err!r})") from err
         perts.append((iv, mat))
     return kit.build_kitaev_model(
-        N=alg.N, beta=_field(block, "beta", _NUMBER, where), perturbations=perts,
+        frame, beta=_field(block, "beta", _NUMBER, where), perturbations=perts,
         mu=_field(block, "mu", _NUMBER, where, 0.0), tau=_field(block, "tau", _NUMBER, where, 1.0),
-        delta=_field(block, "delta", _NUMBER, where, 1.0), meta={"source": "file"},
+        delta=_field(block, "delta", _NUMBER, where, 1.0),
     )
 
 
@@ -143,28 +143,22 @@ def _format_float(x: float) -> str:
 
 
 def _write_json(obj, out, indent: int) -> None:
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
+    if isinstance(obj, (dict, list, tuple)):
+        # (key prefix, value) per entry; objects in sorted key order
+        if isinstance(obj, dict):
+            entries, brackets = [(json.dumps(str(k)) + ": ", obj[k]) for k in sorted(obj)], "{}"
+        else:
+            entries, brackets = [("", item) for item in obj], "[]"
+        if not entries:
+            out.append(brackets)
             return
-        out.append("{\n")
-        keys = sorted(obj)
-        for i, key in enumerate(keys):
-            out.append(pad + "  " + json.dumps(str(key)) + ": ")
-            _write_json(obj[key], out, indent + 2)
-            out.append(",\n" if i < len(keys) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(obj):
-            out.append(pad + "  ")
-            _write_json(item, out, indent + 2)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
+        pad = " " * indent
+        out.append(brackets[0] + "\n")
+        for i, (prefix, value) in enumerate(entries):
+            out.append(pad + "  " + prefix)
+            _write_json(value, out, indent + 2)
+            out.append(",\n" if i < len(entries) - 1 else "\n")
+        out.append(pad + brackets[1])
     elif isinstance(obj, bool) or obj is None:
         out.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
@@ -267,11 +261,8 @@ def run(model, controls: SeriesControls, oracle_policy: str = "auto",
     started = time.perf_counter()
     report = _report(
         model=_model_echo(model),
-        controls={
-            "jmax": controls.jmax, "tol_series": controls.tol_series,
-            "tol_od": controls.tol_od, "gap_min": controls.gap_min,
-            "oracle": oracle_policy, "seed": seed, "t": model.t,
-        },
+        controls={**dataclasses.asdict(controls), "oracle": oracle_policy, "seed": seed,
+                  "t": model.t},
         kitaev=kitaev_extra,
     )
     est = BlockDiagonalizer(oracle=oracle_policy, **dataclasses.asdict(controls))
@@ -296,26 +287,36 @@ def run(model, controls: SeriesControls, oracle_policy: str = "auto",
     return report, code
 
 
-def _prepare_model(loaded, t_value):
-    """Resolve a loaded model and an optional coupling override to a
-    validated ChainModel, plus the Kitaev report block for Kitaev files."""
+def _reduce(loaded):
+    """The part of a run that no coupling changes, done once per file: a
+    chain model as loaded, or a Kitaev model's restricted chain plus the
+    (model, bulk terms, boundary terms) that its per-coupling checks read."""
     if not isinstance(loaded, kit.KitaevModel):
-        if t_value is None:
-            return loaded, None
-        model = dataclasses.replace(loaded, t=float(t_value))
+        return loaded, None
+    bulk, boundary = kit.regroup_perturbations(loaded)
+    return kit.restricted_chain_model(loaded.frame, bulk, loaded.beta), (loaded, bulk, boundary)
+
+
+def _prepare_model(chain, kitaev, t_value):
+    """``chain`` at an optional coupling override, validated, plus the Kitaev
+    report block for Kitaev files.  A Kitaev coupling beta only rescales the
+    restricted chain's t and reruns the doubling and boundary checks."""
+    if kitaev is None:
+        model = chain if t_value is None else dataclasses.replace(chain, t=float(t_value))
         validate_chain_model(model)
         return model, None
-    kmodel = loaded if t_value is None else dataclasses.replace(loaded, beta=float(t_value))
-    bulk, boundary = kit.regroup_perturbations(kmodel)
-    model = kit.restricted_chain_model(bulk, kmodel.beta)
+    kmodel, bulk, boundary = kitaev
+    beta = kmodel.beta if t_value is None else float(t_value)
+    scale = chain.seed_info["norm_scale"]
+    model = dataclasses.replace(chain, t=beta * scale, seed_info={**chain.seed_info, "beta": beta})
+    validate_chain_model(model)
     kitaev_extra = {
-        "N_fermion": kmodel.N, "beta": kmodel.beta,
-        "bulk_terms": len(bulk), "boundary_terms": len(boundary),
-        "norm_scale": model.seed_info.get("norm_scale", 1.0),
-        "doubling_ok": kit.doubling_check_terms(kmodel.N, bulk, kmodel.beta),
+        "N_fermion": kmodel.N, "beta": beta,
+        "bulk_terms": len(bulk), "boundary_terms": len(boundary), "norm_scale": scale,
+        "doubling_ok": kit.doubling_check_terms(kmodel.frame, bulk, beta),
     }
     if boundary:
-        splitting, gap_above = kit.boundary_gap_check(kmodel)
+        splitting, gap_above = kit.boundary_gap_check(dataclasses.replace(kmodel, beta=beta))
         kitaev_extra["boundary_splitting"] = splitting
         kitaev_extra["boundary_gap_above_pair"] = gap_above
     return model, kitaev_extra
@@ -360,7 +361,7 @@ def main(argv=None) -> int:
                 t_values = []
             if not t_values:
                 raise ValidationError("--t-sweep expects one or more comma-separated numbers")
-        loaded = load_model(args.config)
+        chain, kitaev = _reduce(load_model(args.config))
     except ChainError as err:
         report = _report()
         code = _record_failure(report, err)
@@ -370,7 +371,7 @@ def main(argv=None) -> int:
     reports, worst = [], 0
     for t_value in t_values:
         try:
-            model, kitaev_extra = _prepare_model(loaded, t_value)
+            model, kitaev_extra = _prepare_model(chain, kitaev, t_value)
         except ChainError as err:
             # reports never hold NaN or infinity, so a non-finite coupling is echoed as null
             finite = t_value is None or np.isfinite(t_value)

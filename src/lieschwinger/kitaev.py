@@ -15,11 +15,15 @@ relative to the restriction to the d_0-vacuum sector.  Even perturbations
 supported away from both chain ends stay zero-mode free and restrict to
 interval-supported terms of a standard chain model with on-site matrix
 diag(0, 2).
+
+The reduction is built once per model file, on one ``FermionFrame``; each
+coupling beta then only rescales the restricted chain's t and reruns the
+doubling and boundary spectral checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -50,18 +54,21 @@ class FermionAlgebra:
 
 @dataclass(frozen=True, eq=False)
 class DModeAlgebra:
-    """Normal modes d_0..d_{N-1}; d_0 is the zero mode."""
+    """Normal modes d_0..d_{N-1} and their creation operators; d_0 is the zero mode."""
 
-    N: int
     d: tuple
+    dd: tuple
 
     def ddag(self, j: int):
-        return self.d[j].conj().T.tocsr()
+        return self.dd[j]
 
 
 def fermion_algebra(N: int) -> FermionAlgebra:
     """Jordan-Wigner annihilators; every dense fermion-space routine starts
-    here, so this is where the dense-dimension guard is enforced."""
+    here, so this is where the chain length and the dense-dimension guard
+    are enforced."""
+    if N < 1:
+        raise ValidationError(f"a Kitaev chain needs N >= 1 fermion sites, got N={N}")
     if 2 ** N > DENSE_GUARD:
         raise DimensionError(f"fermion space dimension {2**N} exceeds guard {DENSE_GUARD}")
     sz = sparse.csr_matrix(np.array([[1, 0], [0, -1]], dtype=complex))
@@ -85,12 +92,10 @@ def majoranas(alg: FermionAlgebra) -> tuple[list, list]:
 
 def d_mode_algebra(alg: FermionAlgebra) -> DModeAlgebra:
     gA, gB = majoranas(alg)
-    N = alg.N
-    ddag = [None] * N
-    for j in range(1, N):
-        ddag[j] = 0.5 * (gB[j - 1] + 1j * gA[j])
-    ddag[0] = 0.5 * (gB[N - 1] + 1j * gA[0])
-    return DModeAlgebra(N, tuple(m.conj().T.tocsr() for m in ddag))
+    # 2 d^dag_j = gamma_{B,j} + i gamma_{A,j+1}; for j = 0, gB[-1] is site N
+    ddag = [0.5 * (gB[j - 1] + 1j * gA[j]) for j in range(alg.N)]
+    d = tuple(m.conj().T.tocsr() for m in ddag)
+    return DModeAlgebra(d, tuple(m.conj().T.tocsr() for m in d))
 
 
 def parity_operator(alg: FermionAlgebra):
@@ -101,12 +106,10 @@ def parity_operator(alg: FermionAlgebra):
     return P.tocsr()
 
 
-def kitaev_hamiltonian(N: int) -> np.ndarray:
+def kitaev_hamiltonian(alg: FermionAlgebra, dmodes: DModeAlgebra) -> np.ndarray:
     """Sweet-spot Hamiltonian; the Majorana and number-operator forms must agree."""
-    alg = fermion_algebra(N)
     gA, gB = majoranas(alg)
-    dmodes = d_mode_algebra(alg)
-    dim = alg.dim
+    N, dim = alg.N, alg.dim
     H_gamma = sparse.csr_matrix((dim, dim), dtype=complex)
     H_modes = sparse.csr_matrix((dim, dim), dtype=complex)
     for j in range(1, N):
@@ -128,51 +131,61 @@ def kitaev_spectrum_expected(N: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class FermionFrame:
+    """What every reduction step shares, whatever the coupling: the algebra,
+    the normal modes, the zero-sector basis R and the sweet-spot H0."""
+
+    alg: FermionAlgebra
+    modes: DModeAlgebra
+    R: np.ndarray
+    H0: np.ndarray
+
+
+def fermion_frame(N: int) -> FermionFrame:
+    alg = fermion_algebra(N)
+    modes = d_mode_algebra(alg)
+    return FermionFrame(alg, modes, zero_sector_basis(modes), kitaev_hamiltonian(alg, modes))
+
+
+@dataclass(frozen=True, eq=False)
 class KitaevModel:
     """Sweet-spot chain plus even fermionic perturbations of strength beta."""
 
-    N: int
+    frame: FermionFrame
     beta: float
     perturbations: tuple  # of (Interval in c-site coordinates, sparse matrix)
-    mu: float = 0.0
-    tau: float = 1.0
-    delta: float = 1.0
-    meta: dict = field(default_factory=dict)
 
-
-def monomial(alg: FermionAlgebra, ops) -> sparse.csr_matrix:
-    """Product of c / c^dag factors, e.g. ops = [("cdag", 2), ("c", 3)]."""
-    m = sparse.identity(alg.dim, dtype=complex, format="csr")
-    for kind, site in ops:
-        if not 1 <= site <= alg.N:
-            raise ValidationError(f"fermion site {site} outside chain of {alg.N} sites")
-        if kind == "c":
-            m = m @ alg.c[site - 1]
-        elif kind == "cdag":
-            m = m @ alg.cdag(site)
-        else:
-            raise ValidationError(f"unknown fermion factor kind {kind!r}")
-    return m.tocsr()
+    @property
+    def N(self) -> int:
+        return self.frame.alg.N
 
 
 def perturbation_matrix(alg: FermionAlgebra, terms) -> sparse.csr_matrix:
-    """Sum of coeff * monomial; each monomial must have an even length."""
+    """Sum of coeff * monomial, each monomial a product of c / c^dag factors
+    of even length, e.g. ops = [("cdag", 2), ("c", 3)]."""
     out = sparse.csr_matrix((alg.dim, alg.dim), dtype=complex)
     for term in terms:
         ops = term["ops"]
         if len(ops) % 2 != 0:
             raise ValidationError("perturbation monomials must have even fermion degree")
-        out = out + complex(term["coeff"][0], term["coeff"][1]) * monomial(alg, ops)
+        m = sparse.identity(alg.dim, dtype=complex, format="csr")
+        for kind, site in ops:
+            if not 1 <= site <= alg.N:
+                raise ValidationError(f"fermion site {site} outside chain of {alg.N} sites")
+            if kind not in ("c", "cdag"):
+                raise ValidationError(f"unknown fermion factor kind {kind!r}")
+            m = m @ (alg.c[site - 1] if kind == "c" else alg.cdag(site))
+        out = out + complex(term["coeff"][0], term["coeff"][1]) * m.tocsr()
     return out.tocsr()
 
 
-def build_kitaev_model(N, beta, perturbations, mu=0.0, tau=1.0, delta=1.0,
-                       meta=None) -> KitaevModel:
+def build_kitaev_model(frame: FermionFrame, beta, perturbations, mu=0.0, tau=1.0,
+                       delta=1.0) -> KitaevModel:
     """Validate supports, Hermiticity, and parity-evenness of each perturbation."""
     if not (mu == 0.0 and tau == delta):
         raise ValidationError("only the sweet spot mu=0, tau=delta is supported")
-    alg = fermion_algebra(N)
-    P = parity_operator(alg)
+    N = frame.alg.N
+    P = parity_operator(frame.alg)
     checked = []
     for iv, mat in perturbations:
         iv = Interval(*iv)
@@ -186,9 +199,7 @@ def build_kitaev_model(N, beta, perturbations, mu=0.0, tau=1.0, delta=1.0,
         if odd > 1e-9:
             raise ValidationError(f"perturbation on {iv} is not even in fermion operators")
         checked.append((iv, mat))
-    return KitaevModel(N=int(N), beta=float(beta), perturbations=tuple(checked),
-                       mu=float(mu), tau=float(tau), delta=float(delta),
-                       meta=dict(meta or {}))
+    return KitaevModel(frame, float(beta), tuple(checked))
 
 
 def regroup_perturbations(model: KitaevModel):
@@ -199,9 +210,7 @@ def regroup_perturbations(model: KitaevModel):
     d-site interval with j+1 edges and left endpoint i-1.  Bulk terms must
     commute with the zero mode, which is verified entrywise.
     """
-    alg = fermion_algebra(model.N)
-    dmodes = d_mode_algebra(alg)
-    d0 = dmodes.d[0]
+    d0 = model.frame.modes.d[0]
     bulk, boundary = [], []
     for iv, mat in model.perturbations:
         if iv.q >= 2 and iv.last <= model.N - 1:
@@ -217,27 +226,22 @@ def regroup_perturbations(model: KitaevModel):
     return bulk, boundary
 
 
-def _mode_vacuum(dmodes: DModeAlgebra) -> np.ndarray:
-    """Unique state annihilated by every d_j, phase-fixed."""
-    total = sum((dmodes.ddag(j) @ dmodes.d[j] for j in range(dmodes.N)),
-                sparse.csr_matrix((2 ** dmodes.N,) * 2, dtype=complex))
-    evals, evecs = np.linalg.eigh(total.toarray())
-    if evals[0] > 1e-10 or evals[1] < 0.9:
-        raise ValidationError("mode vacuum is not isolated")
-    v = evecs[:, 0]
-    pivot = v[int(np.argmax(np.abs(v)))]
-    return v * (pivot.conjugate() / abs(pivot))
-
-
 def zero_sector_basis(dmodes: DModeAlgebra) -> np.ndarray:
     """Orthonormal columns spanning the d_0-vacuum sector.
 
-    Column index encodes occupations (n_1..n_{N-1}) with mode 1 as the most
-    significant bit; creation operators are applied highest mode first, so
-    the basis state reads ddag_1^{n_1} ... ddag_{N-1}^{n_{N-1}} vacuum.
+    The mode vacuum is the unique state annihilated by every d_j,
+    phase-fixed.  Column index encodes occupations (n_1..n_{N-1}) with mode
+    1 as the most significant bit; creation operators are applied highest
+    mode first, so the basis state reads ddag_1^{n_1} ... ddag_{N-1}^{n_{N-1}} vacuum.
     """
-    N = dmodes.N
-    vac = _mode_vacuum(dmodes)
+    N = len(dmodes.d)
+    total = sum((dmodes.ddag(j) @ dmodes.d[j] for j in range(N)),
+                sparse.csr_matrix((2 ** N,) * 2, dtype=complex))
+    evals, evecs = np.linalg.eigh(total.toarray())
+    if evals[0] > 1e-10 or evals[1] < 0.9:
+        raise ValidationError("mode vacuum is not isolated")
+    pivot = evecs[int(np.argmax(np.abs(evecs[:, 0]))), 0]
+    vac = evecs[:, 0] * (pivot.conjugate() / abs(pivot))
     cols = []
     for idx in range(2 ** (N - 1)):
         w = vac
@@ -260,7 +264,7 @@ def _extract_local(W: np.ndarray, iv: Interval, n_sites: int) -> np.ndarray:
     return loc
 
 
-def restricted_chain_model(bulk, beta: float) -> ChainModel:
+def restricted_chain_model(frame: FermionFrame, bulk, beta: float) -> ChainModel:
     """Chain model for the perturbed Hamiltonian on the zero-mode vacuum sector.
 
     On-site matrix diag(0, 2) per mode; the unperturbed vacuum energy
@@ -270,10 +274,7 @@ def restricted_chain_model(bulk, beta: float) -> ChainModel:
     """
     if not bulk:
         raise ValidationError("restriction needs at least one bulk term")
-    N = int(round(np.log2(bulk[0][1].shape[0])))
-    alg = fermion_algebra(N)
-    dmodes = d_mode_algebra(alg)
-    R = zero_sector_basis(dmodes)
+    N, R = frame.alg.N, frame.R
     locals_ = {}
     for iv, mat in bulk:
         W = R.conj().T @ (mat @ R)
@@ -295,21 +296,20 @@ def restricted_chain_model(bulk, beta: float) -> ChainModel:
     )
 
 
-def perturbed_full_hamiltonian(N: int, bulk, beta: float) -> np.ndarray:
-    H = sparse.csr_matrix(kitaev_hamiltonian(N))
-    for _, mat in bulk:
+def perturbed_full_hamiltonian(frame: FermionFrame, terms, beta: float) -> np.ndarray:
+    """H0 + beta * (sum of the terms' matrices), dense."""
+    H = sparse.csr_matrix(frame.H0)
+    for _, mat in terms:
         H = H + beta * mat
     return H.toarray()
 
 
-def doubling_check_terms(N: int, bulk, beta: float, tol: float = 1e-9) -> bool:
+def doubling_check_terms(frame: FermionFrame, bulk, beta: float, tol: float = 1e-9) -> bool:
     """Full spectrum equals the restricted spectrum doubled, and every
     eigenvalue has even multiplicity."""
-    H = perturbed_full_hamiltonian(N, bulk, beta)
-    dmodes = d_mode_algebra(fermion_algebra(N))
-    R = zero_sector_basis(dmodes)
+    H = perturbed_full_hamiltonian(frame, bulk, beta)
     full = np.linalg.eigvalsh(H)
-    restricted = np.linalg.eigvalsh(R.conj().T @ H @ R)
+    restricted = np.linalg.eigvalsh(frame.R.conj().T @ H @ frame.R)
     doubled = np.sort(np.concatenate([restricted, restricted]))
     if float(np.max(np.abs(full - doubled))) > tol:
         return False
@@ -326,7 +326,7 @@ def doubling_check_terms(N: int, bulk, beta: float, tol: float = 1e-9) -> bool:
 
 def doubling_check(model: KitaevModel, tol: float = 1e-9) -> bool:
     bulk, _ = regroup_perturbations(model)
-    return doubling_check_terms(model.N, bulk, model.beta, tol)
+    return doubling_check_terms(model.frame, bulk, model.beta, tol)
 
 
 def boundary_gap_check(model: KitaevModel) -> tuple[float, float]:
@@ -339,10 +339,8 @@ def boundary_gap_check(model: KitaevModel) -> tuple[float, float]:
     block-diagonalizing unitary on the degenerate sector.  Returns
     (splitting of the two lowest levels, gap from them to the third).
     """
-    H = sparse.csr_matrix(kitaev_hamiltonian(model.N))
-    for _, mat in model.perturbations:
-        H = H + model.beta * mat
-    evals = np.linalg.eigvalsh(H.toarray())
+    evals = np.linalg.eigvalsh(
+        perturbed_full_hamiltonian(model.frame, model.perturbations, model.beta))
     return float(evals[1] - evals[0]), float(evals[2] - evals[1])
 
 

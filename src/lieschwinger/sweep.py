@@ -133,16 +133,16 @@ def initial_state(model: ChainModel) -> BlockDiagState:
     return BlockDiagState(initial_step(model.N), dict(model.interactions))
 
 
-def local_hamiltonian(state: BlockDiagState, model: ChainModel,
-                      interval: Interval,
+def local_hamiltonian(state: BlockDiagState, model: ChainModel, pair: ProjectorPair,
                       tol_od: float = SeriesControls.tol_od) -> LocalOperator:
-    """On-site terms plus every transported shorter potential inside ``interval``.
+    """On-site terms plus every transported shorter potential inside the
+    interval ``pair.support``.
 
     All proper subintervals must already be block-diagonalized, which makes
     the result block-diagonal with respect to the interval's own projector
     pair; a residual beyond tolerance means the sweep order was violated.
     """
-    M = model.M
+    M, interval = model.M, pair.support
     mat = np.zeros((interval.dim(M), interval.dim(M)), dtype=complex)
     for site in interval.sites:
         mat += embed(LocalOperator(Interval(0, site), model.onsite), interval, M).matrix
@@ -151,15 +151,13 @@ def local_hamiltonian(state: BlockDiagState, model: ChainModel,
         if interval.contains(sub) and sub != interval:
             mat += model.t * embed(op, interval, M).matrix
             n_sub += 1
-    G = LocalOperator(interval, mat)
-    pair = build_projectors(interval, model.omega)
     leak = _offdiag_norm(mat, pair)
     if leak > tol_od * (1 + n_sub):
         raise OrderError(
             f"local Hamiltonian on {interval} has off-diagonal leak {leak:.3e}; "
             "subinterval potentials not yet block-diagonalized"
         )
-    return G
+    return LocalOperator(interval, mat)
 
 
 def _offdiag_norm(mat: np.ndarray, pair: ProjectorPair) -> float:
@@ -334,8 +332,8 @@ def advance(state: BlockDiagState, model: ChainModel,
     """Run the successor step and transport every potential across it."""
     step = successor(state.step, model.N)
     I = Interval(step.k, step.q)
-    G = local_hamiltonian(state, model, I, controls.tol_od)
     pair = build_projectors(I, model.omega)
+    G = local_hamiltonian(state, model, pair, controls.tol_od)
     w, Z = plus_block_eigh(G.matrix, pair)
     E = vacuum_energy(G, pair, controls.tol_od, step, plus_spectrum=w)
     gap = local_gap(G, pair, E, gap_min=controls.gap_min, step=step, plus_spectrum=w)

@@ -150,8 +150,8 @@ def test_ac6_piecewise_conjugation_identity():
             before = state
             state = advance(state, model, controls)
             I = Interval(state.step.k, state.step.q)
-            G = local_hamiltonian(before, model, I)
             pair = build_projectors(I, model.omega)
+            G = local_hamiltonian(before, model, pair)
             E = vacuum_energy(G, pair)
             dim = I.dim(model.M)
             V = (before.potentials[I].matrix if I in before.potentials
@@ -206,7 +206,7 @@ def test_ac7_appendix_suite(suite):
 def test_ac8_kitaev():
     # sweet-spot spectra with doubled binomial multiplicities
     for N in range(2, 9):
-        ev = np.linalg.eigvalsh(kit.kitaev_hamiltonian(N))
+        ev = np.linalg.eigvalsh(kit.fermion_frame(N).H0)
         assert np.max(np.abs(ev - kit.kitaev_spectrum_expected(N))) <= 1e-9
 
     # algebra identities
@@ -228,10 +228,10 @@ def test_ac8_kitaev():
     for N in (5, 6):
         perts = [kit.random_bulk_perturbation(N, seed=N * 10 + i, site=2 + i)
                  for i in range(2)]
-        model = kit.build_kitaev_model(N, beta, perts)
+        model = kit.build_kitaev_model(kit.fermion_frame(N), beta, perts)
         assert kit.doubling_check(model)
         bulk, _ = kit.regroup_perturbations(model)
-        chain = kit.restricted_chain_model(bulk, beta)
+        chain = kit.restricted_chain_model(model.frame, bulk, beta)
         report = certify(sweep(chain), chain)
         comparison = compare(sweep(chain), chain, report.ground_energy)
         assert report.gap >= 1.0

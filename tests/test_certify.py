@@ -124,8 +124,8 @@ class TestMajorant:
         model = anchor_model(0.1)
         state = initial_state(model)
         I = Interval(1, 1)
-        G = local_hamiltonian(state, model, I)
         pair = build_projectors(I, model.omega)
+        G = local_hamiltonian(state, model, pair)
         res = generator_series(G.matrix, 0.0, pair, state.potentials[I].matrix,
                                model.t, SeriesControls())
         params = solve_majorant(res.v_term_norms[0], jmax=len(res.v_term_norms))

@@ -212,6 +212,27 @@ class TestMain:
         assert report["gap_report"]["gap"] >= 1.0
         assert report["gap_report"]["ground_energy"] == pytest.approx(-4.0, abs=0.1)
 
+    def test_kitaev_t_sweep_equals_separate_runs(self, tmp_path):
+        # the reduction is built once per file; each coupling must still
+        # report exactly what a run at that coupling alone reports, also
+        # a run of a file whose own beta is that coupling
+        def config(beta):
+            return _kitaev_file(tmp_path, supports=[(3, 4), (1, 2)], beta=beta)
+
+        def reports(path, *flags):
+            out = tmp_path / "report.json"
+            assert main(["--config", str(path), "--report", str(out), *flags]) == 0
+            found = json.loads(out.read_text())
+            for rep in found if isinstance(found, list) else [found]:
+                del rep["timings"]
+            return found
+
+        swept = reports(config(0.05), "--t-sweep", "0.01,0.03")
+        assert swept == [reports(config(0.05), "--t", "0.01"),
+                         reports(config(0.05), "--t", "0.03")]
+        assert swept == [reports(config(0.01)), reports(config(0.03))]
+        assert all("boundary_splitting" in rep["kitaev"] for rep in swept)
+
 
 def _list_file(tmp_path):
     path = tmp_path / "m.json"
@@ -235,22 +256,39 @@ def _bad_n_file(tmp_path):
     return path
 
 
+def _kitaev_file(tmp_path, N=5, supports=((3, 3),), beta=0.01):
+    """Kitaev file with one density term c^dag_i c_i per support [i, j]."""
+    perts = [{"support": list(sup),
+              "terms": [{"coeff": [0.5, 0.0], "ops": [["cdag", sup[0]], ["c", sup[0]]]}]}
+             for sup in supports]
+    path = tmp_path / f"k{beta}.json"
+    path.write_text(json.dumps({"version": "1",
+                                "kitaev": {"N": N, "beta": beta, "perturbations": perts}}))
+    return path
+
+
 class TestBadInputs:
     """Every bad value ends in exit 2 with a parseable report, never a traceback."""
 
-    @pytest.mark.parametrize("make_config,flags,bad_index", [
-        pytest.param(None, ["--t", "nan"], None, id="t-nan"),
-        pytest.param(None, ["--t", "inf"], None, id="t-inf"),
-        pytest.param(None, ["--t-sweep", "0.1,nan"], 1, id="t-sweep-nan"),
-        pytest.param(None, ["--jmax", "0"], None, id="jmax-0"),
-        pytest.param(None, ["--tol-od", "-1"], None, id="tol-od-negative"),
-        pytest.param(None, ["--t-sweep", "0.1,abc"], None, id="t-sweep-not-a-number"),
-        pytest.param(None, ["--t-sweep", ","], None, id="t-sweep-empty"),
-        pytest.param(_list_file, [], None, id="top-level-list"),
-        pytest.param(_no_support_file, [], None, id="no-support"),
-        pytest.param(_bad_n_file, [], None, id="N-not-integer"),
+    @pytest.mark.parametrize("make_config,flags,bad_index,names", [
+        pytest.param(None, ["--t", "nan"], None, None, id="t-nan"),
+        pytest.param(None, ["--t", "inf"], None, None, id="t-inf"),
+        pytest.param(None, ["--t-sweep", "0.1,nan"], 1, None, id="t-sweep-nan"),
+        pytest.param(None, ["--jmax", "0"], None, None, id="jmax-0"),
+        pytest.param(None, ["--tol-od", "-1"], None, None, id="tol-od-negative"),
+        pytest.param(None, ["--t-sweep", "0.1,abc"], None, None, id="t-sweep-not-a-number"),
+        pytest.param(None, ["--t-sweep", ","], None, None, id="t-sweep-empty"),
+        pytest.param(_list_file, [], None, None, id="top-level-list"),
+        pytest.param(_no_support_file, [], None, None, id="no-support"),
+        pytest.param(_bad_n_file, [], None, None, id="N-not-integer"),
+        pytest.param(lambda p: _kitaev_file(p, N=-1), [], None, "N=-1", id="kitaev-N-negative"),
+        pytest.param(lambda p: _kitaev_file(p, N=0), [], None, "N=0", id="kitaev-N-zero"),
+        # a file whose reduction fails fails once, like a load failure
+        pytest.param(lambda p: _kitaev_file(p, supports=[(1, 2)]), ["--t-sweep", "0.01,0.02"],
+                     None, "bulk", id="kitaev-no-bulk-term"),
     ])
-    def test_exit_two_with_report(self, demo_config, tmp_path, make_config, flags, bad_index):
+    def test_exit_two_with_report(self, demo_config, tmp_path, make_config, flags, bad_index,
+                                  names):
         config = demo_config if make_config is None else make_config(tmp_path)
         out = tmp_path / "report.json"
         assert main(["--config", str(config), "--report", str(out)] + flags) == 2
@@ -264,6 +302,8 @@ class TestBadInputs:
         assert report["error"]["exit_code"] == 2
         # a rejected coupling is echoed as null: reports never hold NaN or infinity
         assert report["controls"] in (None, {"t": None})
+        if names is not None:
+            assert names in report["error"]["message"]
 
     @pytest.mark.parametrize("make_config,flags", [
         pytest.param(_list_file, [], id="load-failure"),

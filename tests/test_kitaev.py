@@ -61,16 +61,16 @@ class TestAlgebras:
 class TestSweetSpotHamiltonian:
     def test_two_sites(self):
         np.testing.assert_allclose(
-            np.linalg.eigvalsh(kit.kitaev_hamiltonian(2)), [-1, -1, 1, 1], atol=1e-12
+            np.linalg.eigvalsh(kit.fermion_frame(2).H0), [-1, -1, 1, 1], atol=1e-12
         )
 
     def test_four_sites_multiplicities(self):
-        ev = np.linalg.eigvalsh(kit.kitaev_hamiltonian(4))
+        ev = np.linalg.eigvalsh(kit.fermion_frame(4).H0)
         np.testing.assert_allclose(ev, kit.kitaev_spectrum_expected(4), atol=1e-12)
 
     @pytest.mark.parametrize("N", range(2, 9))
     def test_spectrum_matches_doubled_binomials(self, N):
-        ev = np.linalg.eigvalsh(kit.kitaev_hamiltonian(N))
+        ev = np.linalg.eigvalsh(kit.fermion_frame(N).H0)
         np.testing.assert_allclose(ev, kit.kitaev_spectrum_expected(N), atol=1e-9)
 
     def test_quadratic_form_agrees_at_sweet_spot(self):
@@ -83,12 +83,12 @@ class TestSweetSpotHamiltonian:
             hop = alg.cdag(j) @ alg.c[j]  # c^dag_j c_{j+1}
             pairing = alg.c[j - 1] @ alg.c[j]
             H = H - (hop + hop.conj().T + pairing + pairing.conj().T)
-        np.testing.assert_allclose(H.toarray(), kit.kitaev_hamiltonian(N), atol=1e-12)
+        np.testing.assert_allclose(H.toarray(), kit.fermion_frame(N).H0, atol=1e-12)
 
 
 class TestRegrouping:
     def test_empty(self):
-        model = kit.build_kitaev_model(5, beta=0.01, perturbations=[])
+        model = kit.build_kitaev_model(kit.fermion_frame(5), beta=0.01, perturbations=[])
         bulk, boundary = kit.regroup_perturbations(model)
         assert bulk == [] and boundary == []
 
@@ -98,7 +98,7 @@ class TestRegrouping:
         N, i = 6, 3
         alg = kit.fermion_algebra(N)
         mat = alg.cdag(i) @ alg.c[i - 1]
-        model = kit.build_kitaev_model(N, 0.01, [(Interval(0, i), mat)])
+        model = kit.build_kitaev_model(kit.fermion_frame(N), 0.01, [(Interval(0, i), mat)])
         bulk, boundary = kit.regroup_perturbations(model)
         assert boundary == []
         (iv, m), = bulk
@@ -111,7 +111,7 @@ class TestRegrouping:
     def test_random_bulk_commutes_with_zero_mode(self, seed):
         N = 6
         iv, mat = kit.random_bulk_perturbation(N, seed=seed)
-        model = kit.build_kitaev_model(N, 0.01, [(iv, mat)])
+        model = kit.build_kitaev_model(kit.fermion_frame(N), 0.01, [(iv, mat)])
         bulk, boundary = kit.regroup_perturbations(model)
         assert boundary == []
         dm = kit.d_mode_algebra(kit.fermion_algebra(N))
@@ -124,7 +124,7 @@ class TestRegrouping:
         left = alg.cdag(1) @ alg.c[0]
         right = alg.cdag(N) @ alg.c[N - 1]
         model = kit.build_kitaev_model(
-            N, 0.01, [(Interval(0, 1), left), (Interval(0, N), right)]
+            kit.fermion_frame(N), 0.01, [(Interval(0, 1), left), (Interval(0, N), right)]
         )
         bulk, boundary = kit.regroup_perturbations(model)
         assert bulk == [] and len(boundary) == 2
@@ -134,16 +134,16 @@ class TestRegrouping:
         alg = kit.fermion_algebra(N)
         odd = alg.c[1] + alg.cdag(2)
         with pytest.raises(ValidationError, match="even"):
-            kit.build_kitaev_model(N, 0.01, [(Interval(0, 2), odd)])
+            kit.build_kitaev_model(kit.fermion_frame(N), 0.01, [(Interval(0, 2), odd)])
 
 
 class TestRestriction:
     def test_unperturbed_spectrum_binomial(self):
         N = 5
         iv, mat = kit.random_bulk_perturbation(N, seed=1)
-        model = kit.build_kitaev_model(N, beta=0.0, perturbations=[(iv, mat)])
+        model = kit.build_kitaev_model(kit.fermion_frame(N), beta=0.0, perturbations=[(iv, mat)])
         bulk, _ = kit.regroup_perturbations(model)
-        chain = kit.restricted_chain_model(bulk, beta=0.0)
+        chain = kit.restricted_chain_model(model.frame, bulk, beta=0.0)
         ev = ed_spectrum(chain)
         from math import comb
         expected = sorted(-(N - 1) + 2 * m for m in range(N) for _ in range(comb(N - 1, m)))
@@ -152,8 +152,9 @@ class TestRestriction:
     def test_unperturbed_ground_and_gap(self):
         N = 4
         iv, mat = kit.random_bulk_perturbation(N, seed=2)
-        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(N, 0.0, [(iv, mat)]))
-        chain = kit.restricted_chain_model(bulk, beta=0.0)
+        frame = kit.fermion_frame(N)
+        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, 0.0, [(iv, mat)]))
+        chain = kit.restricted_chain_model(frame, bulk, beta=0.0)
         ev = ed_spectrum(chain)
         assert ev[0] == pytest.approx(-3.0, abs=1e-12)
         assert ev[1] - ev[0] == pytest.approx(2.0, abs=1e-12)
@@ -164,11 +165,12 @@ class TestRestriction:
         N = 5
         beta = 0.01
         iv, mat = kit.random_bulk_perturbation(N, seed=3)
-        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(N, beta, [(iv, mat)]))
-        chain = kit.restricted_chain_model(bulk, beta)
+        frame = kit.fermion_frame(N)
+        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, beta, [(iv, mat)]))
+        chain = kit.restricted_chain_model(frame, bulk, beta)
         dm = kit.d_mode_algebra(kit.fermion_algebra(N))
         R = kit.zero_sector_basis(dm)
-        H = kit.perturbed_full_hamiltonian(N, bulk, beta)
+        H = kit.perturbed_full_hamiltonian(frame, bulk, beta)
         np.testing.assert_allclose(
             ed_spectrum(chain), np.linalg.eigvalsh(R.conj().T @ H @ R), atol=1e-10
         )
@@ -176,8 +178,9 @@ class TestRestriction:
     def test_interaction_norms_at_most_one(self):
         N = 6
         perts = [kit.random_bulk_perturbation(N, seed=s, site=s + 2) for s in range(2)]
-        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(N, 0.02, perts))
-        chain = kit.restricted_chain_model(bulk, beta=0.02)
+        frame = kit.fermion_frame(N)
+        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, 0.02, perts))
+        chain = kit.restricted_chain_model(frame, bulk, beta=0.02)
         for op in chain.interactions.values():
             assert np.max(np.abs(np.linalg.eigvalsh(op.matrix))) <= 1.0 + 1e-12
 
@@ -185,8 +188,9 @@ class TestRestriction:
         N = 5
         beta = 0.01
         iv, mat = kit.random_bulk_perturbation(N, seed=4)
-        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(N, beta, [(iv, mat)]))
-        chain = kit.restricted_chain_model(bulk, beta)
+        frame = kit.fermion_frame(N)
+        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, beta, [(iv, mat)]))
+        chain = kit.restricted_chain_model(frame, bulk, beta)
         fitted = BlockDiagonalizer().fit(chain)
         assert fitted.gap_ >= 1.0
         assert fitted.comparison_.spectrum_distance <= 1e-9
@@ -195,29 +199,30 @@ class TestRestriction:
 
 class TestDoubling:
     def test_unperturbed(self):
-        model = kit.build_kitaev_model(3, beta=0.0, perturbations=[])
+        model = kit.build_kitaev_model(kit.fermion_frame(3), beta=0.0, perturbations=[])
         assert kit.doubling_check(model)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_bulk_perturbation(self, seed):
         N = 4
         iv, mat = kit.random_bulk_perturbation(N, seed=seed)
-        model = kit.build_kitaev_model(N, beta=0.01, perturbations=[(iv, mat)])
+        model = kit.build_kitaev_model(kit.fermion_frame(N), beta=0.01, perturbations=[(iv, mat)])
         assert kit.doubling_check(model)
 
     def test_zero_mode_term_breaks_doubling(self):
         # negative control: inject a term built from the zero mode directly
         N = 4
-        dm = kit.d_mode_algebra(kit.fermion_algebra(N))
-        bad = dm.ddag(0) @ dm.d[0]
-        assert not kit.doubling_check_terms(N, [(Interval(1, 1), bad)], beta=0.3)
+        frame = kit.fermion_frame(N)
+        bad = frame.modes.ddag(0) @ frame.modes.d[0]
+        assert not kit.doubling_check_terms(frame, [(Interval(1, 1), bad)], beta=0.3)
 
     def test_full_spectrum_ground_degeneracy_two(self):
         from lieschwinger.oracle import degeneracy_of_spectrum
         N = 5
         iv, mat = kit.random_bulk_perturbation(N, seed=8)
-        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(N, 0.01, [(iv, mat)]))
-        H = kit.perturbed_full_hamiltonian(N, bulk, 0.01)
+        frame = kit.fermion_frame(N)
+        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, 0.01, [(iv, mat)]))
+        H = kit.perturbed_full_hamiltonian(frame, bulk, 0.01)
         assert degeneracy_of_spectrum(np.linalg.eigvalsh(H)) == 2
 
 
@@ -234,7 +239,7 @@ class TestBoundary:
             kit.random_bulk_perturbation(N, seed=9),
             (Interval(N - 1, 1), edge + hop + hop.conj().T),
         ]
-        model = kit.build_kitaev_model(N, beta, perts)
+        model = kit.build_kitaev_model(kit.fermion_frame(N), beta, perts)
         _, boundary = kit.regroup_perturbations(model)
         assert boundary
         splitting, gap_above = kit.boundary_gap_check(model)
@@ -244,7 +249,7 @@ class TestBoundary:
     def test_without_boundary_terms_pair_is_degenerate(self):
         N = 4
         model = kit.build_kitaev_model(
-            N, 0.01, [kit.random_bulk_perturbation(N, seed=10)]
+            kit.fermion_frame(N), 0.01, [kit.random_bulk_perturbation(N, seed=10)]
         )
         splitting, gap_above = kit.boundary_gap_check(model)
         assert splitting <= 1e-9
@@ -253,4 +258,4 @@ class TestBoundary:
 
 def test_sweet_spot_required():
     with pytest.raises(ValidationError, match="sweet spot"):
-        kit.build_kitaev_model(4, beta=0.01, perturbations=[], mu=0.5)
+        kit.build_kitaev_model(kit.fermion_frame(4), beta=0.01, perturbations=[], mu=0.5)

@@ -52,8 +52,8 @@ def anchor_pieces(t=0.1):
     model = anchor_model(t)
     state = initial_state(model)
     I = Interval(1, 1)
-    G = local_hamiltonian(state, model, I)
     pair = build_projectors(I, model.omega)
+    G = local_hamiltonian(state, model, pair)
     V = state.potentials[I].matrix
     return model, state, I, G, pair, V
 
@@ -67,7 +67,7 @@ class TestLocalHamiltonian:
     def test_zero_coupling_eigenvalues_are_digit_sums(self):
         model = random_chain_model(4, 0.0, seed=5)
         state = initial_state(model)
-        G = local_hamiltonian(state, model, Interval(2, 2))
+        G = local_hamiltonian(state, model, build_projectors(Interval(2, 2), model.omega))
         np.testing.assert_allclose(
             np.linalg.eigvalsh(G.matrix), sorted(a + b + c for a in (0, 1) for b in (0, 1) for c in (0, 1)),
             atol=1e-12,
@@ -84,7 +84,7 @@ class TestLocalHamiltonian:
         state = initial_state(model)
         state = advance(state, model)
         state = advance(state, model)
-        G = local_hamiltonian(state, model, Interval(2, 1))
+        G = local_hamiltonian(state, model, build_projectors(Interval(2, 1), model.omega))
         h = np.diag([0.0, 1.0]).astype(complex)
         eye = np.eye(2, dtype=complex)
         brute = (kron_chain([h, eye, eye]) + kron_chain([eye, h, eye])
@@ -114,8 +114,8 @@ class TestVacuumEnergyAndGap:
         for seed in range(5):
             model = random_chain_model(3, 1e-3, seed=seed)
             state = initial_state(model)
-            G = local_hamiltonian(state, model, Interval(1, 1))
             pair = build_projectors(Interval(1, 1), model.omega)
+            G = local_hamiltonian(state, model, pair)
             E = vacuum_energy(G, pair)
             assert E == pytest.approx(float(np.linalg.eigvalsh(G.matrix)[0]), abs=1e-10)
 
@@ -277,8 +277,8 @@ class TestAdvance:
                 before = state
                 state = advance(state, model, controls)
                 I = Interval(state.step.k, state.step.q)
-                G = local_hamiltonian(before, model, I)
                 pair = build_projectors(I, model.omega)
+                G = local_hamiltonian(before, model, pair)
                 E = vacuum_energy(G, pair)
                 V = (before.potentials[I].matrix if I in before.potentials
                      else np.zeros((I.dim(2), I.dim(2)), dtype=complex))
