@@ -19,9 +19,8 @@ import numpy as np
 from .certify import certify
 from .errors import ValidationError
 from .model import ChainModel, validate_chain_model
-from .operators import DENSE_GUARD
 from .oracle import compare
-from .sweep import SeriesControls, sweep
+from .sweep import SeriesControls, check_dense_dim, sweep
 
 ORACLE_POLICIES = ("auto", "force", "off")
 
@@ -31,7 +30,8 @@ class BlockDiagonalizer:
 
     Parameters mirror SeriesControls plus the oracle policy: "auto" runs
     exact diagonalization when the full space fits the dense guard, "force"
-    always runs it, "off" never does.
+    always runs it, "off" never does.  ``fit`` accepts only models whose
+    full space fits the guard, so today "auto" and "force" both run it.
     """
 
     def __init__(self, jmax=SeriesControls.jmax, tol_series=SeriesControls.tol_series,
@@ -62,6 +62,10 @@ class BlockDiagonalizer:
     def fit(self, model: ChainModel):
         """Validate, sweep, certify and, per the oracle policy, compare.
 
+        A model whose full space exceeds the dense guard is rejected with
+        DimensionError before the sweep starts, since certification must
+        assemble that space anyway.
+
         Each fitted attribute is set as its stage completes, so after a
         failed fit the stages not reached are None."""
         self.model_ = self.state_ = self.report_ = self.comparison_ = None
@@ -69,14 +73,13 @@ class BlockDiagonalizer:
         if self.oracle not in ORACLE_POLICIES:
             raise ValidationError(f"oracle policy {self.oracle!r} not in auto/force/off")
         validate_chain_model(model)
+        check_dense_dim(model)
         self.model_ = model
         started = time.perf_counter()
         self.state_ = sweep(model, self.controls())
         self.timings_["sweep_s"] = time.perf_counter() - started
         self.report_ = certify(self.state_, model, self.tol_od)
-        if self.oracle == "force" or (
-            self.oracle == "auto" and model.M ** model.N <= DENSE_GUARD
-        ):
+        if self.oracle != "off":
             self.comparison_ = compare(self.state_, model, self.report_.ground_energy)
             self.report_ = dataclasses.replace(self.report_, oracle=self.comparison_)
         return self

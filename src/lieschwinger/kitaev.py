@@ -181,9 +181,15 @@ def perturbation_matrix(alg: FermionAlgebra, terms) -> sparse.csr_matrix:
 
 def build_kitaev_model(frame: FermionFrame, beta, perturbations, mu=0.0, tau=1.0,
                        delta=1.0) -> KitaevModel:
-    """Validate supports, Hermiticity, and parity-evenness of each perturbation."""
-    if not (mu == 0.0 and tau == delta):
-        raise ValidationError("only the sweet spot mu=0, tau=delta is supported")
+    """Validate supports, Hermiticity, and parity-evenness of each perturbation.
+
+    ``frame.H0`` is the sweet-spot Hamiltonian with mu = 0 and
+    tau = delta = 1, so any other mu, tau or delta is rejected.
+    """
+    if not (mu == 0.0 and tau == 1.0 and delta == 1.0):
+        raise ValidationError(
+            f"only the sweet spot mu=0, tau=delta=1 is supported, got mu={mu}, "
+            f"tau={tau}, delta={delta}")
     N = frame.alg.N
     P = parity_operator(frame.alg)
     checked = []

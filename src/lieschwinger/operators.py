@@ -15,6 +15,13 @@ spectra to machine precision.  ``conjugate_by_unitary`` applies
 reshaped view, at O(D^2) cost and without forming the embedded unitary.
 ``unitary_exp`` keeps the general eigendecomposition route as the
 reference.
+
+Embedding works the same way in the other direction: 1_L (x) A (x) 1_R is
+nonzero only on a strided (L, d, R, d) view of the target matrix, the
+diagonal over the two identity factors.  ``embed`` writes A through that
+view instead of Kronecker padding, and its accumulate form adds a multiple
+of A into an existing matrix in place, touching D^2 / (L R) entries and
+building no D x D temporary.
 """
 
 from __future__ import annotations
@@ -73,25 +80,37 @@ def site_dim(op: LocalOperator) -> int:
     return M
 
 
-def embed(op: LocalOperator, target: Interval, M: int | None = None) -> LocalOperator:
-    """Tensor-pad with identities so ``op`` acts on ``target``.
+def embed(op: LocalOperator, target: Interval, M: int | None = None, *,
+          out: np.ndarray | None = None, scale: complex = 1.0) -> LocalOperator | np.ndarray:
+    """Pad ``op`` with identities so it acts on ``target``: 1_L (x) A (x) 1_R,
+    written through a strided view of the target matrix.
 
-    The embedding is an algebra homomorphism and leaves the operator norm
-    unchanged.
+    Without ``out``, returns the embedded LocalOperator (``scale`` times
+    the Kronecker product).  With ``out``, a D x D array on ``target``,
+    adds ``scale`` times the embedded matrix into it in place and returns
+    ``out``.  The embedding is an algebra homomorphism and leaves the
+    operator norm unchanged.
     """
     if M is None:
         M = site_dim(op)
     sup = op.support
     if not target.contains(sup):
         raise EmbeddingError(f"support {sup} not contained in target {target}")
-    left = sup.q - target.q
-    right = target.last - sup.last
-    out = op.matrix
-    if left:
-        out = np.kron(np.eye(M ** left, dtype=complex), out)
-    if right:
-        out = np.kron(out, np.eye(M ** right, dtype=complex))
-    return LocalOperator(target, out)
+    d = op.dim
+    L = M ** (sup.q - target.q)
+    R = M ** (target.last - sup.last)
+    shape = (L * d * R,) * 2
+    acc = np.zeros(shape, dtype=complex) if out is None else out
+    if acc.shape != shape:  # the strided view below is not bounds-checked
+        raise EmbeddingError(f"accumulator shape {acc.shape} does not match target {target}")
+    s0, s1 = acc.strides
+    # entry (l a r, l b r) of a D x D matrix, D = L d R, indexed as [l, a, r, b]
+    view = np.lib.stride_tricks.as_strided(
+        acc, shape=(L, d, R, d),
+        strides=(d * R * (s0 + s1), R * s0, s0 + s1, R * s1), writeable=True,
+    )
+    view += scale * op.matrix[None, :, None, :]
+    return LocalOperator(target, acc) if out is None else out
 
 
 def op_norm(op: LocalOperator | np.ndarray, tol: float = 1e-8) -> float:

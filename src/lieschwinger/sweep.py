@@ -39,9 +39,12 @@ potential, never as an embedded unitary:
     exp(S) (G/t + V) exp(-S) - G/t;
   * J strictly containing I with no shared endpoint: conjugated;
   * J strictly containing I sharing an endpoint: conjugated, plus growth
-    terms exp(S) W exp(-S) - W collected from every shorter potential W
-    whose support overlaps I without containment and whose union with I
-    is exactly J.  Intervals with no prior potential can be created here.
+    terms exp(S) W exp(-S) - W from every shorter potential W whose
+    support overlaps I without containment and whose union with I is
+    exactly J.  The growth terms are linear in W, so the update is one
+    conjugation per J: exp(S) (V_J + sum W) exp(-S) - sum W, with the
+    sources W embedded into J in place.  Intervals with no prior
+    potential can be created here.
 """
 
 from __future__ import annotations
@@ -145,11 +148,11 @@ def local_hamiltonian(state: BlockDiagState, model: ChainModel, pair: ProjectorP
     M, interval = model.M, pair.support
     mat = np.zeros((interval.dim(M), interval.dim(M)), dtype=complex)
     for site in interval.sites:
-        mat += embed(LocalOperator(Interval(0, site), model.onsite), interval, M).matrix
+        embed(LocalOperator(Interval(0, site), model.onsite), interval, M, out=mat)
     n_sub = 0
     for sub, op in state.potentials.items():
         if interval.contains(sub) and sub != interval:
-            mat += model.t * embed(op, interval, M).matrix
+            embed(op, interval, M, out=mat, scale=model.t)
             n_sub += 1
     leak = _offdiag_norm(mat, pair)
     if leak > tol_od * (1 + n_sub):
@@ -357,24 +360,29 @@ def advance(state: BlockDiagState, model: ChainModel,
     new_pots[I] = LocalOperator(I, V_new)
     W, C = rotation_factors(series.y, pair.vac)
 
-    # Intervals strictly containing the step interval: conjugate, and on a
-    # shared endpoint add the growth terms from overlapping shorter supports.
+    # Intervals strictly containing the step interval: the growth terms are
+    # linear in their sources W, so V_J + sum W is conjugated once and the
+    # sources are subtracted again.  The result is exactly Hermitian when
+    # the sources are, since conjugate_by_unitary returns an exactly
+    # Hermitian matrix.
     for l in range(I.k + 1, model.N):
         for q in range(max(1, I.last - l), min(I.q, model.N - l) + 1):
             J = Interval(l, q)
             if not J.contains(I):
                 continue
             old = state.potentials.get(J)
-            sources = [s for s in _growth_sources(I, J) if s in state.potentials]
+            sources = [state.potentials[s] for s in _growth_sources(I, J)
+                       if s in state.potentials]
             if old is None and not sources:
                 continue
-            left = model.M ** (I.q - J.q)
-            acc = conjugate_by_unitary(old.matrix, W, C, left) if old is not None else None
+            dim = J.dim(model.M)
+            acc = old.matrix.copy() if old is not None else np.zeros((dim, dim), dtype=complex)
             for src in sources:
-                We = embed(state.potentials[src], J, model.M).matrix
-                grown = conjugate_by_unitary(We, W, C, left) - We
-                acc = grown if acc is None else acc + grown
-            new_pots[J] = LocalOperator(J, (acc + acc.conj().T) / 2)
+                embed(src, J, model.M, out=acc)
+            acc = conjugate_by_unitary(acc, W, C, model.M ** (I.q - J.q))
+            for src in sources:
+                embed(src, J, model.M, out=acc, scale=-1.0)
+            new_pots[J] = LocalOperator(J, acc)
 
     diag = StepDiagnostics(step, E, gap, series.order, residual, s_norm,
                            series.v_term_norms, series.s_term_norms)
@@ -397,15 +405,24 @@ def sweep(model: ChainModel, controls: SeriesControls = SeriesControls()) -> Blo
     return state
 
 
-def assemble_full(state: BlockDiagState, model: ChainModel) -> np.ndarray:
-    """Embed on-site terms and every stored potential into the full chain."""
+def check_dense_dim(model: ChainModel) -> int:
+    """Full-space dimension M**N; DimensionError if it exceeds DENSE_GUARD.
+
+    Certification assembles the full chain, and the sweep's last steps
+    reach that dimension, so a run checks this before any work."""
     dim = model.M ** model.N
     if dim > DENSE_GUARD:
         raise DimensionError(f"full-space dimension {dim} exceeds guard {DENSE_GUARD}")
+    return dim
+
+
+def assemble_full(state: BlockDiagState, model: ChainModel) -> np.ndarray:
+    """Embed on-site terms and every stored potential into the full chain."""
+    dim = check_dense_dim(model)
     chain = Interval(model.N - 1, 1)
     K = model.energy_offset * np.eye(dim, dtype=complex)
     for site in range(1, model.N + 1):
-        K += embed(LocalOperator(Interval(0, site), model.onsite), chain, model.M).matrix
+        embed(LocalOperator(Interval(0, site), model.onsite), chain, model.M, out=K)
     for op in state.potentials.values():
-        K += model.t * embed(op, chain, model.M).matrix
+        embed(op, chain, model.M, out=K, scale=model.t)
     return K

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -256,14 +257,16 @@ def _bad_n_file(tmp_path):
     return path
 
 
-def _kitaev_file(tmp_path, N=5, supports=((3, 3),), beta=0.01):
-    """Kitaev file with one density term c^dag_i c_i per support [i, j]."""
+def _kitaev_file(tmp_path, N=5, supports=((3, 3),), beta=0.01, **fields):
+    """Kitaev file with one density term c^dag_i c_i per support [i, j],
+    plus any extra ``fields`` of the kitaev block."""
     perts = [{"support": list(sup),
               "terms": [{"coeff": [0.5, 0.0], "ops": [["cdag", sup[0]], ["c", sup[0]]]}]}
              for sup in supports]
     path = tmp_path / f"k{beta}.json"
     path.write_text(json.dumps({"version": "1",
-                                "kitaev": {"N": N, "beta": beta, "perturbations": perts}}))
+                                "kitaev": {"N": N, "beta": beta, "perturbations": perts,
+                                           **fields}}))
     return path
 
 
@@ -283,6 +286,9 @@ class TestBadInputs:
         pytest.param(_bad_n_file, [], None, None, id="N-not-integer"),
         pytest.param(lambda p: _kitaev_file(p, N=-1), [], None, "N=-1", id="kitaev-N-negative"),
         pytest.param(lambda p: _kitaev_file(p, N=0), [], None, "N=0", id="kitaev-N-zero"),
+        # H0 is the tau = delta = 1 Hamiltonian; other values must not pass silently
+        pytest.param(lambda p: _kitaev_file(p, tau=2.0, delta=2.0), [], None, "tau=2.0",
+                     id="kitaev-tau-delta-two"),
         # a file whose reduction fails fails once, like a load failure
         pytest.param(lambda p: _kitaev_file(p, supports=[(1, 2)]), ["--t-sweep", "0.01,0.02"],
                      None, "bulk", id="kitaev-no-bulk-term"),
@@ -304,6 +310,21 @@ class TestBadInputs:
         assert report["controls"] in (None, {"t": None})
         if names is not None:
             assert names in report["error"]["message"]
+
+    def test_oversize_chain_fails_before_sweep(self, tmp_path):
+        # 2**13 = 8192 exceeds the dense guard; the sweep would reach that
+        # dimension before certification could reject it
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(chain_spec(N=13)))
+        out = tmp_path / "report.json"
+        started = time.perf_counter()
+        assert main(["--config", str(path), "--report", str(out)]) == 2
+        assert time.perf_counter() - started < 1.0
+        report = json.loads(out.read_text())
+        assert report["status"] == "failed"
+        assert report["error"]["type"] == "DimensionError"
+        assert "8192" in report["error"]["message"]
+        assert report["steps"] == []
 
     @pytest.mark.parametrize("make_config,flags", [
         pytest.param(_list_file, [], id="load-failure"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import anchor_model
-from lieschwinger.errors import SeriesError, ValidationError
+from lieschwinger.errors import DimensionError, SeriesError, ValidationError
 from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.model import random_chain_model
 
@@ -45,6 +45,13 @@ def test_oracle_policy_validated():
 def test_fit_propagates_series_failure():
     with pytest.raises(SeriesError):
         BlockDiagonalizer().fit(anchor_model(0.5))
+
+
+def test_oversize_model_rejected_before_sweep():
+    est = BlockDiagonalizer()
+    with pytest.raises(DimensionError, match="8192"):
+        est.fit(random_chain_model(13, 1e-3, seed=0))
+    assert est.model_ is None and est.state_ is None
 
 
 def test_controls_follow_params():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SX, kron_chain, random_hermitian
 from lieschwinger.errors import EmbeddingError, GeneratorError, ValidationError
@@ -59,6 +61,42 @@ class TestEmbed:
         op = LocalOperator(Interval(1, 2), np.eye(4))
         with pytest.raises(EmbeddingError):
             embed(op, Interval(1, 3), M=2)
+        # partial overlap on either side, and a disjoint target
+        for target in (Interval(1, 1), Interval(2, 3), Interval(0, 5)):
+            with pytest.raises(EmbeddingError, match="not contained"):
+                embed(op, target, M=2)
+            with pytest.raises(EmbeddingError, match="not contained"):
+                embed(op, target, M=2, out=np.zeros((8, 8), dtype=complex))
+
+    def test_rejects_accumulator_of_wrong_shape(self):
+        op = LocalOperator(Interval(1, 2), np.eye(4))
+        with pytest.raises(EmbeddingError, match="accumulator shape"):
+            embed(op, Interval(2, 1), M=2, out=np.zeros((4, 4), dtype=complex))
+
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.sampled_from([2, 3]), n_sites=st.integers(1, 4), q=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.one_of(st.floats(-2, 2), st.complex_numbers(max_magnitude=2,
+                                                                allow_nan=False,
+                                                                allow_infinity=False)))
+    def test_matches_kron_padding_bitwise(self, M, n_sites, q, seed, scale):
+        # reference: Kronecker padding, for every support placement in the
+        # target, including both ends and the target itself (L = R = 1)
+        target = Interval(n_sites - 1, q)
+        rng = np.random.default_rng(seed)
+        D = target.dim(M)
+        for first in range(q, target.last + 1):
+            for last in range(first, target.last + 1):
+                sup = Interval(last - first, first)
+                A = rng.normal(size=(sup.dim(M),) * 2) + 1j * rng.normal(size=(sup.dim(M),) * 2)
+                ref = np.kron(np.kron(np.eye(M ** (first - q), dtype=complex), A),
+                              np.eye(M ** (target.last - last), dtype=complex))
+                op = LocalOperator(sup, A)
+                assert np.array_equal(embed(op, target, M).matrix, ref)
+                acc = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+                expected = acc + scale * ref
+                assert embed(op, target, M, out=acc, scale=scale) is acc
+                assert np.array_equal(acc, expected)
 
 
 class TestOpNorm:

@@ -3,19 +3,22 @@ import pytest
 
 from conftest import SX, anchor_model, kron_chain
 from lieschwinger.errors import DimensionError, GapError, SeriesError
-from lieschwinger.intervals import Interval, StepIndex
+from lieschwinger.intervals import Interval, StepIndex, all_intervals, successor
 from lieschwinger.model import build_chain_model, random_chain_model
 from lieschwinger.operators import (
     LocalOperator,
     build_projectors,
+    conjugate_by_unitary,
     embed,
     hermitian_defect,
     op_norm,
+    rotation_factors,
     unitary_exp,
 )
 from lieschwinger.oracle import compare
 from lieschwinger.sweep import (
     BlockDiagState,
+    _growth_sources,
     SeriesControls,
     advance,
     assemble_full,
@@ -285,6 +288,56 @@ class TestAdvance:
                 res = generator_series(G.matrix, E, pair, V, model.t, controls)
                 direct = _conjugated_full(before, model, res.S, I)
                 np.testing.assert_allclose(assemble_full(state, model), direct, atol=1e-9)
+
+
+def per_source_transport(state, model, controls):
+    """Potentials on the intervals strictly containing the next step
+    interval, transported one source at a time: each stored potential and
+    each growth source is embedded and conjugated on its own, and the
+    results are summed and re-symmetrized.  Reference for ``advance``."""
+    I = Interval(*successor(state.step, model.N))
+    pair = build_projectors(I, model.omega)
+    G = local_hamiltonian(state, model, pair, controls.tol_od).matrix
+    E = float(np.real(pair.vac.conj() @ G @ pair.vac))
+    V = (state.potentials[I].matrix if I in state.potentials
+         else np.zeros((I.dim(model.M),) * 2, dtype=complex))
+    y = generator_series(G, E, pair, V, model.t, controls).y
+    W, C = rotation_factors(y, pair.vac)
+    out = {}
+    for J in all_intervals(model.N):
+        if J == I or not J.contains(I):
+            continue
+        left = model.M ** (I.q - J.q)
+        acc = None
+        if J in state.potentials:
+            acc = conjugate_by_unitary(state.potentials[J].matrix, W, C, left)
+        for src in _growth_sources(I, J):
+            if src in state.potentials:
+                We = embed(state.potentials[src], J, model.M).matrix
+                grown = conjugate_by_unitary(We, W, C, left) - We
+                acc = grown if acc is None else acc + grown
+        if acc is not None:
+            out[J] = (acc + acc.conj().T) / 2
+    return out
+
+
+class TestTransport:
+    @pytest.mark.parametrize("N,M,kbar", [(4, 2, 1), (5, 2, 2), (6, 2, 1), (6, 2, 2),
+                                          (3, 3, 2), (4, 3, 1), (4, 3, 2), (5, 3, 2)])
+    def test_single_conjugation_matches_per_source_reference(self, N, M, kbar):
+        model = random_chain_model(N, 0.03, M=M, kbar=kbar, seed=N + 10 * M + 100 * kbar)
+        controls = SeriesControls()
+        state = initial_state(model)
+        for _ in range(N * (N - 1) // 2):
+            expected = per_source_transport(state, model, controls)
+            state = advance(state, model, controls)
+            I = Interval(*state.step)
+            containing = {J for J in state.potentials if J != I and J.contains(I)}
+            assert containing == set(expected)
+            for J, ref in expected.items():
+                assert np.max(np.abs(state.potentials[J].matrix - ref)) <= 1e-13
+            for op in state.potentials.values():
+                assert np.array_equal(op.matrix, op.matrix.conj().T)
 
 
 class TestSweep:
