@@ -23,7 +23,8 @@ import numpy as np
 from .errors import CertificationError, DimensionError, ValidationError
 from .intervals import Interval, StepIndex
 from .model import ChainModel
-from .operators import DENSE_GUARD, LocalOperator, build_projectors, embed, op_norm
+from .operators import (DENSE_GUARD, LocalOperator, build_projectors, embed,
+                        excited_spectrum, op_norm)
 from .sweep import (BlockDiagState, SeriesControls, assemble_full, local_hamiltonian,
                     _offdiag_norm)
 
@@ -95,9 +96,7 @@ def certify(state: BlockDiagState, model: ChainModel,
             f"final Hamiltonian off-diagonal residual {residual:.3e} exceeds {tol_od:.1e}"
         )
     ground = float(np.real(pair.vac.conj() @ K @ pair.vac))
-    Qp = pair.plus_basis
-    plus_min = float(np.linalg.eigvalsh(Qp.conj().T @ K @ Qp)[0])
-    gap = plus_min - ground
+    gap = float(excited_spectrum(K, pair.vac)[0]) - ground
     return GapReport(
         ground_energy=ground,
         gap=gap,
@@ -208,9 +207,7 @@ def excited_block_lower_bound(state: BlockDiagState, model: ChainModel,
         if interval.contains(sub) and sub != interval:
             sub_pair = build_projectors(sub, model.omega)
             shift += float(np.real(sub_pair.vac.conj() @ op.matrix @ sub_pair.vac))
-    Qp = pair.plus_basis
-    block = Qp.conj().T @ G.matrix @ Qp - model.t * shift * np.eye(Qp.shape[1])
-    lhs_min = float(np.linalg.eigvalsh(block)[0])
+    lhs_min = float(excited_spectrum(G.matrix, pair.vac)[0]) - model.t * shift
     rhs = 1.0 - 8.0 * t - 16.0 * t * sum(
         l * t ** ((l - 2) / 3.0) / l ** 2 for l in range(3, interval.k + 1)
     )

@@ -80,7 +80,8 @@ class BlockDiagonalizer:
         self.timings_["sweep_s"] = time.perf_counter() - started
         self.report_ = certify(self.state_, model, self.tol_od)
         if self.oracle != "off":
-            self.comparison_ = compare(self.state_, model, self.report_.ground_energy)
+            self.comparison_ = compare(self.state_, model, self.report_.ground_energy,
+                                      tol_od=self.tol_od)
             self.report_ = dataclasses.replace(self.report_, oracle=self.comparison_)
         return self
 

@@ -286,10 +286,9 @@ def restricted_chain_model(frame: FermionFrame, bulk, beta: float) -> ChainModel
         W = R.conj().T @ (mat @ R)
         loc = _extract_local(np.asarray(W), iv, N - 1)
         locals_[iv] = locals_.get(iv, 0) + loc
-    scale = max(
-        float(np.max(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2))))
-        for m in locals_.values()
-    )
+    # R^dag W R is Hermitian only to rounding; stored potentials must be exact
+    locals_ = {iv: (m + m.conj().T) / 2 for iv, m in locals_.items()}
+    scale = max(float(np.max(np.abs(np.linalg.eigvalsh(m)))) for m in locals_.values())
     scale = max(scale, 1.0)
     interactions = {iv: m / scale for iv, m in locals_.items()}
     return build_chain_model(

@@ -4,6 +4,10 @@ Operators live on the tensor factors of their support interval, with the
 leftmost site as the most significant base-M digit, and act as the identity
 elsewhere.  Matrices are dense complex; Hermitian / anti-Hermitian structure
 is checked against a tolerance, never assumed from storage format.
+Projector pairs carry only the product vacuum vac: the complement
+1 - vac vac^dag is never given a basis, and ``excited_spectrum`` reads the
+spectrum on it from one eigvalsh of G with the vacuum eigenvalue shifted
+above the rest.
 
 The sweep's generators have rank two, S = y vac^dag - vac y^dag with y
 orthogonal to vac, so exp(S) is a rotation by theta = ||y|| in
@@ -114,10 +118,9 @@ def embed(op: LocalOperator, target: Interval, M: int | None = None, *,
 
 
 def op_norm(op: LocalOperator | np.ndarray, tol: float = 1e-8) -> float:
-    """Spectral norm (largest |eigenvalue|) of a (anti-)Hermitian matrix.
+    """Spectral norm (largest |eigenvalue|) of a Hermitian matrix.
 
-    Symmetry is classified relative to the matrix's own scale so that small
-    generators are not mistaken for noisy Hermitian matrices.
+    Hermiticity is checked relative to the matrix's own scale.
     """
     m = op.matrix if isinstance(op, LocalOperator) else np.asarray(op, dtype=complex)
     if m.size == 0:
@@ -125,41 +128,18 @@ def op_norm(op: LocalOperator | np.ndarray, tol: float = 1e-8) -> float:
     scale = float(np.max(np.abs(m)))
     if scale == 0.0:
         return 0.0
-    if hermitian_defect(m) <= tol * scale:
-        h = (m + m.conj().T) / 2
-    elif antihermitian_defect(m) <= tol * scale:
-        h = (1j * m + (1j * m).conj().T) / 2
-    else:
-        raise ValidationError("op_norm supports Hermitian or anti-Hermitian matrices only")
-    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
-
-
-def orthogonal_complement_basis(v: np.ndarray) -> np.ndarray:
-    """Columns form an orthonormal basis of the subspace orthogonal to v.
-
-    Householder reflector sending e_0 to (a phase times) v; its remaining
-    columns span the complement exactly.
-    """
-    v = np.asarray(v, dtype=complex)
-    v = v / np.linalg.norm(v)
-    d = v.shape[0]
-    phase = v[0] / abs(v[0]) if abs(v[0]) > 1e-14 else 1.0
-    w = v + phase * np.eye(d, dtype=complex)[:, 0]
-    Q = np.eye(d, dtype=complex) - 2.0 * np.outer(w, w.conj()) / np.real(w.conj() @ w)
-    return Q[:, 1:]
+    if hermitian_defect(m) > tol * scale:
+        raise ValidationError("op_norm supports Hermitian matrices only")
+    return float(np.max(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2))))
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectorPair:
-    """Rank-1 product-vacuum projector vac vac^dag and its complement on one interval.
-
-    ``plus_basis`` holds an orthonormal basis of the complement of vac so
-    blocks can be restricted without picking up a spurious zero mode.
-    """
+    """Rank-1 product-vacuum projector vac vac^dag on one interval; its
+    complement is 1 - vac vac^dag and is never formed."""
 
     support: Interval
     vac: np.ndarray
-    plus_basis: np.ndarray
 
 
 def build_projectors(interval: Interval, omega: np.ndarray) -> ProjectorPair:
@@ -169,7 +149,20 @@ def build_projectors(interval: Interval, omega: np.ndarray) -> ProjectorPair:
     vac = omega
     for _ in range(interval.k):
         vac = np.kron(vac, omega)
-    return ProjectorPair(interval, vac, orthogonal_complement_basis(vac))
+    return ProjectorPair(interval, vac)
+
+
+def excited_spectrum(G: np.ndarray, vac: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of a Hermitian G, block-diagonal for the unit
+    vector vac, on the complement of vac.
+
+    Shifting the vacuum eigenvalue E = vac^dag G vac to c = 1 + ||G||_inf,
+    above the spectral radius, leaves it the largest eigenvalue, so the
+    excited spectrum is all the others and no complement basis is built.
+    """
+    E = float(np.real(vac.conj() @ G @ vac))
+    c = 1.0 + float(np.linalg.norm(G, np.inf))
+    return np.linalg.eigvalsh(G + (c - E) * np.outer(vac, vac.conj()))[:-1]
 
 
 def unitary_exp(S: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DimensionError
 from .model import ChainModel
 from .operators import DENSE_GUARD
+from .sweep import SeriesControls
 
 DEGENERACY_TOL = 1e-9
 
@@ -71,11 +72,14 @@ def degeneracy_of_spectrum(evals: np.ndarray, tol: float = DEGENERACY_TOL) -> in
 
 
 def compare(state, model: ChainModel, certified_ground: float | None = None,
-            tol: float = DEGENERACY_TOL) -> OracleComparison:
+            tol: float = DEGENERACY_TOL,
+            tol_od: float = SeriesControls.tol_od) -> OracleComparison:
     """Distance between sweep output and direct diagonalization.
 
     The ED gap skips any eigenvalues degenerate with the ground state at the
     given tolerance, so near-degenerate clusters are not silently merged.
+    The certified ground energy matches blockwise when it is within the
+    fit's ``tol_od`` of the ED ground energy.
     """
     from .certify import certify
     from .sweep import assemble_full
@@ -91,7 +95,7 @@ def compare(state, model: ChainModel, certified_ground: float | None = None,
         spectrum_distance=distance,
         gap_ed=gap_ed,
         ground_degeneracy=deg,
-        blockwise_match=abs(certified_ground - float(evals_ed[0])) <= 1e-8,
+        blockwise_match=abs(certified_ground - float(evals_ed[0])) <= tol_od,
         ground_ed=float(evals_ed[0]),
         low_spectrum=tuple(float(v) for v in evals_ed[: max(deg + 2, 4)]),
     )

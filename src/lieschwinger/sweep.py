@@ -24,9 +24,13 @@ and exp(S) is the closed-form rotation by ||y|| in span{vac, y}
 (``operators.rotation_factors``).  It is exactly unitary, so spectra are
 preserved to machine precision regardless of truncation, and ||S|| = ||y||.
 
-One eigendecomposition of the excited block of G per step serves the
-ground-state check, the gap and the resolvent: once the leak check has
-passed, G is block-diagonal and spec G = {E} u spec(excited block).
+Once the leak check has passed, G is block-diagonal and
+spec G = {E} u spec(excited block).  One eigvalsh per step, of G with its
+vacuum eigenvalue shifted above the rest (``operators.excited_spectrum``),
+gives the excited spectrum for the ground-state check and the gap.  The
+resolvent needs no eigenvectors: R = (G - E + vac vac^dag)^{-1} is
+(G - E)^{-1} on the excited block and 1 on vac, so one matrix inverse per
+step gives every y_j = P+ R P+ (V)_j vac.
 
 Transport of the other potentials follows the support relation between
 their interval J and the step interval I.  The rotation acts on the sites
@@ -64,6 +68,7 @@ from .operators import (
     build_projectors,
     conjugate_by_unitary,
     embed,
+    excited_spectrum,
     op_norm,
     rotation_factors,
     unitary_exp,  # unused here; perfbench/tracing.py looks it up on this module
@@ -170,26 +175,13 @@ def _offdiag_norm(mat: np.ndarray, pair: ProjectorPair) -> float:
     return float(np.linalg.norm(u))
 
 
-def plus_block_eigh(G: np.ndarray, pair: ProjectorPair) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of G on the excited block."""
-    Qp = pair.plus_basis
-    return np.linalg.eigh(Qp.conj().T @ G @ Qp)
-
-
-def vacuum_energy(G: LocalOperator, pair: ProjectorPair,
-                  tol_od: float = SeriesControls.tol_od, step: StepIndex | None = None,
-                  plus_spectrum: np.ndarray | None = None) -> float:
-    """Scalar of the rank-1 vacuum block; must match the ground energy of G.
-
-    With ``plus_spectrum`` (the ascending spectrum of the excited block of a
-    block-diagonal G), the ground energy is min(E, plus_spectrum[0]) and no
-    eigensolve runs.
-    """
+def vacuum_energy(G: LocalOperator, pair: ProjectorPair, excited: np.ndarray,
+                  tol_od: float = SeriesControls.tol_od, step: StepIndex | None = None) -> float:
+    """Scalar of the rank-1 vacuum block; must match the ground energy of G,
+    min(E, excited[0]) for the ascending excited spectrum of a
+    block-diagonal G."""
     E = float(np.real(pair.vac.conj() @ G.matrix @ pair.vac))
-    if plus_spectrum is None:
-        ground = float(np.linalg.eigvalsh(G.matrix)[0])
-    else:
-        ground = min(E, float(plus_spectrum[0]))
+    ground = min(E, float(excited[0]))
     if abs(E - ground) > tol_od * (1 + abs(E)):
         raise GapError(
             f"vacuum energy {E:.9f} is not the ground energy {ground:.9f} of the local Hamiltonian",
@@ -198,51 +190,41 @@ def vacuum_energy(G: LocalOperator, pair: ProjectorPair,
     return E
 
 
-def local_gap(G: LocalOperator, pair: ProjectorPair, E: float | None = None,
-              gap_min: float | None = None, step: StepIndex | None = None,
-              plus_spectrum: np.ndarray | None = None) -> float:
-    """Spectral gap of G above its vacuum energy, on the excited block.
-
-    ``plus_spectrum`` is that block's ascending spectrum, if already known.
-    """
-    if E is None:
-        E = float(np.real(pair.vac.conj() @ G.matrix @ pair.vac))
-    if plus_spectrum is None:
-        plus_spectrum = plus_block_eigh(G.matrix, pair)[0]
-    gap = float(plus_spectrum[0]) - E
-    if gap_min is not None and gap < gap_min:
+def local_gap(E: float, excited: np.ndarray, gap_min: float = SeriesControls.gap_min,
+              step: StepIndex | None = None) -> float:
+    """Spectral gap above the vacuum energy E, from the ascending excited
+    spectrum; it must reach gap_min and be positive for the resolvent."""
+    gap = float(excited[0]) - E
+    if gap < gap_min:
         raise GapError(
             f"local gap {gap:.6f} fell below the abort threshold {gap_min}",
             step=step, reason="gap-too-small", value=gap,
         )
+    if gap <= 0:
+        raise GapError("excited block of the local Hamiltonian reaches the vacuum energy",
+                       step=step, reason="gap-assumption-violated", value=gap)
     return gap
 
 
 def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray,
                      t: float, controls: SeriesControls,
-                     step: StepIndex | None = None,
-                     plus_eig: tuple[np.ndarray, np.ndarray] | None = None) -> SeriesResult:
+                     step: StepIndex | None = None) -> SeriesResult:
     """Accumulate y = sum_j t^j y_j, the vector of S = sum_j t^j S_j.
 
     Terminates once |t|^j ||(V)_j|| < tol_series; reaching jmax with the last
     term still above the cutoff raises SeriesError, reporting that norm.
     The nested commutator sums are evaluated through tables T[X][(m, p)]
     holding the order-m, depth-p chains acting on X in {G, V}, extended one
-    order at a time (outermost generator index last).  ``plus_eig`` is the
-    result of ``plus_block_eigh(G, pair)``, if already computed.
+    order at a time (outermost generator index last).  G must have a
+    positive gap above E (``local_gap``).
     """
     vac = pair.vac
-    Qp = pair.plus_basis
-    w, Z = plus_eig if plus_eig is not None else plus_block_eigh(G, pair)
-    denom = w - E
-    if np.min(denom) <= 0:
-        raise GapError("excited block of the local Hamiltonian reaches the vacuum energy",
-                       step=step, reason="gap-assumption-violated", value=float(np.min(denom)))
+    R = np.linalg.inv(G - E * np.eye(G.shape[0]) + np.outer(vac, vac.conj()))
 
     def make_y(Vterm: np.ndarray) -> np.ndarray:
         u = Vterm @ vac
-        u = u - vac * (vac.conj() @ u)
-        return Qp @ (Z @ ((Z.conj().T @ (Qp.conj().T @ u)) / denom))
+        x = R @ (u - vac * (vac.conj() @ u))
+        return x - vac * (vac.conj() @ x)
 
     def make_S(y_term: np.ndarray) -> np.ndarray:
         return np.outer(y_term, vac.conj()) - np.outer(vac, y_term.conj())
@@ -337,14 +319,14 @@ def advance(state: BlockDiagState, model: ChainModel,
     I = Interval(step.k, step.q)
     pair = build_projectors(I, model.omega)
     G = local_hamiltonian(state, model, pair, controls.tol_od)
-    w, Z = plus_block_eigh(G.matrix, pair)
-    E = vacuum_energy(G, pair, controls.tol_od, step, plus_spectrum=w)
-    gap = local_gap(G, pair, E, gap_min=controls.gap_min, step=step, plus_spectrum=w)
+    excited = excited_spectrum(G.matrix, pair.vac)
+    E = vacuum_energy(G, pair, excited, controls.tol_od, step)
+    gap = local_gap(E, excited, controls.gap_min, step)
 
     V_op = state.potentials.get(I)
     dim = I.dim(model.M)
     V = V_op.matrix if V_op is not None else np.zeros((dim, dim), dtype=complex)
-    series = generator_series(G.matrix, E, pair, V, model.t, controls, step, plus_eig=(w, Z))
+    series = generator_series(G.matrix, E, pair, V, model.t, controls, step)
     s_norm = float(np.linalg.norm(series.y))
 
     if s_norm == 0.0:

@@ -22,7 +22,8 @@ from lieschwinger.certify import (
 )
 from lieschwinger.intervals import Interval, iter_steps
 from lieschwinger.model import ChainModel, random_chain_model
-from lieschwinger.operators import LocalOperator, build_projectors, embed, unitary_exp
+from lieschwinger.operators import (LocalOperator, build_projectors, embed, excited_spectrum,
+                                    unitary_exp)
 from lieschwinger.oracle import OracleComparison, compare
 from lieschwinger.sweep import (
     BlockDiagState,
@@ -152,7 +153,7 @@ def test_ac6_piecewise_conjugation_identity():
             I = Interval(state.step.k, state.step.q)
             pair = build_projectors(I, model.omega)
             G = local_hamiltonian(before, model, pair)
-            E = vacuum_energy(G, pair)
+            E = vacuum_energy(G, pair, excited_spectrum(G.matrix, pair.vac))
             dim = I.dim(model.M)
             V = (before.potentials[I].matrix if I in before.potentials
                  else np.zeros((dim, dim), dtype=complex))

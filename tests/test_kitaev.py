@@ -1,12 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from lieschwinger import kitaev as kit
+from lieschwinger.cli import _reduce, load_model
 from lieschwinger.errors import ValidationError
 from lieschwinger.estimator import BlockDiagonalizer
-from lieschwinger.intervals import Interval
+from lieschwinger.intervals import Interval, iter_steps
 from lieschwinger.oracle import ed_spectrum
+from lieschwinger.sweep import advance, initial_state
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def car_defect(ops):
@@ -138,6 +144,18 @@ class TestRegrouping:
 
 
 class TestRestriction:
+    def test_stored_potentials_exactly_hermitian_through_the_sweep(self):
+        # the restricted interactions are symmetrized once, at reduction, so
+        # no potential carries an anti-Hermitian rounding part between steps
+        chain, _ = _reduce(load_model(CONFIGS / "kitaev_n6.json"))
+        state = initial_state(chain)
+        for X in state.potentials.values():
+            assert np.array_equal(X.matrix, X.matrix.conj().T)
+        for _ in iter_steps(chain.N):
+            state = advance(state, chain)
+            for iv, X in state.potentials.items():
+                assert np.array_equal(X.matrix, X.matrix.conj().T), (state.step, iv)
+
     def test_unperturbed_spectrum_binomial(self):
         N = 5
         iv, mat = kit.random_bulk_perturbation(N, seed=1)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SX, kron_chain, random_hermitian
+from conftest import SX, kron_chain, orthogonal_complement_basis, random_hermitian
 from lieschwinger.errors import EmbeddingError, GeneratorError, ValidationError
 from lieschwinger.intervals import Interval
 from lieschwinger.operators import (
@@ -11,8 +11,8 @@ from lieschwinger.operators import (
     build_projectors,
     conjugate_by_unitary,
     embed,
+    excited_spectrum,
     op_norm,
-    orthogonal_complement_basis,
     rotation_factors,
     unitary_exp,
 )
@@ -112,15 +112,13 @@ class TestOpNorm:
             sv = np.linalg.svd(V, compute_uv=False)
             assert op_norm(V) == pytest.approx(sv[0], rel=1e-12)
 
-    def test_antihermitian_supported(self, rng):
-        V = random_hermitian(rng, 4)
-        S = 1j * V
-        sv = np.linalg.svd(S, compute_uv=False)
-        assert op_norm(S) == pytest.approx(sv[0], rel=1e-12)
-
     def test_rejects_non_normal(self):
         with pytest.raises(ValidationError):
             op_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_antihermitian(self, rng):
+        with pytest.raises(ValidationError, match="Hermitian matrices only"):
+            op_norm(1j * random_hermitian(rng, 4))
 
 
 class TestProjectors:
@@ -131,7 +129,8 @@ class TestProjectors:
     def test_ranks(self):
         pair = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
         assert np.linalg.matrix_rank(np.outer(pair.vac, pair.vac.conj())) == 1
-        assert np.linalg.matrix_rank(pair.plus_basis @ pair.plus_basis.conj().T) == 3
+        Qp = orthogonal_complement_basis(pair.vac)
+        assert np.linalg.matrix_rank(Qp @ Qp.conj().T) == 3
 
     @pytest.mark.parametrize("seed", range(20))
     def test_pair_invariants_random_omega(self, seed):
@@ -139,7 +138,8 @@ class TestProjectors:
         omega = rng.normal(size=3) + 1j * rng.normal(size=3)
         pair = build_projectors(Interval(1, 1), omega)
         pm = np.outer(pair.vac, pair.vac.conj())
-        pp = pair.plus_basis @ pair.plus_basis.conj().T
+        Qp = orthogonal_complement_basis(pair.vac)
+        pp = Qp @ Qp.conj().T
         np.testing.assert_allclose(pm @ pm, pm, atol=1e-12)
         np.testing.assert_allclose(pp @ pp, pp, atol=1e-12)
         np.testing.assert_allclose(pm @ pp, np.zeros_like(pm), atol=1e-12)
@@ -152,6 +152,25 @@ class TestProjectors:
         np.testing.assert_allclose(Q.conj().T @ Q, np.eye(7), atol=1e-12)
         np.testing.assert_allclose(Q.conj().T @ (v / np.linalg.norm(v)),
                                    np.zeros(7), atol=1e-12)
+
+
+class TestExcitedSpectrum:
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.sampled_from([2, 3]), k=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1),
+           E=st.floats(-3, 3), norm=st.floats(0.1, 10))
+    def test_matches_householder_reference(self, M, k, seed, E, norm):
+        # G block-diagonal for a complex product vacuum that is no basis
+        # vector; reference: eigvalsh of G compressed to the Householder basis
+        rng = np.random.default_rng(seed)
+        omega = rng.normal(size=M) + 1j * rng.normal(size=M)
+        vac = build_projectors(Interval(k, 1), omega).vac
+        Qp = orthogonal_complement_basis(vac)
+        G = E * np.outer(vac, vac.conj()) + Qp @ random_hermitian(rng, Qp.shape[1], norm) @ Qp.conj().T
+        G = (G + G.conj().T) / 2
+        ref = np.linalg.eigvalsh(Qp.conj().T @ G @ Qp)
+        out = excited_spectrum(G, vac)
+        assert out.shape == (M ** (k + 1) - 1,)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, op_norm(G))
 
 
 class TestUnitaryExp:

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import SX, anchor_model
+from lieschwinger import estimator
 from lieschwinger.errors import DimensionError
+from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.intervals import Interval
 from lieschwinger.model import build_chain_model, random_chain_model
 from lieschwinger.oracle import (
@@ -58,6 +60,26 @@ def test_compare_anchor():
     assert out.gap_ed == pytest.approx(np.sqrt(1.01) - 0.1, abs=1e-12)
     assert out.blockwise_match
     assert out.spectrum_distance <= 1e-9
+
+
+def test_blockwise_match_follows_tol_od(monkeypatch):
+    # the certified ground energy matches within the fit's tol_od, not a
+    # second fixed tolerance
+    model = anchor_model(0.1)
+    state = sweep(model)
+    ground = compare(state, model).ground_ed
+    assert compare(state, model, ground + 1e-9).blockwise_match
+    assert not compare(state, model, ground + 1e-9, tol_od=1e-10).blockwise_match
+    assert compare(state, model, ground + 1e-6, tol_od=1e-5).blockwise_match
+    seen = []
+
+    def recording_compare(*args, **kwargs):
+        seen.append(kwargs.get("tol_od"))
+        return compare(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "compare", recording_compare)
+    BlockDiagonalizer(tol_od=1e-5).fit(model)
+    assert seen == [1e-5]
 
 
 @pytest.mark.parametrize("seed", range(3))

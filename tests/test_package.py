@@ -4,10 +4,14 @@ sites and one traced run."""
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_submodules_are_not_shadowed():
@@ -16,6 +20,17 @@ def test_submodules_are_not_shadowed():
 
     assert isinstance(sweep_module, types.ModuleType)
     assert isinstance(certify_module, types.ModuleType)
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # scipy.linalg adds about 8 MB of resident memory to every run; the
+    # sweep's linear algebra is numpy only
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, lieschwinger.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def _load_tracing():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import SX, anchor_model, kron_chain
+from conftest import (SX, anchor_model, kron_chain, orthogonal_complement_basis,
+                      plus_block_eigh, random_hermitian)
 from lieschwinger.errors import DimensionError, GapError, SeriesError
 from lieschwinger.intervals import Interval, StepIndex, all_intervals, successor
 from lieschwinger.model import build_chain_model, random_chain_model
@@ -10,6 +13,7 @@ from lieschwinger.operators import (
     build_projectors,
     conjugate_by_unitary,
     embed,
+    excited_spectrum,
     hermitian_defect,
     op_norm,
     rotation_factors,
@@ -102,8 +106,9 @@ class TestLocalHamiltonian:
 class TestVacuumEnergyAndGap:
     def test_zero_coupling(self):
         model, state, I, G, pair, V = anchor_pieces(t=0.0)
-        assert vacuum_energy(G, pair) == pytest.approx(0.0, abs=1e-14)
-        assert local_gap(G, pair) == pytest.approx(1.0, abs=1e-14)
+        excited = excited_spectrum(G.matrix, pair.vac)
+        assert vacuum_energy(G, pair, excited) == pytest.approx(0.0, abs=1e-14)
+        assert local_gap(vacuum_energy(G, pair, excited), excited) == pytest.approx(1.0, abs=1e-14)
 
     def test_sigma_interaction_has_zero_vacuum_diagonal(self):
         # <00| sx (x) sx |00> = 0, so adding it to G leaves E = 0
@@ -119,29 +124,40 @@ class TestVacuumEnergyAndGap:
             state = initial_state(model)
             pair = build_projectors(Interval(1, 1), model.omega)
             G = local_hamiltonian(state, model, pair)
-            E = vacuum_energy(G, pair)
+            E = vacuum_energy(G, pair, excited_spectrum(G.matrix, pair.vac))
             assert E == pytest.approx(float(np.linalg.eigvalsh(G.matrix)[0]), abs=1e-10)
 
     def test_explicit_gap(self):
         G = LocalOperator(Interval(1, 1), np.diag([0.0, 1.0, 1.0, 2.0]))
         pair = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
-        assert local_gap(G, pair, E=0.0) == pytest.approx(1.0)
+        assert local_gap(0.0, excited_spectrum(G.matrix, pair.vac)) == pytest.approx(1.0)
 
     def test_anchor_gap_has_no_coupling_dependence(self):
         model, state, I, G, pair, V = anchor_pieces(t=0.1)
-        assert local_gap(G, pair) == pytest.approx(1.0, abs=1e-14)
+        excited = excited_spectrum(G.matrix, pair.vac)
+        assert local_gap(vacuum_energy(G, pair, excited), excited) == pytest.approx(1.0, abs=1e-14)
 
     def test_gap_below_threshold_aborts(self):
         G = LocalOperator(Interval(1, 1), np.diag([0.0, 0.3, 1.0, 2.0]))
         pair = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
         with pytest.raises(GapError, match="threshold"):
-            local_gap(G, pair, E=0.0, gap_min=0.5)
+            local_gap(0.0, excited_spectrum(G.matrix, pair.vac), gap_min=0.5)
+
+    def test_gap_assumption_violated_at_zero_threshold(self):
+        # a degenerate vacuum passes gap_min = 0 but leaves no resolvent
+        G = LocalOperator(Interval(1, 1), np.diag([0.0, 0.0, 1.0, 2.0]))
+        pair = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
+        excited = excited_spectrum(G.matrix, pair.vac)
+        with pytest.raises(GapError, match="reaches the vacuum energy") as info:
+            local_gap(vacuum_energy(G, pair, excited), excited, gap_min=0.0)
+        assert info.value.reason == "gap-assumption-violated"
+        assert info.value.exit_code == 4
 
     def test_vacuum_not_ground_detected(self):
         G = LocalOperator(Interval(1, 1), np.diag([0.0, -0.5, 1.0, 2.0]))
         pair = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
         with pytest.raises(GapError, match="ground"):
-            vacuum_energy(G, pair)
+            vacuum_energy(G, pair, excited_spectrum(G.matrix, pair.vac))
 
 
 class TestGeneratorSeries:
@@ -186,6 +202,38 @@ class TestGeneratorSeries:
         res = generator_series(G.matrix, 0.0, pair, V, model.t, SeriesControls())
         for vn, sn in zip(res.v_term_norms, res.s_term_norms):
             assert sn <= 2.0 * vn + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(M=st.sampled_from([2, 3]), k=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1),
+           E=st.floats(-2, 2), t=st.floats(-0.05, 0.05))
+    def test_matches_eigenbasis_resolvent(self, M, k, seed, E, t):
+        # G block-diagonal for a complex non-basis vacuum, gap at least 1;
+        # reference: each y_j from the eigendecomposition of the excited
+        # block in the Householder basis, applied to the returned (V)_j
+        rng = np.random.default_rng(seed)
+        omega = rng.normal(size=M) + 1j * rng.normal(size=M)
+        pair = build_projectors(Interval(k, 1), omega)
+        vac = pair.vac
+        Qp = orthogonal_complement_basis(vac)
+        U, _ = np.linalg.qr(rng.normal(size=(Qp.shape[1],) * 2)
+                            + 1j * rng.normal(size=(Qp.shape[1],) * 2))
+        H = (U * (E + 1.0 + rng.uniform(0.0, 3.0, size=Qp.shape[1]))) @ U.conj().T
+        G = E * np.outer(vac, vac.conj()) + Qp @ H @ Qp.conj().T
+        G = (G + G.conj().T) / 2
+        V = random_hermitian(rng, G.shape[0], norm=1.0)
+        res = generator_series(G, E, pair, V, t, SeriesControls())
+        w, Z, Qp = plus_block_eigh(G, vac)
+
+        def ref_y(X):
+            u = X @ vac
+            u = u - vac * (vac.conj() @ u)
+            return Qp @ (Z @ ((Z.conj().T @ (Qp.conj().T @ u)) / (w - E)))
+
+        y_ref = sum(t ** j * ref_y(X) for j, X in enumerate(res.v_terms, start=1))
+        assert np.max(np.abs(res.y - y_ref)) <= 1e-13
+        np.testing.assert_allclose(res.s_term_norms,
+                                   [np.linalg.norm(ref_y(X)) for X in res.v_terms],
+                                   rtol=0, atol=1e-13)
 
     def test_divergent_series_raises(self):
         model, state, I, G, pair, V = anchor_pieces(t=0.5)
@@ -282,7 +330,7 @@ class TestAdvance:
                 I = Interval(state.step.k, state.step.q)
                 pair = build_projectors(I, model.omega)
                 G = local_hamiltonian(before, model, pair)
-                E = vacuum_energy(G, pair)
+                E = vacuum_energy(G, pair, excited_spectrum(G.matrix, pair.vac))
                 V = (before.potentials[I].matrix if I in before.potentials
                      else np.zeros((I.dim(2), I.dim(2)), dtype=complex))
                 res = generator_series(G.matrix, E, pair, V, model.t, controls)
