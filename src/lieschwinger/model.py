@@ -8,7 +8,7 @@ intervals of at most ``kbar`` edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,7 +67,11 @@ def build_chain_model(N, M, onsite, interactions, t, kbar=None,
         energy_offset=float(energy_offset), seed_info=dict(seed_info or {}),
     )
     validate_chain_model(model)
-    return model
+    # validated as given, stored exactly Hermitian: the sweep and the oracle
+    # must read one operator
+    onsite = (onsite + onsite.conj().T) / 2
+    return replace(model, onsite=onsite, omega=ground_vector(onsite), interactions={
+        iv: LocalOperator(iv, (op.matrix + op.matrix.conj().T) / 2) for iv, op in ops.items()})
 
 
 def validate_chain_model(model: ChainModel, tol: float = _TOL) -> None:

@@ -71,7 +71,7 @@ def degeneracy_of_spectrum(evals: np.ndarray, tol: float = DEGENERACY_TOL) -> in
     return int(np.count_nonzero(evals - evals[0] <= tol))
 
 
-def compare(state, model: ChainModel, certified_ground: float | None = None,
+def compare(state, model: ChainModel, certified_ground: float,
             tol: float = DEGENERACY_TOL,
             tol_od: float = SeriesControls.tol_od) -> OracleComparison:
     """Distance between sweep output and direct diagonalization.
@@ -81,7 +81,7 @@ def compare(state, model: ChainModel, certified_ground: float | None = None,
     The certified ground energy matches blockwise when it is within the
     fit's ``tol_od`` of the ED ground energy.
     """
-    from .certify import certify
+    # looked up on ``sweep`` at call time, where perfbench/tracing.py wraps it
     from .sweep import assemble_full
 
     evals_ed = ed_spectrum(model)
@@ -89,8 +89,6 @@ def compare(state, model: ChainModel, certified_ground: float | None = None,
     distance = float(np.max(np.abs(evals_ed - evals_sweep)))
     deg = degeneracy_of_spectrum(evals_ed, tol)
     gap_ed = float(evals_ed[deg] - evals_ed[0]) if deg < evals_ed.shape[0] else 0.0
-    if certified_ground is None:
-        certified_ground = certify(state, model).ground_energy
     return OracleComparison(
         spectrum_distance=distance,
         gap_ed=gap_ed,

@@ -9,10 +9,15 @@ product-vacuum projector.  The generator is a power series in the coupling,
 
 where G is the local Hamiltonian built from on-site terms plus all
 already-transported shorter potentials inside the interval, E is its
-vacuum energy, and the higher-order terms (V)_j follow the recursion
+vacuum energy, and the higher-order terms (V)_j come from one table of
+nested commutators of G + tV with the factorials folded in: B[(p, m)] is
+the order-m sum of depth-p chains ad S_{r_1} .. ad S_{r_p} (G + tV) / p!,
+where G has order 0 and V order 1.  With B[(0, 0)] = G and B[(0, 1)] = V,
 
-    (V)_j = sum_{p>=2, r_1+..+r_p=j}   ad S_{r_1} ( .. ad S_{r_p}(G) .. ) / p!
-          + sum_{p>=1, r_1+..+r_p=j-1} ad S_{r_1} ( .. ad S_{r_p}(V) .. ) / p!
+    B[(p, j)] = (1/p) sum_{r=1}^{j-1} ad S_r ( B[(p-1, j-r)] ),   p = 1..j,
+    (V)_j     = sum_p B[(p, j)],
+
+and ad S_j(G), which S_j cancels, joins B[(1, j)] once y_j is known.
 
 The series is truncated once the term norm |t|^j ||(V)_j|| drops below a
 cutoff; the operationally meaningful check is the off-diagonal residual of
@@ -23,6 +28,9 @@ P+ (V)_j vac orthogonal to vac, so S = y vac^dag - vac y^dag has rank two
 and exp(S) is the closed-form rotation by ||y|| in span{vac, y}
 (``operators.rotation_factors``).  It is exactly unitary, so spectra are
 preserved to machine precision regardless of truncation, and ||S|| = ||y||.
+The series uses the same structure: with W = [vac, y_r] and
+J = [[0, -1], [1, 0]], ad S_r(X) = W J (XW)^dag - (XW) J W^dag for
+Hermitian X, one D x 4 by 4 x D product; no S_j is formed as a matrix.
 
 Once the leak check has passed, G is block-diagonal and
 spec G = {E} u spec(excited block).  One eigvalsh per step, of G with its
@@ -54,7 +62,7 @@ potential, never as an embedded unitary:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, isfinite
+from math import isfinite
 
 import numpy as np
 
@@ -130,11 +138,6 @@ class SeriesResult:
     v_terms: tuple[np.ndarray, ...]
     v_term_norms: tuple[float, ...]
     s_term_norms: tuple[float, ...]
-
-    @property
-    def S(self) -> np.ndarray:
-        """The generator as a dense matrix; the sweep itself uses only y."""
-        return np.outer(self.y, self.vac.conj()) - np.outer(self.vac, self.y.conj())
 
 
 def initial_state(model: ChainModel) -> BlockDiagState:
@@ -213,59 +216,43 @@ def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray
 
     Terminates once |t|^j ||(V)_j|| < tol_series; reaching jmax with the last
     term still above the cutoff raises SeriesError, reporting that norm.
-    The nested commutator sums are evaluated through tables T[X][(m, p)]
-    holding the order-m, depth-p chains acting on X in {G, V}, extended one
-    order at a time (outermost generator index last).  G must have a
-    positive gap above E (``local_gap``).
+    The nested commutators are kept in one table B[(p, m)] (module
+    docstring), and each ad S_r acts through the rank-two factors of S_r.
+    G must have a positive gap above E (``local_gap``).
     """
     vac = pair.vac
     R = np.linalg.inv(G - E * np.eye(G.shape[0]) + np.outer(vac, vac.conj()))
+    v_terms, v_norms, y_terms, factors = [], [], [], []
 
-    def make_y(Vterm: np.ndarray) -> np.ndarray:
-        u = Vterm @ vac
+    def push(Vj: np.ndarray) -> None:
+        u = Vj @ vac
         x = R @ (u - vac * (vac.conj() @ u))
-        return x - vac * (vac.conj() @ x)
+        yj = x - vac * (vac.conj() @ x)
+        # factors of S_j: [vac, yj, X vac, X yj] and [-(X yj)^dag; (X vac)^dag;
+        # yj^dag; -vac^dag], whose X parts ``ad`` fills for each operand X
+        factors.append((np.array([vac, yj, vac, yj]).T, np.array([vac, vac, yj, -vac]).conj()))
+        v_terms.append(Vj)
+        v_norms.append(op_norm(Vj))
+        y_terms.append(yj)
 
-    def make_S(y_term: np.ndarray) -> np.ndarray:
-        return np.outer(y_term, vac.conj()) - np.outer(vac, y_term.conj())
+    def ad(r: int, X: np.ndarray) -> np.ndarray:
+        """[S_r, X] for Hermitian X, as one D x 4 by 4 x D product."""
+        left, right = factors[r - 1]
+        P = np.matmul(X, left[:, :2], out=left[:, 2:])
+        right[0], right[1] = -P[:, 1].conj(), P[:, 0].conj()
+        return left @ right
 
-    v_terms = [V]
-    v_norms = [op_norm(V)]
-    y_terms = [make_y(V)]
-    s_terms = [make_S(y_terms[0])]
-    y = t * y_terms[0]
-    TG: dict[tuple[int, int], np.ndarray] = {}
-    TV: dict[tuple[int, int], np.ndarray] = {}
+    push(V)
+    B = {(1, 1): ad(1, G)}
     order = 1
     while order < controls.jmax and abs(t) ** order * v_norms[-1] >= controls.tol_series:
         j = order + 1
-        m = j - 1  # newest generator index available as a chain head
-        TG[(m, 1)] = s_terms[m - 1] @ G - G @ s_terms[m - 1]
-        TV[(m, 1)] = s_terms[m - 1] @ V - V @ s_terms[m - 1]
-        for table, top in ((TG, j), (TV, j - 1)):
-            for p in range(2, top + 1):
-                acc = 0.0
-                for r in range(1, top - p + 2):
-                    inner = table.get((top - r, p - 1))
-                    if inner is not None:
-                        acc = acc + (s_terms[r - 1] @ inner - inner @ s_terms[r - 1])
-                if not np.isscalar(acc):
-                    table[(top, p)] = acc
-        Vj = np.zeros_like(V)
+        B[(1, j)] = ad(j - 1, V)
         for p in range(2, j + 1):
-            term = TG.get((j, p))
-            if term is not None:
-                Vj = Vj + term / factorial(p)
-        for p in range(1, j):
-            term = TV.get((j - 1, p))
-            if term is not None:
-                Vj = Vj + term / factorial(p)
-        Vj = (Vj + Vj.conj().T) / 2
-        v_terms.append(Vj)
-        v_norms.append(op_norm(Vj))
-        y_terms.append(make_y(Vj))
-        s_terms.append(make_S(y_terms[-1]))
-        y = y + t ** j * y_terms[-1]
+            B[(p, j)] = sum(ad(r, B[(p - 1, j - r)]) for r in range(1, j - p + 2)) / p
+        Vj = sum(B[(p, j)] for p in range(1, j + 1))
+        push((Vj + Vj.conj().T) / 2)
+        B[(1, j)] += ad(j, G)
         order = j
 
     last = abs(t) ** order * v_norms[-1]
@@ -274,6 +261,7 @@ def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray
             f"series did not converge by order {order}: last term norm {last:.3e}",
             step=step, last_term_norm=last,
         )
+    y = sum(t ** j * yj for j, yj in enumerate(y_terms, start=1))
     return SeriesResult(
         y=y, vac=vac, order=order, v_terms=tuple(v_terms), v_term_norms=tuple(v_norms),
         s_term_norms=tuple(float(np.linalg.norm(x)) for x in y_terms),
@@ -293,7 +281,6 @@ def diagonalized_potential(G: np.ndarray, V: np.ndarray, y: np.ndarray, t: float
     if t == 0.0:
         return V, _offdiag_norm(V, pair)
     out = (conjugate_by_unitary(G + t * V, *rotation_factors(y, pair.vac)) - G) / t
-    out = (out + out.conj().T) / 2
     residual = _offdiag_norm(out, pair)
     if residual > tol_od:
         raise SeriesError(

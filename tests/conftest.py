@@ -1,8 +1,12 @@
+import json
+from math import factorial
+
 import numpy as np
 import pytest
 
-from lieschwinger import build_chain_model
+from lieschwinger import build_chain_model, random_chain_model
 from lieschwinger.intervals import Interval
+from lieschwinger.operators import op_norm
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -37,6 +41,90 @@ def plus_block_eigh(G, vac):
     Qp = orthogonal_complement_basis(vac)
     w, Z = np.linalg.eigh(Qp.conj().T @ G @ Qp)
     return w, Z, Qp
+
+
+def dense_generator(res):
+    """The summed generator S = y vac^dag - vac y^dag of a series result, as
+    a dense matrix."""
+    return np.outer(res.y, res.vac.conj()) - np.outer(res.vac, res.y.conj())
+
+
+def dense_generator_series(G, E, pair, V, t, controls):
+    """Reference for ``sweep.generator_series``: every S_j formed as a dense
+    matrix and the nested commutators kept in two tables T[X][(m, p)] of
+    order-m, depth-p chains acting on X in {G, V}, each commutator from two
+    D x D x D products.  Returns (order, y, v_terms, v_term_norms,
+    s_term_norms)."""
+    vac = pair.vac
+    R = np.linalg.inv(G - E * np.eye(G.shape[0]) + np.outer(vac, vac.conj()))
+
+    def make_y(Vterm):
+        u = Vterm @ vac
+        x = R @ (u - vac * (vac.conj() @ u))
+        return x - vac * (vac.conj() @ x)
+
+    def make_S(y_term):
+        return np.outer(y_term, vac.conj()) - np.outer(vac, y_term.conj())
+
+    v_terms = [V]
+    v_norms = [op_norm(V)]
+    y_terms = [make_y(V)]
+    s_terms = [make_S(y_terms[0])]
+    y = t * y_terms[0]
+    TG, TV = {}, {}
+    order = 1
+    while order < controls.jmax and abs(t) ** order * v_norms[-1] >= controls.tol_series:
+        j = order + 1
+        m = j - 1  # newest generator index available as a chain head
+        TG[(m, 1)] = s_terms[m - 1] @ G - G @ s_terms[m - 1]
+        TV[(m, 1)] = s_terms[m - 1] @ V - V @ s_terms[m - 1]
+        for table, top in ((TG, j), (TV, j - 1)):
+            for p in range(2, top + 1):
+                acc = 0.0
+                for r in range(1, top - p + 2):
+                    inner = table.get((top - r, p - 1))
+                    if inner is not None:
+                        acc = acc + (s_terms[r - 1] @ inner - inner @ s_terms[r - 1])
+                if not np.isscalar(acc):
+                    table[(top, p)] = acc
+        Vj = np.zeros_like(V)
+        for p in range(2, j + 1):
+            if (j, p) in TG:
+                Vj = Vj + TG[(j, p)] / factorial(p)
+        for p in range(1, j):
+            if (j - 1, p) in TV:
+                Vj = Vj + TV[(j - 1, p)] / factorial(p)
+        Vj = (Vj + Vj.conj().T) / 2
+        v_terms.append(Vj)
+        v_norms.append(op_norm(Vj))
+        y_terms.append(make_y(Vj))
+        s_terms.append(make_S(y_terms[-1]))
+        y = y + t ** j * y_terms[-1]
+        order = j
+    return order, y, v_terms, v_norms, [float(np.linalg.norm(x)) for x in y_terms]
+
+
+def matrix_json(m):
+    """A matrix as model-file rows of [re, im] pairs."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
+
+
+def near_hermitian_chain_file(path):
+    """Write the model file of random_chain_model(5, 0.1, seed=0) with an
+    anti-Hermitian part of Hermitian defect 2e-10 added to each interaction:
+    inside the validation tolerance, but not exactly Hermitian."""
+    base = random_chain_model(5, 0.1, seed=0)
+    rng = np.random.default_rng(1)
+    interactions = []
+    for iv, op in base.interactions.items():
+        A = rng.normal(size=op.matrix.shape) + 1j * rng.normal(size=op.matrix.shape)
+        K = (A - A.conj().T) / 2
+        interactions.append({"support": [iv.q, iv.last],
+                             "matrix": matrix_json(op.matrix + 1e-10 * K / np.max(np.abs(K)))})
+    path.write_text(json.dumps({"version": "1", "N": base.N, "M": base.M,
+                                "H": matrix_json(base.onsite), "interactions": interactions,
+                                "t": base.t, "kbar": base.kbar}))
+    return path
 
 
 def kron_chain(mats):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import anchor_model
+from conftest import anchor_model, dense_generator
 from lieschwinger import kitaev as kit
 from lieschwinger.certify import (
     GapReport,
@@ -158,7 +158,7 @@ def test_ac6_piecewise_conjugation_identity():
             V = (before.potentials[I].matrix if I in before.potentials
                  else np.zeros((dim, dim), dtype=complex))
             res = generator_series(G.matrix, E, pair, V, model.t, controls)
-            U = embed(LocalOperator(I, unitary_exp(res.S)), chain, model.M).matrix
+            U = embed(LocalOperator(I, unitary_exp(dense_generator(res))), chain, model.M).matrix
             direct = U @ assemble_full(before, model) @ U.conj().T
             dev = float(np.max(np.abs(assemble_full(state, model) - direct)))
             worst = max(worst, dev)

@@ -4,16 +4,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SX
+from conftest import SX, matrix_json
 from lieschwinger.cli import emit, load_model, main, run
 from lieschwinger.errors import ValidationError
 from lieschwinger.model import ChainModel
 from lieschwinger.sweep import SeriesControls
-
-
-def matrix_json(m):
-    return [[[float(v.real), float(v.imag)] for v in np.asarray(m, dtype=complex)[i]]
-            for i in range(np.asarray(m).shape[0])]
 
 
 def chain_spec(N=2, t=0.1, gap=1.0, vnorm=1.0):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import SX, anchor_model
+from conftest import SX, anchor_model, near_hermitian_chain_file
+from lieschwinger.certify import certify
+from lieschwinger.cli import load_model
 from lieschwinger.errors import ValidationError
 from lieschwinger.intervals import Interval
 from lieschwinger.model import build_chain_model, random_chain_model
+from lieschwinger.oracle import compare
+from lieschwinger.sweep import sweep
 
 
 def test_anchor_model_validates():
@@ -69,3 +73,23 @@ def test_random_model_interactions_unit_norm():
     m = random_chain_model(5, 1e-3, seed=3)
     for op in m.interactions.values():
         assert np.max(np.abs(np.linalg.eigvalsh(op.matrix))) == pytest.approx(1.0)
+
+
+def test_near_hermitian_interactions_stored_exactly_hermitian(tmp_path):
+    # accepted within tolerance, then stored as (m + m^dag)/2, so the sweep
+    # and the oracle read the same operator
+    model = load_model(near_hermitian_chain_file(tmp_path / "near.json"))
+    state = sweep(model)
+    assert compare(state, model, certify(state, model).ground_energy).spectrum_distance <= 1e-12
+    for op in model.interactions.values():
+        assert np.array_equal(op.matrix, op.matrix.conj().T)
+
+
+def test_exactly_hermitian_input_stored_unchanged():
+    base = random_chain_model(4, 0.1, M=3, kbar=2, seed=4)
+    given = {iv: op.matrix.copy() for iv, op in base.interactions.items()}
+    rebuilt = build_chain_model(4, 3, base.onsite, given, 0.1, 2)
+    for iv, op in rebuilt.interactions.items():
+        assert np.array_equal(op.matrix, given[iv])
+    assert np.array_equal(rebuilt.onsite, base.onsite)
+    assert np.array_equal(rebuilt.omega, base.omega)

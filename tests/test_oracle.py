@@ -3,6 +3,7 @@ import pytest
 
 from conftest import SX, anchor_model
 from lieschwinger import estimator
+from lieschwinger.certify import certify
 from lieschwinger.errors import DimensionError
 from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.intervals import Interval
@@ -48,7 +49,8 @@ def test_spectrum_stable_under_interaction_order():
 
 def test_compare_zero_coupling():
     model = random_chain_model(3, 0.0, seed=2)
-    out = compare(sweep(model), model)
+    state = sweep(model)
+    out = compare(state, model, certify(state, model).ground_energy)
     assert out.spectrum_distance == pytest.approx(0.0, abs=1e-12)
     assert out.gap_ed == pytest.approx(1.0, abs=1e-12)
     assert out.ground_degeneracy == 1
@@ -56,7 +58,8 @@ def test_compare_zero_coupling():
 
 def test_compare_anchor():
     model = anchor_model(0.1)
-    out = compare(sweep(model), model)
+    state = sweep(model)
+    out = compare(state, model, certify(state, model).ground_energy)
     assert out.gap_ed == pytest.approx(np.sqrt(1.01) - 0.1, abs=1e-12)
     assert out.blockwise_match
     assert out.spectrum_distance <= 1e-9
@@ -67,7 +70,7 @@ def test_blockwise_match_follows_tol_od(monkeypatch):
     # second fixed tolerance
     model = anchor_model(0.1)
     state = sweep(model)
-    ground = compare(state, model).ground_ed
+    ground = compare(state, model, certify(state, model).ground_energy).ground_ed
     assert compare(state, model, ground + 1e-9).blockwise_match
     assert not compare(state, model, ground + 1e-9, tol_od=1e-10).blockwise_match
     assert compare(state, model, ground + 1e-6, tol_od=1e-5).blockwise_match
@@ -85,7 +88,8 @@ def test_blockwise_match_follows_tol_od(monkeypatch):
 @pytest.mark.parametrize("seed", range(3))
 def test_compare_random_models(seed):
     model = random_chain_model(5, 1e-3, seed=seed)
-    out = compare(sweep(model), model)
+    state = sweep(model)
+    out = compare(state, model, certify(state, model).ground_energy)
     assert out.spectrum_distance <= 1e-9
     assert out.ground_degeneracy == 1
     assert out.blockwise_match

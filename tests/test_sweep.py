@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (SX, anchor_model, kron_chain, orthogonal_complement_basis,
-                      plus_block_eigh, random_hermitian)
+from conftest import (SX, anchor_model, dense_generator, dense_generator_series, kron_chain,
+                      near_hermitian_chain_file, orthogonal_complement_basis, plus_block_eigh,
+                      random_hermitian)
+from lieschwinger.certify import certify
+from lieschwinger.cli import load_model
 from lieschwinger.errors import DimensionError, GapError, SeriesError
-from lieschwinger.intervals import Interval, StepIndex, all_intervals, successor
+from lieschwinger.intervals import Interval, StepIndex, all_intervals, iter_steps, successor
 from lieschwinger.model import build_chain_model, random_chain_model
 from lieschwinger.operators import (
     LocalOperator,
@@ -63,6 +66,23 @@ def anchor_pieces(t=0.1):
     G = local_hamiltonian(state, model, pair)
     V = state.potentials[I].matrix
     return model, state, I, G, pair, V
+
+
+def gapped_local_problem(M, k, seed, E):
+    """Projector pair of a complex non-basis vacuum on Interval(k, 1), a
+    local Hamiltonian G block-diagonal for it with vacuum energy E and gap
+    at least 1, and a random Hermitian V of unit norm."""
+    rng = np.random.default_rng(seed)
+    omega = rng.normal(size=M) + 1j * rng.normal(size=M)
+    pair = build_projectors(Interval(k, 1), omega)
+    vac = pair.vac
+    Qp = orthogonal_complement_basis(vac)
+    U, _ = np.linalg.qr(rng.normal(size=(Qp.shape[1],) * 2)
+                        + 1j * rng.normal(size=(Qp.shape[1],) * 2))
+    H = (U * (E + 1.0 + rng.uniform(0.0, 3.0, size=Qp.shape[1]))) @ U.conj().T
+    G = E * np.outer(vac, vac.conj()) + Qp @ H @ Qp.conj().T
+    G = (G + G.conj().T) / 2
+    return pair, G, random_hermitian(rng, G.shape[0], norm=1.0)
 
 
 class TestLocalHamiltonian:
@@ -165,7 +185,7 @@ class TestGeneratorSeries:
         model, state, I, G, pair, V = anchor_pieces()
         W = np.diag(rng.normal(size=4)).astype(complex)  # commutes with the pair
         res = generator_series(G.matrix, 0.0, pair, W, 0.1, SeriesControls())
-        assert not np.any(res.S)
+        assert not np.any(dense_generator(res))
         np.testing.assert_allclose(summed_diagonal_series(res, pair, 0.1), W, atol=1e-14)
 
     def test_anchor_first_order_generator(self):
@@ -175,7 +195,7 @@ class TestGeneratorSeries:
         res = generator_series(G.matrix, 0.0, pair, V, model.t, SeriesControls())
         S1 = np.zeros((4, 4), dtype=complex)
         S1[3, 0], S1[0, 3] = 0.5, -0.5
-        np.testing.assert_allclose(res.S / model.t, S1, atol=1e-7)
+        np.testing.assert_allclose(dense_generator(res) / model.t, S1, atol=1e-7)
 
     def test_anchor_series_term_norms(self):
         # hand recursion on the {|00>,|11>} block gives ||(V)_j|| = 1, 1/2, 1/3
@@ -194,7 +214,7 @@ class TestGeneratorSeries:
         theta = 0.5 * np.arctan(t)
         expected = np.zeros((4, 4), dtype=complex)
         expected[3, 0], expected[0, 3] = theta, -theta
-        np.testing.assert_allclose(res.S, expected, atol=1e-14)
+        np.testing.assert_allclose(dense_generator(res), expected, atol=1e-14)
 
     def test_generator_bound_from_gap(self):
         # ||S_j|| <= 2 ||(V)_j|| / gap, and gap = 1 here
@@ -207,20 +227,10 @@ class TestGeneratorSeries:
     @given(M=st.sampled_from([2, 3]), k=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1),
            E=st.floats(-2, 2), t=st.floats(-0.05, 0.05))
     def test_matches_eigenbasis_resolvent(self, M, k, seed, E, t):
-        # G block-diagonal for a complex non-basis vacuum, gap at least 1;
         # reference: each y_j from the eigendecomposition of the excited
         # block in the Householder basis, applied to the returned (V)_j
-        rng = np.random.default_rng(seed)
-        omega = rng.normal(size=M) + 1j * rng.normal(size=M)
-        pair = build_projectors(Interval(k, 1), omega)
+        pair, G, V = gapped_local_problem(M, k, seed, E)
         vac = pair.vac
-        Qp = orthogonal_complement_basis(vac)
-        U, _ = np.linalg.qr(rng.normal(size=(Qp.shape[1],) * 2)
-                            + 1j * rng.normal(size=(Qp.shape[1],) * 2))
-        H = (U * (E + 1.0 + rng.uniform(0.0, 3.0, size=Qp.shape[1]))) @ U.conj().T
-        G = E * np.outer(vac, vac.conj()) + Qp @ H @ Qp.conj().T
-        G = (G + G.conj().T) / 2
-        V = random_hermitian(rng, G.shape[0], norm=1.0)
         res = generator_series(G, E, pair, V, t, SeriesControls())
         w, Z, Qp = plus_block_eigh(G, vac)
 
@@ -234,6 +244,22 @@ class TestGeneratorSeries:
         np.testing.assert_allclose(res.s_term_norms,
                                    [np.linalg.norm(ref_y(X)) for X in res.v_terms],
                                    rtol=0, atol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(M=st.sampled_from([2, 3]), k=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1),
+           E=st.floats(-2, 2), t=st.floats(-0.05, 0.05))
+    def test_matches_dense_two_table_reference(self, M, k, seed, E, t):
+        # reference: dense S_j and two commutator tables, one for G and one for V
+        pair, G, V = gapped_local_problem(M, k, seed, E)
+        res = generator_series(G, E, pair, V, t, SeriesControls())
+        order, y, v_terms, v_norms, s_norms = dense_generator_series(G, E, pair, V, t,
+                                                                     SeriesControls())
+        assert res.order == order
+        assert np.max(np.abs(res.y - y)) <= 1e-13
+        for X, ref in zip(res.v_terms, v_terms):
+            assert np.max(np.abs(X - ref)) <= 1e-13
+        np.testing.assert_allclose(res.v_term_norms, v_norms, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(res.s_term_norms, s_norms, rtol=0, atol=1e-13)
 
     def test_divergent_series_raises(self):
         model, state, I, G, pair, V = anchor_pieces(t=0.5)
@@ -334,7 +360,7 @@ class TestAdvance:
                 V = (before.potentials[I].matrix if I in before.potentials
                      else np.zeros((I.dim(2), I.dim(2)), dtype=complex))
                 res = generator_series(G.matrix, E, pair, V, model.t, controls)
-                direct = _conjugated_full(before, model, res.S, I)
+                direct = _conjugated_full(before, model, dense_generator(res), I)
                 np.testing.assert_allclose(assemble_full(state, model), direct, atol=1e-9)
 
 
@@ -386,6 +412,18 @@ class TestTransport:
                 assert np.max(np.abs(state.potentials[J].matrix - ref)) <= 1e-13
             for op in state.potentials.values():
                 assert np.array_equal(op.matrix, op.matrix.conj().T)
+
+    def test_near_hermitian_file_stays_exactly_hermitian_through_the_sweep(self, tmp_path):
+        # the model stores its near-Hermitian interactions exactly Hermitian,
+        # and no step adds an anti-Hermitian rounding part
+        model = load_model(near_hermitian_chain_file(tmp_path / "near.json"))
+        state = initial_state(model)
+        for X in state.potentials.values():
+            assert np.array_equal(X.matrix, X.matrix.conj().T)
+        for _ in iter_steps(model.N):
+            state = advance(state, model)
+            for iv, X in state.potentials.items():
+                assert np.array_equal(X.matrix, X.matrix.conj().T), (state.step, iv)
 
 
 class TestSweep:
@@ -448,7 +486,7 @@ class TestNonBasisVacuum:
         assert np.count_nonzero(np.abs(model.omega) > 1e-3) == M
         controls = SeriesControls()
         final = sweep(model, controls)
-        cmp_ = compare(final, model)
+        cmp_ = compare(final, model, certify(final, model).ground_energy)
         assert cmp_.spectrum_distance <= 1e-12
         assert cmp_.blockwise_match
         for iv, op in final.potentials.items():
