@@ -7,7 +7,8 @@ byte-identical output apart from the "timings" section.
 
 Exit codes: 0 success, 2 validation or parse failure, 3 series not
 converged, 4 gap assumption violated; each is the ``exit_code`` of the
-raised error.  Every failure still writes a report.
+raised error.  Every failure still writes a report, except for flags that
+argparse rejects and a ``--report`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -88,8 +89,9 @@ def load_model(path):
         raise ValidationError(f"model file not found: {path}")
     try:
         spec = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"model file is not valid JSON: {err}") from err
+    # not JSON, not UTF-8, an integer past Python's digit limit, or a directory
+    except (OSError, ValueError) as err:
+        raise ValidationError(f"model file is not readable JSON: {err}") from err
     if not isinstance(spec, dict):
         raise ValidationError("model file must be a JSON object")
     if spec.get("version") != SPEC_VERSION:
@@ -343,12 +345,17 @@ def main(argv=None) -> int:
                         help="echoed into the report controls")
     args = parser.parse_args(argv)
 
-    def emit_out(payload) -> None:
+    def emit_out(payload, code: int) -> int:
         text = emit(payload, args.format)
-        if args.report:
-            Path(args.report).write_text(text)
-        else:
+        if not args.report:
             sys.stdout.write(text)
+            return code
+        try:
+            Path(args.report).write_text(text)
+        except OSError as err:
+            print(f"lieschwinger: error: cannot write report: {err}", file=sys.stderr)
+            return ValidationError.exit_code
+        return code
 
     try:
         controls = SeriesControls(jmax=args.jmax, tol_series=args.tol_series,
@@ -364,9 +371,7 @@ def main(argv=None) -> int:
         chain, kitaev = _reduce(load_model(args.config))
     except ChainError as err:
         report = _report()
-        code = _record_failure(report, err)
-        emit_out(report)
-        return code
+        return emit_out(report, _record_failure(report, err))
 
     reports, worst = [], 0
     for t_value in t_values:
@@ -381,8 +386,7 @@ def main(argv=None) -> int:
             report, code = run(model, controls, args.oracle, args.seed, kitaev_extra)
         reports.append(report)
         worst = worst or code
-    emit_out(reports if len(reports) > 1 else reports[0])
-    return worst
+    return emit_out(reports if len(reports) > 1 else reports[0], worst)
 
 
 if __name__ == "__main__":

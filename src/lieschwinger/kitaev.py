@@ -29,10 +29,10 @@ from math import comb
 import numpy as np
 from scipy import sparse
 
-from .errors import DimensionError, RegroupError, ValidationError
+from .errors import RegroupError, ValidationError
 from .intervals import Interval
 from .model import ChainModel, build_chain_model
-from .operators import DENSE_GUARD, LocalOperator, embed, hermitian_defect
+from .operators import LocalOperator, dense_dim, embed, hermitian_defect
 
 CAR_TOL = 1e-12
 
@@ -69,8 +69,7 @@ def fermion_algebra(N: int) -> FermionAlgebra:
     are enforced."""
     if N < 1:
         raise ValidationError(f"a Kitaev chain needs N >= 1 fermion sites, got N={N}")
-    if 2 ** N > DENSE_GUARD:
-        raise DimensionError(f"fermion space dimension {2**N} exceeds guard {DENSE_GUARD}")
+    dense_dim(2, N, "fermion space")
     sz = sparse.csr_matrix(np.array([[1, 0], [0, -1]], dtype=complex))
     low = sparse.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
     eye2 = sparse.identity(2, dtype=complex, format="csr")

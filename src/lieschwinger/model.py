@@ -103,8 +103,11 @@ def validate_chain_model(model: ChainModel, tol: float = _TOL) -> None:
             raise ValidationError(f"interaction support {iv} does not fit a chain of {model.N} sites")
         if iv.k > model.kbar:
             raise ValidationError(f"interaction support {iv} exceeds max range kbar={model.kbar}")
-        if op.dim != iv.dim(model.M):
-            raise ValidationError(f"interaction on {iv} has dimension {op.dim}, expected {iv.dim(model.M)}")
+        # M >= 2, so M**n >= 2**n exceeds op.dim once n reaches its bit length
+        n = iv.k + 1
+        if n >= op.dim.bit_length() or model.M ** n != op.dim:
+            raise ValidationError(
+                f"interaction on {iv} has dimension {op.dim}, expected {model.M}**{n}")
         if hermitian_defect(op.matrix) > tol * max(1.0, float(np.max(np.abs(op.matrix)))):
             raise ValidationError(f"interaction on {iv} is not Hermitian")
         norm = op_norm(op)

@@ -34,12 +34,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmbeddingError, GeneratorError, ValidationError
+from .errors import DimensionError, EmbeddingError, GeneratorError, ValidationError
 from .intervals import Interval
 
 TOL_HERM = 1e-10
 # Largest full-space dimension that any dense assembly or check may reach.
 DENSE_GUARD = 4096
+
+
+def dense_dim(M: int, n: int, what: str = "full-space") -> int:
+    """M**n for n sites of dimension M, or DimensionError naming M and n past
+    DENSE_GUARD.  Built one factor at a time and given up at the first
+    product past the guard, so nothing above M * DENSE_GUARD is formed."""
+    dim = 1
+    for i in range(1, n + 1):
+        dim *= M
+        if dim > DENSE_GUARD:
+            size = f"{M}**{n}" + (f" = {dim}" if i == n else "")
+            raise DimensionError(f"{what} dimension {size} exceeds guard {DENSE_GUARD}")
+    return dim
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -74,17 +87,7 @@ def antihermitian_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m + m.conj().T))) if m.size else 0.0
 
 
-def site_dim(op: LocalOperator) -> int:
-    """Per-site dimension M recovered from the matrix size and edge count."""
-    M = round(op.dim ** (1.0 / (op.support.k + 1)))
-    if M ** (op.support.k + 1) != op.dim:
-        raise ValidationError(
-            f"matrix dim {op.dim} is not a power matching support {op.support}"
-        )
-    return M
-
-
-def embed(op: LocalOperator, target: Interval, M: int | None = None, *,
+def embed(op: LocalOperator, target: Interval, M: int, *,
           out: np.ndarray | None = None, scale: complex = 1.0) -> LocalOperator | np.ndarray:
     """Pad ``op`` with identities so it acts on ``target``: 1_L (x) A (x) 1_R,
     written through a strided view of the target matrix.
@@ -95,8 +98,6 @@ def embed(op: LocalOperator, target: Interval, M: int | None = None, *,
     ``out``.  The embedding is an algebra homomorphism and leaves the
     operator norm unchanged.
     """
-    if M is None:
-        M = site_dim(op)
     sup = op.support
     if not target.contains(sup):
         raise EmbeddingError(f"support {sup} not contained in target {target}")

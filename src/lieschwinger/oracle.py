@@ -3,7 +3,8 @@
 Assembly here is deliberately independent of the sweep engine's embedding:
 full-space matrices are built by broadcasting identity factors around each
 local term with einsum over the (left, support, right) digit blocks, rather
-than by iterated Kronecker padding.
+than by iterated Kronecker padding.  ``compare`` reads the sweep's side
+from the certificate alone, so K is diagonalized once per fit.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .certify import GapReport
 from .model import ChainModel
-from .operators import DENSE_GUARD
+from .operators import dense_dim
 from .sweep import SeriesControls
 
 DEGENERACY_TOL = 1e-9
@@ -45,9 +46,7 @@ def _embed_full(term: np.ndarray, first: int, last: int, N: int, M: int) -> np.n
 
 def assemble_direct(model: ChainModel) -> np.ndarray:
     """Model Hamiltonian assembled straight from its definition."""
-    dim = model.M ** model.N
-    if dim > DENSE_GUARD:
-        raise DimensionError(f"full-space dimension {dim} exceeds oracle guard {DENSE_GUARD}")
+    dim = dense_dim(model.M, model.N)
     K = model.energy_offset * np.eye(dim, dtype=complex)
     for site in range(1, model.N + 1):
         K += _embed_full(model.onsite, site, site, model.N, model.M)
@@ -71,29 +70,24 @@ def degeneracy_of_spectrum(evals: np.ndarray, tol: float = DEGENERACY_TOL) -> in
     return int(np.count_nonzero(evals - evals[0] <= tol))
 
 
-def compare(state, model: ChainModel, certified_ground: float,
-            tol: float = DEGENERACY_TOL,
+def compare(report: GapReport, model: ChainModel, tol: float = DEGENERACY_TOL,
             tol_od: float = SeriesControls.tol_od) -> OracleComparison:
-    """Distance between sweep output and direct diagonalization.
+    """Distance between the certified spectrum and direct diagonalization.
 
     The ED gap skips any eigenvalues degenerate with the ground state at the
     given tolerance, so near-degenerate clusters are not silently merged.
     The certified ground energy matches blockwise when it is within the
     fit's ``tol_od`` of the ED ground energy.
     """
-    # looked up on ``sweep`` at call time, where perfbench/tracing.py wraps it
-    from .sweep import assemble_full
-
     evals_ed = ed_spectrum(model)
-    evals_sweep = np.linalg.eigvalsh(assemble_full(state, model))
-    distance = float(np.max(np.abs(evals_ed - evals_sweep)))
+    distance = float(np.max(np.abs(evals_ed - report.spectrum)))
     deg = degeneracy_of_spectrum(evals_ed, tol)
     gap_ed = float(evals_ed[deg] - evals_ed[0]) if deg < evals_ed.shape[0] else 0.0
     return OracleComparison(
         spectrum_distance=distance,
         gap_ed=gap_ed,
         ground_degeneracy=deg,
-        blockwise_match=abs(certified_ground - float(evals_ed[0])) <= tol_od,
+        blockwise_match=abs(report.ground_energy - float(evals_ed[0])) <= tol_od,
         ground_ed=float(evals_ed[0]),
         low_spectrum=tuple(float(v) for v in evals_ed[: max(deg + 2, 4)]),
     )

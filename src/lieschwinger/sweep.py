@@ -66,15 +66,15 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import DimensionError, GapError, OrderError, SeriesError, ValidationError
+from .errors import GapError, OrderError, SeriesError, ValidationError
 from .intervals import Interval, StepIndex, initial_step, iter_steps, successor
 from .model import ChainModel
 from .operators import (
-    DENSE_GUARD,
     LocalOperator,
     ProjectorPair,
     build_projectors,
     conjugate_by_unitary,
+    dense_dim,
     embed,
     excited_spectrum,
     op_norm,
@@ -329,16 +329,15 @@ def advance(state: BlockDiagState, model: ChainModel,
     new_pots[I] = LocalOperator(I, V_new)
     W, C = rotation_factors(series.y, pair.vac)
 
-    # Intervals strictly containing the step interval: the growth terms are
-    # linear in their sources W, so V_J + sum W is conjugated once and the
-    # sources are subtracted again.  The result is exactly Hermitian when
-    # the sources are, since conjugate_by_unitary returns an exactly
-    # Hermitian matrix.
+    # Intervals strictly containing the step interval, which are exactly the
+    # (l, q) with l > I.k and I.last - l <= q <= I.q that fit the chain: the
+    # growth terms are linear in their sources W, so V_J + sum W is
+    # conjugated once and the sources are subtracted again.  The result is
+    # exactly Hermitian when the sources are, since conjugate_by_unitary
+    # returns an exactly Hermitian matrix.
     for l in range(I.k + 1, model.N):
         for q in range(max(1, I.last - l), min(I.q, model.N - l) + 1):
             J = Interval(l, q)
-            if not J.contains(I):
-                continue
             old = state.potentials.get(J)
             sources = [state.potentials[s] for s in _growth_sources(I, J)
                        if s in state.potentials]
@@ -379,10 +378,7 @@ def check_dense_dim(model: ChainModel) -> int:
 
     Certification assembles the full chain, and the sweep's last steps
     reach that dimension, so a run checks this before any work."""
-    dim = model.M ** model.N
-    if dim > DENSE_GUARD:
-        raise DimensionError(f"full-space dimension {dim} exceeds guard {DENSE_GUARD}")
-    return dim
+    return dense_dim(model.M, model.N)
 
 
 def assemble_full(state: BlockDiagState, model: ChainModel) -> np.ndarray:

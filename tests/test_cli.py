@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from lieschwinger.cli import emit, load_model, main, run
 from lieschwinger.errors import ValidationError
 from lieschwinger.model import ChainModel
 from lieschwinger.sweep import SeriesControls
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def chain_spec(N=2, t=0.1, gap=1.0, vnorm=1.0):
@@ -252,6 +256,31 @@ def _bad_n_file(tmp_path):
     return path
 
 
+def _huge_integer_file(tmp_path):
+    # valid JSON that the json module refuses: N has more than 4300 digits
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(chain_spec()).replace('"N": 2', '"N": ' + "1" * 5000))
+    return path
+
+
+def _not_utf8_file(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"\xff\xfe{}")
+    return path
+
+
+def _anchor_file(tmp_path, **fields):
+    """configs/anchor_n2.json with top-level ``fields`` replaced; ``support``
+    replaces the support of its one interaction."""
+    spec = json.loads((CONFIGS / "anchor_n2.json").read_text())
+    if "support" in fields:
+        spec["interactions"][0]["support"] = fields.pop("support")
+    spec.update(fields)
+    path = tmp_path / "anchor.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
 def _kitaev_file(tmp_path, N=5, supports=((3, 3),), beta=0.01, **fields):
     """Kitaev file with one density term c^dag_i c_i per support [i, j],
     plus any extra ``fields`` of the kitaev block."""
@@ -279,6 +308,9 @@ class TestBadInputs:
         pytest.param(_list_file, [], None, None, id="top-level-list"),
         pytest.param(_no_support_file, [], None, None, id="no-support"),
         pytest.param(_bad_n_file, [], None, None, id="N-not-integer"),
+        pytest.param(_huge_integer_file, [], None, "JSON", id="N-5000-digits"),
+        pytest.param(_not_utf8_file, [], None, "JSON", id="not-utf8"),
+        pytest.param(lambda p: p, [], None, "JSON", id="config-is-a-directory"),
         pytest.param(lambda p: _kitaev_file(p, N=-1), [], None, "N=-1", id="kitaev-N-negative"),
         pytest.param(lambda p: _kitaev_file(p, N=0), [], None, "N=0", id="kitaev-N-zero"),
         # H0 is the tau = delta = 1 Hamiltonian; other values must not pass silently
@@ -321,6 +353,35 @@ class TestBadInputs:
         assert "8192" in report["error"]["message"]
         assert report["steps"] == []
 
+    @pytest.mark.parametrize("make_config,error_type", [
+        pytest.param(lambda p: _anchor_file(p, N=20000), "DimensionError", id="chain"),
+        pytest.param(lambda p: _kitaev_file(p, N=20000), "DimensionError", id="kitaev"),
+        pytest.param(lambda p: _anchor_file(p, N=20000, support=[1, 20000], kbar=None),
+                     "ValidationError", id="interaction-support"),
+    ])
+    def test_far_oversize_model_fails_with_report(self, tmp_path, make_config, error_type):
+        # 2**20000 has over 6000 digits: the guards must not form it, nor
+        # format it into a message.  (Kept at N=20000: at N >= 1e9 a
+        # regression would exhaust memory instead of failing.)
+        out = tmp_path / "report.json"
+        assert main(["--config", str(make_config(tmp_path)), "--report", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert report["status"] == "failed"
+        assert report["error"]["type"] == error_type
+        assert "2**20000" in report["error"]["message"]
+
+    @pytest.mark.parametrize("make_target", [
+        pytest.param(lambda p: p / "missing" / "r.json", id="missing-directory"),
+        pytest.param(lambda p: p, id="directory"),
+    ])
+    def test_unwritable_report_path(self, demo_config, tmp_path, capsys, make_target):
+        target = make_target(tmp_path)
+        assert main(["--config", str(demo_config), "--report", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "cannot write report" in captured.err
+        assert not (tmp_path / "missing").exists()
+
     @pytest.mark.parametrize("make_config,flags", [
         pytest.param(_list_file, [], id="load-failure"),
         pytest.param(None, ["--t", "nan"], id="coupling-failure"),
@@ -347,3 +408,34 @@ class TestBadInputs:
         }}))
         with pytest.raises(ValidationError, match="'terms'"):
             load_model(path)
+
+
+def _assert_report_matches(fresh, golden, where="report"):
+    """Every non-float field equal, every float within 1e-14 max(1, |x|)."""
+    if isinstance(golden, dict):
+        assert isinstance(fresh, dict) and sorted(fresh) == sorted(golden), where
+        for key in golden:
+            _assert_report_matches(fresh[key], golden[key], f"{where}.{key}")
+    elif isinstance(golden, list):
+        assert isinstance(fresh, list) and len(fresh) == len(golden), where
+        for i, (f, g) in enumerate(zip(fresh, golden)):
+            _assert_report_matches(f, g, f"{where}[{i}]")
+    elif not isinstance(golden, bool) and (isinstance(golden, float) or isinstance(fresh, float)):
+        # a float that prints as an integer ("2") parses back as int
+        assert isinstance(fresh, (int, float)) and not isinstance(fresh, bool), where
+        assert abs(fresh - golden) <= 1e-14 * max(1.0, abs(golden)), where
+    else:
+        assert type(fresh) is type(golden) and fresh == golden, where
+
+
+@pytest.mark.parametrize("name", ["anchor_n2", "kitaev_n6"])
+def test_report_matches_golden(tmp_path, name):
+    """The committed tests/data/<name>_report.json is the report of
+    ``lieschwinger --config configs/<name>.json`` at default flags with its
+    "timings" removed.  Replace it only with a change meant to move outputs."""
+    out = tmp_path / "report.json"
+    assert main(["--config", str(CONFIGS / f"{name}.json"), "--report", str(out)]) == 0
+    fresh = json.loads(out.read_text())
+    del fresh["timings"]
+    golden = json.loads((DATA / f"{name}_report.json").read_text())
+    _assert_report_matches(fresh, golden)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def test_spectrum_stable_under_interaction_order():
 def test_compare_zero_coupling():
     model = random_chain_model(3, 0.0, seed=2)
     state = sweep(model)
-    out = compare(state, model, certify(state, model).ground_energy)
+    out = compare(certify(state, model), model)
     assert out.spectrum_distance == pytest.approx(0.0, abs=1e-12)
     assert out.gap_ed == pytest.approx(1.0, abs=1e-12)
     assert out.ground_degeneracy == 1
@@ -59,7 +61,7 @@ def test_compare_zero_coupling():
 def test_compare_anchor():
     model = anchor_model(0.1)
     state = sweep(model)
-    out = compare(state, model, certify(state, model).ground_energy)
+    out = compare(certify(state, model), model)
     assert out.gap_ed == pytest.approx(np.sqrt(1.01) - 0.1, abs=1e-12)
     assert out.blockwise_match
     assert out.spectrum_distance <= 1e-9
@@ -70,10 +72,13 @@ def test_blockwise_match_follows_tol_od(monkeypatch):
     # second fixed tolerance
     model = anchor_model(0.1)
     state = sweep(model)
-    ground = compare(state, model, certify(state, model).ground_energy).ground_ed
-    assert compare(state, model, ground + 1e-9).blockwise_match
-    assert not compare(state, model, ground + 1e-9, tol_od=1e-10).blockwise_match
-    assert compare(state, model, ground + 1e-6, tol_od=1e-5).blockwise_match
+    report = certify(state, model)
+    ground = compare(report, model).ground_ed
+    near = dataclasses.replace(report, ground_energy=ground + 1e-9)
+    assert compare(near, model).blockwise_match
+    assert not compare(near, model, tol_od=1e-10).blockwise_match
+    assert compare(dataclasses.replace(report, ground_energy=ground + 1e-6), model,
+                   tol_od=1e-5).blockwise_match
     seen = []
 
     def recording_compare(*args, **kwargs):
@@ -89,7 +94,7 @@ def test_blockwise_match_follows_tol_od(monkeypatch):
 def test_compare_random_models(seed):
     model = random_chain_model(5, 1e-3, seed=seed)
     state = sweep(model)
-    out = compare(state, model, certify(state, model).ground_energy)
+    out = compare(certify(state, model), model)
     assert out.spectrum_distance <= 1e-9
     assert out.ground_degeneracy == 1
     assert out.blockwise_match

@@ -486,13 +486,20 @@ class TestNonBasisVacuum:
         assert np.count_nonzero(np.abs(model.omega) > 1e-3) == M
         controls = SeriesControls()
         final = sweep(model, controls)
-        cmp_ = compare(final, model, certify(final, model).ground_energy)
+        report = certify(final, model)
+        cmp_ = compare(report, model)
         assert cmp_.spectrum_distance <= 1e-12
         assert cmp_.blockwise_match
         for iv, op in final.potentials.items():
             pair = build_projectors(iv, model.omega)
             assert hermitian_defect(op.matrix) <= controls.tol_od
             assert np.linalg.norm(plus_minus_block(pair, op.matrix)) <= controls.tol_od
+        # the oracle reads the certificate's spectrum instead of
+        # diagonalizing K again, so it must be spec K
+        evals = np.linalg.eigvalsh(assemble_full(final, model))
+        scale = max(1.0, float(np.max(np.abs(evals))))
+        assert np.max(np.abs(report.spectrum - evals)) <= 1e-13 * scale
+        assert report.ground_energy in report.spectrum
 
 
 class TestAssembleFull:
