@@ -42,6 +42,8 @@ def _parse_matrix(rows, what: str) -> np.ndarray:
         mat = np.array([[complex(re, im) for re, im in row] for row in rows])
     except (TypeError, ValueError) as err:
         raise ValidationError(f"{what}: matrix entries must be [re, im] pairs") from err
+    except OverflowError as err:  # an integer past the float range
+        raise ValidationError(f"{what}: matrix entries must be finite") from err
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"{what}: matrix must be square, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
@@ -67,6 +69,11 @@ def _field(block, key: str, kind, where: str, default=_REQUIRED):
         raise ValidationError(f"{where} missing required field {key!r}")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValidationError(f"{where} field {key!r} has the wrong type: {value!r}")
+    if kind is _NUMBER:
+        try:
+            return float(value)
+        except OverflowError as err:  # an integer past the float range
+            raise ValidationError(f"{where} field {key!r} must be finite") from err
     return value
 
 
@@ -125,7 +132,7 @@ def _load_kitaev(block) -> kit.KitaevModel:
         terms = _field(entry, "terms", list, f"perturbation on {iv}")
         try:
             mat = kit.perturbation_matrix(frame.alg, terms)
-        except (KeyError, IndexError, TypeError, ValueError) as err:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as err:
             raise ValidationError(f"perturbation on {iv}: malformed field 'terms' ({err!r})") from err
         perts.append((iv, mat))
     return kit.build_kitaev_model(

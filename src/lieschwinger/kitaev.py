@@ -180,7 +180,8 @@ def perturbation_matrix(alg: FermionAlgebra, terms) -> sparse.csr_matrix:
 
 def build_kitaev_model(frame: FermionFrame, beta, perturbations, mu=0.0, tau=1.0,
                        delta=1.0) -> KitaevModel:
-    """Validate supports, Hermiticity, and parity-evenness of each perturbation.
+    """Validate supports, finiteness, Hermiticity, and parity-evenness of each
+    perturbation.
 
     ``frame.H0`` is the sweet-spot Hamiltonian with mu = 0 and
     tau = delta = 1, so any other mu, tau or delta is rejected.
@@ -197,6 +198,8 @@ def build_kitaev_model(frame: FermionFrame, beta, perturbations, mu=0.0, tau=1.0
         if not iv.fits(N) or iv.k < 0:
             raise ValidationError(f"perturbation support {iv} does not fit {N} sites")
         mat = sparse.csr_matrix(mat)
+        if not np.all(np.isfinite(mat.data)):
+            raise ValidationError(f"perturbation on {iv}: coefficients must be finite")
         dense_defect = hermitian_defect(mat.toarray())
         if dense_defect > 1e-9:
             raise ValidationError(f"perturbation on {iv} is not Hermitian ({dense_defect:.3e})")

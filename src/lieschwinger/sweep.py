@@ -28,9 +28,23 @@ P+ (V)_j vac orthogonal to vac, so S = y vac^dag - vac y^dag has rank two
 and exp(S) is the closed-form rotation by ||y|| in span{vac, y}
 (``operators.rotation_factors``).  It is exactly unitary, so spectra are
 preserved to machine precision regardless of truncation, and ||S|| = ||y||.
-The series uses the same structure: with W = [vac, y_r] and
-J = [[0, -1], [1, 0]], ad S_r(X) = W J (XW)^dag - (XW) J W^dag for
-Hermitian X, one D x 4 by 4 x D product; no S_j is formed as a matrix.
+
+The series runs in the small subspace this structure leaves it.  For
+Hermitian X, ad S_r(X) = H + H^dag with H = (X vac) y_r^dag - (X y_r) vac^dag,
+so it reads X only through X vac and X y_r.  Every table entry, and every
+(V)_j with j >= 2, therefore lies in the span of the frame
+
+    F = [x, G x, V x  for x = vac, y_1, ..., y_{j-1}]      (3j columns)
+
+and is kept as a coefficient matrix K with X = F K F^dag.  With the Gram
+matrix F^dag F kept alongside, X vac and X y_r are F times K's products
+with its columns, and ad S_r(G), ad S_r(V) have unit coefficients, since
+G x and V x are frame columns.  ||(V)_j|| is the largest |eigenvalue| of
+R_F K R_F^dag for the QR factor R_F of F, exact for dependent or zero
+columns (G vac can equal E vac, and y_j can vanish), so no tolerance decides a
+rank; y_j = P+ R P+ F K F^dag vac.  No D x D matrix is formed per order:
+the dense work is G y_j, V y_j and R applied to one vector, and ||V|| at
+order one is the only dense norm.
 
 Once the leak check has passed, G is block-diagonal and
 spec G = {E} u spec(excited block).  One eigvalsh per step, of G with its
@@ -62,7 +76,7 @@ potential, never as an embedded unitary:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -129,13 +143,16 @@ class BlockDiagState:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Summed generator S = y vac^dag - vac y^dag, the series terms (V)_j
-    and per-order term norms."""
+    """Summed generator S = y vac^dag - vac y^dag, per-order term norms, and
+    the series terms: (V)_1 is the potential and, for j >= 2,
+    (V)_j = F K F^dag with K = v_coeffs[j-2] of size 3j and F the first 3j
+    columns of ``frame``."""
 
     y: np.ndarray
     vac: np.ndarray
     order: int
-    v_terms: tuple[np.ndarray, ...]
+    frame: np.ndarray
+    v_coeffs: tuple[np.ndarray, ...]
     v_term_norms: tuple[float, ...]
     s_term_norms: tuple[float, ...]
 
@@ -209,62 +226,104 @@ def local_gap(E: float, excited: np.ndarray, gap_min: float = SeriesControls.gap
     return gap
 
 
+def _term_norm(t: float, j: int, norm: float) -> float:
+    """|t|^j * norm, or inf where |t|^j overflows a float and norm is not 0."""
+    if norm == 0.0:
+        return 0.0
+    try:
+        return abs(t) ** j * norm
+    except OverflowError:
+        return inf
+
+
+def _times(B: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """K g for each K = H + H^dag in the stack B, where H is zero but for its
+    columns 3i, which are B[..., i]."""
+    out = B @ g[::3]
+    out[..., ::3] += (g.conj() @ B).conj()
+    return out
+
+
 def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray,
                      t: float, controls: SeriesControls,
                      step: StepIndex | None = None) -> SeriesResult:
     """Accumulate y = sum_j t^j y_j, the vector of S = sum_j t^j S_j.
 
     Terminates once |t|^j ||(V)_j|| < tol_series; reaching jmax with the last
-    term still above the cutoff raises SeriesError, reporting that norm.
-    The nested commutators are kept in one table B[(p, m)] (module
-    docstring), and each ad S_r acts through the rank-two factors of S_r.
-    G must have a positive gap above E (``local_gap``).
+    term still above the cutoff raises SeriesError, reporting that norm
+    (inf where |t|^j overflows a float).  The table B[(p, m)] and every
+    (V)_j with j >= 2 are coefficient matrices on the frame F of the module
+    docstring, so the dense work per order is three matrix-vector products
+    and ||V|| is the one dense norm.  G must have a positive gap above E
+    (``local_gap``).
     """
     vac = pair.vac
     R = np.linalg.inv(G - E * np.eye(G.shape[0]) + np.outer(vac, vac.conj()))
-    v_terms, v_norms, y_terms, factors = [], [], [], []
 
-    def push(Vj: np.ndarray) -> None:
-        u = Vj @ vac
+    def resolved(u: np.ndarray) -> np.ndarray:
         x = R @ (u - vac * (vac.conj() @ u))
-        yj = x - vac * (vac.conj() @ x)
-        # factors of S_j: [vac, yj, X vac, X yj] and [-(X yj)^dag; (X vac)^dag;
-        # yj^dag; -vac^dag], whose X parts ``ad`` fills for each operand X
-        factors.append((np.array([vac, yj, vac, yj]).T, np.array([vac, vac, yj, -vac]).conj()))
-        v_terms.append(Vj)
-        v_norms.append(op_norm(Vj))
-        y_terms.append(yj)
+        return x - vac * (vac.conj() @ x)
 
-    def ad(r: int, X: np.ndarray) -> np.ndarray:
-        """[S_r, X] for Hermitian X, as one D x 4 by 4 x D product."""
-        left, right = factors[r - 1]
-        P = np.matmul(X, left[:, :2], out=left[:, 2:])
-        right[0], right[1] = -P[:, 1].conj(), P[:, 0].conj()
-        return left @ right
-
-    push(V)
-    B = {(1, 1): ad(1, G)}
+    # Frame columns 3r, 3r+1, 3r+2 hold x_r, G x_r, V x_r for x_0 = vac and
+    # x_r = y_r, and gram = F^dag F.  Every table entry has coefficients
+    # K = H + H^dag where only the columns 3r of H, those of the x_r, are
+    # nonzero; table[m-1] stacks them as H[:, 3r] = table[m-1][p-1, :, r]
+    # over p = 1..m, at 3m + 3 rows, and vac_rows[m-1] holds K F^dag vac.
+    F = np.stack([vac, G @ vac, V @ vac], axis=1)
+    gram = F.conj().T @ F
+    table = [np.zeros((1, 6, 2), dtype=complex)]
+    vac_rows, v_coeffs, v_norms = [], [], [op_norm(V)]
+    y_terms = [resolved(F[:, 2])]
     order = 1
-    while order < controls.jmax and abs(t) ** order * v_norms[-1] >= controls.tol_series:
+    while order < controls.jmax and _term_norm(t, order, v_norms[-1]) >= controls.tol_series:
         j = order + 1
-        B[(1, j)] = ad(j - 1, V)
-        for p in range(2, j + 1):
-            B[(p, j)] = sum(ad(r, B[(p - 1, j - r)]) for r in range(1, j - p + 2)) / p
-        Vj = sum(B[(p, j)] for p in range(1, j + 1))
-        push((Vj + Vj.conj().T) / 2)
-        B[(1, j)] += ad(j, G)
+        n = 3 * j
+        x = y_terms[-1]
+        new = np.stack([x, G @ x, V @ x], axis=1)
+        cross = F.conj().T @ new
+        gram = np.block([[gram, cross], [cross.conj().T, new.conj().T @ new]])
+        F = np.concatenate([F, new], axis=1)
+        # ad S_r(X) = H + H^dag with H[:, 3r] = X vac and H[:, 0] = -X y_r.
+        # B[(1, j-1)] gains ad S_{j-1}(G), which completes column j-1:
+        # G vac and G y_{j-1} are frame columns 1 and n - 2
+        table[-1][0, 1, order] += 1
+        table[-1][0, n - 2, 0] -= 1
+        vac_rows.append(_times(table[-1], gram[:, 0]))
+        # B[(p, j)] = sum_r ad S_r(B[(p-1, j-r)]) / p, one source column
+        # m = j - r at a time for every depth p
+        H = np.zeros((order, n, j), dtype=complex)
+        for m, (B, B_vac) in enumerate(zip(table, vac_rows), start=1):
+            k, r = B.shape[1], j - m
+            H[:m, :k, r] = B_vac
+            H[:m, :k, 0] -= _times(B, gram[:k, 3 * r])
+        column = np.zeros((j, n + 3, j + 1), dtype=complex)
+        column[1:, :n, :j] = H / np.arange(2, j + 1)[:, None, None]
+        # B[(1, j)] = ad S_{j-1}(V) so far: V vac and V y_{j-1} are frame
+        # columns 2 and n - 1
+        column[0, 2, order] += 1
+        column[0, n - 1, 0] -= 1
+        table.append(column)
+        K = np.zeros((n, n), dtype=complex)
+        K[:, ::3] = column[:, :n, :j].sum(axis=0)
+        K += K.conj().T
+        RF = np.linalg.qr(F, mode="r")
+        v_norms.append(float(np.max(np.abs(np.linalg.eigvalsh(RF @ K @ RF.conj().T)))))
+        y_terms.append(resolved(F @ (K @ gram[:, 0])))
+        v_coeffs.append(K)
         order = j
 
-    last = abs(t) ** order * v_norms[-1]
+    last = _term_norm(t, order, v_norms[-1])
     if last >= controls.tol_series:
         raise SeriesError(
             f"series did not converge by order {order}: last term norm {last:.3e}",
             step=step, last_term_norm=last,
         )
-    y = sum(t ** j * yj for j, yj in enumerate(y_terms, start=1))
+    # zero terms are skipped: after a zero (V)_j, t**j may overflow a float
+    y = sum((t ** j * yj for j, yj in enumerate(y_terms, start=1) if yj.any()),
+            np.zeros_like(vac))
     return SeriesResult(
-        y=y, vac=vac, order=order, v_terms=tuple(v_terms), v_term_norms=tuple(v_norms),
-        s_term_norms=tuple(float(np.linalg.norm(x)) for x in y_terms),
+        y=y, vac=vac, order=order, frame=F, v_coeffs=tuple(v_coeffs),
+        v_term_norms=tuple(v_norms), s_term_norms=tuple(float(np.linalg.norm(x)) for x in y_terms),
     )
 
 
@@ -277,10 +336,20 @@ def diagonalized_potential(G: np.ndarray, V: np.ndarray, y: np.ndarray, t: float
     Uses the closed form rather than the summed diagonal series, so the only
     truncation in play is the one already inside S.  The residual is the
     off-diagonal norm of the result, which must sit below tol_od.
+
+    The G part is taken in thin form: with exp(S) = I + W C W^dag and
+    P = W^dag G, exp(S) G exp(-S) - G = W C P + h.c. + W C (P W) C^dag W^dag,
+    so it is divided by t through C / t and no rounding error of G's size
+    is divided by a small coupling.
     """
     if t == 0.0:
         return V, _offdiag_norm(V, pair)
-    out = (conjugate_by_unitary(G + t * V, *rotation_factors(y, pair.vac)) - G) / t
+    W, C = rotation_factors(y, pair.vac)
+    out = conjugate_by_unitary(V, W, C)
+    P = W.conj().T @ G
+    B = W @ ((C / t) @ (P + 0.5 * (P @ W) @ C.conj().T @ W.conj().T))
+    B += B.conj().T
+    out += B
     residual = _offdiag_norm(out, pair)
     if residual > tol_od:
         raise SeriesError(

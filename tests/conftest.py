@@ -49,6 +49,13 @@ def dense_generator(res):
     return np.outer(res.y, res.vac.conj()) - np.outer(res.vac, res.y.conj())
 
 
+def series_terms(res, V):
+    """The series terms (V)_1 = V and (V)_j = F K F^dag of a series result,
+    as dense matrices."""
+    return [V] + [res.frame[:, :K.shape[0]] @ K @ res.frame[:, :K.shape[0]].conj().T
+                  for K in res.v_coeffs]
+
+
 def dense_generator_series(G, E, pair, V, t, controls):
     """Reference for ``sweep.generator_series``: every S_j formed as a dense
     matrix and the nested commutators kept in two tables T[X][(m, p)] of
@@ -101,6 +108,49 @@ def dense_generator_series(G, E, pair, V, t, controls):
         s_terms.append(make_S(y_terms[-1]))
         y = y + t ** j * y_terms[-1]
         order = j
+    return order, y, v_terms, v_norms, [float(np.linalg.norm(x)) for x in y_terms]
+
+
+def one_table_generator_series(G, E, pair, V, t, controls):
+    """Reference for ``sweep.generator_series``: the same one table B[(p, m)]
+    with every entry a dense D x D matrix, each ad S_r applied through the
+    rank-two factors of S_r, and a dense op_norm per order.  Returns the
+    tuple of ``dense_generator_series``."""
+    vac = pair.vac
+    R = np.linalg.inv(G - E * np.eye(G.shape[0]) + np.outer(vac, vac.conj()))
+    v_terms, v_norms, y_terms, factors = [], [], [], []
+
+    def push(Vj):
+        u = Vj @ vac
+        x = R @ (u - vac * (vac.conj() @ u))
+        yj = x - vac * (vac.conj() @ x)
+        # factors of S_j: [vac, yj, X vac, X yj] and [-(X yj)^dag; (X vac)^dag;
+        # yj^dag; -vac^dag], whose X parts ``ad`` fills for each operand X
+        factors.append((np.array([vac, yj, vac, yj]).T, np.array([vac, vac, yj, -vac]).conj()))
+        v_terms.append(Vj)
+        v_norms.append(op_norm(Vj))
+        y_terms.append(yj)
+
+    def ad(r, X):
+        """[S_r, X] for Hermitian X, as one D x 4 by 4 x D product."""
+        left, right = factors[r - 1]
+        P = np.matmul(X, left[:, :2], out=left[:, 2:])
+        right[0], right[1] = -P[:, 1].conj(), P[:, 0].conj()
+        return left @ right
+
+    push(V)
+    B = {(1, 1): ad(1, G)}
+    order = 1
+    while order < controls.jmax and abs(t) ** order * v_norms[-1] >= controls.tol_series:
+        j = order + 1
+        B[(1, j)] = ad(j - 1, V)
+        for p in range(2, j + 1):
+            B[(p, j)] = sum(ad(r, B[(p - 1, j - r)]) for r in range(1, j - p + 2)) / p
+        Vj = sum(B[(p, j)] for p in range(1, j + 1))
+        push((Vj + Vj.conj().T) / 2)
+        B[(1, j)] += ad(j, G)
+        order = j
+    y = sum(t ** j * yj for j, yj in enumerate(y_terms, start=1))
     return order, y, v_terms, v_norms, [float(np.linalg.norm(x)) for x in y_terms]
 
 

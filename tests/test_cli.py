@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import SX, matrix_json
 from lieschwinger.cli import emit, load_model, main, run
@@ -281,11 +283,11 @@ def _anchor_file(tmp_path, **fields):
     return path
 
 
-def _kitaev_file(tmp_path, N=5, supports=((3, 3),), beta=0.01, **fields):
-    """Kitaev file with one density term c^dag_i c_i per support [i, j],
+def _kitaev_file(tmp_path, N=5, supports=((3, 3),), beta=0.01, coeff=0.5, **fields):
+    """Kitaev file with one density term coeff c^dag_i c_i per support [i, j],
     plus any extra ``fields`` of the kitaev block."""
     perts = [{"support": list(sup),
-              "terms": [{"coeff": [0.5, 0.0], "ops": [["cdag", sup[0]], ["c", sup[0]]]}]}
+              "terms": [{"coeff": [coeff, 0.0], "ops": [["cdag", sup[0]], ["c", sup[0]]]}]}
              for sup in supports]
     path = tmp_path / f"k{beta}.json"
     path.write_text(json.dumps({"version": "1",
@@ -319,6 +321,15 @@ class TestBadInputs:
         # a file whose reduction fails fails once, like a load failure
         pytest.param(lambda p: _kitaev_file(p, supports=[(1, 2)]), ["--t-sweep", "0.01,0.02"],
                      None, "bulk", id="kitaev-no-bulk-term"),
+        # numbers the json module reads but a float cannot hold
+        pytest.param(lambda p: _kitaev_file(p, coeff=float("nan")), [], None, "perturbation on",
+                     id="kitaev-coeff-nan"),
+        pytest.param(lambda p: _kitaev_file(p, coeff=10 ** 400), [], None, "perturbation on",
+                     id="kitaev-coeff-integer-past-float"),
+        pytest.param(lambda p: _anchor_file(p, t=10 ** 400), [], None, "'t'",
+                     id="t-integer-past-float"),
+        pytest.param(lambda p: _anchor_file(p, H=[[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]),
+                     [], None, "on-site", id="H-integer-past-float"),
     ])
     def test_exit_two_with_report(self, demo_config, tmp_path, make_config, flags, bad_index,
                                   names):
@@ -408,6 +419,39 @@ class TestBadInputs:
         }}))
         with pytest.raises(ValidationError, match="'terms'"):
             load_model(path)
+
+
+FUZZ_COUPLINGS = st.sampled_from([0.0, 0.01, -0.05, 0.3, 2.0, 1e20, -1e20, 1e300, -1e300, 1e308,
+                                   float("nan"), float("inf"), float("-inf")])
+FUZZ_FLAGS = st.one_of(
+    st.just([]),
+    FUZZ_COUPLINGS.map(lambda t: [f"--t={t!r}"]),
+    st.lists(FUZZ_COUPLINGS, min_size=1, max_size=3).map(
+        lambda ts: ["--t-sweep=" + ",".join(repr(t) for t in ts)]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@example(kitaev=False, coeff=0.5, flags=["--t=1e+20"])
+@example(kitaev=True, coeff=float("nan"), flags=[])
+@given(kitaev=st.booleans(),
+       coeff=st.sampled_from([0.5, -1.0, 1e20, 1e308, -1e308, float("nan"), float("inf"),
+                              10 ** 400]),
+       flags=FUZZ_FLAGS)
+def test_every_input_ends_in_a_documented_exit_code_with_a_report(tmp_path_factory, kitaev,
+                                                                   coeff, flags):
+    # any coupling on configs/anchor_n2.json, and any coupling and
+    # coefficient on a small Kitaev file: exit 0, 2, 3 or 4, never an
+    # exception out of main, and always a report
+    tmp = tmp_path_factory.mktemp("fuzz")
+    config = _kitaev_file(tmp, coeff=coeff) if kitaev else CONFIGS / "anchor_n2.json"
+    out = tmp / "report.json"
+    code = main(["--config", str(config), "--report", str(out)] + flags)
+    assert code in (0, 2, 3, 4)
+    reports = json.loads(out.read_text())
+    codes = [rep["error"]["exit_code"] for rep in (reports if isinstance(reports, list)
+                                                    else [reports]) if rep["error"]]
+    assert code == (codes[0] if codes else 0)
 
 
 def _assert_report_matches(fresh, golden, where="report"):

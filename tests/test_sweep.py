@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (SX, anchor_model, dense_generator, dense_generator_series, kron_chain,
-                      near_hermitian_chain_file, orthogonal_complement_basis, plus_block_eigh,
-                      random_hermitian)
+                      near_hermitian_chain_file, one_table_generator_series,
+                      orthogonal_complement_basis, plus_block_eigh, random_hermitian,
+                      series_terms)
 from lieschwinger.certify import certify
 from lieschwinger.cli import load_model
 from lieschwinger.errors import DimensionError, GapError, SeriesError
+from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.intervals import Interval, StepIndex, all_intervals, iter_steps, successor
 from lieschwinger.model import build_chain_model, random_chain_model
 from lieschwinger.operators import (
@@ -39,11 +41,11 @@ from lieschwinger.sweep import (
 )
 
 
-def summed_diagonal_series(res, pair, t):
+def summed_diagonal_series(res, V, pair, t):
     """sum_j t^(j-1) D((V)_j), with D dropping the block off-diagonal parts."""
     vac = pair.vac
-    out = np.zeros_like(res.v_terms[0], dtype=complex)
-    for j, X in enumerate(res.v_terms, start=1):
+    out = np.zeros_like(V, dtype=complex)
+    for j, X in enumerate(series_terms(res, V), start=1):
         u = X @ vac
         u = u - vac * (vac.conj() @ u)
         od = np.outer(u, vac.conj())
@@ -83,6 +85,22 @@ def gapped_local_problem(M, k, seed, E):
     G = E * np.outer(vac, vac.conj()) + Qp @ H @ Qp.conj().T
     G = (G + G.conj().T) / 2
     return pair, G, random_hermitian(rng, G.shape[0], norm=1.0)
+
+
+def assert_matches_reference(reference, G, E, pair, V, t):
+    """generator_series against a dense reference series: order, y, every
+    (V)_j formed from the frame, and both norm lists to 1e-13."""
+    res = generator_series(G, E, pair, V, t, SeriesControls())
+    order, y, v_terms, v_norms, s_norms = reference(G, E, pair, V, t, SeriesControls())
+    assert res.order == order
+    assert np.max(np.abs(res.y - y)) <= 1e-13
+    terms = series_terms(res, V)
+    assert len(terms) == len(v_terms)
+    for X, ref in zip(terms, v_terms):
+        assert np.max(np.abs(X - ref)) <= 1e-13
+    np.testing.assert_allclose(res.v_term_norms, v_norms, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(res.s_term_norms, s_norms, rtol=0, atol=1e-13)
+    return res
 
 
 class TestLocalHamiltonian:
@@ -186,7 +204,7 @@ class TestGeneratorSeries:
         W = np.diag(rng.normal(size=4)).astype(complex)  # commutes with the pair
         res = generator_series(G.matrix, 0.0, pair, W, 0.1, SeriesControls())
         assert not np.any(dense_generator(res))
-        np.testing.assert_allclose(summed_diagonal_series(res, pair, 0.1), W, atol=1e-14)
+        np.testing.assert_allclose(summed_diagonal_series(res, W, pair, 0.1), W, atol=1e-14)
 
     def test_anchor_first_order_generator(self):
         # hand evaluation: P+ V vac = |11>, (G - E)|11> = 2|11>,
@@ -239,10 +257,10 @@ class TestGeneratorSeries:
             u = u - vac * (vac.conj() @ u)
             return Qp @ (Z @ ((Z.conj().T @ (Qp.conj().T @ u)) / (w - E)))
 
-        y_ref = sum(t ** j * ref_y(X) for j, X in enumerate(res.v_terms, start=1))
+        terms = series_terms(res, V)
+        y_ref = sum(t ** j * ref_y(X) for j, X in enumerate(terms, start=1))
         assert np.max(np.abs(res.y - y_ref)) <= 1e-13
-        np.testing.assert_allclose(res.s_term_norms,
-                                   [np.linalg.norm(ref_y(X)) for X in res.v_terms],
+        np.testing.assert_allclose(res.s_term_norms, [np.linalg.norm(ref_y(X)) for X in terms],
                                    rtol=0, atol=1e-13)
 
     @settings(max_examples=40, deadline=None)
@@ -251,15 +269,42 @@ class TestGeneratorSeries:
     def test_matches_dense_two_table_reference(self, M, k, seed, E, t):
         # reference: dense S_j and two commutator tables, one for G and one for V
         pair, G, V = gapped_local_problem(M, k, seed, E)
-        res = generator_series(G, E, pair, V, t, SeriesControls())
-        order, y, v_terms, v_norms, s_norms = dense_generator_series(G, E, pair, V, t,
-                                                                     SeriesControls())
-        assert res.order == order
-        assert np.max(np.abs(res.y - y)) <= 1e-13
-        for X, ref in zip(res.v_terms, v_terms):
-            assert np.max(np.abs(X - ref)) <= 1e-13
-        np.testing.assert_allclose(res.v_term_norms, v_norms, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(res.s_term_norms, s_norms, rtol=0, atol=1e-13)
+        assert_matches_reference(dense_generator_series, G, E, pair, V, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(M=st.sampled_from([2, 3]), k=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1),
+           E=st.floats(-2, 2), t=st.floats(-0.05, 0.05))
+    def test_matches_one_table_reference(self, M, k, seed, E, t):
+        # reference: the same table with dense D x D entries and a dense
+        # op_norm per order
+        pair, G, V = gapped_local_problem(M, k, seed, E)
+        assert_matches_reference(one_table_generator_series, G, E, pair, V, t)
+
+    @pytest.mark.parametrize("case", ["anchor", "block-diagonal", "basis-vacuum"])
+    def test_matches_one_table_reference_fixed_cases(self, case, rng):
+        # the anchor has y_2 = 0 exactly, a block-diagonal V gives y = 0, and
+        # a basis-vector vacuum makes G vac = E vac exactly: each leaves zero
+        # or exactly dependent frame columns
+        model, state, I, G, pair, V = anchor_pieces(0.05)
+        if case == "block-diagonal":
+            V = np.diag(rng.normal(size=4)).astype(complex)
+        elif case == "basis-vacuum":
+            V = random_hermitian(rng, 4, norm=1.0)
+        res = assert_matches_reference(one_table_generator_series, G.matrix, 0.0, pair, V, 0.05)
+        if case == "anchor":
+            assert res.s_term_norms[1] == 0.0
+        elif case == "block-diagonal":
+            assert not np.any(res.y)
+
+    def test_overflowing_powers_of_the_coupling(self, rng):
+        # |t|^j overflows a float from j = 2 on: a block-diagonal potential
+        # still gives the zero generator, and a generic one a SeriesError
+        model, state, I, G, pair, V = anchor_pieces()
+        W = np.diag(rng.normal(size=4)).astype(complex)
+        res = generator_series(G.matrix, 0.0, pair, W, 1e200, SeriesControls())
+        assert res.order == 2 and not np.any(res.y)
+        with pytest.raises(SeriesError, match="last term norm inf"):
+            generator_series(G.matrix, 0.0, pair, V, 1e200, SeriesControls())
 
     def test_divergent_series_raises(self):
         model, state, I, G, pair, V = anchor_pieces(t=0.5)
@@ -288,7 +333,7 @@ class TestDiagonalizedPotential:
         model, state, I, G, pair, V = anchor_pieces(t)
         res = generator_series(G.matrix, 0.0, pair, V, t, SeriesControls())
         out, _ = diagonalized_potential(G.matrix, V, res.y, t, pair)
-        np.testing.assert_allclose(out, summed_diagonal_series(res, pair, t), atol=1e-10)
+        np.testing.assert_allclose(out, summed_diagonal_series(res, V, pair, t), atol=1e-10)
 
 
 def _conjugated_full(state_before, model, S, interval):
@@ -500,6 +545,24 @@ class TestNonBasisVacuum:
         scale = max(1.0, float(np.max(np.abs(evals))))
         assert np.max(np.abs(report.spectrum - evals)) <= 1e-13 * scale
         assert report.ground_energy in report.spectrum
+
+    # Below |t| ~ 1e-150 the norm of the generator t y underflows to 0, and
+    # the sweep then keeps the potentials as given, as at t = 0 (ROADMAP D).
+    @settings(max_examples=15, deadline=None)
+    @example(N=3, M=2, kbar=1, t=1e-12, seed=0)  # a small t over a rounding error of G
+    @given(N=st.sampled_from([3, 4]), M=st.sampled_from([2, 3]), kbar=st.sampled_from([1, 2]),
+           t=st.floats(-0.05, 0.05).filter(lambda t: t == 0.0 or abs(t) >= 1e-150),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_fit_matches_oracle_and_stays_block_diagonal(self, N, M, kbar, t, seed):
+        model = non_basis_vacuum_model(N, M, kbar, t, seed)
+        fitted = BlockDiagonalizer().fit(model)
+        assert fitted.comparison_.spectrum_distance <= 1e-12
+        assert fitted.comparison_.blockwise_match
+        for iv, op in fitted.state_.potentials.items():
+            assert np.array_equal(op.matrix, op.matrix.conj().T)
+            if t != 0.0:  # at t = 0 the potentials carry no weight and stay as given
+                pair = build_projectors(iv, model.omega)
+                assert np.linalg.norm(plus_minus_block(pair, op.matrix)) <= fitted.tol_od
 
 
 class TestAssembleFull:
