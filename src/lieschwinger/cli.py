@@ -132,6 +132,8 @@ def _load_kitaev(block) -> kit.KitaevModel:
         terms = _field(entry, "terms", list, f"perturbation on {iv}")
         try:
             mat = kit.perturbation_matrix(frame.alg, terms)
+        except ValidationError as err:
+            raise ValidationError(f"perturbation on {iv}: {err}") from err
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as err:
             raise ValidationError(f"perturbation on {iv}: malformed field 'terms' ({err!r})") from err
         perts.append((iv, mat))

@@ -23,6 +23,7 @@ doubling and boundary spectral checks.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from math import comb
 
@@ -174,7 +175,10 @@ def perturbation_matrix(alg: FermionAlgebra, terms) -> sparse.csr_matrix:
             if kind not in ("c", "cdag"):
                 raise ValidationError(f"unknown fermion factor kind {kind!r}")
             m = m @ (alg.c[site - 1] if kind == "c" else alg.cdag(site))
-        out = out + complex(term["coeff"][0], term["coeff"][1]) * m.tocsr()
+        coeff = complex(term["coeff"][0], term["coeff"][1])
+        if not cmath.isfinite(coeff):  # before the product, which would warn on inf * 0
+            raise ValidationError("coefficients must be finite")
+        out = out + coeff * m.tocsr()
     return out.tocsr()
 
 

@@ -15,10 +15,15 @@ span{vac, y}.  ``rotation_factors`` writes it in closed form as
 exp(S) = I + W C W^dag with W = [vac, y/theta] and a 2x2 block C: exactly
 unitary, never a Pade or series approximation, so conjugations preserve
 spectra to machine precision.  ``conjugate_by_unitary`` applies
-1_L (x) exp(S) (x) 1_R to a potential on a containing interval through a
-reshaped view, at O(D^2) cost and without forming the embedded unitary.
-``unitary_exp`` keeps the general eigendecomposition route as the
-reference.
+1_L (x) exp(S) (x) 1_R to a potential A on a containing interval as one
+thin update: with W' = 1_L (x) W (x) 1_R, everything it needs of A is
+P = W'^dag A, 2LR rows read through a reshaped view, and the change
+B + B^dag is built from P and summed into A tile by tile, at O(D^2) cost,
+with no embedded unitary and no transposed copy of A.  Its ``rows``
+argument adds the change of a second operator known only by its rows,
+which is how the sweep carries growth sources and the replaced potential
+carries G.  ``unitary_exp`` keeps the general eigendecomposition route as
+the reference.
 
 Embedding works the same way in the other direction: 1_L (x) A (x) 1_R is
 nonzero only on a strided (L, d, R, d) view of the target matrix, the
@@ -31,6 +36,7 @@ building no D x D temporary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -176,6 +182,29 @@ def unitary_exp(S: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:
     return (U * np.exp(-1j * lam)) @ U.conj().T
 
 
+def _power_of_two_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """x / 2^e and e, for e the binary exponent of the largest |x_i|.
+
+    The scaling is exact, so a norm or a quotient taken on the scaled
+    vector and scaled back is bit-identical to the unscaled one wherever
+    that one neither underflows nor overflows, and right where it would.
+    """
+    big = float(np.max(np.abs(x), initial=0.0))
+    e = int(np.frexp(big)[1]) if isfinite(big) else 0
+    out = np.empty_like(x)
+    out.real = np.ldexp(x.real, -e)
+    out.imag = np.ldexp(x.imag, -e)
+    return out, e
+
+
+def vector_norm(x: np.ndarray) -> float:
+    """Euclidean norm of a complex vector, with no underflow or overflow in
+    the squares of its entries (``np.linalg.norm`` returns 0 for entries
+    below about 1e-154)."""
+    scaled, e = _power_of_two_scaled(np.asarray(x, dtype=complex))
+    return float(np.ldexp(np.linalg.norm(scaled), e))
+
+
 def rotation_factors(y: np.ndarray, vac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factors W (d x 2) and C (2 x 2) with exp(y vac^dag - vac y^dag) = I + W C W^dag.
 
@@ -184,43 +213,98 @@ def rotation_factors(y: np.ndarray, vac: np.ndarray) -> tuple[np.ndarray, np.nda
     orthonormal pair (vac, y/theta), theta = ||y||, the generator acts as
     theta [[0, -1], [1, 0]], so C = [[cos - 1, -sin], [sin, cos - 1]] with
     cos(theta) - 1 written as -2 sin^2(theta/2) to keep small angles accurate.
+    theta and y/theta are taken on y scaled by a power of two, so a y far
+    below the float range's square root, subnormal entries included, still
+    gives a unit y/theta.
     """
     y = np.asarray(y, dtype=complex)
     vac = np.asarray(vac, dtype=complex)
-    theta = float(np.linalg.norm(y))
+    scaled, e = _power_of_two_scaled(y)
+    scaled_norm = np.linalg.norm(scaled)
+    theta = float(np.ldexp(scaled_norm, e))
     overlap = abs(np.vdot(vac, y))
     if overlap > TOL_HERM * max(1.0, theta):
         raise GeneratorError(f"generator is not a vacuum rotation: |vac^dag y| = {overlap:.3e}")
-    y_hat = y / theta if theta > 0.0 else y
+    y_hat = scaled / scaled_norm if scaled_norm > 0.0 else scaled
     c = -2.0 * np.sin(theta / 2) ** 2
     s = np.sin(theta)
     return np.stack([vac, y_hat], axis=1), np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _rotate_left(A: np.ndarray, WC: np.ndarray, W_dag: np.ndarray, left: int) -> np.ndarray:
-    """(1_L (x) (I + W C W^dag) (x) 1_R) A for a square A, via a (L, d, rest) view."""
-    A3 = A.reshape(left, W_dag.shape[1], -1)
-    out = WC @ (W_dag @ A3)
-    out += A3
-    return out.reshape(A.shape)
+# Largest R for which a middle-axis product goes through kron(K, 1_R) in
+# one matrix product instead of one small product per leading index.
+_KRON_MAX_RIGHT = 8
+# Side of the square tiles in which the Hermitian sum is formed.
+_TILE = 64
+
+
+def _times_middle(X: np.ndarray, K: np.ndarray, R: int) -> np.ndarray:
+    """X (1 (x) K (x) 1_R) for a d x e matrix K, on an array X whose last
+    axis indexes (..., a, r) with a < d and r < R; the result is flat,
+    (..., b, r) with b < e."""
+    d = K.shape[0]
+    n = X.size // (d * R)
+    if R <= _KRON_MAX_RIGHT:
+        K_R = (K[:, None, :, None] * np.eye(R)[None, :, None, :]).reshape(d * R, -1)
+        return (X.reshape(n, d * R) @ K_R).reshape(-1)
+    return (K.T @ X.reshape(n, d, R)).reshape(-1)
+
+
+def _hermitian_sum(B: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """(B + B^dag) + A, written into B tile by tile: each pair of mirrored
+    tiles is read once and no D x D transposed copy is made.  Exactly
+    Hermitian when A is."""
+    D = B.shape[0]
+    buf = np.empty((min(_TILE, D),) * 2, dtype=complex)
+    for i in range(0, D, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(i, D, _TILE):
+            cols = slice(j, j + _TILE)
+            T = buf[:min(_TILE, D - i), :min(_TILE, D - j)]
+            np.conjugate(B[cols, rows].T, out=T)
+            T += B[rows, cols]
+            np.add(T, A[rows, cols], out=B[rows, cols])
+            if j != i:
+                np.conjugate(T, out=T)
+                np.add(T.T, A[cols, rows], out=B[cols, rows])
+    return B
 
 
 def conjugate_by_unitary(op_matrix: np.ndarray, W: np.ndarray, C: np.ndarray,
-                         left: int = 1) -> np.ndarray:
-    """U_J A U_J^dag with re-symmetrization, U_J = 1_L (x) (I + W C W^dag) (x) 1_R.
+                         left: int = 1, rows: np.ndarray | None = None,
+                         rows_scale: float = 1.0) -> np.ndarray:
+    """U_J A U_J^dag for U_J = 1_L (x) (I + W C W^dag) (x) 1_R, as one thin
+    update of A.
 
     ``left`` is the dimension L of the identity factor before the rotated
-    sites; the one after them follows from the size of A.  The embedded
-    unitary is never formed: X = U_J A is a left product on a reshaped view,
-    and the right product comes from the same left product on X^T with the
-    conjugated factors, Z = conj(U_J) X^T = conj(U_J A^dag U_J^dag).  Hence
-    (B + B^dag)/2 = (conj(Z) + Z^T)/2 for B = U_J A U_J^dag.
+    sites; the one after them, R, follows from the size of A.  With
+    W' = 1_L (x) W (x) 1_R and C' = 1_L (x) C (x) 1_R, and P = W'^dag A of
+    2LR rows,
+
+        U_J A U_J^dag - A = B + B^dag,   B = W' C' (P + 1/2 (P W') C'^dag W'^dag),
+
+    so A is read once, through a (L, d, R D) view, for P, and the result
+    is (B + B^dag) + A, summed tile by tile (exactly Hermitian when A is).
+
+    ``rows`` adds the update of a second Hermitian X, given only as its
+    rows W'^dag X in the layout of P (a 2LR x D array, rows (l, i, r)):
+    the result is then U_J A U_J^dag + (U_J X U_J^dag - X) / s for
+    s = ``rows_scale``.  X is never formed, and s divides the 2 x 2 factor
+    C, never X, so no rounding error of X's size is divided by a small s.
     """
-    WC = W @ C
+    A = op_matrix
+    D = A.shape[0]
+    d = W.shape[0]
+    R = D // (left * d)
     W_dag = W.conj().T
-    X = _rotate_left(op_matrix, WC, W_dag, left)
-    Z = _rotate_left(np.ascontiguousarray(X.T), WC.conj(), W_dag.conj(), left)
-    out = Z.conj()
-    out += Z.T
-    out *= 0.5
-    return out
+    # C' P, with the rows of X folded in at their own factor
+    CP = (C @ W_dag) @ A.reshape(left, d, R * D)
+    if rows is not None:
+        # a real division of each part: complex division by a subnormal
+        # rows_scale would overflow in its reciprocal
+        C_rows = (np.ascontiguousarray(C).view(float) / rows_scale).view(complex)
+        CP += C_rows @ rows.reshape(left, 2, R * D)
+    # C' (P W') C'^dag W'^dag, through one middle-axis product per factor
+    CPW = _times_middle(CP, W, R)
+    CP += 0.5 * _times_middle(CPW, C.conj().T @ W_dag, R).reshape(CP.shape)
+    return _hermitian_sum((W @ CP).reshape(D, D), A)

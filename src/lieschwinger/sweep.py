@@ -68,9 +68,12 @@ potential, never as an embedded unitary:
     terms exp(S) W exp(-S) - W from every shorter potential W whose
     support overlaps I without containment and whose union with I is
     exactly J.  The growth terms are linear in W, so the update is one
-    conjugation per J: exp(S) (V_J + sum W) exp(-S) - sum W, with the
-    sources W embedded into J in place.  Intervals with no prior
-    potential can be created here.
+    thin update per J: V_J + Delta(V_J + sum W) for
+    Delta(X) = exp(S) X exp(-S) - X, which reads X only through its rows
+    W'^dag X (``operators.conjugate_by_unitary``).  Each source's rows
+    are contracted from its own small matrix with W over the sites it
+    shares with I, so no source is embedded into J.  Intervals with no
+    prior potential can be created here.
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ from .operators import (
     op_norm,
     rotation_factors,
     unitary_exp,  # unused here; perfbench/tracing.py looks it up on this module
+    vector_norm,
 )
 
 
@@ -337,19 +341,16 @@ def diagonalized_potential(G: np.ndarray, V: np.ndarray, y: np.ndarray, t: float
     truncation in play is the one already inside S.  The residual is the
     off-diagonal norm of the result, which must sit below tol_od.
 
-    The G part is taken in thin form: with exp(S) = I + W C W^dag and
-    P = W^dag G, exp(S) G exp(-S) - G = W C P + h.c. + W C (P W) C^dag W^dag,
-    so it is divided by t through C / t and no rounding error of G's size
-    is divided by a small coupling.
+    The G part is folded into the same thin update as the conjugation of
+    V: with exp(S) = I + W C W^dag, ``conjugate_by_unitary`` takes the rows
+    W^dag G at the factor C / t, so exp(S) G exp(-S) - G is divided by t
+    through C / t and no rounding error of G's size is divided by a small
+    coupling.
     """
     if t == 0.0:
         return V, _offdiag_norm(V, pair)
     W, C = rotation_factors(y, pair.vac)
-    out = conjugate_by_unitary(V, W, C)
-    P = W.conj().T @ G
-    B = W @ ((C / t) @ (P + 0.5 * (P @ W) @ C.conj().T @ W.conj().T))
-    B += B.conj().T
-    out += B
+    out = conjugate_by_unitary(V, W, C, rows=W.conj().T @ G, rows_scale=t)
     residual = _offdiag_norm(out, pair)
     if residual > tol_od:
         raise SeriesError(
@@ -368,6 +369,28 @@ def _growth_sources(I: Interval, J: Interval) -> list[Interval]:
     return []
 
 
+def _source_rows(W: np.ndarray, src: LocalOperator, I: Interval, M: int) -> np.ndarray:
+    """W'^dag (1 (x) w (x) 1) on J = I u src, for W' = 1_L (x) W (x) 1_R and
+    the potential w of a growth source, in the row layout (l, i, r) of
+    ``operators.conjugate_by_unitary``.
+
+    Only the sites the source shares with I are contracted with W, so the
+    source is never embedded into J.
+    """
+    s = src.support
+    o = M ** (min(I.last, s.last) - max(I.q, s.q) + 1)  # shared sites
+    a = I.dim(M) // o  # sites of I only
+    b = s.dim(M) // o  # sites of the source only
+    w = src.matrix
+    if s.q > I.q:  # J = [a o b], L = 1, R = b: rows (i, r), columns (a, o, b)
+        Wc = W.reshape(a, o, 2).conj().transpose(2, 0, 1)[:, None]  # [i, -, a, o]
+        out = Wc @ w.reshape(o, b, o * b).transpose(1, 0, 2)  # [i, r, a, (o b)]
+    else:  # J = [b o a], L = b, R = 1: rows (l, i), columns (b, o, a)
+        Wc = W.reshape(o, a, 2).conj().transpose(2, 0, 1)  # [i, o, a]
+        out = w.reshape(b, o, b * o).transpose(0, 2, 1)[:, None] @ Wc  # [l, i, (b o), a]
+    return out.reshape(2 * b, -1)
+
+
 def advance(state: BlockDiagState, model: ChainModel,
             controls: SeriesControls = SeriesControls()) -> BlockDiagState:
     """Run the successor step and transport every potential across it."""
@@ -383,7 +406,7 @@ def advance(state: BlockDiagState, model: ChainModel,
     dim = I.dim(model.M)
     V = V_op.matrix if V_op is not None else np.zeros((dim, dim), dtype=complex)
     series = generator_series(G.matrix, E, pair, V, model.t, controls, step)
-    s_norm = float(np.linalg.norm(series.y))
+    s_norm = vector_norm(series.y)
 
     if s_norm == 0.0:
         # Zero generator (t = 0, zero potential, or already block-diagonal):
@@ -399,11 +422,12 @@ def advance(state: BlockDiagState, model: ChainModel,
     W, C = rotation_factors(series.y, pair.vac)
 
     # Intervals strictly containing the step interval, which are exactly the
-    # (l, q) with l > I.k and I.last - l <= q <= I.q that fit the chain: the
-    # growth terms are linear in their sources W, so V_J + sum W is
-    # conjugated once and the sources are subtracted again.  The result is
-    # exactly Hermitian when the sources are, since conjugate_by_unitary
-    # returns an exactly Hermitian matrix.
+    # (l, q) with l > I.k and I.last - l <= q <= I.q that fit the chain.  The
+    # growth terms are linear in their sources, so the new potential is
+    # V_J + Delta(V_J + sum W) for Delta(X) = exp(S) X exp(-S) - X, and
+    # Delta reads X only through its rows W'^dag X: the sources enter as
+    # rows contracted from their own small matrices.  The result is exactly
+    # Hermitian, as V_J is.
     for l in range(I.k + 1, model.N):
         for q in range(max(1, I.last - l), min(I.q, model.N - l) + 1):
             J = Interval(l, q)
@@ -413,13 +437,10 @@ def advance(state: BlockDiagState, model: ChainModel,
             if old is None and not sources:
                 continue
             dim = J.dim(model.M)
-            acc = old.matrix.copy() if old is not None else np.zeros((dim, dim), dtype=complex)
-            for src in sources:
-                embed(src, J, model.M, out=acc)
-            acc = conjugate_by_unitary(acc, W, C, model.M ** (I.q - J.q))
-            for src in sources:
-                embed(src, J, model.M, out=acc, scale=-1.0)
-            new_pots[J] = LocalOperator(J, acc)
+            V_J = old.matrix if old is not None else np.zeros((dim, dim), dtype=complex)
+            rows = sum(_source_rows(W, src, I, model.M) for src in sources) if sources else None
+            new_pots[J] = LocalOperator(J, conjugate_by_unitary(
+                V_J, W, C, model.M ** (I.q - J.q), rows=rows))
 
     diag = StepDiagnostics(step, E, gap, series.order, residual, s_norm,
                            series.v_term_norms, series.s_term_norms)

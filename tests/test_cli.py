@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +349,19 @@ class TestBadInputs:
         assert report["controls"] in (None, {"t": None})
         if names is not None:
             assert names in report["error"]["message"]
+
+    @pytest.mark.parametrize("coeff", [float("inf"), float("-inf")])
+    def test_infinite_kitaev_coefficient_is_rejected_before_any_product(self, tmp_path, coeff):
+        # inf times the zero entries of a monomial would warn "invalid value"
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--config", str(_kitaev_file(tmp_path, coeff=coeff)),
+                         "--report", str(out)])
+        assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        error = json.loads(out.read_text())["error"]
+        assert error["message"] == "perturbation on Interval(k=0, q=3): coefficients must be finite"
 
     def test_oversize_chain_fails_before_sweep(self, tmp_path):
         # 2**13 = 8192 exceeds the dense guard; the sweep would reach that

@@ -15,6 +15,7 @@ from lieschwinger.operators import (
     op_norm,
     rotation_factors,
     unitary_exp,
+    vector_norm,
 )
 
 
@@ -189,6 +190,12 @@ def random_rotation(rng, d, theta):
     return theta * y / np.linalg.norm(y), vac
 
 
+def dense_conjugation(U, A, L, R):
+    """kron(1_L, U, 1_R) A kron(1_L, U, 1_R)^dag."""
+    U_J = np.kron(np.kron(np.eye(L), U), np.eye(R))
+    return U_J @ A @ U_J.conj().T
+
+
 class TestRotation:
     @pytest.mark.parametrize("theta", [0.0, 1e-9, 1e-3, 0.3, 2.0])
     def test_factors_reproduce_eigendecomposition_exponential(self, rng, theta):
@@ -202,19 +209,54 @@ class TestRotation:
 
     @pytest.mark.parametrize("M", [2, 3])
     def test_local_kernel_matches_embedded_conjugation(self, rng, M):
-        # oracle: embed exp(S) into J, then two dense products
-        J = Interval(3, 1)
-        A = random_hermitian(rng, J.dim(M), norm=1.0)
-        # step interval at the left end of J, the right end, and inside it
-        for I in (Interval(1, 1), Interval(1, 3), Interval(1, 2), Interval(0, 3)):
-            y, vac = random_rotation(rng, I.dim(M), 0.4)
-            S = np.outer(y, vac.conj()) - np.outer(vac, y.conj())
-            UJ = embed(LocalOperator(I, unitary_exp(S)), J, M).matrix
-            dense = UJ @ A @ UJ.conj().T
-            dense = (dense + dense.conj().T) / 2
-            out = conjugate_by_unitary(A, *rotation_factors(y, vac), left=M ** (I.q - J.q))
-            assert np.max(np.abs(out - dense)) <= 1e-13
+        # oracle: kron(1_L, U, 1_R) A kron(1_L, U, 1_R)^dag with U from the
+        # eigendecomposition route, for every placement of the rotated sites
+        # in J, at a small and a large angle; D = 256 and 243 span several
+        # tiles of the Hermitian sum, the second with partial ones
+        n_sites = {2: 8, 3: 5}[M]
+        D = M ** n_sites
+        A = random_hermitian(rng, D, norm=1.0)
+        for theta in (1e-4, 2.5):
+            for n_rot in range(1, n_sites + 1):
+                for n_left in range(n_sites - n_rot + 1):
+                    L, d = M ** n_left, M ** n_rot
+                    y, vac = random_rotation(rng, d, theta)
+                    U = unitary_exp(np.outer(y, vac.conj()) - np.outer(vac, y.conj()))
+                    out = conjugate_by_unitary(A, *rotation_factors(y, vac), left=L)
+                    ref = dense_conjugation(U, A, L, D // (L * d))
+                    assert np.max(np.abs(out - ref)) <= 1e-13, (theta, L, d)
+                    assert np.array_equal(out, out.conj().T)
+
+    @pytest.mark.parametrize("scale", [1.0, -0.25])
+    def test_rows_add_the_update_of_a_second_operator(self, rng, scale):
+        # U A U^dag + (U X U^dag - X) / scale from the rows W'^dag X alone
+        M, D = 2, 32
+        A, X = random_hermitian(rng, D, norm=1.0), random_hermitian(rng, D, norm=1.0)
+        for L, d in ((1, 4), (2, 8), (8, 4), (1, 32)):
+            R = D // (L * d)
+            y, vac = random_rotation(rng, d, 0.7)
+            W, C = rotation_factors(y, vac)
+            U = unitary_exp(np.outer(y, vac.conj()) - np.outer(vac, y.conj()))
+            W_J = np.kron(np.kron(np.eye(L), W), np.eye(R))
+            out = conjugate_by_unitary(A, W, C, L, rows=W_J.conj().T @ X, rows_scale=scale)
+            ref = dense_conjugation(U, A, L, R) + (dense_conjugation(U, X, L, R) - X) / scale
+            assert np.max(np.abs(out - ref)) <= 1e-13, (L, d)
             assert np.array_equal(out, out.conj().T)
+
+    @pytest.mark.parametrize("exponent", [0, -600, -900, -1060])
+    def test_tiny_generator_keeps_its_norm_and_direction(self, rng, exponent):
+        # 2**-600 y: the squares of its entries underflow; 2**-1060 y: the
+        # entries themselves are subnormal
+        y, vac = random_rotation(rng, 8, 0.3)
+        tiny = np.ldexp(y.real, exponent) + 1j * np.ldexp(y.imag, exponent)
+        W, C = rotation_factors(tiny, vac)
+        theta = vector_norm(tiny)
+        assert theta > 0.0 and C[1, 0] == np.sin(theta)
+        if exponent >= -900:  # normal range: bit-identical to the unscaled norm
+            assert theta == np.ldexp(np.linalg.norm(y), exponent)
+            assert np.array_equal(W[:, 1], y / np.linalg.norm(y))
+        else:
+            assert abs(np.linalg.norm(W[:, 1]) - 1.0) <= 1e-14
 
     def test_rejects_generator_not_orthogonal_to_vacuum(self, rng):
         y, vac = random_rotation(rng, 4, 0.5)

@@ -16,12 +16,10 @@ from lieschwinger.model import build_chain_model, random_chain_model
 from lieschwinger.operators import (
     LocalOperator,
     build_projectors,
-    conjugate_by_unitary,
     embed,
     excited_spectrum,
     hermitian_defect,
     op_norm,
-    rotation_factors,
     unitary_exp,
 )
 from lieschwinger.oracle import compare
@@ -412,32 +410,47 @@ class TestAdvance:
 def per_source_transport(state, model, controls):
     """Potentials on the intervals strictly containing the next step
     interval, transported one source at a time: each stored potential and
-    each growth source is embedded and conjugated on its own, and the
-    results are summed and re-symmetrized.  Reference for ``advance``."""
+    each growth source is embedded and conjugated on its own by the dense
+    kron(1_L, exp(S), 1_R), and the results are summed and re-symmetrized.
+    Reference for ``advance``."""
     I = Interval(*successor(state.step, model.N))
     pair = build_projectors(I, model.omega)
     G = local_hamiltonian(state, model, pair, controls.tol_od).matrix
     E = float(np.real(pair.vac.conj() @ G @ pair.vac))
     V = (state.potentials[I].matrix if I in state.potentials
          else np.zeros((I.dim(model.M),) * 2, dtype=complex))
-    y = generator_series(G, E, pair, V, model.t, controls).y
-    W, C = rotation_factors(y, pair.vac)
+    U = unitary_exp(dense_generator(generator_series(G, E, pair, V, model.t, controls)))
     out = {}
     for J in all_intervals(model.N):
         if J == I or not J.contains(I):
             continue
-        left = model.M ** (I.q - J.q)
+        UJ = np.kron(np.kron(np.eye(model.M ** (I.q - J.q)), U),
+                     np.eye(model.M ** (J.last - I.last)))
         acc = None
         if J in state.potentials:
-            acc = conjugate_by_unitary(state.potentials[J].matrix, W, C, left)
+            acc = UJ @ state.potentials[J].matrix @ UJ.conj().T
         for src in _growth_sources(I, J):
             if src in state.potentials:
                 We = embed(state.potentials[src], J, model.M).matrix
-                grown = conjugate_by_unitary(We, W, C, left) - We
+                grown = UJ @ We @ UJ.conj().T - We
                 acc = grown if acc is None else acc + grown
         if acc is not None:
             out[J] = (acc + acc.conj().T) / 2
     return out
+
+
+def assert_transport_matches_reference(state, model, controls):
+    """One ``advance`` against ``per_source_transport``; returns the new state."""
+    expected = per_source_transport(state, model, controls)
+    state = advance(state, model, controls)
+    I = Interval(*state.step)
+    containing = {J for J in state.potentials if J != I and J.contains(I)}
+    assert containing == set(expected)
+    for J, ref in expected.items():
+        assert np.max(np.abs(state.potentials[J].matrix - ref)) <= 1e-13
+    for op in state.potentials.values():
+        assert np.array_equal(op.matrix, op.matrix.conj().T)
+    return state
 
 
 class TestTransport:
@@ -448,15 +461,27 @@ class TestTransport:
         controls = SeriesControls()
         state = initial_state(model)
         for _ in range(N * (N - 1) // 2):
-            expected = per_source_transport(state, model, controls)
-            state = advance(state, model, controls)
-            I = Interval(*state.step)
-            containing = {J for J in state.potentials if J != I and J.contains(I)}
-            assert containing == set(expected)
-            for J, ref in expected.items():
-                assert np.max(np.abs(state.potentials[J].matrix - ref)) <= 1e-13
-            for op in state.potentials.values():
-                assert np.array_equal(op.matrix, op.matrix.conj().T)
+            state = assert_transport_matches_reference(state, model, controls)
+
+    # (step before I, stored supports): J has no potential of its own and is
+    # created from its growth sources alone, which stick out to the right of
+    # I = {1, 2} or {1, 2, 3}, or to the left of I = {2, 3} or {2, 3, 4},
+    # over one or two shared sites
+    @pytest.mark.parametrize("before,supports", [
+        ((0, 4), [(1, 1), (1, 2)]),
+        ((1, 3), [(2, 1), (2, 2), (1, 3)]),
+        ((1, 1), [(1, 1), (1, 2)]),
+        ((2, 1), [(2, 1), (2, 2), (1, 1)]),
+    ], ids=["right-one-site", "right-two-sites", "left-one-site", "left-two-sites"])
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_interval_created_from_sources_alone(self, before, supports, M):
+        model = non_basis_vacuum_model(4, M, 2, 0.04, seed=M)
+        state = BlockDiagState(StepIndex(*before),
+                               {Interval(*iv): model.interactions[Interval(*iv)]
+                                for iv in supports})
+        stored = set(state.potentials)
+        state = assert_transport_matches_reference(state, model, SeriesControls())
+        assert set(state.potentials) - stored
 
     def test_near_hermitian_file_stays_exactly_hermitian_through_the_sweep(self, tmp_path):
         # the model stores its near-Hermitian interactions exactly Hermitian,
@@ -546,12 +571,14 @@ class TestNonBasisVacuum:
         assert np.max(np.abs(report.spectrum - evals)) <= 1e-13 * scale
         assert report.ground_energy in report.spectrum
 
-    # Below |t| ~ 1e-150 the norm of the generator t y underflows to 0, and
-    # the sweep then keeps the potentials as given, as at t = 0 (ROADMAP D).
+    # Couplings reach down to 1e-300, where the squares of the generator's
+    # entries underflow; subnormal couplings keep only a few digits of y
+    # and are left out (ROADMAP D).
     @settings(max_examples=15, deadline=None)
     @example(N=3, M=2, kbar=1, t=1e-12, seed=0)  # a small t over a rounding error of G
+    @example(N=3, M=2, kbar=1, t=3.05e-275, seed=0)  # the squares of y underflow
     @given(N=st.sampled_from([3, 4]), M=st.sampled_from([2, 3]), kbar=st.sampled_from([1, 2]),
-           t=st.floats(-0.05, 0.05).filter(lambda t: t == 0.0 or abs(t) >= 1e-150),
+           t=st.floats(-0.05, 0.05).filter(lambda t: t == 0.0 or abs(t) >= 1e-300),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_fit_matches_oracle_and_stays_block_diagonal(self, N, M, kbar, t, seed):
         model = non_basis_vacuum_model(N, M, kbar, t, seed)
