@@ -50,7 +50,6 @@ class GapReport:
     unique_ground: bool
     od_residual: float
     ledger: tuple[NormLedgerEntry, ...]
-    per_step_gaps: tuple[tuple[StepIndex, float], ...]
     spectrum: np.ndarray  # ascending spec K: the excited spectrum with ground_energy merged in
 
 
@@ -105,7 +104,6 @@ def certify(state: BlockDiagState, model: ChainModel,
         unique_ground=gap > 0.0,
         od_residual=residual,
         ledger=tuple(check_ledger(state, model.t)),
-        per_step_gaps=tuple((d.step, d.gap) for d in state.diagnostics),
         spectrum=np.insert(excited, np.searchsorted(excited, ground), ground),
     )
 

@@ -1,14 +1,18 @@
 """Command-line runner: load a model file, run the estimator's pipeline
 (sweep, certify, compare) once per coupling, and report.
 
+A Kitaev file is handed to ``kitaev`` in one place, ``_load_kitaev``, which
+imports it and with it scipy; a chain-file run loads neither.
+
 Reports serialize deterministically: keys are emitted in sorted order and
 floats with 17 significant digits, so identical inputs and flags reproduce
 byte-identical output apart from the "timings" section.
 
 Exit codes: 0 success, 2 validation or parse failure, 3 series not
 converged, 4 gap assumption violated; each is the ``exit_code`` of the
-raised error.  Every failure still writes a report, except for flags that
-argparse rejects and a ``--report`` path that cannot be written.
+raised error, and a ``MemoryError`` (a model the host cannot hold) ends in
+2.  Every failure still writes a report, except for flags that argparse
+rejects and a ``--report`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kitaev as kit
 from .certify import certify  # unused here; perfbench/tracing.py patches it on this module
 from .errors import ChainError, ValidationError
 from .estimator import ORACLE_POLICIES, BlockDiagonalizer
@@ -123,7 +126,9 @@ def _load_chain(spec) -> ChainModel:
     )
 
 
-def _load_kitaev(block) -> kit.KitaevModel:
+def _load_kitaev(block):
+    from . import kitaev as kit  # the one import of kitaev, and of scipy, in a run
+
     where = "kitaev block"
     frame = kit.fermion_frame(_field(block, "N", int, where))
     perts = []
@@ -247,15 +252,23 @@ def _report(model=None, controls=None, kitaev=None) -> dict:
     }
 
 
-def _record_failure(report: dict, err: ChainError) -> int:
+# What a run turns into a failed report; anything else is a bug and propagates.
+_FAILURES = (ChainError, MemoryError)
+
+
+def _record_failure(report: dict, err: ChainError | MemoryError) -> int:
     """Mark ``report`` failed: error block, exit code, and the steps reached
-    before the failure if the error carries them.  Returns the exit code."""
-    code = err.exit_code
+    before the failure if the error carries them.  Returns the exit code.
+
+    A MemoryError ends in exit 2, as a model past the dense guard does."""
+    out_of_memory = isinstance(err, MemoryError)
+    code = ValidationError.exit_code if out_of_memory else err.exit_code
     step = getattr(err, "step", None)
     report["status"] = "failed"
     report["error"] = {
-        "type": type(err).__name__,
-        "message": str(err),
+        # numpy raises a private MemoryError subclass
+        "type": "MemoryError" if out_of_memory else type(err).__name__,
+        "message": str(err) or "out of memory",
         "step": [step.k, step.q] if step is not None else None,
         "exit_code": code,
     }
@@ -280,7 +293,7 @@ def run(model, controls: SeriesControls, oracle_policy: str = "auto",
     code = 0
     try:
         est.fit(model)
-    except ChainError as err:
+    except _FAILURES as err:
         code = _record_failure(report, err)
     if est.state_ is not None:
         report["steps"] = _steps_json(est.state_)
@@ -298,39 +311,15 @@ def run(model, controls: SeriesControls, oracle_policy: str = "auto",
     return report, code
 
 
-def _reduce(loaded):
-    """The part of a run that no coupling changes, done once per file: a
-    chain model as loaded, or a Kitaev model's restricted chain plus the
-    (model, bulk terms, boundary terms) that its per-coupling checks read."""
-    if not isinstance(loaded, kit.KitaevModel):
-        return loaded, None
-    bulk, boundary = kit.regroup_perturbations(loaded)
-    return kit.restricted_chain_model(loaded.frame, bulk, loaded.beta), (loaded, bulk, boundary)
-
-
-def _prepare_model(chain, kitaev, t_value):
-    """``chain`` at an optional coupling override, validated, plus the Kitaev
-    report block for Kitaev files.  A Kitaev coupling beta only rescales the
-    restricted chain's t and reruns the doubling and boundary checks."""
-    if kitaev is None:
-        model = chain if t_value is None else dataclasses.replace(chain, t=float(t_value))
-        validate_chain_model(model)
-        return model, None
-    kmodel, bulk, boundary = kitaev
-    beta = kmodel.beta if t_value is None else float(t_value)
-    scale = chain.seed_info["norm_scale"]
-    model = dataclasses.replace(chain, t=beta * scale, seed_info={**chain.seed_info, "beta": beta})
+def _prepare_model(source, t_value):
+    """The validated chain at an optional coupling override, and the report's
+    ``kitaev`` block (None for a chain file).  ``source`` is a ChainModel or
+    a Kitaev file's reduction."""
+    if not isinstance(source, ChainModel):
+        return source.at(t_value)
+    model = source if t_value is None else dataclasses.replace(source, t=float(t_value))
     validate_chain_model(model)
-    kitaev_extra = {
-        "N_fermion": kmodel.N, "beta": beta,
-        "bulk_terms": len(bulk), "boundary_terms": len(boundary), "norm_scale": scale,
-        "doubling_ok": kit.doubling_check_terms(kmodel.frame, bulk, beta),
-    }
-    if boundary:
-        splitting, gap_above = kit.boundary_gap_check(dataclasses.replace(kmodel, beta=beta))
-        kitaev_extra["boundary_splitting"] = splitting
-        kitaev_extra["boundary_gap_above_pair"] = gap_above
-    return model, kitaev_extra
+    return model, None
 
 
 def main(argv=None) -> int:
@@ -377,16 +366,18 @@ def main(argv=None) -> int:
                 t_values = []
             if not t_values:
                 raise ValidationError("--t-sweep expects one or more comma-separated numbers")
-        chain, kitaev = _reduce(load_model(args.config))
-    except ChainError as err:
+        source = load_model(args.config)
+        if not isinstance(source, ChainModel):
+            source = source.reduce()  # once per file, whatever the couplings
+    except _FAILURES as err:
         report = _report()
         return emit_out(report, _record_failure(report, err))
 
     reports, worst = [], 0
     for t_value in t_values:
         try:
-            model, kitaev_extra = _prepare_model(chain, kitaev, t_value)
-        except ChainError as err:
+            model, kitaev_extra = _prepare_model(source, t_value)
+        except _FAILURES as err:
             # reports never hold NaN or infinity, so a non-finite coupling is echoed as null
             finite = t_value is None or np.isfinite(t_value)
             report = _report(controls={"t": t_value if finite else None})

@@ -93,4 +93,4 @@ class BlockDiagonalizer:
 
     @property
     def per_step_gaps_(self) -> np.ndarray:
-        return np.array([g for _, g in self.report_.per_step_gaps])
+        return np.array([d.gap for d in self.state_.diagnostics])

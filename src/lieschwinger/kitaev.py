@@ -16,23 +16,24 @@ supported away from both chain ends stay zero-mode free and restrict to
 interval-supported terms of a standard chain model with on-site matrix
 diag(0, 2).
 
-The reduction is built once per model file, on one ``FermionFrame``; each
-coupling beta then only rescales the restricted chain's t and reruns the
-doubling and boundary spectral checks.
+A model file is reduced once, on one ``FermionFrame``, by
+``KitaevModel.reduce``; ``KitaevReduction.at(beta)`` then only rescales the
+restricted chain's t and reruns the doubling and boundary spectral checks.
+This is the one module that uses scipy, and the command line imports it
+only for a Kitaev file.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from math import comb
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
 
 from .errors import RegroupError, ValidationError
 from .intervals import Interval
-from .model import ChainModel, build_chain_model
+from .model import ChainModel, build_chain_model, validate_chain_model
 from .operators import LocalOperator, dense_dim, embed, hermitian_defect
 
 CAR_TOL = 1e-12
@@ -122,14 +123,6 @@ def kitaev_hamiltonian(alg: FermionAlgebra, dmodes: DModeAlgebra) -> np.ndarray:
     return H_gamma.toarray()
 
 
-def kitaev_spectrum_expected(N: int) -> np.ndarray:
-    """{-(N-1) + 2m} with multiplicity 2 C(N-1, m): number operators plus doubling."""
-    return np.sort(np.array(
-        [-(N - 1) + 2 * m for m in range(N) for _ in range(2 * comb(N - 1, m))],
-        dtype=float,
-    ))
-
-
 @dataclass(frozen=True, eq=False)
 class FermionFrame:
     """What every reduction step shares, whatever the coupling: the algebra,
@@ -158,6 +151,13 @@ class KitaevModel:
     @property
     def N(self) -> int:
         return self.frame.alg.N
+
+    def reduce(self) -> KitaevReduction:
+        """The part of a run that no coupling changes: the bulk/boundary
+        split and the restricted chain at this model's beta."""
+        bulk, boundary = regroup_perturbations(self)
+        chain = restricted_chain_model(self.frame, bulk, self.beta)
+        return KitaevReduction(self, chain, tuple(bulk), tuple(boundary))
 
 
 def perturbation_matrix(alg: FermionAlgebra, terms) -> sparse.csr_matrix:
@@ -335,11 +335,6 @@ def doubling_check_terms(frame: FermionFrame, bulk, beta: float, tol: float = 1e
     return True
 
 
-def doubling_check(model: KitaevModel, tol: float = 1e-9) -> bool:
-    bulk, _ = regroup_perturbations(model)
-    return doubling_check_terms(model.frame, bulk, model.beta, tol)
-
-
 def boundary_gap_check(model: KitaevModel) -> tuple[float, float]:
     """Ground-pair splitting and the gap above it for the full Hamiltonian.
 
@@ -355,27 +350,32 @@ def boundary_gap_check(model: KitaevModel) -> tuple[float, float]:
     return float(evals[1] - evals[0]), float(evals[2] - evals[1])
 
 
-def random_bulk_perturbation(N: int, seed: int = 0, site: int | None = None):
-    """Random even Hermitian nearest-neighbor term on interior sites.
+@dataclass(frozen=True, eq=False)
+class KitaevReduction:
+    """A Kitaev model reduced to its restricted chain, with the bulk and
+    boundary terms that the per-coupling checks read."""
 
-    Returns (support interval, sparse matrix) suitable for KitaevModel.
-    """
-    rng = np.random.default_rng(seed)
-    if site is None:
-        site = int(rng.integers(2, N - 2)) if N > 4 else 2
-    if not (2 <= site and site + 1 <= N - 1):
-        raise ValidationError(f"interior nearest-neighbor site {site} invalid for N={N}")
-    alg = fermion_algebra(N)
-    i, ip = site, site + 1
-    n_i = alg.cdag(i) @ alg.c[i - 1]
-    n_ip = alg.cdag(ip) @ alg.c[ip - 1]
-    hop = alg.cdag(i) @ alg.c[ip - 1]
-    pair = alg.c[i - 1] @ alg.c[ip - 1]
-    basis = [
-        n_i, n_ip, n_i @ n_ip,
-        hop + hop.conj().T, 1j * (hop - hop.conj().T),
-        pair + pair.conj().T, 1j * (pair - pair.conj().T),
-    ]
-    coeffs = rng.normal(size=len(basis))
-    mat = sum(c * b for c, b in zip(coeffs, basis))
-    return Interval(1, site), sparse.csr_matrix(mat)
+    model: KitaevModel
+    chain: ChainModel
+    bulk: tuple
+    boundary: tuple
+
+    def at(self, beta=None) -> tuple[ChainModel, dict]:
+        """The validated restricted chain at coupling ``beta`` (None: the
+        file's), and the report's ``kitaev`` block at that coupling."""
+        beta = self.model.beta if beta is None else float(beta)
+        scale = self.chain.seed_info["norm_scale"]
+        chain = replace(self.chain, t=beta * scale,
+                        seed_info={**self.chain.seed_info, "beta": beta})
+        validate_chain_model(chain)
+        block = {
+            "N_fermion": self.model.N, "beta": beta,
+            "bulk_terms": len(self.bulk), "boundary_terms": len(self.boundary),
+            "norm_scale": scale,
+            "doubling_ok": doubling_check_terms(self.model.frame, self.bulk, beta),
+        }
+        if self.boundary:
+            splitting, gap_above = boundary_gap_check(replace(self.model, beta=beta))
+            block["boundary_splitting"] = splitting
+            block["boundary_gap_above_pair"] = gap_above
+        return chain, block

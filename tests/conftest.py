@@ -1,10 +1,13 @@
 import json
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from lieschwinger import build_chain_model, random_chain_model
+from lieschwinger import kitaev as kit
+from lieschwinger.errors import ValidationError
 from lieschwinger.intervals import Interval
 from lieschwinger.operators import op_norm
 
@@ -190,6 +193,45 @@ def anchor_model(t=0.1):
         N=2, M=2, onsite=np.diag([0.0, 1.0]),
         interactions={Interval(1, 1): np.kron(SX, SX)}, t=t,
     )
+
+
+def kitaev_spectrum_expected(N: int) -> np.ndarray:
+    """{-(N-1) + 2m} with multiplicity 2 C(N-1, m): number operators plus doubling."""
+    return np.sort(np.array(
+        [-(N - 1) + 2 * m for m in range(N) for _ in range(2 * comb(N - 1, m))],
+        dtype=float,
+    ))
+
+
+def doubling_check(model: kit.KitaevModel, tol: float = 1e-9) -> bool:
+    bulk, _ = kit.regroup_perturbations(model)
+    return kit.doubling_check_terms(model.frame, bulk, model.beta, tol)
+
+
+def random_bulk_perturbation(N: int, seed: int = 0, site: int | None = None):
+    """Random even Hermitian nearest-neighbor term on interior sites.
+
+    Returns (support interval, sparse matrix) suitable for KitaevModel.
+    """
+    rng = np.random.default_rng(seed)
+    if site is None:
+        site = int(rng.integers(2, N - 2)) if N > 4 else 2
+    if not (2 <= site and site + 1 <= N - 1):
+        raise ValidationError(f"interior nearest-neighbor site {site} invalid for N={N}")
+    alg = kit.fermion_algebra(N)
+    i, ip = site, site + 1
+    n_i = alg.cdag(i) @ alg.c[i - 1]
+    n_ip = alg.cdag(ip) @ alg.c[ip - 1]
+    hop = alg.cdag(i) @ alg.c[ip - 1]
+    pair = alg.c[i - 1] @ alg.c[ip - 1]
+    basis = [
+        n_i, n_ip, n_i @ n_ip,
+        hop + hop.conj().T, 1j * (hop - hop.conj().T),
+        pair + pair.conj().T, 1j * (pair - pair.conj().T),
+    ]
+    coeffs = rng.normal(size=len(basis))
+    mat = sum(c * b for c, b in zip(coeffs, basis))
+    return Interval(1, site), sparse.csr_matrix(mat)
 
 
 @pytest.fixture

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import anchor_model, dense_generator
+from conftest import (anchor_model, dense_generator, doubling_check, kitaev_spectrum_expected,
+                      random_bulk_perturbation)
 from lieschwinger import kitaev as kit
 from lieschwinger.certify import (
     GapReport,
@@ -132,7 +133,7 @@ def test_ac5_per_step_gaps(suite):
     for (N, seed, t), r in runs.items():
         if t != 1e-3:
             continue
-        for _, gap in r.report.per_step_gaps:
+        for gap in (d.gap for d in r.state.diagnostics):
             steps += 1
             worst = min(worst, gap)
             assert gap >= 0.5
@@ -208,7 +209,7 @@ def test_ac8_kitaev():
     # sweet-spot spectra with doubled binomial multiplicities
     for N in range(2, 9):
         ev = np.linalg.eigvalsh(kit.fermion_frame(N).H0)
-        assert np.max(np.abs(ev - kit.kitaev_spectrum_expected(N))) <= 1e-9
+        assert np.max(np.abs(ev - kitaev_spectrum_expected(N))) <= 1e-9
 
     # algebra identities
     from test_kitaev import car_defect
@@ -227,10 +228,10 @@ def test_ac8_kitaev():
     beta = 0.01
     gaps = []
     for N in (5, 6):
-        perts = [kit.random_bulk_perturbation(N, seed=N * 10 + i, site=2 + i)
+        perts = [random_bulk_perturbation(N, seed=N * 10 + i, site=2 + i)
                  for i in range(2)]
         model = kit.build_kitaev_model(kit.fermion_frame(N), beta, perts)
-        assert kit.doubling_check(model)
+        assert doubling_check(model)
         bulk, _ = kit.regroup_perturbations(model)
         chain = kit.restricted_chain_model(model.frame, bulk, beta)
         report = certify(sweep(chain), chain)

@@ -61,9 +61,10 @@ class TestCertify:
     def test_small_t_gap_at_least_half(self):
         for seed in range(3):
             model = random_chain_model(4, 1e-3, seed=seed)
-            report = certify(sweep(model), model)
+            state = sweep(model)
+            report = certify(state, model)
             assert report.gap >= 0.5
-            assert all(g >= 0.5 for _, g in report.per_step_gaps)
+            assert all(d.gap >= 0.5 for d in state.diagnostics)
 
 
 class TestMajorant:

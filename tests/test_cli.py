@@ -297,6 +297,10 @@ def _kitaev_file(tmp_path, N=5, supports=((3, 3),), beta=0.01, coeff=0.5, **fiel
     return path
 
 
+class _ArrayMemoryError(MemoryError):
+    """Like numpy's own: a private MemoryError subclass with a message."""
+
+
 class TestBadInputs:
     """Every bad value ends in exit 2 with a parseable report, never a traceback."""
 
@@ -394,6 +398,28 @@ class TestBadInputs:
         assert report["status"] == "failed"
         assert report["error"]["type"] == error_type
         assert "2**20000" in report["error"]["message"]
+
+    @pytest.mark.parametrize("target,make_config,error,message", [
+        pytest.param("lieschwinger.estimator.sweep", lambda p: CONFIGS / "anchor_n2.json",
+                     _ArrayMemoryError("Unable to allocate 8.00 GiB"),
+                     "Unable to allocate 8.00 GiB", id="fit"),
+        pytest.param("lieschwinger.kitaev.fermion_frame", _kitaev_file, MemoryError(),
+                     "out of memory", id="kitaev-load"),
+    ])
+    def test_memory_error_exits_two_with_report(self, tmp_path, monkeypatch, target,
+                                                make_config, error, message):
+        # a model the host cannot hold is rejected as one past the dense guard is
+        def out_of_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(target, out_of_memory)
+        out = tmp_path / "report.json"
+        assert main(["--config", str(make_config(tmp_path)), "--report", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert report["status"] == "failed"
+        assert report["error"] == {"type": "MemoryError", "message": message,
+                                   "step": None, "exit_code": 2}
+        assert report["steps"] == [] and report["gap_report"] is None
 
     @pytest.mark.parametrize("make_target", [
         pytest.param(lambda p: p / "missing" / "r.json", id="missing-directory"),

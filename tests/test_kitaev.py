@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from conftest import doubling_check, kitaev_spectrum_expected, random_bulk_perturbation
 from lieschwinger import kitaev as kit
-from lieschwinger.cli import _reduce, load_model
+from lieschwinger.cli import load_model
 from lieschwinger.errors import ValidationError
 from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.intervals import Interval, iter_steps
@@ -72,12 +73,12 @@ class TestSweetSpotHamiltonian:
 
     def test_four_sites_multiplicities(self):
         ev = np.linalg.eigvalsh(kit.fermion_frame(4).H0)
-        np.testing.assert_allclose(ev, kit.kitaev_spectrum_expected(4), atol=1e-12)
+        np.testing.assert_allclose(ev, kitaev_spectrum_expected(4), atol=1e-12)
 
     @pytest.mark.parametrize("N", range(2, 9))
     def test_spectrum_matches_doubled_binomials(self, N):
         ev = np.linalg.eigvalsh(kit.fermion_frame(N).H0)
-        np.testing.assert_allclose(ev, kit.kitaev_spectrum_expected(N), atol=1e-9)
+        np.testing.assert_allclose(ev, kitaev_spectrum_expected(N), atol=1e-9)
 
     def test_quadratic_form_agrees_at_sweet_spot(self):
         # oracle: the hopping+pairing Hamiltonian assembled from fermion
@@ -116,7 +117,7 @@ class TestRegrouping:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_bulk_commutes_with_zero_mode(self, seed):
         N = 6
-        iv, mat = kit.random_bulk_perturbation(N, seed=seed)
+        iv, mat = random_bulk_perturbation(N, seed=seed)
         model = kit.build_kitaev_model(kit.fermion_frame(N), 0.01, [(iv, mat)])
         bulk, boundary = kit.regroup_perturbations(model)
         assert boundary == []
@@ -147,7 +148,7 @@ class TestRestriction:
     def test_stored_potentials_exactly_hermitian_through_the_sweep(self):
         # the restricted interactions are symmetrized once, at reduction, so
         # no potential carries an anti-Hermitian rounding part between steps
-        chain, _ = _reduce(load_model(CONFIGS / "kitaev_n6.json"))
+        chain = load_model(CONFIGS / "kitaev_n6.json").reduce().chain
         state = initial_state(chain)
         for X in state.potentials.values():
             assert np.array_equal(X.matrix, X.matrix.conj().T)
@@ -158,7 +159,7 @@ class TestRestriction:
 
     def test_unperturbed_spectrum_binomial(self):
         N = 5
-        iv, mat = kit.random_bulk_perturbation(N, seed=1)
+        iv, mat = random_bulk_perturbation(N, seed=1)
         model = kit.build_kitaev_model(kit.fermion_frame(N), beta=0.0, perturbations=[(iv, mat)])
         bulk, _ = kit.regroup_perturbations(model)
         chain = kit.restricted_chain_model(model.frame, bulk, beta=0.0)
@@ -169,7 +170,7 @@ class TestRestriction:
 
     def test_unperturbed_ground_and_gap(self):
         N = 4
-        iv, mat = kit.random_bulk_perturbation(N, seed=2)
+        iv, mat = random_bulk_perturbation(N, seed=2)
         frame = kit.fermion_frame(N)
         bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, 0.0, [(iv, mat)]))
         chain = kit.restricted_chain_model(frame, bulk, beta=0.0)
@@ -182,7 +183,7 @@ class TestRestriction:
         # sector and compare spectra
         N = 5
         beta = 0.01
-        iv, mat = kit.random_bulk_perturbation(N, seed=3)
+        iv, mat = random_bulk_perturbation(N, seed=3)
         frame = kit.fermion_frame(N)
         bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, beta, [(iv, mat)]))
         chain = kit.restricted_chain_model(frame, bulk, beta)
@@ -195,7 +196,7 @@ class TestRestriction:
 
     def test_interaction_norms_at_most_one(self):
         N = 6
-        perts = [kit.random_bulk_perturbation(N, seed=s, site=s + 2) for s in range(2)]
+        perts = [random_bulk_perturbation(N, seed=s, site=s + 2) for s in range(2)]
         frame = kit.fermion_frame(N)
         bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, 0.02, perts))
         chain = kit.restricted_chain_model(frame, bulk, beta=0.02)
@@ -205,7 +206,7 @@ class TestRestriction:
     def test_certified_gap_with_perturbation(self):
         N = 5
         beta = 0.01
-        iv, mat = kit.random_bulk_perturbation(N, seed=4)
+        iv, mat = random_bulk_perturbation(N, seed=4)
         frame = kit.fermion_frame(N)
         bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, beta, [(iv, mat)]))
         chain = kit.restricted_chain_model(frame, bulk, beta)
@@ -218,14 +219,14 @@ class TestRestriction:
 class TestDoubling:
     def test_unperturbed(self):
         model = kit.build_kitaev_model(kit.fermion_frame(3), beta=0.0, perturbations=[])
-        assert kit.doubling_check(model)
+        assert doubling_check(model)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_bulk_perturbation(self, seed):
         N = 4
-        iv, mat = kit.random_bulk_perturbation(N, seed=seed)
+        iv, mat = random_bulk_perturbation(N, seed=seed)
         model = kit.build_kitaev_model(kit.fermion_frame(N), beta=0.01, perturbations=[(iv, mat)])
-        assert kit.doubling_check(model)
+        assert doubling_check(model)
 
     def test_zero_mode_term_breaks_doubling(self):
         # negative control: inject a term built from the zero mode directly
@@ -237,7 +238,7 @@ class TestDoubling:
     def test_full_spectrum_ground_degeneracy_two(self):
         from lieschwinger.oracle import degeneracy_of_spectrum
         N = 5
-        iv, mat = kit.random_bulk_perturbation(N, seed=8)
+        iv, mat = random_bulk_perturbation(N, seed=8)
         frame = kit.fermion_frame(N)
         bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, 0.01, [(iv, mat)]))
         H = kit.perturbed_full_hamiltonian(frame, bulk, 0.01)
@@ -254,7 +255,7 @@ class TestBoundary:
         edge = alg.cdag(1) @ alg.c[0] + alg.cdag(N) @ alg.c[N - 1]
         hop = alg.cdag(1) @ alg.c[N - 1]
         perts = [
-            kit.random_bulk_perturbation(N, seed=9),
+            random_bulk_perturbation(N, seed=9),
             (Interval(N - 1, 1), edge + hop + hop.conj().T),
         ]
         model = kit.build_kitaev_model(kit.fermion_frame(N), beta, perts)
@@ -267,7 +268,7 @@ class TestBoundary:
     def test_without_boundary_terms_pair_is_degenerate(self):
         N = 4
         model = kit.build_kitaev_model(
-            kit.fermion_frame(N), 0.01, [kit.random_bulk_perturbation(N, seed=10)]
+            kit.fermion_frame(N), 0.01, [random_bulk_perturbation(N, seed=10)]
         )
         splitting, gap_above = kit.boundary_gap_check(model)
         assert splitting <= 1e-9

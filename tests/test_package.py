@@ -22,15 +22,32 @@ def test_submodules_are_not_shadowed():
     assert isinstance(certify_module, types.ModuleType)
 
 
-def test_cli_import_leaves_out_scipy_linalg():
+def test_cli_import_leaves_out_scipy_linalg(tmp_path):
     # scipy.linalg adds about 8 MB of resident memory to every run; the
     # sweep's linear algebra is numpy only
+    from test_cli import _assert_report_matches
+
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     code = "import sys, lieschwinger.cli; print('scipy.linalg' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+    # only a Kitaev file loads kitaev, and with it scipy: a chain-file run
+    # with scipy unimportable writes the golden report
+    report = tmp_path / "report.json"
+    argv = ["--config", str(ROOT / "configs" / "anchor_n2.json"), "--report", str(report)]
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from lieschwinger.cli import main\n"
+            f"print(main({argv!r}), 'lieschwinger.kitaev' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "0 False"
+    fresh = json.loads(report.read_text())
+    del fresh["timings"]
+    golden = json.loads((ROOT / "tests" / "data" / "anchor_n2_report.json").read_text())
+    _assert_report_matches(fresh, golden)
 
 
 def _load_tracing():
