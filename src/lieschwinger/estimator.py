@@ -19,8 +19,9 @@ import numpy as np
 from .certify import certify
 from .errors import ValidationError
 from .model import ChainModel, validate_chain_model
+from .operators import dense_dim
 from .oracle import compare
-from .sweep import SeriesControls, check_dense_dim, sweep
+from .sweep import SeriesControls, sweep
 
 ORACLE_POLICIES = ("auto", "force", "off")
 
@@ -73,7 +74,7 @@ class BlockDiagonalizer:
         if self.oracle not in ORACLE_POLICIES:
             raise ValidationError(f"oracle policy {self.oracle!r} not in auto/force/off")
         validate_chain_model(model)
-        check_dense_dim(model)
+        dense_dim(model.M, model.N)
         self.model_ = model
         started = time.perf_counter()
         self.state_ = sweep(model, self.controls())

@@ -34,7 +34,7 @@ from scipy import sparse
 from .errors import RegroupError, ValidationError
 from .intervals import Interval
 from .model import ChainModel, build_chain_model, validate_chain_model
-from .operators import LocalOperator, dense_dim, embed, hermitian_defect
+from .operators import LocalOperator, dense_dim, embed, hermitian_defect, op_norm
 
 CAR_TOL = 1e-12
 
@@ -294,8 +294,7 @@ def restricted_chain_model(frame: FermionFrame, bulk, beta: float) -> ChainModel
         locals_[iv] = locals_.get(iv, 0) + loc
     # R^dag W R is Hermitian only to rounding; stored potentials must be exact
     locals_ = {iv: (m + m.conj().T) / 2 for iv, m in locals_.items()}
-    scale = max(float(np.max(np.abs(np.linalg.eigvalsh(m)))) for m in locals_.values())
-    scale = max(scale, 1.0)
+    scale = max(1.0, *(op_norm(m) for m in locals_.values()))
     interactions = {iv: m / scale for iv, m in locals_.items()}
     return build_chain_model(
         N=N - 1, M=2, onsite=np.diag([0.0, 2.0]).astype(complex),

@@ -129,7 +129,7 @@ def random_chain_model(N, t, M=2, kbar=1, seed=0) -> ChainModel:
             d = M ** (k + 1)
             A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             V = (A + A.conj().T) / 2
-            V = V / np.max(np.abs(np.linalg.eigvalsh(V)))
+            V = V / op_norm(V)
             interactions[Interval(k, q)] = V
     return build_chain_model(
         N, M, onsite, interactions, t, kbar,

@@ -43,8 +43,9 @@ G x and V x are frame columns.  ||(V)_j|| is the largest |eigenvalue| of
 R_F K R_F^dag for the QR factor R_F of F, exact for dependent or zero
 columns (G vac can equal E vac, and y_j can vanish), so no tolerance decides a
 rank; y_j = P+ R P+ F K F^dag vac.  No D x D matrix is formed per order:
-the dense work is G y_j, V y_j and R applied to one vector, and ||V|| at
-order one is the only dense norm.
+the dense work is G y_j, V y_j and R applied to one vector.  Order one
+takes ||V|| by eigvalsh only where the bounds ||V||_F above and
+max(||V vac||, ||V||_F / sqrt(D)) below leave the stop test open.
 
 Once the leak check has passed, G is block-diagonal and
 spec G = {E} u spec(excited block).  One eigvalsh per step, of G with its
@@ -79,7 +80,7 @@ potential, never as an embedded unitary:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
@@ -128,8 +129,6 @@ class StepDiagnostics:
     series_order: int
     od_residual: float
     s_norm: float
-    v_term_norms: tuple[float, ...] = ()
-    s_term_norms: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,10 +146,10 @@ class BlockDiagState:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Summed generator S = y vac^dag - vac y^dag, per-order term norms, and
-    the series terms: (V)_1 is the potential and, for j >= 2,
-    (V)_j = F K F^dag with K = v_coeffs[j-2] of size 3j and F the first 3j
-    columns of ``frame``."""
+    """Summed generator S = y vac^dag - vac y^dag, the term norms ||(V)_j||
+    from j = 2 on and ||y_j|| from j = 1 on, and the series terms: (V)_1 is
+    the potential and, for j >= 2, (V)_j = F K F^dag with K = v_coeffs[j-2]
+    of size 3j and F the first 3j columns of ``frame``."""
 
     y: np.ndarray
     vac: np.ndarray
@@ -257,9 +256,9 @@ def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray
     term still above the cutoff raises SeriesError, reporting that norm
     (inf where |t|^j overflows a float).  The table B[(p, m)] and every
     (V)_j with j >= 2 are coefficient matrices on the frame F of the module
-    docstring, so the dense work per order is three matrix-vector products
-    and ||V|| is the one dense norm.  G must have a positive gap above E
-    (``local_gap``).
+    docstring, so the dense work per order is three matrix-vector products,
+    and order one decides from bounds on ||V||.  G must have a positive gap
+    above E (``local_gap``).
     """
     vac = pair.vac
     R = np.linalg.inv(G - E * np.eye(G.shape[0]) + np.outer(vac, vac.conj()))
@@ -276,10 +275,19 @@ def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray
     F = np.stack([vac, G @ vac, V @ vac], axis=1)
     gram = F.conj().T @ F
     table = [np.zeros((1, 6, 2), dtype=complex)]
-    vac_rows, v_coeffs, v_norms = [], [], [op_norm(V)]
+    vac_rows, v_coeffs, v_norms = [], [], []
     y_terms = [resolved(F[:, 2])]
     order = 1
-    while order < controls.jmax and _term_norm(t, order, v_norms[-1]) >= controls.tol_series:
+    # ||V|| lies between max(||V vac||, ||V||_F / sqrt(D)) and ||V||_F, and is
+    # taken itself only where these leave the order-one stop test open, or
+    # at jmax = 1, where the SeriesError below reports the term
+    frobenius = vector_norm(V.ravel())
+    last = _term_norm(t, 1, frobenius)
+    if last >= controls.tol_series:
+        last = _term_norm(t, 1, max(vector_norm(F[:, 2]), frobenius / sqrt(G.shape[0])))
+        if last < controls.tol_series or controls.jmax == 1:
+            last = _term_norm(t, 1, op_norm(V))
+    while order < controls.jmax and last >= controls.tol_series:
         j = order + 1
         n = 3 * j
         x = y_terms[-1]
@@ -315,8 +323,8 @@ def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray
         y_terms.append(resolved(F @ (K @ gram[:, 0])))
         v_coeffs.append(K)
         order = j
+        last = _term_norm(t, order, v_norms[-1])
 
-    last = _term_norm(t, order, v_norms[-1])
     if last >= controls.tol_series:
         raise SeriesError(
             f"series did not converge by order {order}: last term norm {last:.3e}",
@@ -411,8 +419,7 @@ def advance(state: BlockDiagState, model: ChainModel,
     if s_norm == 0.0:
         # Zero generator (t = 0, zero potential, or already block-diagonal):
         # every conjugation is the identity and the map is reused as is.
-        diag = StepDiagnostics(step, E, gap, series.order, _offdiag_norm(V, pair),
-                               0.0, series.v_term_norms, series.s_term_norms)
+        diag = StepDiagnostics(step, E, gap, series.order, _offdiag_norm(V, pair), 0.0)
         return BlockDiagState(step, state.potentials, state.diagnostics + (diag,))
 
     V_new, residual = diagonalized_potential(G.matrix, V, series.y, model.t, pair,
@@ -442,8 +449,7 @@ def advance(state: BlockDiagState, model: ChainModel,
             new_pots[J] = LocalOperator(J, conjugate_by_unitary(
                 V_J, W, C, model.M ** (I.q - J.q), rows=rows))
 
-    diag = StepDiagnostics(step, E, gap, series.order, residual, s_norm,
-                           series.v_term_norms, series.s_term_norms)
+    diag = StepDiagnostics(step, E, gap, series.order, residual, s_norm)
     return BlockDiagState(step, new_pots, state.diagnostics + (diag,))
 
 
@@ -463,17 +469,9 @@ def sweep(model: ChainModel, controls: SeriesControls = SeriesControls()) -> Blo
     return state
 
 
-def check_dense_dim(model: ChainModel) -> int:
-    """Full-space dimension M**N; DimensionError if it exceeds DENSE_GUARD.
-
-    Certification assembles the full chain, and the sweep's last steps
-    reach that dimension, so a run checks this before any work."""
-    return dense_dim(model.M, model.N)
-
-
 def assemble_full(state: BlockDiagState, model: ChainModel) -> np.ndarray:
     """Embed on-site terms and every stored potential into the full chain."""
-    dim = check_dense_dim(model)
+    dim = dense_dim(model.M, model.N)
     chain = Interval(model.N - 1, 1)
     K = model.energy_offset * np.eye(dim, dtype=complex)
     for site in range(1, model.N + 1):

@@ -16,7 +16,7 @@ from lieschwinger.certify import (
 from lieschwinger.errors import ValidationError
 from lieschwinger.intervals import Interval
 from lieschwinger.model import build_chain_model, random_chain_model
-from lieschwinger.operators import build_projectors
+from lieschwinger.operators import build_projectors, op_norm
 from lieschwinger.sweep import SeriesControls, advance, generator_series, initial_state, local_hamiltonian, sweep
 
 
@@ -127,10 +127,11 @@ class TestMajorant:
         I = Interval(1, 1)
         pair = build_projectors(I, model.omega)
         G = local_hamiltonian(state, model, pair)
-        res = generator_series(G.matrix, 0.0, pair, state.potentials[I].matrix,
-                               model.t, SeriesControls())
-        params = solve_majorant(res.v_term_norms[0], jmax=len(res.v_term_norms))
-        assert check_series_majorant(res.v_term_norms, params)
+        V = state.potentials[I].matrix
+        res = generator_series(G.matrix, 0.0, pair, V, model.t, SeriesControls())
+        norms = (op_norm(V),) + res.v_term_norms
+        params = solve_majorant(norms[0], jmax=len(norms))
+        assert check_series_majorant(norms, params)
 
     def test_detects_violation(self):
         params = solve_majorant(1.0, jmax=5)

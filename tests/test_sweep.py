@@ -85,18 +85,20 @@ def gapped_local_problem(M, k, seed, E):
     return pair, G, random_hermitian(rng, G.shape[0], norm=1.0)
 
 
-def assert_matches_reference(reference, G, E, pair, V, t):
+def assert_matches_reference(reference, G, E, pair, V, t, controls=SeriesControls()):
     """generator_series against a dense reference series: order, y, every
-    (V)_j formed from the frame, and both norm lists to 1e-13."""
-    res = generator_series(G, E, pair, V, t, SeriesControls())
-    order, y, v_terms, v_norms, s_norms = reference(G, E, pair, V, t, SeriesControls())
+    (V)_j formed from the frame, and both norm lists to 1e-13.  The
+    reference takes ||V|| exactly at order one, where generator_series
+    bounds it, so the orders agreeing checks the order-one stop test."""
+    res = generator_series(G, E, pair, V, t, controls)
+    order, y, v_terms, v_norms, s_norms = reference(G, E, pair, V, t, controls)
     assert res.order == order
     assert np.max(np.abs(res.y - y)) <= 1e-13
     terms = series_terms(res, V)
     assert len(terms) == len(v_terms)
     for X, ref in zip(terms, v_terms):
         assert np.max(np.abs(X - ref)) <= 1e-13
-    np.testing.assert_allclose(res.v_term_norms, v_norms, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(res.v_term_norms, v_norms[1:], rtol=0, atol=1e-13)
     np.testing.assert_allclose(res.s_term_norms, s_norms, rtol=0, atol=1e-13)
     return res
 
@@ -218,7 +220,8 @@ class TestGeneratorSeries:
         # and ||S_j|| = 1/2, 0, 1/6 independent of the coupling
         model, state, I, G, pair, V = anchor_pieces(t=0.1)
         res = generator_series(G.matrix, 0.0, pair, V, model.t, SeriesControls())
-        np.testing.assert_allclose(res.v_term_norms[:3], [1.0, 0.5, 1.0 / 3.0], atol=1e-12)
+        assert op_norm(V) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(res.v_term_norms[:2], [0.5, 1.0 / 3.0], atol=1e-12)
         np.testing.assert_allclose(res.s_term_norms[:3], [0.5, 0.0, 1.0 / 6.0], atol=1e-12)
 
     def test_anchor_generator_closed_form(self):
@@ -236,7 +239,7 @@ class TestGeneratorSeries:
         # ||S_j|| <= 2 ||(V)_j|| / gap, and gap = 1 here
         model, state, I, G, pair, V = anchor_pieces(t=0.01)
         res = generator_series(G.matrix, 0.0, pair, V, model.t, SeriesControls())
-        for vn, sn in zip(res.v_term_norms, res.s_term_norms):
+        for vn, sn in zip((op_norm(V),) + res.v_term_norms, res.s_term_norms):
             assert sn <= 2.0 * vn + 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -278,21 +281,64 @@ class TestGeneratorSeries:
         pair, G, V = gapped_local_problem(M, k, seed, E)
         assert_matches_reference(one_table_generator_series, G, E, pair, V, t)
 
-    @pytest.mark.parametrize("case", ["anchor", "block-diagonal", "basis-vacuum"])
+    @pytest.mark.parametrize("case", ["anchor", "block-diagonal", "basis-vacuum", "band-above",
+                                      "band-below", "below-cutoff", "jmax-1"])
     def test_matches_one_table_reference_fixed_cases(self, case, rng):
         # the anchor has y_2 = 0 exactly, a block-diagonal V gives y = 0, and
         # a basis-vector vacuum makes G vac = E vac exactly: each leaves zero
-        # or exactly dependent frame columns
+        # or exactly dependent frame columns.  The other cases probe the
+        # order-one stop test, which bounds ||V|| by ||V||_F from above and
+        # by max(||V vac||, ||V||_F / 2) from below at D = 4
         model, state, I, G, pair, V = anchor_pieces(0.05)
+        t, controls = 0.05, SeriesControls()
         if case == "block-diagonal":
             V = np.diag(rng.normal(size=4)).astype(complex)
         elif case == "basis-vacuum":
             V = random_hermitian(rng, 4, norm=1.0)
-        res = assert_matches_reference(one_table_generator_series, G.matrix, 0.0, pair, V, 0.05)
+        elif case.startswith("band"):
+            # V vac = 0 and ||V||_F = 1 leave |t| ||V|| in [0.75e-14, 1.5e-14],
+            # across the cutoff 1e-14: ||V|| = 1/sqrt(2) is above it and
+            # 1/sqrt(3) below, so only the exact norm decides
+            V = np.zeros((4, 4), dtype=complex)
+            if case == "band-above":
+                V[1, 2] = V[2, 1] = 1 / np.sqrt(2)
+            else:
+                V[1:, 1:] = np.eye(3) / np.sqrt(3)
+            t = 1.5e-14
+        elif case == "below-cutoff":
+            t = 1e-15  # |t| ||V||_F = 2e-15
+        elif case == "jmax-1":
+            # ||V vac|| and ||V||_F / 2 fall short of ||V|| for this V, so the
+            # reported term is the exact one
+            V = random_hermitian(rng, 4, norm=1.0)
+            controls = SeriesControls(jmax=1)
+            with pytest.raises(SeriesError) as info:
+                generator_series(G.matrix, 0.0, pair, V, t, controls)
+            assert info.value.last_term_norm == abs(t) * op_norm(V)
+            t = 1e-15  # below the cutoff the same controls converge at order one
+        res = assert_matches_reference(one_table_generator_series, G.matrix, 0.0, pair, V, t,
+                                       controls)
         if case == "anchor":
             assert res.s_term_norms[1] == 0.0
         elif case == "block-diagonal":
             assert not np.any(res.y)
+        elif case == "band-above":
+            assert res.order == 2
+        elif case in ("band-below", "below-cutoff", "jmax-1"):
+            assert res.order == 1
+
+    @pytest.mark.parametrize("M, kbar, N, t", [(2, 1, 6, 0.01), (3, 2, 4, 0.05)])
+    def test_sweep_takes_no_dense_norm(self, monkeypatch, M, kbar, N, t):
+        # on transport-like and series-like chains the bounds settle every
+        # order-one stop test, so the sweep never calls op_norm
+        def forbidden(*args, **kwargs):
+            raise AssertionError("op_norm called in the sweep")
+
+        monkeypatch.setattr("lieschwinger.sweep.op_norm", forbidden)
+        model = random_chain_model(N, t, M=M, kbar=kbar, seed=0)
+        state = sweep(model)
+        assert len(state.diagnostics) == sum(1 for _ in iter_steps(N))
+        assert max(d.series_order for d in state.diagnostics) >= 2
 
     def test_overflowing_powers_of_the_coupling(self, rng):
         # |t|^j overflows a float from j = 2 on: a block-diagonal potential
