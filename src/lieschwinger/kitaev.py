@@ -19,6 +19,14 @@ diag(0, 2).
 A model file is reduced once, on one ``FermionFrame``, by
 ``KitaevModel.reduce``; ``KitaevReduction.at(beta)`` then only rescales the
 restricted chain's t and reruns the doubling and boundary spectral checks.
+
+Every operator here is even, so it commutes with the fermion parity,
+which is diagonal in the occupation basis (``parity_sectors``).  Operators
+stay sparse on the 2^N space, and each dense eigensolve on it runs on the
+two 2^(N-1) parity blocks instead (``sector_spectrum`` and the mode vacuum
+in ``zero_sector_basis``); the blocks are taken only after checking that
+no entry crosses parity, and ``build_kitaev_model`` stores perturbations
+exactly even so that this check holds for every Hamiltonian of a model.
 This is the one module that uses scipy, and the command line imports it
 only for a Kitaev file.
 """
@@ -34,7 +42,7 @@ from scipy import sparse
 from .errors import RegroupError, ValidationError
 from .intervals import Interval
 from .model import ChainModel, build_chain_model, validate_chain_model
-from .operators import LocalOperator, dense_dim, embed, hermitian_defect, op_norm
+from .operators import LocalOperator, dense_dim, embed, op_norm
 
 CAR_TOL = 1e-12
 
@@ -99,15 +107,47 @@ def d_mode_algebra(alg: FermionAlgebra) -> DModeAlgebra:
     return DModeAlgebra(d, tuple(m.conj().T.tocsr() for m in d))
 
 
-def parity_operator(alg: FermionAlgebra):
-    P = sparse.identity(alg.dim, dtype=complex, format="csr")
-    for j in range(1, alg.N + 1):
-        nj = alg.cdag(j) @ alg.c[j - 1]
-        P = P @ (sparse.identity(alg.dim, dtype=complex, format="csr") - 2 * nj)
-    return P.tocsr()
+def _odd_parity(N: int) -> np.ndarray:
+    """True at the occupation-basis indices with an odd number of fermions."""
+    idx = np.arange(2 ** N)
+    odd = np.zeros(2 ** N, dtype=bool)
+    for j in range(N):
+        odd ^= (idx >> j) & 1 == 1
+    return odd
 
 
-def kitaev_hamiltonian(alg: FermionAlgebra, dmodes: DModeAlgebra) -> np.ndarray:
+def parity_sectors(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd occupation-basis indices: the fermion parity
+    prod_j (1 - 2 n_j) is diagonal there, with sign (-1)^popcount."""
+    odd = _odd_parity(N)
+    return np.flatnonzero(~odd), np.flatnonzero(odd)
+
+
+def _cross_parity(mat) -> tuple[sparse.coo_matrix, np.ndarray]:
+    """``mat`` as COO and the mask of its stored entries that change the parity."""
+    coo = sparse.coo_matrix(mat)
+    odd = _odd_parity(coo.shape[0].bit_length() - 1)
+    return coo, odd[coo.row] != odd[coo.col]
+
+
+def _parity_blocks(H) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(indices, dense diagonal block) of the even and the odd sector of an
+    even operator, dense or sparse; any nonzero entry across the two sectors
+    raises ValidationError, so the blocks carry the whole operator."""
+    coo, cross = _cross_parity(H)
+    if np.any(coo.data[cross] != 0):
+        raise ValidationError("operator is not even: it has entries across fermion parity")
+    H = coo.tocsr()
+    return [(idx, H[idx][:, idx].toarray()) for idx in parity_sectors(H.shape[0].bit_length() - 1)]
+
+
+def sector_spectrum(H) -> np.ndarray:
+    """Ascending spectrum of an even fermion-space operator, from one
+    ``eigvalsh`` per parity block of dimension 2^(N-1)."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(block) for _, block in _parity_blocks(H)]))
+
+
+def kitaev_hamiltonian(alg: FermionAlgebra, dmodes: DModeAlgebra) -> sparse.csr_matrix:
     """Sweet-spot Hamiltonian; the Majorana and number-operator forms must agree."""
     gA, gB = majoranas(alg)
     N, dim = alg.N, alg.dim
@@ -117,10 +157,10 @@ def kitaev_hamiltonian(alg: FermionAlgebra, dmodes: DModeAlgebra) -> np.ndarray:
         H_gamma = H_gamma - 1j * (gB[j - 1] @ gA[j])
         H_modes = H_modes + 2 * (dmodes.ddag(j) @ dmodes.d[j]) \
             - sparse.identity(dim, dtype=complex, format="csr")
-    mismatch = abs((H_gamma - H_modes).toarray()).max()
+    mismatch = abs(H_gamma - H_modes).max()
     if mismatch > CAR_TOL:
         raise ValidationError(f"Majorana and mode forms disagree by {mismatch:.3e}")
-    return H_gamma.toarray()
+    return H_gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +171,7 @@ class FermionFrame:
     alg: FermionAlgebra
     modes: DModeAlgebra
     R: np.ndarray
-    H0: np.ndarray
+    H0: sparse.csr_matrix
 
 
 def fermion_frame(N: int) -> FermionFrame:
@@ -185,8 +225,13 @@ def perturbation_matrix(alg: FermionAlgebra, terms) -> sparse.csr_matrix:
 def build_kitaev_model(frame: FermionFrame, beta, perturbations, mu=0.0, tau=1.0,
                        delta=1.0) -> KitaevModel:
     """Validate supports, finiteness, Hermiticity, and parity-evenness of each
-    perturbation.
+    perturbation, all on the sparse matrices.
 
+    A perturbation is checked as given and then stored exactly even: its
+    entries across fermion parity, all within the evenness tolerance, are
+    dropped, as ``build_chain_model`` stores interactions exactly Hermitian.
+    So every Hamiltonian formed from the model splits into its two parity
+    blocks.
     ``frame.H0`` is the sweet-spot Hamiltonian with mu = 0 and
     tau = delta = 1, so any other mu, tau or delta is rejected.
     """
@@ -195,7 +240,6 @@ def build_kitaev_model(frame: FermionFrame, beta, perturbations, mu=0.0, tau=1.0
             f"only the sweet spot mu=0, tau=delta=1 is supported, got mu={mu}, "
             f"tau={tau}, delta={delta}")
     N = frame.alg.N
-    P = parity_operator(frame.alg)
     checked = []
     for iv, mat in perturbations:
         iv = Interval(*iv)
@@ -204,12 +248,15 @@ def build_kitaev_model(frame: FermionFrame, beta, perturbations, mu=0.0, tau=1.0
         mat = sparse.csr_matrix(mat)
         if not np.all(np.isfinite(mat.data)):
             raise ValidationError(f"perturbation on {iv}: coefficients must be finite")
-        dense_defect = hermitian_defect(mat.toarray())
-        if dense_defect > 1e-9:
-            raise ValidationError(f"perturbation on {iv} is not Hermitian ({dense_defect:.3e})")
-        odd = abs((P @ mat - mat @ P).toarray()).max()
-        if odd > 1e-9:
+        defect = abs(mat - mat.conj().T).max()
+        if defect > 1e-9:
+            raise ValidationError(f"perturbation on {iv} is not Hermitian ({defect:.3e})")
+        coo, cross = _cross_parity(mat)
+        # the largest entry of [P, mat] for the parity P: twice the largest across parity
+        if 2 * np.max(np.abs(coo.data[cross]), initial=0.0) > 1e-9:
             raise ValidationError(f"perturbation on {iv} is not even in fermion operators")
+        keep = ~cross
+        mat = sparse.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape)
         checked.append((iv, mat))
     return KitaevModel(frame, float(beta), tuple(checked))
 
@@ -226,8 +273,8 @@ def regroup_perturbations(model: KitaevModel):
     bulk, boundary = [], []
     for iv, mat in model.perturbations:
         if iv.q >= 2 and iv.last <= model.N - 1:
-            comm = abs((mat @ d0 - d0 @ mat).toarray()).max()
-            if comm > CAR_TOL * max(1.0, abs(mat.toarray()).max()):
+            comm = abs(mat @ d0 - d0 @ mat).max()
+            if comm > CAR_TOL * max(1.0, abs(mat).max()):
                 raise RegroupError(
                     f"bulk perturbation on {iv} fails the zero-mode commutation check "
                     f"({comm:.3e})"
@@ -241,19 +288,28 @@ def regroup_perturbations(model: KitaevModel):
 def zero_sector_basis(dmodes: DModeAlgebra) -> np.ndarray:
     """Orthonormal columns spanning the d_0-vacuum sector.
 
-    The mode vacuum is the unique state annihilated by every d_j,
-    phase-fixed.  Column index encodes occupations (n_1..n_{N-1}) with mode
+    The mode vacuum is the unique state annihilated by every d_j: the ground
+    state of sum_j d^dag_j d_j, which is even and is diagonalized on its two
+    parity blocks, so the vacuum and every column lie in one parity sector
+    and are exactly zero outside it.  Its phase makes the first entry of at
+    least half the largest magnitude real and positive (the vacuum's entries
+    tie in magnitude, so the largest alone would leave the phase to
+    rounding).  Column index encodes occupations (n_1..n_{N-1}) with mode
     1 as the most significant bit; creation operators are applied highest
     mode first, so the basis state reads ddag_1^{n_1} ... ddag_{N-1}^{n_{N-1}} vacuum.
     """
     N = len(dmodes.d)
     total = sum((dmodes.ddag(j) @ dmodes.d[j] for j in range(N)),
                 sparse.csr_matrix((2 ** N,) * 2, dtype=complex))
-    evals, evecs = np.linalg.eigh(total.toarray())
+    sectors = [(idx,) + tuple(np.linalg.eigh(block)) for idx, block in _parity_blocks(total)]
+    evals = np.sort(np.concatenate([w for _, w, _ in sectors]))
     if evals[0] > 1e-10 or evals[1] < 0.9:
         raise ValidationError("mode vacuum is not isolated")
-    pivot = evecs[int(np.argmax(np.abs(evecs[:, 0]))), 0]
-    vac = evecs[:, 0] * (pivot.conjugate() / abs(pivot))
+    idx, _, evecs = min(sectors, key=lambda sector: sector[1][0])
+    vac = np.zeros(2 ** N, dtype=complex)
+    vac[idx] = evecs[:, 0]
+    pivot = vac[np.flatnonzero(np.abs(vac) >= 0.5 * np.abs(vac).max())[0]]
+    vac *= pivot.conjugate() / abs(pivot)
     cols = []
     for idx in range(2 ** (N - 1)):
         w = vac
@@ -306,20 +362,20 @@ def restricted_chain_model(frame: FermionFrame, bulk, beta: float) -> ChainModel
     )
 
 
-def perturbed_full_hamiltonian(frame: FermionFrame, terms, beta: float) -> np.ndarray:
-    """H0 + beta * (sum of the terms' matrices), dense."""
-    H = sparse.csr_matrix(frame.H0)
+def perturbed_full_hamiltonian(frame: FermionFrame, terms, beta: float) -> sparse.csr_matrix:
+    """H0 + beta * (sum of the terms' matrices), sparse."""
+    H = frame.H0
     for _, mat in terms:
         H = H + beta * mat
-    return H.toarray()
+    return H
 
 
 def doubling_check_terms(frame: FermionFrame, bulk, beta: float, tol: float = 1e-9) -> bool:
     """Full spectrum equals the restricted spectrum doubled, and every
     eigenvalue has even multiplicity."""
     H = perturbed_full_hamiltonian(frame, bulk, beta)
-    full = np.linalg.eigvalsh(H)
-    restricted = np.linalg.eigvalsh(frame.R.conj().T @ H @ frame.R)
+    full = sector_spectrum(H)
+    restricted = np.linalg.eigvalsh(frame.R.conj().T @ (H @ frame.R))
     doubled = np.sort(np.concatenate([restricted, restricted]))
     if float(np.max(np.abs(full - doubled))) > tol:
         return False
@@ -339,12 +395,12 @@ def boundary_gap_check(model: KitaevModel) -> tuple[float, float]:
 
     With boundary terms included, the doubly degenerate ground pair of the
     bulk Hamiltonian splits by an amount of order beta while the rest of the
-    spectrum stays an order-1 distance above; this is verified at dense
-    exact-diagonalization scale instead of constructing the
+    spectrum stays an order-1 distance above; this is verified by exact
+    diagonalization of the two parity blocks instead of constructing the
     block-diagonalizing unitary on the degenerate sector.  Returns
     (splitting of the two lowest levels, gap from them to the third).
     """
-    evals = np.linalg.eigvalsh(
+    evals = sector_spectrum(
         perturbed_full_hamiltonian(model.frame, model.perturbations, model.beta))
     return float(evals[1] - evals[0]), float(evals[2] - evals[1])
 

@@ -197,11 +197,23 @@ def _power_of_two_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     return out, e
 
 
+# Where np.linalg.norm lands in here, no square of an entry overflowed and
+# every square that underflowed lies below the last bit of the result, so it
+# equals the power-of-two-scaled norm.
+_PLAIN_NORM_RANGE = (2.0 ** -450, 2.0 ** 450)
+
+
 def vector_norm(x: np.ndarray) -> float:
     """Euclidean norm of a complex vector, with no underflow or overflow in
     the squares of its entries (``np.linalg.norm`` returns 0 for entries
-    below about 1e-154)."""
-    scaled, e = _power_of_two_scaled(np.asarray(x, dtype=complex))
+    below about 1e-154).  The plain norm is taken first; the scaled pass
+    runs only when it falls near either end of the float range."""
+    x = np.asarray(x, dtype=complex)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if _PLAIN_NORM_RANGE[0] <= norm <= _PLAIN_NORM_RANGE[1]:
+        return norm
+    scaled, e = _power_of_two_scaled(x)
     return float(np.ldexp(np.linalg.norm(scaled), e))
 
 

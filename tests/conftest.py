@@ -203,6 +203,30 @@ def kitaev_spectrum_expected(N: int) -> np.ndarray:
     ))
 
 
+def dense_spectrum(H) -> np.ndarray:
+    """Spectrum of a fermion-space operator from one ``eigvalsh`` of the whole
+    2^N matrix: the reference for the parity-block route of ``kitaev``."""
+    return np.linalg.eigvalsh(H.toarray() if sparse.issparse(H) else H)
+
+
+def dense_zero_sector_basis(dmodes: kit.DModeAlgebra) -> np.ndarray:
+    """``kit.zero_sector_basis`` from one ``eigh`` of the whole 2^N matrix
+    sum_j d^dag_j d_j, with the same phase rule and column order."""
+    N = len(dmodes.d)
+    total = sum(dmodes.ddag(j) @ dmodes.d[j] for j in range(N)).toarray()
+    vac = np.linalg.eigh(total)[1][:, 0]
+    pivot = vac[np.flatnonzero(np.abs(vac) >= 0.5 * np.abs(vac).max())[0]]
+    vac = vac * (pivot.conjugate() / abs(pivot))
+    cols = []
+    for idx in range(2 ** (N - 1)):
+        w = vac
+        for j in range(N - 1, 0, -1):
+            if (idx >> (N - 1 - j)) & 1:
+                w = dmodes.ddag(j) @ w
+        cols.append(w)
+    return np.array(cols).T
+
+
 def doubling_check(model: kit.KitaevModel, tol: float = 1e-9) -> bool:
     bulk, _ = kit.regroup_perturbations(model)
     return kit.doubling_check_terms(model.frame, bulk, model.beta, tol)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import doubling_check, kitaev_spectrum_expected, random_bulk_perturbation
+from conftest import (dense_spectrum, dense_zero_sector_basis, doubling_check,
+                      kitaev_spectrum_expected, random_bulk_perturbation)
 from lieschwinger import kitaev as kit
 from lieschwinger.cli import load_model
 from lieschwinger.errors import ValidationError
@@ -68,16 +69,16 @@ class TestAlgebras:
 class TestSweetSpotHamiltonian:
     def test_two_sites(self):
         np.testing.assert_allclose(
-            np.linalg.eigvalsh(kit.fermion_frame(2).H0), [-1, -1, 1, 1], atol=1e-12
+            dense_spectrum(kit.fermion_frame(2).H0), [-1, -1, 1, 1], atol=1e-12
         )
 
     def test_four_sites_multiplicities(self):
-        ev = np.linalg.eigvalsh(kit.fermion_frame(4).H0)
+        ev = dense_spectrum(kit.fermion_frame(4).H0)
         np.testing.assert_allclose(ev, kitaev_spectrum_expected(4), atol=1e-12)
 
     @pytest.mark.parametrize("N", range(2, 9))
     def test_spectrum_matches_doubled_binomials(self, N):
-        ev = np.linalg.eigvalsh(kit.fermion_frame(N).H0)
+        ev = dense_spectrum(kit.fermion_frame(N).H0)
         np.testing.assert_allclose(ev, kitaev_spectrum_expected(N), atol=1e-9)
 
     def test_quadratic_form_agrees_at_sweet_spot(self):
@@ -90,7 +91,7 @@ class TestSweetSpotHamiltonian:
             hop = alg.cdag(j) @ alg.c[j]  # c^dag_j c_{j+1}
             pairing = alg.c[j - 1] @ alg.c[j]
             H = H - (hop + hop.conj().T + pairing + pairing.conj().T)
-        np.testing.assert_allclose(H.toarray(), kit.fermion_frame(N).H0, atol=1e-12)
+        np.testing.assert_allclose(H.toarray(), kit.fermion_frame(N).H0.toarray(), atol=1e-12)
 
 
 class TestRegrouping:
@@ -142,6 +143,77 @@ class TestRegrouping:
         odd = alg.c[1] + alg.cdag(2)
         with pytest.raises(ValidationError, match="even"):
             kit.build_kitaev_model(kit.fermion_frame(N), 0.01, [(Interval(0, 2), odd)])
+
+    def test_small_odd_admixture_is_stored_exactly_even(self):
+        # validated as given, stored with the cross-parity entries dropped
+        N = 5
+        frame = kit.fermion_frame(N)
+        iv, even = random_bulk_perturbation(N, seed=5)
+        odd = frame.alg.c[1] + frame.alg.cdag(2)
+        model = kit.build_kitaev_model(frame, 0.01, [(iv, even + 1e-11 * odd)])
+        (_, stored), = model.perturbations
+        dense = stored.toarray()
+        even_idx, odd_idx = popcount_sectors(N)
+        assert not np.any(dense[np.ix_(even_idx, odd_idx)])
+        assert not np.any(dense[np.ix_(odd_idx, even_idx)])
+        for idx in (even_idx, odd_idx):
+            block = np.ix_(idx, idx)
+            assert np.array_equal(dense[block], even.toarray()[block])
+        # so the parity-block spectra accept every Hamiltonian the model forms
+        kit.boundary_gap_check(model)
+        with pytest.raises(ValidationError, match="even"):
+            kit.build_kitaev_model(frame, 0.01, [(iv, even + 1e-8 * odd)])
+
+
+def popcount_sectors(N):
+    """Even and odd occupation-basis indices, counted bit by bit."""
+    parity = np.array([bin(i).count("1") % 2 for i in range(2 ** N)])
+    return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("N", range(1, 8))
+    def test_sectors_follow_popcount(self, N):
+        for got, want in zip(kit.parity_sectors(N), popcount_sectors(N)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_sector_spectrum_matches_dense(self, N):
+        rng = np.random.default_rng(N)
+        frame = kit.fermion_frame(N)
+        even_idx, odd_idx = popcount_sectors(N)
+        A = rng.normal(size=(2 ** N,) * 2) + 1j * rng.normal(size=(2 ** N,) * 2)
+        A = A + A.conj().T
+        A[np.ix_(even_idx, odd_idx)] = A[np.ix_(odd_idx, even_idx)] = 0
+        alg = frame.alg
+        edge = alg.cdag(1) @ alg.c[0] + alg.cdag(N) @ alg.c[N - 1]
+        hop = alg.cdag(1) @ alg.c[N - 1]
+        boundary = [(Interval(N - 1, 1), edge + hop + hop.conj().T)]
+        zero_mode = [(Interval(0, 1), frame.modes.ddag(0) @ frame.modes.d[0])]
+        for H in (A, sparse.csr_matrix(A), frame.H0,
+                  kit.perturbed_full_hamiltonian(frame, boundary, 0.3),
+                  kit.perturbed_full_hamiltonian(frame, zero_mode, 0.3)):
+            want = dense_spectrum(H)
+            assert np.max(np.abs(kit.sector_spectrum(H) - want)) <= 1e-12 * max(1.0, abs(want).max())
+
+    @pytest.mark.parametrize("entry", [1.0, 1e-300])
+    def test_one_cross_parity_entry_is_rejected(self, entry):
+        H = kit.fermion_frame(4).H0.toarray()
+        H[0, 1] = entry  # index 0 is even, index 1 odd
+        with pytest.raises(ValidationError, match="not even"):
+            kit.sector_spectrum(H)
+        with pytest.raises(ValidationError, match="not even"):
+            kit.sector_spectrum(sparse.csr_matrix(H))
+
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_zero_sector_basis_matches_dense_reference(self, N):
+        dm = kit.d_mode_algebra(kit.fermion_algebra(N))
+        R = kit.zero_sector_basis(dm)
+        assert np.max(np.abs(R - dense_zero_sector_basis(dm))) <= 1e-13
+        even_idx, odd_idx = popcount_sectors(N)
+        for col in R.T:
+            assert not np.any(col[even_idx]) or not np.any(col[odd_idx])
+        assert np.max(np.abs(R.conj().T @ R - np.eye(2 ** (N - 1)))) <= 1e-13
 
 
 class TestRestriction:
@@ -242,7 +314,7 @@ class TestDoubling:
         frame = kit.fermion_frame(N)
         bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, 0.01, [(iv, mat)]))
         H = kit.perturbed_full_hamiltonian(frame, bulk, 0.01)
-        assert degeneracy_of_spectrum(np.linalg.eigvalsh(H)) == 2
+        assert degeneracy_of_spectrum(dense_spectrum(H)) == 2
 
 
 class TestBoundary:
