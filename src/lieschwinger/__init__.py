@@ -10,17 +10,7 @@ length, checking every claim against an independent exact-diagonalization
 oracle.
 """
 
-from .certify import (
-    GapReport,
-    MajorantParams,
-    NormLedgerEntry,
-    check_ledger,
-    check_series_majorant,
-    decay_bound,
-    excited_block_lower_bound,
-    projector_inequalities,
-    solve_majorant,
-)
+from .certify import GapReport, NormLedgerEntry, check_ledger, decay_bound
 from .errors import (
     CertificationError,
     ChainError,
@@ -43,7 +33,7 @@ from .operators import (
     embed,
     op_norm,
 )
-from .oracle import OracleComparison, compare, ed_spectrum, ground_degeneracy
+from .oracle import OracleComparison, compare, ed_spectrum
 from .sweep import (
     BlockDiagState,
     SeriesControls,

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from .certify import certify
 from .errors import ValidationError
 from .model import ChainModel, validate_chain_model
@@ -91,7 +89,3 @@ class BlockDiagonalizer:
     @property
     def gap_(self) -> float:
         return self.report_.gap
-
-    @property
-    def per_step_gaps_(self) -> np.ndarray:
-        return np.array([d.gap for d in self.state_.diagnostics])

@@ -33,9 +33,6 @@ class Interval(NamedTuple):
     def contains(self, other: "Interval") -> bool:
         return self.q <= other.q and other.last <= self.last
 
-    def overlaps(self, other: "Interval") -> bool:
-        return self.q <= other.last and other.q <= self.last
-
     def fits(self, N: int) -> bool:
         return self.q >= 1 and self.last <= N
 
@@ -80,9 +77,3 @@ def iter_steps(N: int) -> Iterator[StepIndex]:
     for _ in range(step_count(N)):
         step = successor(step, N)
         yield step
-
-
-def all_intervals(N: int, kmin: int = 1) -> Iterator[Interval]:
-    for k in range(kmin, N):
-        for q in range(1, N - k + 1):
-            yield Interval(k, q)

@@ -60,11 +60,6 @@ def ed_spectrum(model: ChainModel) -> np.ndarray:
     return np.linalg.eigvalsh(assemble_direct(model))
 
 
-def ground_degeneracy(model: ChainModel, tol: float = DEGENERACY_TOL) -> int:
-    evals = ed_spectrum(model)
-    return degeneracy_of_spectrum(evals, tol)
-
-
 def degeneracy_of_spectrum(evals: np.ndarray, tol: float = DEGENERACY_TOL) -> int:
     evals = np.sort(np.asarray(evals, dtype=float))
     return int(np.count_nonzero(evals - evals[0] <= tol))

@@ -79,8 +79,10 @@ potential, never as an embedded unitary:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import inf, isfinite, sqrt
+from numbers import Real
 
 import numpy as np
 
@@ -113,9 +115,16 @@ class SeriesControls:
     gap_min: float = 0.5
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "jmax", operator.index(self.jmax))
+        except TypeError:
+            raise ValidationError(f"jmax must be an integer, got {self.jmax!r}") from None
         if self.jmax < 1:
             raise ValidationError(f"jmax must be at least 1, got {self.jmax}")
-        if not all(isfinite(x) for x in (self.tol_series, self.tol_od, self.gap_min)):
+        reals = (self.tol_series, self.tol_od, self.gap_min)
+        if not all(isinstance(x, Real) for x in reals):
+            raise ValidationError(f"tolerances and gap_min must be real numbers, got {reals!r}")
+        if not all(isfinite(x) for x in reals):
             raise ValidationError("tolerances and gap_min must be finite")
         if min(self.tol_series, self.tol_od) <= 0:
             raise ValidationError("tolerances must be positive")

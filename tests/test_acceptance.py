@@ -11,16 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import (anchor_model, dense_generator, dense_spectrum, doubling_check,
-                      kitaev_spectrum_expected, random_bulk_perturbation)
+from conftest import (anchor_model, check_series_majorant, dense_generator, dense_spectrum,
+                      doubling_check, kitaev_spectrum_expected, projector_inequalities,
+                      random_bulk_perturbation, solve_majorant)
 from lieschwinger import kitaev as kit
-from lieschwinger.certify import (
-    GapReport,
-    certify,
-    check_series_majorant,
-    projector_inequalities,
-    solve_majorant,
-)
+from lieschwinger.certify import GapReport, certify
 from lieschwinger.intervals import Interval, iter_steps
 from lieschwinger.model import ChainModel, random_chain_model
 from lieschwinger.operators import (LocalOperator, build_projectors, embed, excited_spectrum,

@@ -3,16 +3,9 @@ from math import factorial
 import numpy as np
 import pytest
 
-from conftest import SX, anchor_model
-from lieschwinger.certify import (
-    check_ledger,
-    check_series_majorant,
-    certify,
-    decay_bound,
-    excited_block_lower_bound,
-    projector_inequalities,
-    solve_majorant,
-)
+from conftest import (SX, anchor_model, check_series_majorant, excited_block_lower_bound,
+                      projector_inequalities, solve_majorant)
+from lieschwinger.certify import check_ledger, certify, decay_bound
 from lieschwinger.errors import ValidationError
 from lieschwinger.intervals import Interval
 from lieschwinger.model import build_chain_model, random_chain_model

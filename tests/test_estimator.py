@@ -5,6 +5,7 @@ from conftest import anchor_model
 from lieschwinger.errors import DimensionError, SeriesError, ValidationError
 from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.model import random_chain_model
+from lieschwinger.sweep import SeriesControls
 
 
 def test_get_params_round_trip():
@@ -28,7 +29,7 @@ def test_fit_anchor_attributes():
     assert est.ground_energy_ == pytest.approx(1 - np.sqrt(1.01), abs=1e-10)
     assert est.gap_ == pytest.approx(np.sqrt(1.01) - 0.1, abs=1e-10)
     assert est.comparison_.blockwise_match
-    assert est.per_step_gaps_.min() >= 0.5
+    assert min(d.gap for d in est.state_.diagnostics) >= 0.5
     assert est.state_.step == (1, 1)
 
 
@@ -58,6 +59,24 @@ def test_controls_follow_params():
     est = BlockDiagonalizer(jmax=7, tol_series=1e-10, tol_od=1e-6, gap_min=0.25)
     ctl = est.controls()
     assert (ctl.jmax, ctl.tol_series, ctl.tol_od, ctl.gap_min) == (7, 1e-10, 1e-6, 0.25)
+
+
+@pytest.mark.parametrize("bad", [
+    {"jmax": 2.5}, {"jmax": float("inf")}, {"jmax": "20"}, {"jmax": 0},
+    {"tol_od": "1e-8"}, {"tol_series": None}, {"gap_min": 0.5j}, {"tol_od": float("nan")},
+], ids=repr)
+def test_bad_controls_raise_validation_error(bad):
+    with pytest.raises(ValidationError):
+        SeriesControls(**bad)
+    est = BlockDiagonalizer(**bad)
+    with pytest.raises(ValidationError):
+        est.fit(anchor_model(0.1))
+    assert est.state_ is None
+
+
+def test_numpy_integer_jmax_accepted():
+    assert SeriesControls(jmax=np.int64(7)).jmax == 7
+    assert BlockDiagonalizer(jmax=np.int32(20)).fit(anchor_model(0.1)).gap_ > 0
 
 
 def test_refit_overwrites_state():

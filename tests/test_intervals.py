@@ -4,7 +4,6 @@ from lieschwinger.errors import ValidationError
 from lieschwinger.intervals import (
     Interval,
     StepIndex,
-    all_intervals,
     final_step,
     initial_step,
     iter_steps,
@@ -58,10 +57,5 @@ def test_interval_geometry():
     assert iv.contains(Interval(1, 3))
     assert iv.contains(Interval(1, 4))
     assert not iv.contains(Interval(2, 4))
-    assert iv.overlaps(Interval(1, 5))
-    assert not iv.overlaps(Interval(1, 6))
     assert iv.fits(5) and not iv.fits(4)
 
-
-def test_all_intervals_matches_step_labels():
-    assert {Interval(s.k, s.q) for s in iter_steps(6)} == set(all_intervals(6))

@@ -15,7 +15,6 @@ from lieschwinger.oracle import (
     compare,
     degeneracy_of_spectrum,
     ed_spectrum,
-    ground_degeneracy,
 )
 from lieschwinger.sweep import initial_state, sweep
 
@@ -102,7 +101,7 @@ def test_compare_random_models(seed):
 
 def test_degeneracy_zero_coupling():
     model = random_chain_model(3, 0.0, seed=3)
-    assert ground_degeneracy(model) == 1
+    assert degeneracy_of_spectrum(ed_spectrum(model)) == 1
 
 
 def test_degeneracy_counts_clusters():

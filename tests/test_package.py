@@ -99,14 +99,16 @@ def test_traced_run_matches_untraced(tmp_path):
 
 
 def test_readme_quick_start_runs_and_states_the_anchor_values():
-    # the "Library quick start" block of README.md, run as written
+    # every python block of the "Library quick start" section, run as written
     readme = (ROOT / "README.md").read_text()
-    section = readme.split("## Library quick start", 1)[1]
-    code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    assert "fitted.ground_energy_   # 1 - sqrt(1.01)" in code
-    assert "fitted.gap_             # sqrt(1.01) - 0.1" in code
+    section = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = [part.split("```", 1)[0] for part in section.split("```python\n")[1:]]
+    assert len(blocks) >= 2
+    assert "fitted.ground_energy_   # 1 - sqrt(1.01)" in blocks[0]
+    assert "fitted.gap_             # sqrt(1.01) - 0.1" in blocks[0]
     namespace = {}
-    exec(compile(code, "README.md", "exec"), namespace)
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), namespace)
     fitted = namespace["fitted"]
     assert abs(fitted.ground_energy_ - (1 - 1.01 ** 0.5)) <= 1e-12
     assert abs(fitted.gap_ - (1.01 ** 0.5 - 0.1)) <= 1e-12

@@ -11,7 +11,7 @@ from lieschwinger.certify import certify
 from lieschwinger.cli import load_model
 from lieschwinger.errors import DimensionError, GapError, SeriesError
 from lieschwinger.estimator import BlockDiagonalizer
-from lieschwinger.intervals import Interval, StepIndex, all_intervals, iter_steps, successor
+from lieschwinger.intervals import Interval, StepIndex, iter_steps, successor
 from lieschwinger.model import build_chain_model, random_chain_model
 from lieschwinger.operators import (
     LocalOperator,
@@ -467,7 +467,7 @@ def per_source_transport(state, model, controls):
          else np.zeros((I.dim(model.M),) * 2, dtype=complex))
     U = unitary_exp(dense_generator(generator_series(G, E, pair, V, model.t, controls)))
     out = {}
-    for J in all_intervals(model.N):
+    for J in (Interval(*s) for s in iter_steps(model.N)):
         if J == I or not J.contains(I):
             continue
         UJ = np.kron(np.kron(np.eye(model.M ** (I.q - J.q)), U),
