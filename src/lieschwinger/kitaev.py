@@ -27,6 +27,9 @@ two 2^(N-1) parity blocks instead (``sector_spectrum`` and the mode vacuum
 in ``zero_sector_basis``); the blocks are taken only after checking that
 no entry crosses parity, and ``build_kitaev_model`` stores perturbations
 exactly even so that this check holds for every Hamiltonian of a model.
+Each column of the zero-sector basis R lies in one parity sector too, so
+R^dag X R of an even X is formed and diagonalized as its two 2^(N-2)
+blocks (``_sector_columns``).
 This is the one module that uses scipy, and the command line imports it
 only for a Kitaev file.
 """
@@ -130,21 +133,36 @@ def _cross_parity(mat) -> tuple[sparse.coo_matrix, np.ndarray]:
     return coo, odd[coo.row] != odd[coo.col]
 
 
-def _parity_blocks(H) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(indices, dense diagonal block) of the even and the odd sector of an
+def _parity_blocks(H) -> list[tuple[np.ndarray, sparse.csr_matrix]]:
+    """(indices, sparse diagonal block) of the even and the odd sector of an
     even operator, dense or sparse; any nonzero entry across the two sectors
     raises ValidationError, so the blocks carry the whole operator."""
     coo, cross = _cross_parity(H)
     if np.any(coo.data[cross] != 0):
         raise ValidationError("operator is not even: it has entries across fermion parity")
     H = coo.tocsr()
-    return [(idx, H[idx][:, idx].toarray()) for idx in parity_sectors(H.shape[0].bit_length() - 1)]
+    return [(idx, H[idx][:, idx]) for idx in parity_sectors(H.shape[0].bit_length() - 1)]
+
+
+def _sector_columns(R: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(column indices, block) of the even and the odd sector of a matrix R
+    whose every column lies in one parity sector: the block is R on the
+    sector's rows and columns.  A column with nonzero entries in both
+    sectors raises ValidationError, so for an even X, R^dag X R is exactly
+    block-diagonal with the blocks R_s^dag X_s R_s."""
+    rows = parity_sectors(R.shape[0].bit_length() - 1)
+    inside = [np.any(R[idx] != 0, axis=0) for idx in rows]
+    if np.any(inside[0] & inside[1]):
+        raise ValidationError("a column has entries of both fermion parities")
+    cols = [np.flatnonzero(mask) for mask in inside]
+    return [(c, R[np.ix_(idx, c)]) for idx, c in zip(rows, cols)]
 
 
 def sector_spectrum(H) -> np.ndarray:
     """Ascending spectrum of an even fermion-space operator, from one
     ``eigvalsh`` per parity block of dimension 2^(N-1)."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(block) for _, block in _parity_blocks(H)]))
+    return np.sort(np.concatenate(
+        [np.linalg.eigvalsh(block.toarray()) for _, block in _parity_blocks(H)]))
 
 
 def kitaev_hamiltonian(alg: FermionAlgebra, dmodes: DModeAlgebra) -> sparse.csr_matrix:
@@ -301,7 +319,8 @@ def zero_sector_basis(dmodes: DModeAlgebra) -> np.ndarray:
     N = len(dmodes.d)
     total = sum((dmodes.ddag(j) @ dmodes.d[j] for j in range(N)),
                 sparse.csr_matrix((2 ** N,) * 2, dtype=complex))
-    sectors = [(idx,) + tuple(np.linalg.eigh(block)) for idx, block in _parity_blocks(total)]
+    sectors = [(idx,) + tuple(np.linalg.eigh(block.toarray()))
+               for idx, block in _parity_blocks(total)]
     evals = np.sort(np.concatenate([w for _, w, _ in sectors]))
     if evals[0] > 1e-10 or evals[1] < 0.9:
         raise ValidationError("mode vacuum is not isolated")
@@ -343,10 +362,15 @@ def restricted_chain_model(frame: FermionFrame, bulk, beta: float) -> ChainModel
     if not bulk:
         raise ValidationError("restriction needs at least one bulk term")
     N, R = frame.alg.N, frame.R
+    # each column of R lies in one parity sector and each term is even, so
+    # R^dag W R is formed as its two diagonal blocks
+    sectors = [(cols, R_s, R_s.conj().T) for cols, R_s in _sector_columns(R)]
     locals_ = {}
     for iv, mat in bulk:
-        W = R.conj().T @ (mat @ R)
-        loc = _extract_local(np.asarray(W), iv, N - 1)
+        W = np.zeros((R.shape[1],) * 2, dtype=complex)
+        for (cols, R_s, R_s_dag), (_, block) in zip(sectors, _parity_blocks(mat)):
+            W[np.ix_(cols, cols)] = R_s_dag @ (block @ R_s)
+        loc = _extract_local(W, iv, N - 1)
         locals_[iv] = locals_.get(iv, 0) + loc
     # R^dag W R is Hermitian only to rounding; stored potentials must be exact
     locals_ = {iv: (m + m.conj().T) / 2 for iv, m in locals_.items()}
@@ -372,10 +396,13 @@ def perturbed_full_hamiltonian(frame: FermionFrame, terms, beta: float) -> spars
 
 def doubling_check_terms(frame: FermionFrame, bulk, beta: float, tol: float = 1e-9) -> bool:
     """Full spectrum equals the restricted spectrum doubled, and every
-    eigenvalue has even multiplicity."""
-    H = perturbed_full_hamiltonian(frame, bulk, beta)
-    full = sector_spectrum(H)
-    restricted = np.linalg.eigvalsh(frame.R.conj().T @ (H @ frame.R))
+    eigenvalue has even multiplicity.  Both spectra come from parity blocks:
+    the full one from the two 2^(N-1) blocks of H, the restricted one from
+    the two 2^(N-2) blocks of R^dag H R (``_sector_columns``)."""
+    blocks = _parity_blocks(perturbed_full_hamiltonian(frame, bulk, beta))
+    full = np.sort(np.concatenate([np.linalg.eigvalsh(H_s.toarray()) for _, H_s in blocks]))
+    restricted = np.concatenate([np.linalg.eigvalsh(R_s.conj().T @ (H_s @ R_s))
+                                 for (_, H_s), (_, R_s) in zip(blocks, _sector_columns(frame.R))])
     doubled = np.sort(np.concatenate([restricted, restricted]))
     if float(np.max(np.abs(full - doubled))) > tol:
         return False

@@ -23,7 +23,9 @@ with no embedded unitary and no transposed copy of A.  Its ``rows``
 argument adds the change of a second operator known only by its rows,
 which is how the sweep carries growth sources and the replaced potential
 carries G.  ``unitary_exp`` keeps the general eigendecomposition route as
-the reference.
+the reference.  ``cholesky_solver`` applies the inverse of a Hermitian
+positive definite matrix, the sweep's reduced resolvent, from one Cholesky
+factor by blocked substitution, so no inverse matrix is formed.
 
 Embedding works the same way in the other direction: 1_L (x) A (x) 1_R is
 nonzero only on a strided (L, d, R, d) view of the target matrix, the
@@ -35,6 +37,7 @@ building no D x D temporary.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import isfinite
 
@@ -135,9 +138,11 @@ def op_norm(op: LocalOperator | np.ndarray, tol: float = 1e-8) -> float:
     scale = float(np.max(np.abs(m)))
     if scale == 0.0:
         return 0.0
-    if hermitian_defect(m) > tol * scale:
+    defect = hermitian_defect(m)
+    if defect > tol * scale:
         raise ValidationError("op_norm supports Hermitian matrices only")
-    return float(np.max(np.abs(np.linalg.eigvalsh((m + m.conj().T) / 2))))
+    # eigvalsh reads one triangle, so an exactly Hermitian m needs no symmetrized copy
+    return float(np.max(np.abs(np.linalg.eigvalsh(m if defect == 0.0 else (m + m.conj().T) / 2))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +251,8 @@ def rotation_factors(y: np.ndarray, vac: np.ndarray) -> tuple[np.ndarray, np.nda
 # Largest R for which a middle-axis product goes through kron(K, 1_R) in
 # one matrix product instead of one small product per leading index.
 _KRON_MAX_RIGHT = 8
-# Side of the square tiles in which the Hermitian sum is formed.
+# Side of the square tiles in which the Hermitian sum is formed and the
+# Cholesky factor is substituted.
 _TILE = 64
 
 
@@ -280,6 +286,35 @@ def _hermitian_sum(B: np.ndarray, A: np.ndarray) -> np.ndarray:
                 np.conjugate(T, out=T)
                 np.add(T.T, A[cols, rows], out=B[cols, rows])
     return B
+
+
+def cholesky_solver(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """u -> A^{-1} u for a Hermitian positive definite A, from one Cholesky
+    factor A = L L^dag.
+
+    The factor is split into tiles of side _TILE, and only its diagonal
+    tiles are inverted, once; each solve is then a blocked forward and back
+    substitution at O(D^2), with no D x D inverse formed.  Raises
+    np.linalg.LinAlgError where A is not positive definite to working
+    precision.
+    """
+    L = np.linalg.cholesky(A)
+    D = L.shape[0]
+    tiles = [slice(i, min(i + _TILE, D)) for i in range(0, D, _TILE)]
+    inverses = [np.linalg.solve(L[b, b], np.eye(b.stop - b.start)) for b in tiles]
+
+    def solve(u: np.ndarray) -> np.ndarray:
+        z = np.empty(D, dtype=complex)
+        for b, T in zip(tiles, inverses):  # L z = u
+            z[b] = T @ (u[b] - L[b, :b.start] @ z[:b.start])
+        x = np.empty(D, dtype=complex)
+        for b, T in zip(reversed(tiles), reversed(inverses)):  # L^dag x = z
+            # L[c, b]^dag v and T^dag v as (v^dag L[c, b])^dag: no conjugated copy of L
+            r = z[b] - (x[b.stop:].conj() @ L[b.stop:, b]).conj()
+            x[b] = (r.conj() @ T).conj()
+        return x
+
+    return solve
 
 
 def conjugate_by_unitary(op_matrix: np.ndarray, W: np.ndarray, C: np.ndarray,

@@ -1,10 +1,11 @@
 """Brute-force ground truth: full-space assembly and exact spectra.
 
 Assembly here is deliberately independent of the sweep engine's embedding:
-full-space matrices are built by broadcasting identity factors around each
-local term with einsum over the (left, support, right) digit blocks, rather
-than by iterated Kronecker padding.  ``compare`` reads the sweep's side
-from the certificate alone, so K is diagonalized once per fit.
+each local term is added into the full-space matrix through the writable
+diagonal view that einsum gives over its (left, support, right) digit
+blocks, so no identity padding is materialised and ``operators.embed`` is
+not used.  ``compare`` reads the sweep's side from the certificate alone,
+so K is diagonalized once per fit.
 """
 
 from __future__ import annotations
@@ -31,17 +32,19 @@ class OracleComparison:
     low_spectrum: tuple[float, ...] = ()  # lowest eigenvalue cluster, for audit
 
 
-def _embed_full(term: np.ndarray, first: int, last: int, N: int, M: int) -> np.ndarray:
-    """Identity (x) term (x) identity with site 1 as most significant digit."""
+def _add_term(K: np.ndarray, term: np.ndarray, first: int, last: int, N: int, M: int) -> None:
+    """K += identity (x) term (x) identity, site 1 the most significant digit.
+
+    The padded term is nonzero only where the left and right digits of row
+    and column agree, so it is added through the writable diagonal view
+    K[(a, i, x), (a, j, x)] over those digits, touching dl * dr * d^2
+    entries.
+    """
     dl = M ** (first - 1)
     dr = M ** (N - last)
     d = term.shape[0]
-    out = np.einsum(
-        "ab,ij,xy->aixbjy",
-        np.eye(dl, dtype=complex), np.asarray(term, dtype=complex), np.eye(dr, dtype=complex),
-        optimize=True,
-    )
-    return out.reshape(dl * d * dr, dl * d * dr)
+    diagonal = np.einsum("aixajx->aixj", K.reshape(dl, d, dr, dl, d, dr))  # a view of K
+    diagonal += term[None, :, None, :]
 
 
 def assemble_direct(model: ChainModel) -> np.ndarray:
@@ -49,9 +52,9 @@ def assemble_direct(model: ChainModel) -> np.ndarray:
     dim = dense_dim(model.M, model.N)
     K = model.energy_offset * np.eye(dim, dtype=complex)
     for site in range(1, model.N + 1):
-        K += _embed_full(model.onsite, site, site, model.N, model.M)
+        _add_term(K, model.onsite, site, site, model.N, model.M)
     for iv, op in model.interactions.items():
-        K += model.t * _embed_full(op.matrix, iv.q, iv.last, model.N, model.M)
+        _add_term(K, model.t * op.matrix, iv.q, iv.last, model.N, model.M)
     return K
 
 

@@ -52,8 +52,13 @@ spec G = {E} u spec(excited block).  One eigvalsh per step, of G with its
 vacuum eigenvalue shifted above the rest (``operators.excited_spectrum``),
 gives the excited spectrum for the ground-state check and the gap.  The
 resolvent needs no eigenvectors: R = (G - E + vac vac^dag)^{-1} is
-(G - E)^{-1} on the excited block and 1 on vac, so one matrix inverse per
-step gives every y_j = P+ R P+ (V)_j vac.
+(G - E)^{-1} on the excited block and 1 on vac.  G - E + vac vac^dag is
+Hermitian positive definite with smallest eigenvalue min(1, gap), so one
+Cholesky factor per step (``operators.cholesky_solver``) applies R to each
+series vector by forward and back substitution, and every
+y_j = P+ R P+ (V)_j vac follows at O(D^2).  A factor that fails, which a
+gap at rounding level allowed through ``local_gap`` can cause, raises
+GapError.
 
 Transport of the other potentials follows the support relation between
 their interval J and the step interval I.  The rotation acts on the sites
@@ -93,6 +98,7 @@ from .operators import (
     LocalOperator,
     ProjectorPair,
     build_projectors,
+    cholesky_solver,
     conjugate_by_unitary,
     dense_dim,
     embed,
@@ -265,15 +271,28 @@ def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray
     term still above the cutoff raises SeriesError, reporting that norm
     (inf where |t|^j overflows a float).  The table B[(p, m)] and every
     (V)_j with j >= 2 are coefficient matrices on the frame F of the module
-    docstring, so the dense work per order is three matrix-vector products,
-    and order one decides from bounds on ||V||.  G must have a positive gap
-    above E (``local_gap``).
+    docstring, so the dense work per order is two matrix-vector products
+    and one forward and back substitution with the Cholesky factor of
+    G - E + vac vac^dag, taken once; order one decides from bounds on
+    ||V||.  G must have a positive gap above E (``local_gap``); where the
+    factor fails all the same, GapError with reason
+    "gap-assumption-violated" is raised.
     """
     vac = pair.vac
-    R = np.linalg.inv(G - E * np.eye(G.shape[0]) + np.outer(vac, vac.conj()))
+    # G - E + vac vac^dag in one D x D array, of which only the factor is kept
+    A = np.outer(vac, vac.conj())
+    A += G
+    A.flat[::A.shape[0] + 1] -= E
+    try:
+        R = cholesky_solver(A)
+    except np.linalg.LinAlgError:
+        raise GapError("excited block of the local Hamiltonian is not positive definite "
+                       "above the vacuum energy", step=step,
+                       reason="gap-assumption-violated") from None
+    del A
 
     def resolved(u: np.ndarray) -> np.ndarray:
-        x = R @ (u - vac * (vac.conj() @ u))
+        x = R(u - vac * (vac.conj() @ u))
         return x - vac * (vac.conj() @ x)
 
     # Frame columns 3r, 3r+1, 3r+2 hold x_r, G x_r, V x_r for x_0 = vac and

@@ -184,6 +184,38 @@ def near_hermitian_chain_file(path):
     return path
 
 
+def embed_full(term: np.ndarray, first: int, last: int, N: int, M: int) -> np.ndarray:
+    """Identity (x) term (x) identity on the full chain, site 1 the most
+    significant digit, as a dense D x D product with identity factors: the
+    reference for ``oracle.assemble_direct``, which adds each term through a
+    diagonal view instead."""
+    dl = M ** (first - 1)
+    dr = M ** (N - last)
+    d = term.shape[0]
+    out = np.einsum(
+        "ab,ij,xy->aixbjy",
+        np.eye(dl, dtype=complex), np.asarray(term, dtype=complex), np.eye(dr, dtype=complex),
+        optimize=True,
+    )
+    return out.reshape(dl * d * dr, dl * d * dr)
+
+
+def non_basis_vacuum_model(N, M, kbar, t, seed):
+    """On-site Q diag(0, ..., M-1) Q^dag for a random unitary Q, so the
+    vacuum is a complex vector that is not a basis vector."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M)))
+    onsite = Q @ np.diag(np.arange(M, dtype=float)) @ Q.conj().T
+    interactions = {}
+    for k in range(1, kbar + 1):
+        for q in range(1, N - k + 1):
+            d = M ** (k + 1)
+            A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            V = (A + A.conj().T) / 2
+            interactions[Interval(k, q)] = V / np.max(np.abs(np.linalg.eigvalsh(V)))
+    return build_chain_model(N, M, onsite, interactions, t, kbar)
+
+
 def kron_chain(mats):
     out = mats[0]
     for m in mats[1:]:

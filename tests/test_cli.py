@@ -421,6 +421,22 @@ class TestBadInputs:
                                    "step": None, "exit_code": 2}
         assert report["steps"] == [] and report["gap_report"] is None
 
+    def test_failed_cholesky_factor_exits_four_with_report(self, demo_config, tmp_path,
+                                                            monkeypatch):
+        # a resolvent whose Cholesky factor fails, as a gap at rounding level
+        # can make it, ends in the gap exit with a report, not a traceback
+        def not_positive_definite(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
+        out = tmp_path / "report.json"
+        assert main(["--config", str(demo_config), "--report", str(out)]) == 4
+        report = json.loads(out.read_text())
+        assert report["status"] == "failed"
+        assert report["error"]["type"] == "GapError"
+        assert report["error"]["step"] == [1, 1] and report["error"]["exit_code"] == 4
+        assert report["steps"] == []
+
     @pytest.mark.parametrize("make_target", [
         pytest.param(lambda p: p / "missing" / "r.json", id="missing-directory"),
         pytest.param(lambda p: p, id="directory"),

@@ -216,6 +216,34 @@ class TestParitySectors:
         assert np.max(np.abs(R.conj().T @ R - np.eye(2 ** (N - 1)))) <= 1e-13
 
 
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_sector_columns_carry_r(self, N):
+        # the two blocks hold every nonzero entry of R, and R^dag X R of an
+        # even X is the block-diagonal matrix of the R_s^dag X_s R_s
+        rng = np.random.default_rng(N)
+        R = kit.fermion_frame(N).R
+        rows = kit.parity_sectors(N)
+        sectors = kit._sector_columns(R)
+        rebuilt = np.zeros_like(R)
+        for idx, (cols, R_s) in zip(rows, sectors):
+            rebuilt[np.ix_(idx, cols)] = R_s
+        assert np.array_equal(rebuilt, R)
+        X = rng.normal(size=(2 ** N,) * 2) + 1j * rng.normal(size=(2 ** N,) * 2)
+        X[np.ix_(*rows)] = X[np.ix_(*rows[::-1])] = 0
+        blocks = np.zeros((R.shape[1],) * 2, dtype=complex)
+        for idx, (cols, R_s) in zip(rows, sectors):
+            blocks[np.ix_(cols, cols)] = R_s.conj().T @ X[np.ix_(idx, idx)] @ R_s
+        assert np.max(np.abs(blocks - R.conj().T @ X @ R)) <= 1e-12
+
+    def test_column_of_both_parities_is_rejected(self):
+        R = kit.fermion_frame(4).R.copy()
+        even_idx, odd_idx = kit.parity_sectors(4)
+        col = int(np.flatnonzero(np.any(R[even_idx] != 0, axis=0))[0])
+        R[odd_idx[0], col] = 1e-300
+        with pytest.raises(ValidationError, match="both fermion parities"):
+            kit._sector_columns(R)
+
+
 class TestRestriction:
     def test_stored_potentials_exactly_hermitian_through_the_sweep(self):
         # the restricted interactions are symmetrized once, at reduction, so
@@ -265,6 +293,25 @@ class TestRestriction:
         np.testing.assert_allclose(
             ed_spectrum(chain), np.linalg.eigvalsh(R.conj().T @ H @ R), atol=1e-10
         )
+
+    def test_interactions_match_whole_basis_products(self):
+        # reference: each R^dag W R from the whole zero-sector basis, not
+        # from its two parity blocks
+        N, beta = 6, 0.02
+        perts = [random_bulk_perturbation(N, seed=s, site=s + 2) for s in range(3)]
+        frame = kit.fermion_frame(N)
+        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, beta, perts))
+        chain = kit.restricted_chain_model(frame, bulk, beta)
+        want = {}
+        for iv, mat in bulk:
+            W = frame.R.conj().T @ (mat @ frame.R)
+            want[iv] = want.get(iv, 0) + kit._extract_local(W, iv, N - 1)
+        want = {iv: (m + m.conj().T) / 2 for iv, m in want.items()}
+        scale = max(1.0, *(np.max(np.abs(np.linalg.eigvalsh(m))) for m in want.values()))
+        assert chain.t == pytest.approx(beta * scale, rel=1e-14)
+        assert set(chain.interactions) == set(want)
+        for iv, op in chain.interactions.items():
+            assert np.max(np.abs(op.matrix - want[iv] / scale)) <= 1e-14
 
     def test_interaction_norms_at_most_one(self):
         N = 6

@@ -9,6 +9,7 @@ from lieschwinger.intervals import Interval
 from lieschwinger.operators import (
     LocalOperator,
     build_projectors,
+    cholesky_solver,
     conjugate_by_unitary,
     embed,
     excited_spectrum,
@@ -120,6 +121,33 @@ class TestOpNorm:
     def test_rejects_antihermitian(self, rng):
         with pytest.raises(ValidationError, match="Hermitian matrices only"):
             op_norm(1j * random_hermitian(rng, 4))
+
+
+    def test_exactly_hermitian_input_equals_symmetrized_path(self, rng):
+        # an exactly Hermitian matrix skips the symmetrized copy, which
+        # would equal it bit for bit
+        V = random_hermitian(rng, 16)
+        assert np.array_equal(V, V.conj().T)
+        assert op_norm(V) == float(np.max(np.abs(np.linalg.eigvalsh((V + V.conj().T) / 2))))
+
+
+class TestCholeskySolver:
+    @pytest.mark.parametrize("D", [1, 2, 3, 63, 64, 65, 243, 512])
+    def test_matches_dense_solve(self, D):
+        # tiles of 64: one partial tile, exact tiles, and one entry past them
+        rng = np.random.default_rng(D)
+        U, _ = np.linalg.qr(rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D)))
+        A = (U * rng.uniform(0.5, 5.0, size=D)) @ U.conj().T
+        A = (A + A.conj().T) / 2
+        solve = cholesky_solver(A)
+        for _ in range(3):
+            u = rng.normal(size=D) + 1j * rng.normal(size=D)
+            want = np.linalg.solve(A, u)
+            assert np.linalg.norm(solve(u) - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_indefinite_matrix_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky_solver(np.diag([1.0, -1e-3, 2.0]).astype(complex))
 
 
 class TestProjectors:

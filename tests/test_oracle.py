@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import SX, anchor_model
+from conftest import SX, anchor_model, embed_full, non_basis_vacuum_model
 from lieschwinger import estimator
 from lieschwinger.certify import certify
 from lieschwinger.errors import DimensionError
@@ -123,6 +123,22 @@ def test_direct_assembly_agrees_with_engine_embedding():
     np.testing.assert_allclose(
         assemble_direct(model), assemble_full(initial_state(model), model), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("N, M, kbar", [(4, 2, 1), (5, 2, 2), (3, 3, 1), (4, 3, 2)])
+def test_direct_assembly_equals_dense_identity_padding(N, M, kbar):
+    # the diagonal-view assembly adds the same entries in the same order as
+    # the sum of dense identity (x) term (x) identity products, so K is equal
+    # entry for entry; the on-site matrix is not diagonal here
+    model = dataclasses.replace(non_basis_vacuum_model(N, M, kbar, 0.07, seed=N + M + kbar),
+                                energy_offset=-1.75)
+    K = model.energy_offset * np.eye(M ** N, dtype=complex)
+    for site in range(1, N + 1):
+        K += embed_full(model.onsite, site, site, N, M)
+    for iv, op in model.interactions.items():
+        K += model.t * embed_full(op.matrix, iv.q, iv.last, N, M)
+    assert np.count_nonzero(model.onsite - np.diag(np.diag(model.onsite)))
+    assert np.array_equal(assemble_direct(model), K)
 
 
 def test_offset_shifts_spectrum():

@@ -4,9 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (SX, anchor_model, dense_generator, dense_generator_series, kron_chain,
-                      near_hermitian_chain_file, one_table_generator_series,
-                      orthogonal_complement_basis, plus_block_eigh, random_hermitian,
-                      series_terms)
+                      near_hermitian_chain_file, non_basis_vacuum_model,
+                      one_table_generator_series, orthogonal_complement_basis, plus_block_eigh,
+                      random_hermitian, series_terms)
 from lieschwinger.certify import certify
 from lieschwinger.cli import load_model
 from lieschwinger.errors import DimensionError, GapError, SeriesError
@@ -15,6 +15,7 @@ from lieschwinger.intervals import Interval, StepIndex, iter_steps, successor
 from lieschwinger.model import build_chain_model, random_chain_model
 from lieschwinger.operators import (
     LocalOperator,
+    ProjectorPair,
     build_projectors,
     embed,
     excited_spectrum,
@@ -83,6 +84,19 @@ def gapped_local_problem(M, k, seed, E):
     G = E * np.outer(vac, vac.conj()) + Qp @ H @ Qp.conj().T
     G = (G + G.conj().T) / 2
     return pair, G, random_hermitian(rng, G.shape[0], norm=1.0)
+
+
+def vacuum_and_hamiltonian(rng, excited, E=0.0):
+    """A random complex unit vacuum of dimension len(excited) + 1 and a
+    Hermitian G with G vac = E vac and the spectrum ``excited`` on the
+    complement of vac, in a random eigenbasis."""
+    D = len(excited) + 1
+    vac = rng.normal(size=D) + 1j * rng.normal(size=D)
+    vac /= np.linalg.norm(vac)
+    Qp = orthogonal_complement_basis(vac)
+    U, _ = np.linalg.qr(rng.normal(size=(D - 1,) * 2) + 1j * rng.normal(size=(D - 1,) * 2))
+    G = E * np.outer(vac, vac.conj()) + Qp @ ((U * excited) @ U.conj().T) @ Qp.conj().T
+    return vac, (G + G.conj().T) / 2
 
 
 def assert_matches_reference(reference, G, E, pair, V, t, controls=SeriesControls()):
@@ -350,6 +364,66 @@ class TestGeneratorSeries:
         with pytest.raises(SeriesError, match="last term norm inf"):
             generator_series(G.matrix, 0.0, pair, V, 1e200, SeriesControls())
 
+    @pytest.mark.parametrize("D", [1, 2, 3, 63, 64, 65, 243, 512])
+    def test_resolved_vectors_match_inverse(self, D):
+        # reference: R = inv(G - E + vac vac^dag) applied to every series
+        # term (V)_j, for a non-basis vacuum; each y_j is compared through y
+        # and ||y_j||, relative to the vector R acts on (||R|| <= 2 here)
+        rng = np.random.default_rng(D)
+        E, t = -0.7, 0.03
+        vac, G = vacuum_and_hamiltonian(rng, E + rng.uniform(0.5, 4.0, size=D - 1), E)
+        V = random_hermitian(rng, D, norm=1.0)
+        pair = ProjectorPair(Interval(0, 1), vac)  # only vac is read
+        res = generator_series(G, E, pair, V, t, SeriesControls())
+        R = np.linalg.inv(G - E * np.eye(D) + np.outer(vac, vac.conj()))
+        y_ref, scale = np.zeros(D, dtype=complex), 0.0
+        for j, (X, norm) in enumerate(zip(series_terms(res, V), res.s_term_norms), start=1):
+            u = X @ vac
+            u = u - vac * (vac.conj() @ u)
+            x = R @ u
+            y_j = x - vac * (vac.conj() @ x)
+            assert abs(norm - np.linalg.norm(y_j)) <= 1e-13 * np.linalg.norm(X @ vac)
+            y_ref += t ** j * y_j
+            scale += abs(t) ** j * np.linalg.norm(X @ vac)
+        assert D == 1 or res.order > 2
+        assert np.linalg.norm(res.y - y_ref) <= 1e-13 * scale
+
+    def test_indefinite_excited_block_raises_gap_error(self):
+        pair = ProjectorPair(Interval(0, 1), np.array([1.0, 0.0, 0.0], dtype=complex))
+        G = np.diag([0.0, -1e-3, 2.0]).astype(complex)
+        V = random_hermitian(np.random.default_rng(0), 3, norm=1.0)
+        with pytest.raises(GapError, match="not positive definite") as info:
+            generator_series(G, 0.0, pair, V, 0.01, SeriesControls(), StepIndex(0, 1))
+        assert info.value.reason == "gap-assumption-violated"
+        assert info.value.step == StepIndex(0, 1)
+
+    def test_rounding_level_gap_ends_in_gap_error(self):
+        # gaps of 1e-18 to 1e-15 in a random eigenbasis: eigvalsh may still
+        # report a positive gap, so local_gap at gap_min = 0 passes, while
+        # the Cholesky factor of G - E + vac vac^dag fails.  Such a case
+        # must end in GapError, never in LinAlgError; order one only
+        # (t = 1e-16), so the reached cases stop there
+        D, raised = 64, 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            excited = np.concatenate([[10 ** rng.uniform(-18, -15)], rng.uniform(1, 3, D - 2)])
+            vac, G = vacuum_and_hamiltonian(rng, excited)
+            G = LocalOperator(Interval(0, 1), G)
+            pair = ProjectorPair(Interval(0, 1), vac)
+            spectrum = excited_spectrum(G.matrix, vac)
+            E = vacuum_energy(G, pair, spectrum)
+            try:
+                local_gap(E, spectrum, gap_min=0.0)
+            except GapError:
+                continue
+            V = random_hermitian(rng, D, norm=1.0)
+            try:
+                generator_series(G.matrix, E, pair, V, 1e-16, SeriesControls(gap_min=0.0))
+            except GapError as err:
+                assert err.reason == "gap-assumption-violated"
+                raised += 1
+        assert raised > 0
+
     def test_divergent_series_raises(self):
         model, state, I, G, pair, V = anchor_pieces(t=0.5)
         with pytest.raises(SeriesError, match="converge"):
@@ -577,22 +651,6 @@ class TestSweep:
             sweep(model)
         assert excinfo.value.step == StepIndex(1, 1)
         assert excinfo.value.partial_state.step == StepIndex(0, 2)
-
-
-def non_basis_vacuum_model(N, M, kbar, t, seed):
-    """On-site Q diag(0, ..., M-1) Q^dag for a random unitary Q, so the
-    vacuum is a complex vector that is not a basis vector."""
-    rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M)))
-    onsite = Q @ np.diag(np.arange(M, dtype=float)) @ Q.conj().T
-    interactions = {}
-    for k in range(1, kbar + 1):
-        for q in range(1, N - k + 1):
-            d = M ** (k + 1)
-            A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            V = (A + A.conj().T) / 2
-            interactions[Interval(k, q)] = V / np.max(np.abs(np.linalg.eigvalsh(V)))
-    return build_chain_model(N, M, onsite, interactions, t, kbar)
 
 
 class TestNonBasisVacuum:
