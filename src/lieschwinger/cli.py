@@ -130,18 +130,15 @@ def _load_kitaev(block):
     from . import kitaev as kit  # the one import of kitaev, and of scipy, in a run
 
     where = "kitaev block"
-    frame = kit.fermion_frame(_field(block, "N", int, where))
+    frame = kit.fermion_frame(_field(block, "N", int, where))  # the 2^N space, under the guard
     perts = []
     for entry in _field(block, "perturbations", list, where):
         iv = _support(entry, "perturbation")
         terms = _field(entry, "terms", list, f"perturbation on {iv}")
         try:
-            mat = kit.perturbation_matrix(frame.alg, terms)
-        except ValidationError as err:
-            raise ValidationError(f"perturbation on {iv}: {err}") from err
+            perts.append((iv, kit.local_perturbation(iv, terms, frame.alg.N)))
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as err:
             raise ValidationError(f"perturbation on {iv}: malformed field 'terms' ({err!r})") from err
-        perts.append((iv, mat))
     return kit.build_kitaev_model(
         frame, beta=_field(block, "beta", _NUMBER, where), perturbations=perts,
         mu=_field(block, "mu", _NUMBER, where, 0.0), tau=_field(block, "tau", _NUMBER, where, 1.0),

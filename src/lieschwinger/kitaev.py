@@ -16,20 +16,25 @@ supported away from both chain ends stay zero-mode free and restrict to
 interval-supported terms of a standard chain model with on-site matrix
 diag(0, 2).
 
-A model file is reduced once, on one ``FermionFrame``, by
-``KitaevModel.reduce``; ``KitaevReduction.at(beta)`` then only rescales the
-restricted chain's t and reruns the doubling and boundary spectral checks.
+The reduction is local.  The Jordan-Wigner strings of an even monomial
+cancel, so a perturbation on c-sites {q..q+k} is 1 (x) m (x) 1 with m its
+matrix on its own k+1 sites; a model parses, checks and stores m alone
+(``local_perturbation``, ``build_kitaev_model``).  A bulk term is checked
+against the zero mode and restricted to the d_0-vacuum sector on a
+(k+3)-site frame, where it is already the chain interaction on its k+2
+d-modes.  Only the per-coupling ``doubling_check_terms`` and
+``boundary_gap_check`` read the 2^N space, through Kronecker embeddings
+(``embed``); its algebra and H0 are built at load, under the dense guard.
+``KitaevModel.reduce`` runs once per file, and ``KitaevReduction.at(beta)``
+rescales the restricted chain's t and reruns the two checks.
 
 Every operator here is even, so it commutes with the fermion parity,
-which is diagonal in the occupation basis (``parity_sectors``).  Operators
-stay sparse on the 2^N space, and each dense eigensolve on it runs on the
-two 2^(N-1) parity blocks instead (``sector_spectrum`` and the mode vacuum
-in ``zero_sector_basis``); the blocks are taken only after checking that
-no entry crosses parity, and ``build_kitaev_model`` stores perturbations
-exactly even so that this check holds for every Hamiltonian of a model.
-Each column of the zero-sector basis R lies in one parity sector too, so
-R^dag X R of an even X is formed and diagonalized as its two 2^(N-2)
-blocks (``_sector_columns``).
+which is diagonal in the occupation basis (``parity_sectors``), and each
+dense eigensolve runs on the two parity blocks (``sector_spectrum``, the
+mode vacuum of ``zero_sector_basis``), taken only after checking that no
+entry crosses parity.  Each column of the zero-sector basis R lies in one
+sector too, so R^dag W R of an even W, and with it the restricted chain, is
+exactly even in the d-mode parity.
 This is the one module that uses scipy, and the command line imports it
 only for a Kitaev file.
 """
@@ -45,7 +50,8 @@ from scipy import sparse
 from .errors import RegroupError, ValidationError
 from .intervals import Interval
 from .model import ChainModel, build_chain_model, validate_chain_model
-from .operators import LocalOperator, dense_dim, embed, op_norm
+from .operators import dense_dim, op_norm
+from .oracle import assemble_direct
 
 CAR_TOL = 1e-12
 
@@ -144,20 +150,6 @@ def _parity_blocks(H) -> list[tuple[np.ndarray, sparse.csr_matrix]]:
     return [(idx, H[idx][:, idx]) for idx in parity_sectors(H.shape[0].bit_length() - 1)]
 
 
-def _sector_columns(R: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(column indices, block) of the even and the odd sector of a matrix R
-    whose every column lies in one parity sector: the block is R on the
-    sector's rows and columns.  A column with nonzero entries in both
-    sectors raises ValidationError, so for an even X, R^dag X R is exactly
-    block-diagonal with the blocks R_s^dag X_s R_s."""
-    rows = parity_sectors(R.shape[0].bit_length() - 1)
-    inside = [np.any(R[idx] != 0, axis=0) for idx in rows]
-    if np.any(inside[0] & inside[1]):
-        raise ValidationError("a column has entries of both fermion parities")
-    cols = [np.flatnonzero(mask) for mask in inside]
-    return [(c, R[np.ix_(idx, c)]) for idx, c in zip(rows, cols)]
-
-
 def sector_spectrum(H) -> np.ndarray:
     """Ascending spectrum of an even fermion-space operator, from one
     ``eigvalsh`` per parity block of dimension 2^(N-1)."""
@@ -165,37 +157,27 @@ def sector_spectrum(H) -> np.ndarray:
         [np.linalg.eigvalsh(block.toarray()) for _, block in _parity_blocks(H)]))
 
 
-def kitaev_hamiltonian(alg: FermionAlgebra, dmodes: DModeAlgebra) -> sparse.csr_matrix:
-    """Sweet-spot Hamiltonian; the Majorana and number-operator forms must agree."""
+def kitaev_hamiltonian(alg: FermionAlgebra) -> sparse.csr_matrix:
+    """Sweet-spot Hamiltonian -i sum_j gamma_{B,j} gamma_{A,j+1}, which the
+    tests hold equal to the number-operator form."""
     gA, gB = majoranas(alg)
-    N, dim = alg.N, alg.dim
-    H_gamma = sparse.csr_matrix((dim, dim), dtype=complex)
-    H_modes = sparse.csr_matrix((dim, dim), dtype=complex)
-    for j in range(1, N):
-        H_gamma = H_gamma - 1j * (gB[j - 1] @ gA[j])
-        H_modes = H_modes + 2 * (dmodes.ddag(j) @ dmodes.d[j]) \
-            - sparse.identity(dim, dtype=complex, format="csr")
-    mismatch = abs(H_gamma - H_modes).max()
-    if mismatch > CAR_TOL:
-        raise ValidationError(f"Majorana and mode forms disagree by {mismatch:.3e}")
-    return H_gamma
+    H = sparse.csr_matrix((alg.dim, alg.dim), dtype=complex)
+    for j in range(1, alg.N):
+        H = H - 1j * (gB[j - 1] @ gA[j])
+    return H
 
 
 @dataclass(frozen=True, eq=False)
 class FermionFrame:
-    """What every reduction step shares, whatever the coupling: the algebra,
-    the normal modes, the zero-sector basis R and the sweet-spot H0."""
+    """What the 2^N checks read: the algebra and the sweet-spot H0."""
 
     alg: FermionAlgebra
-    modes: DModeAlgebra
-    R: np.ndarray
     H0: sparse.csr_matrix
 
 
 def fermion_frame(N: int) -> FermionFrame:
     alg = fermion_algebra(N)
-    modes = d_mode_algebra(alg)
-    return FermionFrame(alg, modes, zero_sector_basis(modes), kitaev_hamiltonian(alg, modes))
+    return FermionFrame(alg, kitaev_hamiltonian(alg))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +186,7 @@ class KitaevModel:
 
     frame: FermionFrame
     beta: float
-    perturbations: tuple  # of (Interval in c-site coordinates, sparse matrix)
+    perturbations: tuple  # of (Interval in c-site coordinates, sparse matrix on its sites)
 
     @property
     def N(self) -> int:
@@ -213,14 +195,15 @@ class KitaevModel:
     def reduce(self) -> KitaevReduction:
         """The part of a run that no coupling changes: the bulk/boundary
         split and the restricted chain at this model's beta."""
-        bulk, boundary = regroup_perturbations(self)
-        chain = restricted_chain_model(self.frame, bulk, self.beta)
+        bulk, boundary = regroup_perturbations(self.N, self.perturbations)
+        chain = restricted_chain_model(self.N, bulk, self.beta)
         return KitaevReduction(self, chain, tuple(bulk), tuple(boundary))
 
 
-def perturbation_matrix(alg: FermionAlgebra, terms) -> sparse.csr_matrix:
+def perturbation_matrix(alg: FermionAlgebra, terms, first: int = 1) -> sparse.csr_matrix:
     """Sum of coeff * monomial, each monomial a product of c / c^dag factors
-    of even length, e.g. ops = [("cdag", 2), ("c", 3)]."""
+    of even length, e.g. ops = [("cdag", 2), ("c", 3)], on sites numbered
+    from ``first``."""
     out = sparse.csr_matrix((alg.dim, alg.dim), dtype=complex)
     for term in terms:
         ops = term["ops"]
@@ -228,11 +211,12 @@ def perturbation_matrix(alg: FermionAlgebra, terms) -> sparse.csr_matrix:
             raise ValidationError("perturbation monomials must have even fermion degree")
         m = sparse.identity(alg.dim, dtype=complex, format="csr")
         for kind, site in ops:
-            if not 1 <= site <= alg.N:
-                raise ValidationError(f"fermion site {site} outside chain of {alg.N} sites")
+            if not first <= site < first + alg.N:
+                raise ValidationError(
+                    f"fermion site {site} is outside sites [{first}, {first + alg.N - 1}]")
             if kind not in ("c", "cdag"):
                 raise ValidationError(f"unknown fermion factor kind {kind!r}")
-            m = m @ (alg.c[site - 1] if kind == "c" else alg.cdag(site))
+            m = m @ (alg.c[site - first] if kind == "c" else alg.cdag(site - first + 1))
         coeff = complex(term["coeff"][0], term["coeff"][1])
         if not cmath.isfinite(coeff):  # before the product, which would warn on inf * 0
             raise ValidationError("coefficients must be finite")
@@ -240,10 +224,34 @@ def perturbation_matrix(alg: FermionAlgebra, terms) -> sparse.csr_matrix:
     return out.tocsr()
 
 
+def _check_support(iv: Interval, N: int) -> None:
+    if not iv.fits(N) or iv.k < 0:
+        raise ValidationError(f"perturbation support {iv} does not fit {N} sites")
+
+
+def local_perturbation(iv: Interval, terms, N: int) -> sparse.csr_matrix:
+    """One perturbation of an N-site chain as a matrix on the k+1 sites of
+    its support ``iv``, which every site of ``terms`` must lie in."""
+    _check_support(iv, N)
+    try:
+        return perturbation_matrix(fermion_algebra(iv.k + 1), terms, first=iv.q)
+    except ValidationError as err:
+        raise ValidationError(f"perturbation on {iv}: {err}") from err
+
+
+def embed(mat, iv: Interval, N: int) -> sparse.csr_matrix:
+    """1 (x) mat (x) 1 on N sites, for a matrix on the sites of ``iv``: the
+    term itself when it is even, since its Jordan-Wigner strings cancel."""
+    left = sparse.identity(2 ** (iv.q - 1), dtype=complex, format="csr")
+    right = sparse.identity(2 ** (N - iv.last), dtype=complex, format="csr")
+    return sparse.kron(sparse.kron(left, mat), right, format="csr")
+
+
 def build_kitaev_model(frame: FermionFrame, beta, perturbations, mu=0.0, tau=1.0,
                        delta=1.0) -> KitaevModel:
-    """Validate supports, finiteness, Hermiticity, and parity-evenness of each
-    perturbation, all on the sparse matrices.
+    """Validate the support, shape, finiteness, Hermiticity and
+    parity-evenness of each perturbation, a support and the sparse matrix on
+    its sites.
 
     A perturbation is checked as given and then stored exactly even: its
     entries across fermion parity, all within the evenness tolerance, are
@@ -257,13 +265,14 @@ def build_kitaev_model(frame: FermionFrame, beta, perturbations, mu=0.0, tau=1.0
         raise ValidationError(
             f"only the sweet spot mu=0, tau=delta=1 is supported, got mu={mu}, "
             f"tau={tau}, delta={delta}")
-    N = frame.alg.N
     checked = []
     for iv, mat in perturbations:
         iv = Interval(*iv)
-        if not iv.fits(N) or iv.k < 0:
-            raise ValidationError(f"perturbation support {iv} does not fit {N} sites")
+        _check_support(iv, frame.alg.N)
         mat = sparse.csr_matrix(mat)
+        if mat.shape != (2 ** (iv.k + 1),) * 2:
+            raise ValidationError(f"perturbation on {iv}: matrix shape {mat.shape} does not "
+                                  f"match its {iv.k + 1} sites")
         if not np.all(np.isfinite(mat.data)):
             raise ValidationError(f"perturbation on {iv}: coefficients must be finite")
         defect = abs(mat - mat.conj().T).max()
@@ -279,27 +288,26 @@ def build_kitaev_model(frame: FermionFrame, beta, perturbations, mu=0.0, tau=1.0
     return KitaevModel(frame, float(beta), tuple(checked))
 
 
-def regroup_perturbations(model: KitaevModel):
-    """Split perturbations into zero-mode-free bulk and boundary terms.
+def regroup_perturbations(N: int, perturbations):
+    """Split the perturbations of an N-site chain into zero-mode-free bulk
+    terms and boundary terms, both kept in c-site coordinates.
 
     A term on c-sites {i..i+j} rewritten in normal modes touches d-modes
-    {i-1..i+j}; it is bulk when 2 <= i and i+j <= N-1, relabelled to the
-    d-site interval with j+1 edges and left endpoint i-1.  Bulk terms must
-    commute with the zero mode, which is verified entrywise.
+    {i-1..i+j}; it is bulk when 2 <= i and i+j <= N-1.  Bulk terms must
+    commute with the zero mode, which is verified entrywise on the term's
+    frame: j+3 sites, the term on sites 2..j+2, where the commutator has
+    the entries it has on the chain.
     """
-    d0 = model.frame.modes.d[0]
     bulk, boundary = [], []
-    for iv, mat in model.perturbations:
-        if iv.q >= 2 and iv.last <= model.N - 1:
-            comm = abs(mat @ d0 - d0 @ mat).max()
-            if comm > CAR_TOL * max(1.0, abs(mat).max()):
-                raise RegroupError(
-                    f"bulk perturbation on {iv} fails the zero-mode commutation check "
-                    f"({comm:.3e})"
-                )
-            bulk.append((Interval(iv.k + 1, iv.q - 1), mat))
-        else:
-            boundary.append((iv, mat))
+    for iv, mat in perturbations:
+        (bulk if iv.q >= 2 and iv.last <= N - 1 else boundary).append((iv, mat))
+    zero_modes = {k: d_mode_algebra(fermion_algebra(k + 3)).d[0] for k in {iv.k for iv, _ in bulk}}
+    for iv, mat in bulk:
+        W, d0 = embed(mat, Interval(iv.k, 2), iv.k + 3), zero_modes[iv.k]
+        comm = abs(W @ d0 - d0 @ W).max()
+        if comm > CAR_TOL * max(1.0, abs(W).max()):
+            raise RegroupError(
+                f"bulk perturbation on {iv} fails the zero-mode commutation check ({comm:.3e})")
     return bulk, boundary
 
 
@@ -339,39 +347,28 @@ def zero_sector_basis(dmodes: DModeAlgebra) -> np.ndarray:
     return np.array(cols).T
 
 
-def _extract_local(W: np.ndarray, iv: Interval, n_sites: int) -> np.ndarray:
-    """Local block of a matrix acting as the identity outside ``iv``."""
-    stride = 2 ** (n_sites - iv.last)
-    idx = [s * stride for s in range(2 ** (iv.k + 1))]
-    loc = W[np.ix_(idx, idx)]
-    rebuilt = embed(LocalOperator(iv, loc), Interval(n_sites - 1, 1), 2).matrix
-    drift = float(np.max(np.abs(rebuilt - W)))
-    if drift > 1e-11 * max(1.0, float(np.max(np.abs(W)))):
-        raise RegroupError(f"restricted term on {iv} is not interval-local ({drift:.3e})")
-    return loc
+def restricted_chain_model(N: int, bulk, beta: float) -> ChainModel:
+    """Chain model for the perturbed Hamiltonian of an N-site Kitaev chain
+    on the zero-mode vacuum sector.
 
-
-def restricted_chain_model(frame: FermionFrame, bulk, beta: float) -> ChainModel:
-    """Chain model for the perturbed Hamiltonian on the zero-mode vacuum sector.
-
-    On-site matrix diag(0, 2) per mode; the unperturbed vacuum energy
-    -(N-1) rides along as the model's energy offset.  Local interaction
-    matrices are rescaled by their largest norm w (coupling beta * w) so
-    every stored norm is at most 1; the represented operator is unchanged.
+    A bulk term on c-sites {i..i+j} restricts to an interaction on the
+    d-site interval with j+1 edges and left endpoint i-1: R^dag W R on the
+    term's frame (``regroup_perturbations``), whose j+2 d-modes are that
+    interval's, so it is the same matrix on any chain.  On-site matrix
+    diag(0, 2) per mode; the unperturbed vacuum energy -(N-1) rides along
+    as the model's energy offset.  Local interaction matrices are rescaled
+    by their largest norm w (coupling beta * w) so every stored norm is at
+    most 1; the represented operator is unchanged.
     """
     if not bulk:
         raise ValidationError("restriction needs at least one bulk term")
-    N, R = frame.alg.N, frame.R
-    # each column of R lies in one parity sector and each term is even, so
-    # R^dag W R is formed as its two diagonal blocks
-    sectors = [(cols, R_s, R_s.conj().T) for cols, R_s in _sector_columns(R)]
+    bases = {k: zero_sector_basis(d_mode_algebra(fermion_algebra(k + 3)))
+             for k in {iv.k for iv, _ in bulk}}
     locals_ = {}
     for iv, mat in bulk:
-        W = np.zeros((R.shape[1],) * 2, dtype=complex)
-        for (cols, R_s, R_s_dag), (_, block) in zip(sectors, _parity_blocks(mat)):
-            W[np.ix_(cols, cols)] = R_s_dag @ (block @ R_s)
-        loc = _extract_local(W, iv, N - 1)
-        locals_[iv] = locals_.get(iv, 0) + loc
+        R, W = bases[iv.k], embed(mat, Interval(iv.k, 2), iv.k + 3)
+        d_iv = Interval(iv.k + 1, iv.q - 1)
+        locals_[d_iv] = locals_.get(d_iv, 0) + R.conj().T @ (W @ R)
     # R^dag W R is Hermitian only to rounding; stored potentials must be exact
     locals_ = {iv: (m + m.conj().T) / 2 for iv, m in locals_.items()}
     scale = max(1.0, *(op_norm(m) for m in locals_.values()))
@@ -387,22 +384,22 @@ def restricted_chain_model(frame: FermionFrame, bulk, beta: float) -> ChainModel
 
 
 def perturbed_full_hamiltonian(frame: FermionFrame, terms, beta: float) -> sparse.csr_matrix:
-    """H0 + beta * (sum of the terms' matrices), sparse."""
+    """H0 + beta * (sum of the terms embedded in the 2^N space), sparse."""
     H = frame.H0
-    for _, mat in terms:
-        H = H + beta * mat
+    for iv, mat in terms:
+        H = H + beta * embed(mat, iv, frame.alg.N)
     return H
 
 
-def doubling_check_terms(frame: FermionFrame, bulk, beta: float, tol: float = 1e-9) -> bool:
-    """Full spectrum equals the restricted spectrum doubled, and every
-    eigenvalue has even multiplicity.  Both spectra come from parity blocks:
-    the full one from the two 2^(N-1) blocks of H, the restricted one from
-    the two 2^(N-2) blocks of R^dag H R (``_sector_columns``)."""
-    blocks = _parity_blocks(perturbed_full_hamiltonian(frame, bulk, beta))
-    full = np.sort(np.concatenate([np.linalg.eigvalsh(H_s.toarray()) for _, H_s in blocks]))
-    restricted = np.concatenate([np.linalg.eigvalsh(R_s.conj().T @ (H_s @ R_s))
-                                 for (_, H_s), (_, R_s) in zip(blocks, _sector_columns(frame.R))])
+def doubling_check_terms(frame: FermionFrame, bulk, beta: float, chain: ChainModel,
+                         tol: float = 1e-9) -> bool:
+    """The spectrum of H0 + beta * (bulk terms) is that of ``chain``, the
+    restricted chain a run fits at this beta, doubled, and every eigenvalue
+    has even multiplicity.  Both spectra come from parity blocks: the full
+    one from the two 2^(N-1) blocks of H, the restricted one from the two
+    d-mode parity blocks of the chain's assembled Hamiltonian."""
+    full = sector_spectrum(perturbed_full_hamiltonian(frame, bulk, beta))
+    restricted = sector_spectrum(assemble_direct(chain))
     doubled = np.sort(np.concatenate([restricted, restricted]))
     if float(np.max(np.abs(full - doubled))) > tol:
         return False
@@ -454,7 +451,7 @@ class KitaevReduction:
             "N_fermion": self.model.N, "beta": beta,
             "bulk_terms": len(self.bulk), "boundary_terms": len(self.boundary),
             "norm_scale": scale,
-            "doubling_ok": doubling_check_terms(self.model.frame, self.bulk, beta),
+            "doubling_ok": doubling_check_terms(self.model.frame, self.bulk, beta, chain),
         }
         if self.boundary:
             splitting, gap_above = boundary_gap_check(replace(self.model, beta=beta))

@@ -269,9 +269,10 @@ def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray
 
     Terminates once |t|^j ||(V)_j|| < tol_series; reaching jmax with the last
     term still above the cutoff raises SeriesError, reporting that norm
-    (inf where |t|^j overflows a float).  The table B[(p, m)] and every
-    (V)_j with j >= 2 are coefficient matrices on the frame F of the module
-    docstring, so the dense work per order is two matrix-vector products
+    (inf where |t|^j overflows a float), and so does a term that overflows,
+    at once, with norm inf.  The table B[(p, m)] and every (V)_j with j >= 2
+    are coefficient matrices on the frame F of the module docstring, so the
+    dense work per order is two matrix-vector products
     and one forward and back substitution with the Cholesky factor of
     G - E + vac vac^dag, taken once; order one decides from bounds on
     ||V||.  G must have a positive gap above E (``local_gap``); where the
@@ -347,7 +348,11 @@ def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray
         K[:, ::3] = column[:, :n, :j].sum(axis=0)
         K += K.conj().T
         RF = np.linalg.qr(F, mode="r")
-        v_norms.append(float(np.max(np.abs(np.linalg.eigvalsh(RF @ K @ RF.conj().T)))))
+        K_F = RF @ K @ RF.conj().T
+        if not np.isfinite(K_F).all():  # from an overflowed frame, Gram matrix or term
+            raise SeriesError(f"series diverged by order {j}: its terms overflow a float",
+                              step=step, last_term_norm=inf)
+        v_norms.append(float(np.max(np.abs(np.linalg.eigvalsh(K_F)))))
         y_terms.append(resolved(F @ (K @ gram[:, 0])))
         v_coeffs.append(K)
         order = j

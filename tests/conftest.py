@@ -263,27 +263,55 @@ def dense_zero_sector_basis(dmodes: kit.DModeAlgebra) -> np.ndarray:
     return np.array(cols).T
 
 
+def full_basis_restriction(N: int, bulk) -> dict:
+    """Reference for ``kit.restricted_chain_model``'s interactions, before
+    their common rescaling: each bulk term embedded in the 2^N space,
+    restricted with the whole zero-sector basis R of the chain as one
+    2^(N-1)-square R^dag W R, and cut back to its d-site interval after
+    checking that it acts as the identity outside it."""
+    R = kit.zero_sector_basis(kit.d_mode_algebra(kit.fermion_algebra(N)))
+    chain = Interval(N - 2, 1)
+    locals_ = {}
+    for iv, mat in bulk:
+        W = R.conj().T @ (kit.embed(mat, iv, N) @ R)
+        d_iv = Interval(iv.k + 1, iv.q - 1)
+        stride = 2 ** (chain.last - d_iv.last)
+        idx = [s * stride for s in range(2 ** (d_iv.k + 1))]
+        loc = W[np.ix_(idx, idx)]
+        rebuilt = embed(LocalOperator(d_iv, loc), chain, 2).matrix
+        assert np.max(np.abs(rebuilt - W)) <= 1e-11 * max(1.0, np.max(np.abs(W))), iv
+        locals_[d_iv] = locals_.get(d_iv, 0) + loc
+    return {d_iv: (m + m.conj().T) / 2 for d_iv, m in locals_.items()}
+
+
 def doubling_check(model: kit.KitaevModel, tol: float = 1e-9) -> bool:
-    bulk, _ = kit.regroup_perturbations(model)
-    return kit.doubling_check_terms(model.frame, bulk, model.beta, tol)
+    """``kit.doubling_check_terms`` on a model's bulk terms and its restricted
+    chain; without bulk terms, that chain is diag(0, 2) on every mode."""
+    bulk, _ = kit.regroup_perturbations(model.N, model.perturbations)
+    if bulk:
+        chain = kit.restricted_chain_model(model.N, bulk, model.beta)
+    else:
+        chain = build_chain_model(model.N - 1, 2, np.diag([0.0, 2.0]), {}, 0.0,
+                                  energy_offset=-(model.N - 1))
+    return kit.doubling_check_terms(model.frame, bulk, model.beta, chain, tol)
 
 
 def random_bulk_perturbation(N: int, seed: int = 0, site: int | None = None):
     """Random even Hermitian nearest-neighbor term on interior sites.
 
-    Returns (support interval, sparse matrix) suitable for KitaevModel.
+    Returns (support interval, sparse matrix on the support's two sites),
+    suitable for KitaevModel.
     """
     rng = np.random.default_rng(seed)
     if site is None:
         site = int(rng.integers(2, N - 2)) if N > 4 else 2
     if not (2 <= site and site + 1 <= N - 1):
         raise ValidationError(f"interior nearest-neighbor site {site} invalid for N={N}")
-    alg = kit.fermion_algebra(N)
-    i, ip = site, site + 1
-    n_i = alg.cdag(i) @ alg.c[i - 1]
-    n_ip = alg.cdag(ip) @ alg.c[ip - 1]
-    hop = alg.cdag(i) @ alg.c[ip - 1]
-    pair = alg.c[i - 1] @ alg.c[ip - 1]
+    alg = kit.fermion_algebra(2)
+    n_i = alg.cdag(1) @ alg.c[0]
+    n_ip = alg.cdag(2) @ alg.c[1]
+    hop = alg.cdag(1) @ alg.c[1]
+    pair = alg.c[0] @ alg.c[1]
     basis = [
         n_i, n_ip, n_i @ n_ip,
         hop + hop.conj().T, 1j * (hop - hop.conj().T),

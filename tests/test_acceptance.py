@@ -243,8 +243,8 @@ def test_ac8_kitaev():
                  for i in range(2)]
         model = kit.build_kitaev_model(kit.fermion_frame(N), beta, perts)
         assert doubling_check(model)
-        bulk, _ = kit.regroup_perturbations(model)
-        chain = kit.restricted_chain_model(model.frame, bulk, beta)
+        bulk, _ = kit.regroup_perturbations(model.N, model.perturbations)
+        chain = kit.restricted_chain_model(model.N, bulk, beta)
         report = certify(sweep(chain), chain)
         comparison = compare(report, chain)
         assert report.gap >= 1.0

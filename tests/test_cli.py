@@ -284,12 +284,15 @@ def _anchor_file(tmp_path, **fields):
     return path
 
 
-def _kitaev_file(tmp_path, N=5, supports=((3, 3),), beta=0.01, coeff=0.5, **fields):
+def _kitaev_file(tmp_path, N=5, supports=((3, 3),), beta=0.01, coeff=0.5, sites=None,
+                 **fields):
     """Kitaev file with one density term coeff c^dag_i c_i per support [i, j],
-    plus any extra ``fields`` of the kitaev block."""
+    i the support's entry in ``sites`` if given, plus any extra ``fields``
+    of the kitaev block."""
+    sites = sites or [sup[0] for sup in supports]
     perts = [{"support": list(sup),
-              "terms": [{"coeff": [coeff, 0.0], "ops": [["cdag", sup[0]], ["c", sup[0]]]}]}
-             for sup in supports]
+              "terms": [{"coeff": [coeff, 0.0], "ops": [["cdag", i], ["c", i]]}]}
+             for sup, i in zip(supports, sites)]
     path = tmp_path / f"k{beta}.json"
     path.write_text(json.dumps({"version": "1",
                                 "kitaev": {"N": N, "beta": beta, "perturbations": perts,
@@ -331,6 +334,16 @@ class TestBadInputs:
                      id="kitaev-coeff-nan"),
         pytest.param(lambda p: _kitaev_file(p, coeff=10 ** 400), [], None, "perturbation on",
                      id="kitaev-coeff-integer-past-float"),
+        # every term site must lie in its perturbation's declared support
+        pytest.param(lambda p: _kitaev_file(p, N=6, supports=[(3, 3), (1, 2)], sites=[3, 4]),
+                     [], None, "Interval(k=1, q=1): fermion site 4 is outside sites [1, 2]",
+                     id="kitaev-site-past-boundary-support"),
+        pytest.param(lambda p: _kitaev_file(p, N=6, supports=[(3, 4)], sites=[6]), [], None,
+                     "Interval(k=1, q=3): fermion site 6 is outside sites [3, 4]",
+                     id="kitaev-site-on-chain-end"),
+        pytest.param(lambda p: _kitaev_file(p, N=6, supports=[(2, 3)], sites=[4]), [], None,
+                     "Interval(k=1, q=2): fermion site 4 is outside sites [2, 3]",
+                     id="kitaev-site-past-bulk-support"),
         pytest.param(lambda p: _anchor_file(p, t=10 ** 400), [], None, "'t'",
                      id="t-integer-past-float"),
         pytest.param(lambda p: _anchor_file(p, H=[[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]),

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from conftest import (dense_spectrum, dense_zero_sector_basis, doubling_check,
-                      kitaev_spectrum_expected, random_bulk_perturbation)
+                      full_basis_restriction, kitaev_spectrum_expected, random_bulk_perturbation)
 from lieschwinger import kitaev as kit
 from lieschwinger.cli import load_model
 from lieschwinger.errors import ValidationError
@@ -81,6 +81,15 @@ class TestSweetSpotHamiltonian:
         ev = dense_spectrum(kit.fermion_frame(N).H0)
         np.testing.assert_allclose(ev, kitaev_spectrum_expected(N), atol=1e-9)
 
+    @pytest.mark.parametrize("N", range(2, 9))
+    def test_majorana_form_equals_number_operator_form(self, N):
+        # H0 = sum_j (2 d^dag_j d_j - 1) over j = 1..N-1
+        frame = kit.fermion_frame(N)
+        dm = kit.d_mode_algebra(frame.alg)
+        eye = sparse.identity(2 ** N, dtype=complex, format="csr")
+        modes = sum(2 * (dm.ddag(j) @ dm.d[j]) - eye for j in range(1, N))
+        assert abs(frame.H0 - modes).max() <= 1e-12
+
     def test_quadratic_form_agrees_at_sweet_spot(self):
         # oracle: the hopping+pairing Hamiltonian assembled from fermion
         # bilinears directly in this test
@@ -97,22 +106,27 @@ class TestSweetSpotHamiltonian:
 class TestRegrouping:
     def test_empty(self):
         model = kit.build_kitaev_model(kit.fermion_frame(5), beta=0.01, perturbations=[])
-        bulk, boundary = kit.regroup_perturbations(model)
+        bulk, boundary = kit.regroup_perturbations(model.N, model.perturbations)
         assert bulk == [] and boundary == []
 
     def test_single_density_term(self):
-        # c^dag_i c_i with interior i maps to d-sites {i-1, i, i+1} and
-        # commutes with the zero mode
+        # c^dag_i c_i with interior i is bulk, restricts to d-sites
+        # {i-1, i} and commutes with the zero mode
         N, i = 6, 3
-        alg = kit.fermion_algebra(N)
-        mat = alg.cdag(i) @ alg.c[i - 1]
+        local = kit.fermion_algebra(1)
+        mat = local.cdag(1) @ local.c[0]
         model = kit.build_kitaev_model(kit.fermion_frame(N), 0.01, [(Interval(0, i), mat)])
-        bulk, boundary = kit.regroup_perturbations(model)
+        bulk, boundary = kit.regroup_perturbations(model.N, model.perturbations)
         assert boundary == []
         (iv, m), = bulk
-        assert iv == Interval(1, i - 1)  # d-sites i-1..i (edge count 0+1)
+        assert iv == Interval(0, i)
+        chain = kit.restricted_chain_model(N, bulk, 0.01)
+        assert list(chain.interactions) == [Interval(1, i - 1)]  # edge count 0+1
+        alg = kit.fermion_algebra(N)
+        W = kit.embed(m, iv, N)
+        assert np.array_equal(W.toarray(), (alg.cdag(i) @ alg.c[i - 1]).toarray())
         dm = kit.d_mode_algebra(alg)
-        comm = m @ dm.d[0] - dm.d[0] @ m
+        comm = W @ dm.d[0] - dm.d[0] @ W
         assert abs(comm.toarray()).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
@@ -120,27 +134,27 @@ class TestRegrouping:
         N = 6
         iv, mat = random_bulk_perturbation(N, seed=seed)
         model = kit.build_kitaev_model(kit.fermion_frame(N), 0.01, [(iv, mat)])
-        bulk, boundary = kit.regroup_perturbations(model)
+        bulk, boundary = kit.regroup_perturbations(model.N, model.perturbations)
         assert boundary == []
         dm = kit.d_mode_algebra(kit.fermion_algebra(N))
-        for _, m in bulk:
-            assert abs((m @ dm.d[0] - dm.d[0] @ m).toarray()).max() <= 1e-12
+        for iv, m in bulk:
+            W = kit.embed(m, iv, N)
+            assert abs((W @ dm.d[0] - dm.d[0] @ W).toarray()).max() <= 1e-12
 
     def test_edge_terms_classified_as_boundary(self):
         N = 5
-        alg = kit.fermion_algebra(N)
-        left = alg.cdag(1) @ alg.c[0]
-        right = alg.cdag(N) @ alg.c[N - 1]
+        local = kit.fermion_algebra(1)
+        density = local.cdag(1) @ local.c[0]
         model = kit.build_kitaev_model(
-            kit.fermion_frame(N), 0.01, [(Interval(0, 1), left), (Interval(0, N), right)]
+            kit.fermion_frame(N), 0.01, [(Interval(0, 1), density), (Interval(0, N), density)]
         )
-        bulk, boundary = kit.regroup_perturbations(model)
+        bulk, boundary = kit.regroup_perturbations(model.N, model.perturbations)
         assert bulk == [] and len(boundary) == 2
 
     def test_odd_perturbation_rejected(self):
         N = 4
-        alg = kit.fermion_algebra(N)
-        odd = alg.c[1] + alg.cdag(2)
+        local = kit.fermion_algebra(1)
+        odd = local.c[0] + local.cdag(1)
         with pytest.raises(ValidationError, match="even"):
             kit.build_kitaev_model(kit.fermion_frame(N), 0.01, [(Interval(0, 2), odd)])
 
@@ -149,11 +163,12 @@ class TestRegrouping:
         N = 5
         frame = kit.fermion_frame(N)
         iv, even = random_bulk_perturbation(N, seed=5)
-        odd = frame.alg.c[1] + frame.alg.cdag(2)
+        local = kit.fermion_algebra(iv.k + 1)
+        odd = local.c[0] + local.cdag(1)
         model = kit.build_kitaev_model(frame, 0.01, [(iv, even + 1e-11 * odd)])
         (_, stored), = model.perturbations
         dense = stored.toarray()
-        even_idx, odd_idx = popcount_sectors(N)
+        even_idx, odd_idx = popcount_sectors(iv.k + 1)
         assert not np.any(dense[np.ix_(even_idx, odd_idx)])
         assert not np.any(dense[np.ix_(odd_idx, even_idx)])
         for idx in (even_idx, odd_idx):
@@ -189,7 +204,8 @@ class TestParitySectors:
         edge = alg.cdag(1) @ alg.c[0] + alg.cdag(N) @ alg.c[N - 1]
         hop = alg.cdag(1) @ alg.c[N - 1]
         boundary = [(Interval(N - 1, 1), edge + hop + hop.conj().T)]
-        zero_mode = [(Interval(0, 1), frame.modes.ddag(0) @ frame.modes.d[0])]
+        dm = kit.d_mode_algebra(alg)
+        zero_mode = [(Interval(N - 1, 1), dm.ddag(0) @ dm.d[0])]
         for H in (A, sparse.csr_matrix(A), frame.H0,
                   kit.perturbed_full_hamiltonian(frame, boundary, 0.3),
                   kit.perturbed_full_hamiltonian(frame, zero_mode, 0.3)):
@@ -218,30 +234,100 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("N", range(2, 8))
     def test_sector_columns_carry_r(self, N):
-        # the two blocks hold every nonzero entry of R, and R^dag X R of an
-        # even X is the block-diagonal matrix of the R_s^dag X_s R_s
+        # the columns of R, split by the parity of their d-mode occupations,
+        # form two blocks that hold every nonzero entry of R, so R^dag X R of
+        # an even X is the block-diagonal matrix of the R_s^dag X_s R_s, with
+        # no entry across the d-mode parity, not even a rounding one: a
+        # restricted chain splits into its two parity blocks
         rng = np.random.default_rng(N)
-        R = kit.fermion_frame(N).R
+        R = kit.zero_sector_basis(kit.d_mode_algebra(kit.fermion_algebra(N)))
         rows = kit.parity_sectors(N)
-        sectors = kit._sector_columns(R)
+        cols = kit.parity_sectors(N - 1)
+        if not np.any(R[rows[0], 0]):  # the vacuum, column 0, is odd
+            cols = cols[::-1]
         rebuilt = np.zeros_like(R)
-        for idx, (cols, R_s) in zip(rows, sectors):
-            rebuilt[np.ix_(idx, cols)] = R_s
+        for idx, c in zip(rows, cols):
+            rebuilt[np.ix_(idx, c)] = R[np.ix_(idx, c)]
         assert np.array_equal(rebuilt, R)
         X = rng.normal(size=(2 ** N,) * 2) + 1j * rng.normal(size=(2 ** N,) * 2)
         X[np.ix_(*rows)] = X[np.ix_(*rows[::-1])] = 0
-        blocks = np.zeros((R.shape[1],) * 2, dtype=complex)
-        for idx, (cols, R_s) in zip(rows, sectors):
-            blocks[np.ix_(cols, cols)] = R_s.conj().T @ X[np.ix_(idx, idx)] @ R_s
-        assert np.max(np.abs(blocks - R.conj().T @ X @ R)) <= 1e-12
+        Y = R.conj().T @ (sparse.csr_matrix(X) @ R)
+        blocks = np.zeros_like(Y)
+        for idx, c in zip(rows, cols):
+            R_s = R[np.ix_(idx, c)]
+            blocks[np.ix_(c, c)] = R_s.conj().T @ X[np.ix_(idx, idx)] @ R_s
+        assert np.max(np.abs(blocks - Y)) <= 1e-12
+        assert not np.any(Y[np.ix_(*cols)]) and not np.any(Y[np.ix_(*cols[::-1])])
 
-    def test_column_of_both_parities_is_rejected(self):
-        R = kit.fermion_frame(4).R.copy()
-        even_idx, odd_idx = kit.parity_sectors(4)
-        col = int(np.flatnonzero(np.any(R[even_idx] != 0, axis=0))[0])
-        R[odd_idx[0], col] = 1e-300
-        with pytest.raises(ValidationError, match="both fermion parities"):
-            kit._sector_columns(R)
+
+def random_even_terms(rng, iv):
+    """File terms of a random Hermitian perturbation on the sites of ``iv``:
+    monomials of fermion degree 2 and 4, each with its conjugate."""
+    terms = []
+    for degree in (2, 4):
+        for _ in range(3):
+            kinds = rng.permutation(["c", "cdag"] * (degree // 2))
+            ops = [[str(kind), int(rng.integers(iv.q, iv.last + 1))] for kind in kinds]
+            re, im = rng.normal(size=2)
+            conj = [["cdag" if kind == "c" else "c", site] for kind, site in reversed(ops)]
+            terms += [{"coeff": [re, im], "ops": ops}, {"coeff": [re, -im], "ops": conj}]
+    return terms
+
+
+class TestLocalReduction:
+    @pytest.mark.parametrize("N", range(5, 11))
+    def test_every_placement_matches_the_full_space_route(self, N):
+        # each bulk placement of k = 0..3: the embedded local parse equals
+        # the parse on the whole 2^N algebra entry for entry, and the
+        # restriction on the term's frame matches R^dag W R on the chain
+        rng = np.random.default_rng(N)
+        alg = kit.fermion_algebra(N)
+        bulk = []
+        for k in range(4):
+            for q in range(2, N - k):
+                iv = Interval(k, q)
+                terms = random_even_terms(rng, iv)
+                mat = kit.local_perturbation(iv, terms, N)
+                assert mat.shape == (2 ** (k + 1),) * 2
+                assert np.array_equal(kit.embed(mat, iv, N).toarray(),
+                                      kit.perturbation_matrix(alg, terms).toarray())
+                bulk.append((iv, mat))
+        chain = kit.restricted_chain_model(N, bulk, 0.01)
+        want = full_basis_restriction(N, bulk)
+        scale = max(1.0, *(np.max(np.abs(np.linalg.eigvalsh(m))) for m in want.values()))
+        assert chain.t == pytest.approx(0.01 * scale, rel=1e-14)
+        assert set(chain.interactions) == set(want)
+        for iv, op in chain.interactions.items():
+            assert np.max(np.abs(op.matrix - want[iv] / scale)) <= 1e-14, iv
+
+    def test_translation_invariant_bonds_restrict_bit_identically(self, monkeypatch):
+        # one bond term repeated on each bond of a 40-site chain, past the
+        # dense guard: parsed, regrouped and restricted with no zero-sector
+        # basis above the 2^(k+3) rows of its k = 1 frame
+        N = 40
+        zero_sector_basis = kit.zero_sector_basis
+
+        def frame_sized(dmodes):
+            if len(dmodes.d) > 4:
+                raise AssertionError(f"zero-sector basis of {len(dmodes.d)} modes")
+            return zero_sector_basis(dmodes)
+
+        monkeypatch.setattr(kit, "zero_sector_basis", frame_sized)
+        bond = random_even_terms(np.random.default_rng(0), Interval(1, 1))
+        perts = []
+        for q in range(1, N):
+            terms = [{"coeff": term["coeff"], "ops": [[kind, site + q - 1]
+                                                      for kind, site in term["ops"]]}
+                     for term in bond]
+            perts.append((Interval(1, q), kit.local_perturbation(Interval(1, q), terms, N)))
+        bulk, boundary = kit.regroup_perturbations(N, perts)
+        assert len(bulk) == N - 3 and len(boundary) == 2
+        chain = kit.restricted_chain_model(N, bulk, 0.01)
+        assert sorted(chain.interactions) == [Interval(2, q) for q in range(1, N - 2)]
+        first = chain.interactions[Interval(2, 1)].matrix
+        assert np.any(first)
+        for op in chain.interactions.values():
+            assert np.array_equal(op.matrix, first)
 
 
 class TestRestriction:
@@ -261,8 +347,8 @@ class TestRestriction:
         N = 5
         iv, mat = random_bulk_perturbation(N, seed=1)
         model = kit.build_kitaev_model(kit.fermion_frame(N), beta=0.0, perturbations=[(iv, mat)])
-        bulk, _ = kit.regroup_perturbations(model)
-        chain = kit.restricted_chain_model(model.frame, bulk, beta=0.0)
+        bulk, _ = kit.regroup_perturbations(model.N, model.perturbations)
+        chain = kit.restricted_chain_model(model.N, bulk, beta=0.0)
         ev = ed_spectrum(chain)
         from math import comb
         expected = sorted(-(N - 1) + 2 * m for m in range(N) for _ in range(comb(N - 1, m)))
@@ -272,8 +358,9 @@ class TestRestriction:
         N = 4
         iv, mat = random_bulk_perturbation(N, seed=2)
         frame = kit.fermion_frame(N)
-        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, 0.0, [(iv, mat)]))
-        chain = kit.restricted_chain_model(frame, bulk, beta=0.0)
+        bulk, _ = kit.regroup_perturbations(
+            N, kit.build_kitaev_model(frame, 0.0, [(iv, mat)]).perturbations)
+        chain = kit.restricted_chain_model(N, bulk, beta=0.0)
         ev = ed_spectrum(chain)
         assert ev[0] == pytest.approx(-3.0, abs=1e-12)
         assert ev[1] - ev[0] == pytest.approx(2.0, abs=1e-12)
@@ -285,8 +372,9 @@ class TestRestriction:
         beta = 0.01
         iv, mat = random_bulk_perturbation(N, seed=3)
         frame = kit.fermion_frame(N)
-        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, beta, [(iv, mat)]))
-        chain = kit.restricted_chain_model(frame, bulk, beta)
+        bulk, _ = kit.regroup_perturbations(
+            N, kit.build_kitaev_model(frame, beta, [(iv, mat)]).perturbations)
+        chain = kit.restricted_chain_model(N, bulk, beta)
         dm = kit.d_mode_algebra(kit.fermion_algebra(N))
         R = kit.zero_sector_basis(dm)
         H = kit.perturbed_full_hamiltonian(frame, bulk, beta)
@@ -295,18 +383,15 @@ class TestRestriction:
         )
 
     def test_interactions_match_whole_basis_products(self):
-        # reference: each R^dag W R from the whole zero-sector basis, not
-        # from its two parity blocks
+        # reference: each R^dag W R from the whole zero-sector basis of the
+        # chain, not from the term's frame nor from parity blocks
         N, beta = 6, 0.02
         perts = [random_bulk_perturbation(N, seed=s, site=s + 2) for s in range(3)]
         frame = kit.fermion_frame(N)
-        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, beta, perts))
-        chain = kit.restricted_chain_model(frame, bulk, beta)
-        want = {}
-        for iv, mat in bulk:
-            W = frame.R.conj().T @ (mat @ frame.R)
-            want[iv] = want.get(iv, 0) + kit._extract_local(W, iv, N - 1)
-        want = {iv: (m + m.conj().T) / 2 for iv, m in want.items()}
+        bulk, _ = kit.regroup_perturbations(
+            N, kit.build_kitaev_model(frame, beta, perts).perturbations)
+        chain = kit.restricted_chain_model(N, bulk, beta)
+        want = full_basis_restriction(N, bulk)
         scale = max(1.0, *(np.max(np.abs(np.linalg.eigvalsh(m))) for m in want.values()))
         assert chain.t == pytest.approx(beta * scale, rel=1e-14)
         assert set(chain.interactions) == set(want)
@@ -317,8 +402,9 @@ class TestRestriction:
         N = 6
         perts = [random_bulk_perturbation(N, seed=s, site=s + 2) for s in range(2)]
         frame = kit.fermion_frame(N)
-        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, 0.02, perts))
-        chain = kit.restricted_chain_model(frame, bulk, beta=0.02)
+        bulk, _ = kit.regroup_perturbations(
+            N, kit.build_kitaev_model(frame, 0.02, perts).perturbations)
+        chain = kit.restricted_chain_model(N, bulk, beta=0.02)
         for op in chain.interactions.values():
             assert np.max(np.abs(np.linalg.eigvalsh(op.matrix))) <= 1.0 + 1e-12
 
@@ -327,8 +413,9 @@ class TestRestriction:
         beta = 0.01
         iv, mat = random_bulk_perturbation(N, seed=4)
         frame = kit.fermion_frame(N)
-        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, beta, [(iv, mat)]))
-        chain = kit.restricted_chain_model(frame, bulk, beta)
+        bulk, _ = kit.regroup_perturbations(
+            N, kit.build_kitaev_model(frame, beta, [(iv, mat)]).perturbations)
+        chain = kit.restricted_chain_model(N, bulk, beta)
         fitted = BlockDiagonalizer().fit(chain)
         assert fitted.gap_ >= 1.0
         assert fitted.comparison_.spectrum_distance <= 1e-9
@@ -349,17 +436,23 @@ class TestDoubling:
 
     def test_zero_mode_term_breaks_doubling(self):
         # negative control: inject a term built from the zero mode directly
+        # into the full side, next to the bulk term the chain restricts
         N = 4
         frame = kit.fermion_frame(N)
-        bad = frame.modes.ddag(0) @ frame.modes.d[0]
-        assert not kit.doubling_check_terms(frame, [(Interval(1, 1), bad)], beta=0.3)
+        bulk = [random_bulk_perturbation(N, seed=0)]
+        chain = kit.restricted_chain_model(N, bulk, 0.3)
+        assert kit.doubling_check_terms(frame, bulk, 0.3, chain)
+        dm = kit.d_mode_algebra(frame.alg)
+        bad = (Interval(N - 1, 1), dm.ddag(0) @ dm.d[0])
+        assert not kit.doubling_check_terms(frame, bulk + [bad], 0.3, chain)
 
     def test_full_spectrum_ground_degeneracy_two(self):
         from lieschwinger.oracle import degeneracy_of_spectrum
         N = 5
         iv, mat = random_bulk_perturbation(N, seed=8)
         frame = kit.fermion_frame(N)
-        bulk, _ = kit.regroup_perturbations(kit.build_kitaev_model(frame, 0.01, [(iv, mat)]))
+        bulk, _ = kit.regroup_perturbations(
+            N, kit.build_kitaev_model(frame, 0.01, [(iv, mat)]).perturbations)
         H = kit.perturbed_full_hamiltonian(frame, bulk, 0.01)
         assert degeneracy_of_spectrum(dense_spectrum(H)) == 2
 
@@ -378,7 +471,7 @@ class TestBoundary:
             (Interval(N - 1, 1), edge + hop + hop.conj().T),
         ]
         model = kit.build_kitaev_model(kit.fermion_frame(N), beta, perts)
-        _, boundary = kit.regroup_perturbations(model)
+        _, boundary = kit.regroup_perturbations(model.N, model.perturbations)
         assert boundary
         splitting, gap_above = kit.boundary_gap_check(model)
         assert splitting <= 4 * beta

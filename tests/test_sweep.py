@@ -429,6 +429,16 @@ class TestGeneratorSeries:
         with pytest.raises(SeriesError, match="converge"):
             generator_series(G.matrix, 0.0, pair, V, 0.5, SeriesControls())
 
+    def test_overflowing_series_raises_series_error(self):
+        # the frame's Gram matrix overflows at order one; eigvalsh on it
+        # would end in LinAlgError instead
+        G = np.diag([bin(i).count("1") for i in range(8)]).astype(complex)
+        pair = build_projectors(Interval(2, 1), np.array([1.0, 0.0], dtype=complex))
+        V = random_hermitian(np.random.default_rng(0), 8)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SeriesError) as info:
+            generator_series(G, 0.0, pair, 1e200 * V, 1.0, SeriesControls())
+        assert info.value.last_term_norm == np.inf
+
 
 class TestDiagonalizedPotential:
     def test_zero_generator_identity(self, rng):
@@ -651,6 +661,31 @@ class TestSweep:
             sweep(model)
         assert excinfo.value.step == StepIndex(1, 1)
         assert excinfo.value.partial_state.step == StepIndex(0, 2)
+
+
+def _window(model, first, last):
+    """The model restricted to sites first..last, relabelled from site 1."""
+    interactions = {Interval(iv.k, iv.q - first + 1): op.matrix
+                    for iv, op in model.interactions.items() if first <= iv.q and iv.last <= last}
+    return build_chain_model(last - first + 1, model.M, model.onsite, interactions, model.t,
+                             model.kbar)
+
+
+@pytest.mark.parametrize("N,M,kbar", [(9, 2, 1), (7, 3, 2)])
+def test_sweep_is_local_bit_for_bit(N, M, kbar):
+    # a stored potential depends only on the model restricted to its
+    # interval: sweeping a window reproduces the full chain's potential on
+    # every interval inside it, to the bit
+    model = random_chain_model(N, 0.05, M=M, kbar=kbar, seed=N)
+    full = sweep(model).potentials
+    rng = np.random.default_rng(N)
+    for _ in range(3):
+        first = int(rng.integers(1, N))
+        last = int(rng.integers(first + 1, N + 1))
+        window = sweep(_window(model, first, last)).potentials
+        assert window
+        for iv, op in window.items():
+            assert np.array_equal(op.matrix, full[Interval(iv.k, iv.q + first - 1)].matrix), iv
 
 
 class TestNonBasisVacuum:
