@@ -117,6 +117,9 @@ def _load_chain(spec) -> ChainModel:
     interactions = {}
     for entry in _field(spec, "interactions", list, where):
         iv = _support(entry, "interaction")
+        if iv in interactions:
+            raise ValidationError(f"interaction support [{iv.q}, {iv.last}] appears twice; "
+                                  "give one entry per support")
         interactions[iv] = _parse_matrix(_field(entry, "matrix", list, f"interaction on {iv}"),
                                          f"interaction on {iv}")
     return build_chain_model(
@@ -130,17 +133,17 @@ def _load_kitaev(block):
     from . import kitaev as kit  # the one import of kitaev, and of scipy, in a run
 
     where = "kitaev block"
-    frame = kit.fermion_frame(_field(block, "N", int, where))  # the 2^N space, under the guard
+    N = kit.fermion_sites(_field(block, "N", int, where))  # 2^N under the guard, before any term
     perts = []
     for entry in _field(block, "perturbations", list, where):
         iv = _support(entry, "perturbation")
         terms = _field(entry, "terms", list, f"perturbation on {iv}")
         try:
-            perts.append((iv, kit.local_perturbation(iv, terms, frame.alg.N)))
+            perts.append((iv, kit.local_perturbation(iv, terms, N)))
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as err:
             raise ValidationError(f"perturbation on {iv}: malformed field 'terms' ({err!r})") from err
     return kit.build_kitaev_model(
-        frame, beta=_field(block, "beta", _NUMBER, where), perturbations=perts,
+        N, beta=_field(block, "beta", _NUMBER, where), perturbations=perts,
         mu=_field(block, "mu", _NUMBER, where, 0.0), tau=_field(block, "tau", _NUMBER, where, 1.0),
         delta=_field(block, "delta", _NUMBER, where, 1.0),
     )

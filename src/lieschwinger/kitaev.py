@@ -19,22 +19,32 @@ diag(0, 2).
 The reduction is local.  The Jordan-Wigner strings of an even monomial
 cancel, so a perturbation on c-sites {q..q+k} is 1 (x) m (x) 1 with m its
 matrix on its own k+1 sites; a model parses, checks and stores m alone
-(``local_perturbation``, ``build_kitaev_model``).  A bulk term is checked
-against the zero mode and restricted to the d_0-vacuum sector on a
-(k+3)-site frame, where it is already the chain interaction on its k+2
-d-modes.  Only the per-coupling ``doubling_check_terms`` and
-``boundary_gap_check`` read the 2^N space, through Kronecker embeddings
-(``embed``); its algebra and H0 are built at load, under the dense guard.
-``KitaevModel.reduce`` runs once per file, and ``KitaevReduction.at(beta)``
-rescales the restricted chain's t and reruns the two checks.
+(``local_perturbation``, ``build_kitaev_model``).  Each monomial is a
+signed partial permutation of the occupation basis, read off by following
+every basis state through its factors (``_follow``), so a term is parsed
+without any fermion algebra; ``fermion_algebra`` writes its sparse
+annihilators the same way.  A
+bulk term is checked against the zero mode and restricted to the
+d_0-vacuum sector on a (k+3)-site frame, where it is already the chain
+interaction on its k+2 d-modes.  No N-site algebra is built: the load only
+checks N against the dense guard (``fermion_sites``), and H0 is one 2-site
+bond matrix embedded on each bond (``kitaev_hamiltonian``), its
+Jordan-Wigner strings cancelling as a perturbation's do.
+
+``KitaevModel.reduce`` runs once per file.  Besides the restricted chain
+it embeds every term in the 2^N space once (``embed``, sparse) and keeps
+the two fermion-parity blocks of H0, of the bulk sum and of the sum of all
+terms (``SectorPencil``).  ``KitaevReduction.at(beta)`` rescales the
+chain's t and runs the two spectral checks, ``doubling_check_terms`` and
+``boundary_gap_check``, on the two dense blocks of H0 + beta X, so a
+coupling embeds nothing and no dense 2^N block outlives it.
 
 Every operator here is even, so it commutes with the fermion parity,
-which is diagonal in the occupation basis (``parity_sectors``), and each
-dense eigensolve runs on the two parity blocks (``sector_spectrum``, the
-mode vacuum of ``zero_sector_basis``), taken only after checking that no
-entry crosses parity.  Each column of the zero-sector basis R lies in one
-sector too, so R^dag W R of an even W, and with it the restricted chain, is
-exactly even in the d-mode parity.
+which is diagonal in the occupation basis (``operators.parity_sectors``),
+and each dense eigensolve runs on the two parity blocks, taken only after
+checking that no entry crosses parity.  Each column of the zero-sector
+basis R lies in one sector too, so R^dag W R of an even W, and with it the
+restricted chain, is exactly even in the d-mode parity.
 This is the one module that uses scipy, and the command line imports it
 only for a Kitaev file.
 """
@@ -50,8 +60,8 @@ from scipy import sparse
 from .errors import RegroupError, ValidationError
 from .intervals import Interval
 from .model import ChainModel, build_chain_model, validate_chain_model
-from .operators import dense_dim, op_norm
-from .oracle import assemble_direct
+from .operators import dense_dim, op_norm, parity_sectors
+from .oracle import ed_spectrum
 
 CAR_TOL = 1e-12
 
@@ -82,22 +92,27 @@ class DModeAlgebra:
         return self.dd[j]
 
 
-def fermion_algebra(N: int) -> FermionAlgebra:
-    """Jordan-Wigner annihilators; every dense fermion-space routine starts
-    here, so this is where the chain length and the dense-dimension guard
-    are enforced."""
+def fermion_sites(N: int) -> int:
+    """N, checked as the length of a Kitaev chain: at least one site, and a
+    fermion space 2^N under the dense guard, which the per-coupling checks
+    reach."""
     if N < 1:
         raise ValidationError(f"a Kitaev chain needs N >= 1 fermion sites, got N={N}")
     dense_dim(2, N, "fermion space")
-    sz = sparse.csr_matrix(np.array([[1, 0], [0, -1]], dtype=complex))
-    low = sparse.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
-    eye2 = sparse.identity(2, dtype=complex, format="csr")
+    return N
+
+
+def fermion_algebra(N: int) -> FermionAlgebra:
+    """Jordan-Wigner annihilators, sparse, each written straight from its
+    signed partial permutation of the occupation basis (``_follow``)."""
+    fermion_sites(N)
+    cols = np.arange(2 ** N)
     ops = []
     for j in range(1, N + 1):
-        m = sparse.identity(1, dtype=complex, format="csr")
-        for l in range(1, N + 1):
-            m = sparse.kron(m, sz if l < j else (low if l == j else eye2), format="csr")
-        ops.append(m)
+        rows, amp = _follow([("c", j)], N, 1)
+        keep = amp != 0
+        ops.append(sparse.csr_matrix((amp[keep].astype(complex), (rows[keep], cols[keep])),
+                                     shape=(2 ** N,) * 2))
     return FermionAlgebra(N, tuple(ops))
 
 
@@ -116,26 +131,17 @@ def d_mode_algebra(alg: FermionAlgebra) -> DModeAlgebra:
     return DModeAlgebra(d, tuple(m.conj().T.tocsr() for m in d))
 
 
-def _odd_parity(N: int) -> np.ndarray:
-    """True at the occupation-basis indices with an odd number of fermions."""
-    idx = np.arange(2 ** N)
-    odd = np.zeros(2 ** N, dtype=bool)
-    for j in range(N):
-        odd ^= (idx >> j) & 1 == 1
-    return odd
-
-
-def parity_sectors(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd occupation-basis indices: the fermion parity
-    prod_j (1 - 2 n_j) is diagonal there, with sign (-1)^popcount."""
-    odd = _odd_parity(N)
-    return np.flatnonzero(~odd), np.flatnonzero(odd)
+def _odd_table(n: int) -> np.ndarray:
+    """True at the integers below 2^n with an odd popcount."""
+    table = np.zeros(2 ** n, dtype=bool)
+    table[parity_sectors(n)[1]] = True
+    return table
 
 
 def _cross_parity(mat) -> tuple[sparse.coo_matrix, np.ndarray]:
     """``mat`` as COO and the mask of its stored entries that change the parity."""
     coo = sparse.coo_matrix(mat)
-    odd = _odd_parity(coo.shape[0].bit_length() - 1)
+    odd = _odd_table(coo.shape[0].bit_length() - 1)
     return coo, odd[coo.row] != odd[coo.col]
 
 
@@ -150,78 +156,116 @@ def _parity_blocks(H) -> list[tuple[np.ndarray, sparse.csr_matrix]]:
     return [(idx, H[idx][:, idx]) for idx in parity_sectors(H.shape[0].bit_length() - 1)]
 
 
-def sector_spectrum(H) -> np.ndarray:
-    """Ascending spectrum of an even fermion-space operator, from one
-    ``eigvalsh`` per parity block of dimension 2^(N-1)."""
-    return np.sort(np.concatenate(
-        [np.linalg.eigvalsh(block.toarray()) for _, block in _parity_blocks(H)]))
+def embed(mat, iv: Interval, N: int) -> sparse.csr_matrix:
+    """1 (x) mat (x) 1 on N sites, sparse, for a matrix on the sites of
+    ``iv``: the term itself when it is even, since its Jordan-Wigner strings
+    cancel."""
+    left = sparse.identity(2 ** (iv.q - 1), dtype=complex, format="csr")
+    right = sparse.identity(2 ** (N - iv.last), dtype=complex, format="csr")
+    return sparse.kron(sparse.kron(left, mat), right, format="csr")
 
 
-def kitaev_hamiltonian(alg: FermionAlgebra) -> sparse.csr_matrix:
-    """Sweet-spot Hamiltonian -i sum_j gamma_{B,j} gamma_{A,j+1}, which the
-    tests hold equal to the number-operator form."""
-    gA, gB = majoranas(alg)
-    H = sparse.csr_matrix((alg.dim, alg.dim), dtype=complex)
-    for j in range(1, alg.N):
-        H = H - 1j * (gB[j - 1] @ gA[j])
-    return H
+def _embedded_sum(terms, N: int) -> sparse.csr_matrix:
+    return sum((embed(mat, iv, N) for iv, mat in terms),
+               sparse.csr_matrix((2 ** N,) * 2, dtype=complex))
+
+
+def kitaev_hamiltonian(N: int) -> sparse.csr_matrix:
+    """Sweet-spot Hamiltonian -i sum_j gamma_{B,j} gamma_{A,j+1}, sparse: the
+    2-site bond matrix -i gamma_{B,1} gamma_{A,2} embedded on each bond.  The
+    tests hold it equal to the number-operator form."""
+    gA, gB = majoranas(fermion_algebra(2))
+    bond = -1j * (gB[0] @ gA[1])
+    return _embedded_sum([(Interval(1, j), bond) for j in range(1, N)], N)
 
 
 @dataclass(frozen=True, eq=False)
-class FermionFrame:
-    """What the 2^N checks read: the algebra and the sweet-spot H0."""
+class SectorPencil:
+    """H0 + beta X on the even and the odd fermion-parity sector: the sparse
+    blocks of H0 and of X (``sector_blocks``), split once, from which each
+    coupling forms the two dense blocks it diagonalizes."""
 
-    alg: FermionAlgebra
-    H0: sparse.csr_matrix
+    H0: tuple
+    X: tuple
+
+    def spectrum(self, beta: float) -> np.ndarray:
+        """Ascending spectrum of H0 + beta X, one eigvalsh per parity block."""
+        return np.sort(np.concatenate([np.linalg.eigvalsh((h + beta * x).toarray())
+                                       for h, x in zip(self.H0, self.X)]))
 
 
-def fermion_frame(N: int) -> FermionFrame:
-    alg = fermion_algebra(N)
-    return FermionFrame(alg, kitaev_hamiltonian(alg))
+def sector_blocks(H) -> tuple:
+    """The even and the odd parity block of an even operator, sparse, after
+    the check for entries across parity (``_parity_blocks``)."""
+    return tuple(block for _, block in _parity_blocks(H))
 
 
 @dataclass(frozen=True, eq=False)
 class KitaevModel:
-    """Sweet-spot chain plus even fermionic perturbations of strength beta."""
+    """Sweet-spot chain of N sites plus even fermionic perturbations of strength beta."""
 
-    frame: FermionFrame
+    N: int
     beta: float
     perturbations: tuple  # of (Interval in c-site coordinates, sparse matrix on its sites)
 
-    @property
-    def N(self) -> int:
-        return self.frame.alg.N
-
     def reduce(self) -> KitaevReduction:
         """The part of a run that no coupling changes: the bulk/boundary
-        split and the restricted chain at this model's beta."""
+        split, the restricted chain at this model's beta, and the parity
+        blocks the two checks read, with every term embedded once."""
         bulk, boundary = regroup_perturbations(self.N, self.perturbations)
         chain = restricted_chain_model(self.N, bulk, self.beta)
-        return KitaevReduction(self, chain, tuple(bulk), tuple(boundary))
+        H0, X = sector_blocks(kitaev_hamiltonian(self.N)), _embedded_sum(bulk, self.N)
+        full = None
+        if boundary:
+            full = SectorPencil(H0, sector_blocks(X + _embedded_sum(boundary, self.N)))
+        return KitaevReduction(self, chain, tuple(bulk), tuple(boundary),
+                               SectorPencil(H0, sector_blocks(X)), full)
 
 
-def perturbation_matrix(alg: FermionAlgebra, terms, first: int = 1) -> sparse.csr_matrix:
-    """Sum of coeff * monomial, each monomial a product of c / c^dag factors
-    of even length, e.g. ops = [("cdag", 2), ("c", 3)], on sites numbered
-    from ``first``."""
-    out = sparse.csr_matrix((alg.dim, alg.dim), dtype=complex)
+def _follow(ops, n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """A product of c / c^dag factors on the n sites from ``first`` as
+    (rows, amp): it takes basis state i to amp[i] times state rows[i].  Each
+    factor takes a basis state to one other state, or to zero, with the
+    sign (-1)^(occupied sites before its own), so the product is read off by
+    following every basis state through the factors."""
+    rows, amp = np.arange(2 ** n), np.ones(2 ** n)
+    odd = _odd_table(n)
+    for kind, site in reversed(ops):  # the rightmost factor acts first
+        bit = n - 1 - (site - first)  # site ``first`` is the most significant bit
+        occupied = (rows >> bit) & 1 == 1
+        amp[occupied != (kind == "c")] = 0.0  # c needs the site occupied, c^dag empty
+        amp[odd[rows >> (bit + 1)]] *= -1.0
+        rows = rows ^ (1 << bit)
+    return rows, amp
+
+
+def perturbation_matrix(terms, n: int, first: int = 1) -> sparse.csr_matrix:
+    """Sum of coeff * monomial on the n sites from ``first``, each monomial a
+    product of c / c^dag factors of even length, e.g. ops = [("cdag", 2),
+    ("c", 3)].  The entries of all monomials are gathered first and summed
+    per matrix entry in term order, so no matrix is formed per term."""
+    keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
     for term in terms:
         ops = term["ops"]
         if len(ops) % 2 != 0:
             raise ValidationError("perturbation monomials must have even fermion degree")
-        m = sparse.identity(alg.dim, dtype=complex, format="csr")
         for kind, site in ops:
-            if not first <= site < first + alg.N:
+            if not first <= site < first + n:
                 raise ValidationError(
-                    f"fermion site {site} is outside sites [{first}, {first + alg.N - 1}]")
+                    f"fermion site {site} is outside sites [{first}, {first + n - 1}]")
             if kind not in ("c", "cdag"):
                 raise ValidationError(f"unknown fermion factor kind {kind!r}")
-            m = m @ (alg.c[site - first] if kind == "c" else alg.cdag(site - first + 1))
         coeff = complex(term["coeff"][0], term["coeff"][1])
         if not cmath.isfinite(coeff):  # before the product, which would warn on inf * 0
             raise ValidationError("coefficients must be finite")
-        out = out + coeff * m.tocsr()
-    return out.tocsr()
+        rows, amp = _follow(ops, n, first)
+        cols = np.flatnonzero(amp)
+        keys.append(rows[cols] * 2 ** n + cols)
+        values.append(coeff * amp[cols])
+    entries, where = np.unique(np.concatenate(keys), return_inverse=True)
+    data = np.zeros(entries.shape[0], dtype=complex)
+    np.add.at(data, where, np.concatenate(values))  # in term order, as a running sum would
+    return sparse.csr_matrix((data, (entries // 2 ** n, entries % 2 ** n)), shape=(2 ** n,) * 2)
 
 
 def _check_support(iv: Interval, N: int) -> None:
@@ -230,24 +274,16 @@ def _check_support(iv: Interval, N: int) -> None:
 
 
 def local_perturbation(iv: Interval, terms, N: int) -> sparse.csr_matrix:
-    """One perturbation of an N-site chain as a matrix on the k+1 sites of
-    its support ``iv``, which every site of ``terms`` must lie in."""
+    """One perturbation of an N-site chain as a sparse matrix on the k+1
+    sites of its support ``iv``, which every site of ``terms`` must lie in."""
     _check_support(iv, N)
     try:
-        return perturbation_matrix(fermion_algebra(iv.k + 1), terms, first=iv.q)
+        return perturbation_matrix(terms, iv.k + 1, first=iv.q)
     except ValidationError as err:
         raise ValidationError(f"perturbation on {iv}: {err}") from err
 
 
-def embed(mat, iv: Interval, N: int) -> sparse.csr_matrix:
-    """1 (x) mat (x) 1 on N sites, for a matrix on the sites of ``iv``: the
-    term itself when it is even, since its Jordan-Wigner strings cancel."""
-    left = sparse.identity(2 ** (iv.q - 1), dtype=complex, format="csr")
-    right = sparse.identity(2 ** (N - iv.last), dtype=complex, format="csr")
-    return sparse.kron(sparse.kron(left, mat), right, format="csr")
-
-
-def build_kitaev_model(frame: FermionFrame, beta, perturbations, mu=0.0, tau=1.0,
+def build_kitaev_model(N: int, beta, perturbations, mu=0.0, tau=1.0,
                        delta=1.0) -> KitaevModel:
     """Validate the support, shape, finiteness, Hermiticity and
     parity-evenness of each perturbation, a support and the sparse matrix on
@@ -255,12 +291,13 @@ def build_kitaev_model(frame: FermionFrame, beta, perturbations, mu=0.0, tau=1.0
 
     A perturbation is checked as given and then stored exactly even: its
     entries across fermion parity, all within the evenness tolerance, are
-    dropped, as ``build_chain_model`` stores interactions exactly Hermitian.
-    So every Hamiltonian formed from the model splits into its two parity
-    blocks.
-    ``frame.H0`` is the sweet-spot Hamiltonian with mu = 0 and
-    tau = delta = 1, so any other mu, tau or delta is rejected.
+    dropped, as ``build_chain_model`` stores interactions exactly
+    Hermitian.  So every Hamiltonian formed from the model splits into its
+    two parity blocks.
+    H0 is the sweet-spot Hamiltonian with mu = 0 and tau = delta = 1, so any
+    other mu, tau or delta is rejected.
     """
+    fermion_sites(N)
     if not (mu == 0.0 and tau == 1.0 and delta == 1.0):
         raise ValidationError(
             f"only the sweet spot mu=0, tau=delta=1 is supported, got mu={mu}, "
@@ -268,7 +305,7 @@ def build_kitaev_model(frame: FermionFrame, beta, perturbations, mu=0.0, tau=1.0
     checked = []
     for iv, mat in perturbations:
         iv = Interval(*iv)
-        _check_support(iv, frame.alg.N)
+        _check_support(iv, N)
         mat = sparse.csr_matrix(mat)
         if mat.shape != (2 ** (iv.k + 1),) * 2:
             raise ValidationError(f"perturbation on {iv}: matrix shape {mat.shape} does not "
@@ -285,7 +322,7 @@ def build_kitaev_model(frame: FermionFrame, beta, perturbations, mu=0.0, tau=1.0
         keep = ~cross
         mat = sparse.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape)
         checked.append((iv, mat))
-    return KitaevModel(frame, float(beta), tuple(checked))
+    return KitaevModel(N, float(beta), tuple(checked))
 
 
 def regroup_perturbations(N: int, perturbations):
@@ -383,23 +420,15 @@ def restricted_chain_model(N: int, bulk, beta: float) -> ChainModel:
     )
 
 
-def perturbed_full_hamiltonian(frame: FermionFrame, terms, beta: float) -> sparse.csr_matrix:
-    """H0 + beta * (sum of the terms embedded in the 2^N space), sparse."""
-    H = frame.H0
-    for iv, mat in terms:
-        H = H + beta * embed(mat, iv, frame.alg.N)
-    return H
-
-
-def doubling_check_terms(frame: FermionFrame, bulk, beta: float, chain: ChainModel,
+def doubling_check_terms(pencil: SectorPencil, beta: float, chain: ChainModel,
                          tol: float = 1e-9) -> bool:
-    """The spectrum of H0 + beta * (bulk terms) is that of ``chain``, the
-    restricted chain a run fits at this beta, doubled, and every eigenvalue
-    has even multiplicity.  Both spectra come from parity blocks: the full
-    one from the two 2^(N-1) blocks of H, the restricted one from the two
-    d-mode parity blocks of the chain's assembled Hamiltonian."""
-    full = sector_spectrum(perturbed_full_hamiltonian(frame, bulk, beta))
-    restricted = sector_spectrum(assemble_direct(chain))
+    """The spectrum of H0 + beta * (bulk terms), given as the parity blocks
+    of ``pencil``, is that of ``chain``, the restricted chain a run fits at
+    this beta, doubled, and every eigenvalue has even multiplicity.  The
+    restricted spectrum is the oracle's (``oracle.ed_spectrum``), from the
+    chain's own parity blocks."""
+    full = pencil.spectrum(beta)
+    restricted = ed_spectrum(chain)
     doubled = np.sort(np.concatenate([restricted, restricted]))
     if float(np.max(np.abs(full - doubled))) > tol:
         return False
@@ -414,8 +443,9 @@ def doubling_check_terms(frame: FermionFrame, bulk, beta: float, chain: ChainMod
     return True
 
 
-def boundary_gap_check(model: KitaevModel) -> tuple[float, float]:
-    """Ground-pair splitting and the gap above it for the full Hamiltonian.
+def boundary_gap_check(pencil: SectorPencil, beta: float) -> tuple[float, float]:
+    """Ground-pair splitting and the gap above it for the full Hamiltonian
+    H0 + beta * (all terms), given as the parity blocks of ``pencil``.
 
     With boundary terms included, the doubly degenerate ground pair of the
     bulk Hamiltonian splits by an amount of order beta while the rest of the
@@ -424,20 +454,23 @@ def boundary_gap_check(model: KitaevModel) -> tuple[float, float]:
     block-diagonalizing unitary on the degenerate sector.  Returns
     (splitting of the two lowest levels, gap from them to the third).
     """
-    evals = sector_spectrum(
-        perturbed_full_hamiltonian(model.frame, model.perturbations, model.beta))
+    evals = pencil.spectrum(beta)
     return float(evals[1] - evals[0]), float(evals[2] - evals[1])
 
 
 @dataclass(frozen=True, eq=False)
 class KitaevReduction:
-    """A Kitaev model reduced to its restricted chain, with the bulk and
-    boundary terms that the per-coupling checks read."""
+    """A Kitaev model reduced to its restricted chain, with its bulk and
+    boundary terms and the parity blocks that the per-coupling checks read:
+    H0 + beta * (bulk terms) for the doubling check, and H0 + beta * (all
+    terms) for the boundary check (None without boundary terms)."""
 
     model: KitaevModel
     chain: ChainModel
     bulk: tuple
     boundary: tuple
+    doubling: SectorPencil
+    full: SectorPencil | None
 
     def at(self, beta=None) -> tuple[ChainModel, dict]:
         """The validated restricted chain at coupling ``beta`` (None: the
@@ -451,10 +484,10 @@ class KitaevReduction:
             "N_fermion": self.model.N, "beta": beta,
             "bulk_terms": len(self.bulk), "boundary_terms": len(self.boundary),
             "norm_scale": scale,
-            "doubling_ok": doubling_check_terms(self.model.frame, self.bulk, beta, chain),
+            "doubling_ok": doubling_check_terms(self.doubling, beta, chain),
         }
-        if self.boundary:
-            splitting, gap_above = boundary_gap_check(replace(self.model, beta=beta))
+        if self.full is not None:
+            splitting, gap_above = boundary_gap_check(self.full, beta)
             block["boundary_splitting"] = splitting
             block["boundary_gap_above_pair"] = gap_above
         return chain, block

@@ -99,6 +99,9 @@ def validate_chain_model(model: ChainModel, tol: float = _TOL) -> None:
     if abs(np.linalg.norm(model.omega) - 1.0) > 1e-8 or np.linalg.norm(H @ model.omega) > 1e-7:
         raise ValidationError("omega is not a normalized kernel vector of the on-site matrix")
     for iv, op in model.interactions.items():
+        if iv.k == 0:
+            raise ValidationError(f"interaction support {iv} spans one site; an interaction "
+                                  "must span at least two sites")
         if iv.k < 1 or not iv.fits(model.N):
             raise ValidationError(f"interaction support {iv} does not fit a chain of {model.N} sites")
         if iv.k > model.kbar:

@@ -9,6 +9,14 @@ Projector pairs carry only the product vacuum vac: the complement
 spectrum on it from one eigvalsh of G with the vacuum eigenvalue shifted
 above the rest.
 
+Hermitian spectra (``excited_spectrum``, ``op_norm`` and the oracle's) go
+through ``parity_eigvalsh``: a matrix of size 2^n, from 32 up, whose
+entries across the popcount-parity split of its basis indices
+(``parity_sectors``) are all exactly 0.0 is diagonalized as its two parity
+blocks, at half the size each.  A restricted Kitaev chain stays exactly even through the whole
+sweep; any other matrix, a random chain's or one of size 3^n, takes one
+eigvalsh of the whole matrix, as before.
+
 The sweep's generators have rank two, S = y vac^dag - vac y^dag with y
 orthogonal to vac, so exp(S) is a rotation by theta = ||y|| in
 span{vac, y}.  ``rotation_factors`` writes it in closed form as
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from math import isfinite
 
 import numpy as np
@@ -127,6 +136,52 @@ def embed(op: LocalOperator, target: Interval, M: int, *,
     return LocalOperator(target, acc) if out is None else out
 
 
+# Smallest size diagonalized as two parity blocks: below it the gather and the
+# second eigvalsh cost more than they save (one BLAS thread: 16 x 16 takes
+# 32 us whole and 60 us as blocks, 32 x 32 105 us and 93 us).
+_PARITY_MIN_DIM = 32
+
+
+@cache
+def parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd indices of 0..2^n-1 by the parity of their popcount,
+    read-only: in a fermion occupation basis the fermion parity
+    prod_j (1 - 2 n_j) is diagonal, with sign (-1)^popcount."""
+    idx = np.arange(2 ** n)
+    odd = np.zeros(2 ** n, dtype=bool)
+    for j in range(n):
+        odd ^= (idx >> j) & 1 == 1
+    sectors = np.flatnonzero(~odd), np.flatnonzero(odd)
+    for sector in sectors:
+        sector.flags.writeable = False
+    return sectors
+
+
+def parity_eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix.
+
+    For a size 2^n of at least _PARITY_MIN_DIM whose every entry across the
+    popcount-parity split of the basis indices is exactly 0.0, one eigvalsh
+    per parity block; otherwise one eigvalsh of the whole matrix.  Row 0 is
+    looked at before the whole matrix is gathered, so a matrix with no such
+    blocks pays for one row of the check only.
+    """
+    D = m.shape[0]
+    n = D.bit_length() - 1
+    if D < _PARITY_MIN_DIM or D != 2 ** n:
+        return np.linalg.eigvalsh(m)
+    even, odd = parity_sectors(n)
+    if m[0, odd].any():
+        return np.linalg.eigvalsh(m)
+    order = np.concatenate([even, odd])
+    h = even.shape[0]
+    blocked = m[np.ix_(order, order)]
+    if blocked[:h, h:].any() or blocked[h:, :h].any():
+        return np.linalg.eigvalsh(m)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(blocked[:h, :h]),
+                                   np.linalg.eigvalsh(blocked[h:, h:])]))
+
+
 def op_norm(op: LocalOperator | np.ndarray, tol: float = 1e-8) -> float:
     """Spectral norm (largest |eigenvalue|) of a Hermitian matrix.
 
@@ -142,7 +197,7 @@ def op_norm(op: LocalOperator | np.ndarray, tol: float = 1e-8) -> float:
     if defect > tol * scale:
         raise ValidationError("op_norm supports Hermitian matrices only")
     # eigvalsh reads one triangle, so an exactly Hermitian m needs no symmetrized copy
-    return float(np.max(np.abs(np.linalg.eigvalsh(m if defect == 0.0 else (m + m.conj().T) / 2))))
+    return float(np.max(np.abs(parity_eigvalsh(m if defect == 0.0 else (m + m.conj().T) / 2))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,10 +226,12 @@ def excited_spectrum(G: np.ndarray, vac: np.ndarray) -> np.ndarray:
     Shifting the vacuum eigenvalue E = vac^dag G vac to c = 1 + ||G||_inf,
     above the spectral radius, leaves it the largest eigenvalue, so the
     excited spectrum is all the others and no complement basis is built.
+    The shift adds no entry across parity when vac lies in one parity
+    sector, so an even G keeps its parity blocks (``parity_eigvalsh``).
     """
     E = float(np.real(vac.conj() @ G @ vac))
     c = 1.0 + float(np.linalg.norm(G, np.inf))
-    return np.linalg.eigvalsh(G + (c - E) * np.outer(vac, vac.conj()))[:-1]
+    return parity_eigvalsh(G + (c - E) * np.outer(vac, vac.conj()))[:-1]
 
 
 def unitary_exp(S: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .certify import GapReport
 from .model import ChainModel
-from .operators import dense_dim
+from .operators import dense_dim, parity_eigvalsh
 from .sweep import SeriesControls
 
 DEGENERACY_TOL = 1e-9
@@ -59,8 +59,9 @@ def assemble_direct(model: ChainModel) -> np.ndarray:
 
 
 def ed_spectrum(model: ChainModel) -> np.ndarray:
-    """All eigenvalues of the model Hamiltonian, ascending."""
-    return np.linalg.eigvalsh(assemble_direct(model))
+    """All eigenvalues of the model Hamiltonian, ascending; from its two
+    parity blocks when it has them (``operators.parity_eigvalsh``)."""
+    return parity_eigvalsh(assemble_direct(model))
 
 
 def degeneracy_of_spectrum(evals: np.ndarray, tol: float = DEGENERACY_TOL) -> int:

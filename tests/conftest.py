@@ -245,6 +245,53 @@ def dense_spectrum(H) -> np.ndarray:
     return np.linalg.eigvalsh(H.toarray() if sparse.issparse(H) else H)
 
 
+def kron_fermion_algebra(N: int) -> kit.FermionAlgebra:
+    """Jordan-Wigner annihilators as Kronecker products of 2 x 2 factors: the
+    reference for ``kit.fermion_algebra``, which writes each one from its
+    signed partial permutation of the occupation basis."""
+    sz = sparse.csr_matrix(np.array([[1, 0], [0, -1]], dtype=complex))
+    low = sparse.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
+    eye2 = sparse.identity(2, dtype=complex, format="csr")
+    ops = []
+    for j in range(1, N + 1):
+        m = sparse.identity(1, dtype=complex, format="csr")
+        for l in range(1, N + 1):
+            m = sparse.kron(m, sz if l < j else (low if l == j else eye2), format="csr")
+        ops.append(m)
+    return kit.FermionAlgebra(N, tuple(ops))
+
+
+def sparse_perturbation_matrix(alg: kit.FermionAlgebra, terms) -> sparse.csr_matrix:
+    """File terms as products of the operators of an N-site algebra:
+    the reference for ``kit.local_perturbation``, which parses a term on the
+    sites of its support alone."""
+    out = sparse.csr_matrix((alg.dim, alg.dim), dtype=complex)
+    for term in terms:
+        m = sparse.identity(alg.dim, dtype=complex, format="csr")
+        for kind, site in term["ops"]:
+            m = m @ (alg.c[site - 1] if kind == "c" else alg.cdag(site))
+        out = out + complex(*term["coeff"]) * m
+    return out.tocsr()
+
+
+def perturbed_full_hamiltonian(N: int, terms, beta: float) -> sparse.csr_matrix:
+    """H0 + beta * (sum of the terms embedded in the 2^N space), sparse, with
+    each term embedded on this call: the reference for the parity blocks
+    that ``KitaevModel.reduce`` keeps."""
+    H = kit.kitaev_hamiltonian(N)
+    for iv, mat in terms:
+        H = H + beta * kit.embed(mat, iv, N)
+    return H
+
+
+def pencil(N: int, terms) -> kit.SectorPencil:
+    """The parity blocks of H0 and of the sum of ``terms``, as
+    ``KitaevModel.reduce`` keeps them for its checks."""
+    X = sum((kit.embed(mat, iv, N) for iv, mat in terms),
+            sparse.csr_matrix((2 ** N,) * 2, dtype=complex))
+    return kit.SectorPencil(kit.sector_blocks(kit.kitaev_hamiltonian(N)), kit.sector_blocks(X))
+
+
 def dense_zero_sector_basis(dmodes: kit.DModeAlgebra) -> np.ndarray:
     """``kit.zero_sector_basis`` from one ``eigh`` of the whole 2^N matrix
     sum_j d^dag_j d_j, with the same phase rule and column order."""
@@ -293,7 +340,7 @@ def doubling_check(model: kit.KitaevModel, tol: float = 1e-9) -> bool:
     else:
         chain = build_chain_model(model.N - 1, 2, np.diag([0.0, 2.0]), {}, 0.0,
                                   energy_offset=-(model.N - 1))
-    return kit.doubling_check_terms(model.frame, bulk, model.beta, chain, tol)
+    return kit.doubling_check_terms(pencil(model.N, bulk), model.beta, chain, tol)
 
 
 def random_bulk_perturbation(N: int, seed: int = 0, site: int | None = None):

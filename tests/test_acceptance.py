@@ -219,7 +219,7 @@ def test_ac7_appendix_suite(suite):
 def test_ac8_kitaev():
     # sweet-spot spectra with doubled binomial multiplicities
     for N in range(2, 9):
-        ev = dense_spectrum(kit.fermion_frame(N).H0)
+        ev = dense_spectrum(kit.kitaev_hamiltonian(N))
         assert np.max(np.abs(ev - kitaev_spectrum_expected(N))) <= 1e-9
 
     # algebra identities
@@ -241,7 +241,7 @@ def test_ac8_kitaev():
     for N in (5, 6):
         perts = [random_bulk_perturbation(N, seed=N * 10 + i, site=2 + i)
                  for i in range(2)]
-        model = kit.build_kitaev_model(kit.fermion_frame(N), beta, perts)
+        model = kit.build_kitaev_model(N, beta, perts)
         assert doubling_check(model)
         bulk, _ = kit.regroup_perturbations(model.N, model.perturbations)
         chain = kit.restricted_chain_model(model.N, bulk, beta)

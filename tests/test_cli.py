@@ -284,6 +284,15 @@ def _anchor_file(tmp_path, **fields):
     return path
 
 
+def _duplicate_support_file(tmp_path):
+    """configs/anchor_n2.json with its one interaction given twice."""
+    spec = json.loads((CONFIGS / "anchor_n2.json").read_text())
+    spec["interactions"] *= 2
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
 def _kitaev_file(tmp_path, N=5, supports=((3, 3),), beta=0.01, coeff=0.5, sites=None,
                  **fields):
     """Kitaev file with one density term coeff c^dag_i c_i per support [i, j],
@@ -344,6 +353,11 @@ class TestBadInputs:
         pytest.param(lambda p: _kitaev_file(p, N=6, supports=[(2, 3)], sites=[4]), [], None,
                      "Interval(k=1, q=2): fermion site 4 is outside sites [2, 3]",
                      id="kitaev-site-past-bulk-support"),
+        # a repeated support is rejected, never summed or overwritten
+        pytest.param(_duplicate_support_file, [], None,
+                     "interaction support [1, 2] appears twice", id="duplicate-support"),
+        pytest.param(lambda p: _anchor_file(p, support=[1, 1]), [], None,
+                     "must span at least two sites", id="one-site-interaction"),
         pytest.param(lambda p: _anchor_file(p, t=10 ** 400), [], None, "'t'",
                      id="t-integer-past-float"),
         pytest.param(lambda p: _anchor_file(p, H=[[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]),
@@ -416,7 +430,7 @@ class TestBadInputs:
         pytest.param("lieschwinger.estimator.sweep", lambda p: CONFIGS / "anchor_n2.json",
                      _ArrayMemoryError("Unable to allocate 8.00 GiB"),
                      "Unable to allocate 8.00 GiB", id="fit"),
-        pytest.param("lieschwinger.kitaev.fermion_frame", _kitaev_file, MemoryError(),
+        pytest.param("lieschwinger.kitaev.build_kitaev_model", _kitaev_file, MemoryError(),
                      "out of memory", id="kitaev-load"),
     ])
     def test_memory_error_exits_two_with_report(self, tmp_path, monkeypatch, target,

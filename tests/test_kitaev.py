@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -5,13 +6,16 @@ import pytest
 from scipy import sparse
 
 from conftest import (dense_spectrum, dense_zero_sector_basis, doubling_check,
-                      full_basis_restriction, kitaev_spectrum_expected, random_bulk_perturbation)
+                      full_basis_restriction, kitaev_spectrum_expected, kron_fermion_algebra,
+                      pencil, perturbed_full_hamiltonian, random_bulk_perturbation,
+                      sparse_perturbation_matrix)
 from lieschwinger import kitaev as kit
-from lieschwinger.cli import load_model
+from lieschwinger.cli import load_model, main
 from lieschwinger.errors import ValidationError
 from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.intervals import Interval, iter_steps
-from lieschwinger.oracle import ed_spectrum
+from lieschwinger.operators import parity_eigvalsh, parity_sectors
+from lieschwinger.oracle import assemble_direct, ed_spectrum
 from lieschwinger.sweep import advance, initial_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -48,6 +52,13 @@ class TestAlgebras:
         assert car_defect(list(alg.c)) <= 1e-12
         assert car_defect(list(dmodes.d)) <= 1e-12
 
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_algebra_equals_kronecker_products(self, N):
+        # each annihilator, written from its signed partial permutation,
+        # equals sz^(j-1) (x) a (x) 1^(N-j) entry for entry
+        for got, want in zip(kit.fermion_algebra(N).c, kron_fermion_algebra(N).c):
+            assert np.array_equal(got.toarray(), want.toarray())
+
     @pytest.mark.parametrize("N", [3, 5, 10])
     def test_inversion_identities(self, N):
         alg = kit.fermion_algebra(N)
@@ -69,26 +80,35 @@ class TestAlgebras:
 class TestSweetSpotHamiltonian:
     def test_two_sites(self):
         np.testing.assert_allclose(
-            dense_spectrum(kit.fermion_frame(2).H0), [-1, -1, 1, 1], atol=1e-12
+            dense_spectrum(kit.kitaev_hamiltonian(2)), [-1, -1, 1, 1], atol=1e-12
         )
 
     def test_four_sites_multiplicities(self):
-        ev = dense_spectrum(kit.fermion_frame(4).H0)
+        ev = dense_spectrum(kit.kitaev_hamiltonian(4))
         np.testing.assert_allclose(ev, kitaev_spectrum_expected(4), atol=1e-12)
 
     @pytest.mark.parametrize("N", range(2, 9))
     def test_spectrum_matches_doubled_binomials(self, N):
-        ev = dense_spectrum(kit.fermion_frame(N).H0)
+        ev = dense_spectrum(kit.kitaev_hamiltonian(N))
         np.testing.assert_allclose(ev, kitaev_spectrum_expected(N), atol=1e-9)
 
     @pytest.mark.parametrize("N", range(2, 9))
     def test_majorana_form_equals_number_operator_form(self, N):
-        # H0 = sum_j (2 d^dag_j d_j - 1) over j = 1..N-1
-        frame = kit.fermion_frame(N)
-        dm = kit.d_mode_algebra(frame.alg)
+        # H0 = sum_j (2 d^dag_j d_j - 1) over j = 1..N-1, in the N-site algebra
+        H0 = kit.kitaev_hamiltonian(N)
+        dm = kit.d_mode_algebra(kit.fermion_algebra(N))
         eye = sparse.identity(2 ** N, dtype=complex, format="csr")
         modes = sum(2 * (dm.ddag(j) @ dm.d[j]) - eye for j in range(1, N))
-        assert abs(frame.H0 - modes).max() <= 1e-12
+        assert abs(H0 - modes).max() <= 1e-12
+
+    @pytest.mark.parametrize("N", range(1, 10))
+    def test_bond_embedding_equals_n_site_majorana_form(self, N):
+        # the 2-site bond matrix embedded on each bond is -i sum_j
+        # gamma_{B,j} gamma_{A,j+1} of the N-site algebra entry for entry
+        gA, gB = kit.majoranas(kit.fermion_algebra(N))
+        want = sum((-1j * (gB[j - 1] @ gA[j]) for j in range(1, N)),
+                   sparse.csr_matrix((2 ** N,) * 2, dtype=complex))
+        assert np.array_equal(kit.kitaev_hamiltonian(N).toarray(), want.toarray())
 
     def test_quadratic_form_agrees_at_sweet_spot(self):
         # oracle: the hopping+pairing Hamiltonian assembled from fermion
@@ -100,12 +120,12 @@ class TestSweetSpotHamiltonian:
             hop = alg.cdag(j) @ alg.c[j]  # c^dag_j c_{j+1}
             pairing = alg.c[j - 1] @ alg.c[j]
             H = H - (hop + hop.conj().T + pairing + pairing.conj().T)
-        np.testing.assert_allclose(H.toarray(), kit.fermion_frame(N).H0.toarray(), atol=1e-12)
+        np.testing.assert_allclose(H.toarray(), kit.kitaev_hamiltonian(N).toarray(), atol=1e-12)
 
 
 class TestRegrouping:
     def test_empty(self):
-        model = kit.build_kitaev_model(kit.fermion_frame(5), beta=0.01, perturbations=[])
+        model = kit.build_kitaev_model(5, beta=0.01, perturbations=[])
         bulk, boundary = kit.regroup_perturbations(model.N, model.perturbations)
         assert bulk == [] and boundary == []
 
@@ -115,7 +135,7 @@ class TestRegrouping:
         N, i = 6, 3
         local = kit.fermion_algebra(1)
         mat = local.cdag(1) @ local.c[0]
-        model = kit.build_kitaev_model(kit.fermion_frame(N), 0.01, [(Interval(0, i), mat)])
+        model = kit.build_kitaev_model(N, 0.01, [(Interval(0, i), mat)])
         bulk, boundary = kit.regroup_perturbations(model.N, model.perturbations)
         assert boundary == []
         (iv, m), = bulk
@@ -133,7 +153,7 @@ class TestRegrouping:
     def test_random_bulk_commutes_with_zero_mode(self, seed):
         N = 6
         iv, mat = random_bulk_perturbation(N, seed=seed)
-        model = kit.build_kitaev_model(kit.fermion_frame(N), 0.01, [(iv, mat)])
+        model = kit.build_kitaev_model(N, 0.01, [(iv, mat)])
         bulk, boundary = kit.regroup_perturbations(model.N, model.perturbations)
         assert boundary == []
         dm = kit.d_mode_algebra(kit.fermion_algebra(N))
@@ -146,7 +166,7 @@ class TestRegrouping:
         local = kit.fermion_algebra(1)
         density = local.cdag(1) @ local.c[0]
         model = kit.build_kitaev_model(
-            kit.fermion_frame(N), 0.01, [(Interval(0, 1), density), (Interval(0, N), density)]
+            N, 0.01, [(Interval(0, 1), density), (Interval(0, N), density)]
         )
         bulk, boundary = kit.regroup_perturbations(model.N, model.perturbations)
         assert bulk == [] and len(boundary) == 2
@@ -156,16 +176,15 @@ class TestRegrouping:
         local = kit.fermion_algebra(1)
         odd = local.c[0] + local.cdag(1)
         with pytest.raises(ValidationError, match="even"):
-            kit.build_kitaev_model(kit.fermion_frame(N), 0.01, [(Interval(0, 2), odd)])
+            kit.build_kitaev_model(N, 0.01, [(Interval(0, 2), odd)])
 
     def test_small_odd_admixture_is_stored_exactly_even(self):
         # validated as given, stored with the cross-parity entries dropped
         N = 5
-        frame = kit.fermion_frame(N)
         iv, even = random_bulk_perturbation(N, seed=5)
         local = kit.fermion_algebra(iv.k + 1)
         odd = local.c[0] + local.cdag(1)
-        model = kit.build_kitaev_model(frame, 0.01, [(iv, even + 1e-11 * odd)])
+        model = kit.build_kitaev_model(N, 0.01, [(iv, even + 1e-11 * odd)])
         (_, stored), = model.perturbations
         dense = stored.toarray()
         even_idx, odd_idx = popcount_sectors(iv.k + 1)
@@ -174,10 +193,10 @@ class TestRegrouping:
         for idx in (even_idx, odd_idx):
             block = np.ix_(idx, idx)
             assert np.array_equal(dense[block], even.toarray()[block])
-        # so the parity-block spectra accept every Hamiltonian the model forms
-        kit.boundary_gap_check(model)
+        # so the parity blocks accept every Hamiltonian the model forms
+        pencil(N, model.perturbations).spectrum(0.01)
         with pytest.raises(ValidationError, match="even"):
-            kit.build_kitaev_model(frame, 0.01, [(iv, even + 1e-8 * odd)])
+            kit.build_kitaev_model(N, 0.01, [(iv, even + 1e-8 * odd)])
 
 
 def popcount_sectors(N):
@@ -189,37 +208,41 @@ def popcount_sectors(N):
 class TestParitySectors:
     @pytest.mark.parametrize("N", range(1, 8))
     def test_sectors_follow_popcount(self, N):
-        for got, want in zip(kit.parity_sectors(N), popcount_sectors(N)):
+        for got, want in zip(parity_sectors(N), popcount_sectors(N)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("N", range(2, 8))
     def test_sector_spectrum_matches_dense(self, N):
+        # H0 + beta X from the parity blocks of a pencil, and from
+        # parity_eigvalsh of the dense matrix, against one eigvalsh of it
         rng = np.random.default_rng(N)
-        frame = kit.fermion_frame(N)
+        H0 = kit.kitaev_hamiltonian(N)
         even_idx, odd_idx = popcount_sectors(N)
         A = rng.normal(size=(2 ** N,) * 2) + 1j * rng.normal(size=(2 ** N,) * 2)
         A = A + A.conj().T
         A[np.ix_(even_idx, odd_idx)] = A[np.ix_(odd_idx, even_idx)] = 0
-        alg = frame.alg
+        alg = kit.fermion_algebra(N)
         edge = alg.cdag(1) @ alg.c[0] + alg.cdag(N) @ alg.c[N - 1]
         hop = alg.cdag(1) @ alg.c[N - 1]
-        boundary = [(Interval(N - 1, 1), edge + hop + hop.conj().T)]
         dm = kit.d_mode_algebra(alg)
-        zero_mode = [(Interval(N - 1, 1), dm.ddag(0) @ dm.d[0])]
-        for H in (A, sparse.csr_matrix(A), frame.H0,
-                  kit.perturbed_full_hamiltonian(frame, boundary, 0.3),
-                  kit.perturbed_full_hamiltonian(frame, zero_mode, 0.3)):
+        for X in (A, sparse.csr_matrix(A), 0 * A, edge + hop + hop.conj().T,
+                  dm.ddag(0) @ dm.d[0]):
+            H = H0 + 0.3 * X
             want = dense_spectrum(H)
-            assert np.max(np.abs(kit.sector_spectrum(H) - want)) <= 1e-12 * max(1.0, abs(want).max())
+            tol = 1e-12 * max(1.0, abs(want).max())
+            got = kit.SectorPencil(kit.sector_blocks(H0), kit.sector_blocks(X)).spectrum(0.3)
+            assert np.max(np.abs(got - want)) <= tol
+            dense = H.toarray() if sparse.issparse(H) else np.asarray(H)
+            assert np.max(np.abs(parity_eigvalsh(dense) - want)) <= tol
 
     @pytest.mark.parametrize("entry", [1.0, 1e-300])
     def test_one_cross_parity_entry_is_rejected(self, entry):
-        H = kit.fermion_frame(4).H0.toarray()
+        H = kit.kitaev_hamiltonian(4).toarray()
         H[0, 1] = entry  # index 0 is even, index 1 odd
         with pytest.raises(ValidationError, match="not even"):
-            kit.sector_spectrum(H)
+            kit.sector_blocks(H)
         with pytest.raises(ValidationError, match="not even"):
-            kit.sector_spectrum(sparse.csr_matrix(H))
+            kit.sector_blocks(sparse.csr_matrix(H))
 
     @pytest.mark.parametrize("N", range(2, 8))
     def test_zero_sector_basis_matches_dense_reference(self, N):
@@ -241,8 +264,8 @@ class TestParitySectors:
         # restricted chain splits into its two parity blocks
         rng = np.random.default_rng(N)
         R = kit.zero_sector_basis(kit.d_mode_algebra(kit.fermion_algebra(N)))
-        rows = kit.parity_sectors(N)
-        cols = kit.parity_sectors(N - 1)
+        rows = parity_sectors(N)
+        cols = parity_sectors(N - 1)
         if not np.any(R[rows[0], 0]):  # the vacuum, column 0, is odd
             cols = cols[::-1]
         rebuilt = np.zeros_like(R)
@@ -290,7 +313,7 @@ class TestLocalReduction:
                 mat = kit.local_perturbation(iv, terms, N)
                 assert mat.shape == (2 ** (k + 1),) * 2
                 assert np.array_equal(kit.embed(mat, iv, N).toarray(),
-                                      kit.perturbation_matrix(alg, terms).toarray())
+                                      sparse_perturbation_matrix(alg, terms).toarray())
                 bulk.append((iv, mat))
         chain = kit.restricted_chain_model(N, bulk, 0.01)
         want = full_basis_restriction(N, bulk)
@@ -330,6 +353,84 @@ class TestLocalReduction:
             assert np.array_equal(op.matrix, first)
 
 
+COUPLINGS = (0.01, 0.02, 0.04, 0.08)
+
+
+def bond_perturbations(N, seed):
+    """A random even term on every interior bond and one on the boundary
+    bond [1, 2], each parsed on its own sites."""
+    rng = np.random.default_rng(seed)
+    supports = [Interval(1, q) for q in range(2, N - 1)] + [Interval(1, 1)]
+    return [(iv, kit.local_perturbation(iv, random_even_terms(rng, iv), N)) for iv in supports]
+
+
+def reference_doubling_ok(full, restricted, tol=1e-9):
+    """The rule of ``kit.doubling_check_terms`` on given spectra."""
+    if np.max(np.abs(full - np.sort(np.concatenate([restricted, restricted])))) > tol:
+        return False
+    i = 0
+    while i < full.shape[0]:
+        j = i
+        while j + 1 < full.shape[0] and full[j + 1] - full[i] <= tol:
+            j += 1
+        if (j - i + 1) % 2:
+            return False
+        i = j + 1
+    return True
+
+
+class TestCheckBlocks:
+    @pytest.mark.parametrize("N", range(5, 10))
+    def test_checks_match_the_dense_reference(self, N):
+        # every coupling's check fields, from the parity blocks kept by
+        # reduce, against one eigvalsh of each full 2^N Hamiltonian with
+        # every term embedded again
+        perts = bond_perturbations(N, seed=N)
+        reduction = kit.build_kitaev_model(N, COUPLINGS[0], perts).reduce()
+        bulk, everything = list(reduction.bulk), list(reduction.bulk + reduction.boundary)
+        for beta in COUPLINGS:
+            chain, block = reduction.at(beta)
+            full = dense_spectrum(perturbed_full_hamiltonian(N, bulk, beta))
+            restricted = np.linalg.eigvalsh(assemble_direct(chain))
+            assert block["doubling_ok"] is reference_doubling_ok(full, restricted) is True
+            want = dense_spectrum(perturbed_full_hamiltonian(N, everything, beta))
+            assert abs(block["boundary_splitting"] - (want[1] - want[0])) <= 1e-12
+            assert abs(block["boundary_gap_above_pair"] - (want[2] - want[1])) <= 1e-12
+
+    def test_a_coupling_embeds_nothing(self, monkeypatch):
+        reduction = kit.build_kitaev_model(7, 0.01, bond_perturbations(7, seed=0)).reduce()
+
+        def no_embedding(*args, **kwargs):
+            raise AssertionError("a term was embedded for one coupling")
+
+        monkeypatch.setattr(kit, "embed", no_embedding)
+        for beta in COUPLINGS:
+            _, block = reduction.at(beta)
+            assert block["doubling_ok"] is True
+
+    def test_cli_run_builds_no_algebra_past_a_frame(self, tmp_path, monkeypatch):
+        # bond terms (k = 1) of a 9-site file: no algebra above the k+3 = 4
+        # sites of a frame is built at load, at reduction or per coupling
+        fermion_algebra = kit.fermion_algebra
+
+        def frame_sized(N):
+            if N > 4:
+                raise AssertionError(f"fermion algebra of {N} sites")
+            return fermion_algebra(N)
+
+        monkeypatch.setattr(kit, "fermion_algebra", frame_sized)
+        rng = np.random.default_rng(3)
+        perts = [{"support": [q, q + 1], "terms": random_even_terms(rng, Interval(1, q))}
+                 for q in (1, *range(2, 8))]
+        config = tmp_path / "kitaev.json"
+        config.write_text(json.dumps({"version": "1", "kitaev": {"N": 9, "beta": 0.01,
+                                                                 "perturbations": perts}}))
+        out = tmp_path / "report.json"
+        assert main(["--config", str(config), "--t-sweep", "0.01,0.04", "--report", str(out)]) == 0
+        reports = json.loads(out.read_text())
+        assert [r["kitaev"]["doubling_ok"] for r in reports] == [True, True]
+
+
 class TestRestriction:
     def test_stored_potentials_exactly_hermitian_through_the_sweep(self):
         # the restricted interactions are symmetrized once, at reduction, so
@@ -346,7 +447,7 @@ class TestRestriction:
     def test_unperturbed_spectrum_binomial(self):
         N = 5
         iv, mat = random_bulk_perturbation(N, seed=1)
-        model = kit.build_kitaev_model(kit.fermion_frame(N), beta=0.0, perturbations=[(iv, mat)])
+        model = kit.build_kitaev_model(N, beta=0.0, perturbations=[(iv, mat)])
         bulk, _ = kit.regroup_perturbations(model.N, model.perturbations)
         chain = kit.restricted_chain_model(model.N, bulk, beta=0.0)
         ev = ed_spectrum(chain)
@@ -357,9 +458,8 @@ class TestRestriction:
     def test_unperturbed_ground_and_gap(self):
         N = 4
         iv, mat = random_bulk_perturbation(N, seed=2)
-        frame = kit.fermion_frame(N)
         bulk, _ = kit.regroup_perturbations(
-            N, kit.build_kitaev_model(frame, 0.0, [(iv, mat)]).perturbations)
+            N, kit.build_kitaev_model(N, 0.0, [(iv, mat)]).perturbations)
         chain = kit.restricted_chain_model(N, bulk, beta=0.0)
         ev = ed_spectrum(chain)
         assert ev[0] == pytest.approx(-3.0, abs=1e-12)
@@ -371,13 +471,12 @@ class TestRestriction:
         N = 5
         beta = 0.01
         iv, mat = random_bulk_perturbation(N, seed=3)
-        frame = kit.fermion_frame(N)
         bulk, _ = kit.regroup_perturbations(
-            N, kit.build_kitaev_model(frame, beta, [(iv, mat)]).perturbations)
+            N, kit.build_kitaev_model(N, beta, [(iv, mat)]).perturbations)
         chain = kit.restricted_chain_model(N, bulk, beta)
         dm = kit.d_mode_algebra(kit.fermion_algebra(N))
         R = kit.zero_sector_basis(dm)
-        H = kit.perturbed_full_hamiltonian(frame, bulk, beta)
+        H = perturbed_full_hamiltonian(N, bulk, beta)
         np.testing.assert_allclose(
             ed_spectrum(chain), np.linalg.eigvalsh(R.conj().T @ H @ R), atol=1e-10
         )
@@ -387,9 +486,8 @@ class TestRestriction:
         # chain, not from the term's frame nor from parity blocks
         N, beta = 6, 0.02
         perts = [random_bulk_perturbation(N, seed=s, site=s + 2) for s in range(3)]
-        frame = kit.fermion_frame(N)
         bulk, _ = kit.regroup_perturbations(
-            N, kit.build_kitaev_model(frame, beta, perts).perturbations)
+            N, kit.build_kitaev_model(N, beta, perts).perturbations)
         chain = kit.restricted_chain_model(N, bulk, beta)
         want = full_basis_restriction(N, bulk)
         scale = max(1.0, *(np.max(np.abs(np.linalg.eigvalsh(m))) for m in want.values()))
@@ -401,9 +499,8 @@ class TestRestriction:
     def test_interaction_norms_at_most_one(self):
         N = 6
         perts = [random_bulk_perturbation(N, seed=s, site=s + 2) for s in range(2)]
-        frame = kit.fermion_frame(N)
         bulk, _ = kit.regroup_perturbations(
-            N, kit.build_kitaev_model(frame, 0.02, perts).perturbations)
+            N, kit.build_kitaev_model(N, 0.02, perts).perturbations)
         chain = kit.restricted_chain_model(N, bulk, beta=0.02)
         for op in chain.interactions.values():
             assert np.max(np.abs(np.linalg.eigvalsh(op.matrix))) <= 1.0 + 1e-12
@@ -412,9 +509,8 @@ class TestRestriction:
         N = 5
         beta = 0.01
         iv, mat = random_bulk_perturbation(N, seed=4)
-        frame = kit.fermion_frame(N)
         bulk, _ = kit.regroup_perturbations(
-            N, kit.build_kitaev_model(frame, beta, [(iv, mat)]).perturbations)
+            N, kit.build_kitaev_model(N, beta, [(iv, mat)]).perturbations)
         chain = kit.restricted_chain_model(N, bulk, beta)
         fitted = BlockDiagonalizer().fit(chain)
         assert fitted.gap_ >= 1.0
@@ -424,36 +520,34 @@ class TestRestriction:
 
 class TestDoubling:
     def test_unperturbed(self):
-        model = kit.build_kitaev_model(kit.fermion_frame(3), beta=0.0, perturbations=[])
+        model = kit.build_kitaev_model(3, beta=0.0, perturbations=[])
         assert doubling_check(model)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_bulk_perturbation(self, seed):
         N = 4
         iv, mat = random_bulk_perturbation(N, seed=seed)
-        model = kit.build_kitaev_model(kit.fermion_frame(N), beta=0.01, perturbations=[(iv, mat)])
+        model = kit.build_kitaev_model(N, beta=0.01, perturbations=[(iv, mat)])
         assert doubling_check(model)
 
     def test_zero_mode_term_breaks_doubling(self):
         # negative control: inject a term built from the zero mode directly
         # into the full side, next to the bulk term the chain restricts
         N = 4
-        frame = kit.fermion_frame(N)
         bulk = [random_bulk_perturbation(N, seed=0)]
         chain = kit.restricted_chain_model(N, bulk, 0.3)
-        assert kit.doubling_check_terms(frame, bulk, 0.3, chain)
-        dm = kit.d_mode_algebra(frame.alg)
+        assert kit.doubling_check_terms(pencil(N, bulk), 0.3, chain)
+        dm = kit.d_mode_algebra(kit.fermion_algebra(N))
         bad = (Interval(N - 1, 1), dm.ddag(0) @ dm.d[0])
-        assert not kit.doubling_check_terms(frame, bulk + [bad], 0.3, chain)
+        assert not kit.doubling_check_terms(pencil(N, bulk + [bad]), 0.3, chain)
 
     def test_full_spectrum_ground_degeneracy_two(self):
         from lieschwinger.oracle import degeneracy_of_spectrum
         N = 5
         iv, mat = random_bulk_perturbation(N, seed=8)
-        frame = kit.fermion_frame(N)
         bulk, _ = kit.regroup_perturbations(
-            N, kit.build_kitaev_model(frame, 0.01, [(iv, mat)]).perturbations)
-        H = kit.perturbed_full_hamiltonian(frame, bulk, 0.01)
+            N, kit.build_kitaev_model(N, 0.01, [(iv, mat)]).perturbations)
+        H = perturbed_full_hamiltonian(N, bulk, 0.01)
         assert degeneracy_of_spectrum(dense_spectrum(H)) == 2
 
 
@@ -470,23 +564,20 @@ class TestBoundary:
             random_bulk_perturbation(N, seed=9),
             (Interval(N - 1, 1), edge + hop + hop.conj().T),
         ]
-        model = kit.build_kitaev_model(kit.fermion_frame(N), beta, perts)
-        _, boundary = kit.regroup_perturbations(model.N, model.perturbations)
-        assert boundary
-        splitting, gap_above = kit.boundary_gap_check(model)
+        reduction = kit.build_kitaev_model(N, beta, perts).reduce()
+        assert reduction.boundary
+        splitting, gap_above = kit.boundary_gap_check(reduction.full, beta)
         assert splitting <= 4 * beta
         assert gap_above >= 1.0
 
     def test_without_boundary_terms_pair_is_degenerate(self):
         N = 4
-        model = kit.build_kitaev_model(
-            kit.fermion_frame(N), 0.01, [random_bulk_perturbation(N, seed=10)]
-        )
-        splitting, gap_above = kit.boundary_gap_check(model)
+        model = kit.build_kitaev_model(N, 0.01, [random_bulk_perturbation(N, seed=10)])
+        splitting, gap_above = kit.boundary_gap_check(pencil(N, model.perturbations), 0.01)
         assert splitting <= 1e-9
         assert gap_above >= 1.0
 
 
 def test_sweet_spot_required():
     with pytest.raises(ValidationError, match="sweet spot"):
-        kit.build_kitaev_model(kit.fermion_frame(4), beta=0.01, perturbations=[], mu=0.5)
+        kit.build_kitaev_model(4, beta=0.01, perturbations=[], mu=0.5)

@@ -14,6 +14,8 @@ from lieschwinger.operators import (
     embed,
     excited_spectrum,
     op_norm,
+    parity_eigvalsh,
+    parity_sectors,
     rotation_factors,
     unitary_exp,
     vector_norm,
@@ -200,6 +202,102 @@ class TestExcitedSpectrum:
         out = excited_spectrum(G, vac)
         assert out.shape == (M ** (k + 1) - 1,)
         assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, op_norm(G))
+
+
+def random_even_hermitian(rng, n):
+    """Random Hermitian matrix on n qubits with every entry across the
+    popcount-parity split exactly 0.0."""
+    even, odd = parity_sectors(n)
+    m = random_hermitian(rng, 2 ** n)
+    m[np.ix_(even, odd)] = m[np.ix_(odd, even)] = 0.0
+    return m
+
+
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    """The sizes that np.linalg.eigvalsh is called on, in order."""
+    sizes, original = [], np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return sizes
+
+
+class TestParityEigvalsh:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_even_matrix_matches_eigvalsh_from_two_blocks(self, n, eigvalsh_sizes):
+        # from 32 up as two blocks; smaller sizes take one eigvalsh, bit for bit
+        m = random_even_hermitian(np.random.default_rng(n), n)
+        want = np.linalg.eigvalsh(m)
+        eigvalsh_sizes.clear()
+        got = parity_eigvalsh(m)
+        if 2 ** n < 32:
+            assert eigvalsh_sizes == [2 ** n] and np.array_equal(got, want)
+            return
+        assert eigvalsh_sizes == [2 ** (n - 1)] * 2
+        assert np.all(np.diff(got) >= 0)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+
+    @pytest.mark.parametrize("entry", [1.0, 1e-300])
+    @pytest.mark.parametrize("where", [(0, 1), (3, 1)], ids=["row-0", "inner"])
+    def test_one_cross_entry_falls_back_bit_identically(self, entry, where, eigvalsh_sizes):
+        # index 0 and 3 are even, index 1 odd: (3, 1) passes the row-0 look
+        m = random_even_hermitian(np.random.default_rng(7), 5)
+        m[where] = entry
+        m[where[::-1]] = entry
+        want = np.linalg.eigvalsh(m)
+        eigvalsh_sizes.clear()
+        assert np.array_equal(parity_eigvalsh(m), want)
+        assert eigvalsh_sizes == [32]
+
+    @pytest.mark.parametrize("D", [1, 3, 6, 9, 27])
+    def test_size_not_a_power_of_two_takes_one_eigvalsh(self, D):
+        m = random_hermitian(np.random.default_rng(D), D)
+        assert np.array_equal(parity_eigvalsh(m), np.linalg.eigvalsh(m))
+
+    @pytest.mark.parametrize("vac_index", [0, 5], ids=["even-vacuum", "odd-vacuum"])
+    def test_excited_spectrum_with_a_basis_vacuum_in_either_sector(self, vac_index,
+                                                                    eigvalsh_sizes):
+        # G even and block-diagonal for a basis vacuum; reference: eigvalsh
+        # of G with the vacuum's row and column deleted
+        n, E = 6, -2.5
+        G = random_even_hermitian(np.random.default_rng(vac_index), n)
+        G[vac_index, :] = G[:, vac_index] = 0.0
+        G[vac_index, vac_index] = E
+        vac = np.zeros(2 ** n, dtype=complex)
+        vac[vac_index] = 1.0
+        rest = np.delete(np.arange(2 ** n), vac_index)
+        want = np.linalg.eigvalsh(G[np.ix_(rest, rest)])
+        eigvalsh_sizes.clear()
+        got = excited_spectrum(G, vac)
+        assert eigvalsh_sizes == [2 ** (n - 1)] * 2
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, op_norm(G))
+
+    def test_excited_spectrum_with_a_non_basis_vacuum(self, eigvalsh_sizes):
+        # a vacuum across both sectors makes the shifted matrix odd: one
+        # eigvalsh of the whole matrix, against the Householder reference
+        rng = np.random.default_rng(11)
+        n = 4
+        vac = build_projectors(Interval(n - 1, 1), rng.normal(size=2) + 1j * rng.normal(size=2)).vac
+        Qp = orthogonal_complement_basis(vac)
+        G = -1.0 * np.outer(vac, vac.conj()) + Qp @ random_hermitian(rng, 2 ** n - 1) @ Qp.conj().T
+        G = (G + G.conj().T) / 2
+        want = np.linalg.eigvalsh(Qp.conj().T @ G @ Qp)
+        eigvalsh_sizes.clear()
+        got = excited_spectrum(G, vac)
+        assert eigvalsh_sizes == [2 ** n]
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, op_norm(G))
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_op_norm_of_an_even_matrix(self, n, eigvalsh_sizes):
+        m = random_even_hermitian(np.random.default_rng(100 + n), n)
+        want = float(np.linalg.svd(m, compute_uv=False)[0])
+        eigvalsh_sizes.clear()
+        assert op_norm(m) == pytest.approx(want, rel=1e-13)
+        assert eigvalsh_sizes == [2 ** (n - 1)] * 2
 
 
 class TestUnitaryExp:
