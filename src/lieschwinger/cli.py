@@ -49,8 +49,6 @@ def _parse_matrix(rows, what: str) -> np.ndarray:
         raise ValidationError(f"{what}: matrix entries must be finite") from err
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"{what}: matrix must be square, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError(f"{what}: matrix entries must be finite")
     return mat
 
 

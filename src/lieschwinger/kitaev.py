@@ -60,8 +60,8 @@ from scipy import sparse
 from .errors import RegroupError, ValidationError
 from .intervals import Interval
 from .model import ChainModel, build_chain_model, validate_chain_model
-from .operators import dense_dim, op_norm, parity_sectors
-from .oracle import ed_spectrum
+from .operators import dense_dim, op_norm, parity_sectors, require_hermitian
+from .oracle import DEGENERACY_TOL, ed_spectrum, levels
 
 CAR_TOL = 1e-12
 
@@ -285,9 +285,9 @@ def local_perturbation(iv: Interval, terms, N: int) -> sparse.csr_matrix:
 
 def build_kitaev_model(N: int, beta, perturbations, mu=0.0, tau=1.0,
                        delta=1.0) -> KitaevModel:
-    """Validate the support, shape, finiteness, Hermiticity and
-    parity-evenness of each perturbation, a support and the sparse matrix on
-    its sites.
+    """Validate the support, shape, finiteness, Hermiticity
+    (``operators.require_hermitian``) and parity-evenness of each
+    perturbation, a support and the sparse matrix on its sites.
 
     A perturbation is checked as given and then stored exactly even: its
     entries across fermion parity, all within the evenness tolerance, are
@@ -312,9 +312,7 @@ def build_kitaev_model(N: int, beta, perturbations, mu=0.0, tau=1.0,
                                   f"match its {iv.k + 1} sites")
         if not np.all(np.isfinite(mat.data)):
             raise ValidationError(f"perturbation on {iv}: coefficients must be finite")
-        defect = abs(mat - mat.conj().T).max()
-        if defect > 1e-9:
-            raise ValidationError(f"perturbation on {iv} is not Hermitian ({defect:.3e})")
+        require_hermitian(mat, f"perturbation on {iv} is not Hermitian")
         coo, cross = _cross_parity(mat)
         # the largest entry of [P, mat] for the parity P: twice the largest across parity
         if 2 * np.max(np.abs(coo.data[cross]), initial=0.0) > 1e-9:
@@ -420,27 +418,17 @@ def restricted_chain_model(N: int, bulk, beta: float) -> ChainModel:
     )
 
 
-def doubling_check_terms(pencil: SectorPencil, beta: float, chain: ChainModel,
-                         tol: float = 1e-9) -> bool:
+def doubling_check_terms(pencil: SectorPencil, beta: float, chain: ChainModel) -> bool:
     """The spectrum of H0 + beta * (bulk terms), given as the parity blocks
     of ``pencil``, is that of ``chain``, the restricted chain a run fits at
-    this beta, doubled, and every eigenvalue has even multiplicity.  The
-    restricted spectrum is the oracle's (``oracle.ed_spectrum``), from the
-    chain's own parity blocks."""
+    this beta, doubled to within DEGENERACY_TOL, and every level
+    (``oracle.levels``) has even size.  The restricted spectrum is the
+    oracle's (``oracle.ed_spectrum``), from the chain's own parity blocks."""
     full = pencil.spectrum(beta)
     restricted = ed_spectrum(chain)
     doubled = np.sort(np.concatenate([restricted, restricted]))
-    if float(np.max(np.abs(full - doubled))) > tol:
-        return False
-    i = 0
-    while i < full.shape[0]:
-        j = i
-        while j + 1 < full.shape[0] and full[j + 1] - full[i] <= tol:
-            j += 1
-        if (j - i + 1) % 2 != 0:
-            return False
-        i = j + 1
-    return True
+    return (float(np.max(np.abs(full - doubled))) <= DEGENERACY_TOL
+            and all(size % 2 == 0 for size in levels(full)))
 
 
 def boundary_gap_check(pencil: SectorPencil, beta: float) -> tuple[float, float]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .intervals import Interval
-from .operators import LocalOperator, hermitian_defect, op_norm
+from .operators import LocalOperator, op_norm, require_hermitian
 
 ONSITE_GAP_MIN = 1.0
 _TOL = 1e-9
@@ -41,12 +41,15 @@ class ChainModel:
     seed_info: dict = field(default_factory=dict)
 
 
-def ground_vector(onsite: np.ndarray, tol: float = _TOL) -> np.ndarray:
-    """Normalized kernel vector of the on-site matrix, phase-fixed."""
-    evals, evecs = np.linalg.eigh(onsite)
-    if abs(evals[0]) > tol:
-        raise ValidationError(f"on-site matrix has no zero eigenvalue: min = {evals[0]:.3e}")
-    v = evecs[:, 0]
+def _require_finite(m: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"{what}: matrix entries must be finite")
+    return m
+
+
+def ground_vector(onsite: np.ndarray) -> np.ndarray:
+    """Normalized lowest eigenvector of the on-site matrix, phase-fixed."""
+    v = np.linalg.eigh(onsite)[1][:, 0]
     pivot = v[int(np.argmax(np.abs(v)))]
     return v * (pivot.conjugate() / abs(pivot))
 
@@ -54,7 +57,8 @@ def ground_vector(onsite: np.ndarray, tol: float = _TOL) -> np.ndarray:
 def build_chain_model(N, M, onsite, interactions, t, kbar=None,
                       energy_offset=0.0, seed_info=None) -> ChainModel:
     """Assemble and validate a ChainModel; interactions as {Interval: matrix}."""
-    onsite = np.asarray(onsite, dtype=complex)
+    # checked before ground_vector: eigh of a non-finite matrix can fail to converge
+    onsite = _require_finite(np.asarray(onsite, dtype=complex), "on-site matrix")
     ops = {}
     for iv, mat in interactions.items():
         iv = Interval(*iv)
@@ -74,8 +78,9 @@ def build_chain_model(N, M, onsite, interactions, t, kbar=None,
         iv: LocalOperator(iv, (op.matrix + op.matrix.conj().T) / 2) for iv, op in ops.items()})
 
 
-def validate_chain_model(model: ChainModel, tol: float = _TOL) -> None:
-    """Raise ValidationError naming the first violated model constraint."""
+def validate_chain_model(model: ChainModel) -> None:
+    """Raise ValidationError naming the first violated model constraint; each
+    matrix is checked finite, Hermitian (``require_hermitian``), then bounded."""
     if model.N < 2:
         raise ValidationError(f"need at least 2 sites, got N={model.N}")
     if model.M < 2:
@@ -85,14 +90,14 @@ def validate_chain_model(model: ChainModel, tol: float = _TOL) -> None:
     H = model.onsite
     if H.shape != (model.M, model.M):
         raise ValidationError(f"on-site matrix shape {H.shape} does not match M={model.M}")
-    if hermitian_defect(H) > tol:
-        raise ValidationError("on-site matrix is not Hermitian")
+    _require_finite(H, "on-site matrix")
+    require_hermitian(H, "on-site matrix is not Hermitian")
     evals = np.linalg.eigvalsh(H)
-    if evals[0] < -tol:
+    if evals[0] < -_TOL:
         raise ValidationError(f"on-site matrix not positive semidefinite: min {evals[0]:.3e}")
-    if abs(evals[0]) > tol:
+    if abs(evals[0]) > _TOL:
         raise ValidationError("on-site matrix has no zero ground eigenvalue")
-    if evals.shape[0] < 2 or evals[1] < ONSITE_GAP_MIN - tol:
+    if evals.shape[0] < 2 or evals[1] < ONSITE_GAP_MIN - _TOL:
         raise ValidationError(
             f"on-site gap {evals[1]:.6f} is below the required minimum {ONSITE_GAP_MIN}"
         )
@@ -111,10 +116,10 @@ def validate_chain_model(model: ChainModel, tol: float = _TOL) -> None:
         if n >= op.dim.bit_length() or model.M ** n != op.dim:
             raise ValidationError(
                 f"interaction on {iv} has dimension {op.dim}, expected {model.M}**{n}")
-        if hermitian_defect(op.matrix) > tol * max(1.0, float(np.max(np.abs(op.matrix)))):
-            raise ValidationError(f"interaction on {iv} is not Hermitian")
+        _require_finite(op.matrix, f"interaction on {iv}")
+        require_hermitian(op.matrix, f"interaction on {iv} is not Hermitian")
         norm = op_norm(op)
-        if norm > 1.0 + tol:
+        if norm > 1.0 + _TOL:
             raise ValidationError(f"interaction on {iv} has norm {norm:.6f} > 1")
 
 

@@ -55,7 +55,8 @@ import numpy as np
 from .errors import DimensionError, EmbeddingError, GeneratorError, ValidationError
 from .intervals import Interval
 
-TOL_HERM = 1e-10
+TOL_HERMITIAN = 1e-9  # a given matrix (``require_hermitian``)
+TOL_GENERATOR = 1e-10  # a generator (``rotation_factors``, ``unitary_exp``)
 # Largest full-space dimension that any dense assembly or check may reach.
 DENSE_GUARD = 4096
 
@@ -97,12 +98,17 @@ class LocalOperator:
         return self.matrix.shape[0]
 
 
-def hermitian_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+def hermitian_defect(m) -> float:
+    return float(abs(m - m.conj().T).max()) if m.size else 0.0
 
 
-def antihermitian_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m + m.conj().T))) if m.size else 0.0
+def require_hermitian(m, message: str) -> float:
+    """max|m - m^dag| of a square matrix, dense or sparse, if at most TOL_HERMITIAN
+    max(1, max|m|), else ValidationError(message); a non-finite entry fails."""
+    defect = hermitian_defect(m)
+    if not defect / max(1.0, float(abs(m).max())) <= TOL_HERMITIAN:
+        raise ValidationError(f"{message} (|m - m^dag| = {defect:.3e})")
+    return defect
 
 
 def embed(op: LocalOperator, target: Interval, M: int, *,
@@ -182,20 +188,13 @@ def parity_eigvalsh(m: np.ndarray) -> np.ndarray:
                                    np.linalg.eigvalsh(blocked[h:, h:])]))
 
 
-def op_norm(op: LocalOperator | np.ndarray, tol: float = 1e-8) -> float:
-    """Spectral norm (largest |eigenvalue|) of a Hermitian matrix.
-
-    Hermiticity is checked relative to the matrix's own scale.
-    """
+def op_norm(op: LocalOperator | np.ndarray) -> float:
+    """Spectral norm (largest |eigenvalue|) of a matrix Hermitian by
+    ``require_hermitian``, read from its Hermitian part."""
     m = op.matrix if isinstance(op, LocalOperator) else np.asarray(op, dtype=complex)
     if m.size == 0:
         return 0.0
-    scale = float(np.max(np.abs(m)))
-    if scale == 0.0:
-        return 0.0
-    defect = hermitian_defect(m)
-    if defect > tol * scale:
-        raise ValidationError("op_norm supports Hermitian matrices only")
+    defect = require_hermitian(m, "op_norm supports Hermitian matrices only")
     # eigvalsh reads one triangle, so an exactly Hermitian m needs no symmetrized copy
     return float(np.max(np.abs(parity_eigvalsh(m if defect == 0.0 else (m + m.conj().T) / 2))))
 
@@ -234,11 +233,11 @@ def excited_spectrum(G: np.ndarray, vac: np.ndarray) -> np.ndarray:
     return parity_eigvalsh(G + (c - E) * np.outer(vac, vac.conj()))[:-1]
 
 
-def unitary_exp(S: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:
+def unitary_exp(S: np.ndarray) -> np.ndarray:
     """exp(S) for anti-Hermitian S, exactly unitary via eigendecomposition of iS."""
     S = _as_matrix(S)
-    defect = antihermitian_defect(S)
-    if defect > tol_herm * max(1.0, float(np.max(np.abs(S)))):
+    defect = hermitian_defect(1j * S)  # |iS - (iS)^dag| = |S + S^dag|
+    if defect > TOL_GENERATOR * max(1.0, float(np.max(np.abs(S)))):
         raise GeneratorError(f"generator not anti-Hermitian: |S + S^dag| = {defect:.3e}")
     lam, U = np.linalg.eigh(1j * (S - S.conj().T) / 2)
     return (U * np.exp(-1j * lam)) @ U.conj().T
@@ -297,7 +296,7 @@ def rotation_factors(y: np.ndarray, vac: np.ndarray) -> tuple[np.ndarray, np.nda
     scaled_norm = np.linalg.norm(scaled)
     theta = float(np.ldexp(scaled_norm, e))
     overlap = abs(np.vdot(vac, y))
-    if overlap > TOL_HERM * max(1.0, theta):
+    if overlap > TOL_GENERATOR * max(1.0, theta):
         raise GeneratorError(f"generator is not a vacuum rotation: |vac^dag y| = {overlap:.3e}")
     y_hat = scaled / scaled_norm if scaled_norm > 0.0 else scaled
     c = -2.0 * np.sin(theta / 2) ** 2

@@ -10,6 +10,7 @@ so K is diagonalized once per fit.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,23 +65,33 @@ def ed_spectrum(model: ChainModel) -> np.ndarray:
     return parity_eigvalsh(assemble_direct(model))
 
 
-def degeneracy_of_spectrum(evals: np.ndarray, tol: float = DEGENERACY_TOL) -> int:
+def levels(evals: np.ndarray) -> Iterator[int]:
+    """Sizes of the levels of a spectrum, lowest first: a level is every
+    eigenvalue within DEGENERACY_TOL of its lowest, not a chain of
+    eigenvalues each within it of the next."""
     evals = np.sort(np.asarray(evals, dtype=float))
-    return int(np.count_nonzero(evals - evals[0] <= tol))
+    while evals.size:  # the differences ascend, so each count is of a prefix
+        size = 1 + int(np.count_nonzero(evals[1:] - evals[0] <= DEGENERACY_TOL))
+        yield size
+        evals = evals[size:]
 
 
-def compare(report: GapReport, model: ChainModel, tol: float = DEGENERACY_TOL,
+def degeneracy_of_spectrum(evals: np.ndarray) -> int:
+    """Size of the lowest level of a spectrum (``levels``)."""
+    return next(levels(evals))
+
+
+def compare(report: GapReport, model: ChainModel,
             tol_od: float = SeriesControls.tol_od) -> OracleComparison:
     """Distance between the certified spectrum and direct diagonalization.
 
-    The ED gap skips any eigenvalues degenerate with the ground state at the
-    given tolerance, so near-degenerate clusters are not silently merged.
+    The ED gap skips the whole ground level (``levels``), near-degenerate or not.
     The certified ground energy matches blockwise when it is within the
     fit's ``tol_od`` of the ED ground energy.
     """
     evals_ed = ed_spectrum(model)
     distance = float(np.max(np.abs(evals_ed - report.spectrum)))
-    deg = degeneracy_of_spectrum(evals_ed, tol)
+    deg = degeneracy_of_spectrum(evals_ed)
     gap_ed = float(evals_ed[deg] - evals_ed[0]) if deg < evals_ed.shape[0] else 0.0
     return OracleComparison(
         spectrum_distance=distance,

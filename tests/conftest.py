@@ -331,7 +331,7 @@ def full_basis_restriction(N: int, bulk) -> dict:
     return {d_iv: (m + m.conj().T) / 2 for d_iv, m in locals_.items()}
 
 
-def doubling_check(model: kit.KitaevModel, tol: float = 1e-9) -> bool:
+def doubling_check(model: kit.KitaevModel) -> bool:
     """``kit.doubling_check_terms`` on a model's bulk terms and its restricted
     chain; without bulk terms, that chain is diag(0, 2) on every mode."""
     bulk, _ = kit.regroup_perturbations(model.N, model.perturbations)
@@ -340,7 +340,7 @@ def doubling_check(model: kit.KitaevModel, tol: float = 1e-9) -> bool:
     else:
         chain = build_chain_model(model.N - 1, 2, np.diag([0.0, 2.0]), {}, 0.0,
                                   energy_offset=-(model.N - 1))
-    return kit.doubling_check_terms(pencil(model.N, bulk), model.beta, chain, tol)
+    return kit.doubling_check_terms(pencil(model.N, bulk), model.beta, chain)
 
 
 def random_bulk_perturbation(N: int, seed: int = 0, site: int | None = None):

@@ -151,6 +151,21 @@ class TestMain:
         report = json.loads(out.read_text())
         assert report["status"] == "ok"
 
+    def test_small_near_hermitian_interaction_fits(self, tmp_path):
+        # a defect of 5e-10 on 0.01 sigma_x sigma_x is within the one
+        # Hermiticity rule, which op_norm reads as the model check does
+        spec = chain_spec()
+        V = 0.01 * np.kron(SX, SX)
+        V[0, 3] += 5e-10
+        spec["interactions"][0]["matrix"] = matrix_json(V)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "report.json"
+        assert main(["--config", str(path), "--report", str(out)]) == 0
+        assert json.loads(out.read_text())["status"] == "ok"
+        (op,) = load_model(path).interactions.values()
+        assert np.array_equal(op.matrix, op.matrix.conj().T)
+
     def test_validation_exit_code(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(chain_spec(gap=0.5)))

@@ -178,6 +178,18 @@ class TestRegrouping:
         with pytest.raises(ValidationError, match="even"):
             kit.build_kitaev_model(N, 0.01, [(Interval(0, 2), odd)])
 
+    @pytest.mark.parametrize("defect,accepted", [(5e-9, True), (2e-8, False)])
+    def test_hermiticity_is_relative_to_the_entry_scale(self, defect, accepted):
+        # 10 n_3 on bulk sites 2..3, with a defect on an entry inside the even sector
+        mat = np.diag([0.0, 10.0, 0.0, 10.0]).astype(complex)
+        mat[0, 3] += defect
+        perturbation = [(Interval(1, 2), sparse.csr_matrix(mat))]
+        if accepted:
+            kit.build_kitaev_model(5, 0.01, perturbation)
+            return
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            kit.build_kitaev_model(5, 0.01, perturbation)
+
     def test_small_odd_admixture_is_stored_exactly_even(self):
         # validated as given, stored with the cross-parity entries dropped
         N = 5

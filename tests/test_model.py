@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from lieschwinger.certify import certify
 from lieschwinger.cli import load_model
 from lieschwinger.errors import ValidationError
 from lieschwinger.intervals import Interval
-from lieschwinger.model import build_chain_model, random_chain_model
+from lieschwinger.model import build_chain_model, random_chain_model, validate_chain_model
 from lieschwinger.oracle import compare
 from lieschwinger.sweep import sweep
 
@@ -46,6 +48,44 @@ def test_rejects_non_hermitian_interaction():
     with pytest.raises(ValidationError, match="Hermitian"):
         build_chain_model(2, 2, np.diag([0.0, 1.0]),
                           {Interval(1, 1): np.kron(bad, np.eye(2))}, t=0.1)
+
+
+@pytest.mark.parametrize("operand,defect,error", [
+    ("onsite", 5e-9, None),
+    ("onsite", 2e-8, "on-site matrix is not Hermitian"),
+    # an interaction of entry scale 10 passes the rule only to fail its norm bound
+    ("interaction", 5e-9, "norm 10"),
+    ("interaction", 2e-8, "interaction on .* is not Hermitian"),
+])
+def test_hermiticity_is_relative_to_the_entry_scale(operand, defect, error):
+    H, V = np.diag([0.0, 10.0]), np.kron(SX, SX)
+    if operand == "interaction":
+        V = 10 * V
+    (H if operand == "onsite" else V)[0, 1] += defect
+    if error is None:
+        build_chain_model(2, 2, H, {Interval(1, 1): V}, t=0.1)
+        return
+    with pytest.raises(ValidationError, match=error):
+        build_chain_model(2, 2, H, {Interval(1, 1): V}, t=0.1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("operand,entry", [
+    pytest.param("on-site matrix", (1, 1), id="onsite-diagonal"),
+    pytest.param("on-site matrix", (0, 1), id="onsite-off-diagonal"),
+    pytest.param("interaction", (0, 0), id="interaction-diagonal"),
+    pytest.param("interaction", (1, 2), id="interaction-off-diagonal")])
+def test_rejects_non_finite_entries(operand, entry, value):
+    H, V = np.diag([0.0, 1.0]).astype(complex), np.kron(SX, SX).astype(complex)
+    (H if operand == "on-site matrix" else V)[entry] = value
+    with pytest.raises(ValidationError, match=f"^{operand}.*: matrix entries must be finite"):
+        build_chain_model(2, 2, H, {Interval(1, 1): V}, t=0.1)
+
+
+def test_validation_rejects_non_finite_onsite_of_a_built_model():
+    model = replace(anchor_model(), onsite=np.diag([0.0, np.inf]).astype(complex))
+    with pytest.raises(ValidationError, match="on-site matrix: matrix entries must be finite"):
+        validate_chain_model(model)
 
 
 def test_rejects_support_outside_chain():

@@ -107,6 +107,9 @@ def test_degeneracy_zero_coupling():
 def test_degeneracy_counts_clusters():
     assert degeneracy_of_spectrum(np.array([0.0, 1e-10, 5e-10, 1.0])) == 3
     assert degeneracy_of_spectrum(np.array([0.0, 1e-8, 1.0])) == 1
+    # one level is every eigenvalue within the tolerance of its lowest, not a
+    # chain of eigenvalues each within the tolerance of the next
+    assert degeneracy_of_spectrum(np.array([0.0, 0.6e-9, 1.2e-9, 1.0])) == 2
 
 
 def test_dimension_guard():
