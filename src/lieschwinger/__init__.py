@@ -19,7 +19,6 @@ from .errors import (
     GapError,
     GeneratorError,
     OrderError,
-    RegroupError,
     SeriesError,
     ValidationError,
 )

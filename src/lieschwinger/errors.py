@@ -67,9 +67,3 @@ class CertificationError(ChainError):
     """Final block-diagonality residual exceeded the accepted tolerance."""
 
     exit_code = 2
-
-
-class RegroupError(ChainError):
-    """A perturbation classified as bulk fails the zero-mode commutation check."""
-
-    exit_code = 2

@@ -6,7 +6,9 @@ a = [[0, 1], [0, 0]].  Majorana components are gamma_B = c^dag + c and
 gamma_A = i (c^dag - c); the sign in gamma_A is fixed so that
 2 d^dag_j = gamma_{B,j} + i gamma_{A,j+1} expands to
 c_{j+1} - c^dag_{j+1} + c^dag_j + c_j, and the wrap-around zero mode is
-2 d^dag_0 = -c^dag_1 + c_1 + c^dag_N + c_N.
+2 d^dag_0 = -c^dag_1 + c_1 + c^dag_N + c_N.  The modes (``d_mode_algebra``)
+and the bond -i gamma_{B,j} gamma_{A,j+1} = (c^dag_j + c_j)(c^dag_{j+1} -
+c_{j+1}) are written in these expansions, with no Majorana operator formed.
 
 With these normal modes the sweet-spot Hamiltonian is a sum of number
 operators, sum_j (2 d^dag_j d_j - 1) over j = 1..N-1; the zero mode d_0
@@ -23,13 +25,22 @@ matrix on its own k+1 sites; a model parses, checks and stores m alone
 signed partial permutation of the occupation basis, read off by following
 every basis state through its factors (``_follow``), so a term is parsed
 without any fermion algebra; ``fermion_algebra`` writes its sparse
-annihilators the same way.  A
-bulk term is checked against the zero mode and restricted to the
-d_0-vacuum sector on a (k+3)-site frame, where it is already the chain
-interaction on its k+2 d-modes.  No N-site algebra is built: the load only
-checks N against the dense guard (``fermion_sites``), and H0 is one 2-site
-bond matrix embedded on each bond (``kitaev_hamiltonian``), its
-Jordan-Wigner strings cancelling as a perturbation's do.
+annihilators the same way.
+
+A bulk term is restricted to the d_0-vacuum sector on its frame: k+3
+sites with the term on sites 2..k+2, where it is already the chain
+interaction on its k+2 d-modes.  One frame, one d-mode algebra and one
+zero-sector basis serve every bulk term of range k
+(``restricted_chain_model``).  The basis starts from the mode vacuum, the
+projection prod_j (1 - d^dag_j d_j) of a basis state, so the vacuum needs
+no eigensolver.  No zero-mode commutator is taken: a stored term is
+exactly even, and an even operator commutes entry for entry with the odd
+d_0, made of sites 1 and N alone, whenever it acts on neither.
+
+No N-site algebra is built: the load only checks N against the dense
+guard (``fermion_sites``), and H0 is one 2-site bond matrix embedded on
+each bond (``kitaev_hamiltonian``), its Jordan-Wigner strings cancelling
+as a perturbation's do.
 
 ``KitaevModel.reduce`` runs once per file.  Besides the restricted chain
 it embeds every term in the 2^N space once (``embed``, sparse) and keeps
@@ -57,13 +68,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 
-from .errors import RegroupError, ValidationError
+from .errors import ValidationError
 from .intervals import Interval
 from .model import ChainModel, build_chain_model, validate_chain_model
 from .operators import dense_dim, op_norm, parity_sectors, require_hermitian
 from .oracle import DEGENERACY_TOL, ed_spectrum, levels
-
-CAR_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,17 +125,10 @@ def fermion_algebra(N: int) -> FermionAlgebra:
     return FermionAlgebra(N, tuple(ops))
 
 
-def majoranas(alg: FermionAlgebra) -> tuple[list, list]:
-    """(gamma_A, gamma_B) lists indexed by site-1 offset."""
-    gA = [1j * (alg.cdag(j) - alg.c[j - 1]) for j in range(1, alg.N + 1)]
-    gB = [alg.cdag(j) + alg.c[j - 1] for j in range(1, alg.N + 1)]
-    return gA, gB
-
-
 def d_mode_algebra(alg: FermionAlgebra) -> DModeAlgebra:
-    gA, gB = majoranas(alg)
-    # 2 d^dag_j = gamma_{B,j} + i gamma_{A,j+1}; for j = 0, gB[-1] is site N
-    ddag = [0.5 * (gB[j - 1] + 1j * gA[j]) for j in range(alg.N)]
+    # 2 d^dag_j = c^dag_j + c_j + c_{j+1} - c^dag_{j+1}; for j = 0, site 0 is site N
+    ddag = [0.5 * (alg.cdag(j) + alg.c[j - 1] + alg.c[j] - alg.cdag(j + 1))
+            for j in range(alg.N)]
     d = tuple(m.conj().T.tocsr() for m in ddag)
     return DModeAlgebra(d, tuple(m.conj().T.tocsr() for m in d))
 
@@ -143,17 +145,6 @@ def _cross_parity(mat) -> tuple[sparse.coo_matrix, np.ndarray]:
     coo = sparse.coo_matrix(mat)
     odd = _odd_table(coo.shape[0].bit_length() - 1)
     return coo, odd[coo.row] != odd[coo.col]
-
-
-def _parity_blocks(H) -> list[tuple[np.ndarray, sparse.csr_matrix]]:
-    """(indices, sparse diagonal block) of the even and the odd sector of an
-    even operator, dense or sparse; any nonzero entry across the two sectors
-    raises ValidationError, so the blocks carry the whole operator."""
-    coo, cross = _cross_parity(H)
-    if np.any(coo.data[cross] != 0):
-        raise ValidationError("operator is not even: it has entries across fermion parity")
-    H = coo.tocsr()
-    return [(idx, H[idx][:, idx]) for idx in parity_sectors(H.shape[0].bit_length() - 1)]
 
 
 def embed(mat, iv: Interval, N: int) -> sparse.csr_matrix:
@@ -174,8 +165,8 @@ def kitaev_hamiltonian(N: int) -> sparse.csr_matrix:
     """Sweet-spot Hamiltonian -i sum_j gamma_{B,j} gamma_{A,j+1}, sparse: the
     2-site bond matrix -i gamma_{B,1} gamma_{A,2} embedded on each bond.  The
     tests hold it equal to the number-operator form."""
-    gA, gB = majoranas(fermion_algebra(2))
-    bond = -1j * (gB[0] @ gA[1])
+    alg = fermion_algebra(2)
+    bond = (alg.cdag(1) + alg.c[0]) @ (alg.cdag(2) - alg.c[1])  # -i gamma_{B,1} gamma_{A,2}
     return _embedded_sum([(Interval(1, j), bond) for j in range(1, N)], N)
 
 
@@ -195,9 +186,14 @@ class SectorPencil:
 
 
 def sector_blocks(H) -> tuple:
-    """The even and the odd parity block of an even operator, sparse, after
-    the check for entries across parity (``_parity_blocks``)."""
-    return tuple(block for _, block in _parity_blocks(H))
+    """The even and the odd parity block of an even operator, dense or
+    sparse, as sparse matrices; any nonzero entry across the two sectors
+    raises ValidationError, so the blocks carry the whole operator."""
+    coo, cross = _cross_parity(H)
+    if np.any(coo.data[cross] != 0):
+        raise ValidationError("operator is not even: it has entries across fermion parity")
+    H = coo.tocsr()
+    return tuple(H[idx][:, idx] for idx in parity_sectors(H.shape[0].bit_length() - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,48 +324,37 @@ def regroup_perturbations(N: int, perturbations):
     terms and boundary terms, both kept in c-site coordinates.
 
     A term on c-sites {i..i+j} rewritten in normal modes touches d-modes
-    {i-1..i+j}; it is bulk when 2 <= i and i+j <= N-1.  Bulk terms must
-    commute with the zero mode, which is verified entrywise on the term's
-    frame: j+3 sites, the term on sites 2..j+2, where the commutator has
-    the entries it has on the chain.
+    {i-1..i+j}; it is bulk when 2 <= i and i+j <= N-1.  A bulk term
+    commutes with the zero mode by construction: it is stored exactly even
+    (``build_kitaev_model``) and acts on none of the sites 1 and N that d_0
+    is made of.
     """
     bulk, boundary = [], []
     for iv, mat in perturbations:
         (bulk if iv.q >= 2 and iv.last <= N - 1 else boundary).append((iv, mat))
-    zero_modes = {k: d_mode_algebra(fermion_algebra(k + 3)).d[0] for k in {iv.k for iv, _ in bulk}}
-    for iv, mat in bulk:
-        W, d0 = embed(mat, Interval(iv.k, 2), iv.k + 3), zero_modes[iv.k]
-        comm = abs(W @ d0 - d0 @ W).max()
-        if comm > CAR_TOL * max(1.0, abs(W).max()):
-            raise RegroupError(
-                f"bulk perturbation on {iv} fails the zero-mode commutation check ({comm:.3e})")
     return bulk, boundary
 
 
 def zero_sector_basis(dmodes: DModeAlgebra) -> np.ndarray:
     """Orthonormal columns spanning the d_0-vacuum sector.
 
-    The mode vacuum is the unique state annihilated by every d_j: the ground
-    state of sum_j d^dag_j d_j, which is even and is diagonalized on its two
-    parity blocks, so the vacuum and every column lie in one parity sector
-    and are exactly zero outside it.  Its phase makes the first entry of at
-    least half the largest magnitude real and positive (the vacuum's entries
-    tie in magnitude, so the largest alone would leave the phase to
-    rounding).  Column index encodes occupations (n_1..n_{N-1}) with mode
-    1 as the most significant bit; creation operators are applied highest
-    mode first, so the basis state reads ddag_1^{n_1} ... ddag_{N-1}^{n_{N-1}} vacuum.
+    The mode vacuum, the unique state annihilated by every d_j, is the
+    normalized image of e_0 + e_1 under the projection prod_j (1 - d^dag_j
+    d_j); its entries all tie in magnitude, so one of the two basis states
+    overlaps it.  The projection is even, so the vacuum and every column lie
+    in one parity sector and are exactly zero outside it.  Its phase makes
+    the first entry of at least half the largest magnitude real and positive
+    (the largest alone would leave the phase to rounding).  Column index
+    encodes occupations (n_1..n_{N-1}) with mode 1 as the most significant
+    bit; creation operators are applied highest mode first, so the basis
+    state reads ddag_1^{n_1} ... ddag_{N-1}^{n_{N-1}} vacuum.
     """
     N = len(dmodes.d)
-    total = sum((dmodes.ddag(j) @ dmodes.d[j] for j in range(N)),
-                sparse.csr_matrix((2 ** N,) * 2, dtype=complex))
-    sectors = [(idx,) + tuple(np.linalg.eigh(block.toarray()))
-               for idx, block in _parity_blocks(total)]
-    evals = np.sort(np.concatenate([w for _, w, _ in sectors]))
-    if evals[0] > 1e-10 or evals[1] < 0.9:
-        raise ValidationError("mode vacuum is not isolated")
-    idx, _, evecs = min(sectors, key=lambda sector: sector[1][0])
     vac = np.zeros(2 ** N, dtype=complex)
-    vac[idx] = evecs[:, 0]
+    vac[:2] = 1.0
+    for j in range(N):
+        vac = vac - dmodes.ddag(j) @ (dmodes.d[j] @ vac)
+    vac /= np.linalg.norm(vac)
     pivot = vac[np.flatnonzero(np.abs(vac) >= 0.5 * np.abs(vac).max())[0]]
     vac *= pivot.conjugate() / abs(pivot)
     cols = []
@@ -388,8 +373,9 @@ def restricted_chain_model(N: int, bulk, beta: float) -> ChainModel:
 
     A bulk term on c-sites {i..i+j} restricts to an interaction on the
     d-site interval with j+1 edges and left endpoint i-1: R^dag W R on the
-    term's frame (``regroup_perturbations``), whose j+2 d-modes are that
-    interval's, so it is the same matrix on any chain.  On-site matrix
+    term's frame, j+3 sites with the term on sites 2..j+2 and one R per
+    range j, whose j+2 d-modes are that interval's, so it is the same
+    matrix on any chain.  On-site matrix
     diag(0, 2) per mode; the unperturbed vacuum energy -(N-1) rides along
     as the model's energy offset.  Local interaction matrices are rescaled
     by their largest norm w (coupling beta * w) so every stored norm is at
@@ -404,8 +390,7 @@ def restricted_chain_model(N: int, bulk, beta: float) -> ChainModel:
         R, W = bases[iv.k], embed(mat, Interval(iv.k, 2), iv.k + 3)
         d_iv = Interval(iv.k + 1, iv.q - 1)
         locals_[d_iv] = locals_.get(d_iv, 0) + R.conj().T @ (W @ R)
-    # R^dag W R is Hermitian only to rounding; stored potentials must be exact
-    locals_ = {iv: (m + m.conj().T) / 2 for iv, m in locals_.items()}
+    # R^dag W R is Hermitian only to rounding; build_chain_model stores it exactly Hermitian
     scale = max(1.0, *(op_norm(m) for m in locals_.values()))
     interactions = {iv: m / scale for iv, m in locals_.items()}
     return build_chain_model(

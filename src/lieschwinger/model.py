@@ -18,6 +18,8 @@ from .operators import LocalOperator, op_norm, require_hermitian
 
 ONSITE_GAP_MIN = 1.0
 _TOL = 1e-9
+OMEGA_NORM_TOL = 1e-8  # | ||omega|| - 1 |
+OMEGA_KERNEL_TOL = 1e-7  # ||H omega||
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +103,8 @@ def validate_chain_model(model: ChainModel) -> None:
         raise ValidationError(
             f"on-site gap {evals[1]:.6f} is below the required minimum {ONSITE_GAP_MIN}"
         )
-    if abs(np.linalg.norm(model.omega) - 1.0) > 1e-8 or np.linalg.norm(H @ model.omega) > 1e-7:
+    if (abs(np.linalg.norm(model.omega) - 1.0) > OMEGA_NORM_TOL
+            or np.linalg.norm(H @ model.omega) > OMEGA_KERNEL_TOL):
         raise ValidationError("omega is not a normalized kernel vector of the on-site matrix")
     for iv, op in model.interactions.items():
         if iv.k == 0:

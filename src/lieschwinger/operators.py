@@ -105,7 +105,8 @@ def hermitian_defect(m) -> float:
 def require_hermitian(m, message: str) -> float:
     """max|m - m^dag| of a square matrix, dense or sparse, if at most TOL_HERMITIAN
     max(1, max|m|), else ValidationError(message); a non-finite entry fails."""
-    defect = hermitian_defect(m)
+    with np.errstate(invalid="ignore"):  # inf - inf in m - m^dag is nan, which fails below
+        defect = hermitian_defect(m)
     if not defect / max(1.0, float(abs(m).max())) <= TOL_HERMITIAN:
         raise ValidationError(f"{message} (|m - m^dag| = {defect:.3e})")
     return defect

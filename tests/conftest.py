@@ -261,6 +261,16 @@ def kron_fermion_algebra(N: int) -> kit.FermionAlgebra:
     return kit.FermionAlgebra(N, tuple(ops))
 
 
+def majoranas(alg: kit.FermionAlgebra) -> tuple[list, list]:
+    """(gamma_A, gamma_B) lists indexed by site-1 offset, gamma_A = i (c^dag
+    - c) and gamma_B = c^dag + c: the reference for ``kit.d_mode_algebra``
+    and the bond of ``kit.kitaev_hamiltonian``, which are written in c and
+    c^dag directly."""
+    gA = [1j * (alg.cdag(j) - alg.c[j - 1]) for j in range(1, alg.N + 1)]
+    gB = [alg.cdag(j) + alg.c[j - 1] for j in range(1, alg.N + 1)]
+    return gA, gB
+
+
 def sparse_perturbation_matrix(alg: kit.FermionAlgebra, terms) -> sparse.csr_matrix:
     """File terms as products of the operators of an N-site algebra:
     the reference for ``kit.local_perturbation``, which parses a term on the

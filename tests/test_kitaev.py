@@ -7,7 +7,7 @@ from scipy import sparse
 
 from conftest import (dense_spectrum, dense_zero_sector_basis, doubling_check,
                       full_basis_restriction, kitaev_spectrum_expected, kron_fermion_algebra,
-                      pencil, perturbed_full_hamiltonian, random_bulk_perturbation,
+                      majoranas, pencil, perturbed_full_hamiltonian, random_bulk_perturbation,
                       sparse_perturbation_matrix)
 from lieschwinger import kitaev as kit
 from lieschwinger.cli import load_model, main
@@ -69,6 +69,17 @@ class TestAlgebras:
         diff = alg.c[N - 1] - 0.5 * (dm.d[0] + dm.ddag(0) + dm.ddag(N - 1) - dm.d[N - 1])
         assert abs(diff.toarray()).max() <= 1e-12
 
+    @pytest.mark.parametrize("N", range(1, 10))
+    def test_modes_equal_the_majorana_form(self, N):
+        # 2 d^dag_j = gamma_{B,j} + i gamma_{A,j+1}, with gamma_{B,0} the
+        # site-N component, entry for entry
+        gA, gB = majoranas(kit.fermion_algebra(N))
+        dm = kit.d_mode_algebra(kit.fermion_algebra(N))
+        for j in range(N):
+            want = 0.5 * (gB[j - 1] + 1j * gA[j])
+            assert np.array_equal(dm.ddag(j).toarray(), want.toarray())
+            assert np.array_equal(dm.d[j].toarray(), want.conj().T.toarray())
+
     def test_zero_mode_wraparound_form(self):
         N = 4
         alg = kit.fermion_algebra(N)
@@ -105,7 +116,7 @@ class TestSweetSpotHamiltonian:
     def test_bond_embedding_equals_n_site_majorana_form(self, N):
         # the 2-site bond matrix embedded on each bond is -i sum_j
         # gamma_{B,j} gamma_{A,j+1} of the N-site algebra entry for entry
-        gA, gB = kit.majoranas(kit.fermion_algebra(N))
+        gA, gB = majoranas(kit.fermion_algebra(N))
         want = sum((-1j * (gB[j - 1] @ gA[j]) for j in range(1, N)),
                    sparse.csr_matrix((2 ** N,) * 2, dtype=complex))
         assert np.array_equal(kit.kitaev_hamiltonian(N).toarray(), want.toarray())
@@ -256,15 +267,19 @@ class TestParitySectors:
         with pytest.raises(ValidationError, match="not even"):
             kit.sector_blocks(sparse.csr_matrix(H))
 
-    @pytest.mark.parametrize("N", range(2, 8))
+    @pytest.mark.parametrize("N", range(2, 11))
     def test_zero_sector_basis_matches_dense_reference(self, N):
+        # the projected vacuum against one eigh of the whole 2^N matrix,
+        # whose own rounding reaches 5e-15 at N = 10; every d_j annihilates
+        # the projected one exactly
         dm = kit.d_mode_algebra(kit.fermion_algebra(N))
         R = kit.zero_sector_basis(dm)
-        assert np.max(np.abs(R - dense_zero_sector_basis(dm))) <= 1e-13
+        assert np.max(np.abs(R - dense_zero_sector_basis(dm))) <= 1e-14
+        assert not any(np.any(d @ R[:, 0]) for d in dm.d)
         even_idx, odd_idx = popcount_sectors(N)
         for col in R.T:
             assert not np.any(col[even_idx]) or not np.any(col[odd_idx])
-        assert np.max(np.abs(R.conj().T @ R - np.eye(2 ** (N - 1)))) <= 1e-13
+        assert np.max(np.abs(R.conj().T @ R - np.eye(2 ** (N - 1)))) <= 1e-15
 
 
     @pytest.mark.parametrize("N", range(2, 8))
@@ -334,6 +349,50 @@ class TestLocalReduction:
         assert set(chain.interactions) == set(want)
         for iv, op in chain.interactions.items():
             assert np.max(np.abs(op.matrix - want[iv] / scale)) <= 1e-14, iv
+
+    @pytest.mark.parametrize("N", range(5, 11))
+    def test_even_bulk_terms_commute_with_the_zero_mode_exactly(self, N):
+        # why regrouping takes no commutator: each stored bulk term of
+        # k = 0..3 at every placement commutes with d_0 entry for entry, on
+        # its frame and on the chain
+        rng = np.random.default_rng(N)
+        d0 = kit.d_mode_algebra(kit.fermion_algebra(N)).d[0]
+        for k in range(4):
+            frame_d0 = kit.d_mode_algebra(kit.fermion_algebra(k + 3)).d[0]
+            for q in range(2, N - k):
+                iv = Interval(k, q)
+                model = kit.build_kitaev_model(
+                    N, 0.01, [(iv, kit.local_perturbation(iv, random_even_terms(rng, iv), N))])
+                (_, mat), = model.perturbations
+                for W, d in ((kit.embed(mat, Interval(k, 2), k + 3), frame_d0),
+                             (kit.embed(mat, iv, N), d0)):
+                    assert abs(W @ d - d @ W).max() == 0.0, iv
+
+    def test_one_d_mode_algebra_per_range(self, tmp_path, monkeypatch):
+        # two bulk terms of each range k = 0, 1, 2 and a boundary term: the
+        # reduction builds one frame algebra per range, and the regrouping
+        # none
+        d_mode_algebra, sizes = kit.d_mode_algebra, []
+
+        def counted(alg):
+            sizes.append(alg.N)
+            return d_mode_algebra(alg)
+
+        monkeypatch.setattr(kit, "d_mode_algebra", counted)
+        rng = np.random.default_rng(0)
+        supports = [(3, 3), (5, 5), (2, 3), (4, 5), (2, 4), (4, 6), (1, 2)]
+        perts = [{"support": [q, last], "terms": random_even_terms(rng, Interval(last - q, q))}
+                 for q, last in supports]
+        config = tmp_path / "kitaev.json"
+        config.write_text(json.dumps({"version": "1", "kitaev": {"N": 7, "beta": 0.01,
+                                                                 "perturbations": perts}}))
+        model = load_model(config)
+        reduction = model.reduce()
+        assert sorted(sizes) == [3, 4, 5]
+        assert len(reduction.bulk) == 6 and len(reduction.boundary) == 1
+        sizes.clear()
+        kit.regroup_perturbations(model.N, model.perturbations)
+        assert sizes == []
 
     def test_translation_invariant_bonds_restrict_bit_identically(self, monkeypatch):
         # one bond term repeated on each bond of a 40-site chain, past the

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from conftest import SX, kron_chain, orthogonal_complement_basis, random_hermitian
 from lieschwinger.errors import EmbeddingError, GeneratorError, ValidationError
@@ -16,6 +17,7 @@ from lieschwinger.operators import (
     op_norm,
     parity_eigvalsh,
     parity_sectors,
+    require_hermitian,
     rotation_factors,
     unitary_exp,
     vector_norm,
@@ -124,6 +126,15 @@ class TestOpNorm:
         with pytest.raises(ValidationError, match="Hermitian matrices only"):
             op_norm(1j * random_hermitian(rng, 4))
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_is_a_validation_error(self, entry):
+        # inf - inf in m - m^dag is nan: the rule fails it with no numpy
+        # warning, dense or sparse
+        m = np.diag([0.0, entry])
+        with pytest.raises(ValidationError, match="Hermitian matrices only"):
+            op_norm(m)
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            require_hermitian(sparse.csr_matrix(m), "not Hermitian")
 
     def test_exactly_hermitian_input_equals_symmetrized_path(self, rng):
         # an exactly Hermitian matrix skips the symmetrized copy, which
