@@ -570,14 +570,52 @@ def _assert_report_matches(fresh, golden, where="report"):
         assert type(fresh) is type(golden) and fresh == golden, where
 
 
-@pytest.mark.parametrize("name", ["anchor_n2", "kitaev_n6"])
-def test_report_matches_golden(tmp_path, name):
-    """The committed tests/data/<name>_report.json is the report of
-    ``lieschwinger --config configs/<name>.json`` at default flags with its
-    "timings" removed.  Replace it only with a change meant to move outputs."""
-    out = tmp_path / "report.json"
-    assert main(["--config", str(CONFIGS / f"{name}.json"), "--report", str(out)]) == 0
-    fresh = json.loads(out.read_text())
-    del fresh["timings"]
-    golden = json.loads((DATA / f"{name}_report.json").read_text())
-    _assert_report_matches(fresh, golden)
+# (name, flags): the report of ``lieschwinger --config configs/<name>.json``
+# with these flags, with "timings" removed, is tests/data/<name>_report.json,
+# or <name>_report.csv under --format csv.  Replace a golden report only with
+# a change meant to move outputs.
+GOLDEN = (
+    ("anchor_n2", ()),
+    ("kitaev_n6", ()),
+    ("chain_n7_m2_k1", ()),  # random_chain_model(7, 0.01, 2, 1, seed=0)
+    ("chain_n8_m2_k2", ()),  # random_chain_model(8, 0.05, 2, 2, seed=0)
+    ("chain_n5_m3_k2", ()),  # random_chain_model(5, 0.05, 3, 2, seed=0)
+    ("nonbasis_n5_m3_k2", ()),  # non_basis_vacuum_model(5, 3, 2, 0.03, 1): a complex vacuum
+    # range-2 bulk term of norm 3 (norm_scale 3), a hopping term and a boundary density
+    ("kitaev_n7", ("--t-sweep", "0.005,0.01,0.02")),
+    ("chain_n7_m2_k1", ("--format", "csv")),
+)
+
+
+def golden_path(name, flags):
+    return DATA / f"{name}_report.{'csv' if 'csv' in flags else 'json'}"
+
+
+def _csv_cell(cell: str):
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
+
+
+def read_report(path):
+    """A report file as data: JSON with any "timings" removed from every
+    report, or CSV as rows of cells, each an int, a float or a string."""
+    text = Path(path).read_text()
+    if str(path).endswith(".csv"):
+        return [[_csv_cell(cell) for cell in line.split(",")] for line in text.splitlines()]
+    report = json.loads(text)
+    for rep in report if isinstance(report, list) else [report]:
+        rep.pop("timings", None)
+    return report
+
+
+@pytest.mark.parametrize("name,flags", GOLDEN,
+                         ids=[name + ("-csv" if "csv" in flags else "") for name, flags in GOLDEN])
+def test_report_matches_golden(tmp_path, name, flags):
+    golden = golden_path(name, flags)
+    out = tmp_path / golden.name
+    assert main(["--config", str(CONFIGS / f"{name}.json"), *flags, "--report", str(out)]) == 0
+    _assert_report_matches(read_report(out), read_report(golden), name)
