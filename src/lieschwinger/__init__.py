@@ -27,7 +27,6 @@ from .intervals import Interval, StepIndex, iter_steps, step_count, successor
 from .model import ChainModel, build_chain_model, random_chain_model, validate_chain_model
 from .operators import (
     LocalOperator,
-    ProjectorPair,
     build_projectors,
     embed,
     op_norm,

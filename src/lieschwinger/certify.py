@@ -8,6 +8,7 @@ rest: ground energy, gap (not held to 1/2), spectrum and decay ledger.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +18,18 @@ from .intervals import Interval, StepIndex
 from .model import ChainModel
 from .operators import build_projectors, excited_spectrum, op_norm
 from .operators import embed  # unused here; perfbench/tracing.py looks it up on this module
-from .sweep import BlockDiagState, SeriesControls, _offdiag_norm, assemble_full
+from .sweep import BlockDiagState, SeriesControls, _offdiag_norm, assemble_full, vacuum_energy
 
 
 def decay_bound(r: int, t: float) -> float:
-    """Decay bound 8 |t|^((r-1)/3) / (r+1)^2 for an r-edge interval."""
-    return 8.0 * abs(t) ** ((r - 1) / 3.0) / (r + 1) ** 2
+    """Decay bound 8 |t|^((r-1)/3) / (r+1)^2 for an r-edge interval, or the
+    largest float where it lies past the float range: every float norm
+    meets that bound, and a report can hold it."""
+    try:
+        bound = 8.0 * abs(t) ** ((r - 1) / 3.0) / (r + 1) ** 2
+    except OverflowError:  # the power; the product overflows to inf instead
+        return sys.float_info.max
+    return min(bound, sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -68,14 +75,14 @@ def certify(state: BlockDiagState, model: ChainModel,
         raise ValidationError(f"sweep incomplete: at step {state.step}, expected {final}")
     K = assemble_full(state, model)
     chain = Interval(model.N - 1, 1)
-    pair = build_projectors(chain, model.omega)
-    residual = _offdiag_norm(K, pair)
+    vac = build_projectors(chain, model.omega)
+    residual = _offdiag_norm(K, vac)
     if residual > tol_od:
         raise CertificationError(
             f"final Hamiltonian off-diagonal residual {residual:.3e} exceeds {tol_od:.1e}"
         )
-    ground = float(np.real(pair.vac.conj() @ K @ pair.vac))
-    excited = excited_spectrum(K, pair.vac)
+    ground = vacuum_energy(K, vac)
+    excited = excited_spectrum(K, vac, ground)
     gap = float(excited[0]) - ground
     return GapReport(
         ground_energy=ground,

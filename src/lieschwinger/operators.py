@@ -4,10 +4,11 @@ Operators live on the tensor factors of their support interval, with the
 leftmost site as the most significant base-M digit, and act as the identity
 elsewhere.  Matrices are dense complex; Hermitian / anti-Hermitian structure
 is checked against a tolerance, never assumed from storage format.
-Projector pairs carry only the product vacuum vac: the complement
-1 - vac vac^dag is never given a basis, and ``excited_spectrum`` reads the
-spectrum on it from one eigvalsh of G with the vacuum eigenvalue shifted
-above the rest.
+The product vacuum of an interval is one unit vector vac
+(``build_projectors``), and its projector vac vac^dag is never stored: the
+complement 1 - vac vac^dag is never given a basis, and ``excited_spectrum``
+reads the spectrum on it from one eigvalsh of G with the vacuum eigenvalue
+shifted above the rest.
 
 Hermitian spectra (``excited_spectrum``, ``op_norm`` and the oracle's) go
 through ``parity_eigvalsh``: a matrix of size 2^n, from 32 up, whose
@@ -200,36 +201,27 @@ def op_norm(op: LocalOperator | np.ndarray) -> float:
     return float(np.max(np.abs(parity_eigvalsh(m if defect == 0.0 else (m + m.conj().T) / 2))))
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectorPair:
-    """Rank-1 product-vacuum projector vac vac^dag on one interval; its
-    complement is 1 - vac vac^dag and is never formed."""
-
-    support: Interval
-    vac: np.ndarray
-
-
-def build_projectors(interval: Interval, omega: np.ndarray) -> ProjectorPair:
-    """Product-vacuum projector pair on ``interval`` for on-site vector omega."""
+def build_projectors(interval: Interval, omega: np.ndarray) -> np.ndarray:
+    """Product vacuum vac = omega (x) ... (x) omega on ``interval``, for the
+    on-site vector omega normalized; its projector is vac vac^dag."""
     omega = np.asarray(omega, dtype=complex)
     omega = omega / np.linalg.norm(omega)
     vac = omega
     for _ in range(interval.k):
         vac = np.kron(vac, omega)
-    return ProjectorPair(interval, vac)
+    return vac
 
 
-def excited_spectrum(G: np.ndarray, vac: np.ndarray) -> np.ndarray:
+def excited_spectrum(G: np.ndarray, vac: np.ndarray, E: float) -> np.ndarray:
     """Ascending spectrum of a Hermitian G, block-diagonal for the unit
-    vector vac, on the complement of vac.
+    vector vac, on the complement of vac; E = vac^dag G vac.
 
-    Shifting the vacuum eigenvalue E = vac^dag G vac to c = 1 + ||G||_inf,
-    above the spectral radius, leaves it the largest eigenvalue, so the
-    excited spectrum is all the others and no complement basis is built.
-    The shift adds no entry across parity when vac lies in one parity
-    sector, so an even G keeps its parity blocks (``parity_eigvalsh``).
+    Shifting the vacuum eigenvalue E to c = 1 + ||G||_inf, above the
+    spectral radius, leaves it the largest eigenvalue, so the excited
+    spectrum is all the others and no complement basis is built.  The
+    shift adds no entry across parity when vac lies in one parity sector,
+    so an even G keeps its parity blocks (``parity_eigvalsh``).
     """
-    E = float(np.real(vac.conj() @ G @ vac))
     c = 1.0 + float(np.linalg.norm(G, np.inf))
     return parity_eigvalsh(G + (c - E) * np.outer(vac, vac.conj()))[:-1]
 

@@ -96,7 +96,6 @@ from .intervals import Interval, StepIndex, initial_step, iter_steps, successor
 from .model import ChainModel
 from .operators import (
     LocalOperator,
-    ProjectorPair,
     build_projectors,
     cholesky_solver,
     conjugate_by_unitary,
@@ -164,10 +163,9 @@ class SeriesResult:
     """Summed generator S = y vac^dag - vac y^dag, the term norms ||(V)_j||
     from j = 2 on and ||y_j|| from j = 1 on, and the series terms: (V)_1 is
     the potential and, for j >= 2, (V)_j = F K F^dag with K = v_coeffs[j-2]
-    of size 3j and F the first 3j columns of ``frame``."""
+    of size 3j and F the first 3j columns of ``frame``, whose column 0 is vac."""
 
     y: np.ndarray
-    vac: np.ndarray
     order: int
     frame: np.ndarray
     v_coeffs: tuple[np.ndarray, ...]
@@ -179,16 +177,16 @@ def initial_state(model: ChainModel) -> BlockDiagState:
     return BlockDiagState(initial_step(model.N), dict(model.interactions))
 
 
-def local_hamiltonian(state: BlockDiagState, model: ChainModel, pair: ProjectorPair,
-                      tol_od: float = SeriesControls.tol_od) -> LocalOperator:
-    """On-site terms plus every transported shorter potential inside the
-    interval ``pair.support``.
+def local_hamiltonian(state: BlockDiagState, model: ChainModel, interval: Interval,
+                      vac: np.ndarray, tol_od: float = SeriesControls.tol_od) -> LocalOperator:
+    """On-site terms plus every transported shorter potential inside
+    ``interval``.
 
     All proper subintervals must already be block-diagonalized, which makes
-    the result block-diagonal with respect to the interval's own projector
-    pair; a residual beyond tolerance means the sweep order was violated.
+    the result block-diagonal for the interval's product vacuum ``vac``; a
+    residual beyond tolerance means the sweep order was violated.
     """
-    M, interval = model.M, pair.support
+    M = model.M
     mat = np.zeros((interval.dim(M), interval.dim(M)), dtype=complex)
     for site in interval.sites:
         embed(LocalOperator(Interval(0, site), model.onsite), interval, M, out=mat)
@@ -197,7 +195,7 @@ def local_hamiltonian(state: BlockDiagState, model: ChainModel, pair: ProjectorP
         if interval.contains(sub) and sub != interval:
             embed(op, interval, M, out=mat, scale=model.t)
             n_sub += 1
-    leak = _offdiag_norm(mat, pair)
+    leak = _offdiag_norm(mat, vac)
     if leak > tol_od * (1 + n_sub):
         raise OrderError(
             f"local Hamiltonian on {interval} has off-diagonal leak {leak:.3e}; "
@@ -206,33 +204,32 @@ def local_hamiltonian(state: BlockDiagState, model: ChainModel, pair: ProjectorP
     return LocalOperator(interval, mat)
 
 
-def _offdiag_norm(mat: np.ndarray, pair: ProjectorPair) -> float:
-    """||P+ X P- + P- X P+|| for Hermitian X; equals |P+ X vac| by rank one."""
-    u = mat @ pair.vac
-    u = u - pair.vac * (pair.vac.conj() @ u)
+def _offdiag_norm(mat: np.ndarray, vac: np.ndarray) -> float:
+    """||P+ X P- + P- X P+|| for Hermitian X and P- = vac vac^dag; equals
+    |P+ X vac| by rank one."""
+    u = mat @ vac
+    u = u - vac * (vac.conj() @ u)
     return float(np.linalg.norm(u))
 
 
-def vacuum_energy(G: LocalOperator, pair: ProjectorPair, excited: np.ndarray,
-                  tol_od: float = SeriesControls.tol_od, step: StepIndex | None = None) -> float:
-    """Scalar of the rank-1 vacuum block; must match the ground energy of G,
-    min(E, excited[0]) for the ascending excited spectrum of a
-    block-diagonal G."""
-    E = float(np.real(pair.vac.conj() @ G.matrix @ pair.vac))
-    ground = min(E, float(excited[0]))
-    if abs(E - ground) > tol_od * (1 + abs(E)):
-        raise GapError(
-            f"vacuum energy {E:.9f} is not the ground energy {ground:.9f} of the local Hamiltonian",
-            step=step, reason="vacuum-not-ground", value=E - ground,
-        )
-    return E
+def vacuum_energy(G: np.ndarray, vac: np.ndarray) -> float:
+    """E = vac^dag G vac, the scalar of the rank-1 vacuum block of G."""
+    return float(np.real(vac.conj() @ G @ vac))
 
 
 def local_gap(E: float, excited: np.ndarray, gap_min: float = SeriesControls.gap_min,
-              step: StepIndex | None = None) -> float:
+              tol_od: float = SeriesControls.tol_od, step: StepIndex | None = None) -> float:
     """Spectral gap above the vacuum energy E, from the ascending excited
-    spectrum; it must reach gap_min and be positive for the resolvent."""
-    gap = float(excited[0]) - E
+    spectrum of a block-diagonal G.  E must be the ground energy of G, to
+    within tol_od (1 + |E|), and the gap must reach gap_min and be positive
+    for the resolvent."""
+    lowest = float(excited[0])
+    if E - lowest > tol_od * (1 + abs(E)):
+        raise GapError(
+            f"vacuum energy {E:.9f} is not the ground energy {lowest:.9f} of the local Hamiltonian",
+            step=step, reason="vacuum-not-ground", value=E - lowest,
+        )
+    gap = lowest - E
     if gap < gap_min:
         raise GapError(
             f"local gap {gap:.6f} fell below the abort threshold {gap_min}",
@@ -262,7 +259,7 @@ def _times(B: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray,
+def generator_series(G: np.ndarray, E: float, vac: np.ndarray, V: np.ndarray,
                      t: float, controls: SeriesControls,
                      step: StepIndex | None = None) -> SeriesResult:
     """Accumulate y = sum_j t^j y_j, the vector of S = sum_j t^j S_j.
@@ -279,7 +276,6 @@ def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray
     factor fails all the same, GapError with reason
     "gap-assumption-violated" is raised.
     """
-    vac = pair.vac
     # G - E + vac vac^dag in one D x D array, of which only the factor is kept
     A = np.outer(vac, vac.conj())
     A += G
@@ -367,32 +363,31 @@ def generator_series(G: np.ndarray, E: float, pair: ProjectorPair, V: np.ndarray
     y = sum((t ** j * yj for j, yj in enumerate(y_terms, start=1) if yj.any()),
             np.zeros_like(vac))
     return SeriesResult(
-        y=y, vac=vac, order=order, frame=F, v_coeffs=tuple(v_coeffs),
+        y=y, order=order, frame=F, v_coeffs=tuple(v_coeffs),
         v_term_norms=tuple(v_norms), s_term_norms=tuple(float(np.linalg.norm(x)) for x in y_terms),
     )
 
 
-def diagonalized_potential(G: np.ndarray, V: np.ndarray, y: np.ndarray, t: float,
-                           pair: ProjectorPair, tol_od: float = SeriesControls.tol_od,
+def diagonalized_potential(G: np.ndarray, V: np.ndarray, W: np.ndarray, C: np.ndarray,
+                           t: float, vac: np.ndarray, tol_od: float = SeriesControls.tol_od,
                            step: StepIndex | None = None) -> tuple[np.ndarray, float]:
     """Replacement potential (exp(S)(G + tV)exp(-S) - G)/t and its residual,
-    for S = y vac^dag - vac y^dag.
+    for S = y vac^dag - vac y^dag and exp(S) = I + W C W^dag
+    (``operators.rotation_factors``).
 
     Uses the closed form rather than the summed diagonal series, so the only
     truncation in play is the one already inside S.  The residual is the
     off-diagonal norm of the result, which must sit below tol_od.
 
     The G part is folded into the same thin update as the conjugation of
-    V: with exp(S) = I + W C W^dag, ``conjugate_by_unitary`` takes the rows
-    W^dag G at the factor C / t, so exp(S) G exp(-S) - G is divided by t
-    through C / t and no rounding error of G's size is divided by a small
-    coupling.
+    V: ``conjugate_by_unitary`` takes the rows W^dag G at the factor C / t,
+    so exp(S) G exp(-S) - G is divided by t through C / t and no rounding
+    error of G's size is divided by a small coupling.
     """
     if t == 0.0:
-        return V, _offdiag_norm(V, pair)
-    W, C = rotation_factors(y, pair.vac)
+        return V, _offdiag_norm(V, vac)
     out = conjugate_by_unitary(V, W, C, rows=W.conj().T @ G, rows_scale=t)
-    residual = _offdiag_norm(out, pair)
+    residual = _offdiag_norm(out, vac)
     if residual > tol_od:
         raise SeriesError(
             f"off-diagonal residual {residual:.3e} exceeds tolerance {tol_od:.1e}",
@@ -437,29 +432,29 @@ def advance(state: BlockDiagState, model: ChainModel,
     """Run the successor step and transport every potential across it."""
     step = successor(state.step, model.N)
     I = Interval(step.k, step.q)
-    pair = build_projectors(I, model.omega)
-    G = local_hamiltonian(state, model, pair, controls.tol_od)
-    excited = excited_spectrum(G.matrix, pair.vac)
-    E = vacuum_energy(G, pair, excited, controls.tol_od, step)
-    gap = local_gap(E, excited, controls.gap_min, step)
+    vac = build_projectors(I, model.omega)
+    G = local_hamiltonian(state, model, I, vac, controls.tol_od)
+    E = vacuum_energy(G.matrix, vac)
+    excited = excited_spectrum(G.matrix, vac, E)
+    gap = local_gap(E, excited, controls.gap_min, controls.tol_od, step)
 
     V_op = state.potentials.get(I)
     dim = I.dim(model.M)
     V = V_op.matrix if V_op is not None else np.zeros((dim, dim), dtype=complex)
-    series = generator_series(G.matrix, E, pair, V, model.t, controls, step)
+    series = generator_series(G.matrix, E, vac, V, model.t, controls, step)
     s_norm = vector_norm(series.y)
 
     if s_norm == 0.0:
         # Zero generator (t = 0, zero potential, or already block-diagonal):
         # every conjugation is the identity and the map is reused as is.
-        diag = StepDiagnostics(step, E, gap, series.order, _offdiag_norm(V, pair), 0.0)
+        diag = StepDiagnostics(step, E, gap, series.order, _offdiag_norm(V, vac), 0.0)
         return BlockDiagState(step, state.potentials, state.diagnostics + (diag,))
 
-    V_new, residual = diagonalized_potential(G.matrix, V, series.y, model.t, pair,
+    W, C = rotation_factors(series.y, vac)
+    V_new, residual = diagonalized_potential(G.matrix, V, W, C, model.t, vac,
                                              controls.tol_od, step)
     new_pots = dict(state.potentials)
     new_pots[I] = LocalOperator(I, V_new)
-    W, C = rotation_factors(series.y, pair.vac)
 
     # Intervals strictly containing the step interval, which are exactly the
     # (l, q) with l > I.k and I.last - l <= q <= I.q that fit the chain.  The

@@ -13,7 +13,7 @@ from lieschwinger.intervals import Interval
 from lieschwinger.model import ChainModel
 from lieschwinger.operators import (LocalOperator, build_projectors, dense_dim, embed,
                                     excited_spectrum, op_norm)
-from lieschwinger.sweep import BlockDiagState, SeriesControls, local_hamiltonian
+from lieschwinger.sweep import BlockDiagState, SeriesControls, local_hamiltonian, vacuum_energy
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -52,8 +52,9 @@ def plus_block_eigh(G, vac):
 
 def dense_generator(res):
     """The summed generator S = y vac^dag - vac y^dag of a series result, as
-    a dense matrix."""
-    return np.outer(res.y, res.vac.conj()) - np.outer(res.vac, res.y.conj())
+    a dense matrix; vac is the frame's column 0."""
+    vac = res.frame[:, 0]
+    return np.outer(res.y, vac.conj()) - np.outer(vac, res.y.conj())
 
 
 def series_terms(res, V):
@@ -63,13 +64,12 @@ def series_terms(res, V):
                   for K in res.v_coeffs]
 
 
-def dense_generator_series(G, E, pair, V, t, controls):
+def dense_generator_series(G, E, vac, V, t, controls):
     """Reference for ``sweep.generator_series``: every S_j formed as a dense
     matrix and the nested commutators kept in two tables T[X][(m, p)] of
     order-m, depth-p chains acting on X in {G, V}, each commutator from two
     D x D x D products.  Returns (order, y, v_terms, v_term_norms,
     s_term_norms)."""
-    vac = pair.vac
     R = np.linalg.inv(G - E * np.eye(G.shape[0]) + np.outer(vac, vac.conj()))
 
     def make_y(Vterm):
@@ -118,12 +118,11 @@ def dense_generator_series(G, E, pair, V, t, controls):
     return order, y, v_terms, v_norms, [float(np.linalg.norm(x)) for x in y_terms]
 
 
-def one_table_generator_series(G, E, pair, V, t, controls):
+def one_table_generator_series(G, E, vac, V, t, controls):
     """Reference for ``sweep.generator_series``: the same one table B[(p, m)]
     with every entry a dense D x D matrix, each ad S_r applied through the
     rank-two factors of S_r, and a dense op_norm per order.  Returns the
     tuple of ``dense_generator_series``."""
-    vac = pair.vac
     R = np.linalg.inv(G - E * np.eye(G.shape[0]) + np.outer(vac, vac.conj()))
     v_terms, v_norms, y_terms, factors = [], [], [], []
 
@@ -463,7 +462,7 @@ def projector_inequalities(n: int, M: int, r: int = 1,
     perp = [embed(LocalOperator(Interval(0, i), perp_site), chain, M).matrix
             for i in range(1, n + 1)]
     total_perp = sum(perp)
-    vac = build_projectors(chain, omega).vac
+    vac = build_projectors(chain, omega)
     diff = total_perp - (np.eye(dim) - np.outer(vac, vac.conj()))
     if float(np.linalg.eigvalsh(diff)[0]) < -tol:
         return False
@@ -472,7 +471,7 @@ def projector_inequalities(n: int, M: int, r: int = 1,
         plus = {}
         for i in range(1, n - r + 1):
             sub = Interval(r, i)
-            vac = build_projectors(sub, omega).vac
+            vac = build_projectors(sub, omega)
             pm = LocalOperator(sub, np.outer(vac, vac.conj()))
             plus[i] = np.eye(dim) - embed(pm, chain, M).matrix
         for lo in range(1, n - r + 1):
@@ -492,14 +491,14 @@ def excited_block_lower_bound(state: BlockDiagState, model: ChainModel,
     Returns (smallest eigenvalue of the shifted excited block, scalar).
     """
     t = abs(model.t)
-    pair = build_projectors(interval, model.omega)
-    G = local_hamiltonian(state, model, pair)
+    vac = build_projectors(interval, model.omega)
+    G = local_hamiltonian(state, model, interval, vac)
     shift = 0.0
     for sub, op in state.potentials.items():
         if interval.contains(sub) and sub != interval:
-            sub_pair = build_projectors(sub, model.omega)
-            shift += float(np.real(sub_pair.vac.conj() @ op.matrix @ sub_pair.vac))
-    lhs_min = float(excited_spectrum(G.matrix, pair.vac)[0]) - model.t * shift
+            shift += vacuum_energy(op.matrix, build_projectors(sub, model.omega))
+    E = vacuum_energy(G.matrix, vac)
+    lhs_min = float(excited_spectrum(G.matrix, vac, E)[0]) - model.t * shift
     rhs = 1.0 - 8.0 * t - 16.0 * t * sum(
         l * t ** ((l - 2) / 3.0) / l ** 2 for l in range(3, interval.k + 1)
     )

@@ -18,8 +18,7 @@ from lieschwinger import kitaev as kit
 from lieschwinger.certify import GapReport, certify
 from lieschwinger.intervals import Interval, iter_steps
 from lieschwinger.model import ChainModel, random_chain_model
-from lieschwinger.operators import (LocalOperator, build_projectors, embed, excited_spectrum,
-                                    op_norm, unitary_exp)
+from lieschwinger.operators import LocalOperator, build_projectors, embed, op_norm, unitary_exp
 from lieschwinger.oracle import OracleComparison, compare
 from lieschwinger.sweep import (
     BlockDiagState,
@@ -147,13 +146,13 @@ def test_ac6_piecewise_conjugation_identity():
             before = state
             state = advance(state, model, controls)
             I = Interval(state.step.k, state.step.q)
-            pair = build_projectors(I, model.omega)
-            G = local_hamiltonian(before, model, pair)
-            E = vacuum_energy(G, pair, excited_spectrum(G.matrix, pair.vac))
+            vac = build_projectors(I, model.omega)
+            G = local_hamiltonian(before, model, I, vac)
+            E = vacuum_energy(G.matrix, vac)
             dim = I.dim(model.M)
             V = (before.potentials[I].matrix if I in before.potentials
                  else np.zeros((dim, dim), dtype=complex))
-            res = generator_series(G.matrix, E, pair, V, model.t, controls)
+            res = generator_series(G.matrix, E, vac, V, model.t, controls)
             U = embed(LocalOperator(I, unitary_exp(dense_generator(res))), chain, model.M).matrix
             direct = U @ assemble_full(before, model) @ U.conj().T
             dev = float(np.max(np.abs(assemble_full(state, model) - direct)))
@@ -198,10 +197,10 @@ def test_ac7_appendix_suite(suite):
             I = Interval(diag.step.k, diag.step.q)
             if I not in before.potentials:
                 continue
-            pair = build_projectors(I, model.omega)
-            G = local_hamiltonian(before, model, pair)
+            vac = build_projectors(I, model.omega)
+            G = local_hamiltonian(before, model, I, vac)
             V = before.potentials[I].matrix
-            res = generator_series(G.matrix, diag.E, pair, V, model.t, controls)
+            res = generator_series(G.matrix, diag.E, vac, V, model.t, controls)
             vn = (op_norm(V),) + res.v_term_norms
             if vn[0] == 0.0:
                 continue

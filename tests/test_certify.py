@@ -1,3 +1,4 @@
+import sys
 from math import factorial
 
 import numpy as np
@@ -18,6 +19,12 @@ class TestLedger:
         assert decay_bound(1, 0.01) == pytest.approx(2.0)
         assert decay_bound(2, 0.001) == pytest.approx(8.0 * 0.1 / 9.0)
         assert decay_bound(1, -0.01) == pytest.approx(2.0)  # bound uses |t|
+
+    @pytest.mark.parametrize("r,t", [(5, 1e300), (7, -1e200), (4, -1.7e308)])
+    def test_bound_saturates_at_the_largest_float(self, r, t):
+        # |t|^((r-1)/3) overflows a float, or 8 times it does (r = 4): every
+        # float norm still meets the bound, and a report can hold it
+        assert decay_bound(r, t) == sys.float_info.max
 
     def test_initial_interactions_within_r1_bound(self):
         model = random_chain_model(4, 0.01, seed=0)
@@ -118,10 +125,10 @@ class TestMajorant:
         model = anchor_model(0.1)
         state = initial_state(model)
         I = Interval(1, 1)
-        pair = build_projectors(I, model.omega)
-        G = local_hamiltonian(state, model, pair)
+        vac = build_projectors(I, model.omega)
+        G = local_hamiltonian(state, model, I, vac)
         V = state.potentials[I].matrix
-        res = generator_series(G.matrix, 0.0, pair, V, model.t, SeriesControls())
+        res = generator_series(G.matrix, 0.0, vac, V, model.t, SeriesControls())
         norms = (op_norm(V),) + res.v_term_norms
         params = solve_majorant(norms[0], jmax=len(norms))
         assert check_series_majorant(norms, params)

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -205,6 +206,29 @@ class TestMain:
         assert main(["--config", str(demo_config), "--format", "csv",
                      "--report", str(out)]) == 0
         assert out.read_text().startswith("kind,")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_decay_bound_gives_a_finite_report(self, tmp_path, fmt):
+        # an interaction on [1, 6] already block-diagonal (1 at |111111>, 0
+        # elsewhere) at t = 1e300: the sweep converges, and the ledger bound
+        # 8 |t|^(4/3) / 36 of r = 5 lies past the float range
+        V = np.zeros((64, 64))
+        V[63, 63] = 1.0
+        spec = {**chain_spec(N=6, t=1e300),
+                "interactions": [{"support": [1, 6], "matrix": matrix_json(V)}], "kbar": 5}
+        path, out = tmp_path / "m.json", tmp_path / f"report.{fmt}"
+        path.write_text(json.dumps(spec))
+        assert main(["--config", str(path), "--format", fmt, "--report", str(out)]) == 0
+        if fmt == "csv":
+            ledger = [line.split(",") for line in out.read_text().splitlines()
+                      if line.startswith("ledger")]
+            assert [(row[9], float(row[12]), row[13]) for row in ledger] == [
+                ("5", sys.float_info.max, "true")]
+            return
+        report = json.loads(out.read_text())
+        assert report["status"] == "ok"
+        assert report["ledger"] == [{"r": 5, "interval_q": 1, "norm": 1, "ok": True,
+                                     "bound": sys.float_info.max}]
 
     def test_kitaev_config_runs(self, tmp_path):
         path = tmp_path / "m.json"

@@ -22,6 +22,7 @@ from lieschwinger.operators import (
     unitary_exp,
     vector_norm,
 )
+from lieschwinger.sweep import vacuum_energy
 
 
 class TestEmbed:
@@ -165,22 +166,22 @@ class TestCholeskySolver:
 
 class TestProjectors:
     def test_single_site(self):
-        pair = build_projectors(Interval(0, 3), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(np.outer(pair.vac, pair.vac.conj()), np.diag([1.0, 0.0]))
+        vac = build_projectors(Interval(0, 3), np.array([1.0, 0.0]))
+        np.testing.assert_allclose(np.outer(vac, vac.conj()), np.diag([1.0, 0.0]))
 
     def test_ranks(self):
-        pair = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
-        assert np.linalg.matrix_rank(np.outer(pair.vac, pair.vac.conj())) == 1
-        Qp = orthogonal_complement_basis(pair.vac)
+        vac = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
+        assert np.linalg.matrix_rank(np.outer(vac, vac.conj())) == 1
+        Qp = orthogonal_complement_basis(vac)
         assert np.linalg.matrix_rank(Qp @ Qp.conj().T) == 3
 
     @pytest.mark.parametrize("seed", range(20))
     def test_pair_invariants_random_omega(self, seed):
         rng = np.random.default_rng(seed)
         omega = rng.normal(size=3) + 1j * rng.normal(size=3)
-        pair = build_projectors(Interval(1, 1), omega)
-        pm = np.outer(pair.vac, pair.vac.conj())
-        Qp = orthogonal_complement_basis(pair.vac)
+        vac = build_projectors(Interval(1, 1), omega)
+        pm = np.outer(vac, vac.conj())
+        Qp = orthogonal_complement_basis(vac)
         pp = Qp @ Qp.conj().T
         np.testing.assert_allclose(pm @ pm, pm, atol=1e-12)
         np.testing.assert_allclose(pp @ pp, pp, atol=1e-12)
@@ -205,12 +206,12 @@ class TestExcitedSpectrum:
         # vector; reference: eigvalsh of G compressed to the Householder basis
         rng = np.random.default_rng(seed)
         omega = rng.normal(size=M) + 1j * rng.normal(size=M)
-        vac = build_projectors(Interval(k, 1), omega).vac
+        vac = build_projectors(Interval(k, 1), omega)
         Qp = orthogonal_complement_basis(vac)
         G = E * np.outer(vac, vac.conj()) + Qp @ random_hermitian(rng, Qp.shape[1], norm) @ Qp.conj().T
         G = (G + G.conj().T) / 2
         ref = np.linalg.eigvalsh(Qp.conj().T @ G @ Qp)
-        out = excited_spectrum(G, vac)
+        out = excited_spectrum(G, vac, vacuum_energy(G, vac))
         assert out.shape == (M ** (k + 1) - 1,)
         assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, op_norm(G))
 
@@ -283,7 +284,7 @@ class TestParityEigvalsh:
         rest = np.delete(np.arange(2 ** n), vac_index)
         want = np.linalg.eigvalsh(G[np.ix_(rest, rest)])
         eigvalsh_sizes.clear()
-        got = excited_spectrum(G, vac)
+        got = excited_spectrum(G, vac, vacuum_energy(G, vac))
         assert eigvalsh_sizes == [2 ** (n - 1)] * 2
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, op_norm(G))
 
@@ -292,13 +293,13 @@ class TestParityEigvalsh:
         # eigvalsh of the whole matrix, against the Householder reference
         rng = np.random.default_rng(11)
         n = 4
-        vac = build_projectors(Interval(n - 1, 1), rng.normal(size=2) + 1j * rng.normal(size=2)).vac
+        vac = build_projectors(Interval(n - 1, 1), rng.normal(size=2) + 1j * rng.normal(size=2))
         Qp = orthogonal_complement_basis(vac)
         G = -1.0 * np.outer(vac, vac.conj()) + Qp @ random_hermitian(rng, 2 ** n - 1) @ Qp.conj().T
         G = (G + G.conj().T) / 2
         want = np.linalg.eigvalsh(Qp.conj().T @ G @ Qp)
         eigvalsh_sizes.clear()
-        got = excited_spectrum(G, vac)
+        got = excited_spectrum(G, vac, vacuum_energy(G, vac))
         assert eigvalsh_sizes == [2 ** n]
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, op_norm(G))
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,12 +17,12 @@ from lieschwinger.intervals import Interval, StepIndex, iter_steps, successor
 from lieschwinger.model import build_chain_model, random_chain_model
 from lieschwinger.operators import (
     LocalOperator,
-    ProjectorPair,
     build_projectors,
     embed,
     excited_spectrum,
     hermitian_defect,
     op_norm,
+    rotation_factors,
     unitary_exp,
 )
 from lieschwinger.oracle import compare
@@ -40,9 +42,8 @@ from lieschwinger.sweep import (
 )
 
 
-def summed_diagonal_series(res, V, pair, t):
+def summed_diagonal_series(res, V, vac, t):
     """sum_j t^(j-1) D((V)_j), with D dropping the block off-diagonal parts."""
-    vac = pair.vac
     out = np.zeros_like(V, dtype=complex)
     for j, X in enumerate(series_terms(res, V), start=1):
         u = X @ vac
@@ -52,38 +53,37 @@ def summed_diagonal_series(res, V, pair, t):
     return out
 
 
-def plus_minus_block(pair, X):
+def plus_minus_block(vac, X):
     """P+ X P- with P- = vac vac^dag and P+ = 1 - P-."""
-    pm = np.outer(pair.vac, pair.vac.conj())
+    pm = np.outer(vac, vac.conj())
     return (np.eye(pm.shape[0]) - pm) @ X @ pm
 
 
 def anchor_pieces(t=0.1):
-    """Local Hamiltonian, projectors, and interaction of the two-site anchor."""
+    """Local Hamiltonian, product vacuum, and interaction of the two-site anchor."""
     model = anchor_model(t)
     state = initial_state(model)
     I = Interval(1, 1)
-    pair = build_projectors(I, model.omega)
-    G = local_hamiltonian(state, model, pair)
+    vac = build_projectors(I, model.omega)
+    G = local_hamiltonian(state, model, I, vac)
     V = state.potentials[I].matrix
-    return model, state, I, G, pair, V
+    return model, state, I, G, vac, V
 
 
 def gapped_local_problem(M, k, seed, E):
-    """Projector pair of a complex non-basis vacuum on Interval(k, 1), a
-    local Hamiltonian G block-diagonal for it with vacuum energy E and gap
-    at least 1, and a random Hermitian V of unit norm."""
+    """A complex non-basis product vacuum on Interval(k, 1), a local
+    Hamiltonian G block-diagonal for it with vacuum energy E and gap at
+    least 1, and a random Hermitian V of unit norm."""
     rng = np.random.default_rng(seed)
     omega = rng.normal(size=M) + 1j * rng.normal(size=M)
-    pair = build_projectors(Interval(k, 1), omega)
-    vac = pair.vac
+    vac = build_projectors(Interval(k, 1), omega)
     Qp = orthogonal_complement_basis(vac)
     U, _ = np.linalg.qr(rng.normal(size=(Qp.shape[1],) * 2)
                         + 1j * rng.normal(size=(Qp.shape[1],) * 2))
     H = (U * (E + 1.0 + rng.uniform(0.0, 3.0, size=Qp.shape[1]))) @ U.conj().T
     G = E * np.outer(vac, vac.conj()) + Qp @ H @ Qp.conj().T
     G = (G + G.conj().T) / 2
-    return pair, G, random_hermitian(rng, G.shape[0], norm=1.0)
+    return vac, G, random_hermitian(rng, G.shape[0], norm=1.0)
 
 
 def vacuum_and_hamiltonian(rng, excited, E=0.0):
@@ -99,13 +99,13 @@ def vacuum_and_hamiltonian(rng, excited, E=0.0):
     return vac, (G + G.conj().T) / 2
 
 
-def assert_matches_reference(reference, G, E, pair, V, t, controls=SeriesControls()):
+def assert_matches_reference(reference, G, E, vac, V, t, controls=SeriesControls()):
     """generator_series against a dense reference series: order, y, every
     (V)_j formed from the frame, and both norm lists to 1e-13.  The
     reference takes ||V|| exactly at order one, where generator_series
     bounds it, so the orders agreeing checks the order-one stop test."""
-    res = generator_series(G, E, pair, V, t, controls)
-    order, y, v_terms, v_norms, s_norms = reference(G, E, pair, V, t, controls)
+    res = generator_series(G, E, vac, V, t, controls)
+    order, y, v_terms, v_norms, s_norms = reference(G, E, vac, V, t, controls)
     assert res.order == order
     assert np.max(np.abs(res.y - y)) <= 1e-13
     terms = series_terms(res, V)
@@ -120,13 +120,14 @@ def assert_matches_reference(reference, G, E, pair, V, t, controls=SeriesControl
 class TestLocalHamiltonian:
     def test_single_edge_has_no_interactions(self):
         # on any coupling the one-edge local Hamiltonian is the two on-site terms
-        model, state, I, G, pair, V = anchor_pieces(t=0.7)
+        model, state, I, G, vac, V = anchor_pieces(t=0.7)
         np.testing.assert_allclose(G.matrix, np.diag([0.0, 1.0, 1.0, 2.0]), atol=1e-15)
 
     def test_zero_coupling_eigenvalues_are_digit_sums(self):
         model = random_chain_model(4, 0.0, seed=5)
         state = initial_state(model)
-        G = local_hamiltonian(state, model, build_projectors(Interval(2, 2), model.omega))
+        I = Interval(2, 2)
+        G = local_hamiltonian(state, model, I, build_projectors(I, model.omega))
         np.testing.assert_allclose(
             np.linalg.eigvalsh(G.matrix), sorted(a + b + c for a in (0, 1) for b in (0, 1) for c in (0, 1)),
             atol=1e-12,
@@ -143,7 +144,8 @@ class TestLocalHamiltonian:
         state = initial_state(model)
         state = advance(state, model)
         state = advance(state, model)
-        G = local_hamiltonian(state, model, build_projectors(Interval(2, 1), model.omega))
+        I = Interval(2, 1)
+        G = local_hamiltonian(state, model, I, build_projectors(I, model.omega))
         h = np.diag([0.0, 1.0]).astype(complex)
         eye = np.eye(2, dtype=complex)
         brute = (kron_chain([h, eye, eye]) + kron_chain([eye, h, eye])
@@ -157,74 +159,78 @@ class TestLocalHamiltonian:
 
 class TestVacuumEnergyAndGap:
     def test_zero_coupling(self):
-        model, state, I, G, pair, V = anchor_pieces(t=0.0)
-        excited = excited_spectrum(G.matrix, pair.vac)
-        assert vacuum_energy(G, pair, excited) == pytest.approx(0.0, abs=1e-14)
-        assert local_gap(vacuum_energy(G, pair, excited), excited) == pytest.approx(1.0, abs=1e-14)
+        model, state, I, G, vac, V = anchor_pieces(t=0.0)
+        E = vacuum_energy(G.matrix, vac)
+        assert E == pytest.approx(0.0, abs=1e-14)
+        assert local_gap(E, excited_spectrum(G.matrix, vac, E)) == pytest.approx(1.0, abs=1e-14)
 
     def test_sigma_interaction_has_zero_vacuum_diagonal(self):
         # <00| sx (x) sx |00> = 0, so adding it to G leaves E = 0
         t = 0.1
         G = LocalOperator(Interval(1, 1), np.diag([0.0, 1.0, 1.0, 2.0]) + t * np.kron(SX, SX))
-        pair = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
-        E = float(np.real(pair.vac.conj() @ G.matrix @ pair.vac))
+        E = vacuum_energy(G.matrix, build_projectors(Interval(1, 1), np.array([1.0, 0.0])))
         assert E == pytest.approx(0.0, abs=1e-14)
 
     def test_vacuum_energy_matches_infspec_on_random_small_t(self, rng):
         for seed in range(5):
             model = random_chain_model(3, 1e-3, seed=seed)
             state = initial_state(model)
-            pair = build_projectors(Interval(1, 1), model.omega)
-            G = local_hamiltonian(state, model, pair)
-            E = vacuum_energy(G, pair, excited_spectrum(G.matrix, pair.vac))
+            I = Interval(1, 1)
+            vac = build_projectors(I, model.omega)
+            G = local_hamiltonian(state, model, I, vac)
+            E = vacuum_energy(G.matrix, vac)
+            local_gap(E, excited_spectrum(G.matrix, vac, E))  # E is the ground energy
             assert E == pytest.approx(float(np.linalg.eigvalsh(G.matrix)[0]), abs=1e-10)
 
     def test_explicit_gap(self):
-        G = LocalOperator(Interval(1, 1), np.diag([0.0, 1.0, 1.0, 2.0]))
-        pair = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
-        assert local_gap(0.0, excited_spectrum(G.matrix, pair.vac)) == pytest.approx(1.0)
+        G = np.diag([0.0, 1.0, 1.0, 2.0]).astype(complex)
+        vac = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
+        assert local_gap(0.0, excited_spectrum(G, vac, 0.0)) == pytest.approx(1.0)
 
     def test_anchor_gap_has_no_coupling_dependence(self):
-        model, state, I, G, pair, V = anchor_pieces(t=0.1)
-        excited = excited_spectrum(G.matrix, pair.vac)
-        assert local_gap(vacuum_energy(G, pair, excited), excited) == pytest.approx(1.0, abs=1e-14)
+        model, state, I, G, vac, V = anchor_pieces(t=0.1)
+        E = vacuum_energy(G.matrix, vac)
+        assert local_gap(E, excited_spectrum(G.matrix, vac, E)) == pytest.approx(1.0, abs=1e-14)
 
     def test_gap_below_threshold_aborts(self):
-        G = LocalOperator(Interval(1, 1), np.diag([0.0, 0.3, 1.0, 2.0]))
-        pair = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
+        G = np.diag([0.0, 0.3, 1.0, 2.0]).astype(complex)
+        vac = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
         with pytest.raises(GapError, match="threshold"):
-            local_gap(0.0, excited_spectrum(G.matrix, pair.vac), gap_min=0.5)
+            local_gap(0.0, excited_spectrum(G, vac, 0.0), gap_min=0.5)
 
     def test_gap_assumption_violated_at_zero_threshold(self):
         # a degenerate vacuum passes gap_min = 0 but leaves no resolvent
-        G = LocalOperator(Interval(1, 1), np.diag([0.0, 0.0, 1.0, 2.0]))
-        pair = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
-        excited = excited_spectrum(G.matrix, pair.vac)
+        G = np.diag([0.0, 0.0, 1.0, 2.0]).astype(complex)
+        vac = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
+        E = vacuum_energy(G, vac)
         with pytest.raises(GapError, match="reaches the vacuum energy") as info:
-            local_gap(vacuum_energy(G, pair, excited), excited, gap_min=0.0)
+            local_gap(E, excited_spectrum(G, vac, E), gap_min=0.0)
         assert info.value.reason == "gap-assumption-violated"
         assert info.value.exit_code == 4
 
     def test_vacuum_not_ground_detected(self):
-        G = LocalOperator(Interval(1, 1), np.diag([0.0, -0.5, 1.0, 2.0]))
-        pair = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
-        with pytest.raises(GapError, match="ground"):
-            vacuum_energy(G, pair, excited_spectrum(G.matrix, pair.vac))
+        # checked before the gap: at gap_min = -1 the gap of -0.5 would pass
+        G = np.diag([0.0, -0.5, 1.0, 2.0]).astype(complex)
+        vac = build_projectors(Interval(1, 1), np.array([1.0, 0.0]))
+        E = vacuum_energy(G, vac)
+        with pytest.raises(GapError, match="ground") as info:
+            local_gap(E, excited_spectrum(G, vac, E), gap_min=-1.0)
+        assert info.value.reason == "vacuum-not-ground" and info.value.value == 0.5
 
 
 class TestGeneratorSeries:
     def test_block_diagonal_potential_gives_zero_generator(self, rng):
-        model, state, I, G, pair, V = anchor_pieces()
-        W = np.diag(rng.normal(size=4)).astype(complex)  # commutes with the pair
-        res = generator_series(G.matrix, 0.0, pair, W, 0.1, SeriesControls())
+        model, state, I, G, vac, V = anchor_pieces()
+        W = np.diag(rng.normal(size=4)).astype(complex)  # commutes with vac vac^dag
+        res = generator_series(G.matrix, 0.0, vac, W, 0.1, SeriesControls())
         assert not np.any(dense_generator(res))
-        np.testing.assert_allclose(summed_diagonal_series(res, W, pair, 0.1), W, atol=1e-14)
+        np.testing.assert_allclose(summed_diagonal_series(res, W, vac, 0.1), W, atol=1e-14)
 
     def test_anchor_first_order_generator(self):
         # hand evaluation: P+ V vac = |11>, (G - E)|11> = 2|11>,
         # so S_1 = (|11><00| - |00><11|)/2
-        model, state, I, G, pair, V = anchor_pieces(t=1e-4)
-        res = generator_series(G.matrix, 0.0, pair, V, model.t, SeriesControls())
+        model, state, I, G, vac, V = anchor_pieces(t=1e-4)
+        res = generator_series(G.matrix, 0.0, vac, V, model.t, SeriesControls())
         S1 = np.zeros((4, 4), dtype=complex)
         S1[3, 0], S1[0, 3] = 0.5, -0.5
         np.testing.assert_allclose(dense_generator(res) / model.t, S1, atol=1e-7)
@@ -232,8 +238,8 @@ class TestGeneratorSeries:
     def test_anchor_series_term_norms(self):
         # hand recursion on the {|00>,|11>} block gives ||(V)_j|| = 1, 1/2, 1/3
         # and ||S_j|| = 1/2, 0, 1/6 independent of the coupling
-        model, state, I, G, pair, V = anchor_pieces(t=0.1)
-        res = generator_series(G.matrix, 0.0, pair, V, model.t, SeriesControls())
+        model, state, I, G, vac, V = anchor_pieces(t=0.1)
+        res = generator_series(G.matrix, 0.0, vac, V, model.t, SeriesControls())
         assert op_norm(V) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(res.v_term_norms[:2], [0.5, 1.0 / 3.0], atol=1e-12)
         np.testing.assert_allclose(res.s_term_norms[:3], [0.5, 0.0, 1.0 / 6.0], atol=1e-12)
@@ -242,8 +248,8 @@ class TestGeneratorSeries:
         # the summed series is the rotation angle arctan(t)/2 on the
         # {|00>,|11>} block, reproduced here from the 2x2 closed form
         t = 0.1
-        model, state, I, G, pair, V = anchor_pieces(t)
-        res = generator_series(G.matrix, 0.0, pair, V, t, SeriesControls(jmax=60))
+        model, state, I, G, vac, V = anchor_pieces(t)
+        res = generator_series(G.matrix, 0.0, vac, V, t, SeriesControls(jmax=60))
         theta = 0.5 * np.arctan(t)
         expected = np.zeros((4, 4), dtype=complex)
         expected[3, 0], expected[0, 3] = theta, -theta
@@ -251,8 +257,8 @@ class TestGeneratorSeries:
 
     def test_generator_bound_from_gap(self):
         # ||S_j|| <= 2 ||(V)_j|| / gap, and gap = 1 here
-        model, state, I, G, pair, V = anchor_pieces(t=0.01)
-        res = generator_series(G.matrix, 0.0, pair, V, model.t, SeriesControls())
+        model, state, I, G, vac, V = anchor_pieces(t=0.01)
+        res = generator_series(G.matrix, 0.0, vac, V, model.t, SeriesControls())
         for vn, sn in zip((op_norm(V),) + res.v_term_norms, res.s_term_norms):
             assert sn <= 2.0 * vn + 1e-12
 
@@ -262,9 +268,8 @@ class TestGeneratorSeries:
     def test_matches_eigenbasis_resolvent(self, M, k, seed, E, t):
         # reference: each y_j from the eigendecomposition of the excited
         # block in the Householder basis, applied to the returned (V)_j
-        pair, G, V = gapped_local_problem(M, k, seed, E)
-        vac = pair.vac
-        res = generator_series(G, E, pair, V, t, SeriesControls())
+        vac, G, V = gapped_local_problem(M, k, seed, E)
+        res = generator_series(G, E, vac, V, t, SeriesControls())
         w, Z, Qp = plus_block_eigh(G, vac)
 
         def ref_y(X):
@@ -283,8 +288,8 @@ class TestGeneratorSeries:
            E=st.floats(-2, 2), t=st.floats(-0.05, 0.05))
     def test_matches_dense_two_table_reference(self, M, k, seed, E, t):
         # reference: dense S_j and two commutator tables, one for G and one for V
-        pair, G, V = gapped_local_problem(M, k, seed, E)
-        assert_matches_reference(dense_generator_series, G, E, pair, V, t)
+        vac, G, V = gapped_local_problem(M, k, seed, E)
+        assert_matches_reference(dense_generator_series, G, E, vac, V, t)
 
     @settings(max_examples=40, deadline=None)
     @given(M=st.sampled_from([2, 3]), k=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1),
@@ -292,8 +297,8 @@ class TestGeneratorSeries:
     def test_matches_one_table_reference(self, M, k, seed, E, t):
         # reference: the same table with dense D x D entries and a dense
         # op_norm per order
-        pair, G, V = gapped_local_problem(M, k, seed, E)
-        assert_matches_reference(one_table_generator_series, G, E, pair, V, t)
+        vac, G, V = gapped_local_problem(M, k, seed, E)
+        assert_matches_reference(one_table_generator_series, G, E, vac, V, t)
 
     @pytest.mark.parametrize("case", ["anchor", "block-diagonal", "basis-vacuum", "band-above",
                                       "band-below", "below-cutoff", "jmax-1"])
@@ -303,7 +308,7 @@ class TestGeneratorSeries:
         # or exactly dependent frame columns.  The other cases probe the
         # order-one stop test, which bounds ||V|| by ||V||_F from above and
         # by max(||V vac||, ||V||_F / 2) from below at D = 4
-        model, state, I, G, pair, V = anchor_pieces(0.05)
+        model, state, I, G, vac, V = anchor_pieces(0.05)
         t, controls = 0.05, SeriesControls()
         if case == "block-diagonal":
             V = np.diag(rng.normal(size=4)).astype(complex)
@@ -327,10 +332,10 @@ class TestGeneratorSeries:
             V = random_hermitian(rng, 4, norm=1.0)
             controls = SeriesControls(jmax=1)
             with pytest.raises(SeriesError) as info:
-                generator_series(G.matrix, 0.0, pair, V, t, controls)
+                generator_series(G.matrix, 0.0, vac, V, t, controls)
             assert info.value.last_term_norm == abs(t) * op_norm(V)
             t = 1e-15  # below the cutoff the same controls converge at order one
-        res = assert_matches_reference(one_table_generator_series, G.matrix, 0.0, pair, V, t,
+        res = assert_matches_reference(one_table_generator_series, G.matrix, 0.0, vac, V, t,
                                        controls)
         if case == "anchor":
             assert res.s_term_norms[1] == 0.0
@@ -357,12 +362,12 @@ class TestGeneratorSeries:
     def test_overflowing_powers_of_the_coupling(self, rng):
         # |t|^j overflows a float from j = 2 on: a block-diagonal potential
         # still gives the zero generator, and a generic one a SeriesError
-        model, state, I, G, pair, V = anchor_pieces()
+        model, state, I, G, vac, V = anchor_pieces()
         W = np.diag(rng.normal(size=4)).astype(complex)
-        res = generator_series(G.matrix, 0.0, pair, W, 1e200, SeriesControls())
+        res = generator_series(G.matrix, 0.0, vac, W, 1e200, SeriesControls())
         assert res.order == 2 and not np.any(res.y)
         with pytest.raises(SeriesError, match="last term norm inf"):
-            generator_series(G.matrix, 0.0, pair, V, 1e200, SeriesControls())
+            generator_series(G.matrix, 0.0, vac, V, 1e200, SeriesControls())
 
     @pytest.mark.parametrize("D", [1, 2, 3, 63, 64, 65, 243, 512])
     def test_resolved_vectors_match_inverse(self, D):
@@ -373,8 +378,7 @@ class TestGeneratorSeries:
         E, t = -0.7, 0.03
         vac, G = vacuum_and_hamiltonian(rng, E + rng.uniform(0.5, 4.0, size=D - 1), E)
         V = random_hermitian(rng, D, norm=1.0)
-        pair = ProjectorPair(Interval(0, 1), vac)  # only vac is read
-        res = generator_series(G, E, pair, V, t, SeriesControls())
+        res = generator_series(G, E, vac, V, t, SeriesControls())
         R = np.linalg.inv(G - E * np.eye(D) + np.outer(vac, vac.conj()))
         y_ref, scale = np.zeros(D, dtype=complex), 0.0
         for j, (X, norm) in enumerate(zip(series_terms(res, V), res.s_term_norms), start=1):
@@ -389,11 +393,11 @@ class TestGeneratorSeries:
         assert np.linalg.norm(res.y - y_ref) <= 1e-13 * scale
 
     def test_indefinite_excited_block_raises_gap_error(self):
-        pair = ProjectorPair(Interval(0, 1), np.array([1.0, 0.0, 0.0], dtype=complex))
+        vac = np.array([1.0, 0.0, 0.0], dtype=complex)
         G = np.diag([0.0, -1e-3, 2.0]).astype(complex)
         V = random_hermitian(np.random.default_rng(0), 3, norm=1.0)
         with pytest.raises(GapError, match="not positive definite") as info:
-            generator_series(G, 0.0, pair, V, 0.01, SeriesControls(), StepIndex(0, 1))
+            generator_series(G, 0.0, vac, V, 0.01, SeriesControls(), StepIndex(0, 1))
         assert info.value.reason == "gap-assumption-violated"
         assert info.value.step == StepIndex(0, 1)
 
@@ -408,60 +412,58 @@ class TestGeneratorSeries:
             rng = np.random.default_rng(seed)
             excited = np.concatenate([[10 ** rng.uniform(-18, -15)], rng.uniform(1, 3, D - 2)])
             vac, G = vacuum_and_hamiltonian(rng, excited)
-            G = LocalOperator(Interval(0, 1), G)
-            pair = ProjectorPair(Interval(0, 1), vac)
-            spectrum = excited_spectrum(G.matrix, vac)
-            E = vacuum_energy(G, pair, spectrum)
+            E = vacuum_energy(G, vac)
             try:
-                local_gap(E, spectrum, gap_min=0.0)
+                local_gap(E, excited_spectrum(G, vac, E), gap_min=0.0)
             except GapError:
                 continue
             V = random_hermitian(rng, D, norm=1.0)
             try:
-                generator_series(G.matrix, E, pair, V, 1e-16, SeriesControls(gap_min=0.0))
+                generator_series(G, E, vac, V, 1e-16, SeriesControls(gap_min=0.0))
             except GapError as err:
                 assert err.reason == "gap-assumption-violated"
                 raised += 1
         assert raised > 0
 
     def test_divergent_series_raises(self):
-        model, state, I, G, pair, V = anchor_pieces(t=0.5)
+        model, state, I, G, vac, V = anchor_pieces(t=0.5)
         with pytest.raises(SeriesError, match="converge"):
-            generator_series(G.matrix, 0.0, pair, V, 0.5, SeriesControls())
+            generator_series(G.matrix, 0.0, vac, V, 0.5, SeriesControls())
 
     def test_overflowing_series_raises_series_error(self):
         # the frame's Gram matrix overflows at order one; eigvalsh on it
         # would end in LinAlgError instead
         G = np.diag([bin(i).count("1") for i in range(8)]).astype(complex)
-        pair = build_projectors(Interval(2, 1), np.array([1.0, 0.0], dtype=complex))
+        vac = build_projectors(Interval(2, 1), np.array([1.0, 0.0], dtype=complex))
         V = random_hermitian(np.random.default_rng(0), 8)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SeriesError) as info:
-            generator_series(G, 0.0, pair, 1e200 * V, 1.0, SeriesControls())
+            generator_series(G, 0.0, vac, 1e200 * V, 1.0, SeriesControls())
         assert info.value.last_term_norm == np.inf
 
 
 class TestDiagonalizedPotential:
     def test_zero_generator_identity(self, rng):
-        model, state, I, G, pair, V = anchor_pieces()
-        out, residual = diagonalized_potential(G.matrix, V, np.zeros(4), 0.0, pair)
+        model, state, I, G, vac, V = anchor_pieces()
+        W, C = rotation_factors(np.zeros(4), vac)
+        out, residual = diagonalized_potential(G.matrix, V, W, C, 0.0, vac)
         np.testing.assert_array_equal(out, V)
 
     def test_anchor_vacuum_entry(self):
         # oracle: closed-form diagonalization of [[0, t], [t, 2]]
         t = 0.1
-        model, state, I, G, pair, V = anchor_pieces(t)
-        res = generator_series(G.matrix, 0.0, pair, V, t, SeriesControls())
-        out, residual = diagonalized_potential(G.matrix, V, res.y, t, pair)
+        model, state, I, G, vac, V = anchor_pieces(t)
+        res = generator_series(G.matrix, 0.0, vac, V, t, SeriesControls())
+        out, residual = diagonalized_potential(G.matrix, V, *rotation_factors(res.y, vac), t, vac)
         assert out[0, 0].real == pytest.approx((1 - np.sqrt(1 + t * t)) / t, abs=1e-9)
         assert residual <= 1e-8
         assert op_norm(out) <= 2.0 * op_norm(V)
 
     def test_closed_form_matches_summed_diagonal_series(self):
         t = 0.01
-        model, state, I, G, pair, V = anchor_pieces(t)
-        res = generator_series(G.matrix, 0.0, pair, V, t, SeriesControls())
-        out, _ = diagonalized_potential(G.matrix, V, res.y, t, pair)
-        np.testing.assert_allclose(out, summed_diagonal_series(res, V, pair, t), atol=1e-10)
+        model, state, I, G, vac, V = anchor_pieces(t)
+        res = generator_series(G.matrix, 0.0, vac, V, t, SeriesControls())
+        out, _ = diagonalized_potential(G.matrix, V, *rotation_factors(res.y, vac), t, vac)
+        np.testing.assert_allclose(out, summed_diagonal_series(res, V, vac, t), atol=1e-10)
 
 
 def _conjugated_full(state_before, model, S, interval):
@@ -484,9 +486,8 @@ class TestAdvance:
         model = random_chain_model(4, 1e-2, seed=3)
         state = advance(initial_state(model), model)
         I = Interval(1, 1)
-        pair = build_projectors(I, model.omega)
         W = state.potentials[I].matrix
-        assert np.linalg.norm(plus_minus_block(pair, W)) <= 1e-8
+        assert np.linalg.norm(plus_minus_block(build_projectors(I, model.omega), W)) <= 1e-8
 
     def test_case_a_copies_are_same_objects(self):
         model = random_chain_model(5, 1e-2, seed=4)
@@ -527,12 +528,12 @@ class TestAdvance:
                 before = state
                 state = advance(state, model, controls)
                 I = Interval(state.step.k, state.step.q)
-                pair = build_projectors(I, model.omega)
-                G = local_hamiltonian(before, model, pair)
-                E = vacuum_energy(G, pair, excited_spectrum(G.matrix, pair.vac))
+                vac = build_projectors(I, model.omega)
+                G = local_hamiltonian(before, model, I, vac)
+                E = vacuum_energy(G.matrix, vac)
                 V = (before.potentials[I].matrix if I in before.potentials
                      else np.zeros((I.dim(2), I.dim(2)), dtype=complex))
-                res = generator_series(G.matrix, E, pair, V, model.t, controls)
+                res = generator_series(G.matrix, E, vac, V, model.t, controls)
                 direct = _conjugated_full(before, model, dense_generator(res), I)
                 np.testing.assert_allclose(assemble_full(state, model), direct, atol=1e-9)
 
@@ -544,12 +545,12 @@ def per_source_transport(state, model, controls):
     kron(1_L, exp(S), 1_R), and the results are summed and re-symmetrized.
     Reference for ``advance``."""
     I = Interval(*successor(state.step, model.N))
-    pair = build_projectors(I, model.omega)
-    G = local_hamiltonian(state, model, pair, controls.tol_od).matrix
-    E = float(np.real(pair.vac.conj() @ G @ pair.vac))
+    vac = build_projectors(I, model.omega)
+    G = local_hamiltonian(state, model, I, vac, controls.tol_od).matrix
+    E = vacuum_energy(G, vac)
     V = (state.potentials[I].matrix if I in state.potentials
          else np.zeros((I.dim(model.M),) * 2, dtype=complex))
-    U = unitary_exp(dense_generator(generator_series(G, E, pair, V, model.t, controls)))
+    U = unitary_exp(dense_generator(generator_series(G, E, vac, V, model.t, controls)))
     out = {}
     for J in (Interval(*s) for s in iter_steps(model.N)):
         if J == I or not J.contains(I):
@@ -638,8 +639,7 @@ class TestSweep:
         model = anchor_model(0.1)
         final = sweep(model)
         K = assemble_full(final, model)
-        pair = build_projectors(Interval(1, 1), model.omega)
-        ground = float(np.real(pair.vac.conj() @ K @ pair.vac))
+        ground = vacuum_energy(K, build_projectors(Interval(1, 1), model.omega))
         assert ground == pytest.approx(1 - np.sqrt(1.01), abs=1e-10)
 
     def test_spectrum_preserved_across_sweep(self):
@@ -652,8 +652,8 @@ class TestSweep:
         model = random_chain_model(4, 1e-2, seed=10)
         final = sweep(model)
         for iv, op in final.potentials.items():
-            pair = build_projectors(iv, model.omega)
-            assert np.linalg.norm(plus_minus_block(pair, op.matrix)) <= 1e-8
+            vac = build_projectors(iv, model.omega)
+            assert np.linalg.norm(plus_minus_block(vac, op.matrix)) <= 1e-8
 
     def test_failed_sweep_reports_step_and_partial_state(self):
         model = anchor_model(0.5)
@@ -661,6 +661,41 @@ class TestSweep:
             sweep(model)
         assert excinfo.value.step == StepIndex(1, 1)
         assert excinfo.value.partial_state.step == StepIndex(0, 2)
+
+    def test_replaced_onsite_matrix_carries_its_own_vacuum(self):
+        # the vacuum is derived from the on-site matrix, so a model with a
+        # replaced on-site matrix sweeps as one built with it
+        base = random_chain_model(4, 0.03, M=3, kbar=2, seed=8)
+        rng = np.random.default_rng(8)
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        H2 = Q @ np.diag([0.0, 1.0, 2.0]) @ Q.conj().T
+        H2 = (H2 + H2.conj().T) / 2
+        replaced = dataclasses.replace(base, onsite=H2)
+        built = build_chain_model(4, 3, H2, {iv: op.matrix for iv, op in base.interactions.items()},
+                                  base.t, base.kbar)
+        got, want = sweep(replaced), sweep(built)
+        assert got.diagnostics == want.diagnostics
+        assert set(got.potentials) == set(want.potentials)
+        for iv, op in want.potentials.items():
+            assert np.array_equal(got.potentials[iv].matrix, op.matrix), iv
+        assert np.count_nonzero(np.abs(replaced.omega) > 1e-3) == 3
+        assert np.array_equal(replaced.omega, built.omega)
+
+    def test_one_rotation_per_step_with_a_nonzero_generator(self, monkeypatch):
+        # W and C of exp(S) are formed once per step and read by both the
+        # replaced potential and the transport
+        calls = []
+
+        def counted(y, vac):
+            calls.append(y)
+            return rotation_factors(y, vac)
+
+        monkeypatch.setattr("lieschwinger.sweep.rotation_factors", counted)
+        model = random_chain_model(5, 0.02, M=2, kbar=2, seed=3)
+        state = sweep(model)
+        nonzero = sum(d.s_norm != 0.0 for d in state.diagnostics)
+        assert nonzero == len(state.diagnostics) == 10
+        assert len(calls) == nonzero
 
 
 def _window(model, first, last):
@@ -700,9 +735,9 @@ class TestNonBasisVacuum:
         assert cmp_.spectrum_distance <= 1e-12
         assert cmp_.blockwise_match
         for iv, op in final.potentials.items():
-            pair = build_projectors(iv, model.omega)
+            vac = build_projectors(iv, model.omega)
             assert hermitian_defect(op.matrix) <= controls.tol_od
-            assert np.linalg.norm(plus_minus_block(pair, op.matrix)) <= controls.tol_od
+            assert np.linalg.norm(plus_minus_block(vac, op.matrix)) <= controls.tol_od
         # the oracle reads the certificate's spectrum instead of
         # diagonalizing K again, so it must be spec K
         evals = np.linalg.eigvalsh(assemble_full(final, model))
@@ -727,8 +762,8 @@ class TestNonBasisVacuum:
         for iv, op in fitted.state_.potentials.items():
             assert np.array_equal(op.matrix, op.matrix.conj().T)
             if t != 0.0:  # at t = 0 the potentials carry no weight and stay as given
-                pair = build_projectors(iv, model.omega)
-                assert np.linalg.norm(plus_minus_block(pair, op.matrix)) <= fitted.tol_od
+                vac = build_projectors(iv, model.omega)
+                assert np.linalg.norm(plus_minus_block(vac, op.matrix)) <= fitted.tol_od
 
 
 class TestAssembleFull:
