@@ -1,19 +1,30 @@
-import json
-from dataclasses import dataclass
-from math import comb, factorial
+import os
 
-import numpy as np
-import pytest
-from scipy import sparse
+# BLAS and OpenMP read these once, when numpy loads, so they are set first.
+# A threaded BLAS moves the last bits of a dense eigensolve with the thread
+# count, so the golden reports in tests/data hold single-threaded outputs, as
+# CI and perfbench/run.py run them.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from lieschwinger import build_chain_model, random_chain_model
-from lieschwinger import kitaev as kit
-from lieschwinger.errors import ValidationError
-from lieschwinger.intervals import Interval
-from lieschwinger.model import ChainModel
-from lieschwinger.operators import (LocalOperator, build_projectors, dense_dim, embed,
-                                    excited_spectrum, op_norm)
-from lieschwinger.sweep import BlockDiagState, SeriesControls, local_hamiltonian, vacuum_energy
+import json  # noqa: E402
+from dataclasses import dataclass  # noqa: E402
+from math import comb, factorial  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from scipy import sparse  # noqa: E402
+
+from lieschwinger import build_chain_model, random_chain_model  # noqa: E402
+from lieschwinger import kitaev as kit  # noqa: E402
+from lieschwinger.errors import ValidationError  # noqa: E402
+from lieschwinger.intervals import Interval  # noqa: E402
+from lieschwinger.model import ChainModel  # noqa: E402
+from lieschwinger.operators import (  # noqa: E402
+    LocalOperator, build_projectors, dense_dim, embed, excited_spectrum, op_norm)
+from lieschwinger.sweep import (  # noqa: E402
+    BlockDiagState, SeriesControls, local_hamiltonian, vacuum_energy)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
