@@ -1,12 +1,15 @@
 import os
 
-# BLAS and OpenMP read these once, when numpy loads, so they are set first.
-# A threaded BLAS moves the last bits of a dense eigensolve with the thread
-# count, so the golden reports in tests/data hold single-threaded outputs, as
-# CI and perfbench/run.py run them.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"
+# The settings the golden reports in tests/data were generated under.  BLAS
+# and OpenMP read them once, when numpy loads, so they are set first.  The
+# thread count and the OpenBLAS kernel both move the last bits of a dense
+# eigensolve, so the goldens hold one thread and OpenBLAS's Haswell (AVX2)
+# kernels, which any x86-64 host with AVX2 can run.  The thread variables
+# are THREAD_VARS of perfbench/run.py; the CI job env sets this same list.
+GOLDEN_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+              "VECLIB_MAXIMUM_THREADS": "1", "NUMEXPR_NUM_THREADS": "1",
+              "OPENBLAS_CORETYPE": "Haswell"}
+os.environ.update(GOLDEN_ENV)
 
 import json  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
