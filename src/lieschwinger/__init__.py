@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .estimator import BlockDiagonalizer
-from .intervals import Interval, StepIndex, iter_steps, step_count, successor
+from .intervals import Interval, iter_steps
 from .model import ChainModel, build_chain_model, random_chain_model, validate_chain_model
 from .operators import (
     LocalOperator,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, ValidationError
-from .intervals import Interval, StepIndex
+from .intervals import Interval
 from .model import ChainModel
 from .operators import build_projectors, excited_spectrum, op_norm
 from .operators import embed  # unused here; perfbench/tracing.py looks it up on this module
@@ -34,7 +34,6 @@ def decay_bound(r: int, t: float) -> float:
 
 @dataclass(frozen=True)
 class NormLedgerEntry:
-    step: StepIndex
     interval: Interval
     norm: float
     bound: float
@@ -60,8 +59,7 @@ def check_ledger(state: BlockDiagState, t: float) -> list[NormLedgerEntry]:
         norm = op_norm(op)
         bound = decay_bound(interval.k, t)
         entries.append(NormLedgerEntry(
-            step=state.step, interval=interval, norm=norm, bound=bound,
-            ok=norm <= bound * (1 + 1e-9),
+            interval=interval, norm=norm, bound=bound, ok=norm <= bound * (1 + 1e-9),
         ))
     return entries
 
@@ -70,11 +68,10 @@ def certify(state: BlockDiagState, model: ChainModel,
             tol_od: float = SeriesControls.tol_od) -> GapReport:
     """Certificate of the fully swept Hamiltonian K from one assembly and one
     shifted eigvalsh; CertificationError if K's off-diagonal residual exceeds tol_od."""
-    final = StepIndex(model.N - 1, 1)
-    if state.step != final:
-        raise ValidationError(f"sweep incomplete: at step {state.step}, expected {final}")
-    K = assemble_full(state, model)
     chain = Interval(model.N - 1, 1)
+    if state.step != chain:
+        raise ValidationError(f"sweep incomplete: at step {state.step}, expected {chain}")
+    K = assemble_full(state, model)
     vac = build_projectors(chain, model.omega)
     residual = _offdiag_norm(K, vac)
     if residual > tol_od:

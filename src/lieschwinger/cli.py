@@ -8,11 +8,12 @@ Reports serialize deterministically: keys are emitted in sorted order and
 floats with 17 significant digits, so identical inputs and flags reproduce
 byte-identical output apart from the "timings" section.
 
-Exit codes: 0 success, 2 validation or parse failure, 3 series not
-converged, 4 gap assumption violated; each is the ``exit_code`` of the
-raised error, and a ``MemoryError`` (a model the host cannot hold) ends in
-2.  Every failure still writes a report, except for flags that argparse
-rejects and a ``--report`` path that cannot be written.
+Exit codes: 0 success, 2 validation or parse failure or a failed
+certification, 3 series not converged, 4 gap assumption violated, 1 an
+internal invariant failed; each is the ``exit_code`` of the raised error,
+and a ``MemoryError`` (a model the host cannot hold) ends in 2.  Every
+failure still writes a report, except for flags that argparse rejects and
+a ``--report`` path that cannot be written.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Connected chain intervals and the block-diagonalization step order.
 
 An interval with ``k`` edges and left endpoint ``q`` covers the contiguous
-sites ``{q, ..., q+k}``.  Steps are labelled by the interval they
-block-diagonalize and are swept in the total order "shorter first, then
-left to right"; the distinguished label ``(0, N)`` precedes every step.
+sites ``{q, ..., q+k}``.  Each sweep step is the interval it
+block-diagonalizes, and ``iter_steps`` is the one definition of their
+order: every interval of at least two sites, shorter first, then left to
+right, which is also the tuple order of ``Interval``.
 """
 
 from __future__ import annotations
@@ -37,43 +38,8 @@ class Interval(NamedTuple):
         return self.q >= 1 and self.last <= N
 
 
-class StepIndex(NamedTuple):
-    """Sweep step label (k, q); tuple comparison realizes the step order."""
-
-    k: int
-    q: int
-
-
-def initial_step(N: int) -> StepIndex:
-    return StepIndex(0, N)
-
-
-def final_step(N: int) -> StepIndex:
-    return StepIndex(N - 1, 1)
-
-
-def successor(step: StepIndex, N: int) -> StepIndex:
-    """Next step in the order: (0,N) -> (1,1), (k,q) -> (k,q+1), (k,N-k) -> (k+1,1)."""
-    k, q = step
-    if k == 0:
-        return StepIndex(1, 1)
-    if step >= final_step(N):
-        raise ValidationError(f"sweep complete: {step} has no successor for N={N}")
-    if q < N - k:
-        return StepIndex(k, q + 1)
-    return StepIndex(k + 1, 1)
-
-
-def step_count(N: int) -> int:
-    """Number of steps from (1,1) through (N-1,1), i.e. N(N-1)/2."""
+def iter_steps(N: int) -> Iterator[Interval]:
+    """The steps of an N-site sweep, (1, 1) through (N-1, 1), in sweep order."""
     if N < 2:
         raise ValidationError(f"chain needs at least 2 sites, got N={N}")
-    return N * (N - 1) // 2
-
-
-def iter_steps(N: int) -> Iterator[StepIndex]:
-    """All steps after (0,N) in sweep order."""
-    step = initial_step(N)
-    for _ in range(step_count(N)):
-        step = successor(step, N)
-        yield step
+    return (Interval(k, q) for k in range(1, N) for q in range(1, N - k + 1))

@@ -71,6 +71,11 @@ def dense_generator(res):
     return np.outer(res.y, vac.conj()) - np.outer(vac, res.y.conj())
 
 
+def s_term_norms(res):
+    """The norms ||S_j|| = ||y_j|| of a series result's terms, from j = 1 on."""
+    return [float(np.linalg.norm(y)) for y in res.y_terms]
+
+
 def series_terms(res, V):
     """The series terms (V)_1 = V and (V)_j = F K F^dag of a series result,
     as dense matrices."""

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import (anchor_model, check_series_majorant, dense_generator, dense_spectrum,
                       doubling_check, kitaev_spectrum_expected, projector_inequalities,
-                      random_bulk_perturbation, solve_majorant)
+                      random_bulk_perturbation, s_term_norms, solve_majorant)
 from lieschwinger import kitaev as kit
 from lieschwinger.certify import GapReport, certify
 from lieschwinger.intervals import Interval, iter_steps
@@ -145,7 +145,7 @@ def test_ac6_piecewise_conjugation_identity():
         for _ in iter_steps(N):
             before = state
             state = advance(state, model, controls)
-            I = Interval(state.step.k, state.step.q)
+            I = state.step
             vac = build_projectors(I, model.omega)
             G = local_hamiltonian(before, model, I, vac)
             E = vacuum_energy(G.matrix, vac)
@@ -194,7 +194,7 @@ def test_ac7_appendix_suite(suite):
             before = state
             state = advance(state, model, controls)
             diag = state.diagnostics[-1]
-            I = Interval(diag.step.k, diag.step.q)
+            I = diag.step
             if I not in before.potentials:
                 continue
             vac = build_projectors(I, model.omega)
@@ -207,7 +207,7 @@ def test_ac7_appendix_suite(suite):
             series_checked += 1
             assert check_series_majorant(vn, solve_majorant(vn[0], jmax=len(vn)))
             if diag.gap >= 0.5:
-                for v, s in zip(vn, res.s_term_norms):
+                for v, s in zip(vn, s_term_norms(res)):
                     assert s <= 4.0 * v * (1 + 1e-9)
         assert state.diagnostics == r.state.diagnostics
     print(f"\nAC-7 PASS: {checks} projector inequalities PSD, majorant root "

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SX, matrix_json
+from conftest import GOLDEN_ENV, SX, matrix_json
+from lieschwinger import sweep as sweep_module
 from lieschwinger.cli import emit, load_model, main, run
 from lieschwinger.errors import ValidationError
+from lieschwinger.intervals import Interval
 from lieschwinger.model import ChainModel
 from lieschwinger.sweep import SeriesControls
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -487,6 +490,40 @@ class TestBadInputs:
                                    "step": None, "exit_code": 2}
         assert report["steps"] == [] and report["gap_report"] is None
 
+    def test_memory_error_mid_sweep_keeps_the_steps_before_it(self, tmp_path, monkeypatch):
+        # a MemoryError at the third step of a 5-site chain: the report lists
+        # the two steps the sweep completed before it
+        series = sweep_module.generator_series
+
+        def out_of_memory_at_third_step(G, E, vac, V, t, controls, step=None):
+            if step == Interval(1, 3):
+                raise _ArrayMemoryError("Unable to allocate 8.00 GiB")
+            return series(G, E, vac, V, t, controls, step)
+
+        monkeypatch.setattr(sweep_module, "generator_series", out_of_memory_at_third_step)
+        out = tmp_path / "report.json"
+        assert main(["--config", str(CONFIGS / "chain_n5_m3_k2.json"), "--report", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert report["status"] == "failed" and report["error"]["type"] == "MemoryError"
+        assert [[row["k"], row["q"]] for row in report["steps"]] == [[1, 1], [1, 2]]
+
+    @pytest.mark.parametrize("flags,code,error_type,error_step,steps", [
+        pytest.param([], 3, "SeriesError", [1, 1], 0, id="file-coupling"),
+        pytest.param(["--t", "0"], 2, "CertificationError", None, 10, id="zero-coupling"),
+    ])
+    def test_tolerance_below_rounding_fails_a_step_check(self, tmp_path, flags, code,
+                                                         error_type, error_step, steps):
+        # the on-site terms of a vacuum that is not a basis vector leak at
+        # rounding level (3.3e-16 on the first interval): a --tol-od below it
+        # fails the step's residual check, or at t = 0 the certificate of K,
+        # never the sweep-order check (OrderError, exit 1)
+        out = tmp_path / "report.json"
+        assert main(["--config", str(CONFIGS / "nonbasis_n5_m3_k2.json"), "--tol-od", "1e-17",
+                     *flags, "--report", str(out)]) == code
+        report = json.loads(out.read_text())
+        assert report["error"]["type"] == error_type and report["error"]["step"] == error_step
+        assert len(report["steps"]) == steps
+
     def test_failed_cholesky_factor_exits_four_with_report(self, demo_config, tmp_path,
                                                             monkeypatch):
         # a resolvent whose Cholesky factor fails, as a gap at rounding level
@@ -577,7 +614,9 @@ def test_every_input_ends_in_a_documented_exit_code_with_a_report(tmp_path_facto
 
 
 def _assert_report_matches(fresh, golden, where="report"):
-    """Every non-float field equal, every float within 1e-14 max(1, |x|)."""
+    """Every non-float field equal, every float within 1e-14 max(1, |x|),
+    and a float x with |x| < 1e-12 also at most 10 |x| + 1e-16 in size, so
+    that a near-zero residual cannot grow by orders of magnitude."""
     if isinstance(golden, dict):
         assert isinstance(fresh, dict) and sorted(fresh) == sorted(golden), where
         for key in golden:
@@ -590,6 +629,8 @@ def _assert_report_matches(fresh, golden, where="report"):
         # a float that prints as an integer ("2") parses back as int
         assert isinstance(fresh, (int, float)) and not isinstance(fresh, bool), where
         assert abs(fresh - golden) <= 1e-14 * max(1.0, abs(golden)), where
+        if abs(golden) < 1e-12:
+            assert abs(fresh) <= 10 * abs(golden) + 1e-16, where
     else:
         assert type(fresh) is type(golden) and fresh == golden, where
 
@@ -643,3 +684,19 @@ def test_report_matches_golden(tmp_path, name, flags):
     out = tmp_path / golden.name
     assert main(["--config", str(CONFIGS / f"{name}.json"), *flags, "--report", str(out)]) == 0
     _assert_report_matches(read_report(out), read_report(golden), name)
+
+
+def test_ci_job_env_is_golden_env():
+    # the CI job env repeats GOLDEN_ENV, so the console-script runs there
+    # meet the settings the golden reports were generated under
+    lines = (ROOT / ".github" / "workflows" / "tests.yml").read_text().splitlines()
+    assert lines.count("    env:") == 1
+    env = {}
+    for line in lines[lines.index("    env:") + 1:]:
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        if not line.startswith("      "):
+            break
+        key, value = line.strip().split(":", 1)
+        env[key] = value.strip().strip("\"'")
+    assert env == GOLDEN_ENV

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from conftest import (SX, anchor_model, dense_generator, dense_generator_series, kron_chain,
                       near_hermitian_chain_file, non_basis_vacuum_model,
                       one_table_generator_series, orthogonal_complement_basis, plus_block_eigh,
-                      random_hermitian, series_terms)
+                      random_hermitian, s_term_norms, series_terms)
 from lieschwinger.certify import certify
 from lieschwinger.cli import load_model
-from lieschwinger.errors import DimensionError, GapError, SeriesError
+from lieschwinger.errors import DimensionError, GapError, OrderError, SeriesError
 from lieschwinger.estimator import BlockDiagonalizer
-from lieschwinger.intervals import Interval, StepIndex, iter_steps, successor
+from lieschwinger.intervals import Interval, iter_steps
 from lieschwinger.model import build_chain_model, random_chain_model
 from lieschwinger.operators import (
     LocalOperator,
@@ -113,7 +113,7 @@ def assert_matches_reference(reference, G, E, vac, V, t, controls=SeriesControls
     for X, ref in zip(terms, v_terms):
         assert np.max(np.abs(X - ref)) <= 1e-13
     np.testing.assert_allclose(res.v_term_norms, v_norms[1:], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(res.s_term_norms, s_norms, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(s_term_norms(res), s_norms, rtol=0, atol=1e-13)
     return res
 
 
@@ -155,6 +155,14 @@ class TestLocalHamiltonian:
             brute += t * (np.kron(W, eye) if iv.q == 1 else np.kron(eye, W))
         np.testing.assert_allclose(np.linalg.eigvalsh(G.matrix),
                                    np.linalg.eigvalsh(brute), atol=1e-12)
+
+    def test_undiagonalized_subpotential_raises_order_error(self):
+        # a hand-built state that claims the steps (1, 1) and (1, 2) but still
+        # holds their potentials as given: the next step, (2, 1), is out of order
+        model = non_basis_vacuum_model(3, 2, 1, 0.03, 0)
+        state = BlockDiagState(Interval(1, 2), dict(model.interactions))
+        with pytest.raises(OrderError, match="subinterval potentials"):
+            advance(state, model)
 
 
 class TestVacuumEnergyAndGap:
@@ -242,7 +250,7 @@ class TestGeneratorSeries:
         res = generator_series(G.matrix, 0.0, vac, V, model.t, SeriesControls())
         assert op_norm(V) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(res.v_term_norms[:2], [0.5, 1.0 / 3.0], atol=1e-12)
-        np.testing.assert_allclose(res.s_term_norms[:3], [0.5, 0.0, 1.0 / 6.0], atol=1e-12)
+        np.testing.assert_allclose(s_term_norms(res)[:3], [0.5, 0.0, 1.0 / 6.0], atol=1e-12)
 
     def test_anchor_generator_closed_form(self):
         # the summed series is the rotation angle arctan(t)/2 on the
@@ -259,7 +267,7 @@ class TestGeneratorSeries:
         # ||S_j|| <= 2 ||(V)_j|| / gap, and gap = 1 here
         model, state, I, G, vac, V = anchor_pieces(t=0.01)
         res = generator_series(G.matrix, 0.0, vac, V, model.t, SeriesControls())
-        for vn, sn in zip((op_norm(V),) + res.v_term_norms, res.s_term_norms):
+        for vn, sn in zip((op_norm(V),) + res.v_term_norms, s_term_norms(res)):
             assert sn <= 2.0 * vn + 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -280,7 +288,7 @@ class TestGeneratorSeries:
         terms = series_terms(res, V)
         y_ref = sum(t ** j * ref_y(X) for j, X in enumerate(terms, start=1))
         assert np.max(np.abs(res.y - y_ref)) <= 1e-13
-        np.testing.assert_allclose(res.s_term_norms, [np.linalg.norm(ref_y(X)) for X in terms],
+        np.testing.assert_allclose(s_term_norms(res), [np.linalg.norm(ref_y(X)) for X in terms],
                                    rtol=0, atol=1e-13)
 
     @settings(max_examples=40, deadline=None)
@@ -338,7 +346,7 @@ class TestGeneratorSeries:
         res = assert_matches_reference(one_table_generator_series, G.matrix, 0.0, vac, V, t,
                                        controls)
         if case == "anchor":
-            assert res.s_term_norms[1] == 0.0
+            assert s_term_norms(res)[1] == 0.0
         elif case == "block-diagonal":
             assert not np.any(res.y)
         elif case == "band-above":
@@ -381,7 +389,7 @@ class TestGeneratorSeries:
         res = generator_series(G, E, vac, V, t, SeriesControls())
         R = np.linalg.inv(G - E * np.eye(D) + np.outer(vac, vac.conj()))
         y_ref, scale = np.zeros(D, dtype=complex), 0.0
-        for j, (X, norm) in enumerate(zip(series_terms(res, V), res.s_term_norms), start=1):
+        for j, (X, norm) in enumerate(zip(series_terms(res, V), s_term_norms(res)), start=1):
             u = X @ vac
             u = u - vac * (vac.conj() @ u)
             x = R @ u
@@ -397,9 +405,9 @@ class TestGeneratorSeries:
         G = np.diag([0.0, -1e-3, 2.0]).astype(complex)
         V = random_hermitian(np.random.default_rng(0), 3, norm=1.0)
         with pytest.raises(GapError, match="not positive definite") as info:
-            generator_series(G, 0.0, vac, V, 0.01, SeriesControls(), StepIndex(0, 1))
+            generator_series(G, 0.0, vac, V, 0.01, SeriesControls(), Interval(0, 1))
         assert info.value.reason == "gap-assumption-violated"
-        assert info.value.step == StepIndex(0, 1)
+        assert info.value.step == Interval(0, 1)
 
     def test_rounding_level_gap_ends_in_gap_error(self):
         # gaps of 1e-18 to 1e-15 in a random eigenbasis: eigvalsh may still
@@ -503,8 +511,7 @@ class TestAdvance:
         snapshots = {}
         for _ in range(6):  # all steps
             state = advance(state, model)
-            done = StepIndex(*state.step)
-            iv = Interval(done.k, done.q)
+            iv = state.step
             if iv in state.potentials:
                 snapshots.setdefault(iv, state.potentials[iv])
         for iv, op in snapshots.items():
@@ -527,7 +534,7 @@ class TestAdvance:
             for _ in range(N * (N - 1) // 2):
                 before = state
                 state = advance(state, model, controls)
-                I = Interval(state.step.k, state.step.q)
+                I = state.step
                 vac = build_projectors(I, model.omega)
                 G = local_hamiltonian(before, model, I, vac)
                 E = vacuum_energy(G.matrix, vac)
@@ -544,7 +551,7 @@ def per_source_transport(state, model, controls):
     each growth source is embedded and conjugated on its own by the dense
     kron(1_L, exp(S), 1_R), and the results are summed and re-symmetrized.
     Reference for ``advance``."""
-    I = Interval(*successor(state.step, model.N))
+    I = next(J for J in iter_steps(model.N) if state.step is None or J > state.step)
     vac = build_projectors(I, model.omega)
     G = local_hamiltonian(state, model, I, vac, controls.tol_od).matrix
     E = vacuum_energy(G, vac)
@@ -552,7 +559,7 @@ def per_source_transport(state, model, controls):
          else np.zeros((I.dim(model.M),) * 2, dtype=complex))
     U = unitary_exp(dense_generator(generator_series(G, E, vac, V, model.t, controls)))
     out = {}
-    for J in (Interval(*s) for s in iter_steps(model.N)):
+    for J in iter_steps(model.N):
         if J == I or not J.contains(I):
             continue
         UJ = np.kron(np.kron(np.eye(model.M ** (I.q - J.q)), U),
@@ -574,7 +581,7 @@ def assert_transport_matches_reference(state, model, controls):
     """One ``advance`` against ``per_source_transport``; returns the new state."""
     expected = per_source_transport(state, model, controls)
     state = advance(state, model, controls)
-    I = Interval(*state.step)
+    I = state.step
     containing = {J for J in state.potentials if J != I and J.contains(I)}
     assert containing == set(expected)
     for J, ref in expected.items():
@@ -599,7 +606,7 @@ class TestTransport:
     # I = {1, 2} or {1, 2, 3}, or to the left of I = {2, 3} or {2, 3, 4},
     # over one or two shared sites
     @pytest.mark.parametrize("before,supports", [
-        ((0, 4), [(1, 1), (1, 2)]),
+        (None, [(1, 1), (1, 2)]),
         ((1, 3), [(2, 1), (2, 2), (1, 3)]),
         ((1, 1), [(1, 1), (1, 2)]),
         ((2, 1), [(2, 1), (2, 2), (1, 1)]),
@@ -607,7 +614,7 @@ class TestTransport:
     @pytest.mark.parametrize("M", [2, 3])
     def test_interval_created_from_sources_alone(self, before, supports, M):
         model = non_basis_vacuum_model(4, M, 2, 0.04, seed=M)
-        state = BlockDiagState(StepIndex(*before),
+        state = BlockDiagState(before and Interval(*before),
                                {Interval(*iv): model.interactions[Interval(*iv)]
                                 for iv in supports})
         stored = set(state.potentials)
@@ -633,7 +640,7 @@ class TestSweep:
             model = random_chain_model(N, 1e-3, seed=N)
             final = sweep(model)
             assert len(final.diagnostics) == expected
-            assert final.step == StepIndex(N - 1, 1)
+            assert final.step == Interval(N - 1, 1)
 
     def test_anchor_ground_energy(self):
         model = anchor_model(0.1)
@@ -659,8 +666,8 @@ class TestSweep:
         model = anchor_model(0.5)
         with pytest.raises(SeriesError) as excinfo:
             sweep(model)
-        assert excinfo.value.step == StepIndex(1, 1)
-        assert excinfo.value.partial_state.step == StepIndex(0, 2)
+        assert excinfo.value.step == Interval(1, 1)
+        assert excinfo.value.partial_state.step is None
 
     def test_replaced_onsite_matrix_carries_its_own_vacuum(self):
         # the vacuum is derived from the on-site matrix, so a model with a
