@@ -117,7 +117,7 @@ def _load_chain(spec) -> ChainModel:
     for entry in _field(spec, "interactions", list, where):
         iv = _support(entry, "interaction")
         if iv in interactions:
-            raise ValidationError(f"interaction support [{iv.q}, {iv.last}] appears twice; "
+            raise ValidationError(f"interaction support {iv} appears twice; "
                                   "give one entry per support")
         interactions[iv] = _parse_matrix(_field(entry, "matrix", list, f"interaction on {iv}"),
                                          f"interaction on {iv}")
@@ -328,9 +328,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="model file (JSON)")
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--t", type=float, default=None, help="override coupling")
+    group.add_argument("--t", type=float, default=None,
+                       help="override coupling; write a negative one as --t=-1e-3")
     group.add_argument("--t-sweep", default=None,
-                       help="comma-separated couplings; emits one report per value")
+                       help="comma-separated couplings; emits one report per value; write a "
+                            "list that starts with a negative one as --t-sweep=-0.01,0.01")
     parser.add_argument("--jmax", type=int, default=SeriesControls.jmax)
     parser.add_argument("--tol-od", type=float, default=SeriesControls.tol_od)
     parser.add_argument("--tol-series", type=float, default=SeriesControls.tol_series)

@@ -20,6 +20,10 @@ class Interval(NamedTuple):
     k: int
     q: int
 
+    def __str__(self) -> str:
+        """The sites as a model file writes a support, ``[q, last]``."""
+        return f"[{self.q}, {self.last}]"
+
     @property
     def last(self) -> int:
         return self.q + self.k

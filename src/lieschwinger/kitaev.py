@@ -6,9 +6,10 @@ a = [[0, 1], [0, 0]].  Majorana components are gamma_B = c^dag + c and
 gamma_A = i (c^dag - c); the sign in gamma_A is fixed so that
 2 d^dag_j = gamma_{B,j} + i gamma_{A,j+1} expands to
 c_{j+1} - c^dag_{j+1} + c^dag_j + c_j, and the wrap-around zero mode is
-2 d^dag_0 = -c^dag_1 + c_1 + c^dag_N + c_N.  The modes (``d_mode_algebra``)
+2 d^dag_0 = -c^dag_1 + c_1 + c^dag_N + c_N.  The modes (``zero_sector_basis``)
 and the bond -i gamma_{B,j} gamma_{A,j+1} = (c^dag_j + c_j)(c^dag_{j+1} -
-c_{j+1}) are written in these expansions, with no Majorana operator formed.
+c_{j+1}) (``kitaev_hamiltonian``) are written in these expansions, with no
+Majorana operator formed.
 
 With these normal modes the sweet-spot Hamiltonian is a sum of number
 operators, sum_j (2 d^dag_j d_j - 1) over j = 1..N-1; the zero mode d_0
@@ -24,16 +25,16 @@ matrix on its own k+1 sites; a model parses, checks and stores m alone
 (``local_perturbation``, ``build_kitaev_model``).  Each monomial is a
 signed partial permutation of the occupation basis, read off by following
 every basis state through its factors (``_follow``), so a term is parsed
-without any fermion algebra; ``fermion_algebra`` writes its sparse
-annihilators the same way.
+without any fermion algebra.  ``_follow`` is the one place that turns c
+and c^dag into entries: the bond of H0 is parsed as four monomials, and
+each Majorana half of a mode is one signed permutation.
 
 A bulk term is restricted to the d_0-vacuum sector on its frame: k+3
 sites with the term on sites 2..k+2, where it is already the chain
-interaction on its k+2 d-modes.  One frame, one d-mode algebra and one
-zero-sector basis serve every bulk term of range k
-(``restricted_chain_model``).  The basis starts from the mode vacuum, the
-projection prod_j (1 - d^dag_j d_j) of a basis state, so the vacuum needs
-no eigensolver.  No zero-mode commutator is taken: a stored term is
+interaction on its k+2 d-modes.  One frame and one zero-sector basis
+serve every bulk term of range k (``restricted_chain_model``).  The basis
+starts from the mode vacuum, the projection prod_j (1 - d^dag_j d_j) of a
+basis state, so the vacuum needs no eigensolver.  No zero-mode commutator is taken: a stored term is
 exactly even, and an even operator commutes entry for entry with the odd
 d_0, made of sites 1 and N alone, whenever it acts on neither.
 
@@ -75,32 +76,6 @@ from .operators import dense_dim, op_norm, parity_sectors, require_hermitian
 from .oracle import DEGENERACY_TOL, ed_spectrum, levels
 
 
-@dataclass(frozen=True, eq=False)
-class FermionAlgebra:
-    """Annihilation operators c_1..c_N on the 2^N occupation basis."""
-
-    N: int
-    c: tuple
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.N
-
-    def cdag(self, j: int):
-        return self.c[j - 1].conj().T.tocsr()
-
-
-@dataclass(frozen=True, eq=False)
-class DModeAlgebra:
-    """Normal modes d_0..d_{N-1} and their creation operators; d_0 is the zero mode."""
-
-    d: tuple
-    dd: tuple
-
-    def ddag(self, j: int):
-        return self.dd[j]
-
-
 def fermion_sites(N: int) -> int:
     """N, checked as the length of a Kitaev chain: at least one site, and a
     fermion space 2^N under the dense guard, which the per-coupling checks
@@ -109,28 +84,6 @@ def fermion_sites(N: int) -> int:
         raise ValidationError(f"a Kitaev chain needs N >= 1 fermion sites, got N={N}")
     dense_dim(2, N, "fermion space")
     return N
-
-
-def fermion_algebra(N: int) -> FermionAlgebra:
-    """Jordan-Wigner annihilators, sparse, each written straight from its
-    signed partial permutation of the occupation basis (``_follow``)."""
-    fermion_sites(N)
-    cols = np.arange(2 ** N)
-    ops = []
-    for j in range(1, N + 1):
-        rows, amp = _follow([("c", j)], N, 1)
-        keep = amp != 0
-        ops.append(sparse.csr_matrix((amp[keep].astype(complex), (rows[keep], cols[keep])),
-                                     shape=(2 ** N,) * 2))
-    return FermionAlgebra(N, tuple(ops))
-
-
-def d_mode_algebra(alg: FermionAlgebra) -> DModeAlgebra:
-    # 2 d^dag_j = c^dag_j + c_j + c_{j+1} - c^dag_{j+1}; for j = 0, site 0 is site N
-    ddag = [0.5 * (alg.cdag(j) + alg.c[j - 1] + alg.c[j] - alg.cdag(j + 1))
-            for j in range(alg.N)]
-    d = tuple(m.conj().T.tocsr() for m in ddag)
-    return DModeAlgebra(d, tuple(m.conj().T.tocsr() for m in d))
 
 
 def _odd_table(n: int) -> np.ndarray:
@@ -165,8 +118,10 @@ def kitaev_hamiltonian(N: int) -> sparse.csr_matrix:
     """Sweet-spot Hamiltonian -i sum_j gamma_{B,j} gamma_{A,j+1}, sparse: the
     2-site bond matrix -i gamma_{B,1} gamma_{A,2} embedded on each bond.  The
     tests hold it equal to the number-operator form."""
-    alg = fermion_algebra(2)
-    bond = (alg.cdag(1) + alg.c[0]) @ (alg.cdag(2) - alg.c[1])  # -i gamma_{B,1} gamma_{A,2}
+    # -i gamma_{B,1} gamma_{A,2} = (c^dag_1 + c_1)(c^dag_2 - c_2), monomial by monomial
+    bond = perturbation_matrix([{"coeff": (sign, 0.0), "ops": [(a, 1), (b, 2)]}
+                                for sign, a, b in ((1.0, "cdag", "cdag"), (-1.0, "cdag", "c"),
+                                                   (1.0, "c", "cdag"), (-1.0, "c", "c"))], 2)
     return _embedded_sum([(Interval(1, j), bond) for j in range(1, N)], N)
 
 
@@ -335,36 +290,56 @@ def regroup_perturbations(N: int, perturbations):
     return bulk, boundary
 
 
-def zero_sector_basis(dmodes: DModeAlgebra) -> np.ndarray:
-    """Orthonormal columns spanning the d_0-vacuum sector.
+def _majorana_half(site: int, sign: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c_site + sign * c^dag_site) / 2 on n sites as one signed permutation
+    (rows, amp) of the occupation basis, as ``_follow`` reads it: both
+    factors flip the same bit, each on the basis states the other kills."""
+    rows, c = _follow([("c", site)], n, 1)
+    return rows, 0.5 * (c + sign * _follow([("cdag", site)], n, 1)[1])
 
-    The mode vacuum, the unique state annihilated by every d_j, is the
-    normalized image of e_0 + e_1 under the projection prod_j (1 - d^dag_j
-    d_j); its entries all tie in magnitude, so one of the two basis states
-    overlaps it.  The projection is even, so the vacuum and every column lie
-    in one parity sector and are exactly zero outside it.  Its phase makes
-    the first entry of at least half the largest magnitude real and positive
-    (the largest alone would leave the phase to rounding).  Column index
-    encodes occupations (n_1..n_{N-1}) with mode 1 as the most significant
-    bit; creation operators are applied highest mode first, so the basis
-    state reads ddag_1^{n_1} ... ddag_{N-1}^{n_{N-1}} vacuum.
+
+def _apply(halves, v: np.ndarray) -> np.ndarray:
+    """The sum of the signed permutations ``halves`` applied to each column
+    of v, with the sum taken entry by entry from zero, as a sparse product
+    takes it."""
+    out = np.zeros_like(v)
+    for rows, amp in halves:
+        out[rows] += amp[:, None] * v
+    return out
+
+
+def zero_sector_basis(n: int) -> np.ndarray:
+    """Orthonormal columns spanning the d_0-vacuum sector of n fermion sites.
+
+    Each mode is the sum of its two Majorana halves, each a signed
+    permutation of the occupation basis (``_majorana_half``):
+    2 d^dag_j = (c^dag_j + c_j) + (c_{j+1} - c^dag_{j+1}) and
+    2 d_j = (c_j + c^dag_j) - (c_{j+1} - c^dag_{j+1}), where site 0 means
+    site n.  The mode vacuum, the unique state annihilated by every d_j, is
+    the normalized image of e_0 + e_1 under the projection prod_j (1 -
+    d^dag_j d_j); its entries all tie in magnitude, so one of the two basis
+    states overlaps it.  The projection is even, so the vacuum and every
+    column lie in one parity sector and are exactly zero outside it.  Its
+    phase makes the first entry of at least half the largest magnitude real
+    and positive (the largest alone would leave the phase to rounding).
+    Column index encodes occupations (n_1..n_{n-1}) with mode 1 as the most
+    significant bit: the columns double, R = [R, d^dag_j R] for j = n-1 down
+    to 1, so creation operators are applied highest mode first and the
+    column reads ddag_1^{n_1} ... ddag_{n-1}^{n_{n-1}} vacuum.
     """
-    N = len(dmodes.d)
-    vac = np.zeros(2 ** N, dtype=complex)
+    modes = [(_majorana_half(j or n, 1.0, n), _majorana_half(j + 1, -1.0, n))
+             for j in range(n)]
+    vac = np.zeros((2 ** n, 1), dtype=complex)
     vac[:2] = 1.0
-    for j in range(N):
-        vac = vac - dmodes.ddag(j) @ (dmodes.d[j] @ vac)
+    for a, (rows, amp) in modes:
+        vac = vac - _apply([a, (rows, amp)], _apply([a, (rows, -amp)], vac))
     vac /= np.linalg.norm(vac)
-    pivot = vac[np.flatnonzero(np.abs(vac) >= 0.5 * np.abs(vac).max())[0]]
+    pivot = vac[np.flatnonzero(np.abs(vac) >= 0.5 * np.abs(vac).max())[0], 0]
     vac *= pivot.conjugate() / abs(pivot)
-    cols = []
-    for idx in range(2 ** (N - 1)):
-        w = vac
-        for j in range(N - 1, 0, -1):
-            if (idx >> (N - 1 - j)) & 1:
-                w = dmodes.ddag(j) @ w
-        cols.append(w)
-    return np.array(cols).T
+    R = vac
+    for ddag in modes[:0:-1]:
+        R = np.hstack([R, _apply(ddag, R)])
+    return R
 
 
 def restricted_chain_model(N: int, bulk, beta: float) -> ChainModel:
@@ -383,8 +358,7 @@ def restricted_chain_model(N: int, bulk, beta: float) -> ChainModel:
     """
     if not bulk:
         raise ValidationError("restriction needs at least one bulk term")
-    bases = {k: zero_sector_basis(d_mode_algebra(fermion_algebra(k + 3)))
-             for k in {iv.k for iv, _ in bulk}}
+    bases = {k: zero_sector_basis(k + 3) for k in {iv.k for iv, _ in bulk}}
     locals_ = {}
     for iv, mat in bulk:
         R, W = bases[iv.k], embed(mat, Interval(iv.k, 2), iv.k + 3)

@@ -263,10 +263,36 @@ def dense_spectrum(H) -> np.ndarray:
     return np.linalg.eigvalsh(H.toarray() if sparse.issparse(H) else H)
 
 
-def kron_fermion_algebra(N: int) -> kit.FermionAlgebra:
+@dataclass(frozen=True, eq=False)
+class FermionAlgebra:
+    """Annihilation operators c_1..c_N on the 2^N occupation basis, sparse."""
+
+    N: int
+    c: tuple
+
+    @property
+    def dim(self) -> int:
+        return 2 ** self.N
+
+    def cdag(self, j: int):
+        return self.c[j - 1].conj().T.tocsr()
+
+
+@dataclass(frozen=True, eq=False)
+class DModes:
+    """Normal modes d_0..d_{N-1} and their creation operators; d_0 is the zero mode."""
+
+    d: tuple
+    dd: tuple
+
+    def ddag(self, j: int):
+        return self.dd[j]
+
+
+def kron_fermion_algebra(N: int) -> FermionAlgebra:
     """Jordan-Wigner annihilators as Kronecker products of 2 x 2 factors: the
-    reference for ``kit.fermion_algebra``, which writes each one from its
-    signed partial permutation of the occupation basis."""
+    reference algebra, against which ``kit._follow``'s signed partial
+    permutations of the occupation basis are checked."""
     sz = sparse.csr_matrix(np.array([[1, 0], [0, -1]], dtype=complex))
     low = sparse.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
     eye2 = sparse.identity(2, dtype=complex, format="csr")
@@ -276,20 +302,30 @@ def kron_fermion_algebra(N: int) -> kit.FermionAlgebra:
         for l in range(1, N + 1):
             m = sparse.kron(m, sz if l < j else (low if l == j else eye2), format="csr")
         ops.append(m)
-    return kit.FermionAlgebra(N, tuple(ops))
+    return FermionAlgebra(N, tuple(ops))
 
 
-def majoranas(alg: kit.FermionAlgebra) -> tuple[list, list]:
+def d_modes(alg: FermionAlgebra) -> DModes:
+    """The normal modes of an algebra, sparse, from 2 d^dag_j = c^dag_j + c_j
+    + c_{j+1} - c^dag_{j+1}, site 0 being site N: the reference for the
+    Majorana halves of ``kit.zero_sector_basis``."""
+    ddag = [0.5 * (alg.cdag(j) + alg.c[j - 1] + alg.c[j] - alg.cdag(j + 1))
+            for j in range(alg.N)]
+    d = tuple(m.conj().T.tocsr() for m in ddag)
+    return DModes(d, tuple(m.conj().T.tocsr() for m in d))
+
+
+def majoranas(alg: FermionAlgebra) -> tuple[list, list]:
     """(gamma_A, gamma_B) lists indexed by site-1 offset, gamma_A = i (c^dag
-    - c) and gamma_B = c^dag + c: the reference for ``kit.d_mode_algebra``
-    and the bond of ``kit.kitaev_hamiltonian``, which are written in c and
-    c^dag directly."""
+    - c) and gamma_B = c^dag + c: the reference for ``d_modes`` and the bond
+    of ``kit.kitaev_hamiltonian``, which are written in c and c^dag
+    directly."""
     gA = [1j * (alg.cdag(j) - alg.c[j - 1]) for j in range(1, alg.N + 1)]
     gB = [alg.cdag(j) + alg.c[j - 1] for j in range(1, alg.N + 1)]
     return gA, gB
 
 
-def sparse_perturbation_matrix(alg: kit.FermionAlgebra, terms) -> sparse.csr_matrix:
+def sparse_perturbation_matrix(alg: FermionAlgebra, terms) -> sparse.csr_matrix:
     """File terms as products of the operators of an N-site algebra:
     the reference for ``kit.local_perturbation``, which parses a term on the
     sites of its support alone."""
@@ -320,14 +356,10 @@ def pencil(N: int, terms) -> kit.SectorPencil:
     return kit.SectorPencil(kit.sector_blocks(kit.kitaev_hamiltonian(N)), kit.sector_blocks(X))
 
 
-def dense_zero_sector_basis(dmodes: kit.DModeAlgebra) -> np.ndarray:
-    """``kit.zero_sector_basis`` from one ``eigh`` of the whole 2^N matrix
-    sum_j d^dag_j d_j, with the same phase rule and column order."""
+def _zero_sector_columns(dmodes: DModes, vac) -> np.ndarray:
+    """The zero-sector basis from its vacuum, one column at a time:
+    ddag_1^{n_1} ... ddag_{N-1}^{n_{N-1}} vac, highest mode applied first."""
     N = len(dmodes.d)
-    total = sum(dmodes.ddag(j) @ dmodes.d[j] for j in range(N)).toarray()
-    vac = np.linalg.eigh(total)[1][:, 0]
-    pivot = vac[np.flatnonzero(np.abs(vac) >= 0.5 * np.abs(vac).max())[0]]
-    vac = vac * (pivot.conjugate() / abs(pivot))
     cols = []
     for idx in range(2 ** (N - 1)):
         w = vac
@@ -338,13 +370,37 @@ def dense_zero_sector_basis(dmodes: kit.DModeAlgebra) -> np.ndarray:
     return np.array(cols).T
 
 
+def dense_zero_sector_basis(N: int) -> np.ndarray:
+    """``kit.zero_sector_basis`` from one ``eigh`` of the whole 2^N matrix
+    sum_j d^dag_j d_j, with the same phase rule and column order."""
+    dmodes = d_modes(kron_fermion_algebra(N))
+    total = sum(dmodes.ddag(j) @ dmodes.d[j] for j in range(N)).toarray()
+    vac = np.linalg.eigh(total)[1][:, 0]
+    pivot = vac[np.flatnonzero(np.abs(vac) >= 0.5 * np.abs(vac).max())[0]]
+    return _zero_sector_columns(dmodes, vac * (pivot.conjugate() / abs(pivot)))
+
+
+def sparse_zero_sector_basis(N: int) -> np.ndarray:
+    """``kit.zero_sector_basis`` with every mode a sparse matrix of the
+    reference algebra: the same projected vacuum, and each column built on
+    its own by sparse products instead of by doubling."""
+    dmodes = d_modes(kron_fermion_algebra(N))
+    vac = np.zeros(2 ** N, dtype=complex)
+    vac[:2] = 1.0
+    for j in range(N):
+        vac = vac - dmodes.ddag(j) @ (dmodes.d[j] @ vac)
+    vac /= np.linalg.norm(vac)
+    pivot = vac[np.flatnonzero(np.abs(vac) >= 0.5 * np.abs(vac).max())[0]]
+    return _zero_sector_columns(dmodes, vac * (pivot.conjugate() / abs(pivot)))
+
+
 def full_basis_restriction(N: int, bulk) -> dict:
     """Reference for ``kit.restricted_chain_model``'s interactions, before
     their common rescaling: each bulk term embedded in the 2^N space,
     restricted with the whole zero-sector basis R of the chain as one
     2^(N-1)-square R^dag W R, and cut back to its d-site interval after
     checking that it acts as the identity outside it."""
-    R = kit.zero_sector_basis(kit.d_mode_algebra(kit.fermion_algebra(N)))
+    R = kit.zero_sector_basis(N)
     chain = Interval(N - 2, 1)
     locals_ = {}
     for iv, mat in bulk:
@@ -382,7 +438,7 @@ def random_bulk_perturbation(N: int, seed: int = 0, site: int | None = None):
         site = int(rng.integers(2, N - 2)) if N > 4 else 2
     if not (2 <= site and site + 1 <= N - 1):
         raise ValidationError(f"interior nearest-neighbor site {site} invalid for N={N}")
-    alg = kit.fermion_algebra(2)
+    alg = kron_fermion_algebra(2)
     n_i = alg.cdag(1) @ alg.c[0]
     n_ip = alg.cdag(2) @ alg.c[1]
     hop = alg.cdag(1) @ alg.c[1]

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import (anchor_model, check_series_majorant, dense_generator, dense_spectrum,
-                      doubling_check, kitaev_spectrum_expected, projector_inequalities,
-                      random_bulk_perturbation, s_term_norms, solve_majorant)
+from conftest import (anchor_model, check_series_majorant, d_modes, dense_generator,
+                      dense_spectrum, doubling_check, kitaev_spectrum_expected,
+                      kron_fermion_algebra, projector_inequalities, random_bulk_perturbation,
+                      s_term_norms, solve_majorant)
 from lieschwinger import kitaev as kit
 from lieschwinger.certify import GapReport, certify
 from lieschwinger.intervals import Interval, iter_steps
@@ -224,8 +225,8 @@ def test_ac8_kitaev():
     # algebra identities
     from test_kitaev import car_defect
     for N in (3, 6, 10):
-        alg = kit.fermion_algebra(N)
-        dm = kit.d_mode_algebra(alg)
+        alg = kron_fermion_algebra(N)
+        dm = d_modes(alg)
         assert car_defect(list(alg.c)) <= 1e-12
         assert car_defect(list(dm.d)) <= 1e-12
         for j in range(1, N):

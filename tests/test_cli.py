@@ -195,6 +195,18 @@ class TestMain:
         for r in reports[:2]:
             assert all(row["ok"] for row in r["ledger"])
 
+    def test_negative_couplings_in_the_equals_form(self, demo_config, tmp_path):
+        # argparse takes "-1e-3" or "-0.001,0.001" after a space for a flag;
+        # the documented FLAG=VALUE form passes any negative coupling
+        out = tmp_path / "report.json"
+        assert main(["--config", str(demo_config), "--t-sweep=-0.001,0.001",
+                     "--report", str(out)]) == 0
+        reports = json.loads(out.read_text())
+        assert [r["status"] for r in reports] == ["ok", "ok"]
+        assert [r["controls"]["t"] for r in reports] == [-0.001, 0.001]
+        assert main(["--config", str(demo_config), "--t=-1e-3", "--report", str(out)]) == 0
+        assert json.loads(out.read_text())["controls"]["t"] == -0.001
+
     def test_determinism_modulo_timings(self, demo_config, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["--config", str(demo_config), "--seed", "5", "--report", str(out1)])
@@ -387,13 +399,13 @@ class TestBadInputs:
                      id="kitaev-coeff-integer-past-float"),
         # every term site must lie in its perturbation's declared support
         pytest.param(lambda p: _kitaev_file(p, N=6, supports=[(3, 3), (1, 2)], sites=[3, 4]),
-                     [], None, "Interval(k=1, q=1): fermion site 4 is outside sites [1, 2]",
+                     [], None, "perturbation on [1, 2]: fermion site 4 is outside sites [1, 2]",
                      id="kitaev-site-past-boundary-support"),
         pytest.param(lambda p: _kitaev_file(p, N=6, supports=[(3, 4)], sites=[6]), [], None,
-                     "Interval(k=1, q=3): fermion site 6 is outside sites [3, 4]",
+                     "perturbation on [3, 4]: fermion site 6 is outside sites [3, 4]",
                      id="kitaev-site-on-chain-end"),
         pytest.param(lambda p: _kitaev_file(p, N=6, supports=[(2, 3)], sites=[4]), [], None,
-                     "Interval(k=1, q=2): fermion site 4 is outside sites [2, 3]",
+                     "perturbation on [2, 3]: fermion site 4 is outside sites [2, 3]",
                      id="kitaev-site-past-bulk-support"),
         # a repeated support is rejected, never summed or overwritten
         pytest.param(_duplicate_support_file, [], None,
@@ -434,7 +446,7 @@ class TestBadInputs:
         assert code == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         error = json.loads(out.read_text())["error"]
-        assert error["message"] == "perturbation on Interval(k=0, q=3): coefficients must be finite"
+        assert error["message"] == "perturbation on [3, 3]: coefficients must be finite"
 
     def test_oversize_chain_fails_before_sweep(self, tmp_path):
         # 2**13 = 8192 exceeds the dense guard; the sweep would reach that

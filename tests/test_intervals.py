@@ -54,3 +54,10 @@ def test_interval_geometry():
     assert iv.contains(Interval(1, 4))
     assert not iv.contains(Interval(2, 4))
     assert iv.fits(5) and not iv.fits(4)
+
+
+def test_str_is_the_model_file_support_form():
+    # messages name a support as a model file writes it; repr keeps the fields
+    iv = Interval(1, 2)
+    assert str(iv) == f"{iv}" == "[2, 3]"
+    assert repr(iv) == "Interval(k=1, q=2)"

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import (dense_spectrum, dense_zero_sector_basis, doubling_check,
+from conftest import (d_modes, dense_spectrum, dense_zero_sector_basis, doubling_check,
                       full_basis_restriction, kitaev_spectrum_expected, kron_fermion_algebra,
                       majoranas, pencil, perturbed_full_hamiltonian, random_bulk_perturbation,
-                      sparse_perturbation_matrix)
+                      sparse_perturbation_matrix, sparse_zero_sector_basis)
 from lieschwinger import kitaev as kit
 from lieschwinger.cli import load_model, main
 from lieschwinger.errors import ValidationError
@@ -41,28 +41,34 @@ def car_defect(ops):
 class TestAlgebras:
     @pytest.mark.parametrize("N", [2, 4, 6])
     def test_car_small(self, N):
-        alg = kit.fermion_algebra(N)
+        alg = kron_fermion_algebra(N)
         assert car_defect(list(alg.c)) <= 1e-12
-        dmodes = kit.d_mode_algebra(alg)
+        dmodes = d_modes(alg)
         assert car_defect(list(dmodes.d)) <= 1e-12
 
     def test_car_large_chain(self):
-        alg = kit.fermion_algebra(10)
-        dmodes = kit.d_mode_algebra(alg)
+        alg = kron_fermion_algebra(10)
+        dmodes = d_modes(alg)
         assert car_defect(list(alg.c)) <= 1e-12
         assert car_defect(list(dmodes.d)) <= 1e-12
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_algebra_equals_kronecker_products(self, N):
-        # each annihilator, written from its signed partial permutation,
-        # equals sz^(j-1) (x) a (x) 1^(N-j) entry for entry
-        for got, want in zip(kit.fermion_algebra(N).c, kron_fermion_algebra(N).c):
-            assert np.array_equal(got.toarray(), want.toarray())
+        # each factor c_j and c^dag_j, read as a signed partial permutation
+        # of the occupation basis, equals its Kronecker product
+        # sz^(j-1) (x) a (x) 1^(N-j) or its adjoint entry for entry
+        alg = kron_fermion_algebra(N)
+        for j in range(1, N + 1):
+            for kind, want in (("c", alg.c[j - 1]), ("cdag", alg.cdag(j))):
+                rows, amp = kit._follow([(kind, j)], N, 1)
+                got = np.zeros((2 ** N,) * 2)
+                got[rows, np.arange(2 ** N)] = amp
+                assert np.array_equal(got, want.toarray())
 
     @pytest.mark.parametrize("N", [3, 5, 10])
     def test_inversion_identities(self, N):
-        alg = kit.fermion_algebra(N)
-        dm = kit.d_mode_algebra(alg)
+        alg = kron_fermion_algebra(N)
+        dm = d_modes(alg)
         for j in range(1, N):
             diff = alg.c[j - 1] - 0.5 * (dm.d[j] + dm.ddag(j) + dm.ddag(j - 1) - dm.d[j - 1])
             assert abs(diff.toarray()).max() <= 1e-12
@@ -73,8 +79,9 @@ class TestAlgebras:
     def test_modes_equal_the_majorana_form(self, N):
         # 2 d^dag_j = gamma_{B,j} + i gamma_{A,j+1}, with gamma_{B,0} the
         # site-N component, entry for entry
-        gA, gB = majoranas(kit.fermion_algebra(N))
-        dm = kit.d_mode_algebra(kit.fermion_algebra(N))
+        alg = kron_fermion_algebra(N)
+        gA, gB = majoranas(alg)
+        dm = d_modes(alg)
         for j in range(N):
             want = 0.5 * (gB[j - 1] + 1j * gA[j])
             assert np.array_equal(dm.ddag(j).toarray(), want.toarray())
@@ -82,8 +89,8 @@ class TestAlgebras:
 
     def test_zero_mode_wraparound_form(self):
         N = 4
-        alg = kit.fermion_algebra(N)
-        dm = kit.d_mode_algebra(alg)
+        alg = kron_fermion_algebra(N)
+        dm = d_modes(alg)
         expected = 0.5 * (-alg.cdag(1) + alg.c[0] + alg.cdag(N) + alg.c[N - 1])
         assert abs((dm.ddag(0) - expected).toarray()).max() <= 1e-12
 
@@ -107,7 +114,7 @@ class TestSweetSpotHamiltonian:
     def test_majorana_form_equals_number_operator_form(self, N):
         # H0 = sum_j (2 d^dag_j d_j - 1) over j = 1..N-1, in the N-site algebra
         H0 = kit.kitaev_hamiltonian(N)
-        dm = kit.d_mode_algebra(kit.fermion_algebra(N))
+        dm = d_modes(kron_fermion_algebra(N))
         eye = sparse.identity(2 ** N, dtype=complex, format="csr")
         modes = sum(2 * (dm.ddag(j) @ dm.d[j]) - eye for j in range(1, N))
         assert abs(H0 - modes).max() <= 1e-12
@@ -116,7 +123,7 @@ class TestSweetSpotHamiltonian:
     def test_bond_embedding_equals_n_site_majorana_form(self, N):
         # the 2-site bond matrix embedded on each bond is -i sum_j
         # gamma_{B,j} gamma_{A,j+1} of the N-site algebra entry for entry
-        gA, gB = majoranas(kit.fermion_algebra(N))
+        gA, gB = majoranas(kron_fermion_algebra(N))
         want = sum((-1j * (gB[j - 1] @ gA[j]) for j in range(1, N)),
                    sparse.csr_matrix((2 ** N,) * 2, dtype=complex))
         assert np.array_equal(kit.kitaev_hamiltonian(N).toarray(), want.toarray())
@@ -125,7 +132,7 @@ class TestSweetSpotHamiltonian:
         # oracle: the hopping+pairing Hamiltonian assembled from fermion
         # bilinears directly in this test
         N = 5
-        alg = kit.fermion_algebra(N)
+        alg = kron_fermion_algebra(N)
         H = sparse.csr_matrix((alg.dim, alg.dim), dtype=complex)
         for j in range(1, N):
             hop = alg.cdag(j) @ alg.c[j]  # c^dag_j c_{j+1}
@@ -144,7 +151,7 @@ class TestRegrouping:
         # c^dag_i c_i with interior i is bulk, restricts to d-sites
         # {i-1, i} and commutes with the zero mode
         N, i = 6, 3
-        local = kit.fermion_algebra(1)
+        local = kron_fermion_algebra(1)
         mat = local.cdag(1) @ local.c[0]
         model = kit.build_kitaev_model(N, 0.01, [(Interval(0, i), mat)])
         bulk, boundary = kit.regroup_perturbations(model.N, model.perturbations)
@@ -153,10 +160,10 @@ class TestRegrouping:
         assert iv == Interval(0, i)
         chain = kit.restricted_chain_model(N, bulk, 0.01)
         assert list(chain.interactions) == [Interval(1, i - 1)]  # edge count 0+1
-        alg = kit.fermion_algebra(N)
+        alg = kron_fermion_algebra(N)
         W = kit.embed(m, iv, N)
         assert np.array_equal(W.toarray(), (alg.cdag(i) @ alg.c[i - 1]).toarray())
-        dm = kit.d_mode_algebra(alg)
+        dm = d_modes(alg)
         comm = W @ dm.d[0] - dm.d[0] @ W
         assert abs(comm.toarray()).max() <= 1e-12
 
@@ -167,14 +174,14 @@ class TestRegrouping:
         model = kit.build_kitaev_model(N, 0.01, [(iv, mat)])
         bulk, boundary = kit.regroup_perturbations(model.N, model.perturbations)
         assert boundary == []
-        dm = kit.d_mode_algebra(kit.fermion_algebra(N))
+        dm = d_modes(kron_fermion_algebra(N))
         for iv, m in bulk:
             W = kit.embed(m, iv, N)
             assert abs((W @ dm.d[0] - dm.d[0] @ W).toarray()).max() <= 1e-12
 
     def test_edge_terms_classified_as_boundary(self):
         N = 5
-        local = kit.fermion_algebra(1)
+        local = kron_fermion_algebra(1)
         density = local.cdag(1) @ local.c[0]
         model = kit.build_kitaev_model(
             N, 0.01, [(Interval(0, 1), density), (Interval(0, N), density)]
@@ -184,7 +191,7 @@ class TestRegrouping:
 
     def test_odd_perturbation_rejected(self):
         N = 4
-        local = kit.fermion_algebra(1)
+        local = kron_fermion_algebra(1)
         odd = local.c[0] + local.cdag(1)
         with pytest.raises(ValidationError, match="even"):
             kit.build_kitaev_model(N, 0.01, [(Interval(0, 2), odd)])
@@ -205,7 +212,7 @@ class TestRegrouping:
         # validated as given, stored with the cross-parity entries dropped
         N = 5
         iv, even = random_bulk_perturbation(N, seed=5)
-        local = kit.fermion_algebra(iv.k + 1)
+        local = kron_fermion_algebra(iv.k + 1)
         odd = local.c[0] + local.cdag(1)
         model = kit.build_kitaev_model(N, 0.01, [(iv, even + 1e-11 * odd)])
         (_, stored), = model.perturbations
@@ -244,10 +251,10 @@ class TestParitySectors:
         A = rng.normal(size=(2 ** N,) * 2) + 1j * rng.normal(size=(2 ** N,) * 2)
         A = A + A.conj().T
         A[np.ix_(even_idx, odd_idx)] = A[np.ix_(odd_idx, even_idx)] = 0
-        alg = kit.fermion_algebra(N)
+        alg = kron_fermion_algebra(N)
         edge = alg.cdag(1) @ alg.c[0] + alg.cdag(N) @ alg.c[N - 1]
         hop = alg.cdag(1) @ alg.c[N - 1]
-        dm = kit.d_mode_algebra(alg)
+        dm = d_modes(alg)
         for X in (A, sparse.csr_matrix(A), 0 * A, edge + hop + hop.conj().T,
                   dm.ddag(0) @ dm.d[0]):
             H = H0 + 0.3 * X
@@ -272,15 +279,21 @@ class TestParitySectors:
         # the projected vacuum against one eigh of the whole 2^N matrix,
         # whose own rounding reaches 5e-15 at N = 10; every d_j annihilates
         # the projected one exactly
-        dm = kit.d_mode_algebra(kit.fermion_algebra(N))
-        R = kit.zero_sector_basis(dm)
-        assert np.max(np.abs(R - dense_zero_sector_basis(dm))) <= 1e-14
+        R = kit.zero_sector_basis(N)
+        assert np.max(np.abs(R - dense_zero_sector_basis(N))) <= 1e-14
+        dm = d_modes(kron_fermion_algebra(N))
         assert not any(np.any(d @ R[:, 0]) for d in dm.d)
         even_idx, odd_idx = popcount_sectors(N)
         for col in R.T:
             assert not np.any(col[even_idx]) or not np.any(col[odd_idx])
         assert np.max(np.abs(R.conj().T @ R - np.eye(2 ** (N - 1)))) <= 1e-15
 
+    @pytest.mark.parametrize("N", range(2, 11))
+    def test_zero_sector_basis_equals_the_sparse_route(self, N):
+        # the Majorana halves applied as signed permutations, the columns
+        # built by doubling, against sparse modes of the Kronecker algebra
+        # and one column at a time: the same arithmetic on each entry
+        assert np.array_equal(kit.zero_sector_basis(N), sparse_zero_sector_basis(N))
 
     @pytest.mark.parametrize("N", range(2, 8))
     def test_sector_columns_carry_r(self, N):
@@ -290,7 +303,7 @@ class TestParitySectors:
         # no entry across the d-mode parity, not even a rounding one: a
         # restricted chain splits into its two parity blocks
         rng = np.random.default_rng(N)
-        R = kit.zero_sector_basis(kit.d_mode_algebra(kit.fermion_algebra(N)))
+        R = kit.zero_sector_basis(N)
         rows = parity_sectors(N)
         cols = parity_sectors(N - 1)
         if not np.any(R[rows[0], 0]):  # the vacuum, column 0, is odd
@@ -331,7 +344,7 @@ class TestLocalReduction:
         # the parse on the whole 2^N algebra entry for entry, and the
         # restriction on the term's frame matches R^dag W R on the chain
         rng = np.random.default_rng(N)
-        alg = kit.fermion_algebra(N)
+        alg = kron_fermion_algebra(N)
         bulk = []
         for k in range(4):
             for q in range(2, N - k):
@@ -356,9 +369,9 @@ class TestLocalReduction:
         # k = 0..3 at every placement commutes with d_0 entry for entry, on
         # its frame and on the chain
         rng = np.random.default_rng(N)
-        d0 = kit.d_mode_algebra(kit.fermion_algebra(N)).d[0]
+        d0 = d_modes(kron_fermion_algebra(N)).d[0]
         for k in range(4):
-            frame_d0 = kit.d_mode_algebra(kit.fermion_algebra(k + 3)).d[0]
+            frame_d0 = d_modes(kron_fermion_algebra(k + 3)).d[0]
             for q in range(2, N - k):
                 iv = Interval(k, q)
                 model = kit.build_kitaev_model(
@@ -368,17 +381,17 @@ class TestLocalReduction:
                              (kit.embed(mat, iv, N), d0)):
                     assert abs(W @ d - d @ W).max() == 0.0, iv
 
-    def test_one_d_mode_algebra_per_range(self, tmp_path, monkeypatch):
+    def test_one_zero_sector_basis_per_range(self, tmp_path, monkeypatch):
         # two bulk terms of each range k = 0, 1, 2 and a boundary term: the
-        # reduction builds one frame algebra per range, and the regrouping
+        # reduction builds one frame basis per range, and the regrouping
         # none
-        d_mode_algebra, sizes = kit.d_mode_algebra, []
+        zero_sector_basis, sizes = kit.zero_sector_basis, []
 
-        def counted(alg):
-            sizes.append(alg.N)
-            return d_mode_algebra(alg)
+        def counted(n):
+            sizes.append(n)
+            return zero_sector_basis(n)
 
-        monkeypatch.setattr(kit, "d_mode_algebra", counted)
+        monkeypatch.setattr(kit, "zero_sector_basis", counted)
         rng = np.random.default_rng(0)
         supports = [(3, 3), (5, 5), (2, 3), (4, 5), (2, 4), (4, 6), (1, 2)]
         perts = [{"support": [q, last], "terms": random_even_terms(rng, Interval(last - q, q))}
@@ -401,10 +414,10 @@ class TestLocalReduction:
         N = 40
         zero_sector_basis = kit.zero_sector_basis
 
-        def frame_sized(dmodes):
-            if len(dmodes.d) > 4:
-                raise AssertionError(f"zero-sector basis of {len(dmodes.d)} modes")
-            return zero_sector_basis(dmodes)
+        def frame_sized(n):
+            if n > 4:
+                raise AssertionError(f"zero-sector basis of {n} modes")
+            return zero_sector_basis(n)
 
         monkeypatch.setattr(kit, "zero_sector_basis", frame_sized)
         bond = random_even_terms(np.random.default_rng(0), Interval(1, 1))
@@ -480,16 +493,17 @@ class TestCheckBlocks:
             assert block["doubling_ok"] is True
 
     def test_cli_run_builds_no_algebra_past_a_frame(self, tmp_path, monkeypatch):
-        # bond terms (k = 1) of a 9-site file: no algebra above the k+3 = 4
-        # sites of a frame is built at load, at reduction or per coupling
-        fermion_algebra = kit.fermion_algebra
+        # bond terms (k = 1) of a 9-site file: no fermion factor is read on
+        # more than the k+3 = 4 sites of a frame, at load, at reduction or
+        # per coupling
+        follow = kit._follow
 
-        def frame_sized(N):
-            if N > 4:
-                raise AssertionError(f"fermion algebra of {N} sites")
-            return fermion_algebra(N)
+        def frame_sized(ops, n, first):
+            if n > 4:
+                raise AssertionError(f"fermion factors read on {n} sites")
+            return follow(ops, n, first)
 
-        monkeypatch.setattr(kit, "fermion_algebra", frame_sized)
+        monkeypatch.setattr(kit, "_follow", frame_sized)
         rng = np.random.default_rng(3)
         perts = [{"support": [q, q + 1], "terms": random_even_terms(rng, Interval(1, q))}
                  for q in (1, *range(2, 8))]
@@ -545,8 +559,7 @@ class TestRestriction:
         bulk, _ = kit.regroup_perturbations(
             N, kit.build_kitaev_model(N, beta, [(iv, mat)]).perturbations)
         chain = kit.restricted_chain_model(N, bulk, beta)
-        dm = kit.d_mode_algebra(kit.fermion_algebra(N))
-        R = kit.zero_sector_basis(dm)
+        R = kit.zero_sector_basis(N)
         H = perturbed_full_hamiltonian(N, bulk, beta)
         np.testing.assert_allclose(
             ed_spectrum(chain), np.linalg.eigvalsh(R.conj().T @ H @ R), atol=1e-10
@@ -608,7 +621,7 @@ class TestDoubling:
         bulk = [random_bulk_perturbation(N, seed=0)]
         chain = kit.restricted_chain_model(N, bulk, 0.3)
         assert kit.doubling_check_terms(pencil(N, bulk), 0.3, chain)
-        dm = kit.d_mode_algebra(kit.fermion_algebra(N))
+        dm = d_modes(kron_fermion_algebra(N))
         bad = (Interval(N - 1, 1), dm.ddag(0) @ dm.d[0])
         assert not kit.doubling_check_terms(pencil(N, bulk + [bad]), 0.3, chain)
 
@@ -628,7 +641,7 @@ class TestBoundary:
         # while the rest stays an order-1 gap above
         N = 5
         beta = 0.01
-        alg = kit.fermion_algebra(N)
+        alg = kron_fermion_algebra(N)
         edge = alg.cdag(1) @ alg.c[0] + alg.cdag(N) @ alg.c[N - 1]
         hop = alg.cdag(1) @ alg.c[N - 1]
         perts = [
