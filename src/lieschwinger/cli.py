@@ -2,7 +2,7 @@
 (sweep, certify, compare) once per coupling, and report.
 
 A Kitaev file is handed to ``kitaev`` in one place, ``_load_kitaev``, which
-imports it and with it scipy; a chain-file run loads neither.
+imports it; a chain-file run does not.
 
 Reports serialize deterministically: keys are emitted in sorted order and
 floats with 17 significant digits, so identical inputs and flags reproduce
@@ -129,7 +129,7 @@ def _load_chain(spec) -> ChainModel:
 
 
 def _load_kitaev(block):
-    from . import kitaev as kit  # the one import of kitaev, and of scipy, in a run
+    from . import kitaev as kit  # the one import of kitaev in a run
 
     where = "kitaev block"
     N = kit.fermion_sites(_field(block, "N", int, where))  # 2^N under the guard, before any term

@@ -19,46 +19,48 @@ supported away from both chain ends stay zero-mode free and restrict to
 interval-supported terms of a standard chain model with on-site matrix
 diag(0, 2).
 
+Every operator here is written in one form, bit-flip keys
+(``FlipOperator``): each key s holds the entries m[a, a ^ s] as one
+amplitude vector over the basis states a.  A product of c / c^dag factors
+flips a fixed set of bits, so it lands on one key; ``_follow`` reads it
+off by following every basis state through its factors, and is the one
+place that turns c and c^dag into entries: the bond of H0 is parsed as four
+monomials, and each mode as four single factors.  A key of odd popcount
+holds the entries across fermion parity, which is diagonal in the
+occupation basis (``operators.parity_sectors``), and applying an operator
+is one gather per key (``_apply``).
+
 The reduction is local.  The Jordan-Wigner strings of an even monomial
 cancel, so a perturbation on c-sites {q..q+k} is 1 (x) m (x) 1 with m its
-matrix on its own k+1 sites; a model parses, checks and stores m alone
-(``local_perturbation``, ``build_kitaev_model``).  Each monomial is a
-signed partial permutation of the occupation basis, read off by following
-every basis state through its factors (``_follow``), so a term is parsed
-without any fermion algebra.  ``_follow`` is the one place that turns c
-and c^dag into entries: the bond of H0 is parsed as four monomials, and
-each Majorana half of a mode is one signed permutation.
+operator on its own k+1 sites; a model parses, checks and stores m alone
+(``local_perturbation``, ``build_kitaev_model``), with its odd keys
+dropped.
 
 A bulk term is restricted to the d_0-vacuum sector on its frame: k+3
 sites with the term on sites 2..k+2, where it is already the chain
 interaction on its k+2 d-modes.  One frame and one zero-sector basis
 serve every bulk term of range k (``restricted_chain_model``).  The basis
 starts from the mode vacuum, the projection prod_j (1 - d^dag_j d_j) of a
-basis state, so the vacuum needs no eigensolver.  No zero-mode commutator is taken: a stored term is
-exactly even, and an even operator commutes entry for entry with the odd
-d_0, made of sites 1 and N alone, whenever it acts on neither.
+basis state, so the vacuum needs no eigensolver.  No zero-mode commutator
+is taken: a stored term is exactly even, and an even operator commutes
+entry for entry with the odd d_0, made of sites 1 and N alone, whenever it
+acts on neither.
 
-No N-site algebra is built: the load only checks N against the dense
-guard (``fermion_sites``), and H0 is one 2-site bond matrix embedded on
-each bond (``kitaev_hamiltonian``), its Jordan-Wigner strings cancelling
-as a perturbation's do.
+No N-site algebra is built at load: it only checks N against the dense
+guard (``fermion_sites``), and H0 is one 2-site bond embedded on each
+bond (``kitaev_hamiltonian``), its Jordan-Wigner strings cancelling as a
+perturbation's do.
 
 ``KitaevModel.reduce`` runs once per file.  Besides the restricted chain
-it embeds every term in the 2^N space once (``embed``, sparse) and keeps
-the two fermion-parity blocks of H0, of the bulk sum and of the sum of all
-terms (``SectorPencil``).  ``KitaevReduction.at(beta)`` rescales the
-chain's t and runs the two spectral checks, ``doubling_check_terms`` and
-``boundary_gap_check``, on the two dense blocks of H0 + beta X, so a
-coupling embeds nothing and no dense 2^N block outlives it.
-
-Every operator here is even, so it commutes with the fermion parity,
-which is diagonal in the occupation basis (``operators.parity_sectors``),
-and each dense eigensolve runs on the two parity blocks, taken only after
-checking that no entry crosses parity.  Each column of the zero-sector
-basis R lies in one sector too, so R^dag W R of an even W, and with it the
-restricted chain, is exactly even in the d-mode parity.
-This is the one module that uses scipy, and the command line imports it
-only for a Kitaev file.
+it embeds every term in the 2^N space once (``embed``) and keeps H0, the
+bulk sum and the sum of all terms as keys (``SectorPencil``).
+``KitaevReduction.at(beta)`` rescales the chain's t and runs the two
+spectral checks, ``doubling_check_terms`` and ``boundary_gap_check``, on
+the two dense parity blocks of H0 + beta X, written key by key, so a
+coupling embeds nothing and no dense 2^N block outlives it.  Each column of
+the zero-sector basis R lies in one parity sector, so R^dag W R of an even
+W, and with it the restricted chain, is exactly even in the d-mode parity.
+The module, like the rest of the package, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -67,12 +69,11 @@ import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ValidationError
 from .intervals import Interval
 from .model import ChainModel, build_chain_model, validate_chain_model
-from .operators import dense_dim, op_norm, parity_sectors, require_hermitian
+from .operators import dense_dim, hermitian_rule, op_norm, parity_sectors
 from .oracle import DEGENERACY_TOL, ed_spectrum, levels
 
 
@@ -93,31 +94,72 @@ def _odd_table(n: int) -> np.ndarray:
     return table
 
 
-def _cross_parity(mat) -> tuple[sparse.coo_matrix, np.ndarray]:
-    """``mat`` as COO and the mask of its stored entries that change the parity."""
-    coo = sparse.coo_matrix(mat)
-    odd = _odd_table(coo.shape[0].bit_length() - 1)
-    return coo, odd[coo.row] != odd[coo.col]
+@dataclass(frozen=True, eq=False)
+class FlipOperator:
+    """An operator m on n fermion sites as bit-flip keys:
+    m[a, a ^ keys[i]] = amps[i, a] for every basis state a, so each key
+    holds one entry per row and two keys never share an entry."""
+
+    keys: np.ndarray  # distinct, ascending, int64
+    amps: np.ndarray  # (len(keys), 2^n), complex
+
+    @property
+    def dim(self) -> int:
+        return self.amps.shape[1]
+
+    @classmethod
+    def from_dense(cls, m: np.ndarray) -> FlipOperator:
+        """A square matrix of size 2^n grouped by a ^ b, keeping the keys
+        with an entry that is not zero."""
+        idx = np.arange(m.shape[0])
+        amps = m[idx, idx ^ idx[:, None]]  # row s: m[a, a ^ s]
+        keys = np.flatnonzero(np.any(amps != 0, axis=1))
+        return cls(keys, amps[keys])
+
+    def odd(self) -> np.ndarray:
+        """Mask of the keys of odd popcount, whose entries change the parity."""
+        return _odd_table(self.dim.bit_length() - 1)[self.keys]
 
 
-def embed(mat, iv: Interval, N: int) -> sparse.csr_matrix:
-    """1 (x) mat (x) 1 on N sites, sparse, for a matrix on the sites of
-    ``iv``: the term itself when it is even, since its Jordan-Wigner strings
-    cancel."""
-    left = sparse.identity(2 ** (iv.q - 1), dtype=complex, format="csr")
-    right = sparse.identity(2 ** (N - iv.last), dtype=complex, format="csr")
-    return sparse.kron(sparse.kron(left, mat), right, format="csr")
+def _summed(ops, dim: int) -> FlipOperator:
+    """The sum of operators on 2^n states, taken entry by entry from zero in
+    the order given, as a running sum of matrices takes it."""
+    acc = {}
+    for op in ops:
+        for s, amp in zip(op.keys.tolist(), op.amps):
+            acc[s] = acc.get(s, 0) + amp
+    keys = sorted(acc)
+    return FlipOperator(np.array(keys, dtype=np.int64),
+                        np.array([acc[s] for s in keys], dtype=complex).reshape(len(keys), dim))
 
 
-def _embedded_sum(terms, N: int) -> sparse.csr_matrix:
-    return sum((embed(mat, iv, N) for iv, mat in terms),
-               sparse.csr_matrix((2 ** N,) * 2, dtype=complex))
+def _apply(op: FlipOperator, v: np.ndarray) -> np.ndarray:
+    """op @ v for each column of v, one gather per key, with the sum taken
+    entry by entry from zero."""
+    idx = np.arange(op.dim)
+    out = np.zeros_like(v)
+    for s, amp in zip(op.keys, op.amps):
+        out += amp[:, None] * v[idx ^ s]
+    return out
 
 
-def kitaev_hamiltonian(N: int) -> sparse.csr_matrix:
-    """Sweet-spot Hamiltonian -i sum_j gamma_{B,j} gamma_{A,j+1}, sparse: the
-    2-site bond matrix -i gamma_{B,1} gamma_{A,2} embedded on each bond.  The
-    tests hold it equal to the number-operator form."""
+def embed(op: FlipOperator, iv: Interval, N: int) -> FlipOperator:
+    """1 (x) op (x) 1 on N sites for an operator on the sites of ``iv``: the
+    term itself when it is even, since its Jordan-Wigner strings cancel.
+    Each key moves to the term's bits, and each amplitude is read at the
+    term's part of the basis state."""
+    shift = N - iv.last
+    return FlipOperator(op.keys << shift, op.amps[:, (np.arange(2 ** N) >> shift) % op.dim])
+
+
+def _embedded_sum(terms, N: int) -> FlipOperator:
+    return _summed((embed(op, iv, N) for iv, op in terms), 2 ** N)
+
+
+def kitaev_hamiltonian(N: int) -> FlipOperator:
+    """Sweet-spot Hamiltonian -i sum_j gamma_{B,j} gamma_{A,j+1}: the 2-site
+    bond -i gamma_{B,1} gamma_{A,2} embedded on each bond.  The tests hold
+    it equal to the number-operator form."""
     # -i gamma_{B,1} gamma_{A,2} = (c^dag_1 + c_1)(c^dag_2 - c_2), monomial by monomial
     bond = perturbation_matrix([{"coeff": (sign, 0.0), "ops": [(a, 1), (b, 2)]}
                                 for sign, a, b in ((1.0, "cdag", "cdag"), (-1.0, "cdag", "c"),
@@ -127,28 +169,32 @@ def kitaev_hamiltonian(N: int) -> sparse.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class SectorPencil:
-    """H0 + beta X on the even and the odd fermion-parity sector: the sparse
-    blocks of H0 and of X (``sector_blocks``), split once, from which each
-    coupling forms the two dense blocks it diagonalizes."""
+    """H0 + beta X on the even and the odd fermion-parity sector, for two
+    even operators on N sites: each coupling writes the two dense blocks it
+    diagonalizes key by key.  A nonzero entry across the two sectors
+    raises ValidationError, so the blocks carry the whole operator."""
 
-    H0: tuple
-    X: tuple
+    H0: FlipOperator
+    X: FlipOperator
+
+    def __post_init__(self):
+        for op in (self.H0, self.X):
+            if np.any(op.amps[op.odd()] != 0):
+                raise ValidationError("operator is not even: it has entries across fermion parity")
 
     def spectrum(self, beta: float) -> np.ndarray:
         """Ascending spectrum of H0 + beta X, one eigvalsh per parity block."""
-        return np.sort(np.concatenate([np.linalg.eigvalsh((h + beta * x).toarray())
-                                       for h, x in zip(self.H0, self.X)]))
-
-
-def sector_blocks(H) -> tuple:
-    """The even and the odd parity block of an even operator, dense or
-    sparse, as sparse matrices; any nonzero entry across the two sectors
-    raises ValidationError, so the blocks carry the whole operator."""
-    coo, cross = _cross_parity(H)
-    if np.any(coo.data[cross] != 0):
-        raise ValidationError("operator is not even: it has entries across fermion parity")
-    H = coo.tocsr()
-    return tuple(H[idx][:, idx] for idx in parity_sectors(H.shape[0].bit_length() - 1))
+        pos = np.empty(self.H0.dim, dtype=np.int64)  # each state's place in its sector
+        spectra = []
+        for idx in parity_sectors(self.H0.dim.bit_length() - 1):
+            rows = pos[idx] = np.arange(idx.size)
+            block = np.zeros((idx.size,) * 2, dtype=complex)
+            for s, h in zip(self.H0.keys, self.H0.amps):
+                block[rows, pos[idx ^ s]] = h[idx]
+            for s, x in zip(self.X.keys, self.X.amps):
+                block[rows, pos[idx ^ s]] += beta * x[idx]
+            spectra.append(np.linalg.eigvalsh(block))
+        return np.sort(np.concatenate(spectra))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,20 +203,20 @@ class KitaevModel:
 
     N: int
     beta: float
-    perturbations: tuple  # of (Interval in c-site coordinates, sparse matrix on its sites)
+    perturbations: tuple  # of (Interval in c-site coordinates, FlipOperator on its sites)
 
     def reduce(self) -> KitaevReduction:
         """The part of a run that no coupling changes: the bulk/boundary
-        split, the restricted chain at this model's beta, and the parity
-        blocks the two checks read, with every term embedded once."""
+        split, the restricted chain at this model's beta, and the operators
+        the two checks read, with every term embedded once."""
         bulk, boundary = regroup_perturbations(self.N, self.perturbations)
         chain = restricted_chain_model(self.N, bulk, self.beta)
-        H0, X = sector_blocks(kitaev_hamiltonian(self.N)), _embedded_sum(bulk, self.N)
+        H0, X = kitaev_hamiltonian(self.N), _embedded_sum(bulk, self.N)
         full = None
         if boundary:
-            full = SectorPencil(H0, sector_blocks(X + _embedded_sum(boundary, self.N)))
+            full = SectorPencil(H0, _summed([X, _embedded_sum(boundary, self.N)], 2 ** self.N))
         return KitaevReduction(self, chain, tuple(bulk), tuple(boundary),
-                               SectorPencil(H0, sector_blocks(X)), full)
+                               SectorPencil(H0, X), full)
 
 
 def _follow(ops, n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,12 +236,24 @@ def _follow(ops, n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, amp
 
 
-def perturbation_matrix(terms, n: int, first: int = 1) -> sparse.csr_matrix:
+def _monomial_sum(monomials, n: int, first: int = 1) -> FlipOperator:
+    """Sum of coeff * (product of c / c^dag factors) over (coeff, ops) pairs
+    on the n sites from ``first``.  Every factor flips one bit, so each
+    monomial lands on the key of the bits it flips (rows[0] of ``_follow``),
+    and monomials on one key are summed entry by entry in the order given,
+    from zero, so no matrix is formed per term."""
+    def monomial(coeff, ops):
+        rows, amp = _follow(ops, n, first)  # m[a, a ^ s] is what state a ^ s goes to
+        return FlipOperator(rows[:1], (coeff * amp[rows])[None])
+
+    return _summed((monomial(coeff, ops) for coeff, ops in monomials), 2 ** n)
+
+
+def perturbation_matrix(terms, n: int, first: int = 1) -> FlipOperator:
     """Sum of coeff * monomial on the n sites from ``first``, each monomial a
     product of c / c^dag factors of even length, e.g. ops = [("cdag", 2),
-    ("c", 3)].  The entries of all monomials are gathered first and summed
-    per matrix entry in term order, so no matrix is formed per term."""
-    keys, values = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
+    ("c", 3)], checked before any is followed."""
+    monomials = []
     for term in terms:
         ops = term["ops"]
         if len(ops) % 2 != 0:
@@ -209,14 +267,8 @@ def perturbation_matrix(terms, n: int, first: int = 1) -> sparse.csr_matrix:
         coeff = complex(term["coeff"][0], term["coeff"][1])
         if not cmath.isfinite(coeff):  # before the product, which would warn on inf * 0
             raise ValidationError("coefficients must be finite")
-        rows, amp = _follow(ops, n, first)
-        cols = np.flatnonzero(amp)
-        keys.append(rows[cols] * 2 ** n + cols)
-        values.append(coeff * amp[cols])
-    entries, where = np.unique(np.concatenate(keys), return_inverse=True)
-    data = np.zeros(entries.shape[0], dtype=complex)
-    np.add.at(data, where, np.concatenate(values))  # in term order, as a running sum would
-    return sparse.csr_matrix((data, (entries // 2 ** n, entries % 2 ** n)), shape=(2 ** n,) * 2)
+        monomials.append((coeff, ops))
+    return _monomial_sum(monomials, n, first)
 
 
 def _check_support(iv: Interval, N: int) -> None:
@@ -224,9 +276,9 @@ def _check_support(iv: Interval, N: int) -> None:
         raise ValidationError(f"perturbation support {iv} does not fit {N} sites")
 
 
-def local_perturbation(iv: Interval, terms, N: int) -> sparse.csr_matrix:
-    """One perturbation of an N-site chain as a sparse matrix on the k+1
-    sites of its support ``iv``, which every site of ``terms`` must lie in."""
+def local_perturbation(iv: Interval, terms, N: int) -> FlipOperator:
+    """One perturbation of an N-site chain as an operator on the k+1 sites
+    of its support ``iv``, which every site of ``terms`` must lie in."""
     _check_support(iv, N)
     try:
         return perturbation_matrix(terms, iv.k + 1, first=iv.q)
@@ -237,14 +289,15 @@ def local_perturbation(iv: Interval, terms, N: int) -> sparse.csr_matrix:
 def build_kitaev_model(N: int, beta, perturbations, mu=0.0, tau=1.0,
                        delta=1.0) -> KitaevModel:
     """Validate the support, shape, finiteness, Hermiticity
-    (``operators.require_hermitian``) and parity-evenness of each
-    perturbation, a support and the sparse matrix on its sites.
+    (``operators.hermitian_rule``) and parity-evenness of each
+    perturbation, a support and the operator on its sites, as a
+    ``FlipOperator`` or a dense matrix (grouped into keys first).
 
     A perturbation is checked as given and then stored exactly even: its
-    entries across fermion parity, all within the evenness tolerance, are
-    dropped, as ``build_chain_model`` stores interactions exactly
-    Hermitian.  So every Hamiltonian formed from the model splits into its
-    two parity blocks.
+    odd keys, whose entries cross fermion parity and are all within the
+    evenness tolerance, are dropped, as ``build_chain_model`` stores
+    interactions exactly Hermitian.  So every Hamiltonian formed from the
+    model splits into its two parity blocks.
     H0 is the sweet-spot Hamiltonian with mu = 0 and tau = delta = 1, so any
     other mu, tau or delta is rejected.
     """
@@ -257,20 +310,25 @@ def build_kitaev_model(N: int, beta, perturbations, mu=0.0, tau=1.0,
     for iv, mat in perturbations:
         iv = Interval(*iv)
         _check_support(iv, N)
-        mat = sparse.csr_matrix(mat)
-        if mat.shape != (2 ** (iv.k + 1),) * 2:
-            raise ValidationError(f"perturbation on {iv}: matrix shape {mat.shape} does not "
+        keyed = isinstance(mat, FlipOperator)
+        shape = (mat.dim,) * 2 if keyed else np.shape(mat)
+        if shape != (2 ** (iv.k + 1),) * 2:
+            raise ValidationError(f"perturbation on {iv}: matrix shape {shape} does not "
                                   f"match its {iv.k + 1} sites")
-        if not np.all(np.isfinite(mat.data)):
+        if not keyed:
+            mat = FlipOperator.from_dense(np.asarray(mat, dtype=complex))
+        if not np.all(np.isfinite(mat.amps)):
             raise ValidationError(f"perturbation on {iv}: coefficients must be finite")
-        require_hermitian(mat, f"perturbation on {iv} is not Hermitian")
-        coo, cross = _cross_parity(mat)
+        # m^dag holds conj(m[a ^ s, a]) at [a, a ^ s]: on the same key, read at a ^ s
+        partner = np.take_along_axis(mat.amps, np.arange(mat.dim) ^ mat.keys[:, None], axis=1)
+        hermitian_rule(float(np.max(np.abs(mat.amps - partner.conj()), initial=0.0)),
+                       float(np.max(np.abs(mat.amps), initial=0.0)),
+                       f"perturbation on {iv} is not Hermitian")
+        odd = mat.odd()
         # the largest entry of [P, mat] for the parity P: twice the largest across parity
-        if 2 * np.max(np.abs(coo.data[cross]), initial=0.0) > 1e-9:
+        if 2 * np.max(np.abs(mat.amps[odd]), initial=0.0) > 1e-9:
             raise ValidationError(f"perturbation on {iv} is not even in fermion operators")
-        keep = ~cross
-        mat = sparse.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape)
-        checked.append((iv, mat))
+        checked.append((iv, FlipOperator(mat.keys[~odd], mat.amps[~odd])))
     return KitaevModel(N, float(beta), tuple(checked))
 
 
@@ -290,54 +348,39 @@ def regroup_perturbations(N: int, perturbations):
     return bulk, boundary
 
 
-def _majorana_half(site: int, sign: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c_site + sign * c^dag_site) / 2 on n sites as one signed permutation
-    (rows, amp) of the occupation basis, as ``_follow`` reads it: both
-    factors flip the same bit, each on the basis states the other kills."""
-    rows, c = _follow([("c", site)], n, 1)
-    return rows, 0.5 * (c + sign * _follow([("cdag", site)], n, 1)[1])
-
-
-def _apply(halves, v: np.ndarray) -> np.ndarray:
-    """The sum of the signed permutations ``halves`` applied to each column
-    of v, with the sum taken entry by entry from zero, as a sparse product
-    takes it."""
-    out = np.zeros_like(v)
-    for rows, amp in halves:
-        out[rows] += amp[:, None] * v
-    return out
-
-
 def zero_sector_basis(n: int) -> np.ndarray:
     """Orthonormal columns spanning the d_0-vacuum sector of n fermion sites.
 
-    Each mode is the sum of its two Majorana halves, each a signed
-    permutation of the occupation basis (``_majorana_half``):
+    Each mode is the sum of its two Majorana halves, four single factors:
     2 d^dag_j = (c^dag_j + c_j) + (c_{j+1} - c^dag_{j+1}) and
     2 d_j = (c_j + c^dag_j) - (c_{j+1} - c^dag_{j+1}), where site 0 means
-    site n.  The mode vacuum, the unique state annihilated by every d_j, is
-    the normalized image of e_0 + e_1 under the projection prod_j (1 -
-    d^dag_j d_j); its entries all tie in magnitude, so one of the two basis
-    states overlaps it.  The projection is even, so the vacuum and every
-    column lie in one parity sector and are exactly zero outside it.  Its
-    phase makes the first entry of at least half the largest magnitude real
-    and positive (the largest alone would leave the phase to rounding).
+    site n, each half on the key of its one site.  The mode vacuum, the
+    unique state annihilated by every d_j, is the normalized image of
+    e_0 + e_1 under the projection prod_j (1 - d^dag_j d_j); its entries all
+    tie in magnitude, so one of the two basis states overlaps it.  The
+    projection is even, so the vacuum and every column lie in one parity
+    sector and are exactly zero outside it.  Its phase makes the first
+    entry of at least half the largest magnitude real and positive (the
+    largest alone would leave the phase to rounding).
     Column index encodes occupations (n_1..n_{n-1}) with mode 1 as the most
     significant bit: the columns double, R = [R, d^dag_j R] for j = n-1 down
     to 1, so creation operators are applied highest mode first and the
     column reads ddag_1^{n_1} ... ddag_{n-1}^{n_{n-1}} vacuum.
     """
-    modes = [(_majorana_half(j or n, 1.0, n), _majorana_half(j + 1, -1.0, n))
-             for j in range(n)]
+    def mode(j, sign):  # d^dag_j for sign 1, d_j for sign -1
+        return _monomial_sum([(0.5, [("cdag", j or n)]), (0.5, [("c", j or n)]),
+                              (0.5 * sign, [("c", j + 1)]), (-0.5 * sign, [("cdag", j + 1)])], n)
+
+    ddags = [mode(j, 1.0) for j in range(n)]
     vac = np.zeros((2 ** n, 1), dtype=complex)
     vac[:2] = 1.0
-    for a, (rows, amp) in modes:
-        vac = vac - _apply([a, (rows, amp)], _apply([a, (rows, -amp)], vac))
+    for j, ddag in enumerate(ddags):
+        vac = vac - _apply(ddag, _apply(mode(j, -1.0), vac))
     vac /= np.linalg.norm(vac)
     pivot = vac[np.flatnonzero(np.abs(vac) >= 0.5 * np.abs(vac).max())[0], 0]
     vac *= pivot.conjugate() / abs(pivot)
     R = vac
-    for ddag in modes[:0:-1]:
+    for ddag in ddags[:0:-1]:
         R = np.hstack([R, _apply(ddag, R)])
     return R
 
@@ -350,7 +393,8 @@ def restricted_chain_model(N: int, bulk, beta: float) -> ChainModel:
     d-site interval with j+1 edges and left endpoint i-1: R^dag W R on the
     term's frame, j+3 sites with the term on sites 2..j+2 and one R per
     range j, whose j+2 d-modes are that interval's, so it is the same
-    matrix on any chain.  On-site matrix
+    matrix on any chain.  W R is one gather of R per key of W, with no
+    frame-sized matrix.  On-site matrix
     diag(0, 2) per mode; the unperturbed vacuum energy -(N-1) rides along
     as the model's energy offset.  Local interaction matrices are rescaled
     by their largest norm w (coupling beta * w) so every stored norm is at
@@ -361,9 +405,10 @@ def restricted_chain_model(N: int, bulk, beta: float) -> ChainModel:
     bases = {k: zero_sector_basis(k + 3) for k in {iv.k for iv, _ in bulk}}
     locals_ = {}
     for iv, mat in bulk:
-        R, W = bases[iv.k], embed(mat, Interval(iv.k, 2), iv.k + 3)
+        R = bases[iv.k]
+        WR = _apply(embed(mat, Interval(iv.k, 2), iv.k + 3), R)
         d_iv = Interval(iv.k + 1, iv.q - 1)
-        locals_[d_iv] = locals_.get(d_iv, 0) + R.conj().T @ (W @ R)
+        locals_[d_iv] = locals_.get(d_iv, 0) + R.conj().T @ WR
     # R^dag W R is Hermitian only to rounding; build_chain_model stores it exactly Hermitian
     scale = max(1.0, *(op_norm(m) for m in locals_.values()))
     interactions = {iv: m / scale for iv, m in locals_.items()}
@@ -378,9 +423,8 @@ def restricted_chain_model(N: int, bulk, beta: float) -> ChainModel:
 
 
 def doubling_check_terms(pencil: SectorPencil, beta: float, chain: ChainModel) -> bool:
-    """The spectrum of H0 + beta * (bulk terms), given as the parity blocks
-    of ``pencil``, is that of ``chain``, the restricted chain a run fits at
-    this beta, doubled to within DEGENERACY_TOL, and every level
+    """The spectrum of H0 + beta * (bulk terms), given as ``pencil``, is
+    that of ``chain``, the restricted chain a run fits at this beta, doubled to within DEGENERACY_TOL, and every level
     (``oracle.levels``) has even size.  The restricted spectrum is the
     oracle's (``oracle.ed_spectrum``), from the chain's own parity blocks."""
     full = pencil.spectrum(beta)
@@ -392,7 +436,7 @@ def doubling_check_terms(pencil: SectorPencil, beta: float, chain: ChainModel) -
 
 def boundary_gap_check(pencil: SectorPencil, beta: float) -> tuple[float, float]:
     """Ground-pair splitting and the gap above it for the full Hamiltonian
-    H0 + beta * (all terms), given as the parity blocks of ``pencil``.
+    H0 + beta * (all terms), given as ``pencil``.
 
     With boundary terms included, the doubly degenerate ground pair of the
     bulk Hamiltonian splits by an amount of order beta while the rest of the
@@ -408,7 +452,7 @@ def boundary_gap_check(pencil: SectorPencil, beta: float) -> tuple[float, float]
 @dataclass(frozen=True, eq=False)
 class KitaevReduction:
     """A Kitaev model reduced to its restricted chain, with its bulk and
-    boundary terms and the parity blocks that the per-coupling checks read:
+    boundary terms and the pencils that the per-coupling checks read:
     H0 + beta * (bulk terms) for the doubling check, and H0 + beta * (all
     terms) for the boundary check (None without boundary terms)."""
 

@@ -56,7 +56,7 @@ import numpy as np
 from .errors import DimensionError, EmbeddingError, GeneratorError, ValidationError
 from .intervals import Interval
 
-TOL_HERMITIAN = 1e-9  # a given matrix (``require_hermitian``)
+TOL_HERMITIAN = 1e-9  # a given matrix (``hermitian_rule``)
 TOL_GENERATOR = 1e-10  # a generator (``rotation_factors``, ``unitary_exp``)
 # Largest full-space dimension that any dense assembly or check may reach.
 DENSE_GUARD = 4096
@@ -104,11 +104,18 @@ def hermitian_defect(m) -> float:
 
 
 def require_hermitian(m, message: str) -> float:
-    """max|m - m^dag| of a square matrix, dense or sparse, if at most TOL_HERMITIAN
-    max(1, max|m|), else ValidationError(message); a non-finite entry fails."""
+    """max|m - m^dag| of a square matrix, dense or sparse, under
+    ``hermitian_rule``; a non-finite entry fails."""
     with np.errstate(invalid="ignore"):  # inf - inf in m - m^dag is nan, which fails below
         defect = hermitian_defect(m)
-    if not defect / max(1.0, float(abs(m).max())) <= TOL_HERMITIAN:
+    return hermitian_rule(defect, float(abs(m).max()), message)
+
+
+def hermitian_rule(defect: float, largest: float, message: str) -> float:
+    """``defect``, the max|m - m^dag| of an operator whose largest entry has
+    magnitude ``largest``, if at most TOL_HERMITIAN max(1, largest), else
+    ValidationError(message); a nan defect fails."""
+    if not defect / max(1.0, largest) <= TOL_HERMITIAN:
         raise ValidationError(f"{message} (|m - m^dag| = {defect:.3e})")
     return defect
 

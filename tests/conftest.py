@@ -257,10 +257,35 @@ def kitaev_spectrum_expected(N: int) -> np.ndarray:
     ))
 
 
+def csr(op) -> sparse.csr_matrix:
+    """An operator as a sparse matrix: the bit-flip keys of a
+    ``kit.FlipOperator`` written entry by entry, m[a, a ^ s] = amp_s[a]."""
+    if not isinstance(op, kit.FlipOperator):
+        return sparse.csr_matrix(op)
+    rows = np.tile(np.arange(op.dim), op.keys.size)
+    return sparse.csr_matrix((op.amps.ravel(), (rows, rows ^ np.repeat(op.keys, op.dim))),
+                             shape=(op.dim,) * 2)
+
+
+def dense(op) -> np.ndarray:
+    """An operator as a dense matrix, from key form (``csr``) or sparse."""
+    if isinstance(op, kit.FlipOperator) or sparse.issparse(op):
+        return csr(op).toarray()
+    return np.asarray(op)
+
+
+def kron_embed(mat, iv: Interval, N: int) -> sparse.csr_matrix:
+    """1 (x) mat (x) 1 on N sites as a sparse Kronecker product: the
+    reference for ``kit.embed``."""
+    left = sparse.identity(2 ** (iv.q - 1), dtype=complex, format="csr")
+    right = sparse.identity(2 ** (N - iv.last), dtype=complex, format="csr")
+    return sparse.kron(sparse.kron(left, csr(mat)), right, format="csr")
+
+
 def dense_spectrum(H) -> np.ndarray:
     """Spectrum of a fermion-space operator from one ``eigvalsh`` of the whole
     2^N matrix: the reference for the parity-block route of ``kitaev``."""
-    return np.linalg.eigvalsh(H.toarray() if sparse.issparse(H) else H)
+    return np.linalg.eigvalsh(dense(H))
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,22 +363,26 @@ def sparse_perturbation_matrix(alg: FermionAlgebra, terms) -> sparse.csr_matrix:
     return out.tocsr()
 
 
-def perturbed_full_hamiltonian(N: int, terms, beta: float) -> sparse.csr_matrix:
-    """H0 + beta * (sum of the terms embedded in the 2^N space), sparse, with
-    each term embedded on this call: the reference for the parity blocks
-    that ``KitaevModel.reduce`` keeps."""
-    H = kit.kitaev_hamiltonian(N)
+def perturbed_full_hamiltonian(N: int, terms, beta: float) -> np.ndarray:
+    """H0 + beta * (sum of the terms embedded in the 2^N space), dense, with
+    each term embedded by Kronecker products on this call: the reference for
+    the pencils that ``KitaevModel.reduce`` keeps."""
+    H = dense(kit.kitaev_hamiltonian(N))
     for iv, mat in terms:
-        H = H + beta * kit.embed(mat, iv, N)
+        H = H + beta * kron_embed(mat, iv, N).toarray()
     return H
 
 
+def keyed(mat) -> kit.FlipOperator:
+    """An operator in the key form of ``kitaev``, from a dense or sparse matrix."""
+    return mat if isinstance(mat, kit.FlipOperator) else kit.FlipOperator.from_dense(dense(mat))
+
+
 def pencil(N: int, terms) -> kit.SectorPencil:
-    """The parity blocks of H0 and of the sum of ``terms``, as
+    """H0 and the sum of ``terms``, each given in key form or as a matrix, as
     ``KitaevModel.reduce`` keeps them for its checks."""
-    X = sum((kit.embed(mat, iv, N) for iv, mat in terms),
-            sparse.csr_matrix((2 ** N,) * 2, dtype=complex))
-    return kit.SectorPencil(kit.sector_blocks(kit.kitaev_hamiltonian(N)), kit.sector_blocks(X))
+    X = kit._summed((kit.embed(keyed(mat), iv, N) for iv, mat in terms), 2 ** N)
+    return kit.SectorPencil(kit.kitaev_hamiltonian(N), X)
 
 
 def _zero_sector_columns(dmodes: DModes, vac) -> np.ndarray:
@@ -404,7 +433,7 @@ def full_basis_restriction(N: int, bulk) -> dict:
     chain = Interval(N - 2, 1)
     locals_ = {}
     for iv, mat in bulk:
-        W = R.conj().T @ (kit.embed(mat, iv, N) @ R)
+        W = R.conj().T @ (kron_embed(mat, iv, N) @ R)
         d_iv = Interval(iv.k + 1, iv.q - 1)
         stride = 2 ** (chain.last - d_iv.last)
         idx = [s * stride for s in range(2 ** (d_iv.k + 1))]
@@ -430,7 +459,7 @@ def doubling_check(model: kit.KitaevModel) -> bool:
 def random_bulk_perturbation(N: int, seed: int = 0, site: int | None = None):
     """Random even Hermitian nearest-neighbor term on interior sites.
 
-    Returns (support interval, sparse matrix on the support's two sites),
+    Returns (support interval, dense matrix on the support's two sites),
     suitable for KitaevModel.
     """
     rng = np.random.default_rng(seed)
@@ -450,7 +479,7 @@ def random_bulk_perturbation(N: int, seed: int = 0, site: int | None = None):
     ]
     coeffs = rng.normal(size=len(basis))
     mat = sum(c * b for c, b in zip(coeffs, basis))
-    return Interval(1, site), sparse.csr_matrix(mat)
+    return Interval(1, site), mat.toarray()
 
 
 # The paper's proof steps that no run reads, checked by the tests only.

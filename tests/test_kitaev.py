@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import (d_modes, dense_spectrum, dense_zero_sector_basis, doubling_check,
-                      full_basis_restriction, kitaev_spectrum_expected, kron_fermion_algebra,
-                      majoranas, pencil, perturbed_full_hamiltonian, random_bulk_perturbation,
-                      sparse_perturbation_matrix, sparse_zero_sector_basis)
+from conftest import (csr, d_modes, dense, dense_spectrum, dense_zero_sector_basis, doubling_check,
+                      full_basis_restriction, keyed, kitaev_spectrum_expected,
+                      kron_fermion_algebra, majoranas, pencil, perturbed_full_hamiltonian,
+                      random_bulk_perturbation, sparse_perturbation_matrix,
+                      sparse_zero_sector_basis)
 from lieschwinger import kitaev as kit
 from lieschwinger.cli import load_model, main
 from lieschwinger.errors import ValidationError
@@ -117,7 +118,7 @@ class TestSweetSpotHamiltonian:
         dm = d_modes(kron_fermion_algebra(N))
         eye = sparse.identity(2 ** N, dtype=complex, format="csr")
         modes = sum(2 * (dm.ddag(j) @ dm.d[j]) - eye for j in range(1, N))
-        assert abs(H0 - modes).max() <= 1e-12
+        assert np.abs(dense(H0) - dense(modes)).max() <= 1e-12
 
     @pytest.mark.parametrize("N", range(1, 10))
     def test_bond_embedding_equals_n_site_majorana_form(self, N):
@@ -126,7 +127,7 @@ class TestSweetSpotHamiltonian:
         gA, gB = majoranas(kron_fermion_algebra(N))
         want = sum((-1j * (gB[j - 1] @ gA[j]) for j in range(1, N)),
                    sparse.csr_matrix((2 ** N,) * 2, dtype=complex))
-        assert np.array_equal(kit.kitaev_hamiltonian(N).toarray(), want.toarray())
+        assert np.array_equal(dense(kit.kitaev_hamiltonian(N)), want.toarray())
 
     def test_quadratic_form_agrees_at_sweet_spot(self):
         # oracle: the hopping+pairing Hamiltonian assembled from fermion
@@ -138,7 +139,7 @@ class TestSweetSpotHamiltonian:
             hop = alg.cdag(j) @ alg.c[j]  # c^dag_j c_{j+1}
             pairing = alg.c[j - 1] @ alg.c[j]
             H = H - (hop + hop.conj().T + pairing + pairing.conj().T)
-        np.testing.assert_allclose(H.toarray(), kit.kitaev_hamiltonian(N).toarray(), atol=1e-12)
+        np.testing.assert_allclose(H.toarray(), dense(kit.kitaev_hamiltonian(N)), atol=1e-12)
 
 
 class TestRegrouping:
@@ -152,7 +153,7 @@ class TestRegrouping:
         # {i-1, i} and commutes with the zero mode
         N, i = 6, 3
         local = kron_fermion_algebra(1)
-        mat = local.cdag(1) @ local.c[0]
+        mat = (local.cdag(1) @ local.c[0]).toarray()
         model = kit.build_kitaev_model(N, 0.01, [(Interval(0, i), mat)])
         bulk, boundary = kit.regroup_perturbations(model.N, model.perturbations)
         assert boundary == []
@@ -161,11 +162,11 @@ class TestRegrouping:
         chain = kit.restricted_chain_model(N, bulk, 0.01)
         assert list(chain.interactions) == [Interval(1, i - 1)]  # edge count 0+1
         alg = kron_fermion_algebra(N)
-        W = kit.embed(m, iv, N)
-        assert np.array_equal(W.toarray(), (alg.cdag(i) @ alg.c[i - 1]).toarray())
-        dm = d_modes(alg)
-        comm = W @ dm.d[0] - dm.d[0] @ W
-        assert abs(comm.toarray()).max() <= 1e-12
+        W = dense(kit.embed(m, iv, N))
+        assert np.array_equal(W, (alg.cdag(i) @ alg.c[i - 1]).toarray())
+        d0 = d_modes(alg).d[0].toarray()
+        comm = W @ d0 - d0 @ W
+        assert abs(comm).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_bulk_commutes_with_zero_mode(self, seed):
@@ -174,15 +175,15 @@ class TestRegrouping:
         model = kit.build_kitaev_model(N, 0.01, [(iv, mat)])
         bulk, boundary = kit.regroup_perturbations(model.N, model.perturbations)
         assert boundary == []
-        dm = d_modes(kron_fermion_algebra(N))
+        d0 = d_modes(kron_fermion_algebra(N)).d[0].toarray()
         for iv, m in bulk:
-            W = kit.embed(m, iv, N)
-            assert abs((W @ dm.d[0] - dm.d[0] @ W).toarray()).max() <= 1e-12
+            W = dense(kit.embed(m, iv, N))
+            assert abs(W @ d0 - d0 @ W).max() <= 1e-12
 
     def test_edge_terms_classified_as_boundary(self):
         N = 5
         local = kron_fermion_algebra(1)
-        density = local.cdag(1) @ local.c[0]
+        density = (local.cdag(1) @ local.c[0]).toarray()
         model = kit.build_kitaev_model(
             N, 0.01, [(Interval(0, 1), density), (Interval(0, N), density)]
         )
@@ -192,16 +193,29 @@ class TestRegrouping:
     def test_odd_perturbation_rejected(self):
         N = 4
         local = kron_fermion_algebra(1)
-        odd = local.c[0] + local.cdag(1)
-        with pytest.raises(ValidationError, match="even"):
-            kit.build_kitaev_model(N, 0.01, [(Interval(0, 2), odd)])
+        odd = (local.c[0] + local.cdag(1)).toarray()
+        for mat in (odd, keyed(odd)):
+            with pytest.raises(ValidationError, match="even"):
+                kit.build_kitaev_model(N, 0.01, [(Interval(0, 2), mat)])
 
-    @pytest.mark.parametrize("defect,accepted", [(5e-9, True), (2e-8, False)])
-    def test_hermiticity_is_relative_to_the_entry_scale(self, defect, accepted):
-        # 10 n_3 on bulk sites 2..3, with a defect on an entry inside the even sector
+    @pytest.mark.parametrize("defect,accepted,form", [
+        pytest.param(defect, accepted, form, id=f"{defect}-{accepted}" + suffix)
+        for defect, accepted in ((5e-9, True), (2e-8, False), (9.9e-9, True), (1.01e-8, False))
+        for form, suffix in (("dense", ""), ("keys", "-keys"))])
+    def test_hermiticity_is_relative_to_the_entry_scale(self, defect, accepted, form):
+        # 10 n_3 on bulk sites 2..3, with a defect on an entry inside the even
+        # sector: the rule bounds the defect by 1e-8, and a dense matrix and
+        # the parsed key form of the same operator get the same decision
         mat = np.diag([0.0, 10.0, 0.0, 10.0]).astype(complex)
         mat[0, 3] += defect
-        perturbation = [(Interval(1, 2), sparse.csr_matrix(mat))]
+        if form == "keys":
+            # c_3 c_2 takes |11> to |00>: the defect entry
+            terms = [{"coeff": [10.0, 0.0], "ops": [("cdag", 3), ("c", 3)]},
+                     {"coeff": [defect, 0.0], "ops": [("c", 3), ("c", 2)]}]
+            keys = kit.local_perturbation(Interval(1, 2), terms, 5)
+            assert np.array_equal(dense(keys), mat)
+            mat = keys
+        perturbation = [(Interval(1, 2), mat)]
         if accepted:
             kit.build_kitaev_model(5, 0.01, perturbation)
             return
@@ -209,24 +223,42 @@ class TestRegrouping:
             kit.build_kitaev_model(5, 0.01, perturbation)
 
     def test_small_odd_admixture_is_stored_exactly_even(self):
-        # validated as given, stored with the cross-parity entries dropped
+        # validated as given, stored with the cross-parity entries dropped,
+        # from a dense matrix and from its key form alike
         N = 5
         iv, even = random_bulk_perturbation(N, seed=5)
         local = kron_fermion_algebra(iv.k + 1)
-        odd = local.c[0] + local.cdag(1)
-        model = kit.build_kitaev_model(N, 0.01, [(iv, even + 1e-11 * odd)])
-        (_, stored), = model.perturbations
-        dense = stored.toarray()
-        even_idx, odd_idx = popcount_sectors(iv.k + 1)
-        assert not np.any(dense[np.ix_(even_idx, odd_idx)])
-        assert not np.any(dense[np.ix_(odd_idx, even_idx)])
-        for idx in (even_idx, odd_idx):
-            block = np.ix_(idx, idx)
-            assert np.array_equal(dense[block], even.toarray()[block])
-        # so the parity blocks accept every Hamiltonian the model forms
-        pencil(N, model.perturbations).spectrum(0.01)
-        with pytest.raises(ValidationError, match="even"):
-            kit.build_kitaev_model(N, 0.01, [(iv, even + 1e-8 * odd)])
+        odd = (local.c[0] + local.cdag(1)).toarray()
+        for form in (np.asarray, keyed):
+            model = kit.build_kitaev_model(N, 0.01, [(iv, form(even + 1e-11 * odd))])
+            (_, stored), = model.perturbations
+            stored = dense(stored)
+            even_idx, odd_idx = popcount_sectors(iv.k + 1)
+            assert not np.any(stored[np.ix_(even_idx, odd_idx)])
+            assert not np.any(stored[np.ix_(odd_idx, even_idx)])
+            for idx in (even_idx, odd_idx):
+                block = np.ix_(idx, idx)
+                assert np.array_equal(stored[block], even[block])
+            # so the parity blocks accept every Hamiltonian the model forms
+            pencil(N, model.perturbations).spectrum(0.01)
+            with pytest.raises(ValidationError, match="even"):
+                kit.build_kitaev_model(N, 0.01, [(iv, form(even + 1e-8 * odd))])
+
+    @pytest.mark.parametrize("scale,accepted", [(0.49e-9, True), (0.51e-9, False)])
+    @pytest.mark.parametrize("form", ["dense", "keys"])
+    def test_evenness_bound_decides_alike_for_both_forms(self, scale, accepted, form):
+        # twice the largest entry across parity is held to 1e-9: an odd
+        # admixture just below and just above it, as a dense matrix and in
+        # key form
+        iv, even = random_bulk_perturbation(5, seed=5)
+        local = kron_fermion_algebra(iv.k + 1)
+        mat = even + scale * (local.c[0] + local.cdag(1)).toarray()
+        perturbation = [(iv, mat if form == "dense" else keyed(mat))]
+        if accepted:
+            kit.build_kitaev_model(5, 0.01, perturbation)
+            return
+        with pytest.raises(ValidationError, match="not even"):
+            kit.build_kitaev_model(5, 0.01, perturbation)
 
 
 def popcount_sectors(N):
@@ -255,24 +287,23 @@ class TestParitySectors:
         edge = alg.cdag(1) @ alg.c[0] + alg.cdag(N) @ alg.c[N - 1]
         hop = alg.cdag(1) @ alg.c[N - 1]
         dm = d_modes(alg)
-        for X in (A, sparse.csr_matrix(A), 0 * A, edge + hop + hop.conj().T,
-                  dm.ddag(0) @ dm.d[0]):
-            H = H0 + 0.3 * X
+        for X in (A, 0 * A, dense(edge + hop + hop.conj().T), dense(dm.ddag(0) @ dm.d[0])):
+            H = dense(H0) + 0.3 * X
             want = dense_spectrum(H)
             tol = 1e-12 * max(1.0, abs(want).max())
-            got = kit.SectorPencil(kit.sector_blocks(H0), kit.sector_blocks(X)).spectrum(0.3)
+            got = kit.SectorPencil(H0, keyed(X)).spectrum(0.3)
             assert np.max(np.abs(got - want)) <= tol
-            dense = H.toarray() if sparse.issparse(H) else np.asarray(H)
-            assert np.max(np.abs(parity_eigvalsh(dense) - want)) <= tol
+            assert np.max(np.abs(parity_eigvalsh(H) - want)) <= tol
 
     @pytest.mark.parametrize("entry", [1.0, 1e-300])
     def test_one_cross_parity_entry_is_rejected(self, entry):
-        H = kit.kitaev_hamiltonian(4).toarray()
+        H0 = kit.kitaev_hamiltonian(4)
+        H = dense(H0)
         H[0, 1] = entry  # index 0 is even, index 1 odd
         with pytest.raises(ValidationError, match="not even"):
-            kit.sector_blocks(H)
+            kit.SectorPencil(keyed(H), H0)
         with pytest.raises(ValidationError, match="not even"):
-            kit.sector_blocks(sparse.csr_matrix(H))
+            kit.SectorPencil(H0, keyed(H))
 
     @pytest.mark.parametrize("N", range(2, 11))
     def test_zero_sector_basis_matches_dense_reference(self, N):
@@ -351,8 +382,8 @@ class TestLocalReduction:
                 iv = Interval(k, q)
                 terms = random_even_terms(rng, iv)
                 mat = kit.local_perturbation(iv, terms, N)
-                assert mat.shape == (2 ** (k + 1),) * 2
-                assert np.array_equal(kit.embed(mat, iv, N).toarray(),
+                assert mat.dim == 2 ** (k + 1)
+                assert np.array_equal(dense(kit.embed(mat, iv, N)),
                                       sparse_perturbation_matrix(alg, terms).toarray())
                 bulk.append((iv, mat))
         chain = kit.restricted_chain_model(N, bulk, 0.01)
@@ -377,9 +408,39 @@ class TestLocalReduction:
                 model = kit.build_kitaev_model(
                     N, 0.01, [(iv, kit.local_perturbation(iv, random_even_terms(rng, iv), N))])
                 (_, mat), = model.perturbations
-                for W, d in ((kit.embed(mat, Interval(k, 2), k + 3), frame_d0),
-                             (kit.embed(mat, iv, N), d0)):
+                for W, d in ((csr(kit.embed(mat, Interval(k, 2), k + 3)), frame_d0),
+                             (csr(kit.embed(mat, iv, N)), d0)):
                     assert abs(W @ d - d @ W).max() == 0.0, iv
+
+    def test_wide_terms_match_the_kronecker_reference(self):
+        # a boundary term on the nine sites 2..10 of a 10-site chain, with a
+        # hop between its two ends, and a bulk term of range 3: each embedded
+        # local parse equals the parse on the whole 2^N Kronecker algebra
+        # entry for entry, and the bulk term's restriction on its frame
+        # matches R^dag W R on the chain
+        N = 10
+        rng = np.random.default_rng(N)
+        alg = kron_fermion_algebra(N)
+        perts = []
+        for iv in (Interval(8, 2), Interval(3, 4)):
+            terms = random_even_terms(rng, iv) + [
+                {"coeff": [0.3, 0.2], "ops": [["cdag", iv.q], ["c", iv.last]]},
+                {"coeff": [0.3, -0.2], "ops": [["cdag", iv.last], ["c", iv.q]]}]
+            mat = kit.local_perturbation(iv, terms, N)
+            assert np.array_equal(dense(kit.embed(mat, iv, N)),
+                                  sparse_perturbation_matrix(alg, terms).toarray()), iv
+            perts.append((iv, mat))
+        model = kit.build_kitaev_model(N, 0.01, perts)
+        bulk, boundary = kit.regroup_perturbations(N, model.perturbations)
+        assert [iv for iv, _ in bulk] == [Interval(3, 4)]
+        assert [iv for iv, _ in boundary] == [Interval(8, 2)]
+        chain = kit.restricted_chain_model(N, bulk, 0.01)
+        want = full_basis_restriction(N, bulk)
+        scale = max(1.0, *(np.max(np.abs(np.linalg.eigvalsh(m))) for m in want.values()))
+        assert chain.t == pytest.approx(0.01 * scale, rel=1e-14)
+        assert set(chain.interactions) == set(want) == {Interval(4, 3)}
+        for iv, op in chain.interactions.items():
+            assert np.max(np.abs(op.matrix - want[iv] / scale)) <= 1e-14, iv
 
     def test_one_zero_sector_basis_per_range(self, tmp_path, monkeypatch):
         # two bulk terms of each range k = 0, 1, 2 and a boundary term: the
@@ -618,7 +679,8 @@ class TestDoubling:
         # negative control: inject a term built from the zero mode directly
         # into the full side, next to the bulk term the chain restricts
         N = 4
-        bulk = [random_bulk_perturbation(N, seed=0)]
+        iv, mat = random_bulk_perturbation(N, seed=0)
+        bulk = [(iv, keyed(mat))]
         chain = kit.restricted_chain_model(N, bulk, 0.3)
         assert kit.doubling_check_terms(pencil(N, bulk), 0.3, chain)
         dm = d_modes(kron_fermion_algebra(N))
@@ -646,7 +708,7 @@ class TestBoundary:
         hop = alg.cdag(1) @ alg.c[N - 1]
         perts = [
             random_bulk_perturbation(N, seed=9),
-            (Interval(N - 1, 1), edge + hop + hop.conj().T),
+            (Interval(N - 1, 1), dense(edge + hop + hop.conj().T)),
         ]
         reduction = kit.build_kitaev_model(N, beta, perts).reduce()
         assert reduction.boundary

@@ -25,7 +25,7 @@ def test_submodules_are_not_shadowed():
 def test_cli_import_leaves_out_scipy_linalg(tmp_path):
     # scipy.linalg adds about 8 MB of resident memory to every run; the
     # sweep's linear algebra is numpy only
-    from test_cli import _assert_report_matches
+    from test_cli import GOLDEN, _assert_report_matches, golden_path, read_report
 
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
@@ -34,8 +34,9 @@ def test_cli_import_leaves_out_scipy_linalg(tmp_path):
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
 
-    # only a Kitaev file loads kitaev, and with it scipy: a chain-file run
-    # with scipy unimportable writes the golden report
+    # no run imports scipy: with it unimportable, a chain-file run writes
+    # the golden report without loading kitaev, and each golden Kitaev case
+    # writes its own
     report = tmp_path / "report.json"
     argv = ["--config", str(ROOT / "configs" / "anchor_n2.json"), "--report", str(report)]
     code = ("import sys; sys.modules['scipy'] = None\n"
@@ -48,6 +49,15 @@ def test_cli_import_leaves_out_scipy_linalg(tmp_path):
     del fresh["timings"]
     golden = json.loads((ROOT / "tests" / "data" / "anchor_n2_report.json").read_text())
     _assert_report_matches(fresh, golden)
+    for name, flags in [case for case in GOLDEN if case[0].startswith("kitaev")]:
+        argv = ["--config", str(ROOT / "configs" / f"{name}.json"), *flags, "--report", str(report)]
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "from lieschwinger.cli import main\n"
+                f"print(main({argv!r}))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "0", name
+        _assert_report_matches(read_report(report), read_report(golden_path(name, flags)), name)
 
 
 def _load_tracing():
