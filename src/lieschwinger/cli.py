@@ -6,7 +6,8 @@ imports it; a chain-file run does not.
 
 Reports serialize deterministically: keys are emitted in sorted order and
 floats with 17 significant digits, so identical inputs and flags reproduce
-byte-identical output apart from the "timings" section.
+byte-identical output apart from the "timings" section.  A report names its
+model by its scalars and ``seed_info`` (a file's sha256), not its matrices.
 
 Exit codes: 0 success, 2 validation or parse failure or a failed
 certification, 3 series not converged, 4 gap assumption violated, 1 an
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 import time
@@ -35,7 +37,8 @@ from .model import ChainModel, build_chain_model, validate_chain_model
 from .oracle import compare  # unused here; perfbench/tracing.py patches it on this module
 from .sweep import SeriesControls, sweep  # sweep: as for compare
 
-SPEC_VERSION = "1"
+MODEL_FILE_VERSION = "1"  # the "version" a model file must give
+REPORT_VERSION = "2"  # a report's "version": 2 dropped the model's matrices
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +54,6 @@ def _parse_matrix(rows, what: str) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"{what}: matrix must be square, got shape {mat.shape}")
     return mat
-
-
-def _matrix_to_json(mat: np.ndarray):
-    mat = np.asarray(mat, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
 
 
 _REQUIRED = object()
@@ -88,7 +86,8 @@ def _support(entry, where: str) -> Interval:
 
 
 def load_model(path):
-    """Parse and validate a model file; returns ChainModel or KitaevModel.
+    """Parse and validate a model file; returns ChainModel or KitaevModel,
+    whose ``seed_info`` holds the SHA-256 of the parsed file as canonical JSON.
 
     Every malformed or invalid file raises ValidationError naming the
     offending field.
@@ -103,14 +102,16 @@ def load_model(path):
         raise ValidationError(f"model file is not readable JSON: {err}") from err
     if not isinstance(spec, dict):
         raise ValidationError("model file must be a JSON object")
-    if spec.get("version") != SPEC_VERSION:
+    if spec.get("version") != MODEL_FILE_VERSION:
         raise ValidationError(f"unsupported model file version {spec.get('version')!r}")
+    canonical = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    seed_info = {"sha256": hashlib.sha256(canonical.encode()).hexdigest()}
     if "kitaev" in spec:
-        return _load_kitaev(spec["kitaev"])
-    return _load_chain(spec)
+        return _load_kitaev(spec["kitaev"], seed_info)
+    return _load_chain(spec, seed_info)
 
 
-def _load_chain(spec) -> ChainModel:
+def _load_chain(spec, seed_info) -> ChainModel:
     where = "model file"
     H = _parse_matrix(_field(spec, "H", list, where), "on-site matrix")
     interactions = {}
@@ -124,11 +125,11 @@ def _load_chain(spec) -> ChainModel:
     return build_chain_model(
         N=_field(spec, "N", int, where), M=_field(spec, "M", int, where), onsite=H,
         interactions=interactions, t=_field(spec, "t", _NUMBER, where),
-        kbar=_field(spec, "kbar", (int, type(None)), where, None),
+        kbar=_field(spec, "kbar", (int, type(None)), where, None), seed_info=seed_info,
     )
 
 
-def _load_kitaev(block):
+def _load_kitaev(block, seed_info):
     from . import kitaev as kit  # the one import of kitaev in a run
 
     where = "kitaev block"
@@ -144,7 +145,7 @@ def _load_kitaev(block):
     return kit.build_kitaev_model(
         N, beta=_field(block, "beta", _NUMBER, where), perturbations=perts,
         mu=_field(block, "mu", _NUMBER, where, 0.0), tau=_field(block, "tau", _NUMBER, where, 1.0),
-        delta=_field(block, "delta", _NUMBER, where, 1.0),
+        delta=_field(block, "delta", _NUMBER, where, 1.0), seed_info=seed_info,
     )
 
 
@@ -232,20 +233,14 @@ def _steps_json(state) -> list:
 def _model_echo(model: ChainModel) -> dict:
     return {
         "N": model.N, "M": model.M, "t": model.t, "kbar": model.kbar,
-        "energy_offset": model.energy_offset,
-        "H": _matrix_to_json(model.onsite),
-        "interactions": [
-            {"support": [iv.q, iv.last], "matrix": _matrix_to_json(op.matrix)}
-            for iv, op in sorted(model.interactions.items())
-        ],
-        "seed_info": {k: v for k, v in sorted(model.seed_info.items())},
+        "energy_offset": model.energy_offset, "seed_info": dict(model.seed_info),
     }
 
 
 def _report(model=None, controls=None, kitaev=None) -> dict:
     """A report with every key present, before any stage of a run has filled it."""
     return {
-        "version": SPEC_VERSION, "status": "ok", "error": None,
+        "version": REPORT_VERSION, "status": "ok", "error": None,
         "model": model, "controls": controls, "steps": [], "ledger": [],
         "gap_report": None, "oracle": None, "kitaev": kitaev, "timings": {},
     }
@@ -303,7 +298,8 @@ def run(model, controls: SeriesControls, oracle_policy: str = "auto",
             for e in est.report_.ledger
         ]
         report["gap_report"] = {key: getattr(est.report_, key) for key in
-                                ("ground_energy", "gap", "unique_ground", "od_residual")}
+                                ("ground_energy", "gap", "unique_ground", "od_residual",
+                                 "gap_lower_bound", "vacuum_energy_bound", "residual_term")}
     if est.comparison_ is not None:
         report["oracle"] = dataclasses.asdict(est.comparison_)
     report["timings"] = {**est.timings_, "total_s": time.perf_counter() - started}

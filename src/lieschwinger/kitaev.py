@@ -66,7 +66,7 @@ The module, like the rest of the package, needs numpy alone.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -204,13 +204,14 @@ class KitaevModel:
     N: int
     beta: float
     perturbations: tuple  # of (Interval in c-site coordinates, FlipOperator on its sites)
+    seed_info: dict = field(default_factory=dict)  # joins the restricted chain's seed_info
 
     def reduce(self) -> KitaevReduction:
         """The part of a run that no coupling changes: the bulk/boundary
         split, the restricted chain at this model's beta, and the operators
         the two checks read, with every term embedded once."""
         bulk, boundary = regroup_perturbations(self.N, self.perturbations)
-        chain = restricted_chain_model(self.N, bulk, self.beta)
+        chain = restricted_chain_model(self.N, bulk, self.beta, self.seed_info)
         H0, X = kitaev_hamiltonian(self.N), _embedded_sum(bulk, self.N)
         full = None
         if boundary:
@@ -287,7 +288,7 @@ def local_perturbation(iv: Interval, terms, N: int) -> FlipOperator:
 
 
 def build_kitaev_model(N: int, beta, perturbations, mu=0.0, tau=1.0,
-                       delta=1.0) -> KitaevModel:
+                       delta=1.0, seed_info=None) -> KitaevModel:
     """Validate the support, shape, finiteness, Hermiticity
     (``operators.hermitian_rule``) and parity-evenness of each
     perturbation, a support and the operator on its sites, as a
@@ -329,7 +330,7 @@ def build_kitaev_model(N: int, beta, perturbations, mu=0.0, tau=1.0,
         if 2 * np.max(np.abs(mat.amps[odd]), initial=0.0) > 1e-9:
             raise ValidationError(f"perturbation on {iv} is not even in fermion operators")
         checked.append((iv, FlipOperator(mat.keys[~odd], mat.amps[~odd])))
-    return KitaevModel(N, float(beta), tuple(checked))
+    return KitaevModel(N, float(beta), tuple(checked), dict(seed_info or {}))
 
 
 def regroup_perturbations(N: int, perturbations):
@@ -385,7 +386,7 @@ def zero_sector_basis(n: int) -> np.ndarray:
     return R
 
 
-def restricted_chain_model(N: int, bulk, beta: float) -> ChainModel:
+def restricted_chain_model(N: int, bulk, beta: float, seed_info=None) -> ChainModel:
     """Chain model for the perturbed Hamiltonian of an N-site Kitaev chain
     on the zero-mode vacuum sector.
 
@@ -398,7 +399,8 @@ def restricted_chain_model(N: int, bulk, beta: float) -> ChainModel:
     diag(0, 2) per mode; the unperturbed vacuum energy -(N-1) rides along
     as the model's energy offset.  Local interaction matrices are rescaled
     by their largest norm w (coupling beta * w) so every stored norm is at
-    most 1; the represented operator is unchanged.
+    most 1; the represented operator is unchanged.  ``seed_info`` joins
+    the chain's record of its source, beta and norm scale.
     """
     if not bulk:
         raise ValidationError("restriction needs at least one bulk term")
@@ -418,7 +420,7 @@ def restricted_chain_model(N: int, bulk, beta: float) -> ChainModel:
         kbar=max(iv.k for iv in interactions),
         energy_offset=-(N - 1),
         seed_info={"source": "kitaev-restriction", "beta": float(beta),
-                   "norm_scale": float(scale)},
+                   "norm_scale": float(scale), **(seed_info or {})},
     )
 
 

@@ -10,8 +10,9 @@ complement 1 - vac vac^dag is never given a basis, and ``excited_spectrum``
 reads the spectrum on it from one eigvalsh of G with the vacuum eigenvalue
 shifted above the rest.
 
-Hermitian spectra (``excited_spectrum``, ``op_norm`` and the oracle's) go
-through ``parity_eigvalsh``: a matrix of size 2^n, from 32 up, whose
+Hermitian spectra (``excited_spectrum``, ``spectral_range``, which
+``op_norm`` reads, and the oracle's) go through ``parity_eigvalsh``: a
+matrix of size 2^n, from 32 up, whose
 entries across the popcount-parity split of its basis indices
 (``parity_sectors``) are all exactly 0.0 is diagonalized as its two parity
 blocks, at half the size each.  A restricted Kitaev chain stays exactly even through the whole
@@ -197,15 +198,23 @@ def parity_eigvalsh(m: np.ndarray) -> np.ndarray:
                                    np.linalg.eigvalsh(blocked[h:, h:])]))
 
 
-def op_norm(op: LocalOperator | np.ndarray) -> float:
-    """Spectral norm (largest |eigenvalue|) of a matrix Hermitian by
-    ``require_hermitian``, read from its Hermitian part."""
+def spectral_range(op: LocalOperator | np.ndarray) -> tuple[float, float]:
+    """Lowest and highest eigenvalue of a matrix Hermitian by
+    ``require_hermitian``, read from its Hermitian part; (0, 0) if empty."""
     m = op.matrix if isinstance(op, LocalOperator) else np.asarray(op, dtype=complex)
     if m.size == 0:
-        return 0.0
+        return 0.0, 0.0
     defect = require_hermitian(m, "op_norm supports Hermitian matrices only")
     # eigvalsh reads one triangle, so an exactly Hermitian m needs no symmetrized copy
-    return float(np.max(np.abs(parity_eigvalsh(m if defect == 0.0 else (m + m.conj().T) / 2))))
+    evals = parity_eigvalsh(m if defect == 0.0 else (m + m.conj().T) / 2)
+    return float(evals[0]), float(evals[-1])
+
+
+def op_norm(op: LocalOperator | np.ndarray) -> float:
+    """Spectral norm (largest |eigenvalue|) of a Hermitian matrix, from its
+    ``spectral_range``."""
+    lo, hi = spectral_range(op)
+    return max(abs(lo), abs(hi))
 
 
 def build_projectors(interval: Interval, omega: np.ndarray) -> np.ndarray:

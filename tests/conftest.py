@@ -249,6 +249,30 @@ def anchor_model(t=0.1):
     )
 
 
+def ising_chain_model(N, t):
+    """The transverse-field Ising chain: on-site diag(0, 1) and t X (x) X on
+    every edge, the model of configs/tfim_n8.json."""
+    return build_chain_model(N, 2, np.diag([0.0, 1.0]),
+                             {Interval(1, q): np.kron(SX, SX) for q in range(1, N)}, t)
+
+
+def ising_bdg(N, t) -> tuple[float, float]:
+    """Exact ground energy and gap of ``ising_chain_model(N, t)`` from one
+    eigvalsh at 2N, with no 2^N space.
+
+    By Jordan-Wigner (open chain, so no boundary sector), diag(0, 1) is n_i
+    and X_i X_(i+1) is c+_i c_(i+1) + c+_i c+_(i+1) + h.c.: the quadratic form
+    with particle block A (1 on the diagonal, t beside it) and pairing block
+    B (t above the diagonal, -t below).  The Bogoliubov-de Gennes matrix
+    [[A, B], [-B, -A]] has eigenvalues +-eps_k, so the ground energy is
+    (tr A - sum eps_k) / 2 and the gap, one quasiparticle, is min eps_k
+    (Lieb, Schultz and Mattis, Ann. Phys. 16, 407 (1961))."""
+    A = np.eye(N) + t * (np.eye(N, k=1) + np.eye(N, k=-1))
+    B = t * (np.eye(N, k=1) - np.eye(N, k=-1))
+    eps = np.linalg.eigvalsh(np.block([[A, B], [-B, -A]]))[N:]
+    return float(np.trace(A) - eps.sum()) / 2, float(eps.min())
+
+
 def kitaev_spectrum_expected(N: int) -> np.ndarray:
     """{-(N-1) + 2m} with multiplicity 2 C(N-1, m): number operators plus doubling."""
     return np.sort(np.array(

@@ -1,17 +1,27 @@
+import importlib.util
+import json
 import sys
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (SX, anchor_model, check_series_majorant, excited_block_lower_bound,
+                      ising_bdg, ising_chain_model, non_basis_vacuum_model,
                       projector_inequalities, solve_majorant)
 from lieschwinger.certify import check_ledger, certify, decay_bound
+from lieschwinger.cli import emit, load_model, main, run
+from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.errors import ValidationError
 from lieschwinger.intervals import Interval
 from lieschwinger.model import build_chain_model, random_chain_model
 from lieschwinger.operators import build_projectors, op_norm
 from lieschwinger.sweep import SeriesControls, advance, generator_series, initial_state, local_hamiltonian, sweep
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestLedger:
@@ -193,3 +203,112 @@ class TestExcitedBlockBound:
             for interval in (Interval(2, 1), Interval(3, 1)):
                 lhs, rhs = excited_block_lower_bound(state, model, interval)
                 assert lhs >= rhs
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _assert_bound_below(gap_report, gap_ed, where=""):
+    assert gap_report["gap_lower_bound"] <= gap_report["gap"], where
+    assert gap_report["gap_lower_bound"] <= gap_ed, where
+
+
+class TestGapLowerBound:
+    # (N, t, M, kbar) of random_chain_model(..., seed=0), with the certified
+    # gap and the bound to five digits
+    @pytest.mark.parametrize("N,t,M,kbar,gap,bound", [
+        (6, 0.01, 2, 1, "0.98715", "0.98048"),
+        (9, 0.01, 2, 1, "0.98715", "0.98048"),
+        (9, 0.05, 2, 1, "0.93682", "0.89979"),
+        (8, 0.1, 2, 1, "0.87669", "0.79174"),
+        (6, 0.02, 3, 2, "0.98668", "0.89081"),
+        (7, 0.05, 2, 2, "0.90932", "0.73893"),
+        (9, 0.2, 2, 1, "0.76801", "0.54609"),
+    ])
+    def test_reproduces_the_table(self, N, t, M, kbar, gap, bound):
+        report = BlockDiagonalizer().fit(random_chain_model(N, t, M, kbar, seed=0)).report_
+        assert (f"{report.gap:.5f}", f"{report.gap_lower_bound:.5f}") == (gap, bound)
+
+    def test_reproduces_the_table_with_a_non_basis_vacuum(self):
+        report = BlockDiagonalizer().fit(non_basis_vacuum_model(5, 3, 2, 0.03, 1)).report_
+        assert (f"{report.gap:.5f}", f"{report.gap_lower_bound:.5f}") == ("0.97160", "0.85373")
+
+    # subnormal couplings are left out, as in the sweep's property test (ROADMAP D)
+    @settings(max_examples=10, deadline=None)
+    @given(N=st.integers(3, 6), M=st.sampled_from([2, 3]), kbar=st.sampled_from([1, 2]),
+           t=st.floats(-0.1, 0.1).filter(lambda t: t == 0.0 or abs(t) >= 1e-300),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_lies_below_the_gap(self, N, M, kbar, t, seed):
+        fitted = BlockDiagonalizer().fit(non_basis_vacuum_model(N, M, kbar, t, seed))
+        report = fitted.report_
+        assert report.gap_lower_bound <= report.gap
+        assert report.gap_lower_bound <= fitted.comparison_.gap_ed
+        E = report.ground_energy
+        assert abs(report.vacuum_energy_bound - E) <= 1e-14 * max(1.0, abs(E))
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_lies_below_the_gap_on_every_config(self, tmp_path, config):
+        out = tmp_path / "report.json"
+        assert main(["--config", str(config), "--report", str(out)]) == 0
+        report = json.loads(out.read_text())
+        _assert_bound_below(report["gap_report"], report["oracle"]["gap_ed"], config.stem)
+
+    def test_lies_below_the_gap_on_the_benchmark_inputs(self, tmp_path):
+        workloads = _load_workloads()
+        for model in (workloads.transport_inputs(0, False, tmp_path)
+                      + workloads.series_inputs(0, False, tmp_path)):
+            fitted = BlockDiagonalizer().fit(model)
+            assert fitted.report_.gap_lower_bound <= fitted.report_.gap
+            assert fitted.report_.gap_lower_bound <= fitted.comparison_.gap_ed
+        (item,) = workloads.kitaev_inputs(0, False, tmp_path)
+        assert len(item.couplings) == 4
+        assert main(["--config", str(item.config), "--report", str(item.report),
+                     "--t-sweep", ",".join(repr(t) for t in item.couplings)]) == 0
+        for report in json.loads(item.report.read_text()):
+            _assert_bound_below(report["gap_report"], report["oracle"]["gap_ed"],
+                                report["kitaev"]["beta"])
+
+    def test_below_the_exact_ising_gap(self):
+        # configs/tfim_n8.json against its free-fermion solution
+        model, ising = load_model(CONFIGS / "tfim_n8.json"), ising_chain_model(8, 0.2)
+        assert (model.N, model.t) == (ising.N, ising.t) and np.array_equal(model.onsite, ising.onsite)
+        assert model.interactions.keys() == ising.interactions.keys()
+        assert all(np.array_equal(op.matrix, ising.interactions[iv].matrix)
+                   for iv, op in model.interactions.items())
+        report = json.loads((Path(__file__).parent / "data" / "tfim_n8_report.json").read_text())
+        ground, gap = ising_bdg(8, 0.2)
+        assert report["gap_report"]["gap"] == pytest.approx(gap, abs=1e-13)
+        assert 0.0 < report["gap_report"]["gap_lower_bound"] < gap
+
+    def test_adds_no_eigensolve_above_the_onsite_dimension(self, monkeypatch):
+        # one fit of random_chain_model(9, 0.01, seed=0) made 174 eigvalsh
+        # and eigh calls above M = 2 before the bound; it adds one at M, for delta
+        model = random_chain_model(9, 0.01, seed=0)
+        sizes = []
+        for name in ("eigvalsh", "eigh"):
+            def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+                sizes.append(np.shape(a)[-1])
+                return _solve(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        BlockDiagonalizer().fit(model)
+        assert sum(size > model.M for size in sizes) == 174
+
+    def test_saturates_at_the_largest_float(self):
+        # two block-diagonal interactions at t = 1e308 meet on site 1, so
+        # |t| (c_[1,2] + c_[1,6]) = 2e308 lies past the float range
+        V16 = np.zeros((64, 64))
+        V16[63, 63] = 1.0
+        model = build_chain_model(6, 2, np.diag([0.0, 1.0]),
+                                  {Interval(5, 1): V16, Interval(1, 1): np.diag([0.0, 0.0, 1.0, 0.0])},
+                                  1e308, kbar=5)
+        report, code = run(model, SeriesControls())
+        assert code == 0
+        assert report["gap_report"]["gap_lower_bound"] == -sys.float_info.max
+        assert report["gap_report"]["residual_term"] == 0.0
+        assert json.loads(emit(report))["gap_report"]["gap_lower_bound"] == -sys.float_info.max

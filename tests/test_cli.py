@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import time
@@ -9,12 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_ENV, SX, matrix_json
+from conftest import GOLDEN_ENV, SX, anchor_model, matrix_json
 from lieschwinger import sweep as sweep_module
 from lieschwinger.cli import emit, load_model, main, run
 from lieschwinger.errors import ValidationError
 from lieschwinger.intervals import Interval
-from lieschwinger.model import ChainModel
+from lieschwinger.model import ChainModel, random_chain_model
 from lieschwinger.sweep import SeriesControls
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +94,83 @@ class TestLoadModel:
         model = load_model(path)
         assert isinstance(model, KitaevModel)
         assert model.N == 5 and model.beta == 0.01
+
+
+def _digest(path):
+    """seed_info.sha256 of the chain a run of ``path`` fits."""
+    model = load_model(path)
+    chain = model if isinstance(model, ChainModel) else model.reduce().at()[0]
+    return chain.seed_info["sha256"]
+
+
+def _keys_reversed(obj):
+    if isinstance(obj, dict):
+        return {key: _keys_reversed(obj[key]) for key in reversed(list(obj))}
+    if isinstance(obj, list):
+        return [_keys_reversed(item) for item in obj]
+    return obj
+
+
+class TestDigest:
+    # a model file's seed_info.sha256 is the SHA-256 of its parsed content
+    # as canonical JSON, the one name a report gives its matrices
+    @pytest.mark.parametrize("name", ["anchor_n2", "kitaev_n7"])
+    def test_is_the_canonical_json_of_the_parsed_file(self, name):
+        path = CONFIGS / f"{name}.json"
+        canonical = json.dumps(json.loads(path.read_text()), sort_keys=True, separators=(",", ":"))
+        assert _digest(path) == _digest(path) == hashlib.sha256(canonical.encode()).hexdigest()
+
+    @pytest.mark.parametrize("name", ["anchor_n2", "kitaev_n7"])
+    def test_survives_another_indent_and_key_order(self, tmp_path, name):
+        path, copy = CONFIGS / f"{name}.json", tmp_path / "copy.json"
+        copy.write_text(json.dumps(_keys_reversed(json.loads(path.read_text())), indent=7))
+        assert copy.read_text() != path.read_text()
+        assert _digest(copy) == _digest(path)
+
+    @pytest.mark.parametrize("change", [
+        lambda spec: spec.update(t=0.2),
+        lambda spec: spec["H"][1][1].__setitem__(0, 1.5),
+        lambda spec: spec["interactions"][0]["matrix"][0][0].__setitem__(0, 0.125),
+        lambda spec: spec.update(N=4),
+    ], ids=["t", "onsite entry", "interaction entry", "N"])
+    def test_changes_with_any_one_number(self, tmp_path, change):
+        spec = chain_spec(N=3, vnorm=0.5)
+        spec["interactions"] = spec["interactions"][1:]  # one interaction, on [2, 3]
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        before.write_text(json.dumps(spec))
+        change(spec)
+        after.write_text(json.dumps(spec))
+        assert _digest(after) != _digest(before)
+
+    @pytest.mark.parametrize("field,value", [("beta", 0.02), ("coeff", 0.25)])
+    def test_changes_with_a_kitaev_number(self, tmp_path, field, value):
+        (tmp_path / "before").mkdir()
+        before = _kitaev_file(tmp_path / "before", N=6)
+        after = _kitaev_file(tmp_path, N=6, **{field: value})
+        assert _digest(after) != _digest(before)
+
+    def test_reports_name_a_model_without_its_matrices(self, demo_config):
+        from_file, _ = run(load_model(demo_config), SeriesControls())
+        in_memory, _ = run(random_chain_model(3, 0.01, seed=4), SeriesControls())
+        built, _ = run(anchor_model(), SeriesControls())
+        for report in (from_file, in_memory, built):
+            assert report["version"] == "2"
+            assert sorted(report["model"]) == ["M", "N", "energy_offset", "kbar", "seed_info", "t"]
+        assert from_file["model"]["seed_info"] == {"sha256": _digest(demo_config)}
+        assert in_memory["model"]["seed_info"] == {"generator": "numpy.default_rng(PCG64)",
+                                                   "seed": 4}
+        assert built["model"]["seed_info"] == {}
+
+    def test_model_file_version_stays_one(self, tmp_path):
+        # the report moved to version 2; a model file that says so is rejected
+        spec = chain_spec()
+        spec["version"] = "2"
+        path, out = tmp_path / "m.json", tmp_path / "report.json"
+        path.write_text(json.dumps(spec))
+        assert main(["--config", str(path), "--report", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert report["error"]["type"] == "ValidationError" and "version" in report["error"]["message"]
+        assert report["version"] == "2"
 
 
 class TestRun:
@@ -284,10 +362,17 @@ class TestMain:
                 del rep["timings"]
             return found
 
+        def file_digest_left_out(found):
+            # files that differ in beta differ in the digest that names them
+            for rep in found:
+                del rep["model"]["seed_info"]["sha256"]
+            return found
+
         swept = reports(config(0.05), "--t-sweep", "0.01,0.03")
         assert swept == [reports(config(0.05), "--t", "0.01"),
                          reports(config(0.05), "--t", "0.03")]
-        assert swept == [reports(config(0.01)), reports(config(0.03))]
+        assert file_digest_left_out(swept) == file_digest_left_out(
+            [reports(config(0.01)), reports(config(0.03))])
         assert all("boundary_splitting" in rep["kitaev"] for rep in swept)
 
 
@@ -650,7 +735,7 @@ def _assert_report_matches(fresh, golden, where="report"):
 # (name, flags): the report of ``lieschwinger --config configs/<name>.json``
 # with these flags, with "timings" removed, is tests/data/<name>_report.json,
 # or <name>_report.csv under --format csv.  Replace a golden report only with
-# a change meant to move outputs.
+# a change meant to move outputs, by running tests/regenerate_golden.py.
 GOLDEN = (
     ("anchor_n2", ()),
     ("kitaev_n6", ()),
@@ -660,6 +745,7 @@ GOLDEN = (
     ("nonbasis_n5_m3_k2", ()),  # non_basis_vacuum_model(5, 3, 2, 0.03, 1): a complex vacuum
     # range-2 bulk term of norm 3 (norm_scale 3), a hopping term and a boundary density
     ("kitaev_n7", ("--t-sweep", "0.005,0.01,0.02")),
+    ("tfim_n8", ()),  # ising_chain_model(8, 0.2): the transverse-field Ising chain
     ("chain_n7_m2_k1", ("--format", "csv")),
 )
 
@@ -696,6 +782,13 @@ def test_report_matches_golden(tmp_path, name, flags):
     out = tmp_path / golden.name
     assert main(["--config", str(CONFIGS / f"{name}.json"), *flags, "--report", str(out)]) == 0
     _assert_report_matches(read_report(out), read_report(golden), name)
+
+
+def test_json_goldens_are_small():
+    # a report carries what the run computed, not the model's matrices
+    sizes = {path.name: path.stat().st_size for path in
+             (golden_path(name, flags) for name, flags in GOLDEN) if path.suffix == ".json"}
+    assert max(sizes.values()) < 20_000, sizes
 
 
 def test_ci_job_env_is_golden_env():

@@ -19,6 +19,7 @@ from lieschwinger.operators import (
     parity_sectors,
     require_hermitian,
     rotation_factors,
+    spectral_range,
     unitary_exp,
     vector_norm,
 )
@@ -118,6 +119,15 @@ class TestOpNorm:
             V = random_hermitian(rng, 6)
             sv = np.linalg.svd(V, compute_uv=False)
             assert op_norm(V) == pytest.approx(sv[0], rel=1e-12)
+
+    def test_is_the_larger_end_of_the_spectral_range(self, rng):
+        # the ledger reads both ends from one eigvalsh and must get op_norm's value
+        for shift in (-3.0, 0.0, 3.0):
+            V = random_hermitian(rng, 6) + shift * np.eye(6)
+            lo, hi = spectral_range(V)
+            evals = np.linalg.eigvalsh(V)
+            assert (lo, hi) == (evals[0], evals[-1])
+            assert op_norm(V) == float(np.max(np.abs(evals))) == max(abs(lo), abs(hi))
 
     def test_rejects_non_normal(self):
         with pytest.raises(ValidationError):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import SX, anchor_model, embed_full, non_basis_vacuum_model
+from conftest import SX, anchor_model, embed_full, ising_bdg, ising_chain_model, non_basis_vacuum_model
 from lieschwinger import estimator
 from lieschwinger.certify import certify
 from lieschwinger.errors import DimensionError
@@ -151,3 +151,14 @@ def test_offset_shifts_spectrum():
         t=0.1, energy_offset=-3.0,
     )
     np.testing.assert_allclose(ed_spectrum(shifted), ed_spectrum(base) - 3.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.3, -0.2])
+@pytest.mark.parametrize("N", [6, 8, 10])
+def test_ising_free_fermion_reference_matches_ed(N, t):
+    # conftest.ising_bdg, one eigvalsh at 2N, is exact at any N; here it
+    # meets the oracle's ground energy and gap
+    evals = ed_spectrum(ising_chain_model(N, t))
+    ground, gap = ising_bdg(N, t)
+    assert abs(ground - evals[0]) <= 1e-13
+    assert abs(gap - (evals[1] - evals[0])) <= 1e-13
