@@ -273,9 +273,9 @@ def _record_failure(report: dict, err: ChainError | MemoryError) -> int:
 
 
 def run(model, controls: SeriesControls, oracle_policy: str = "auto",
-        seed=None, kitaev_extra=None):
-    """Fit the pipeline to ``model`` and serialize every stage it reached;
-    returns (report dict, exit code)."""
+        seed=None, kitaev_extra=None, reduction=None):
+    """Fit the pipeline to ``model``, serialize every stage it reached and, after
+    the oracle, a Kitaev ``reduction``'s doubling check; returns (report, exit code)."""
     started = time.perf_counter()
     report = _report(
         model=_model_echo(model),
@@ -287,6 +287,8 @@ def run(model, controls: SeriesControls, oracle_policy: str = "auto",
     code = 0
     try:
         est.fit(model)
+        if reduction is not None and est.comparison_ is not None:
+            reduction.check_doubling(kitaev_extra, est.comparison_.spectrum)
     except _FAILURES as err:
         code = _record_failure(report, err)
     if est.state_ is not None:
@@ -301,7 +303,9 @@ def run(model, controls: SeriesControls, oracle_policy: str = "auto",
                                 ("ground_energy", "gap", "unique_ground", "od_residual",
                                  "gap_lower_bound", "vacuum_energy_bound", "residual_term")}
     if est.comparison_ is not None:
-        report["oracle"] = dataclasses.asdict(est.comparison_)
+        report["oracle"] = {key: getattr(est.comparison_, key) for key in
+                            ("spectrum_distance", "gap_ed", "ground_degeneracy",
+                             "blockwise_match", "ground_ed", "low_spectrum")}
     report["timings"] = {**est.timings_, "total_s": time.perf_counter() - started}
     return report, code
 
@@ -333,7 +337,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tol-od", type=float, default=SeriesControls.tol_od)
     parser.add_argument("--tol-series", type=float, default=SeriesControls.tol_series)
     parser.add_argument("--gap-min", type=float, default=SeriesControls.gap_min)
-    parser.add_argument("--oracle", choices=ORACLE_POLICIES, default="auto")
+    parser.add_argument("--oracle", choices=ORACLE_POLICIES, default="auto",
+                        help="exact-diagonalization checks: compare, doubling_ok; off runs none")
     parser.add_argument("--report", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--seed", type=int, default=None,
@@ -380,7 +385,8 @@ def main(argv=None) -> int:
             report = _report(controls={"t": t_value if finite else None})
             code = _record_failure(report, err)
         else:
-            report, code = run(model, controls, args.oracle, args.seed, kitaev_extra)
+            report, code = run(model, controls, args.oracle, args.seed, kitaev_extra,
+                               None if kitaev_extra is None else source)
         reports.append(report)
         worst = worst or code
     return emit_out(reports if len(reports) > 1 else reports[0], worst)

@@ -54,9 +54,9 @@ perturbation's do.
 ``KitaevModel.reduce`` runs once per file.  Besides the restricted chain
 it embeds every term in the 2^N space once (``embed``) and keeps H0, the
 bulk sum and the sum of all terms as keys (``SectorPencil``).
-``KitaevReduction.at(beta)`` rescales the chain's t and runs the two
-spectral checks, ``doubling_check_terms`` and ``boundary_gap_check``, on
-the two dense parity blocks of H0 + beta X, written key by key, so a
+``KitaevReduction.at(beta)`` rescales the chain's t and runs the boundary
+check; ``check_doubling`` runs after the oracle, on its restricted spectrum.
+Both read the two dense parity blocks of H0 + beta X, written key by key, so a
 coupling embeds nothing and no dense 2^N block outlives it.  Each column of
 the zero-sector basis R lies in one parity sector, so R^dag W R of an even
 W, and with it the restricted chain, is exactly even in the d-mode parity.
@@ -74,7 +74,7 @@ from .errors import ValidationError
 from .intervals import Interval
 from .model import ChainModel, build_chain_model, validate_chain_model
 from .operators import dense_dim, hermitian_rule, op_norm, parity_sectors
-from .oracle import DEGENERACY_TOL, ed_spectrum, levels
+from .oracle import DEGENERACY_TOL, levels
 
 
 def fermion_sites(N: int) -> int:
@@ -424,13 +424,12 @@ def restricted_chain_model(N: int, bulk, beta: float, seed_info=None) -> ChainMo
     )
 
 
-def doubling_check_terms(pencil: SectorPencil, beta: float, chain: ChainModel) -> bool:
+def doubling_check_terms(pencil: SectorPencil, beta: float, restricted: np.ndarray) -> bool:
     """The spectrum of H0 + beta * (bulk terms), given as ``pencil``, is
-    that of ``chain``, the restricted chain a run fits at this beta, doubled to within DEGENERACY_TOL, and every level
-    (``oracle.levels``) has even size.  The restricted spectrum is the
-    oracle's (``oracle.ed_spectrum``), from the chain's own parity blocks."""
+    ``restricted``, the ascending spectrum of the restricted chain at this
+    beta (``OracleComparison.spectrum``), doubled to within DEGENERACY_TOL,
+    and every level (``oracle.levels``) has even size."""
     full = pencil.spectrum(beta)
-    restricted = ed_spectrum(chain)
     doubled = np.sort(np.concatenate([restricted, restricted]))
     return (float(np.max(np.abs(full - doubled))) <= DEGENERACY_TOL
             and all(size % 2 == 0 for size in levels(full)))
@@ -476,11 +475,14 @@ class KitaevReduction:
         block = {
             "N_fermion": self.model.N, "beta": beta,
             "bulk_terms": len(self.bulk), "boundary_terms": len(self.boundary),
-            "norm_scale": scale,
-            "doubling_ok": doubling_check_terms(self.doubling, beta, chain),
+            "norm_scale": scale, "doubling_ok": None,  # set by check_doubling
         }
         if self.full is not None:
             splitting, gap_above = boundary_gap_check(self.full, beta)
             block["boundary_splitting"] = splitting
             block["boundary_gap_above_pair"] = gap_above
         return chain, block
+
+    def check_doubling(self, block: dict, restricted: np.ndarray) -> None:
+        """``doubling_ok`` of a block from ``at``, on the oracle's restricted spectrum."""
+        block["doubling_ok"] = doubling_check_terms(self.doubling, block["beta"], restricted)

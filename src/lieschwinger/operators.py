@@ -105,8 +105,8 @@ def hermitian_defect(m) -> float:
 
 
 def require_hermitian(m, message: str) -> float:
-    """max|m - m^dag| of a square matrix, dense or sparse, under
-    ``hermitian_rule``; a non-finite entry fails."""
+    """max|m - m^dag| of a square numpy matrix under ``hermitian_rule``; a
+    non-finite entry fails."""
     with np.errstate(invalid="ignore"):  # inf - inf in m - m^dag is nan, which fails below
         defect = hermitian_defect(m)
     return hermitian_rule(defect, float(abs(m).max()), message)

@@ -23,13 +23,14 @@ from .sweep import SeriesControls
 DEGENERACY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleComparison:
     spectrum_distance: float
     gap_ed: float
     ground_degeneracy: int
     blockwise_match: bool
     ground_ed: float
+    spectrum: np.ndarray  # the whole ascending ED spectrum, for the Kitaev doubling check
     low_spectrum: tuple[float, ...] = ()  # lowest eigenvalue cluster, for audit
 
 
@@ -99,5 +100,6 @@ def compare(report: GapReport, model: ChainModel,
         ground_degeneracy=deg,
         blockwise_match=abs(report.ground_energy - float(evals_ed[0])) <= tol_od,
         ground_ed=float(evals_ed[0]),
+        spectrum=evals_ed,
         low_spectrum=tuple(float(v) for v in evals_ed[: max(deg + 2, 4)]),
     )

@@ -26,6 +26,7 @@ from lieschwinger.intervals import Interval  # noqa: E402
 from lieschwinger.model import ChainModel  # noqa: E402
 from lieschwinger.operators import (  # noqa: E402
     LocalOperator, build_projectors, dense_dim, embed, excited_spectrum, op_norm)
+from lieschwinger.oracle import ed_spectrum  # noqa: E402
 from lieschwinger.sweep import (  # noqa: E402
     BlockDiagState, SeriesControls, local_hamiltonian, vacuum_energy)
 
@@ -273,6 +274,69 @@ def ising_bdg(N, t) -> tuple[float, float]:
     return float(np.trace(A) - eps.sum()) / 2, float(eps.min())
 
 
+def quadratic_kitaev_block(N: int, beta: float, seed: int, far_end: bool = False) -> dict:
+    """The "kitaev" block of a model file whose perturbations are all
+    quadratic: on each bond [q, q+1] for q = 2..N-2 and on the boundary bond
+    [1, 2] (and [N-1, N] with ``far_end``), a density n_q, a hopping
+    c^dag_q c_(q+1) and a pairing c^dag_q c^dag_(q+1), each with its
+    conjugate, and coefficients of two decimals."""
+    rng = np.random.default_rng(seed)
+
+    def term(re, im, *ops):
+        return {"coeff": [float(re), float(im)], "ops": [list(op) for op in ops]}
+
+    perts = []
+    for q in [*range(2, N - 1), 1, *([N - 1] if far_end else [])]:
+        density, hre, him, pre, pim = np.round(rng.uniform(-0.5, 0.5, size=5), 2)
+        perts.append({"support": [q, q + 1], "terms": [
+            term(density, 0.0, ("cdag", q), ("c", q)),
+            term(hre, him, ("cdag", q), ("c", q + 1)),
+            term(hre, -him, ("cdag", q + 1), ("c", q)),
+            term(pre, pim, ("cdag", q), ("cdag", q + 1)),
+            term(pre, -pim, ("c", q + 1), ("c", q)),
+        ]})
+    return {"N": N, "beta": beta, "perturbations": perts}
+
+
+def kitaev_bdg_levels(block: dict, beta: float, count: int = 5) -> np.ndarray:
+    """Lowest ``count`` many-body levels of H0 + beta * (every perturbation)
+    of a Kitaev file's block whose monomials all have two factors (hopping,
+    pairing and density terms), from one eigvalsh at 2N, with no 2^N space.
+
+    H0 is the sweet-spot bond (c^dag_j + c_j)(c^dag_(j+1) - c_(j+1)) on each
+    bond, as ``kit.kitaev_hamiltonian`` parses it.  With the Nambu vector
+    psi = (c_1..c_N, c^dag_1..c^dag_N), a factor at index a of psi is both
+    psi_a and (psi^dag)_a' with a' = a +- N, so
+    f_a f_b = (psi^dag_a' psi_b - psi^dag_b' psi_a + {f_a, f_b}) / 2, the
+    anticommutator 1 when b = a' and 0 otherwise.  Summed over the monomials
+    this is H = psi^dag M psi / 2 + C with M Hermitian and particle-hole
+    symmetric, eigenvalues +-eps_k, so H = sum_k eps_k (b^dag_k b_k - 1/2) + C
+    and each level is C - sum_k eps_k / 2 plus the eps_k of the occupied
+    quasiparticles (Kitaev, Phys.-Usp. 44, 131 (2001)).  The lowest ``count``
+    levels occupy only the lowest ``count`` modes."""
+    N = block["N"]
+    monomials = [(sign, [(a, j), (b, j + 1)]) for j in range(1, N)
+                 for sign, a, b in ((1.0, "cdag", "cdag"), (-1.0, "cdag", "c"),
+                                    (1.0, "c", "cdag"), (-1.0, "c", "c"))]
+    monomials += [(beta * complex(*term["coeff"]), term["ops"])
+                  for pert in block["perturbations"] for term in pert["terms"]]
+    M = np.zeros((2 * N, 2 * N), dtype=complex)
+    const = 0.0
+    for coeff, ops in monomials:
+        if len(ops) != 2:
+            raise ValueError(f"monomial {ops} is not quadratic")
+        a, b = (site - 1 + (N if kind == "cdag" else 0) for kind, site in ops)
+        M[(a + N) % (2 * N), b] += coeff
+        M[(b + N) % (2 * N), a] -= coeff
+        const += coeff / 2 if b == (a + N) % (2 * N) else 0.0
+    assert np.max(np.abs(M - M.conj().T)) <= 1e-14 and abs(const.imag) <= 1e-14
+    eps = np.linalg.eigvalsh(M)[N:]
+    levels = np.zeros(1)
+    for e in eps[:count]:
+        levels = np.concatenate([levels, levels + e])
+    return np.sort(const.real - eps.sum() / 2 + levels)[:count]
+
+
 def kitaev_spectrum_expected(N: int) -> np.ndarray:
     """{-(N-1) + 2m} with multiplicity 2 C(N-1, m): number operators plus doubling."""
     return np.sort(np.array(
@@ -469,15 +533,16 @@ def full_basis_restriction(N: int, bulk) -> dict:
 
 
 def doubling_check(model: kit.KitaevModel) -> bool:
-    """``kit.doubling_check_terms`` on a model's bulk terms and its restricted
-    chain; without bulk terms, that chain is diag(0, 2) on every mode."""
+    """``kit.doubling_check_terms`` on a model's bulk terms and the spectrum
+    the oracle computes for its restricted chain (``ed_spectrum``); without
+    bulk terms, that chain is diag(0, 2) on every mode."""
     bulk, _ = kit.regroup_perturbations(model.N, model.perturbations)
     if bulk:
         chain = kit.restricted_chain_model(model.N, bulk, model.beta)
     else:
         chain = build_chain_model(model.N - 1, 2, np.diag([0.0, 2.0]), {}, 0.0,
                                   energy_offset=-(model.N - 1))
-    return kit.doubling_check_terms(pencil(model.N, bulk), model.beta, chain)
+    return kit.doubling_check_terms(pencil(model.N, bulk), model.beta, ed_spectrum(chain))
 
 
 def random_bulk_perturbation(N: int, seed: int = 0, site: int | None = None):

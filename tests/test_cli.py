@@ -746,6 +746,9 @@ GOLDEN = (
     # range-2 bulk term of norm 3 (norm_scale 3), a hopping term and a boundary density
     ("kitaev_n7", ("--t-sweep", "0.005,0.01,0.02")),
     ("tfim_n8", ()),  # ising_chain_model(8, 0.2): the transverse-field Ising chain
+    # quadratic_kitaev_block(8, 0.05, seed=8): hopping, pairing and density terms
+    # on bonds [2, 3]..[6, 7] and [1, 2], none on site 8 (an exact zero mode)
+    ("kitaev_quad_n8", ()),
     ("chain_n7_m2_k1", ("--format", "csv")),
 )
 

@@ -6,11 +6,12 @@ import pytest
 from scipy import sparse
 
 from conftest import (csr, d_modes, dense, dense_spectrum, dense_zero_sector_basis, doubling_check,
-                      full_basis_restriction, keyed, kitaev_spectrum_expected,
+                      full_basis_restriction, keyed, kitaev_bdg_levels, kitaev_spectrum_expected,
                       kron_fermion_algebra, majoranas, pencil, perturbed_full_hamiltonian,
-                      random_bulk_perturbation, sparse_perturbation_matrix,
-                      sparse_zero_sector_basis)
+                      quadratic_kitaev_block, random_bulk_perturbation,
+                      sparse_perturbation_matrix, sparse_zero_sector_basis)
 from lieschwinger import kitaev as kit
+from lieschwinger import oracle as oracle_module
 from lieschwinger.cli import load_model, main
 from lieschwinger.errors import ValidationError
 from lieschwinger.estimator import BlockDiagonalizer
@@ -524,6 +525,16 @@ def reference_doubling_ok(full, restricted, tol=1e-9):
     return True
 
 
+def checked_at(reduction, beta):
+    """``reduction.at(beta)``, then the doubling check on the restricted
+    spectrum that the oracle computes (``ed_spectrum``, as in ``compare``),
+    as a run under the default oracle takes them."""
+    chain, block = reduction.at(beta)
+    assert block["doubling_ok"] is None
+    reduction.check_doubling(block, ed_spectrum(chain))
+    return chain, block
+
+
 class TestCheckBlocks:
     @pytest.mark.parametrize("N", range(5, 10))
     def test_checks_match_the_dense_reference(self, N):
@@ -534,7 +545,7 @@ class TestCheckBlocks:
         reduction = kit.build_kitaev_model(N, COUPLINGS[0], perts).reduce()
         bulk, everything = list(reduction.bulk), list(reduction.bulk + reduction.boundary)
         for beta in COUPLINGS:
-            chain, block = reduction.at(beta)
+            chain, block = checked_at(reduction, beta)
             full = dense_spectrum(perturbed_full_hamiltonian(N, bulk, beta))
             restricted = np.linalg.eigvalsh(assemble_direct(chain))
             assert block["doubling_ok"] is reference_doubling_ok(full, restricted) is True
@@ -550,7 +561,7 @@ class TestCheckBlocks:
 
         monkeypatch.setattr(kit, "embed", no_embedding)
         for beta in COUPLINGS:
-            _, block = reduction.at(beta)
+            _, block = checked_at(reduction, beta)
             assert block["doubling_ok"] is True
 
     def test_cli_run_builds_no_algebra_past_a_frame(self, tmp_path, monkeypatch):
@@ -682,10 +693,11 @@ class TestDoubling:
         iv, mat = random_bulk_perturbation(N, seed=0)
         bulk = [(iv, keyed(mat))]
         chain = kit.restricted_chain_model(N, bulk, 0.3)
-        assert kit.doubling_check_terms(pencil(N, bulk), 0.3, chain)
+        restricted = ed_spectrum(chain)
+        assert kit.doubling_check_terms(pencil(N, bulk), 0.3, restricted)
         dm = d_modes(kron_fermion_algebra(N))
         bad = (Interval(N - 1, 1), dm.ddag(0) @ dm.d[0])
-        assert not kit.doubling_check_terms(pencil(N, bulk + [bad]), 0.3, chain)
+        assert not kit.doubling_check_terms(pencil(N, bulk + [bad]), 0.3, restricted)
 
     def test_full_spectrum_ground_degeneracy_two(self):
         from lieschwinger.oracle import degeneracy_of_spectrum
@@ -695,6 +707,89 @@ class TestDoubling:
             N, kit.build_kitaev_model(N, 0.01, [(iv, mat)]).perturbations)
         H = perturbed_full_hamiltonian(N, bulk, 0.01)
         assert degeneracy_of_spectrum(dense_spectrum(H)) == 2
+
+
+class TestDoublingIsOracleWork:
+    """The doubling check reads the spectrum that ``compare`` computes, so it
+    runs once the fit has reached the oracle, and only then."""
+
+    @staticmethod
+    def run(tmp_path, name, *flags):
+        out = tmp_path / f"{name}{len(flags)}.json"
+        code = main(["--config", str(CONFIGS / f"{name}.json"), *flags, "--report", str(out)])
+        reports = json.loads(out.read_text())
+        return code, reports if isinstance(reports, list) else [reports]
+
+    def test_the_restricted_chain_is_assembled_once_per_coupling(self, tmp_path, monkeypatch):
+        assemble, calls = oracle_module.assemble_direct, []
+
+        def counted(model):
+            calls.append(model.N)
+            return assemble(model)
+
+        monkeypatch.setattr(oracle_module, "assemble_direct", counted)
+        code, reports = self.run(tmp_path, "kitaev_n7", "--t-sweep", "0.005,0.01,0.02")
+        assert code == 0
+        assert calls == [6, 6, 6]
+        assert [r["kitaev"]["doubling_ok"] for r in reports] == [True, True, True]
+
+    def test_oracle_off_runs_no_exact_diagonalization(self, tmp_path, monkeypatch):
+        code, (default,) = self.run(tmp_path, "kitaev_n6")
+        assert code == 0 and default["kitaev"]["boundary_terms"] == 0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an exact diagonalization ran under --oracle off")
+
+        monkeypatch.setattr(kit.SectorPencil, "spectrum", forbidden)
+        monkeypatch.setattr(oracle_module, "assemble_direct", forbidden)
+        code, (off,) = self.run(tmp_path, "kitaev_n6", "--oracle", "off")
+        assert code == 0
+        assert off["status"] == "ok" and off["oracle"] is None and off["controls"]["oracle"] == "off"
+        assert off["kitaev"]["doubling_ok"] is None
+        assert off["gap_report"] == default["gap_report"]
+        assert {**off["kitaev"], "doubling_ok": True} == default["kitaev"]
+
+    def test_a_failed_sweep_reports_no_doubling_check(self, tmp_path):
+        code, reports = self.run(tmp_path, "kitaev_n7", "--t-sweep", "0.005,0.01", "--gap-min", "5")
+        assert code == 4
+        for report in reports:
+            assert report["status"] == "failed" and report["oracle"] is None
+            assert report["kitaev"]["doubling_ok"] is None
+            assert report["kitaev"]["boundary_terms"] == 1
+            assert report["kitaev"]["boundary_gap_above_pair"] >= 1.0
+            assert report["kitaev"]["boundary_splitting"] <= 0.1
+
+
+class TestFreeFermionReference:
+    """Quadratic Kitaev files against ``kitaev_bdg_levels``, one eigvalsh at 2N."""
+
+    @pytest.mark.parametrize("far_end", [False, True], ids=["near-end", "both-ends"])
+    @pytest.mark.parametrize("N", [6, 8, 10])
+    def test_lowest_levels_and_boundary_fields_match(self, tmp_path, N, far_end):
+        beta = 0.05
+        block = quadratic_kitaev_block(N, beta, seed=N, far_end=far_end)
+        path = tmp_path / "quadratic.json"
+        path.write_text(json.dumps({"version": "1", "kitaev": block}))
+        reduction = load_model(path).reduce()
+        want = kitaev_bdg_levels(block, beta)
+        assert np.max(np.abs(reduction.full.spectrum(beta)[:5] - want)) <= 1e-12
+        _, fields = reduction.at(beta)
+        assert abs(fields["boundary_splitting"] - (want[1] - want[0])) <= 1e-12
+        assert abs(fields["boundary_gap_above_pair"] - (want[2] - want[1])) <= 1e-12
+        if not far_end:
+            # no term on site N: the Majorana gamma_(B,N) commutes with H, and
+            # maps each parity sector's levels onto the other's
+            assert fields["boundary_splitting"] <= 1e-12
+            assert want[1] - want[0] <= 1e-12
+
+    def test_the_committed_file_keeps_an_exact_zero_mode(self):
+        block = json.loads((CONFIGS / "kitaev_quad_n8.json").read_text())["kitaev"]
+        assert block == quadratic_kitaev_block(8, 0.05, seed=8)
+        assert all(8 not in pert["support"] for pert in block["perturbations"])
+        _, fields = load_model(CONFIGS / "kitaev_quad_n8.json").reduce().at()
+        want = kitaev_bdg_levels(block, block["beta"])
+        assert fields["boundary_splitting"] <= 1e-12
+        assert abs(fields["boundary_gap_above_pair"] - (want[2] - want[1])) <= 1e-12
 
 
 class TestBoundary:
