@@ -6,13 +6,13 @@ the decay bound 8 |t|^((r-1)/3) / (r+1)^2.  ``certify`` holds the fully
 swept Hamiltonian K to block-diagonality within ``tol_od`` and reports the
 rest: ground energy, gap (not held to 1/2), spectrum and decay ledger.
 
-The gap bound reads only the stored potentials, never K.  Each V_I is
-block-diagonal for its vacuum vac_I up to r_I = |P+ V_I vac_I|, with vacuum
-scalar e_I = vac_I^dag V_I vac_I; with c_I = max(hi_I - e_I, e_I - lo_I)
-from V_I's spectral range, t (V_I - e_I) >= -|t| c_I P+_I on its block-
-diagonal part, and P+_I <= sum_{i in I} P-perp_i.  The on-site gap delta
-gives H_i >= delta P-perp_i, so by Weyl's inequality for the off-diagonal
-parts
+The gap bound reads only the ledger's record of each stored potential V_I,
+never K.  V_I is block-diagonal for its vacuum vac_I up to
+r_I = |P+ V_I vac_I|, with vacuum scalar e_I = vac_I^dag V_I vac_I.  With
+c_I = max(hi_I - e_I, e_I - lo_I) from its spectral range, its block-diagonal
+part has t (V_I - e_I) >= -|t| c_I P+_I, and P+_I <= sum_{i in I} P-perp_i.
+The on-site gap delta gives H_i >= delta P-perp_i, so by Weyl's inequality
+for the off-diagonal parts
 
     gap(K) >= min_i (delta - |t| sum_{I contains i} c_I) - 2 |t| sum_I r_I
 
@@ -64,8 +64,11 @@ class NormLedgerEntry:
     norm: float
     bound: float
     ok: bool
-    lo: float  # the potential's spectral range, read by the gap bound
+    lo: float  # the potential's spectral range
     hi: float
+    e: float  # the gap bound's inputs: vacuum scalar e_I, residual r_I and c_I
+    r: float
+    c: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,40 +84,39 @@ class GapReport:
     spectrum: np.ndarray  # ascending spec K: the excited spectrum with ground_energy merged in
 
 
-def check_ledger(state: BlockDiagState, t: float) -> list[NormLedgerEntry]:
-    """One entry per stored potential; violations are data, not failures."""
+def check_ledger(state: BlockDiagState, model: ChainModel) -> list[NormLedgerEntry]:
+    """One entry per stored potential, with the gap bound's inputs (see the
+    module docstring); violations are data, not failures."""
     entries = []
     for interval, op in sorted(state.potentials.items()):
         if interval.k < 1:
             continue
         lo, hi = spectral_range(op)
         norm = max(abs(lo), abs(hi))  # op_norm(op), from the same eigvalsh
-        bound = decay_bound(interval.k, t)
+        bound = decay_bound(interval.k, model.t)
+        vac = build_projectors(interval, model.omega)
+        e = vacuum_energy(op.matrix, vac)
         entries.append(NormLedgerEntry(
             interval=interval, norm=norm, bound=bound, ok=norm <= bound * (1 + 1e-9),
-            lo=lo, hi=hi,
+            lo=lo, hi=hi, e=e, r=_offdiag_norm(op.matrix, vac),
+            c=max(hi - e, e - lo) + BOUND_MARGIN * norm,
         ))
     return entries
 
 
-def gap_lower_bound(state: BlockDiagState, model: ChainModel,
-                    ledger: list[NormLedgerEntry]) -> tuple[float, float, float]:
-    """(gap lower bound, E_vac, residual term) of a complete sweep, from its
-    stored potentials and their ``check_ledger`` entries (see the module
-    docstring), each saturated at the largest float."""
+def gap_lower_bound(model: ChainModel, ledger: list[NormLedgerEntry]) -> tuple[float, float, float]:
+    """(gap lower bound, E_vac, residual term) of a complete sweep from its
+    ``check_ledger`` records (module docstring), each saturated at the largest
+    float."""
     onsite = np.linalg.eigvalsh(model.onsite)
     delta = float(onsite[1] - onsite[0]) - BOUND_MARGIN * float(np.max(np.abs(onsite)))
     charge = [0.0] * model.N  # per site: the sum of c_I over the I that contain it
     e_sum = r_sum = 0.0
     for entry in ledger:
-        op = state.potentials[entry.interval].matrix
-        vac = build_projectors(entry.interval, model.omega)
-        e = vacuum_energy(op, vac)
-        c = max(entry.hi - e, e - entry.lo) + BOUND_MARGIN * entry.norm
         for site in entry.interval.sites:
-            charge[site - 1] += c
-        e_sum += e
-        r_sum += _offdiag_norm(op, vac)
+            charge[site - 1] += entry.c
+        e_sum += entry.e
+        r_sum += entry.r
     t = abs(model.t)
     residual = _saturated(2.0 * (t * r_sum))  # t * r_sum first: 2 t overflows at t = 1e308
     bound = _saturated(delta - t * max(charge) - residual)
@@ -138,8 +140,8 @@ def certify(state: BlockDiagState, model: ChainModel,
     ground = vacuum_energy(K, vac)
     excited = excited_spectrum(K, vac, ground)
     gap = float(excited[0]) - ground
-    ledger = check_ledger(state, model.t)
-    bound, vacuum_bound, residual_term = gap_lower_bound(state, model, ledger)
+    ledger = check_ledger(state, model)
+    bound, vacuum_bound, residual_term = gap_lower_bound(model, ledger)
     return GapReport(
         ground_energy=ground,
         gap=gap,

@@ -6,9 +6,9 @@ elsewhere.  Matrices are dense complex; Hermitian / anti-Hermitian structure
 is checked against a tolerance, never assumed from storage format.
 The product vacuum of an interval is one unit vector vac
 (``build_projectors``), and its projector vac vac^dag is never stored: the
-complement 1 - vac vac^dag is never given a basis, and ``excited_spectrum``
-reads the spectrum on it from one eigvalsh of G with the vacuum eigenvalue
-shifted above the rest.
+complement 1 - vac vac^dag is never given a basis.  One vacuum shift,
+``vacuum_shifted``, moves the vacuum eigenvalue above the rest:
+``excited_spectrum`` diagonalizes it and the sweep's resolvent factors it.
 
 Hermitian spectra (``excited_spectrum``, ``spectral_range``, which
 ``op_norm`` reads, and the oracle's) go through ``parity_eigvalsh``: a
@@ -228,18 +228,22 @@ def build_projectors(interval: Interval, omega: np.ndarray) -> np.ndarray:
     return vac
 
 
-def excited_spectrum(G: np.ndarray, vac: np.ndarray, E: float) -> np.ndarray:
-    """Ascending spectrum of a Hermitian G, block-diagonal for the unit
-    vector vac, on the complement of vac; E = vac^dag G vac.
-
-    Shifting the vacuum eigenvalue E to c = 1 + ||G||_inf, above the
-    spectral radius, leaves it the largest eigenvalue, so the excited
-    spectrum is all the others and no complement basis is built.  The
-    shift adds no entry across parity when vac lies in one parity sector,
-    so an even G keeps its parity blocks (``parity_eigvalsh``).
-    """
+def vacuum_shifted(G: np.ndarray, vac: np.ndarray, E: float) -> np.ndarray:
+    """G + (c - E) vac vac^dag, c = 1 + ||G||_inf, in one new array: for G
+    block-diagonal for the unit vector vac, E = vac^dag G vac moves above the
+    spectral radius, and a vac of one parity adds no entry across parity."""
     c = 1.0 + float(np.linalg.norm(G, np.inf))
-    return parity_eigvalsh(G + (c - E) * np.outer(vac, vac.conj()))[:-1]
+    A = np.outer(vac, vac.conj())
+    A *= c - E
+    A += G
+    return A
+
+
+def excited_spectrum(G: np.ndarray, vac: np.ndarray, E: float) -> np.ndarray:
+    """Ascending spectrum on the complement of vac of a Hermitian G
+    block-diagonal for it, E = vac^dag G vac: all but the largest eigenvalue
+    of ``vacuum_shifted``, whose parity blocks an even G keeps."""
+    return parity_eigvalsh(vacuum_shifted(G, vac, E))[:-1]
 
 
 def unitary_exp(S: np.ndarray) -> np.ndarray:

@@ -48,17 +48,18 @@ takes ||V|| by eigvalsh only where the bounds ||V||_F above and
 max(||V vac||, ||V||_F / sqrt(D)) below leave the stop test open.
 
 Once the leak check has passed, G is block-diagonal and
-spec G = {E} u spec(excited block).  One eigvalsh per step, of G with its
-vacuum eigenvalue shifted above the rest (``operators.excited_spectrum``),
-gives the excited spectrum for the ground-state check and the gap.  The
-resolvent needs no eigenvectors: R = (G - E + vac vac^dag)^{-1} is
-(G - E)^{-1} on the excited block and 1 on vac.  G - E + vac vac^dag is
-Hermitian positive definite with smallest eigenvalue min(1, gap), so one
-Cholesky factor per step (``operators.cholesky_solver``) applies R to each
-series vector by forward and back substitution, and every
-y_j = P+ R P+ (V)_j vac follows at O(D^2).  A factor that fails, which a
-gap at rounding level allowed through ``local_gap`` can cause, raises
-GapError.
+spec G = {E} u spec(excited block).  One eigvalsh per step, of G with E
+shifted to c = 1 + ||G||_inf (``operators.vacuum_shifted``), gives the
+excited spectrum for the ground-state check and the gap.  The resolvent
+needs no eigenvectors: R = (G - E + (c - E) vac vac^dag)^{-1}, the same
+shifted matrix with E taken off its diagonal, is (G - E)^{-1} on the
+excited block and 1/(c - E) on vac, which P+ projects out on both sides.
+It is Hermitian positive definite with smallest eigenvalue at least
+min(1, gap), so one Cholesky factor per step (``operators.cholesky_solver``)
+applies R to each series vector by forward and back substitution, and
+every y_j = P+ R P+ (V)_j vac follows at O(D^2).  A factor that fails,
+which a gap at rounding level allowed through ``local_gap`` can cause,
+raises GapError.
 
 Transport of the other potentials follows the support relation between
 their interval J and the step interval I.  The rotation acts on the sites
@@ -105,6 +106,7 @@ from .operators import (
     op_norm,
     rotation_factors,
     unitary_exp,  # unused here; perfbench/tracing.py looks it up on this module
+    vacuum_shifted,
     vector_norm,
 )
 
@@ -179,29 +181,31 @@ def initial_state(model: ChainModel) -> BlockDiagState:
     return BlockDiagState(None, dict(model.interactions))
 
 
+def _assemble(model: ChainModel, interval: Interval, ops, offset: float = 0.0) -> np.ndarray:
+    """offset 1 + on-site terms + t sum ``ops`` on ``interval``, embedded in that order."""
+    mat = np.eye(dense_dim(model.M, interval.k + 1), dtype=complex)
+    mat *= offset
+    for site in interval.sites:
+        embed(LocalOperator(Interval(0, site), model.onsite), interval, model.M, out=mat)
+    for op in ops:
+        embed(op, interval, model.M, out=mat, scale=model.t)
+    return mat
+
+
 def local_hamiltonian(state: BlockDiagState, model: ChainModel, interval: Interval,
                       vac: np.ndarray, tol_od: float = SeriesControls.tol_od) -> LocalOperator:
     """On-site terms plus every transported shorter potential inside
-    ``interval``.
-
-    All proper subintervals must already be block-diagonalized, which makes
-    the result block-diagonal for the interval's product vacuum ``vac``.
-    Only a leak of the n_sub subinterval potentials beyond tol_od (1 + n_sub)
-    means the sweep order was violated: the on-site terms of a vacuum that is
-    not a basis vector leak at rounding level, which the step's own checks
-    report under a tol_od below it.
-    """
-    M = model.M
-    mat = np.zeros((interval.dim(M), interval.dim(M)), dtype=complex)
-    for site in interval.sites:
-        embed(LocalOperator(Interval(0, site), model.onsite), interval, M, out=mat)
+    ``interval``, block-diagonal for its product vacuum ``vac`` once all
+    proper subintervals are.  Only a leak of the n_sub subinterval potentials
+    beyond tol_od (1 + n_sub) means the sweep order was violated: the on-site
+    terms of a vacuum that is not a basis vector leak at rounding level,
+    which the step's own checks report under a tol_od below it."""
     subs = [op for sub, op in state.potentials.items()
             if interval.contains(sub) and sub != interval]
-    for op in subs:
-        embed(op, interval, M, out=mat, scale=model.t)
+    mat = _assemble(model, interval, subs)
     bound = tol_od * (1 + len(subs))
     if _offdiag_norm(mat, vac) > bound:
-        alone = sum((embed(op, interval, M).matrix for op in subs), np.zeros_like(mat))
+        alone = sum((embed(op, interval, model.M).matrix for op in subs), np.zeros_like(mat))
         leak = abs(model.t) * _offdiag_norm(alone, vac)
         if leak > bound:
             raise OrderError(
@@ -274,18 +278,15 @@ def generator_series(G: np.ndarray, E: float, vac: np.ndarray, V: np.ndarray,
     Terminates once |t|^j ||(V)_j|| < tol_series; reaching jmax with the last
     term still above the cutoff raises SeriesError, reporting that norm
     (inf where |t|^j overflows a float), and so does a term that overflows,
-    at once, with norm inf.  The table B[(p, m)] and every (V)_j with j >= 2
-    are coefficient matrices on the frame F of the module docstring, so the
-    dense work per order is two matrix-vector products
-    and one forward and back substitution with the Cholesky factor of
-    G - E + vac vac^dag, taken once; order one decides from bounds on
-    ||V||.  G must have a positive gap above E (``local_gap``); where the
-    factor fails all the same, GapError with reason
+    at once, with norm inf.  Per order the dense work is two matrix-vector
+    products on the frame F and one substitution with the resolvent's
+    Cholesky factor (module docstring), taken once; order one decides from
+    bounds on ||V||.  G must have a positive gap above E (``local_gap``);
+    where the factor fails all the same, GapError with reason
     "gap-assumption-violated" is raised.
     """
-    # G - E + vac vac^dag in one D x D array, of which only the factor is kept
-    A = np.outer(vac, vac.conj())
-    A += G
+    # G - E + (c - E) vac vac^dag in one D x D array, of which only the factor is kept
+    A = vacuum_shifted(G, vac, E)
     A.flat[::A.shape[0] + 1] -= E
     try:
         R = cholesky_solver(A)
@@ -448,8 +449,7 @@ def advance(state: BlockDiagState, model: ChainModel,
     gap = local_gap(E, excited, controls.gap_min, controls.tol_od, I)
 
     V_op = state.potentials.get(I)
-    dim = I.dim(model.M)
-    V = V_op.matrix if V_op is not None else np.zeros((dim, dim), dtype=complex)
+    V = V_op.matrix if V_op is not None else np.zeros((I.dim(model.M),) * 2, dtype=complex)
     series = generator_series(G.matrix, E, vac, V, model.t, controls, I)
     s_norm = vector_norm(series.y)
 
@@ -480,8 +480,8 @@ def advance(state: BlockDiagState, model: ChainModel,
                        if s in state.potentials]
             if old is None and not sources:
                 continue
-            dim = J.dim(model.M)
-            V_J = old.matrix if old is not None else np.zeros((dim, dim), dtype=complex)
+            # a created J starts from a read-only zero view: no D x D array
+            V_J = old.matrix if old is not None else np.broadcast_to(0j, (J.dim(model.M),) * 2)
             rows = sum(_source_rows(W, src, I, model.M) for src in sources) if sources else None
             new_pots[J] = LocalOperator(J, conjugate_by_unitary(
                 V_J, W, C, model.M ** (I.q - J.q), rows=rows))
@@ -509,11 +509,5 @@ def sweep(model: ChainModel, controls: SeriesControls = SeriesControls()) -> Blo
 
 def assemble_full(state: BlockDiagState, model: ChainModel) -> np.ndarray:
     """Embed on-site terms and every stored potential into the full chain."""
-    dim = dense_dim(model.M, model.N)
-    chain = Interval(model.N - 1, 1)
-    K = model.energy_offset * np.eye(dim, dtype=complex)
-    for site in range(1, model.N + 1):
-        embed(LocalOperator(Interval(0, site), model.onsite), chain, model.M, out=K)
-    for op in state.potentials.values():
-        embed(op, chain, model.M, out=K, scale=model.t)
-    return K
+    return _assemble(model, Interval(model.N - 1, 1), state.potentials.values(),
+                     model.energy_offset)

@@ -27,8 +27,9 @@ from lieschwinger.model import ChainModel  # noqa: E402
 from lieschwinger.operators import (  # noqa: E402
     LocalOperator, build_projectors, dense_dim, embed, excited_spectrum, op_norm)
 from lieschwinger.oracle import ed_spectrum  # noqa: E402
+from lieschwinger.certify import BOUND_MARGIN, _saturated  # noqa: E402
 from lieschwinger.sweep import (  # noqa: E402
-    BlockDiagState, SeriesControls, local_hamiltonian, vacuum_energy)
+    BlockDiagState, SeriesControls, _offdiag_norm, local_hamiltonian, vacuum_energy)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -696,6 +697,58 @@ def excited_block_lower_bound(state: BlockDiagState, model: ChainModel,
         l * t ** ((l - 2) / 3.0) / l ** 2 for l in range(3, interval.k + 1)
     )
     return lhs_min, rhs
+
+
+def looped_local_hamiltonian(state: BlockDiagState, model: ChainModel,
+                             interval: Interval) -> np.ndarray:
+    """Reference for ``local_hamiltonian``'s matrix: its own embedding loop,
+    from a zero matrix, on-site terms first, then every stored potential on
+    a proper subinterval in map order."""
+    M = model.M
+    mat = np.zeros((interval.dim(M),) * 2, dtype=complex)
+    for site in interval.sites:
+        embed(LocalOperator(Interval(0, site), model.onsite), interval, M, out=mat)
+    for sub, op in state.potentials.items():
+        if interval.contains(sub) and sub != interval:
+            embed(op, interval, M, out=mat, scale=model.t)
+    return mat
+
+
+def looped_assemble_full(state: BlockDiagState, model: ChainModel) -> np.ndarray:
+    """Reference for ``assemble_full``: its own embedding loop, from
+    energy_offset times the identity, on-site terms first, then every
+    stored potential in map order."""
+    chain = Interval(model.N - 1, 1)
+    K = model.energy_offset * np.eye(dense_dim(model.M, model.N), dtype=complex)
+    for site in range(1, model.N + 1):
+        embed(LocalOperator(Interval(0, site), model.onsite), chain, model.M, out=K)
+    for op in state.potentials.values():
+        embed(op, chain, model.M, out=K, scale=model.t)
+    return K
+
+
+def walked_gap_lower_bound(state: BlockDiagState, model: ChainModel,
+                           ledger) -> tuple[float, float, float]:
+    """Reference for ``certify.gap_lower_bound``: the same sums, with each
+    vacuum, e_I and r_I rebuilt from the stored potential of every ledger
+    entry, and c_I from the entry's spectral range and norm."""
+    onsite = np.linalg.eigvalsh(model.onsite)
+    delta = float(onsite[1] - onsite[0]) - BOUND_MARGIN * float(np.max(np.abs(onsite)))
+    charge = [0.0] * model.N
+    e_sum = r_sum = 0.0
+    for entry in ledger:
+        op = state.potentials[entry.interval].matrix
+        vac = build_projectors(entry.interval, model.omega)
+        e = vacuum_energy(op, vac)
+        c = max(entry.hi - e, e - entry.lo) + BOUND_MARGIN * entry.norm
+        for site in entry.interval.sites:
+            charge[site - 1] += c
+        e_sum += e
+        r_sum += _offdiag_norm(op, vac)
+    t = abs(model.t)
+    residual = _saturated(2.0 * (t * r_sum))
+    bound = _saturated(delta - t * max(charge) - residual)
+    return bound, _saturated(model.energy_offset + model.t * e_sum), residual
 
 
 @pytest.fixture

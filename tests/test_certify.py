@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 
 from conftest import (SX, anchor_model, check_series_majorant, excited_block_lower_bound,
                       ising_bdg, ising_chain_model, non_basis_vacuum_model,
-                      projector_inequalities, solve_majorant)
-from lieschwinger.certify import check_ledger, certify, decay_bound
+                      projector_inequalities, solve_majorant, walked_gap_lower_bound)
+from lieschwinger.certify import BOUND_MARGIN, check_ledger, certify, decay_bound, gap_lower_bound
 from lieschwinger.cli import emit, load_model, main, run
 from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.errors import ValidationError
 from lieschwinger.intervals import Interval
 from lieschwinger.model import build_chain_model, random_chain_model
-from lieschwinger.operators import build_projectors, op_norm
-from lieschwinger.sweep import SeriesControls, advance, generator_series, initial_state, local_hamiltonian, sweep
+from lieschwinger.operators import build_projectors, op_norm, spectral_range
+from lieschwinger.sweep import (SeriesControls, _offdiag_norm, advance, generator_series,
+                                initial_state, local_hamiltonian, sweep, vacuum_energy)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -38,15 +39,32 @@ class TestLedger:
 
     def test_initial_interactions_within_r1_bound(self):
         model = random_chain_model(4, 0.01, seed=0)
-        entries = check_ledger(initial_state(model), model.t)
+        entries = check_ledger(initial_state(model), model)
         assert all(e.ok for e in entries)
         assert all(e.bound == pytest.approx(2.0) for e in entries)
 
     def test_full_sweep_ledger_all_ok(self):
         model = random_chain_model(5, 1e-3, seed=1)
-        entries = check_ledger(sweep(model), model.t)
+        entries = check_ledger(sweep(model), model)
         assert len(entries) == 10  # every interval carries a potential by the end
         assert all(e.ok for e in entries)
+
+    @pytest.mark.parametrize("swept", [False, True])
+    def test_records_the_gap_bound_inputs(self, swept):
+        # each entry keeps e_I, r_I and c_I of its stored potential, by the
+        # formulas the gap bound reads (certify module docstring)
+        model = non_basis_vacuum_model(4, 3, 2, 0.03, 1)
+        state = sweep(model) if swept else initial_state(model)
+        entries = check_ledger(state, model)
+        assert [e.interval for e in entries] == sorted(state.potentials)
+        for entry in entries:
+            op = state.potentials[entry.interval].matrix
+            vac = build_projectors(entry.interval, model.omega)
+            e = vacuum_energy(op, vac)
+            assert (entry.lo, entry.hi) == spectral_range(op)
+            assert entry.e == e
+            assert entry.r == _offdiag_norm(op, vac)
+            assert entry.c == max(entry.hi - e, e - entry.lo) + BOUND_MARGIN * entry.norm
 
 
 class TestCertify:
@@ -251,6 +269,19 @@ class TestGapLowerBound:
         assert report.gap_lower_bound <= fitted.comparison_.gap_ed
         E = report.ground_energy
         assert abs(report.vacuum_energy_bound - E) <= 1e-14 * max(1.0, abs(E))
+
+    @settings(max_examples=10, deadline=None)
+    @given(N=st.integers(3, 6), M=st.sampled_from([2, 3]), kbar=st.sampled_from([1, 2]),
+           t=st.floats(-0.1, 0.1).filter(lambda t: t == 0.0 or abs(t) >= 1e-300),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_walked_reference(self, N, M, kbar, t, seed):
+        # the bound from the ledger's records alone, bit for bit the bound
+        # that rebuilds each vacuum, e_I and r_I from the stored potentials
+        model = non_basis_vacuum_model(N, M, kbar, t, seed)
+        state = sweep(model)
+        ledger = check_ledger(state, model)
+        out = gap_lower_bound(model, ledger)
+        assert [x.hex() for x in out] == [x.hex() for x in walked_gap_lower_bound(state, model, ledger)]
 
     @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
     def test_lies_below_the_gap_on_every_config(self, tmp_path, config):

@@ -21,6 +21,7 @@ from lieschwinger.operators import (
     rotation_factors,
     spectral_range,
     unitary_exp,
+    vacuum_shifted,
     vector_norm,
 )
 from lieschwinger.sweep import vacuum_energy
@@ -225,6 +226,28 @@ class TestExcitedSpectrum:
         assert out.shape == (M ** (k + 1) - 1,)
         assert np.max(np.abs(out - ref)) <= 1e-13 * max(1.0, op_norm(G))
 
+    @settings(max_examples=30, deadline=None)
+    @given(M=st.sampled_from([2, 3]), k=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1),
+           E=st.floats(-3, 3), norm=st.floats(0.1, 10))
+    def test_vacuum_shift_moves_the_vacuum_to_c(self, M, k, seed, E, norm):
+        # vac is an eigenvector of the shifted matrix at c = 1 + ||G||_inf,
+        # its other eigenvalues are the excited spectrum, and the matrix is
+        # G + (c - E) vac vac^dag to the last bit
+        rng = np.random.default_rng(seed)
+        omega = rng.normal(size=M) + 1j * rng.normal(size=M)
+        vac = build_projectors(Interval(k, 1), omega)
+        Qp = orthogonal_complement_basis(vac)
+        G = E * np.outer(vac, vac.conj()) + Qp @ random_hermitian(rng, Qp.shape[1], norm) @ Qp.conj().T
+        G = (G + G.conj().T) / 2
+        E = vacuum_energy(G, vac)
+        c = 1.0 + float(np.linalg.norm(G, np.inf))
+        A = vacuum_shifted(G, vac, E)
+        assert A.tobytes() == (G + (c - E) * np.outer(vac, vac.conj())).tobytes()
+        assert np.max(np.abs(A @ vac - c * vac)) <= 1e-13 * c
+        evals = parity_eigvalsh(A)
+        assert evals[-1] == pytest.approx(c, rel=1e-13)
+        assert np.array_equal(evals[:-1], excited_spectrum(G, vac, E))
+
 
 def random_even_hermitian(rng, n):
     """Random Hermitian matrix on n qubits with every entry across the
@@ -390,6 +413,22 @@ class TestRotation:
             ref = dense_conjugation(U, A, L, R) + (dense_conjugation(U, X, L, R) - X) / scale
             assert np.max(np.abs(out - ref)) <= 1e-13, (L, d)
             assert np.array_equal(out, out.conj().T)
+
+    @pytest.mark.parametrize("L,d,R", [(1, 4, 1), (1, 4, 128), (2, 4, 16), (4, 16, 8),
+                                       (1, 256, 2), (8, 8, 4), (3, 9, 3)])
+    def test_zero_view_conjugates_as_a_zero_matrix(self, rng, L, d, R):
+        # a created potential starts from a read-only zero view; with and
+        # without rows, the result equals that of np.zeros to the last bit
+        D = L * d * R
+        y, vac = random_rotation(rng, d, 0.7)
+        W, C = rotation_factors(y, vac)
+        W_J = np.kron(np.kron(np.eye(L), W), np.eye(R))
+        rows = W_J.conj().T @ random_hermitian(rng, D, norm=1.0)
+        view = np.broadcast_to(0j, (D, D))
+        for extra in (None, rows):
+            out = conjugate_by_unitary(view, W, C, L, rows=extra)
+            ref = conjugate_by_unitary(np.zeros((D, D), dtype=complex), W, C, L, rows=extra)
+            assert out.tobytes() == ref.tobytes(), (L, d, R, extra is None)
 
     @pytest.mark.parametrize("exponent", [0, -600, -900, -1060])
     def test_tiny_generator_keeps_its_norm_and_direction(self, rng, exponent):

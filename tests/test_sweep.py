@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (SX, anchor_model, dense_generator, dense_generator_series, kron_chain,
+                      looped_assemble_full, looped_local_hamiltonian,
                       near_hermitian_chain_file, non_basis_vacuum_model,
                       one_table_generator_series, orthogonal_complement_basis, plus_block_eigh,
                       random_hermitian, s_term_norms, series_terms)
@@ -789,6 +791,23 @@ class TestAssembleFull:
         np.testing.assert_allclose(
             assemble_full(initial_state(model), model), assemble_direct(model), atol=1e-12
         )
+
+    @pytest.mark.parametrize("source", ["random", "non_basis", "kitaev"])
+    def test_one_assembly_equals_the_embedding_loops_bitwise(self, source):
+        # local_hamiltonian's matrix at every step, and assemble_full before
+        # and after the sweep, equal their own embedding loops to the last
+        # bit, signs of zeros included; the Kitaev chain has a negative offset
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        model = {"random": lambda: random_chain_model(5, 0.05, 2, 2, seed=3),
+                 "non_basis": lambda: non_basis_vacuum_model(4, 3, 2, 0.03, 1),
+                 "kitaev": lambda: load_model(configs / "kitaev_n6.json").reduce().at()[0]}[source]()
+        state = initial_state(model)
+        assert assemble_full(state, model).tobytes() == looped_assemble_full(state, model).tobytes()
+        for I in iter_steps(model.N):
+            G = local_hamiltonian(state, model, I, build_projectors(I, model.omega))
+            assert G.matrix.tobytes() == looped_local_hamiltonian(state, model, I).tobytes(), I
+            state = advance(state, model)
+        assert assemble_full(state, model).tobytes() == looped_assemble_full(state, model).tobytes()
 
     def test_dimension_guard(self):
         model = random_chain_model(13, 1e-3, seed=0)
