@@ -56,8 +56,15 @@ it embeds every term in the 2^N space once (``embed``) and keeps H0, the
 bulk sum and the sum of all terms as keys (``SectorPencil``).
 ``KitaevReduction.at(beta)`` rescales the chain's t and runs the boundary
 check; ``check_doubling`` runs after the oracle, on its restricted spectrum.
-Both read the two dense parity blocks of H0 + beta X, written key by key, so a
-coupling embeds nothing and no dense 2^N block outlives it.  Each column of
+Both read dense parity blocks of H0 + beta X, written key by key, so a
+coupling embeds nothing and no dense 2^N block outlives it, and only the
+blocks that a symmetry leaves distinct (``SectorPencil``).  The zero mode's
+Majoranas gamma_{A,1} and gamma_{B,N} appear in neither H0 nor a bulk term,
+so on the doubling check's pencil either maps the odd block onto the even
+one, and their product splits the even block into two halves of 2^(N-2)
+states: two such eigensolves per coupling.  A boundary pencil whose terms
+avoid one end keeps that end's Majorana, so one eigensolve of the even
+block; terms at both ends leave both parity blocks.  Each column of
 the zero-sector basis R lies in one parity sector, so R^dag W R of an even
 W, and with it the restricted chain, is exactly even in the d-mode parity.
 The module, like the rest of the package, needs numpy alone.
@@ -167,34 +174,87 @@ def kitaev_hamiltonian(N: int) -> FlipOperator:
     return _embedded_sum([(Interval(1, j), bond) for j in range(1, N)], N)
 
 
+def _zero_mode_flips(N: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """gamma_{B,N}, i gamma_{A,1} and the zero-mode parity
+    i gamma_{A,1} gamma_{B,N} on N sites as signed flips (m, g), the
+    operators f[a, a ^ m] = g[a] = +-1: site N flipped under the
+    Jordan-Wigner string of sites 1..N-1, site 1 flipped with no string, and
+    both.  The signs are parities read from ``_odd_table``."""
+    a = np.arange(2 ** N)
+    odd = _odd_table(N)
+    gamma_b = (1, np.where(odd[a >> 1], -1.0, 1.0))
+    gamma_a = (1 << (N - 1), np.where(odd[a >> (N - 1)], -1.0, 1.0))
+    parity = (gamma_a[0] ^ 1, gamma_a[1] * gamma_b[1][a ^ gamma_a[0]])
+    return gamma_b, gamma_a, parity
+
+
+def _commutes(op: FlipOperator, m: int, g: np.ndarray) -> bool:
+    """op commutes exactly with the signed flip f[a, a ^ m] = g[a]: on each
+    key s, (op f)[a, a ^ s ^ m] = amp_s[a] g[a ^ s] equals
+    (f op)[a, a ^ m ^ s] = g[a] amp_s[a ^ m] for every state a."""
+    a = np.arange(op.dim)
+    return np.array_equal(op.amps * g[a ^ op.keys[:, None]], g * op.amps[:, a ^ m])
+
+
 @dataclass(frozen=True, eq=False)
 class SectorPencil:
-    """H0 + beta X on the even and the odd fermion-parity sector, for two
-    even operators on N sites: each coupling writes the two dense blocks it
-    diagonalizes key by key.  A nonzero entry across the two sectors
-    raises ValidationError, so the blocks carry the whole operator."""
+    """H0 + beta X on the fermion-parity sectors, for two even operators on
+    N sites: each coupling writes the dense blocks it diagonalizes key by
+    key.  A nonzero entry across the two sectors raises ValidationError, so
+    the blocks carry the whole operator.
+
+    The zero mode's Majoranas appear in neither H0 nor a bulk term:
+    gamma_{A,1} only in terms on site 1, gamma_{B,N} only in terms on site
+    N (Kitaev, Phys.-Usp. 44, 131 (2001)).  Which of them, and of their
+    product, commute exactly with H0 and X is read once, here, from the
+    keys (``_commutes``).  A Majorana that commutes maps the odd block onto
+    the even one (``majorana``), so the odd block is never built.  The
+    zero-mode parity, when it commutes (``zero_parity``), splits each block
+    in two halves, one per eigenvalue of the parity."""
 
     H0: FlipOperator
     X: FlipOperator
+    majorana: bool = field(init=False)
+    zero_parity: bool = field(init=False)
 
     def __post_init__(self):
         for op in (self.H0, self.X):
             if np.any(op.amps[op.odd()] != 0):
                 raise ValidationError("operator is not even: it has entries across fermion parity")
+        n = self.H0.dim.bit_length() - 1
+        gamma_b, gamma_a, parity = (all(_commutes(op, *flip) for op in (self.H0, self.X))
+                                    for flip in _zero_mode_flips(n))
+        object.__setattr__(self, "majorana", gamma_b or gamma_a)
+        # on one site the product is the fermion parity itself, which splits nothing
+        object.__setattr__(self, "zero_parity", n > 1 and parity)
 
     def spectrum(self, beta: float) -> np.ndarray:
-        """Ascending spectrum of H0 + beta X, one eigvalsh per parity block."""
+        """Ascending spectrum of H0 + beta X: one eigvalsh per parity block
+        it needs, the even one alone, doubled, where a Majorana commutes.
+        Where the zero-mode parity P commutes, a block E is diagonalized as
+        its two halves E[r, r'] +- E[r, p(r')] z[r'] over one state r of each
+        pair (r, p(r)) with P e_r = z[r] e_p(r), the states with site N
+        empty."""
+        n = self.H0.dim.bit_length() - 1
+        m, z = _zero_mode_flips(n)[2]
         pos = np.empty(self.H0.dim, dtype=np.int64)  # each state's place in its sector
         spectra = []
-        for idx in parity_sectors(self.H0.dim.bit_length() - 1):
+        for idx in parity_sectors(n)[:1 if self.majorana else 2]:
             rows = pos[idx] = np.arange(idx.size)
             block = np.zeros((idx.size,) * 2, dtype=complex)
             for s, h in zip(self.H0.keys, self.H0.amps):
                 block[rows, pos[idx ^ s]] = h[idx]
             for s, x in zip(self.X.keys, self.X.amps):
                 block[rows, pos[idx ^ s]] += beta * x[idx]
-            spectra.append(np.linalg.eigvalsh(block))
-        return np.sort(np.concatenate(spectra))
+            if not self.zero_parity:
+                spectra.append(np.linalg.eigvalsh(block))
+                continue
+            reps = idx[idx & 1 == 0]
+            r = pos[reps]
+            same, paired = block[np.ix_(r, r)], block[np.ix_(r, pos[reps ^ m])] * z[reps]
+            spectra += [np.linalg.eigvalsh(same + paired), np.linalg.eigvalsh(same - paired)]
+        evals = np.concatenate(spectra)
+        return np.sort(np.concatenate([evals, evals]) if self.majorana else evals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,7 +488,9 @@ def doubling_check_terms(pencil: SectorPencil, beta: float, restricted: np.ndarr
     """The spectrum of H0 + beta * (bulk terms), given as ``pencil``, is
     ``restricted``, the ascending spectrum of the restricted chain at this
     beta (``OracleComparison.spectrum``), doubled to within DEGENERACY_TOL,
-    and every level (``oracle.levels``) has even size."""
+    and every level (``oracle.levels``) has even size.  Both zero-mode
+    Majoranas commute with the bulk pencil, so its spectrum is read from
+    the two halves of the even parity block alone."""
     full = pencil.spectrum(beta)
     doubled = np.sort(np.concatenate([restricted, restricted]))
     return (float(np.max(np.abs(full - doubled))) <= DEGENERACY_TOL
@@ -442,9 +504,12 @@ def boundary_gap_check(pencil: SectorPencil, beta: float) -> tuple[float, float]
     With boundary terms included, the doubly degenerate ground pair of the
     bulk Hamiltonian splits by an amount of order beta while the rest of the
     spectrum stays an order-1 distance above; this is verified by exact
-    diagonalization of the two parity blocks instead of constructing the
-    block-diagonalizing unitary on the degenerate sector.  Returns
-    (splitting of the two lowest levels, gap from them to the third).
+    diagonalization of the parity blocks instead of constructing the
+    block-diagonalizing unitary on the degenerate sector.  Terms that avoid
+    one end leave that end's Majorana commuting, so the even block alone is
+    diagonalized and the pair is exactly degenerate (splitting 0.0).
+    Returns (splitting of the two lowest levels, gap from them to the
+    third).
     """
     evals = pencil.spectrum(beta)
     return float(evals[1] - evals[0]), float(evals[2] - evals[1])

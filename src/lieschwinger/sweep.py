@@ -102,8 +102,8 @@ from .operators import (
     conjugate_by_unitary,
     dense_dim,
     embed,
-    excited_spectrum,
     op_norm,
+    parity_eigvalsh,
     rotation_factors,
     unitary_exp,  # unused here; perfbench/tracing.py looks it up on this module
     vacuum_shifted,
@@ -270,7 +270,7 @@ def _times(B: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def generator_series(G: np.ndarray, E: float, vac: np.ndarray, V: np.ndarray,
+def generator_series(G: np.ndarray, A: np.ndarray, vac: np.ndarray, V: np.ndarray,
                      t: float, controls: SeriesControls,
                      step: Interval | None = None) -> SeriesResult:
     """Accumulate y = sum_j t^j y_j, the vector of S = sum_j t^j S_j.
@@ -281,20 +281,18 @@ def generator_series(G: np.ndarray, E: float, vac: np.ndarray, V: np.ndarray,
     at once, with norm inf.  Per order the dense work is two matrix-vector
     products on the frame F and one substitution with the resolvent's
     Cholesky factor (module docstring), taken once; order one decides from
-    bounds on ||V||.  G must have a positive gap above E (``local_gap``);
-    where the factor fails all the same, GapError with reason
-    "gap-assumption-violated" is raised.
+    bounds on ||V||.  A is G - E + (c - E) vac vac^dag, the matrix of
+    ``operators.vacuum_shifted`` with E = vac^dag G vac taken off its
+    diagonal, of which only the factor is kept.  G must have a positive gap
+    above E (``local_gap``); where the factor fails all the same, GapError
+    with reason "gap-assumption-violated" is raised.
     """
-    # G - E + (c - E) vac vac^dag in one D x D array, of which only the factor is kept
-    A = vacuum_shifted(G, vac, E)
-    A.flat[::A.shape[0] + 1] -= E
     try:
         R = cholesky_solver(A)
     except np.linalg.LinAlgError:
         raise GapError("excited block of the local Hamiltonian is not positive definite "
                        "above the vacuum energy", step=step,
                        reason="gap-assumption-violated") from None
-    del A
 
     def resolved(u: np.ndarray) -> np.ndarray:
         x = R(u - vac * (vac.conj() @ u))
@@ -445,12 +443,16 @@ def advance(state: BlockDiagState, model: ChainModel,
     vac = build_projectors(I, model.omega)
     G = local_hamiltonian(state, model, I, vac, controls.tol_od)
     E = vacuum_energy(G.matrix, vac)
-    excited = excited_spectrum(G.matrix, vac, E)
-    gap = local_gap(E, excited, controls.gap_min, controls.tol_od, I)
+    # one shifted array per step: its eigensolve is ``excited_spectrum``, and
+    # with E taken off its diagonal it is the matrix the resolvent factors
+    A = vacuum_shifted(G.matrix, vac, E)
+    gap = local_gap(E, parity_eigvalsh(A)[:-1], controls.gap_min, controls.tol_od, I)
+    A.flat[::A.shape[0] + 1] -= E
 
     V_op = state.potentials.get(I)
     V = V_op.matrix if V_op is not None else np.zeros((I.dim(model.M),) * 2, dtype=complex)
-    series = generator_series(G.matrix, E, vac, V, model.t, controls, I)
+    series = generator_series(G.matrix, A, vac, V, model.t, controls, I)
+    del A
     s_norm = vector_norm(series.y)
 
     if s_norm == 0.0:

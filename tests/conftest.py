@@ -25,11 +25,12 @@ from lieschwinger.errors import ValidationError  # noqa: E402
 from lieschwinger.intervals import Interval  # noqa: E402
 from lieschwinger.model import ChainModel  # noqa: E402
 from lieschwinger.operators import (  # noqa: E402
-    LocalOperator, build_projectors, dense_dim, embed, excited_spectrum, op_norm)
+    LocalOperator, build_projectors, dense_dim, embed, excited_spectrum, op_norm, vacuum_shifted)
 from lieschwinger.oracle import ed_spectrum  # noqa: E402
 from lieschwinger.certify import BOUND_MARGIN, _saturated  # noqa: E402
 from lieschwinger.sweep import (  # noqa: E402
-    BlockDiagState, SeriesControls, _offdiag_norm, local_hamiltonian, vacuum_energy)
+    BlockDiagState, SeriesControls, _offdiag_norm, generator_series, local_hamiltonian,
+    vacuum_energy)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -83,6 +84,15 @@ def series_terms(res, V):
     as dense matrices."""
     return [V] + [res.frame[:, :K.shape[0]] @ K @ res.frame[:, :K.shape[0]].conj().T
                   for K in res.v_coeffs]
+
+
+def run_series(G, E, vac, V, t, controls, step=None):
+    """``sweep.generator_series`` from G and its vacuum energy E, as
+    ``advance`` calls it: on ``vacuum_shifted`` with E taken off its
+    diagonal."""
+    A = vacuum_shifted(G, vac, E)
+    A.flat[::A.shape[0] + 1] -= E
+    return generator_series(G, A, vac, V, t, controls, step)
 
 
 def dense_generator_series(G, E, vac, V, t, controls):

@@ -14,7 +14,7 @@ import pytest
 from conftest import (anchor_model, check_series_majorant, d_modes, dense_generator,
                       dense_spectrum, doubling_check, kitaev_spectrum_expected,
                       kron_fermion_algebra, projector_inequalities, random_bulk_perturbation,
-                      s_term_norms, solve_majorant)
+                      run_series, s_term_norms, solve_majorant)
 from lieschwinger import kitaev as kit
 from lieschwinger.certify import GapReport, certify
 from lieschwinger.intervals import Interval, iter_steps
@@ -26,7 +26,6 @@ from lieschwinger.sweep import (
     SeriesControls,
     advance,
     assemble_full,
-    generator_series,
     initial_state,
     local_hamiltonian,
     sweep,
@@ -153,7 +152,7 @@ def test_ac6_piecewise_conjugation_identity():
             dim = I.dim(model.M)
             V = (before.potentials[I].matrix if I in before.potentials
                  else np.zeros((dim, dim), dtype=complex))
-            res = generator_series(G.matrix, E, vac, V, model.t, controls)
+            res = run_series(G.matrix, E, vac, V, model.t, controls)
             U = embed(LocalOperator(I, unitary_exp(dense_generator(res))), chain, model.M).matrix
             direct = U @ assemble_full(before, model) @ U.conj().T
             dev = float(np.max(np.abs(assemble_full(state, model) - direct)))
@@ -201,7 +200,7 @@ def test_ac7_appendix_suite(suite):
             vac = build_projectors(I, model.omega)
             G = local_hamiltonian(before, model, I, vac)
             V = before.potentials[I].matrix
-            res = generator_series(G.matrix, diag.E, vac, V, model.t, controls)
+            res = run_series(G.matrix, diag.E, vac, V, model.t, controls)
             vn = (op_norm(V),) + res.v_term_norms
             if vn[0] == 0.0:
                 continue

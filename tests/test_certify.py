@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (SX, anchor_model, check_series_majorant, excited_block_lower_bound,
                       ising_bdg, ising_chain_model, non_basis_vacuum_model,
-                      projector_inequalities, solve_majorant, walked_gap_lower_bound)
+                      projector_inequalities, run_series, solve_majorant, walked_gap_lower_bound)
 from lieschwinger.certify import BOUND_MARGIN, check_ledger, certify, decay_bound, gap_lower_bound
 from lieschwinger.cli import emit, load_model, main, run
 from lieschwinger.estimator import BlockDiagonalizer
@@ -19,8 +19,8 @@ from lieschwinger.errors import ValidationError
 from lieschwinger.intervals import Interval
 from lieschwinger.model import build_chain_model, random_chain_model
 from lieschwinger.operators import build_projectors, op_norm, spectral_range
-from lieschwinger.sweep import (SeriesControls, _offdiag_norm, advance, generator_series,
-                                initial_state, local_hamiltonian, sweep, vacuum_energy)
+from lieschwinger.sweep import (SeriesControls, _offdiag_norm, advance, initial_state,
+                                local_hamiltonian, sweep, vacuum_energy)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -156,7 +156,7 @@ class TestMajorant:
         vac = build_projectors(I, model.omega)
         G = local_hamiltonian(state, model, I, vac)
         V = state.potentials[I].matrix
-        res = generator_series(G.matrix, 0.0, vac, V, model.t, SeriesControls())
+        res = run_series(G.matrix, 0.0, vac, V, model.t, SeriesControls())
         norms = (op_norm(V),) + res.v_term_norms
         params = solve_majorant(norms[0], jmax=len(norms))
         assert check_series_majorant(norms, params)

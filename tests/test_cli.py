@@ -592,10 +592,10 @@ class TestBadInputs:
         # the two steps the sweep completed before it
         series = sweep_module.generator_series
 
-        def out_of_memory_at_third_step(G, E, vac, V, t, controls, step=None):
+        def out_of_memory_at_third_step(G, A, vac, V, t, controls, step=None):
             if step == Interval(1, 3):
                 raise _ArrayMemoryError("Unable to allocate 8.00 GiB")
-            return series(G, E, vac, V, t, controls, step)
+            return series(G, A, vac, V, t, controls, step)
 
         monkeypatch.setattr(sweep_module, "generator_series", out_of_memory_at_third_step)
         out = tmp_path / "report.json"
@@ -749,6 +749,12 @@ GOLDEN = (
     # quadratic_kitaev_block(8, 0.05, seed=8): hopping, pairing and density terms
     # on bonds [2, 3]..[6, 7] and [1, 2], none on site 8 (an exact zero mode)
     ("kitaev_quad_n8", ()),
+    # a range-2 bulk term of norm 3 on sites 3-5, a hopping term on 5-6 and a
+    # boundary term on sites 6-7 alone: gamma_A,1 commutes, so the ground pair
+    # stays exactly degenerate
+    ("kitaev_right_n7", ("--t-sweep", "0.01,0.04")),
+    # the same with a boundary term on sites 1-2 as well: no zero-mode symmetry
+    ("kitaev_ends_n7", ("--t-sweep", "0.01,0.04")),
     ("chain_n7_m2_k1", ("--format", "csv")),
 )
 

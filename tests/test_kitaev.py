@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from lieschwinger.cli import load_model, main
 from lieschwinger.errors import ValidationError
 from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.intervals import Interval, iter_steps
+from lieschwinger.model import validate_chain_model
 from lieschwinger.operators import parity_eigvalsh, parity_sectors
 from lieschwinger.oracle import assemble_direct, ed_spectrum
 from lieschwinger.sweep import advance, initial_state
@@ -586,6 +589,140 @@ class TestCheckBlocks:
         assert main(["--config", str(config), "--t-sweep", "0.01,0.04", "--report", str(out)]) == 0
         reports = json.loads(out.read_text())
         assert [r["kitaev"]["doubling_ok"] for r in reports] == [True, True]
+
+
+def end_terms(N, rng, ends):
+    """Random even terms on every bulk bond (every bulk site at N = 3) and
+    on the boundary bonds [1, 2] ("left") and [N-1, N] ("right") named in
+    ``ends``, each parsed on its own sites."""
+    supports = [Interval(1, q) for q in range(2, N - 1)] or [Interval(0, 2)]
+    supports += [Interval(1, q) for end, q in (("left", 1), ("right", N - 1)) if end in ends]
+    return [(iv, kit.local_perturbation(iv, random_even_terms(rng, iv), N)) for iv in supports]
+
+
+def two_block_spectrum(H):
+    """Ascending spectrum of a dense even H, one eigvalsh per parity block:
+    the reference for every path of ``SectorPencil.spectrum``."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(H[np.ix_(idx, idx)])
+                                   for idx in popcount_sectors(H.shape[0].bit_length() - 1)]))
+
+
+def recorded_eigvalsh_sizes(monkeypatch):
+    """Patch np.linalg.eigvalsh to record the size of each matrix it gets."""
+    eigvalsh, sizes = np.linalg.eigvalsh, []
+
+    def recorded(m, *args, **kwargs):
+        sizes.append(m.shape[0])
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return sizes
+
+
+ENDS = {"bulk": ((), True, True), "left": (("left",), True, False),
+        "right": (("right",), True, False), "both-ends": (("left", "right"), False, False)}
+
+
+class TestZeroModeSectors:
+    """gamma_(A,1) and gamma_(B,N) appear in no term away from their end, so
+    ``SectorPencil`` diagonalizes only the sectors they leave distinct."""
+
+    @pytest.mark.parametrize("N", range(3, 10))
+    def test_flips_are_the_zero_mode_majoranas(self, N):
+        # gamma_(B,N), i gamma_(A,1) and i gamma_(A,1) gamma_(B,N), entry for entry
+        gA, gB = majoranas(kron_fermion_algebra(N))
+        want = (gB[-1], 1j * gA[0], 1j * gA[0] @ gB[-1])
+        for (m, g), ref in zip(kit._zero_mode_flips(N), want):
+            assert np.array_equal(dense(kit.FlipOperator(np.array([m]), g[None])), dense(ref))
+
+    @pytest.mark.parametrize("N", range(3, 10))
+    def test_key_commutation_is_the_dense_commutator(self, N):
+        # H0, the bulk terms and each end's terms: _commutes is True exactly
+        # where the dense commutator with the flip is zero, and H0 and the
+        # bulk commute with all three
+        rng = np.random.default_rng(N)
+        flips = kit._zero_mode_flips(N)
+        ops = {"H0": kit.kitaev_hamiltonian(N)}
+        for name, (ends, _, _) in ENDS.items():
+            ops[name] = kit._summed([kit.embed(mat, iv, N) for iv, mat in end_terms(N, rng, ends)],
+                                    2 ** N)
+        for name, op in ops.items():
+            got = [kit._commutes(op, *flip) for flip in flips]
+            W = dense(op)
+            want = []
+            for m, g in flips:
+                F = dense(kit.FlipOperator(np.array([m]), g[None]))
+                want.append(not np.any(W @ F - F @ W))
+            assert got == want, name
+            if name in ("H0", "bulk"):
+                assert got == [True, True, True], name
+        assert [kit._commutes(ops["left"], *flip) for flip in flips] == [True, False, False]
+        assert [kit._commutes(ops["right"], *flip) for flip in flips] == [False, True, False]
+        assert [kit._commutes(ops["both-ends"], *flip) for flip in flips] == [False, False, False]
+
+    @pytest.mark.parametrize("case", list(ENDS))
+    @pytest.mark.parametrize("N", range(3, 10))
+    def test_spectrum_matches_the_two_block_reference(self, N, case):
+        ends, majorana, zero_parity = ENDS[case]
+        terms = end_terms(N, np.random.default_rng(N), ends)
+        p = pencil(N, terms)
+        assert (p.majorana, p.zero_parity) == (majorana, zero_parity)
+        for beta in (0.01, 0.3):
+            want = two_block_spectrum(perturbed_full_hamiltonian(N, terms, beta))
+            assert np.max(np.abs(p.spectrum(beta) - want)) <= 1e-12 * max(1.0, abs(want).max())
+
+    @pytest.mark.parametrize("N", [4, 7])
+    def test_one_changed_entry_takes_the_two_block_path(self, N, monkeypatch):
+        # a bulk-only pencil, with one diagonal entry of X moved: still even
+        # and Hermitian, but no zero-mode flip commutes with it any more
+        terms = end_terms(N, np.random.default_rng(N), ())
+        X = dense(pencil(N, terms).X)
+        X[5, 5] += 0.25
+        p = kit.SectorPencil(kit.kitaev_hamiltonian(N), keyed(X))
+        assert (p.majorana, p.zero_parity) == (False, False)
+        sizes = recorded_eigvalsh_sizes(monkeypatch)
+        got = p.spectrum(0.1)
+        assert sizes == [2 ** (N - 1)] * 2
+        want = two_block_spectrum(dense(kit.kitaev_hamiltonian(N)) + 0.1 * X)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, abs(want).max())
+
+    @pytest.mark.parametrize("N", [4, 7])
+    def test_the_zero_mode_parity_alone_halves_both_blocks(self, N, monkeypatch):
+        # X = d^dag_0 d_0, a function of i gamma_(A,1) gamma_(B,N) that
+        # anticommutes with each Majorana: four halves, none doubled
+        dm = d_modes(kron_fermion_algebra(N))
+        X = dense(dm.ddag(0) @ dm.d[0])
+        p = kit.SectorPencil(kit.kitaev_hamiltonian(N), keyed(X))
+        assert (p.majorana, p.zero_parity) == (False, True)
+        sizes = recorded_eigvalsh_sizes(monkeypatch)
+        got = p.spectrum(0.3)
+        assert sizes == [2 ** (N - 2)] * 4
+        want = two_block_spectrum(dense(kit.kitaev_hamiltonian(N)) + 0.3 * X)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, abs(want).max())
+
+    def test_one_coupling_diagonalizes_one_block_and_two_halves(self, monkeypatch):
+        # a kitaev_tsweep-shaped file at N = 9, bond terms on [2, 3]..[7, 8]
+        # and [1, 2]: the boundary check diagonalizes the even block alone
+        # (256), the doubling check the two halves of the bulk's (128 each),
+        # besides what validating the restricted chain takes
+        reduction = kit.build_kitaev_model(9, 0.01, bond_perturbations(9, seed=0)).reduce()
+        beta = 0.04
+        chain = replace(reduction.chain, t=beta * reduction.chain.seed_info["norm_scale"])
+        restricted = ed_spectrum(chain)
+        sizes = recorded_eigvalsh_sizes(monkeypatch)
+        validate_chain_model(chain)
+        chain_sizes = Counter(sizes)
+        sizes.clear()
+        _, block = reduction.at(beta)
+        reduction.check_doubling(block, restricted)
+        assert block["doubling_ok"] is True
+        assert Counter(sizes) == chain_sizes + Counter({256: 1, 128: 2})
+
+    def test_a_right_end_file_reports_an_exactly_degenerate_pair(self):
+        reduction = load_model(CONFIGS / "kitaev_right_n7.json").reduce()
+        assert (reduction.full.majorana, reduction.full.zero_parity) == (True, False)
+        for beta in (0.01, 0.04):
+            assert reduction.at(beta)[1]["boundary_splitting"] == 0.0
 
 
 class TestRestriction:

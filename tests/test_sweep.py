@@ -10,7 +10,7 @@ from conftest import (SX, anchor_model, dense_generator, dense_generator_series,
                       looped_assemble_full, looped_local_hamiltonian,
                       near_hermitian_chain_file, non_basis_vacuum_model,
                       one_table_generator_series, orthogonal_complement_basis, plus_block_eigh,
-                      random_hermitian, s_term_norms, series_terms)
+                      random_hermitian, run_series, s_term_norms, series_terms)
 from lieschwinger.certify import certify
 from lieschwinger.cli import load_model
 from lieschwinger.errors import DimensionError, GapError, OrderError, SeriesError
@@ -35,7 +35,6 @@ from lieschwinger.sweep import (
     advance,
     assemble_full,
     diagonalized_potential,
-    generator_series,
     initial_state,
     local_gap,
     local_hamiltonian,
@@ -102,11 +101,12 @@ def vacuum_and_hamiltonian(rng, excited, E=0.0):
 
 
 def assert_matches_reference(reference, G, E, vac, V, t, controls=SeriesControls()):
-    """generator_series against a dense reference series: order, y, every
-    (V)_j formed from the frame, and both norm lists to 1e-13.  The
-    reference takes ||V|| exactly at order one, where generator_series
-    bounds it, so the orders agreeing checks the order-one stop test."""
-    res = generator_series(G, E, vac, V, t, controls)
+    """generator_series (through ``run_series``) against a dense reference
+    series: order, y, every (V)_j formed from the frame, and both norm
+    lists to 1e-13.  The reference takes ||V|| exactly at order one, where
+    generator_series bounds it, so the orders agreeing checks the order-one
+    stop test."""
+    res = run_series(G, E, vac, V, t, controls)
     order, y, v_terms, v_norms, s_norms = reference(G, E, vac, V, t, controls)
     assert res.order == order
     assert np.max(np.abs(res.y - y)) <= 1e-13
@@ -232,7 +232,7 @@ class TestGeneratorSeries:
     def test_block_diagonal_potential_gives_zero_generator(self, rng):
         model, state, I, G, vac, V = anchor_pieces()
         W = np.diag(rng.normal(size=4)).astype(complex)  # commutes with vac vac^dag
-        res = generator_series(G.matrix, 0.0, vac, W, 0.1, SeriesControls())
+        res = run_series(G.matrix, 0.0, vac, W, 0.1, SeriesControls())
         assert not np.any(dense_generator(res))
         np.testing.assert_allclose(summed_diagonal_series(res, W, vac, 0.1), W, atol=1e-14)
 
@@ -240,7 +240,7 @@ class TestGeneratorSeries:
         # hand evaluation: P+ V vac = |11>, (G - E)|11> = 2|11>,
         # so S_1 = (|11><00| - |00><11|)/2
         model, state, I, G, vac, V = anchor_pieces(t=1e-4)
-        res = generator_series(G.matrix, 0.0, vac, V, model.t, SeriesControls())
+        res = run_series(G.matrix, 0.0, vac, V, model.t, SeriesControls())
         S1 = np.zeros((4, 4), dtype=complex)
         S1[3, 0], S1[0, 3] = 0.5, -0.5
         np.testing.assert_allclose(dense_generator(res) / model.t, S1, atol=1e-7)
@@ -249,7 +249,7 @@ class TestGeneratorSeries:
         # hand recursion on the {|00>,|11>} block gives ||(V)_j|| = 1, 1/2, 1/3
         # and ||S_j|| = 1/2, 0, 1/6 independent of the coupling
         model, state, I, G, vac, V = anchor_pieces(t=0.1)
-        res = generator_series(G.matrix, 0.0, vac, V, model.t, SeriesControls())
+        res = run_series(G.matrix, 0.0, vac, V, model.t, SeriesControls())
         assert op_norm(V) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(res.v_term_norms[:2], [0.5, 1.0 / 3.0], atol=1e-12)
         np.testing.assert_allclose(s_term_norms(res)[:3], [0.5, 0.0, 1.0 / 6.0], atol=1e-12)
@@ -259,7 +259,7 @@ class TestGeneratorSeries:
         # {|00>,|11>} block, reproduced here from the 2x2 closed form
         t = 0.1
         model, state, I, G, vac, V = anchor_pieces(t)
-        res = generator_series(G.matrix, 0.0, vac, V, t, SeriesControls(jmax=60))
+        res = run_series(G.matrix, 0.0, vac, V, t, SeriesControls(jmax=60))
         theta = 0.5 * np.arctan(t)
         expected = np.zeros((4, 4), dtype=complex)
         expected[3, 0], expected[0, 3] = theta, -theta
@@ -268,7 +268,7 @@ class TestGeneratorSeries:
     def test_generator_bound_from_gap(self):
         # ||S_j|| <= 2 ||(V)_j|| / gap, and gap = 1 here
         model, state, I, G, vac, V = anchor_pieces(t=0.01)
-        res = generator_series(G.matrix, 0.0, vac, V, model.t, SeriesControls())
+        res = run_series(G.matrix, 0.0, vac, V, model.t, SeriesControls())
         for vn, sn in zip((op_norm(V),) + res.v_term_norms, s_term_norms(res)):
             assert sn <= 2.0 * vn + 1e-12
 
@@ -279,7 +279,7 @@ class TestGeneratorSeries:
         # reference: each y_j from the eigendecomposition of the excited
         # block in the Householder basis, applied to the returned (V)_j
         vac, G, V = gapped_local_problem(M, k, seed, E)
-        res = generator_series(G, E, vac, V, t, SeriesControls())
+        res = run_series(G, E, vac, V, t, SeriesControls())
         w, Z, Qp = plus_block_eigh(G, vac)
 
         def ref_y(X):
@@ -342,7 +342,7 @@ class TestGeneratorSeries:
             V = random_hermitian(rng, 4, norm=1.0)
             controls = SeriesControls(jmax=1)
             with pytest.raises(SeriesError) as info:
-                generator_series(G.matrix, 0.0, vac, V, t, controls)
+                run_series(G.matrix, 0.0, vac, V, t, controls)
             assert info.value.last_term_norm == abs(t) * op_norm(V)
             t = 1e-15  # below the cutoff the same controls converge at order one
         res = assert_matches_reference(one_table_generator_series, G.matrix, 0.0, vac, V, t,
@@ -374,10 +374,10 @@ class TestGeneratorSeries:
         # still gives the zero generator, and a generic one a SeriesError
         model, state, I, G, vac, V = anchor_pieces()
         W = np.diag(rng.normal(size=4)).astype(complex)
-        res = generator_series(G.matrix, 0.0, vac, W, 1e200, SeriesControls())
+        res = run_series(G.matrix, 0.0, vac, W, 1e200, SeriesControls())
         assert res.order == 2 and not np.any(res.y)
         with pytest.raises(SeriesError, match="last term norm inf"):
-            generator_series(G.matrix, 0.0, vac, V, 1e200, SeriesControls())
+            run_series(G.matrix, 0.0, vac, V, 1e200, SeriesControls())
 
     @pytest.mark.parametrize("D", [1, 2, 3, 63, 64, 65, 243, 512])
     def test_resolved_vectors_match_inverse(self, D):
@@ -388,7 +388,7 @@ class TestGeneratorSeries:
         E, t = -0.7, 0.03
         vac, G = vacuum_and_hamiltonian(rng, E + rng.uniform(0.5, 4.0, size=D - 1), E)
         V = random_hermitian(rng, D, norm=1.0)
-        res = generator_series(G, E, vac, V, t, SeriesControls())
+        res = run_series(G, E, vac, V, t, SeriesControls())
         R = np.linalg.inv(G - E * np.eye(D) + np.outer(vac, vac.conj()))
         y_ref, scale = np.zeros(D, dtype=complex), 0.0
         for j, (X, norm) in enumerate(zip(series_terms(res, V), s_term_norms(res)), start=1):
@@ -407,7 +407,7 @@ class TestGeneratorSeries:
         G = np.diag([0.0, -1e-3, 2.0]).astype(complex)
         V = random_hermitian(np.random.default_rng(0), 3, norm=1.0)
         with pytest.raises(GapError, match="not positive definite") as info:
-            generator_series(G, 0.0, vac, V, 0.01, SeriesControls(), Interval(0, 1))
+            run_series(G, 0.0, vac, V, 0.01, SeriesControls(), Interval(0, 1))
         assert info.value.reason == "gap-assumption-violated"
         assert info.value.step == Interval(0, 1)
 
@@ -429,7 +429,7 @@ class TestGeneratorSeries:
                 continue
             V = random_hermitian(rng, D, norm=1.0)
             try:
-                generator_series(G, E, vac, V, 1e-16, SeriesControls(gap_min=0.0))
+                run_series(G, E, vac, V, 1e-16, SeriesControls(gap_min=0.0))
             except GapError as err:
                 assert err.reason == "gap-assumption-violated"
                 raised += 1
@@ -438,7 +438,7 @@ class TestGeneratorSeries:
     def test_divergent_series_raises(self):
         model, state, I, G, vac, V = anchor_pieces(t=0.5)
         with pytest.raises(SeriesError, match="converge"):
-            generator_series(G.matrix, 0.0, vac, V, 0.5, SeriesControls())
+            run_series(G.matrix, 0.0, vac, V, 0.5, SeriesControls())
 
     def test_overflowing_series_raises_series_error(self):
         # the frame's Gram matrix overflows at order one; eigvalsh on it
@@ -447,7 +447,7 @@ class TestGeneratorSeries:
         vac = build_projectors(Interval(2, 1), np.array([1.0, 0.0], dtype=complex))
         V = random_hermitian(np.random.default_rng(0), 8)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SeriesError) as info:
-            generator_series(G, 0.0, vac, 1e200 * V, 1.0, SeriesControls())
+            run_series(G, 0.0, vac, 1e200 * V, 1.0, SeriesControls())
         assert info.value.last_term_norm == np.inf
 
 
@@ -462,7 +462,7 @@ class TestDiagonalizedPotential:
         # oracle: closed-form diagonalization of [[0, t], [t, 2]]
         t = 0.1
         model, state, I, G, vac, V = anchor_pieces(t)
-        res = generator_series(G.matrix, 0.0, vac, V, t, SeriesControls())
+        res = run_series(G.matrix, 0.0, vac, V, t, SeriesControls())
         out, residual = diagonalized_potential(G.matrix, V, *rotation_factors(res.y, vac), t, vac)
         assert out[0, 0].real == pytest.approx((1 - np.sqrt(1 + t * t)) / t, abs=1e-9)
         assert residual <= 1e-8
@@ -471,7 +471,7 @@ class TestDiagonalizedPotential:
     def test_closed_form_matches_summed_diagonal_series(self):
         t = 0.01
         model, state, I, G, vac, V = anchor_pieces(t)
-        res = generator_series(G.matrix, 0.0, vac, V, t, SeriesControls())
+        res = run_series(G.matrix, 0.0, vac, V, t, SeriesControls())
         out, _ = diagonalized_potential(G.matrix, V, *rotation_factors(res.y, vac), t, vac)
         np.testing.assert_allclose(out, summed_diagonal_series(res, V, vac, t), atol=1e-10)
 
@@ -542,7 +542,7 @@ class TestAdvance:
                 E = vacuum_energy(G.matrix, vac)
                 V = (before.potentials[I].matrix if I in before.potentials
                      else np.zeros((I.dim(2), I.dim(2)), dtype=complex))
-                res = generator_series(G.matrix, E, vac, V, model.t, controls)
+                res = run_series(G.matrix, E, vac, V, model.t, controls)
                 direct = _conjugated_full(before, model, dense_generator(res), I)
                 np.testing.assert_allclose(assemble_full(state, model), direct, atol=1e-9)
 
@@ -559,7 +559,7 @@ def per_source_transport(state, model, controls):
     E = vacuum_energy(G, vac)
     V = (state.potentials[I].matrix if I in state.potentials
          else np.zeros((I.dim(model.M),) * 2, dtype=complex))
-    U = unitary_exp(dense_generator(generator_series(G, E, vac, V, model.t, controls)))
+    U = unitary_exp(dense_generator(run_series(G, E, vac, V, model.t, controls)))
     out = {}
     for J in iter_steps(model.N):
         if J == I or not J.contains(I):
