@@ -89,8 +89,6 @@ def check_ledger(state: BlockDiagState, model: ChainModel) -> list[NormLedgerEnt
     module docstring); violations are data, not failures."""
     entries = []
     for interval, op in sorted(state.potentials.items()):
-        if interval.k < 1:
-            continue
         lo, hi = spectral_range(op)
         norm = max(abs(lo), abs(hi))  # op_norm(op), from the same eigvalsh
         bound = decay_bound(interval.k, model.t)

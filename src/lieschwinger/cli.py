@@ -1,8 +1,11 @@
 """Command-line runner: load a model file, run the estimator's pipeline
 (sweep, certify, compare) once per coupling, and report.
 
-A Kitaev file is handed to ``kitaev`` in one place, ``_load_kitaev``, which
-imports it; a chain-file run does not.
+A Kitaev file is parsed by ``_load_kitaev``, which holds the one import of
+the ``kitaev`` module, so a chain-file run does not load it.  ``main``
+reduces the file once, whatever the couplings; ``_prepare_model`` takes the
+reduction's chain and ``kitaev`` block at each coupling, and ``run`` its
+doubling check.
 
 Reports serialize deterministically: keys are emitted in sorted order and
 floats with 17 significant digits, so identical inputs and flags reproduce
@@ -39,6 +42,12 @@ from .sweep import SeriesControls, sweep  # sweep: as for compare
 
 MODEL_FILE_VERSION = "1"  # the "version" a model file must give
 REPORT_VERSION = "2"  # a report's "version": 2 dropped the model's matrices
+
+# A report row's fields, in CSV column order.  Each row kind starts with its
+# interval's k and q; the rest are attributes of the same name on a step's
+# StepDiagnostics or a ledger's NormLedgerEntry.
+STEP_FIELDS = ("k", "q", "E", "gap", "series_order", "od_residual", "s_norm")
+LEDGER_FIELDS = ("r", "interval_q", "norm", "bound", "ok")
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +167,21 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _scalar(obj) -> str:
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    return json.dumps(str(obj))
+
+
+def _cell(value) -> str:
+    """A CSV cell: a scalar as JSON writes it, an absent value empty."""
+    return "" if value is None else _scalar(value)
+
+
 def _write_json(obj, out, indent: int) -> None:
     if isinstance(obj, (dict, list, tuple)):
         # (key prefix, value) per entry; objects in sorted key order
@@ -175,14 +199,8 @@ def _write_json(obj, out, indent: int) -> None:
             _write_json(value, out, indent + 2)
             out.append(",\n" if i < len(entries) - 1 else "\n")
         out.append(pad + brackets[1])
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
     else:
-        out.append(json.dumps(str(obj)))
+        out.append(_scalar(obj))
 
 
 def emit(report, fmt: str = "json") -> str:
@@ -194,24 +212,13 @@ def emit(report, fmt: str = "json") -> str:
         return "".join(out)
     if fmt == "csv":
         reports = report if isinstance(report, list) else [report]
-        lines = ["kind,t,k,q,E,gap,series_order,od_residual,s_norm,r,interval_q,norm,bound,ok"]
+        columns = STEP_FIELDS + LEDGER_FIELDS
+        lines = [",".join(("kind", "t", *columns))]
         for rep in reports:
-            t = (rep.get("controls") or {}).get("t")
-            ts = "" if t is None else _format_float(t)
-            for row in rep.get("steps", []):
-                lines.append(",".join([
-                    "step", ts, str(row["k"]), str(row["q"]),
-                    _format_float(row["E"]), _format_float(row["gap"]),
-                    str(row["series_order"]), _format_float(row["od_residual"]),
-                    _format_float(row["s_norm"]), "", "", "", "", "",
-                ]))
-            for row in rep.get("ledger", []):
-                lines.append(",".join([
-                    "ledger", ts, "", "", "", "", "", "", "",
-                    str(row["r"]), str(row["interval_q"]),
-                    _format_float(row["norm"]), _format_float(row["bound"]),
-                    str(row["ok"]).lower(),
-                ]))
+            ts = _cell((rep.get("controls") or {}).get("t"))
+            for kind, key in (("step", "steps"), ("ledger", "ledger")):
+                for row in rep.get(key, []):
+                    lines.append(",".join((kind, ts, *(_cell(row.get(name)) for name in columns))))
         return "\n".join(lines) + "\n"
     raise ValidationError(f"unsupported report format {fmt!r}")
 
@@ -219,15 +226,13 @@ def emit(report, fmt: str = "json") -> str:
 # ---------------------------------------------------------------------------
 # run orchestration
 
+def _row(fields, interval: Interval, entry) -> dict:
+    k, q, *rest = fields
+    return {k: interval.k, q: interval.q, **{name: getattr(entry, name) for name in rest}}
+
+
 def _steps_json(state) -> list:
-    return [
-        {
-            "k": d.step.k, "q": d.step.q, "E": d.E, "gap": d.gap,
-            "series_order": d.series_order, "od_residual": d.od_residual,
-            "s_norm": d.s_norm,
-        }
-        for d in state.diagnostics
-    ]
+    return [_row(STEP_FIELDS, d.step, d) for d in state.diagnostics]
 
 
 def _model_echo(model: ChainModel) -> dict:
@@ -283,7 +288,7 @@ def run(model, controls: SeriesControls, oracle_policy: str = "auto",
                   "t": model.t},
         kitaev=kitaev_extra,
     )
-    est = BlockDiagonalizer(oracle=oracle_policy, **dataclasses.asdict(controls))
+    est = BlockDiagonalizer(controls, oracle_policy)
     code = 0
     try:
         est.fit(model)
@@ -294,11 +299,7 @@ def run(model, controls: SeriesControls, oracle_policy: str = "auto",
     if est.state_ is not None:
         report["steps"] = _steps_json(est.state_)
     if est.report_ is not None:
-        report["ledger"] = [
-            {"r": e.interval.k, "interval_q": e.interval.q, "norm": e.norm,
-             "bound": e.bound, "ok": e.ok}
-            for e in est.report_.ledger
-        ]
+        report["ledger"] = [_row(LEDGER_FIELDS, e.interval, e) for e in est.report_.ledger]
         report["gap_report"] = {key: getattr(est.report_, key) for key in
                                 ("ground_energy", "gap", "unique_ground", "od_residual",
                                  "gap_lower_bound", "vacuum_energy_bound", "residual_term")}

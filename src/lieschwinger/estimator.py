@@ -27,22 +27,17 @@ ORACLE_POLICIES = ("auto", "force", "off")
 class BlockDiagonalizer:
     """Fit the block-diagonalizing sweep to a chain model and certify it.
 
-    Parameters mirror SeriesControls plus the oracle policy: "auto" runs
-    exact diagonalization when the full space fits the dense guard, "force"
-    always runs it, "off" never does.  ``fit`` accepts only models whose
-    full space fits the guard, so today "auto" and "force" both run it.
+    Parameters are the sweep's SeriesControls and the oracle policy: "auto"
+    runs exact diagonalization when the full space fits the dense guard,
+    "force" always runs it, "off" never does.  ``fit`` accepts only models
+    whose full space fits the guard, so today "auto" and "force" both run it.
     """
 
-    def __init__(self, jmax=SeriesControls.jmax, tol_series=SeriesControls.tol_series,
-                 tol_od=SeriesControls.tol_od, gap_min=SeriesControls.gap_min,
-                 oracle="auto"):
-        self.jmax = jmax
-        self.tol_series = tol_series
-        self.tol_od = tol_od
-        self.gap_min = gap_min
+    def __init__(self, controls=SeriesControls(), oracle="auto"):
+        self.controls = controls
         self.oracle = oracle
 
-    _param_names = ("jmax", "tol_series", "tol_od", "gap_min", "oracle")
+    _param_names = ("controls", "oracle")
 
     def get_params(self, deep=True):
         return {name: getattr(self, name) for name in self._param_names}
@@ -53,10 +48,6 @@ class BlockDiagonalizer:
                 raise ValueError(f"invalid parameter {name!r} for BlockDiagonalizer")
             setattr(self, name, value)
         return self
-
-    def controls(self) -> SeriesControls:
-        return SeriesControls(jmax=self.jmax, tol_series=self.tol_series,
-                              tol_od=self.tol_od, gap_min=self.gap_min)
 
     def fit(self, model: ChainModel):
         """Validate, sweep, certify and, per the oracle policy, compare.
@@ -71,15 +62,17 @@ class BlockDiagonalizer:
         self.timings_ = {}
         if self.oracle not in ORACLE_POLICIES:
             raise ValidationError(f"oracle policy {self.oracle!r} not in auto/force/off")
+        if not isinstance(self.controls, SeriesControls):
+            raise ValidationError(f"controls must be a SeriesControls, got {self.controls!r}")
         validate_chain_model(model)
         dense_dim(model.M, model.N)
         self.model_ = model
         started = time.perf_counter()
-        self.state_ = sweep(model, self.controls())
+        self.state_ = sweep(model, self.controls)
         self.timings_["sweep_s"] = time.perf_counter() - started
-        self.report_ = certify(self.state_, model, self.tol_od)
+        self.report_ = certify(self.state_, model, self.controls.tol_od)
         if self.oracle != "off":
-            self.comparison_ = compare(self.report_, model, tol_od=self.tol_od)
+            self.comparison_ = compare(self.report_, model, tol_od=self.controls.tol_od)
         return self
 
     @property

@@ -320,6 +320,8 @@ def perturbation_matrix(terms, n: int, first: int = 1) -> FlipOperator:
         if len(ops) % 2 != 0:
             raise ValidationError("perturbation monomials must have even fermion degree")
         for kind, site in ops:
+            if isinstance(site, bool) or not isinstance(site, (int, np.integer)):
+                raise ValidationError(f"fermion site {site!r} must be an integer")
             if not first <= site < first + n:
                 raise ValidationError(
                     f"fermion site {site} is outside sites [{first}, {first + n - 1}]")

@@ -7,8 +7,10 @@ is checked against a tolerance, never assumed from storage format.
 The product vacuum of an interval is one unit vector vac
 (``build_projectors``), and its projector vac vac^dag is never stored: the
 complement 1 - vac vac^dag is never given a basis.  One vacuum shift,
-``vacuum_shifted``, moves the vacuum eigenvalue above the rest:
-``excited_spectrum`` diagonalizes it and the sweep's resolvent factors it.
+``vacuum_shifted``, moves the vacuum eigenvalue above the rest.  The
+sweep's ``advance`` diagonalizes that array itself and then factors it for
+the resolvent; ``excited_spectrum``, which only ``certify`` calls,
+diagonalizes it for the fully swept Hamiltonian.
 
 Hermitian spectra (``excited_spectrum``, ``spectral_range``, which
 ``op_norm`` reads, and the oracle's) go through ``parity_eigvalsh``: a
@@ -224,7 +226,7 @@ def build_projectors(interval: Interval, omega: np.ndarray) -> np.ndarray:
     omega = omega / np.linalg.norm(omega)
     vac = omega
     for _ in range(interval.k):
-        vac = np.kron(vac, omega)
+        vac = np.multiply.outer(vac, omega).ravel()
     return vac
 
 

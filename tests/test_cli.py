@@ -411,6 +411,12 @@ def _not_utf8_file(tmp_path):
     return path
 
 
+def _raw_file(tmp_path, spec):
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
 def _anchor_file(tmp_path, **fields):
     """configs/anchor_n2.json with top-level ``fields`` replaced; ``support``
     replaces the support of its one interaction."""
@@ -433,13 +439,13 @@ def _duplicate_support_file(tmp_path):
 
 
 def _kitaev_file(tmp_path, N=5, supports=((3, 3),), beta=0.01, coeff=0.5, sites=None,
-                 **fields):
+                 ops=None, **fields):
     """Kitaev file with one density term coeff c^dag_i c_i per support [i, j],
-    i the support's entry in ``sites`` if given, plus any extra ``fields``
-    of the kitaev block."""
+    i the support's entry in ``sites`` if given, or with ``ops`` in place of
+    each term's factors, plus any extra ``fields`` of the kitaev block."""
     sites = sites or [sup[0] for sup in supports]
     perts = [{"support": list(sup),
-              "terms": [{"coeff": [coeff, 0.0], "ops": [["cdag", i], ["c", i]]}]}
+              "terms": [{"coeff": [coeff, 0.0], "ops": ops or [["cdag", i], ["c", i]]}]}
              for sup, i in zip(supports, sites)]
     path = tmp_path / f"k{beta}.json"
     path.write_text(json.dumps({"version": "1",
@@ -501,6 +507,44 @@ class TestBadInputs:
                      id="t-integer-past-float"),
         pytest.param(lambda p: _anchor_file(p, H=[[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]),
                      [], None, "on-site", id="H-integer-past-float"),
+        pytest.param(lambda p: _anchor_file(p, N=1), [], None, "need at least 2 sites",
+                     id="N-one"),
+        pytest.param(lambda p: _anchor_file(p, M=1), [], None, "need on-site dimension >= 2",
+                     id="M-one"),
+        pytest.param(lambda p: _anchor_file(p, M=3), [], None,
+                     "on-site matrix shape (2, 2) does not match M=3", id="H-size-not-M"),
+        pytest.param(lambda p: _anchor_file(p, kbar=0), [], None,
+                     "interaction support [1, 2] exceeds max range kbar=0",
+                     id="kbar-below-interaction-range"),
+        pytest.param(lambda p: _anchor_file(p, H=[[1, 0], [0, 1]]), [], None,
+                     "on-site matrix: matrix entries must be [re, im] pairs", id="H-not-pairs"),
+        pytest.param(lambda p: _anchor_file(p, H=[[[0, 0], [0, 0]]]), [], None,
+                     "on-site matrix: matrix must be square", id="H-not-square"),
+        pytest.param(lambda p: _anchor_file(p, support=[1, 2, 3]), [], None,
+                     "'support' must be [first_site, last_site]", id="support-three-sites"),
+        pytest.param(lambda p: _anchor_file(p, interactions=[5]), [], None,
+                     "interaction must be a JSON object", id="interaction-not-object"),
+        pytest.param(lambda p: _raw_file(p, {"version": "1", "kitaev": 5}), [], None,
+                     "kitaev block must be a JSON object", id="kitaev-not-object"),
+        pytest.param(lambda p: _kitaev_file(p, ops=[["c", 3]]), [], None,
+                     "perturbation on [3, 3]: perturbation monomials must have even fermion degree",
+                     id="kitaev-odd-monomial"),
+        pytest.param(lambda p: _kitaev_file(p, ops=[["x", 3], ["c", 3]]), [], None,
+                     "perturbation on [3, 3]: unknown fermion factor kind 'x'",
+                     id="kitaev-unknown-factor"),
+        pytest.param(lambda p: _kitaev_file(p, supports=[(5, 6)]), [], None,
+                     "perturbation support [5, 6] does not fit 5 sites",
+                     id="kitaev-support-past-chain-end"),
+        # a fermion site is an integer: never a float, a string or a bool
+        pytest.param(lambda p: _kitaev_file(p, ops=[["cdag", 3.0], ["c", 3]]), [], None,
+                     "perturbation on [3, 3]: fermion site 3.0 must be an integer",
+                     id="kitaev-site-float"),
+        pytest.param(lambda p: _kitaev_file(p, ops=[["cdag", "3"], ["c", 3]]), [], None,
+                     "perturbation on [3, 3]: fermion site '3' must be an integer",
+                     id="kitaev-site-string"),
+        pytest.param(lambda p: _kitaev_file(p, supports=[(1, 2)], ops=[["cdag", True], ["c", 1]]),
+                     [], None, "perturbation on [1, 2]: fermion site True must be an integer",
+                     id="kitaev-site-bool"),
     ])
     def test_exit_two_with_report(self, demo_config, tmp_path, make_config, flags, bad_index,
                                   names):

@@ -2,24 +2,27 @@ import numpy as np
 import pytest
 
 from conftest import anchor_model
+from lieschwinger import estimator
 from lieschwinger.errors import DimensionError, SeriesError, ValidationError
 from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.model import random_chain_model
-from lieschwinger.sweep import SeriesControls
+from lieschwinger.sweep import SeriesControls, sweep
 
 
 def test_get_params_round_trip():
-    est = BlockDiagonalizer(jmax=12, tol_od=1e-7)
+    controls = SeriesControls(jmax=12, tol_od=1e-7)
+    est = BlockDiagonalizer(controls, oracle="off")
     params = est.get_params()
-    assert params["jmax"] == 12 and params["tol_od"] == 1e-7
+    assert params == {"controls": controls, "oracle": "off"}
     clone = BlockDiagonalizer(**params)
     assert clone.get_params() == params
 
 
 def test_set_params_returns_self_and_validates():
     est = BlockDiagonalizer()
-    assert est.set_params(gap_min=0.4) is est
-    assert est.gap_min == 0.4
+    controls = SeriesControls(gap_min=0.4)
+    assert est.set_params(controls=controls) is est
+    assert est.controls is controls
     with pytest.raises(ValueError, match="invalid parameter"):
         est.set_params(bogus=1)
 
@@ -55,10 +58,18 @@ def test_oversize_model_rejected_before_sweep():
     assert est.model_ is None and est.state_ is None
 
 
-def test_controls_follow_params():
-    est = BlockDiagonalizer(jmax=7, tol_series=1e-10, tol_od=1e-6, gap_min=0.25)
-    ctl = est.controls()
-    assert (ctl.jmax, ctl.tol_series, ctl.tol_od, ctl.gap_min) == (7, 1e-10, 1e-6, 0.25)
+def test_controls_follow_params(monkeypatch):
+    # the sweep runs the SeriesControls the estimator was given, as given
+    controls = SeriesControls(jmax=30, tol_series=1e-10, tol_od=1e-6, gap_min=0.25)
+    seen = []
+
+    def recording_sweep(model, ctl):
+        seen.append(ctl)
+        return sweep(model, ctl)
+
+    monkeypatch.setattr(estimator, "sweep", recording_sweep)
+    BlockDiagonalizer(controls).fit(anchor_model(0.1))
+    assert len(seen) == 1 and seen[0] is controls
 
 
 @pytest.mark.parametrize("bad", [
@@ -68,15 +79,15 @@ def test_controls_follow_params():
 def test_bad_controls_raise_validation_error(bad):
     with pytest.raises(ValidationError):
         SeriesControls(**bad)
-    est = BlockDiagonalizer(**bad)
-    with pytest.raises(ValidationError):
+    est = BlockDiagonalizer(controls=bad)
+    with pytest.raises(ValidationError, match="SeriesControls"):
         est.fit(anchor_model(0.1))
     assert est.state_ is None
 
 
 def test_numpy_integer_jmax_accepted():
     assert SeriesControls(jmax=np.int64(7)).jmax == 7
-    assert BlockDiagonalizer(jmax=np.int32(20)).fit(anchor_model(0.1)).gap_ > 0
+    assert BlockDiagonalizer(SeriesControls(jmax=np.int32(20))).fit(anchor_model(0.1)).gap_ > 0
 
 
 def test_refit_overwrites_state():

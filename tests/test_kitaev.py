@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -263,6 +264,18 @@ class TestRegrouping:
             return
         with pytest.raises(ValidationError, match="not even"):
             kit.build_kitaev_model(5, 0.01, perturbation)
+
+    @pytest.mark.parametrize("site", [3.0, "3", True], ids=repr)
+    def test_fermion_sites_must_be_integers(self, site):
+        # a bool is an int to Python, but True is no site
+        terms = [{"coeff": [0.5, 0.0], "ops": [("cdag", site), ("c", 3)]}]
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"perturbation on [2, 3]: fermion site {site!r} must")):
+            kit.local_perturbation(Interval(1, 2), terms, 5)
+        # a numpy integer is a site
+        ints = [dense(kit.local_perturbation(Interval(1, 2), [
+            {"coeff": [0.5, 0.0], "ops": [("cdag", i), ("c", 3)]}], 5)) for i in (3, np.int64(3))]
+        assert np.array_equal(*ints)
 
 
 def popcount_sectors(N):

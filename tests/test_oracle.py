@@ -16,7 +16,7 @@ from lieschwinger.oracle import (
     degeneracy_of_spectrum,
     ed_spectrum,
 )
-from lieschwinger.sweep import initial_state, sweep
+from lieschwinger.sweep import SeriesControls, initial_state, sweep
 
 
 def test_zero_coupling_spectrum_is_digit_sums():
@@ -85,7 +85,7 @@ def test_blockwise_match_follows_tol_od(monkeypatch):
         return compare(*args, **kwargs)
 
     monkeypatch.setattr(estimator, "compare", recording_compare)
-    BlockDiagonalizer(tol_od=1e-5).fit(model)
+    BlockDiagonalizer(SeriesControls(tol_od=1e-5)).fit(model)
     assert seen == [1e-5]
 
 

@@ -772,7 +772,7 @@ class TestNonBasisVacuum:
             assert np.array_equal(op.matrix, op.matrix.conj().T)
             if t != 0.0:  # at t = 0 the potentials carry no weight and stay as given
                 vac = build_projectors(iv, model.omega)
-                assert np.linalg.norm(plus_minus_block(vac, op.matrix)) <= fitted.tol_od
+                assert np.linalg.norm(plus_minus_block(vac, op.matrix)) <= fitted.controls.tol_od
 
 
 class TestAssembleFull:
