@@ -334,10 +334,10 @@ def main(argv=None) -> int:
     group.add_argument("--t-sweep", default=None,
                        help="comma-separated couplings; emits one report per value; write a "
                             "list that starts with a negative one as --t-sweep=-0.01,0.01")
-    parser.add_argument("--jmax", type=int, default=SeriesControls.jmax)
-    parser.add_argument("--tol-od", type=float, default=SeriesControls.tol_od)
-    parser.add_argument("--tol-series", type=float, default=SeriesControls.tol_series)
-    parser.add_argument("--gap-min", type=float, default=SeriesControls.gap_min)
+    control_fields = dataclasses.fields(SeriesControls)  # one flag per field, named after it
+    for control in control_fields:
+        parser.add_argument("--" + control.name.replace("_", "-"), type=type(control.default),
+                            default=control.default, help="default %(default)s")
     parser.add_argument("--oracle", choices=ORACLE_POLICIES, default="auto",
                         help="exact-diagonalization checks: compare, doubling_ok; off runs none")
     parser.add_argument("--report", default=None, help="output path (default stdout)")
@@ -359,8 +359,8 @@ def main(argv=None) -> int:
         return code
 
     try:
-        controls = SeriesControls(jmax=args.jmax, tol_series=args.tol_series,
-                                  tol_od=args.tol_od, gap_min=args.gap_min)
+        controls = SeriesControls(**{control.name: getattr(args, control.name)
+                                     for control in control_fields})
         t_values = [args.t]
         if args.t_sweep is not None:
             try:

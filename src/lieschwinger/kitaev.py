@@ -25,8 +25,9 @@ amplitude vector over the basis states a.  A product of c / c^dag factors
 flips a fixed set of bits, so it lands on one key; ``_follow`` reads it
 off by following every basis state through its factors, and is the one
 place that turns c and c^dag into entries: the bond of H0 is parsed as four
-monomials, and each mode as four single factors.  A key of odd popcount
-holds the entries across fermion parity, which is diagonal in the
+monomials, each mode as four single factors, and the zero mode's Majoranas
+and their product as two or four (``_zero_mode_flips``).  A key of odd
+popcount holds the entries across fermion parity, which is diagonal in the
 occupation basis (``operators.parity_sectors``), and applying an operator
 is one gather per key (``_apply``).
 
@@ -51,9 +52,11 @@ guard (``fermion_sites``), and H0 is one 2-site bond embedded on each
 bond (``kitaev_hamiltonian``), its Jordan-Wigner strings cancelling as a
 perturbation's do.
 
-``KitaevModel.reduce`` runs once per file.  Besides the restricted chain
-it embeds every term in the 2^N space once (``embed``) and keeps H0, the
-bulk sum and the sum of all terms as keys (``SectorPencil``).
+``KitaevModel.reduce`` runs once per file and builds the restricted chain.
+The two pencils are built on first read (``KitaevReduction.doubling`` and
+``.full``), which embeds every term in the 2^N space once (``embed``) and
+keeps H0, the bulk sum and the sum of all terms as keys (``SectorPencil``);
+a run that reads neither forms no 2^N operator.
 ``KitaevReduction.at(beta)`` rescales the chain's t and runs the boundary
 check; ``check_doubling`` runs after the oracle, on its restricted spectrum.
 Both read dense parity blocks of H0 + beta X, written key by key, so a
@@ -74,6 +77,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -177,15 +181,13 @@ def kitaev_hamiltonian(N: int) -> FlipOperator:
 def _zero_mode_flips(N: int) -> tuple[tuple[int, np.ndarray], ...]:
     """gamma_{B,N}, i gamma_{A,1} and the zero-mode parity
     i gamma_{A,1} gamma_{B,N} on N sites as signed flips (m, g), the
-    operators f[a, a ^ m] = g[a] = +-1: site N flipped under the
-    Jordan-Wigner string of sites 1..N-1, site 1 flipped with no string, and
-    both.  The signs are parities read from ``_odd_table``."""
-    a = np.arange(2 ** N)
-    odd = _odd_table(N)
-    gamma_b = (1, np.where(odd[a >> 1], -1.0, 1.0))
-    gamma_a = (1 << (N - 1), np.where(odd[a >> (N - 1)], -1.0, 1.0))
-    parity = (gamma_a[0] ^ 1, gamma_a[1] * gamma_b[1][a ^ gamma_a[0]])
-    return gamma_b, gamma_a, parity
+    operators f[a, a ^ m] = g[a] = +-1, each written in c and c^dag: c^dag_N
+    + c_N, c_1 - c^dag_1 and their product, monomial by monomial."""
+    gamma_b = [(1.0, [("cdag", N)]), (1.0, [("c", N)])]
+    gamma_a = [(1.0, [("c", 1)]), (-1.0, [("cdag", 1)])]
+    parity = [(ca * cb, a + b) for ca, a in gamma_a for cb, b in gamma_b]
+    flips = (_monomial_sum(monomials, N) for monomials in (gamma_b, gamma_a, parity))
+    return tuple((int(op.keys[0]), op.amps[0].real) for op in flips)
 
 
 def _commutes(op: FlipOperator, m: int, g: np.ndarray) -> bool:
@@ -216,17 +218,20 @@ class SectorPencil:
     X: FlipOperator
     majorana: bool = field(init=False)
     zero_parity: bool = field(init=False)
+    parity_flip: tuple = field(init=False, repr=False)  # (m, z) of the zero-mode parity
 
     def __post_init__(self):
         for op in (self.H0, self.X):
             if np.any(op.amps[op.odd()] != 0):
                 raise ValidationError("operator is not even: it has entries across fermion parity")
         n = self.H0.dim.bit_length() - 1
+        flips = _zero_mode_flips(n)
         gamma_b, gamma_a, parity = (all(_commutes(op, *flip) for op in (self.H0, self.X))
-                                    for flip in _zero_mode_flips(n))
+                                    for flip in flips)
         object.__setattr__(self, "majorana", gamma_b or gamma_a)
         # on one site the product is the fermion parity itself, which splits nothing
         object.__setattr__(self, "zero_parity", n > 1 and parity)
+        object.__setattr__(self, "parity_flip", flips[2])
 
     def spectrum(self, beta: float) -> np.ndarray:
         """Ascending spectrum of H0 + beta X: one eigvalsh per parity block
@@ -236,7 +241,7 @@ class SectorPencil:
         pair (r, p(r)) with P e_r = z[r] e_p(r), the states with site N
         empty."""
         n = self.H0.dim.bit_length() - 1
-        m, z = _zero_mode_flips(n)[2]
+        m, z = self.parity_flip
         pos = np.empty(self.H0.dim, dtype=np.int64)  # each state's place in its sector
         spectra = []
         for idx in parity_sectors(n)[:1 if self.majorana else 2]:
@@ -267,17 +272,13 @@ class KitaevModel:
     seed_info: dict = field(default_factory=dict)  # joins the restricted chain's seed_info
 
     def reduce(self) -> KitaevReduction:
-        """The part of a run that no coupling changes: the bulk/boundary
-        split, the restricted chain at this model's beta, and the operators
-        the two checks read, with every term embedded once."""
+        """The part of a run that no coupling changes and that can fail at
+        load: the bulk/boundary split and the restricted chain at this
+        model's beta.  The pencils the two checks read are built on first
+        read (``KitaevReduction``)."""
         bulk, boundary = regroup_perturbations(self.N, self.perturbations)
         chain = restricted_chain_model(self.N, bulk, self.beta, self.seed_info)
-        H0, X = kitaev_hamiltonian(self.N), _embedded_sum(bulk, self.N)
-        full = None
-        if boundary:
-            full = SectorPencil(H0, _summed([X, _embedded_sum(boundary, self.N)], 2 ** self.N))
-        return KitaevReduction(self, chain, tuple(bulk), tuple(boundary),
-                               SectorPencil(H0, X), full)
+        return KitaevReduction(self, chain, tuple(bulk), tuple(boundary))
 
 
 def _follow(ops, n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
@@ -520,16 +521,34 @@ def boundary_gap_check(pencil: SectorPencil, beta: float) -> tuple[float, float]
 @dataclass(frozen=True, eq=False)
 class KitaevReduction:
     """A Kitaev model reduced to its restricted chain, with its bulk and
-    boundary terms and the pencils that the per-coupling checks read:
-    H0 + beta * (bulk terms) for the doubling check, and H0 + beta * (all
-    terms) for the boundary check (None without boundary terms)."""
+    boundary terms and the pencils that the per-coupling checks read, each
+    built on first read with every term embedded once: H0 + beta * (bulk
+    terms) for the doubling check, and H0 + beta * (all terms) for the
+    boundary check (None without boundary terms).  A run that reads
+    neither, a bulk-only file under ``--oracle off``, forms no 2^N
+    operator."""
 
     model: KitaevModel
     chain: ChainModel
     bulk: tuple
     boundary: tuple
-    doubling: SectorPencil
-    full: SectorPencil | None
+
+    @cached_property
+    def _bulk_pencil_terms(self) -> tuple[FlipOperator, FlipOperator]:
+        """H0 and the bulk sum, which both pencils share."""
+        return kitaev_hamiltonian(self.model.N), _embedded_sum(self.bulk, self.model.N)
+
+    @cached_property
+    def doubling(self) -> SectorPencil:
+        return SectorPencil(*self._bulk_pencil_terms)
+
+    @cached_property
+    def full(self) -> SectorPencil | None:
+        if not self.boundary:
+            return None
+        H0, X = self._bulk_pencil_terms
+        dim = 2 ** self.model.N
+        return SectorPencil(H0, _summed([X, _embedded_sum(self.boundary, self.model.N)], dim))
 
     def at(self, beta=None) -> tuple[ChainModel, dict]:
         """The validated restricted chain at coupling ``beta`` (None: the

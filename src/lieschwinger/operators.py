@@ -181,7 +181,7 @@ def parity_eigvalsh(m: np.ndarray) -> np.ndarray:
     For a size 2^n of at least _PARITY_MIN_DIM whose every entry across the
     popcount-parity split of the basis indices is exactly 0.0, one eigvalsh
     per parity block; otherwise one eigvalsh of the whole matrix.  Row 0 is
-    looked at before the whole matrix is gathered, so a matrix with no such
+    looked at before the cross blocks are gathered, so a matrix with no such
     blocks pays for one row of the check only.
     """
     D = m.shape[0]
@@ -189,15 +189,10 @@ def parity_eigvalsh(m: np.ndarray) -> np.ndarray:
     if D < _PARITY_MIN_DIM or D != 2 ** n:
         return np.linalg.eigvalsh(m)
     even, odd = parity_sectors(n)
-    if m[0, odd].any():
+    if m[0, odd].any() or m[np.ix_(even, odd)].any() or m[np.ix_(odd, even)].any():
         return np.linalg.eigvalsh(m)
-    order = np.concatenate([even, odd])
-    h = even.shape[0]
-    blocked = m[np.ix_(order, order)]
-    if blocked[:h, h:].any() or blocked[h:, :h].any():
-        return np.linalg.eigvalsh(m)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(blocked[:h, :h]),
-                                   np.linalg.eigvalsh(blocked[h:, h:])]))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(m[np.ix_(even, even)]),
+                                   np.linalg.eigvalsh(m[np.ix_(odd, odd)])]))
 
 
 def spectral_range(op: LocalOperator | np.ndarray) -> tuple[float, float]:

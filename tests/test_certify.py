@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from conftest import (SX, anchor_model, check_series_majorant, excited_block_lower_bound,
                       ising_bdg, ising_chain_model, non_basis_vacuum_model,
                       projector_inequalities, run_series, solve_majorant, walked_gap_lower_bound)
+from test_cli import GOLDEN
+
 from lieschwinger.certify import BOUND_MARGIN, check_ledger, certify, decay_bound, gap_lower_bound
 from lieschwinger.cli import emit, load_model, main, run
 from lieschwinger.estimator import BlockDiagonalizer
@@ -65,6 +67,23 @@ class TestLedger:
             assert entry.e == e
             assert entry.r == _offdiag_norm(op, vac)
             assert entry.c == max(entry.hi - e, e - entry.lo) + BOUND_MARGIN * entry.norm
+
+
+class TestTransport:
+    @pytest.mark.parametrize("name", sorted({name for name, _ in GOLDEN
+                                             if not name.startswith("kitaev")}) + ["kitaev_n6"])
+    def test_each_potential_is_final_after_its_own_step(self, name):
+        # no step touches a potential after that potential's own step: on
+        # every chain golden and on kitaev_n6's restricted chain, each
+        # ledger residual r is the od_residual of the step on its interval
+        source = load_model(CONFIGS / f"{name}.json")
+        model = source.reduce().chain if name.startswith("kitaev") else source
+        fitted = BlockDiagonalizer(oracle="off").fit(model)
+        residuals = {d.step: d.od_residual for d in fitted.state_.diagnostics}
+        ledger = fitted.report_.ledger
+        assert ledger
+        for entry in ledger:
+            assert entry.r == residuals[entry.interval], entry.interval
 
 
 class TestCertify:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import sys
@@ -284,6 +285,28 @@ class TestMain:
         assert [r["controls"]["t"] for r in reports] == [-0.001, 0.001]
         assert main(["--config", str(demo_config), "--t=-1e-3", "--report", str(out)]) == 0
         assert json.loads(out.read_text())["controls"]["t"] == -0.001
+
+    def test_negative_kitaev_couplings_pass_the_doubling_check(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["--config", str(CONFIGS / "kitaev_n6.json"), "--t-sweep=-0.01,0.01",
+                     "--report", str(out)]) == 0
+        reports = json.loads(out.read_text())
+        assert [r["controls"]["t"] for r in reports] == [-0.01, 0.01]
+        for report in reports:
+            assert report["status"] == "ok" and report["kitaev"]["doubling_ok"] is True
+
+    def test_one_flag_per_series_control_with_its_default(self, capsys):
+        # the flags are generated from SeriesControls' fields, in field order
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        lines = capsys.readouterr().out.split("options:", 1)[1].splitlines()
+        flags = [line.split()[0] for line in lines if line.strip().startswith("--")]
+        fields = dataclasses.fields(SeriesControls)
+        names = ["--" + field.name.replace("_", "-") for field in fields]
+        assert [flag for flag in flags if flag in names] == names
+        text = " ".join(lines)
+        for field in fields:
+            assert f"default {field.default}" in text, field.name
 
     def test_determinism_modulo_timings(self, demo_config, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -591,6 +614,16 @@ class TestBadInputs:
         assert report["error"]["type"] == "DimensionError"
         assert "8192" in report["error"]["message"]
         assert report["steps"] == []
+
+    def test_kitaev_chain_past_the_guard_fails_at_load(self, tmp_path):
+        # 2**13 fermion states exceed the dense guard that the per-coupling
+        # checks would reach
+        out = tmp_path / "report.json"
+        config = _kitaev_file(tmp_path, N=13, supports=[(3, 4)])
+        assert main(["--config", str(config), "--report", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert report["status"] == "failed" and report["error"]["type"] == "DimensionError"
+        assert "8192" in report["error"]["message"]
 
     @pytest.mark.parametrize("make_config,error_type", [
         pytest.param(lambda p: _anchor_file(p, N=20000), "DimensionError", id="chain"),

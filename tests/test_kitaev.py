@@ -570,25 +570,34 @@ class TestCheckBlocks:
             assert abs(block["boundary_gap_above_pair"] - (want[2] - want[1])) <= 1e-12
 
     def test_a_coupling_embeds_nothing(self, monkeypatch):
+        # the pencils are built on first read, each term embedded once per
+        # file; past the first coupling, a coupling embeds nothing
         reduction = kit.build_kitaev_model(7, 0.01, bond_perturbations(7, seed=0)).reduce()
+        embed, embedded = kit.embed, []
 
-        def no_embedding(*args, **kwargs):
-            raise AssertionError("a term was embedded for one coupling")
+        def counted(op, iv, N):
+            embedded.append(iv)
+            return embed(op, iv, N)
 
-        monkeypatch.setattr(kit, "embed", no_embedding)
+        monkeypatch.setattr(kit, "embed", counted)
         for beta in COUPLINGS:
             _, block = checked_at(reduction, beta)
             assert block["doubling_ok"] is True
+            # H0's six bonds and every term, all on the first coupling
+            assert len(embedded) == 6 + len(reduction.bulk) + len(reduction.boundary) == 11
 
     def test_cli_run_builds_no_algebra_past_a_frame(self, tmp_path, monkeypatch):
         # bond terms (k = 1) of a 9-site file: no fermion factor is read on
         # more than the k+3 = 4 sites of a frame, at load, at reduction or
-        # per coupling
-        follow = kit._follow
+        # per coupling, but the zero mode's Majoranas on sites 1 and N, and
+        # those once per pencil: two pencils of eight monomials each
+        follow, wide = kit._follow, []
 
         def frame_sized(ops, n, first):
             if n > 4:
-                raise AssertionError(f"fermion factors read on {n} sites")
+                if len(ops) > 2 or not {site for _, site in ops} <= {1, n}:
+                    raise AssertionError(f"fermion factors {ops} read on {n} sites")
+                wide.append(ops)
             return follow(ops, n, first)
 
         monkeypatch.setattr(kit, "_follow", frame_sized)
@@ -602,6 +611,7 @@ class TestCheckBlocks:
         assert main(["--config", str(config), "--t-sweep", "0.01,0.04", "--report", str(out)]) == 0
         reports = json.loads(out.read_text())
         assert [r["kitaev"]["doubling_ok"] for r in reports] == [True, True]
+        assert len(wide) == 2 * 8
 
 
 def end_terms(N, rng, ends):
@@ -898,6 +908,36 @@ class TestDoublingIsOracleWork:
         assert off["kitaev"]["doubling_ok"] is None
         assert off["gap_report"] == default["gap_report"]
         assert {**off["kitaev"], "doubling_ok": True} == default["kitaev"]
+
+    @pytest.mark.parametrize("name,flags,built", [
+        pytest.param("kitaev_n6", ("--oracle", "off"), (0, 0), id="bulk-only-oracle-off"),
+        pytest.param("kitaev_n7", ("--oracle", "off"), (1, 1), id="boundary-oracle-off"),
+        pytest.param("kitaev_n7", (), (1, 2), id="boundary"),
+    ])
+    def test_pencils_are_built_on_first_read(self, tmp_path, monkeypatch, name, flags, built):
+        # (H0s, pencils) a sweep builds: H0 is shared, the boundary check
+        # reads the full pencil at each coupling, the doubling check the
+        # bulk one after the oracle, and a bulk-only file under --oracle off
+        # forms no 2^N operator
+        hamiltonian, sector_pencil, calls = kit.kitaev_hamiltonian, kit.SectorPencil, Counter()
+
+        def counted_hamiltonian(N):
+            calls["H0"] += 1
+            return hamiltonian(N)
+
+        def counted_pencil(H0, X):
+            calls["pencil"] += 1
+            return sector_pencil(H0, X)
+
+        monkeypatch.setattr(kit, "kitaev_hamiltonian", counted_hamiltonian)
+        monkeypatch.setattr(kit, "SectorPencil", counted_pencil)
+        code, reports = self.run(tmp_path, name, "--t-sweep", "0.01,0.05", *flags)
+        assert code == 0
+        assert (calls["H0"], calls["pencil"]) == built
+        for report in reports:
+            assert report["status"] == "ok"
+            assert (report["oracle"] is None) is bool(flags)
+            assert report["kitaev"]["doubling_ok"] is (None if flags else True)
 
     def test_a_failed_sweep_reports_no_doubling_check(self, tmp_path):
         code, reports = self.run(tmp_path, "kitaev_n7", "--t-sweep", "0.005,0.01", "--gap-min", "5")

@@ -24,11 +24,14 @@ def test_submodules_are_not_shadowed():
 
 def test_cli_import_leaves_out_scipy_linalg(tmp_path):
     # scipy.linalg adds about 8 MB of resident memory to every run; the
-    # sweep's linear algebra is numpy only
+    # sweep's linear algebra is numpy only.  The subprocesses import the
+    # package this test imported: src/, or an installed copy
+    import lieschwinger
     from test_cli import GOLDEN, _assert_report_matches, golden_path, read_report
 
+    package_parent = Path(lieschwinger.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        [str(package_parent), os.environ.get("PYTHONPATH", "")])}
     code = "import sys, lieschwinger.cli; print('scipy.linalg' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
