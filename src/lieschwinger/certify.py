@@ -31,7 +31,7 @@ import numpy as np
 from .errors import CertificationError, ValidationError
 from .intervals import Interval
 from .model import ChainModel
-from .operators import build_projectors, excited_spectrum, spectral_range
+from .operators import build_projectors, excited_spectrum, spectral_range, vacuum_part
 from .operators import embed, op_norm  # unused here; perfbench/tracing.py looks them up on this module
 from .sweep import BlockDiagState, SeriesControls, _offdiag_norm, assemble_full, vacuum_energy
 
@@ -92,11 +92,11 @@ def check_ledger(state: BlockDiagState, model: ChainModel) -> list[NormLedgerEnt
         lo, hi = spectral_range(op)
         norm = max(abs(lo), abs(hi))  # op_norm(op), from the same eigvalsh
         bound = decay_bound(interval.k, model.t)
-        vac = build_projectors(interval, model.omega)
-        e = vacuum_energy(op.matrix, vac)
+        part, vac = vacuum_part(op, build_projectors(interval, model.omega))
+        e = vacuum_energy(part, vac)
         entries.append(NormLedgerEntry(
             interval=interval, norm=norm, bound=bound, ok=norm <= bound * (1 + 1e-9),
-            lo=lo, hi=hi, e=e, r=_offdiag_norm(op.matrix, vac),
+            lo=lo, hi=hi, e=e, r=_offdiag_norm(part, vac),
             c=max(hi - e, e - lo) + BOUND_MARGIN * norm,
         ))
     return entries
@@ -130,13 +130,14 @@ def certify(state: BlockDiagState, model: ChainModel,
         raise ValidationError(f"sweep incomplete: at step {state.step}, expected {chain}")
     K = assemble_full(state, model)
     vac = build_projectors(chain, model.omega)
-    residual = _offdiag_norm(K, vac)
+    K_v, vac_v = vacuum_part(K, vac)
+    residual = _offdiag_norm(K_v, vac_v)
     if residual > tol_od:
         raise CertificationError(
             f"final Hamiltonian off-diagonal residual {residual:.3e} exceeds {tol_od:.1e}"
         )
-    ground = vacuum_energy(K, vac)
-    excited = excited_spectrum(K, vac, ground)
+    ground = vacuum_energy(K_v, vac_v)
+    excited = excited_spectrum(K.data, vac, ground)
     gap = float(excited[0]) - ground
     ledger = check_ledger(state, model)
     bound, vacuum_bound, residual_term = gap_lower_bound(model, ledger)

@@ -87,19 +87,38 @@ def _as_matrix(m) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
-    """A dense matrix on the Hilbert space of one interval."""
+    """An operator on the Hilbert space of one interval, stored as ``data``:
+    a dense matrix, or, for an exactly even operator of size 2^n, the pair
+    of its parity blocks (``parity_blocks``).  ``dim`` is the full size
+    either way, and ``matrix`` the dense matrix, which a graded operator
+    builds from its blocks on each read."""
 
     support: Interval
-    matrix: np.ndarray
+    data: np.ndarray | tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        mat = _as_matrix(self.matrix)
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+        parts = tuple(_as_matrix(b) for b in self.data) if self.graded else (_as_matrix(self.data),)
+        if self.graded and (len(parts) != 2 or parts[0].shape != parts[1].shape):
+            raise ValidationError("a graded operator is two parity blocks of one size")
+        for m in parts:
+            m.flags.writeable = False
+        object.__setattr__(self, "data", parts if self.graded else parts[0])
+
+    @property
+    def graded(self) -> bool:
+        return isinstance(self.data, tuple)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return 2 * self.data[0].shape[0] if self.graded else self.data.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if not self.graded:
+            return self.data
+        mat = parity_matrix(self.data)
+        mat.flags.writeable = False
+        return mat
 
 
 def hermitian_defect(m) -> float:
@@ -124,34 +143,68 @@ def hermitian_rule(defect: float, largest: float, message: str) -> float:
 
 
 def embed(op: LocalOperator, target: Interval, M: int, *,
-          out: np.ndarray | None = None, scale: complex = 1.0) -> LocalOperator | np.ndarray:
+          out: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None,
+          scale: complex = 1.0) -> LocalOperator | np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Pad ``op`` with identities so it acts on ``target``: 1_L (x) A (x) 1_R,
     written through a strided view of the target matrix.
 
     Without ``out``, returns the embedded LocalOperator (``scale`` times
-    the Kronecker product).  With ``out``, a D x D array on ``target``,
-    adds ``scale`` times the embedded matrix into it in place and returns
-    ``out``.  The embedding is an algebra homomorphism and leaves the
-    operator norm unchanged.
+    the Kronecker product), graded where ``op`` is.  With ``out``, a D x D
+    array on ``target`` or the pair of its parity blocks, adds ``scale``
+    times the embedded operator into it in place and returns ``out``.  On a
+    parity block, indexed by the target's sites but its last, the embedded
+    operator is 1_L (x) A (x) 1_{R/2} where ``op`` leaves out the last site,
+    and holds A's block of parity e + p(l) on row block l of block e where
+    ``op`` holds it.  The embedding is an algebra homomorphism and leaves
+    the operator norm unchanged.
     """
     sup = op.support
     if not target.contains(sup):
         raise EmbeddingError(f"support {sup} not contained in target {target}")
-    d = op.dim
     L = M ** (sup.q - target.q)
     R = M ** (target.last - sup.last)
-    shape = (L * d * R,) * 2
-    acc = np.zeros(shape, dtype=complex) if out is None else out
-    if acc.shape != shape:  # the strided view below is not bounds-checked
-        raise EmbeddingError(f"accumulator shape {acc.shape} does not match target {target}")
+    D = L * op.dim * R
+    acc = out
+    if out is None:
+        acc = tuple(np.zeros((D // 2,) * 2, dtype=complex) for _ in range(2)) if op.graded \
+            else np.zeros((D, D), dtype=complex)
+    parts = acc if isinstance(acc, tuple) else (acc,)
+    for part in parts:  # the strided views below are not bounds-checked
+        if part.shape != (D // len(parts),) * 2:
+            raise EmbeddingError(f"accumulator shape {part.shape} does not match target {target}")
+    if not isinstance(acc, tuple):
+        _embed_dense(op.matrix, L, R, acc, scale)
+    elif R > 1:  # entries of A across parity sit across the blocks: none is added
+        odd = np.zeros(op.dim, dtype=bool)
+        odd[parity_sectors(op.dim.bit_length() - 1)[1]] = True
+        same = odd[:, None] == odd[None, :]
+        for block in acc:
+            _embed_dense(op.matrix, L, R // 2, block, scale, same[None, :, None, :])
+    else:
+        blocks = op.data if op.graded else parity_blocks(op.data)
+        d = blocks[0].shape[0]
+        lefts = parity_sectors(L.bit_length() - 1)
+        for e, block in enumerate(acc):
+            s0, s1 = block.strides
+            view = np.lib.stride_tricks.as_strided(  # [l, a, b]: row block l, its diagonal tile
+                block, shape=(L, d, d), strides=(d * (s0 + s1), s0, s1), writeable=True)
+            for p, ls in enumerate(lefts):
+                view[ls] += scale * blocks[e ^ p]
+    return LocalOperator(target, acc) if out is None else out
+
+
+def _embed_dense(A: np.ndarray, L: int, R: int, acc: np.ndarray, scale: complex,
+                 where: np.ndarray | bool = True) -> None:
+    """acc += scale 1_L (x) A (x) 1_R, through the strided view of acc, at
+    the entries ``where`` selects of the [l, a, r, b] view."""
+    d = A.shape[0]
     s0, s1 = acc.strides
     # entry (l a r, l b r) of a D x D matrix, D = L d R, indexed as [l, a, r, b]
     view = np.lib.stride_tricks.as_strided(
         acc, shape=(L, d, R, d),
         strides=(d * R * (s0 + s1), R * s0, s0 + s1, R * s1), writeable=True,
     )
-    view += scale * op.matrix[None, :, None, :]
-    return LocalOperator(target, acc) if out is None else out
+    np.add(view, scale * A[None, :, None, :], out=view, where=where)
 
 
 # Smallest size diagonalized as two parity blocks: below it the gather and the
@@ -175,35 +228,84 @@ def parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return sectors
 
 
-def parity_eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix.
+def parity_even(m: np.ndarray) -> bool:
+    """Whether every entry of a matrix of size 2^n across the popcount-parity
+    split of its basis indices (``parity_sectors``) is exactly 0.0."""
+    even, odd = parity_sectors(m.shape[0].bit_length() - 1)
+    return not (m[np.ix_(even, odd)].any() or m[np.ix_(odd, even)].any())
 
-    For a size 2^n of at least _PARITY_MIN_DIM whose every entry across the
-    popcount-parity split of the basis indices is exactly 0.0, one eigvalsh
-    per parity block; otherwise one eigvalsh of the whole matrix.  Row 0 is
-    looked at before the cross blocks are gathered, so a matrix with no such
-    blocks pays for one row of the check only.
+
+def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even and the odd block of a matrix of size 2^n, its rows and
+    columns gathered in the order of ``parity_sectors``.  Index b of a
+    sector sits at b >> 1 of its block, so a block is indexed by the sites
+    but the last: their parity and the block's fix the last site's bit."""
+    even, odd = parity_sectors(m.shape[0].bit_length() - 1)
+    return m[np.ix_(even, even)], m[np.ix_(odd, odd)]
+
+
+def parity_matrix(blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The matrix of size 2^n whose ``parity_blocks`` are ``blocks``."""
+    D = 2 * blocks[0].shape[0]
+    m = np.zeros((D, D), dtype=complex)
+    for sector, block in zip(parity_sectors(D.bit_length() - 1), blocks):
+        m[np.ix_(sector, sector)] = block
+    return m
+
+
+def vacuum_block(vac: np.ndarray) -> tuple[int, np.ndarray]:
+    """The parity of a basis vector vac of size 2^n, and vac in the basis of
+    that parity block (``parity_blocks``)."""
+    i = int(np.flatnonzero(vac)[0])
+    v = np.zeros(vac.shape[0] // 2, dtype=complex)
+    v[i >> 1] = vac[i]
+    return i.bit_count() & 1, v
+
+
+def vacuum_part(op: LocalOperator, vac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix of ``op`` on the part of the space that holds the unit
+    vector vac, and vac there: the whole matrix and vac, or for a graded
+    ``op`` the parity block that holds the basis vector vac
+    (``vacuum_block``).  Every product of ``op`` with vac reads this part."""
+    if not op.graded:
+        return op.data, vac
+    parity, v = vacuum_block(vac)
+    return op.data[parity], v
+
+
+def parity_eigvalsh(m: np.ndarray | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, or of the matrix whose
+    two parity blocks ``m`` is.
+
+    A matrix of size 2^n of at least _PARITY_MIN_DIM that is ``parity_even``
+    is diagonalized as its two parity blocks; any other takes one eigvalsh
+    of the whole matrix.  Row 0 is looked at before the cross blocks are
+    gathered, so a matrix with no such blocks pays for one row of the check
+    only.
     """
-    D = m.shape[0]
-    n = D.bit_length() - 1
-    if D < _PARITY_MIN_DIM or D != 2 ** n:
-        return np.linalg.eigvalsh(m)
-    even, odd = parity_sectors(n)
-    if m[0, odd].any() or m[np.ix_(even, odd)].any() or m[np.ix_(odd, even)].any():
-        return np.linalg.eigvalsh(m)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(m[np.ix_(even, even)]),
-                                   np.linalg.eigvalsh(m[np.ix_(odd, odd)])]))
+    if not isinstance(m, tuple):
+        D = m.shape[0]
+        n = D.bit_length() - 1
+        if D < _PARITY_MIN_DIM or D != 2 ** n or m[0, parity_sectors(n)[1]].any() \
+                or not parity_even(m):
+            return np.linalg.eigvalsh(m)
+        m = parity_blocks(m)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in m]))
 
 
-def spectral_range(op: LocalOperator | np.ndarray) -> tuple[float, float]:
-    """Lowest and highest eigenvalue of a matrix Hermitian by
-    ``require_hermitian``, read from its Hermitian part; (0, 0) if empty."""
-    m = op.matrix if isinstance(op, LocalOperator) else np.asarray(op, dtype=complex)
-    if m.size == 0:
+def spectral_range(op: LocalOperator | np.ndarray | tuple[np.ndarray, np.ndarray]
+                   ) -> tuple[float, float]:
+    """Lowest and highest eigenvalue of a matrix, or of the pair of parity
+    blocks of one, Hermitian by ``require_hermitian``, read from its
+    Hermitian part; (0, 0) if empty."""
+    m = op.data if isinstance(op, LocalOperator) else op
+    parts = tuple(m) if isinstance(m, tuple) else (np.asarray(m, dtype=complex),)
+    if parts[0].size == 0:
         return 0.0, 0.0
-    defect = require_hermitian(m, "op_norm supports Hermitian matrices only")
-    # eigvalsh reads one triangle, so an exactly Hermitian m needs no symmetrized copy
-    evals = parity_eigvalsh(m if defect == 0.0 else (m + m.conj().T) / 2)
+    # eigvalsh reads one triangle, so an exactly Hermitian part needs no symmetrized copy
+    parts = tuple(p if require_hermitian(p, "op_norm supports Hermitian matrices only") == 0.0
+                  else (p + p.conj().T) / 2 for p in parts)
+    evals = parity_eigvalsh(parts if isinstance(m, tuple) else parts[0])
     return float(evals[0]), float(evals[-1])
 
 
@@ -225,21 +327,29 @@ def build_projectors(interval: Interval, omega: np.ndarray) -> np.ndarray:
     return vac
 
 
-def vacuum_shifted(G: np.ndarray, vac: np.ndarray, E: float) -> np.ndarray:
+def vacuum_shifted(G: np.ndarray | tuple[np.ndarray, np.ndarray], vac: np.ndarray,
+                   E: float) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """G + (c - E) vac vac^dag, c = 1 + ||G||_inf, in one new array: for G
     block-diagonal for the unit vector vac, E = vac^dag G vac moves above the
-    spectral radius, and a vac of one parity adds no entry across parity."""
-    c = 1.0 + float(np.linalg.norm(G, np.inf))
-    A = np.outer(vac, vac.conj())
+    spectral radius, and a vac of one parity adds no entry across parity.
+    Given G's two parity blocks, with vac a basis vector, it returns the
+    pair with the block that holds vac shifted, a new array, and the other
+    block itself."""
+    graded = isinstance(G, tuple)
+    c = 1.0 + max(float(np.linalg.norm(part, np.inf)) for part in (G if graded else (G,)))
+    parity, v = vacuum_block(vac) if graded else (0, vac)
+    A = np.outer(v, v.conj())
     A *= c - E
-    A += G
-    return A
+    A += G[parity] if graded else G
+    return tuple(A if e == parity else G[e] for e in (0, 1)) if graded else A
 
 
-def excited_spectrum(G: np.ndarray, vac: np.ndarray, E: float) -> np.ndarray:
-    """Ascending spectrum on the complement of vac of a Hermitian G
-    block-diagonal for it, E = vac^dag G vac: all but the largest eigenvalue
-    of ``vacuum_shifted``, whose parity blocks an even G keeps."""
+def excited_spectrum(G: np.ndarray | tuple[np.ndarray, np.ndarray], vac: np.ndarray,
+                     E: float) -> np.ndarray:
+    """Ascending spectrum on the complement of vac of a Hermitian G, or of
+    the pair of its parity blocks, block-diagonal for vac, E = vac^dag G vac:
+    all but the largest eigenvalue of ``vacuum_shifted``, whose parity
+    blocks an even G keeps."""
     return parity_eigvalsh(vacuum_shifted(G, vac, E))[:-1]
 
 
@@ -385,7 +495,7 @@ def cholesky_solver(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 def conjugate_by_unitary(op_matrix: np.ndarray, W: np.ndarray, C: np.ndarray,
                          left: int = 1, rows: np.ndarray | None = None,
-                         rows_scale: float = 1.0) -> np.ndarray:
+                         rows_scale: float = 1.0, left_parity: int | None = None) -> np.ndarray:
     """U_J A U_J^dag for U_J = 1_L (x) (I + W C W^dag) (x) 1_R, as one thin
     update of A.
 
@@ -404,6 +514,12 @@ def conjugate_by_unitary(op_matrix: np.ndarray, W: np.ndarray, C: np.ndarray,
     the result is then U_J A U_J^dag + (U_J X U_J^dag - X) / s for
     s = ``rows_scale``.  X is never formed, and s divides the 2 x 2 factor
     C, never X, so no rounding error of X's size is divided by a small s.
+
+    With ``left_parity`` p the rotation acts only on the row blocks l whose
+    popcount parity is p, and as the identity on the others: W' holds W on
+    those blocks and zero on the rest.  That is 1_L (x) exp(S) on a parity
+    block of a potential whose last site the rotated interval holds, with
+    W the rows of the rotation's own parity block; R is then 1.
     """
     A = op_matrix
     D = A.shape[0]
@@ -417,7 +533,12 @@ def conjugate_by_unitary(op_matrix: np.ndarray, W: np.ndarray, C: np.ndarray,
         # rows_scale would overflow in its reciprocal
         C_rows = (np.ascontiguousarray(C).view(float) / rows_scale).view(complex)
         CP += C_rows @ rows.reshape(left, 2, R * D)
+    if left_parity is not None:  # W' is zero on the other row blocks
+        idle = parity_sectors(left.bit_length() - 1)[1 - left_parity]
+        CP[idle] = 0.0
     # C' (P W') C'^dag W'^dag, through one middle-axis product per factor
     CPW = _times_middle(CP, W, R)
+    if left_parity is not None:
+        CPW.reshape(-1, left, 2 * R)[:, idle] = 0.0
     CP += 0.5 * _times_middle(CPW, C.conj().T @ W_dag, R).reshape(CP.shape)
     return _hermitian_sum((W @ CP).reshape(D, D), A)

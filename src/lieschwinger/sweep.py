@@ -103,9 +103,14 @@ from .operators import (
     dense_dim,
     embed,
     op_norm,
+    parity_blocks,
     parity_eigvalsh,
+    parity_even,
+    parity_sectors,
     rotation_factors,
     unitary_exp,  # unused here; perfbench/tracing.py looks it up on this module
+    vacuum_block,
+    vacuum_part,
     vacuum_shifted,
     vector_norm,
 )
@@ -154,11 +159,14 @@ class BlockDiagState:
 
     On-site terms are never stored: they are fixed throughout the sweep.
     Intervals carrying an exactly zero potential are absent from the map.
+    On a ``graded`` state every potential is stored as its two parity
+    blocks (``exactly_even``).
     """
 
     step: Interval | None
     potentials: dict[Interval, LocalOperator]
     diagnostics: tuple[StepDiagnostics, ...] = ()
+    graded: bool = False
 
 
 @dataclass(frozen=True)
@@ -177,19 +185,37 @@ class SeriesResult:
     y_terms: tuple[np.ndarray, ...]
 
 
+def exactly_even(model: ChainModel) -> bool:
+    """Whether the sweep keeps every potential of ``model`` as its two parity
+    blocks: M = 2, exact 0.0 entries across the popcount-parity split in the
+    on-site matrix and in every interaction (``operators.parity_even``), and
+    omega a basis vector.  Every vacuum is then a basis vector, and every
+    generator and potential of the sweep stays exactly even."""
+    return (model.M == 2 and np.count_nonzero(model.omega) == 1 and parity_even(model.onsite)
+            and all(parity_even(op.matrix) for op in model.interactions.values()))
+
+
 def initial_state(model: ChainModel) -> BlockDiagState:
-    return BlockDiagState(None, dict(model.interactions))
+    if not exactly_even(model):
+        return BlockDiagState(None, dict(model.interactions))
+    return BlockDiagState(None, {iv: LocalOperator(iv, parity_blocks(op.matrix))
+                                 for iv, op in model.interactions.items()}, graded=True)
 
 
-def _assemble(model: ChainModel, interval: Interval, ops, offset: float = 0.0) -> np.ndarray:
-    """offset 1 + on-site terms + t sum ``ops`` on ``interval``, embedded in that order."""
-    mat = np.eye(dense_dim(model.M, interval.k + 1), dtype=complex)
-    mat *= offset
+def _assemble(model: ChainModel, interval: Interval, ops, offset: float = 0.0,
+              graded: bool = False) -> LocalOperator:
+    """offset 1 + on-site terms + t sum ``ops`` on ``interval``, embedded in
+    that order, dense or as its two parity blocks."""
+    D = dense_dim(model.M, interval.k + 1)
+    parts = tuple(np.eye(D // 2 if graded else D, dtype=complex) for _ in range(1 + graded))
+    for part in parts:
+        part *= offset
+    out = parts if graded else parts[0]
     for site in interval.sites:
-        embed(LocalOperator(Interval(0, site), model.onsite), interval, model.M, out=mat)
+        embed(LocalOperator(Interval(0, site), model.onsite), interval, model.M, out=out)
     for op in ops:
-        embed(op, interval, model.M, out=mat, scale=model.t)
-    return mat
+        embed(op, interval, model.M, out=out, scale=model.t)
+    return LocalOperator(interval, out)
 
 
 def local_hamiltonian(state: BlockDiagState, model: ChainModel, interval: Interval,
@@ -202,17 +228,18 @@ def local_hamiltonian(state: BlockDiagState, model: ChainModel, interval: Interv
     which the step's own checks report under a tol_od below it."""
     subs = [op for sub, op in state.potentials.items()
             if interval.contains(sub) and sub != interval]
-    mat = _assemble(model, interval, subs)
+    G = _assemble(model, interval, subs, graded=state.graded)
     bound = tol_od * (1 + len(subs))
-    if _offdiag_norm(mat, vac) > bound:
-        alone = sum((embed(op, interval, model.M).matrix for op in subs), np.zeros_like(mat))
+    if _offdiag_norm(*vacuum_part(G, vac)) > bound:
+        alone = sum((embed(op, interval, model.M).matrix for op in subs),
+                    np.zeros((G.dim,) * 2, dtype=complex))
         leak = abs(model.t) * _offdiag_norm(alone, vac)
         if leak > bound:
             raise OrderError(
                 f"local Hamiltonian on {interval} has off-diagonal leak {leak:.3e} from its "
                 "subinterval potentials; they are not yet block-diagonalized"
             )
-    return LocalOperator(interval, mat)
+    return G
 
 
 def _offdiag_norm(mat: np.ndarray, vac: np.ndarray) -> float:
@@ -271,8 +298,8 @@ def _times(B: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def generator_series(G: np.ndarray, A: np.ndarray, vac: np.ndarray, V: np.ndarray,
-                     t: float, controls: SeriesControls,
-                     step: Interval | None = None) -> SeriesResult:
+                     t: float, controls: SeriesControls, step: Interval | None = None,
+                     rest: np.ndarray | None = None) -> SeriesResult:
     """Accumulate y = sum_j t^j y_j, the vector of S = sum_j t^j S_j.
 
     Terminates once |t|^j ||(V)_j|| < tol_series; reaching jmax with the last
@@ -286,6 +313,10 @@ def generator_series(G: np.ndarray, A: np.ndarray, vac: np.ndarray, V: np.ndarra
     diagonal, of which only the factor is kept.  G must have a positive gap
     above E (``local_gap``); where the factor fails all the same, GapError
     with reason "gap-assumption-violated" is raised.
+
+    On a graded state G, A, vac and V are their parity blocks that hold vac,
+    where every frame vector lies, and ``rest`` is V's other block, which
+    only ||V|| at order one reads.
     """
     try:
         R = cholesky_solver(A)
@@ -312,12 +343,14 @@ def generator_series(G: np.ndarray, A: np.ndarray, vac: np.ndarray, V: np.ndarra
     # ||V|| lies between max(||V vac||, ||V||_F / sqrt(D)) and ||V||_F, and is
     # taken itself only where these leave the order-one stop test open, or
     # at jmax = 1, where the SeriesError below reports the term
-    frobenius = vector_norm(V.ravel())
+    frobenius, D = vector_norm(V.ravel()), G.shape[0]
+    if rest is not None:
+        frobenius, D = float(np.hypot(frobenius, vector_norm(rest.ravel()))), 2 * D
     last = _term_norm(t, 1, frobenius)
     if last >= controls.tol_series:
-        last = _term_norm(t, 1, max(vector_norm(F[:, 2]), frobenius / sqrt(G.shape[0])))
+        last = _term_norm(t, 1, max(vector_norm(F[:, 2]), frobenius / sqrt(D)))
         if last < controls.tol_series or controls.jmax == 1:
-            last = _term_norm(t, 1, op_norm(V))
+            last = _term_norm(t, 1, op_norm(V if rest is None else (V, rest)))
     while order < controls.jmax and last >= controls.tol_series:
         j = order + 1
         n = 3 * j
@@ -411,18 +444,32 @@ def _growth_sources(I: Interval, J: Interval) -> list[Interval]:
     return []
 
 
-def _source_rows(W: np.ndarray, src: LocalOperator, I: Interval, M: int) -> np.ndarray:
+def _source_rows(W: np.ndarray, src: LocalOperator, I: Interval, M: int) -> tuple[np.ndarray, ...]:
     """W'^dag (1 (x) w (x) 1) on J = I u src, for W' = 1_L (x) W (x) 1_R and
     the potential w of a growth source, in the row layout (l, i, r) of
-    ``operators.conjugate_by_unitary``.
+    ``operators.conjugate_by_unitary``: one array, or one per parity block
+    of J for a graded source.
 
     Only the sites the source shares with I are contracted with W, so the
-    source is never embedded into J.
+    source is never embedded into J.  For a graded source W is the whole
+    rotation's where the source holds J's last site, and there row block a
+    of J's block e reads the source's block of parity e + p(a); W is the
+    rows of the rotation's own parity block where I holds J's last site,
+    and there both blocks of J see the whole w, their rows alike.
     """
     s = src.support
     o = M ** (min(I.last, s.last) - max(I.q, s.q) + 1)  # shared sites
-    a = I.dim(M) // o  # sites of I only
+    a = W.shape[0] // o  # sites of I only
     b = s.dim(M) // o  # sites of the source only
+    if s.q > I.q and src.graded:  # J = [a o b], the blocks as below at R = b / 2
+        Wc = W.reshape(a, o, 2).conj().transpose(2, 0, 1)[:, None]  # [i, -, a, o]
+        h = b // 2
+        ws = [w.reshape(o, h, o * h).transpose(1, 0, 2) for w in src.data]
+        out = np.empty((2, 2, h, a, o * h), dtype=complex)  # [e, i, r, a, (o b)]
+        for p, sel in enumerate(parity_sectors(a.bit_length() - 1)):
+            for e in (0, 1):
+                out[e][:, :, sel] = Wc[:, :, sel] @ ws[e ^ p]
+        return tuple(part.reshape(2 * h, -1) for part in out)
     w = src.matrix
     if s.q > I.q:  # J = [a o b], L = 1, R = b: rows (i, r), columns (a, o, b)
         Wc = W.reshape(a, o, 2).conj().transpose(2, 0, 1)[:, None]  # [i, -, a, o]
@@ -430,42 +477,75 @@ def _source_rows(W: np.ndarray, src: LocalOperator, I: Interval, M: int) -> np.n
     else:  # J = [b o a], L = b, R = 1: rows (l, i), columns (b, o, a)
         Wc = W.reshape(o, a, 2).conj().transpose(2, 0, 1)  # [i, o, a]
         out = w.reshape(b, o, b * o).transpose(0, 2, 1)[:, None] @ Wc  # [l, i, (b o), a]
-    return out.reshape(2 * b, -1)
+    out = out.reshape(2 * b, -1)
+    return (out, out) if src.graded else (out,)
+
+
+def _zero(J: Interval, M: int, graded: bool) -> LocalOperator:
+    """A zero potential on J, dense or as two parity blocks: read-only zero
+    views, no D x D array."""
+    D = J.dim(M)
+    if not graded:
+        return LocalOperator(J, np.broadcast_to(0j, (D, D)))
+    return LocalOperator(J, (np.broadcast_to(0j, (D // 2,) * 2),) * 2)
 
 
 def advance(state: BlockDiagState, model: ChainModel,
             controls: SeriesControls = SeriesControls()) -> BlockDiagState:
     """Run the first step of ``iter_steps`` after ``state.step`` and
-    transport every potential across it."""
+    transport every potential across it.
+
+    On a graded state the step reads the parity block e0 that holds the
+    vacuum alone: its series, factor and replaced potential, whose other
+    block stays as it is.  Its rotation keeps every potential's parity
+    blocks, and a potential on J is conjugated block by block: as
+    1_L (x) exp(S) (x) 1_{R/2} where I leaves out J's last site, and where
+    I holds it, on row block l of block e by the rotation's block of
+    parity e + p(l), which is the identity unless that parity is e0.
+    """
     I = next((J for J in iter_steps(model.N) if state.step is None or J > state.step), None)
     if I is None:
         raise ValidationError(f"sweep complete: no step follows {state.step} for N={model.N}")
+    graded = state.graded
     vac = build_projectors(I, model.omega)
     G = local_hamiltonian(state, model, I, vac, controls.tol_od)
-    E = vacuum_energy(G.matrix, vac)
+    e0 = vacuum_block(vac)[0] if graded else 0
+    G_v, vac_v = vacuum_part(G, vac)
+    E = vacuum_energy(G_v, vac_v)
     # one shifted array per step: its eigensolve is ``excited_spectrum``, and
     # with E taken off its diagonal it is the matrix the resolvent factors
-    A = vacuum_shifted(G.matrix, vac, E)
+    A = vacuum_shifted(G.data, vac, E)
     gap = local_gap(E, parity_eigvalsh(A)[:-1], controls.gap_min, controls.tol_od, I)
+    A = A[e0] if graded else A
     A.flat[::A.shape[0] + 1] -= E
 
     V_op = state.potentials.get(I)
-    V = V_op.matrix if V_op is not None else np.zeros((I.dim(model.M),) * 2, dtype=complex)
-    series = generator_series(G.matrix, A, vac, V, model.t, controls, I)
+    if V_op is None:
+        V_op = LocalOperator(I, tuple(np.zeros((G.dim // 2,) * 2, dtype=complex)
+                                      for _ in range(2)) if graded
+                                 else np.zeros((G.dim,) * 2, dtype=complex))
+    V = vacuum_part(V_op, vac)[0]
+    series = generator_series(G_v, A, vac_v, V, model.t, controls, I,
+                              V_op.data[1 - e0] if graded else None)
     del A
     s_norm = vector_norm(series.y)
 
     if s_norm == 0.0:
         # Zero generator (t = 0, zero potential, or already block-diagonal):
         # every conjugation is the identity and the map is reused as is.
-        diag = StepDiagnostics(I, E, gap, series.order, _offdiag_norm(V, vac), 0.0)
-        return BlockDiagState(I, state.potentials, state.diagnostics + (diag,))
+        diag = StepDiagnostics(I, E, gap, series.order, _offdiag_norm(V, vac_v), 0.0)
+        return BlockDiagState(I, state.potentials, state.diagnostics + (diag,), graded)
 
-    W, C = rotation_factors(series.y, vac)
-    V_new, residual = diagonalized_potential(G.matrix, V, W, C, model.t, vac,
+    W, C = rotation_factors(series.y, vac_v)
+    V_new, residual = diagonalized_potential(G_v, V, W, C, model.t, vac_v,
                                              controls.tol_od, I)
     new_pots = dict(state.potentials)
-    new_pots[I] = LocalOperator(I, V_new)
+    new_pots[I] = LocalOperator(I, tuple(V_new if e == e0 else V_op.data[e] for e in (0, 1))
+                                if graded else V_new)
+    W_I = W  # the whole rotation's W
+    if graded:
+        W_I = np.zeros((G.dim, 2), dtype=complex)
+        W_I[parity_sectors(I.k + 1)[e0]] = W
 
     # Intervals strictly containing the step interval, which are exactly the
     # (l, q) with l > I.k and I.last - l <= q <= I.q that fit the chain.  The
@@ -482,14 +562,21 @@ def advance(state: BlockDiagState, model: ChainModel,
                        if s in state.potentials]
             if old is None and not sources:
                 continue
+            holds_last = graded and J.last == I.last
+            W_J = W if holds_last else W_I
             # a created J starts from a read-only zero view: no D x D array
-            V_J = old.matrix if old is not None else np.broadcast_to(0j, (J.dim(model.M),) * 2)
-            rows = sum(_source_rows(W, src, I, model.M) for src in sources) if sources else None
-            new_pots[J] = LocalOperator(J, conjugate_by_unitary(
-                V_J, W, C, model.M ** (I.q - J.q), rows=rows))
+            parts = (old or _zero(J, model.M, graded)).data
+            parts = parts if graded else (parts,)
+            rows = (tuple(map(sum, zip(*(_source_rows(W_J, src, I, model.M) for src in sources))))
+                    if sources else (None,) * len(parts))
+            new = tuple(conjugate_by_unitary(
+                part, W_J, C, model.M ** (I.q - J.q), rows=part_rows,
+                left_parity=e ^ e0 if holds_last else None)
+                for e, (part, part_rows) in enumerate(zip(parts, rows)))
+            new_pots[J] = LocalOperator(J, new if graded else new[0])
 
     diag = StepDiagnostics(I, E, gap, series.order, residual, s_norm)
-    return BlockDiagState(I, new_pots, state.diagnostics + (diag,))
+    return BlockDiagState(I, new_pots, state.diagnostics + (diag,), graded)
 
 
 def sweep(model: ChainModel, controls: SeriesControls = SeriesControls()) -> BlockDiagState:
@@ -509,7 +596,8 @@ def sweep(model: ChainModel, controls: SeriesControls = SeriesControls()) -> Blo
     return state
 
 
-def assemble_full(state: BlockDiagState, model: ChainModel) -> np.ndarray:
-    """Embed on-site terms and every stored potential into the full chain."""
+def assemble_full(state: BlockDiagState, model: ChainModel) -> LocalOperator:
+    """Embed on-site terms and every stored potential into the full chain,
+    as two parity blocks on a graded state."""
     return _assemble(model, Interval(model.N - 1, 1), state.potentials.values(),
-                     model.energy_offset)
+                     model.energy_offset, state.graded)

@@ -154,8 +154,8 @@ def test_ac6_piecewise_conjugation_identity():
                  else np.zeros((dim, dim), dtype=complex))
             res = run_series(G.matrix, E, vac, V, model.t, controls)
             U = embed(LocalOperator(I, unitary_exp(dense_generator(res))), chain, model.M).matrix
-            direct = U @ assemble_full(before, model) @ U.conj().T
-            dev = float(np.max(np.abs(assemble_full(state, model) - direct)))
+            direct = U @ assemble_full(before, model).matrix @ U.conj().T
+            dev = float(np.max(np.abs(assemble_full(state, model).matrix - direct)))
             worst = max(worst, dev)
             assert dev <= 1e-9
     print(f"\nAC-6 PASS: piecewise transport equals direct conjugation, "

@@ -669,10 +669,10 @@ class TestBadInputs:
         # the two steps the sweep completed before it
         series = sweep_module.generator_series
 
-        def out_of_memory_at_third_step(G, A, vac, V, t, controls, step=None):
+        def out_of_memory_at_third_step(G, A, vac, V, t, controls, step=None, rest=None):
             if step == Interval(1, 3):
                 raise _ArrayMemoryError("Unable to allocate 8.00 GiB")
-            return series(G, A, vac, V, t, controls, step)
+            return series(G, A, vac, V, t, controls, step, rest)
 
         monkeypatch.setattr(sweep_module, "generator_series", out_of_memory_at_third_step)
         out = tmp_path / "report.json"

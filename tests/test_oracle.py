@@ -124,7 +124,7 @@ def test_direct_assembly_agrees_with_engine_embedding():
     from lieschwinger.sweep import assemble_full
     model = random_chain_model(4, 0.7, seed=4, kbar=2)
     np.testing.assert_allclose(
-        assemble_direct(model), assemble_full(initial_state(model), model), atol=1e-12
+        assemble_direct(model), assemble_full(initial_state(model), model).matrix, atol=1e-12
     )
 
 

@@ -24,9 +24,11 @@ from lieschwinger.operators import (
     excited_spectrum,
     hermitian_defect,
     op_norm,
+    parity_blocks,
     rotation_factors,
     unitary_exp,
 )
+from lieschwinger import sweep as sweep_module
 from lieschwinger.oracle import compare
 from lieschwinger.sweep import (
     BlockDiagState,
@@ -479,7 +481,7 @@ class TestDiagonalizedPotential:
 def _conjugated_full(state_before, model, S, interval):
     chain = Interval(model.N - 1, 1)
     U = embed(LocalOperator(interval, unitary_exp(S)), chain, model.M).matrix
-    K = assemble_full(state_before, model)
+    K = assemble_full(state_before, model).matrix
     return U @ K @ U.conj().T
 
 
@@ -544,7 +546,7 @@ class TestAdvance:
                      else np.zeros((I.dim(2), I.dim(2)), dtype=complex))
                 res = run_series(G.matrix, E, vac, V, model.t, controls)
                 direct = _conjugated_full(before, model, dense_generator(res), I)
-                np.testing.assert_allclose(assemble_full(state, model), direct, atol=1e-9)
+                np.testing.assert_allclose(assemble_full(state, model).matrix, direct, atol=1e-9)
 
 
 def per_source_transport(state, model, controls):
@@ -647,14 +649,14 @@ class TestSweep:
     def test_anchor_ground_energy(self):
         model = anchor_model(0.1)
         final = sweep(model)
-        K = assemble_full(final, model)
+        K = assemble_full(final, model).matrix
         ground = vacuum_energy(K, build_projectors(Interval(1, 1), model.omega))
         assert ground == pytest.approx(1 - np.sqrt(1.01), abs=1e-10)
 
     def test_spectrum_preserved_across_sweep(self):
         model = random_chain_model(5, 1e-2, seed=9)
-        ev0 = np.linalg.eigvalsh(assemble_full(initial_state(model), model))
-        ev1 = np.linalg.eigvalsh(assemble_full(sweep(model), model))
+        ev0 = np.linalg.eigvalsh(assemble_full(initial_state(model), model).matrix)
+        ev1 = np.linalg.eigvalsh(assemble_full(sweep(model), model).matrix)
         assert np.max(np.abs(ev0 - ev1)) <= 1e-9
 
     def test_all_completed_blocks_stay_block_diagonal(self):
@@ -749,7 +751,7 @@ class TestNonBasisVacuum:
             assert np.linalg.norm(plus_minus_block(vac, op.matrix)) <= controls.tol_od
         # the oracle reads the certificate's spectrum instead of
         # diagonalizing K again, so it must be spec K
-        evals = np.linalg.eigvalsh(assemble_full(final, model))
+        evals = np.linalg.eigvalsh(assemble_full(final, model).matrix)
         scale = max(1.0, float(np.max(np.abs(evals))))
         assert np.max(np.abs(report.spectrum - evals)) <= 1e-13 * scale
         assert report.ground_energy in report.spectrum
@@ -778,7 +780,7 @@ class TestNonBasisVacuum:
 class TestAssembleFull:
     def test_zero_coupling_is_onsite_sum(self):
         model = random_chain_model(3, 0.0, seed=1)
-        K = assemble_full(initial_state(model), model)
+        K = assemble_full(initial_state(model), model).matrix
         h = np.diag([0.0, 1.0])
         eye = np.eye(2)
         expected = (kron_chain([h, eye, eye]) + kron_chain([eye, h, eye])
@@ -789,27 +791,38 @@ class TestAssembleFull:
         from lieschwinger.oracle import assemble_direct
         model = random_chain_model(4, 0.3, seed=2)
         np.testing.assert_allclose(
-            assemble_full(initial_state(model), model), assemble_direct(model), atol=1e-12
+            assemble_full(initial_state(model), model).matrix, assemble_direct(model), atol=1e-12
         )
 
-    @pytest.mark.parametrize("source", ["random", "non_basis", "kitaev"])
-    def test_one_assembly_equals_the_embedding_loops_bitwise(self, source):
+    @pytest.mark.parametrize("source", ["random", "non_basis", "kitaev", "kitaev-dense"])
+    def test_one_assembly_equals_the_embedding_loops_bitwise(self, source, monkeypatch):
         # local_hamiltonian's matrix at every step, and assemble_full before
         # and after the sweep, equal their own embedding loops to the last
         # bit, signs of zeros included; the Kitaev chain has a negative offset
+        # and is graded, where the stored blocks equal the loops' blocks
         configs = Path(__file__).resolve().parent.parent / "configs"
+        if source == "kitaev-dense":
+            monkeypatch.setattr(sweep_module, "exactly_even", lambda model: False)
+        kitaev = lambda: load_model(configs / "kitaev_n6.json").reduce().at()[0]
         model = {"random": lambda: random_chain_model(5, 0.05, 2, 2, seed=3),
                  "non_basis": lambda: non_basis_vacuum_model(4, 3, 2, 0.03, 1),
-                 "kitaev": lambda: load_model(configs / "kitaev_n6.json").reduce().at()[0]}[source]()
+                 "kitaev": kitaev, "kitaev-dense": kitaev}[source]()
         state = initial_state(model)
-        assert assemble_full(state, model).tobytes() == looped_assemble_full(state, model).tobytes()
+        assert state.graded == (source == "kitaev")
+
+        def same_bits(op, reference):
+            parts, ref = ((op.data, parity_blocks(reference)) if op.graded
+                          else ((op.data,), (reference,)))
+            return all(a.tobytes() == b.tobytes() for a, b in zip(parts, ref))
+
+        assert same_bits(assemble_full(state, model), looped_assemble_full(state, model))
         for I in iter_steps(model.N):
             G = local_hamiltonian(state, model, I, build_projectors(I, model.omega))
-            assert G.matrix.tobytes() == looped_local_hamiltonian(state, model, I).tobytes(), I
+            assert same_bits(G, looped_local_hamiltonian(state, model, I)), I
             state = advance(state, model)
-        assert assemble_full(state, model).tobytes() == looped_assemble_full(state, model).tobytes()
+        assert same_bits(assemble_full(state, model), looped_assemble_full(state, model))
 
     def test_dimension_guard(self):
         model = random_chain_model(13, 1e-3, seed=0)
         with pytest.raises(DimensionError):
-            assemble_full(initial_state(model), model)
+            assemble_full(initial_state(model), model).matrix
