@@ -92,7 +92,7 @@ def check_ledger(state: BlockDiagState, model: ChainModel) -> list[NormLedgerEnt
         lo, hi = spectral_range(op)
         norm = max(abs(lo), abs(hi))  # op_norm(op), from the same eigvalsh
         bound = decay_bound(interval.k, model.t)
-        part, vac = vacuum_part(op, build_projectors(interval, model.omega))
+        part, vac, _ = vacuum_part(op, build_projectors(interval, model.omega))
         e = vacuum_energy(part, vac)
         entries.append(NormLedgerEntry(
             interval=interval, norm=norm, bound=bound, ok=norm <= bound * (1 + 1e-9),
@@ -130,14 +130,14 @@ def certify(state: BlockDiagState, model: ChainModel,
         raise ValidationError(f"sweep incomplete: at step {state.step}, expected {chain}")
     K = assemble_full(state, model)
     vac = build_projectors(chain, model.omega)
-    K_v, vac_v = vacuum_part(K, vac)
+    K_v, vac_v, K_rest = vacuum_part(K, vac)
     residual = _offdiag_norm(K_v, vac_v)
     if residual > tol_od:
         raise CertificationError(
             f"final Hamiltonian off-diagonal residual {residual:.3e} exceeds {tol_od:.1e}"
         )
     ground = vacuum_energy(K_v, vac_v)
-    excited = excited_spectrum(K.data, vac, ground)
+    excited = excited_spectrum(K_v, vac_v, ground, K_rest)
     gap = float(excited[0]) - ground
     ledger = check_ledger(state, model)
     bound, vacuum_bound, residual_term = gap_lower_bound(model, ledger)

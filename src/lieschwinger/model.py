@@ -83,6 +83,10 @@ def build_chain_model(N, M, onsite, interactions, t, kbar=None,
 def validate_chain_model(model: ChainModel) -> None:
     """Raise ValidationError naming the first violated model constraint; each
     matrix is checked finite, Hermitian (``require_hermitian``), then bounded."""
+    if not isinstance(model, ChainModel):
+        raise ValidationError(
+            f"expected a ChainModel, got {type(model).__name__}; the chain of a Kitaev "
+            "file is KitaevModel.reduce().at(beta)[0]")
     if model.N < 2:
         raise ValidationError(f"need at least 2 sites, got N={model.N}")
     if model.M < 2:

@@ -174,12 +174,10 @@ def embed(op: LocalOperator, target: Interval, M: int, *,
             raise EmbeddingError(f"accumulator shape {part.shape} does not match target {target}")
     if not isinstance(acc, tuple):
         _embed_dense(op.matrix, L, R, acc, scale)
-    elif R > 1:  # entries of A across parity sit across the blocks: none is added
-        odd = np.zeros(op.dim, dtype=bool)
-        odd[parity_sectors(op.dim.bit_length() - 1)[1]] = True
-        same = odd[:, None] == odd[None, :]
+    elif R > 1:
+        A = op.matrix
         for block in acc:
-            _embed_dense(op.matrix, L, R // 2, block, scale, same[None, :, None, :])
+            _embed_dense(A, L, R // 2, block, scale)
     else:
         blocks = op.data if op.graded else parity_blocks(op.data)
         d = blocks[0].shape[0]
@@ -193,10 +191,8 @@ def embed(op: LocalOperator, target: Interval, M: int, *,
     return LocalOperator(target, acc) if out is None else out
 
 
-def _embed_dense(A: np.ndarray, L: int, R: int, acc: np.ndarray, scale: complex,
-                 where: np.ndarray | bool = True) -> None:
-    """acc += scale 1_L (x) A (x) 1_R, through the strided view of acc, at
-    the entries ``where`` selects of the [l, a, r, b] view."""
+def _embed_dense(A: np.ndarray, L: int, R: int, acc: np.ndarray, scale: complex) -> None:
+    """acc += scale 1_L (x) A (x) 1_R, through the strided view of acc."""
     d = A.shape[0]
     s0, s1 = acc.strides
     # entry (l a r, l b r) of a D x D matrix, D = L d R, indexed as [l, a, r, b]
@@ -204,7 +200,7 @@ def _embed_dense(A: np.ndarray, L: int, R: int, acc: np.ndarray, scale: complex,
         acc, shape=(L, d, R, d),
         strides=(d * R * (s0 + s1), R * s0, s0 + s1, R * s1), writeable=True,
     )
-    np.add(view, scale * A[None, :, None, :], out=view, where=where)
+    view += scale * A[None, :, None, :]
 
 
 # Smallest size diagonalized as two parity blocks: below it the gather and the
@@ -228,11 +224,19 @@ def parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return sectors
 
 
+@cache
+def _sector_grids(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``np.ix_`` grids of the even-even, odd-odd, even-odd and odd-even
+    entries of a matrix of size 2^n."""
+    even, odd = parity_sectors(n)
+    return np.ix_(even, even), np.ix_(odd, odd), np.ix_(even, odd), np.ix_(odd, even)
+
+
 def parity_even(m: np.ndarray) -> bool:
     """Whether every entry of a matrix of size 2^n across the popcount-parity
     split of its basis indices (``parity_sectors``) is exactly 0.0."""
-    even, odd = parity_sectors(m.shape[0].bit_length() - 1)
-    return not (m[np.ix_(even, odd)].any() or m[np.ix_(odd, even)].any())
+    grids = _sector_grids(m.shape[0].bit_length() - 1)
+    return not (m[grids[2]].any() or m[grids[3]].any())
 
 
 def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,16 +244,16 @@ def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     columns gathered in the order of ``parity_sectors``.  Index b of a
     sector sits at b >> 1 of its block, so a block is indexed by the sites
     but the last: their parity and the block's fix the last site's bit."""
-    even, odd = parity_sectors(m.shape[0].bit_length() - 1)
-    return m[np.ix_(even, even)], m[np.ix_(odd, odd)]
+    grids = _sector_grids(m.shape[0].bit_length() - 1)
+    return m[grids[0]], m[grids[1]]
 
 
 def parity_matrix(blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The matrix of size 2^n whose ``parity_blocks`` are ``blocks``."""
     D = 2 * blocks[0].shape[0]
     m = np.zeros((D, D), dtype=complex)
-    for sector, block in zip(parity_sectors(D.bit_length() - 1), blocks):
-        m[np.ix_(sector, sector)] = block
+    for grid, block in zip(_sector_grids(D.bit_length() - 1), blocks):
+        m[grid] = block
     return m
 
 
@@ -262,15 +266,17 @@ def vacuum_block(vac: np.ndarray) -> tuple[int, np.ndarray]:
     return i.bit_count() & 1, v
 
 
-def vacuum_part(op: LocalOperator, vac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def vacuum_part(op: LocalOperator, vac: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The matrix of ``op`` on the part of the space that holds the unit
-    vector vac, and vac there: the whole matrix and vac, or for a graded
-    ``op`` the parity block that holds the basis vector vac
-    (``vacuum_block``).  Every product of ``op`` with vac reads this part."""
+    vector vac, vac there, and the rest of ``op``: the whole matrix, vac and
+    None, or for a graded ``op`` the parity block that holds the basis
+    vector vac (``vacuum_block``), vac in it and the other block.  Every
+    product of ``op`` with vac reads the first."""
     if not op.graded:
-        return op.data, vac
+        return op.data, vac, None
     parity, v = vacuum_block(vac)
-    return op.data[parity], v
+    return op.data[parity], v, op.data[1 - parity]
 
 
 def parity_eigvalsh(m: np.ndarray | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -327,30 +333,26 @@ def build_projectors(interval: Interval, omega: np.ndarray) -> np.ndarray:
     return vac
 
 
-def vacuum_shifted(G: np.ndarray | tuple[np.ndarray, np.ndarray], vac: np.ndarray,
-                   E: float) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def vacuum_shifted(G: np.ndarray, vac: np.ndarray, E: float) -> np.ndarray:
     """G + (c - E) vac vac^dag, c = 1 + ||G||_inf, in one new array: for G
     block-diagonal for the unit vector vac, E = vac^dag G vac moves above the
-    spectral radius, and a vac of one parity adds no entry across parity.
-    Given G's two parity blocks, with vac a basis vector, it returns the
-    pair with the block that holds vac shifted, a new array, and the other
-    block itself."""
-    graded = isinstance(G, tuple)
-    c = 1.0 + max(float(np.linalg.norm(part, np.inf)) for part in (G if graded else (G,)))
-    parity, v = vacuum_block(vac) if graded else (0, vac)
-    A = np.outer(v, v.conj())
+    spectral radius, and a vac of one parity adds no entry across parity."""
+    c = 1.0 + float(np.linalg.norm(G, np.inf))
+    A = np.outer(vac, vac.conj())
     A *= c - E
-    A += G[parity] if graded else G
-    return tuple(A if e == parity else G[e] for e in (0, 1)) if graded else A
+    A += G
+    return A
 
 
-def excited_spectrum(G: np.ndarray | tuple[np.ndarray, np.ndarray], vac: np.ndarray,
-                     E: float) -> np.ndarray:
-    """Ascending spectrum on the complement of vac of a Hermitian G, or of
-    the pair of its parity blocks, block-diagonal for vac, E = vac^dag G vac:
-    all but the largest eigenvalue of ``vacuum_shifted``, whose parity
-    blocks an even G keeps."""
-    return parity_eigvalsh(vacuum_shifted(G, vac, E))[:-1]
+def excited_spectrum(G: np.ndarray, vac: np.ndarray, E: float,
+                     rest: np.ndarray | None = None) -> np.ndarray:
+    """Ascending spectrum on the complement of vac of a Hermitian G
+    block-diagonal for it, E = vac^dag G vac: all but the largest eigenvalue
+    of ``vacuum_shifted``, whose parity blocks an even G keeps.  For G the
+    block of a graded operator that holds vac (``vacuum_part``), ``rest`` is
+    its other block, whose whole spectrum is excited."""
+    A = vacuum_shifted(G, vac, E)
+    return parity_eigvalsh(A if rest is None else (A, rest))[:-1]
 
 
 def unitary_exp(S: np.ndarray) -> np.ndarray:

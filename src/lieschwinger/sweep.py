@@ -127,6 +127,8 @@ class SeriesControls:
     gap_min: float = 0.5
 
     def __post_init__(self):
+        if isinstance(self.jmax, bool):
+            raise ValidationError(f"jmax must be an integer, got {self.jmax!r}")
         try:
             object.__setattr__(self, "jmax", operator.index(self.jmax))
         except TypeError:
@@ -134,7 +136,7 @@ class SeriesControls:
         if self.jmax < 1:
             raise ValidationError(f"jmax must be at least 1, got {self.jmax}")
         reals = (self.tol_series, self.tol_od, self.gap_min)
-        if not all(isinstance(x, Real) for x in reals):
+        if not all(isinstance(x, Real) and not isinstance(x, bool) for x in reals):
             raise ValidationError(f"tolerances and gap_min must be real numbers, got {reals!r}")
         if not all(isfinite(x) for x in reals):
             raise ValidationError("tolerances and gap_min must be finite")
@@ -205,14 +207,22 @@ def initial_state(model: ChainModel) -> BlockDiagState:
 def _assemble(model: ChainModel, interval: Interval, ops, offset: float = 0.0,
               graded: bool = False) -> LocalOperator:
     """offset 1 + on-site terms + t sum ``ops`` on ``interval``, embedded in
-    that order, dense or as its two parity blocks."""
-    D = dense_dim(model.M, interval.k + 1)
-    parts = tuple(np.eye(D // 2 if graded else D, dtype=complex) for _ in range(1 + graded))
-    for part in parts:
-        part *= offset
-    out = parts if graded else parts[0]
-    for site in interval.sites:
-        embed(LocalOperator(Interval(0, site), model.onsite), interval, model.M, out=out)
+    that order, dense or as its two parity blocks.  The on-site matrix of a
+    graded chain is diagonal, and its terms are summed on the diagonal alone,
+    in the same order."""
+    n = interval.k + 1
+    D = dense_dim(model.M, n)
+    if graded:
+        diag = np.full(D, offset, dtype=complex)
+        bits = np.arange(D)
+        for j in range(n):
+            diag += model.onsite.diagonal()[(bits >> (n - 1 - j)) & 1]
+        out = tuple(np.diag(diag[sector]) for sector in parity_sectors(n))
+    else:
+        out = np.eye(D, dtype=complex)
+        out *= offset
+        for site in interval.sites:
+            embed(LocalOperator(Interval(0, site), model.onsite), interval, model.M, out=out)
     for op in ops:
         embed(op, interval, model.M, out=out, scale=model.t)
     return LocalOperator(interval, out)
@@ -230,7 +240,7 @@ def local_hamiltonian(state: BlockDiagState, model: ChainModel, interval: Interv
             if interval.contains(sub) and sub != interval]
     G = _assemble(model, interval, subs, graded=state.graded)
     bound = tol_od * (1 + len(subs))
-    if _offdiag_norm(*vacuum_part(G, vac)) > bound:
+    if _offdiag_norm(*vacuum_part(G, vac)[:2]) > bound:
         alone = sum((embed(op, interval, model.M).matrix for op in subs),
                     np.zeros((G.dim,) * 2, dtype=complex))
         leak = abs(model.t) * _offdiag_norm(alone, vac)
@@ -467,8 +477,9 @@ def _source_rows(W: np.ndarray, src: LocalOperator, I: Interval, M: int) -> tupl
         ws = [w.reshape(o, h, o * h).transpose(1, 0, 2) for w in src.data]
         out = np.empty((2, 2, h, a, o * h), dtype=complex)  # [e, i, r, a, (o b)]
         for p, sel in enumerate(parity_sectors(a.bit_length() - 1)):
+            Wp = Wc[:, :, sel]
             for e in (0, 1):
-                out[e][:, :, sel] = Wc[:, :, sel] @ ws[e ^ p]
+                out[e][:, :, sel] = Wp @ ws[e ^ p]
         return tuple(part.reshape(2 * h, -1) for part in out)
     w = src.matrix
     if s.q > I.q:  # J = [a o b], L = 1, R = b: rows (i, r), columns (a, o, b)
@@ -509,24 +520,19 @@ def advance(state: BlockDiagState, model: ChainModel,
     graded = state.graded
     vac = build_projectors(I, model.omega)
     G = local_hamiltonian(state, model, I, vac, controls.tol_od)
+    G_v, vac_v, G_rest = vacuum_part(G, vac)
     e0 = vacuum_block(vac)[0] if graded else 0
-    G_v, vac_v = vacuum_part(G, vac)
     E = vacuum_energy(G_v, vac_v)
     # one shifted array per step: its eigensolve is ``excited_spectrum``, and
     # with E taken off its diagonal it is the matrix the resolvent factors
-    A = vacuum_shifted(G.data, vac, E)
-    gap = local_gap(E, parity_eigvalsh(A)[:-1], controls.gap_min, controls.tol_od, I)
-    A = A[e0] if graded else A
+    A = vacuum_shifted(G_v, vac_v, E)
+    gap = local_gap(E, parity_eigvalsh(A if G_rest is None else (A, G_rest))[:-1],
+                    controls.gap_min, controls.tol_od, I)
     A.flat[::A.shape[0] + 1] -= E
 
-    V_op = state.potentials.get(I)
-    if V_op is None:
-        V_op = LocalOperator(I, tuple(np.zeros((G.dim // 2,) * 2, dtype=complex)
-                                      for _ in range(2)) if graded
-                                 else np.zeros((G.dim,) * 2, dtype=complex))
-    V = vacuum_part(V_op, vac)[0]
-    series = generator_series(G_v, A, vac_v, V, model.t, controls, I,
-                              V_op.data[1 - e0] if graded else None)
+    V_op = state.potentials.get(I) or _zero(I, model.M, graded)
+    V, _, V_rest = vacuum_part(V_op, vac)
+    series = generator_series(G_v, A, vac_v, V, model.t, controls, I, V_rest)
     del A
     s_norm = vector_norm(series.y)
 

@@ -1,12 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import anchor_model
 from lieschwinger import estimator
+from lieschwinger.cli import load_model
 from lieschwinger.errors import DimensionError, SeriesError, ValidationError
 from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.model import random_chain_model
 from lieschwinger.sweep import SeriesControls, sweep
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_get_params_round_trip():
@@ -75,6 +80,7 @@ def test_controls_follow_params(monkeypatch):
 @pytest.mark.parametrize("bad", [
     {"jmax": 2.5}, {"jmax": float("inf")}, {"jmax": "20"}, {"jmax": 0},
     {"tol_od": "1e-8"}, {"tol_series": None}, {"gap_min": 0.5j}, {"tol_od": float("nan")},
+    {"jmax": True}, {"tol_od": True}, {"gap_min": False},
 ], ids=repr)
 def test_bad_controls_raise_validation_error(bad):
     with pytest.raises(ValidationError):
@@ -82,6 +88,17 @@ def test_bad_controls_raise_validation_error(bad):
     est = BlockDiagonalizer(controls=bad)
     with pytest.raises(ValidationError, match="SeriesControls"):
         est.fit(anchor_model(0.1))
+    assert est.state_ is None
+
+
+@pytest.mark.parametrize("model", ["kitaev", None], ids=["kitaev-file", "none"])
+def test_a_model_that_is_not_a_chain_raises_validation_error(model):
+    # a Kitaev file loads as a KitaevModel, whose chain is one reduction away
+    if model == "kitaev":
+        model = load_model(CONFIGS / "kitaev_n6.json")
+    est = BlockDiagonalizer()
+    with pytest.raises(ValidationError, match=r"KitaevModel\.reduce\(\)\.at\(beta\)\[0\]"):
+        est.fit(model)
     assert est.state_ is None
 
 

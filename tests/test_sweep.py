@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (SX, anchor_model, dense_generator, dense_generator_series, kron_chain,
+from conftest import (SX, anchor_model, dense_generator, dense_generator_series, ising_chain_model,
+                      kron_chain,
                       looped_assemble_full, looped_local_hamiltonian,
                       near_hermitian_chain_file, non_basis_vacuum_model,
                       one_table_generator_series, orthogonal_complement_basis, plus_block_eigh,
@@ -30,6 +31,8 @@ from lieschwinger.operators import (
 )
 from lieschwinger import sweep as sweep_module
 from lieschwinger.oracle import compare
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 from lieschwinger.sweep import (
     BlockDiagState,
     _growth_sources,
@@ -37,6 +40,7 @@ from lieschwinger.sweep import (
     advance,
     assemble_full,
     diagonalized_potential,
+    exactly_even,
     initial_state,
     local_gap,
     local_hamiltonian,
@@ -799,7 +803,9 @@ class TestAssembleFull:
         # local_hamiltonian's matrix at every step, and assemble_full before
         # and after the sweep, equal their own embedding loops to the last
         # bit, signs of zeros included; the Kitaev chain has a negative offset
-        # and is graded, where the stored blocks equal the loops' blocks
+        # and is graded: there the stored blocks equal the loops' blocks entry
+        # for entry, the sign of a zero aside (a zero of the offset's sign
+        # where the loop never writes, +0 in the blocks)
         configs = Path(__file__).resolve().parent.parent / "configs"
         if source == "kitaev-dense":
             monkeypatch.setattr(sweep_module, "exactly_even", lambda model: False)
@@ -811,9 +817,9 @@ class TestAssembleFull:
         assert state.graded == (source == "kitaev")
 
         def same_bits(op, reference):
-            parts, ref = ((op.data, parity_blocks(reference)) if op.graded
-                          else ((op.data,), (reference,)))
-            return all(a.tobytes() == b.tobytes() for a, b in zip(parts, ref))
+            if op.graded:
+                return all(np.array_equal(a, b) for a, b in zip(op.data, parity_blocks(reference)))
+            return op.data.tobytes() == reference.tobytes()
 
         assert same_bits(assemble_full(state, model), looped_assemble_full(state, model))
         for I in iter_steps(model.N):
@@ -826,3 +832,86 @@ class TestAssembleFull:
         model = random_chain_model(13, 1e-3, seed=0)
         with pytest.raises(DimensionError):
             assemble_full(initial_state(model), model).matrix
+
+
+def _kitaev_chain(name):
+    return load_model(CONFIGS / f"{name}.json").reduce().at()[0]
+
+
+def _ising_with_one_cross_entry(N, t):
+    """``ising_chain_model`` with one Hermitian pair of entries across parity,
+    between 00 and 01, on its first edge, scaled to keep its norm below 1."""
+    model = ising_chain_model(N, t)
+    first = 0.9 * np.kron(SX, SX)
+    first[0, 1] = first[1, 0] = 1e-3
+    return build_chain_model(N, 2, model.onsite,
+                             {**{iv: op.matrix for iv, op in model.interactions.items()},
+                              Interval(1, 1): first}, t)
+
+
+def _graded_and_dense(model, monkeypatch, controls=SeriesControls()):
+    """The fit of an exactly even model, and the same fit with its evenness
+    predicate patched to False, which forces the dense path."""
+    graded = BlockDiagonalizer(controls, oracle="off").fit(model)
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep_module, "exactly_even", lambda model: False)
+        dense = BlockDiagonalizer(controls, oracle="off").fit(model)
+    assert graded.state_.graded and not dense.state_.graded
+    return graded, dense
+
+
+class TestGradedPath:
+    """An exactly even chain keeps each potential as its two parity blocks;
+    the potentials, spectra and certificate equal the dense path's to
+    rounding."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: load_model(CONFIGS / "tfim_n8.json"), id="tfim_n8"),
+        pytest.param(lambda: load_model(CONFIGS / "anchor_n2.json"), id="anchor_n2"),
+        *(pytest.param(lambda name=name: _kitaev_chain(name), id=name)
+          for name in ("kitaev_n6", "kitaev_n7", "kitaev_ends_n7", "kitaev_quad_n8",
+                       "kitaev_right_n7")),
+        *(pytest.param(lambda N=N, t=t: ising_chain_model(N, t), id=f"ising-N{N}-t{t}")
+          for N in range(6, 11) for t in (0.1, 0.3)),
+        # the vacuum |1...1> is odd on every interval of odd length
+        pytest.param(lambda: build_chain_model(
+            6, 2, np.diag([1.0, 0.0]), {Interval(1, q): np.kron(SX, SX) for q in range(1, 6)},
+            0.1), id="odd-vacuum"),
+    ])
+    def test_matches_the_dense_path(self, make, monkeypatch):
+        model = make()
+        # at t = 0.3 the Ising series needs more than 20 orders, and the
+        # local gaps fall below 0.5
+        controls = (SeriesControls(jmax=60, gap_min=0.25) if abs(model.t) > 0.2
+                    else SeriesControls())
+        graded, dense = _graded_and_dense(model, monkeypatch, controls)
+
+        def close(a, b, scale=1.0):
+            return abs(a - b) <= 1e-14 * max(scale, abs(b))
+
+        g, d = graded.report_, dense.report_
+        scale = max(1.0, float(np.max(np.abs(d.spectrum))))
+        assert np.max(np.abs(g.spectrum - d.spectrum)) <= 1e-14 * scale
+        for a, b in zip(graded.state_.diagnostics, dense.state_.diagnostics, strict=True):
+            assert a.step == b.step and a.series_order == b.series_order
+            assert close(a.gap, b.gap) and close(a.E, b.E)
+        for a, b in zip(g.ledger, d.ledger, strict=True):
+            assert a.interval == b.interval
+            assert close(a.e, b.e, b.norm) and close(a.r, b.r, b.norm) and close(a.c, b.c, b.norm)
+        assert close(g.gap_lower_bound, d.gap_lower_bound)
+        for interval, op in graded.state_.potentials.items():
+            assert op.graded and op.dim == interval.dim(2)
+            np.testing.assert_allclose(op.matrix, dense.state_.potentials[interval].matrix,
+                                       rtol=0, atol=1e-14 * max(1.0, op_norm(op)))
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: _ising_with_one_cross_entry(5, 0.1), id="one-cross-parity-entry"),
+        pytest.param(lambda: load_model(CONFIGS / "chain_n5_m3_k2.json"), id="chain_n5_m3_k2"),
+        pytest.param(lambda: load_model(CONFIGS / "nonbasis_n5_m3_k2.json"), id="nonbasis_n5_m3_k2"),
+    ])
+    def test_any_other_chain_runs_the_dense_path(self, make):
+        model = make()
+        assert not exactly_even(model)
+        state = sweep(model)
+        assert not state.graded
+        assert not any(op.graded for op in state.potentials.values())
