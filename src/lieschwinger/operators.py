@@ -88,29 +88,32 @@ def _as_matrix(m) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
     """An operator on the Hilbert space of one interval, stored as ``data``:
-    a dense matrix, or, for an exactly even operator of size 2^n, the pair
-    of its parity blocks (``parity_blocks``).  ``dim`` is the full size
-    either way, and ``matrix`` the dense matrix, which a graded operator
-    builds from its blocks on each read."""
+    a dense matrix, or, for an exactly even operator of size 2^n, its two
+    parity blocks stacked in a 2 x 2^(n-1) x 2^(n-1) array
+    (``parity_blocks``).  ``dim`` is the full size either way, and
+    ``matrix`` the dense matrix, which a graded operator builds from its
+    blocks on each read."""
 
     support: Interval
-    data: np.ndarray | tuple[np.ndarray, np.ndarray]
+    data: np.ndarray
 
     def __post_init__(self):
-        parts = tuple(_as_matrix(b) for b in self.data) if self.graded else (_as_matrix(self.data),)
-        if self.graded and (len(parts) != 2 or parts[0].shape != parts[1].shape):
-            raise ValidationError("a graded operator is two parity blocks of one size")
-        for m in parts:
-            m.flags.writeable = False
-        object.__setattr__(self, "data", parts if self.graded else parts[0])
+        data = np.asarray(self.data, dtype=complex)
+        if data.ndim == 3:
+            if data.shape[0] != 2 or data.shape[1] != data.shape[2]:
+                raise ValidationError("a graded operator is two square parity blocks of one size")
+        else:
+            data = _as_matrix(data)
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @property
     def graded(self) -> bool:
-        return isinstance(self.data, tuple)
+        return self.data.ndim == 3
 
     @property
     def dim(self) -> int:
-        return 2 * self.data[0].shape[0] if self.graded else self.data.shape[0]
+        return 2 * self.data.shape[1] if self.graded else self.data.shape[0]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -143,20 +146,19 @@ def hermitian_rule(defect: float, largest: float, message: str) -> float:
 
 
 def embed(op: LocalOperator, target: Interval, M: int, *,
-          out: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None,
-          scale: complex = 1.0) -> LocalOperator | np.ndarray | tuple[np.ndarray, np.ndarray]:
+          out: np.ndarray | None = None, scale: complex = 1.0) -> LocalOperator | np.ndarray:
     """Pad ``op`` with identities so it acts on ``target``: 1_L (x) A (x) 1_R,
     written through a strided view of the target matrix.
 
     Without ``out``, returns the embedded LocalOperator (``scale`` times
     the Kronecker product), graded where ``op`` is.  With ``out``, a D x D
-    array on ``target`` or the pair of its parity blocks, adds ``scale``
-    times the embedded operator into it in place and returns ``out``.  On a
+    array on ``target`` or its stacked parity blocks, adds ``scale`` times
+    the embedded operator into it in place and returns ``out``.  On a
     parity block, indexed by the target's sites but its last, the embedded
-    operator is 1_L (x) A (x) 1_{R/2} where ``op`` leaves out the last site,
-    and holds A's block of parity e + p(l) on row block l of block e where
-    ``op`` holds it.  The embedding is an algebra homomorphism and leaves
-    the operator norm unchanged.
+    operator is 1_L (x) A (x) 1_{R/2} where ``op`` leaves out the last site;
+    where ``op`` holds it, row block l of block e holds A's block of parity
+    e + p(l).  The embedding is an algebra homomorphism and leaves the
+    operator norm unchanged.
     """
     sup = op.support
     if not target.contains(sup):
@@ -164,41 +166,35 @@ def embed(op: LocalOperator, target: Interval, M: int, *,
     L = M ** (sup.q - target.q)
     R = M ** (target.last - sup.last)
     D = L * op.dim * R
-    acc = out
-    if out is None:
-        acc = tuple(np.zeros((D // 2,) * 2, dtype=complex) for _ in range(2)) if op.graded \
-            else np.zeros((D, D), dtype=complex)
-    parts = acc if isinstance(acc, tuple) else (acc,)
-    for part in parts:  # the strided views below are not bounds-checked
-        if part.shape != (D // len(parts),) * 2:
-            raise EmbeddingError(f"accumulator shape {part.shape} does not match target {target}")
-    if not isinstance(acc, tuple):
+    acc = np.zeros((2, D // 2, D // 2) if op.graded else (D, D), dtype=complex) \
+        if out is None else out
+    # the strided views below are not bounds-checked
+    if acc.shape != ((2, D // 2, D // 2) if acc.ndim == 3 else (D, D)):
+        raise EmbeddingError(f"accumulator shape {acc.shape} does not match target {target}")
+    if acc.ndim == 2:
         _embed_dense(op.matrix, L, R, acc, scale)
     elif R > 1:
-        A = op.matrix
-        for block in acc:
-            _embed_dense(A, L, R // 2, block, scale)
+        _embed_dense(op.matrix, L, R // 2, acc, scale)
     else:
         blocks = op.data if op.graded else parity_blocks(op.data)
-        d = blocks[0].shape[0]
-        lefts = parity_sectors(L.bit_length() - 1)
-        for e, block in enumerate(acc):
-            s0, s1 = block.strides
-            view = np.lib.stride_tricks.as_strided(  # [l, a, b]: row block l, its diagonal tile
-                block, shape=(L, d, d), strides=(d * (s0 + s1), s0, s1), writeable=True)
-            for p, ls in enumerate(lefts):
-                view[ls] += scale * blocks[e ^ p]
+        d = blocks.shape[1]
+        sb, s0, s1 = acc.strides
+        view = np.lib.stride_tricks.as_strided(  # [e, l, a, b]: row block l of block e, its diagonal tile
+            acc, shape=(2, L, d, d), strides=(sb, d * (s0 + s1), s0, s1), writeable=True)
+        for p, lefts in enumerate(parity_sectors(L.bit_length() - 1)):
+            view[:, lefts] += scale * blocks[::1 - 2 * p, None]
     return LocalOperator(target, acc) if out is None else out
 
 
 def _embed_dense(A: np.ndarray, L: int, R: int, acc: np.ndarray, scale: complex) -> None:
-    """acc += scale 1_L (x) A (x) 1_R, through the strided view of acc."""
+    """acc += scale 1_L (x) A (x) 1_R, through the strided view of acc, or of
+    each matrix of a stack of them."""
     d = A.shape[0]
-    s0, s1 = acc.strides
+    *lead, s0, s1 = acc.strides
     # entry (l a r, l b r) of a D x D matrix, D = L d R, indexed as [l, a, r, b]
     view = np.lib.stride_tricks.as_strided(
-        acc, shape=(L, d, R, d),
-        strides=(d * R * (s0 + s1), R * s0, s0 + s1, R * s1), writeable=True,
+        acc, shape=(*acc.shape[:-2], L, d, R, d),
+        strides=(*lead, d * R * (s0 + s1), R * s0, s0 + s1, R * s1), writeable=True,
     )
     view += scale * A[None, :, None, :]
 
@@ -239,18 +235,18 @@ def parity_even(m: np.ndarray) -> bool:
     return not (m[grids[2]].any() or m[grids[3]].any())
 
 
-def parity_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The even and the odd block of a matrix of size 2^n, its rows and
-    columns gathered in the order of ``parity_sectors``.  Index b of a
-    sector sits at b >> 1 of its block, so a block is indexed by the sites
-    but the last: their parity and the block's fix the last site's bit."""
+def parity_blocks(m: np.ndarray) -> np.ndarray:
+    """The even and the odd block of a matrix of size 2^n, stacked, their
+    rows and columns gathered in the order of ``parity_sectors``.  Index b
+    of a sector sits at b >> 1 of its block, so a block is indexed by the
+    sites but the last: their parity and the block's fix the last site's bit."""
     grids = _sector_grids(m.shape[0].bit_length() - 1)
-    return m[grids[0]], m[grids[1]]
+    return np.stack((m[grids[0]], m[grids[1]]))
 
 
-def parity_matrix(blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def parity_matrix(blocks: np.ndarray) -> np.ndarray:
     """The matrix of size 2^n whose ``parity_blocks`` are ``blocks``."""
-    D = 2 * blocks[0].shape[0]
+    D = 2 * blocks.shape[1]
     m = np.zeros((D, D), dtype=complex)
     for grid, block in zip(_sector_grids(D.bit_length() - 1), blocks):
         m[grid] = block
@@ -281,7 +277,7 @@ def vacuum_part(op: LocalOperator, vac: np.ndarray
 
 def parity_eigvalsh(m: np.ndarray | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of the matrix whose
-    two parity blocks ``m`` is.
+    two parity blocks ``m`` holds (stacked, or as a pair).
 
     A matrix of size 2^n of at least _PARITY_MIN_DIM that is ``parity_even``
     is diagonalized as its two parity blocks; any other takes one eigvalsh
@@ -289,7 +285,7 @@ def parity_eigvalsh(m: np.ndarray | tuple[np.ndarray, np.ndarray]) -> np.ndarray
     gathered, so a matrix with no such blocks pays for one row of the check
     only.
     """
-    if not isinstance(m, tuple):
+    if not isinstance(m, tuple) and m.ndim == 2:
         D = m.shape[0]
         n = D.bit_length() - 1
         if D < _PARITY_MIN_DIM or D != 2 ** n or m[0, parity_sectors(n)[1]].any() \
@@ -299,19 +295,17 @@ def parity_eigvalsh(m: np.ndarray | tuple[np.ndarray, np.ndarray]) -> np.ndarray
     return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in m]))
 
 
-def spectral_range(op: LocalOperator | np.ndarray | tuple[np.ndarray, np.ndarray]
-                   ) -> tuple[float, float]:
-    """Lowest and highest eigenvalue of a matrix, or of the pair of parity
-    blocks of one, Hermitian by ``require_hermitian``, read from its
+def spectral_range(op: LocalOperator | np.ndarray) -> tuple[float, float]:
+    """Lowest and highest eigenvalue of a matrix, or of one given as its
+    stacked parity blocks, Hermitian by ``require_hermitian``, read from its
     Hermitian part; (0, 0) if empty."""
-    m = op.data if isinstance(op, LocalOperator) else op
-    parts = tuple(m) if isinstance(m, tuple) else (np.asarray(m, dtype=complex),)
-    if parts[0].size == 0:
+    m = op.data if isinstance(op, LocalOperator) else np.asarray(op, dtype=complex)
+    if m.size == 0:
         return 0.0, 0.0
     # eigvalsh reads one triangle, so an exactly Hermitian part needs no symmetrized copy
     parts = tuple(p if require_hermitian(p, "op_norm supports Hermitian matrices only") == 0.0
-                  else (p + p.conj().T) / 2 for p in parts)
-    evals = parity_eigvalsh(parts if isinstance(m, tuple) else parts[0])
+                  else (p + p.conj().T) / 2 for p in (m if m.ndim == 3 else (m,)))
+    evals = parity_eigvalsh(parts if m.ndim == 3 else parts[0])
     return float(evals[0]), float(evals[-1])
 
 
@@ -517,30 +511,40 @@ def conjugate_by_unitary(op_matrix: np.ndarray, W: np.ndarray, C: np.ndarray,
     s = ``rows_scale``.  X is never formed, and s divides the 2 x 2 factor
     C, never X, so no rounding error of X's size is divided by a small s.
 
-    With ``left_parity`` p the rotation acts only on the row blocks l whose
-    popcount parity is p, and as the identity on the others: W' holds W on
-    those blocks and zero on the rest.  That is 1_L (x) exp(S) on a parity
-    block of a potential whose last site the rotated interval holds, with
-    W the rows of the rotation's own parity block; R is then 1.
+    ``op_matrix`` may also be the two parity blocks of a graded potential
+    stacked as one 2D x D array, and ``rows`` theirs stacked alike: both
+    blocks are updated with the same factors, in one pass through P, and
+    returned stacked.  With ``left_parity`` p the rotation acts on the row
+    blocks l of block e with p(l) = e + p, and as the identity on the
+    others: W' holds W on those blocks and zero on the rest.  That is
+    1_L (x) exp(S) on the blocks of a potential whose last site the rotated
+    interval holds, with W the rows of the rotation's own parity block p.
     """
     A = op_matrix
-    D = A.shape[0]
+    D = A.shape[1]
+    n_blocks = A.shape[0] // D
     d = W.shape[0]
     R = D // (left * d)
     W_dag = W.conj().T
-    # C' P, with the rows of X folded in at their own factor
-    CP = (C @ W_dag) @ A.reshape(left, d, R * D)
+    # C' P, with the rows of X folded in at their own factor; its row blocks
+    # are (e, l) for block e
+    CP = (C @ W_dag) @ A.reshape(n_blocks * left, d, R * D)
     if rows is not None:
         # a real division of each part: complex division by a subnormal
         # rows_scale would overflow in its reciprocal
         C_rows = (np.ascontiguousarray(C).view(float) / rows_scale).view(complex)
-        CP += C_rows @ rows.reshape(left, 2, R * D)
-    if left_parity is not None:  # W' is zero on the other row blocks
-        idle = parity_sectors(left.bit_length() - 1)[1 - left_parity]
-        CP[idle] = 0.0
+        CP += C_rows @ rows.reshape(n_blocks * left, 2, R * D)
+    if left_parity is not None:
+        # W' is zero on the row blocks with p(e l) = e + p(l) other than p ...
+        CP[parity_sectors((n_blocks * left).bit_length() - 1)[1 - left_parity]] = 0.0
     # C' (P W') C'^dag W'^dag, through one middle-axis product per factor
     CPW = _times_middle(CP, W, R)
-    if left_parity is not None:
-        CPW.reshape(-1, left, 2 * R)[:, idle] = 0.0
+    if left_parity is not None:  # ... and so on the column blocks l' of block e
+        columns = CPW.reshape(n_blocks, -1, left, 2 * R)
+        for e in range(n_blocks):
+            columns[e][:, parity_sectors(left.bit_length() - 1)[1 - (left_parity ^ e)]] = 0.0
     CP += 0.5 * _times_middle(CPW, C.conj().T @ W_dag, R).reshape(CP.shape)
-    return _hermitian_sum((W @ CP).reshape(D, D), A)
+    B = (W @ CP).reshape(n_blocks, D, D)
+    for e in range(n_blocks):
+        _hermitian_sum(B[e], A[e * D:(e + 1) * D])
+    return B.reshape(n_blocks * D, D)

@@ -217,7 +217,9 @@ def _assemble(model: ChainModel, interval: Interval, ops, offset: float = 0.0,
         bits = np.arange(D)
         for j in range(n):
             diag += model.onsite.diagonal()[(bits >> (n - 1 - j)) & 1]
-        out = tuple(np.diag(diag[sector]) for sector in parity_sectors(n))
+        out = np.zeros((2, D // 2, D // 2), dtype=complex)
+        i = np.arange(D // 2)
+        out[:, i, i] = diag[np.stack(parity_sectors(n))]
     else:
         out = np.eye(D, dtype=complex)
         out *= offset
@@ -360,7 +362,7 @@ def generator_series(G: np.ndarray, A: np.ndarray, vac: np.ndarray, V: np.ndarra
     if last >= controls.tol_series:
         last = _term_norm(t, 1, max(vector_norm(F[:, 2]), frobenius / sqrt(D)))
         if last < controls.tol_series or controls.jmax == 1:
-            last = _term_norm(t, 1, op_norm(V if rest is None else (V, rest)))
+            last = _term_norm(t, 1, op_norm(V if rest is None else np.stack((V, rest))))
     while order < controls.jmax and last >= controls.tol_series:
         j = order + 1
         n = 3 * j
@@ -454,51 +456,46 @@ def _growth_sources(I: Interval, J: Interval) -> list[Interval]:
     return []
 
 
-def _source_rows(W: np.ndarray, src: LocalOperator, I: Interval, M: int) -> tuple[np.ndarray, ...]:
+def _source_rows(W: np.ndarray, src: LocalOperator, I: Interval, M: int,
+                 vacuum_parity: int = 0) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """W'^dag (1 (x) w (x) 1) on J = I u src, for W' = 1_L (x) W (x) 1_R and
     the potential w of a growth source, in the row layout (l, i, r) of
     ``operators.conjugate_by_unitary``: one array, or one per parity block
     of J for a graded source.
 
     Only the sites the source shares with I are contracted with W, so the
-    source is never embedded into J.  For a graded source W is the whole
-    rotation's where the source holds J's last site, and there row block a
-    of J's block e reads the source's block of parity e + p(a); W is the
-    rows of the rotation's own parity block where I holds J's last site,
-    and there both blocks of J see the whole w, their rows alike.
+    source is never embedded into J.  For a graded source whose support
+    holds J's last site, W is the whole rotation's, nonzero only on the
+    vacuum's parity ``vacuum_parity`` e0: row (i, r) then lies in J's block
+    e0 + p(r), and block e takes those rows at its own columns.  Where I
+    holds J's last site, W is the rows of the rotation's own parity block,
+    and both blocks of J see the whole w, their rows alike.
     """
     s = src.support
     o = M ** (min(I.last, s.last) - max(I.q, s.q) + 1)  # shared sites
     a = W.shape[0] // o  # sites of I only
     b = s.dim(M) // o  # sites of the source only
-    if s.q > I.q and src.graded:  # J = [a o b], the blocks as below at R = b / 2
-        Wc = W.reshape(a, o, 2).conj().transpose(2, 0, 1)[:, None]  # [i, -, a, o]
-        h = b // 2
-        ws = [w.reshape(o, h, o * h).transpose(1, 0, 2) for w in src.data]
-        out = np.empty((2, 2, h, a, o * h), dtype=complex)  # [e, i, r, a, (o b)]
-        for p, sel in enumerate(parity_sectors(a.bit_length() - 1)):
-            Wp = Wc[:, :, sel]
-            for e in (0, 1):
-                out[e][:, :, sel] = Wp @ ws[e ^ p]
-        return tuple(part.reshape(2 * h, -1) for part in out)
     w = src.matrix
     if s.q > I.q:  # J = [a o b], L = 1, R = b: rows (i, r), columns (a, o, b)
         Wc = W.reshape(a, o, 2).conj().transpose(2, 0, 1)[:, None]  # [i, -, a, o]
         out = Wc @ w.reshape(o, b, o * b).transpose(1, 0, 2)  # [i, r, a, (o b)]
+        if src.graded:
+            out = out.reshape(2, b, -1)
+            rows, cols = parity_sectors(b.bit_length() - 1), parity_sectors(s.last - I.q + 1)
+            return np.stack([out[:, rows[e ^ vacuum_parity][:, None], cols[e]].reshape(b, -1)
+                             for e in (0, 1)])
     else:  # J = [b o a], L = b, R = 1: rows (l, i), columns (b, o, a)
         Wc = W.reshape(o, a, 2).conj().transpose(2, 0, 1)  # [i, o, a]
         out = w.reshape(b, o, b * o).transpose(0, 2, 1)[:, None] @ Wc  # [l, i, (b o), a]
     out = out.reshape(2 * b, -1)
-    return (out, out) if src.graded else (out,)
+    return np.stack((out, out)) if src.graded else out
 
 
 def _zero(J: Interval, M: int, graded: bool) -> LocalOperator:
     """A zero potential on J, dense or as two parity blocks: read-only zero
     views, no D x D array."""
     D = J.dim(M)
-    if not graded:
-        return LocalOperator(J, np.broadcast_to(0j, (D, D)))
-    return LocalOperator(J, (np.broadcast_to(0j, (D // 2,) * 2),) * 2)
+    return LocalOperator(J, np.broadcast_to(0j, (2, D // 2, D // 2) if graded else (D, D)))
 
 
 def advance(state: BlockDiagState, model: ChainModel,
@@ -546,8 +543,9 @@ def advance(state: BlockDiagState, model: ChainModel,
     V_new, residual = diagonalized_potential(G_v, V, W, C, model.t, vac_v,
                                              controls.tol_od, I)
     new_pots = dict(state.potentials)
-    new_pots[I] = LocalOperator(I, tuple(V_new if e == e0 else V_op.data[e] for e in (0, 1))
-                                if graded else V_new)
+    if graded:
+        V_new = np.stack((V_new, V_rest) if e0 == 0 else (V_rest, V_new))
+    new_pots[I] = LocalOperator(I, V_new)
     W_I = W  # the whole rotation's W
     if graded:
         W_I = np.zeros((G.dim, 2), dtype=complex)
@@ -571,15 +569,13 @@ def advance(state: BlockDiagState, model: ChainModel,
             holds_last = graded and J.last == I.last
             W_J = W if holds_last else W_I
             # a created J starts from a read-only zero view: no D x D array
-            parts = (old or _zero(J, model.M, graded)).data
-            parts = parts if graded else (parts,)
-            rows = (tuple(map(sum, zip(*(_source_rows(W_J, src, I, model.M) for src in sources))))
-                    if sources else (None,) * len(parts))
-            new = tuple(conjugate_by_unitary(
-                part, W_J, C, model.M ** (I.q - J.q), rows=part_rows,
-                left_parity=e ^ e0 if holds_last else None)
-                for e, (part, part_rows) in enumerate(zip(parts, rows)))
-            new_pots[J] = LocalOperator(J, new if graded else new[0])
+            V_J = (old or _zero(J, model.M, graded)).data
+            rows = sum(_source_rows(W_J, src, I, model.M, e0) for src in sources) if sources else None
+            # a graded V_J is conjugated as its two blocks stacked
+            new = conjugate_by_unitary(V_J.reshape(-1, V_J.shape[-1]), W_J, C,
+                                       model.M ** (I.q - J.q), rows=rows,
+                                       left_parity=e0 if holds_last else None)
+            new_pots[J] = LocalOperator(J, new.reshape(V_J.shape))
 
     diag = StepDiagnostics(I, E, gap, series.order, residual, s_norm)
     return BlockDiagState(I, new_pots, state.diagnostics + (diag,), graded)

@@ -82,25 +82,29 @@ def test_every_traced_site_resolves_to_a_callable():
 
 def test_traced_run_matches_untraced(tmp_path):
     # A changed return shape breaks the benchmark's traced run through its
-    # counters, so run one fit and one Kitaev sweep under the tracer.
+    # counters, so run one fit of a dense and one of a graded (exactly even)
+    # chain, and one Kitaev sweep, under the tracer.
+    from conftest import ising_chain_model
     from lieschwinger.cli import main
     from lieschwinger.estimator import BlockDiagonalizer
     from lieschwinger.model import random_chain_model
     from test_cli import _kitaev_file
 
     tracing = _load_tracing()
-    model = random_chain_model(3, 0.01, M=2, kbar=2, seed=0)
+    models = random_chain_model(3, 0.01, M=2, kbar=2, seed=0), ising_chain_model(5, 0.1)
     config = _kitaev_file(tmp_path, supports=[(3, 4), (1, 2)])
 
     def run_once(tag):
-        fitted = BlockDiagonalizer().fit(model)
+        fits = [BlockDiagonalizer().fit(model) for model in models]
+        assert [fitted.state_.graded for fitted in fits] == [False, True]
         out = tmp_path / f"{tag}.json"
         assert main(["--config", str(config), "--t-sweep", "0.01,0.02",
                      "--report", str(out)]) == 0
         reports = json.loads(out.read_text())
         for rep in reports:
             del rep["timings"]
-        return (fitted.ground_energy_, fitted.gap_, fitted.report_.ledger), reports
+        return [(fitted.ground_energy_, fitted.gap_, fitted.report_.ledger)
+                for fitted in fits], reports
 
     untraced = run_once("untraced")
     tracer = tracing.Tracer()
