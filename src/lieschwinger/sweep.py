@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cache
 from math import inf, isfinite, sqrt
 from numbers import Real
 
@@ -456,6 +457,17 @@ def _growth_sources(I: Interval, J: Interval) -> list[Interval]:
     return []
 
 
+@cache
+def _block_rows(n_b: int, n_J: int, vacuum_parity: int) -> tuple[np.ndarray, ...]:
+    """Index of a [e, i, r', c'] gather from rows [i, r, c] of W'^dag X on an
+    interval J of n_J sites whose last n_b sites are the source's own: row r
+    lies in J's block vacuum_parity + p(r), at r' = r >> 1, and c' is the
+    position of column c in block e."""
+    rows = np.stack(parity_sectors(n_b)[::1 - 2 * vacuum_parity])
+    cols = np.stack(parity_sectors(n_J))
+    return np.arange(2)[None, :, None, None], rows[:, None, :, None], cols[:, None, None, :]
+
+
 def _source_rows(W: np.ndarray, src: LocalOperator, I: Interval, M: int,
                  vacuum_parity: int = 0) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """W'^dag (1 (x) w (x) 1) on J = I u src, for W' = 1_L (x) W (x) 1_R and
@@ -480,15 +492,13 @@ def _source_rows(W: np.ndarray, src: LocalOperator, I: Interval, M: int,
         Wc = W.reshape(a, o, 2).conj().transpose(2, 0, 1)[:, None]  # [i, -, a, o]
         out = Wc @ w.reshape(o, b, o * b).transpose(1, 0, 2)  # [i, r, a, (o b)]
         if src.graded:
-            out = out.reshape(2, b, -1)
-            rows, cols = parity_sectors(b.bit_length() - 1), parity_sectors(s.last - I.q + 1)
-            return np.stack([out[:, rows[e ^ vacuum_parity][:, None], cols[e]].reshape(b, -1)
-                             for e in (0, 1)])
+            gather = _block_rows(b.bit_length() - 1, s.last - I.q + 1, vacuum_parity)
+            return out.reshape(2, b, -1)[gather].reshape(2, b, -1)
     else:  # J = [b o a], L = b, R = 1: rows (l, i), columns (b, o, a)
         Wc = W.reshape(o, a, 2).conj().transpose(2, 0, 1)  # [i, o, a]
         out = w.reshape(b, o, b * o).transpose(0, 2, 1)[:, None] @ Wc  # [l, i, (b o), a]
     out = out.reshape(2 * b, -1)
-    return np.stack((out, out)) if src.graded else out
+    return np.broadcast_to(out, (2, *out.shape)) if src.graded else out
 
 
 def _zero(J: Interval, M: int, graded: bool) -> LocalOperator:
