@@ -244,11 +244,27 @@ def parity_blocks(m: np.ndarray) -> np.ndarray:
     return np.stack((m[grids[0]], m[grids[1]]))
 
 
+# Most sites for which ``parity_matrix`` keeps the flat positions of the
+# blocks' entries (1/2 MB at 8) and writes them in one scatter.
+_SCATTER_MAX_SITES = 8
+
+
+@cache
+def _block_positions(n: int) -> np.ndarray:
+    """Flat positions in a matrix of size 2^n of its stacked parity blocks' entries."""
+    positions = np.arange(4 ** n).reshape(2 ** n, 2 ** n)
+    return np.stack([positions[grid] for grid in _sector_grids(n)[:2]]).ravel()
+
+
 def parity_matrix(blocks: np.ndarray) -> np.ndarray:
     """The matrix of size 2^n whose ``parity_blocks`` are ``blocks``."""
     D = 2 * blocks.shape[1]
+    n = D.bit_length() - 1
     m = np.zeros((D, D), dtype=complex)
-    for grid, block in zip(_sector_grids(D.bit_length() - 1), blocks):
+    if n <= _SCATTER_MAX_SITES:
+        m.ravel()[_block_positions(n)] = blocks.ravel()
+        return m
+    for grid, block in zip(_sector_grids(n), blocks):
         m[grid] = block
     return m
 
@@ -512,9 +528,9 @@ def conjugate_by_unitary(op_matrix: np.ndarray, W: np.ndarray, C: np.ndarray,
     C, never X, so no rounding error of X's size is divided by a small s.
 
     ``op_matrix`` may also be the two parity blocks of a graded potential
-    stacked as one 2D x D array, and ``rows`` theirs stacked alike: both
-    blocks are updated with the same factors, in one pass through P, and
-    returned stacked.  With ``left_parity`` p the rotation acts on the row
+    stacked as one 2D x D array, and ``rows`` theirs stacked alike, or one
+    2LR x D array that both share: both blocks are updated with the same
+    factors, in one pass through P, and returned stacked.  With ``left_parity`` p the rotation acts on the row
     blocks l of block e with p(l) = e + p, and as the identity on the
     others: W' holds W on those blocks and zero on the rest.  That is
     1_L (x) exp(S) on the blocks of a potential whose last site the rotated
@@ -533,7 +549,7 @@ def conjugate_by_unitary(op_matrix: np.ndarray, W: np.ndarray, C: np.ndarray,
         # a real division of each part: complex division by a subnormal
         # rows_scale would overflow in its reciprocal
         C_rows = (np.ascontiguousarray(C).view(float) / rows_scale).view(complex)
-        CP += C_rows @ rows.reshape(n_blocks * left, 2, R * D)
+        CP.reshape(-1, left, 2, R * D)[...] += C_rows @ rows.reshape(-1, left, 2, R * D)
     if left_parity is not None:
         # W' is zero on the row blocks with p(e l) = e + p(l) other than p ...
         CP[parity_sectors((n_blocks * left).bit_length() - 1)[1 - left_parity]] = 0.0

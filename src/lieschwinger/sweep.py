@@ -472,8 +472,9 @@ def _source_rows(W: np.ndarray, src: LocalOperator, I: Interval, M: int,
                  vacuum_parity: int = 0) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """W'^dag (1 (x) w (x) 1) on J = I u src, for W' = 1_L (x) W (x) 1_R and
     the potential w of a growth source, in the row layout (l, i, r) of
-    ``operators.conjugate_by_unitary``: one array, or one per parity block
-    of J for a graded source.
+    ``operators.conjugate_by_unitary``: one array, which both parity blocks
+    of J share where the source is graded and I holds J's last site, or the
+    two blocks' rows stacked where the source holds it.
 
     Only the sites the source shares with I are contracted with W, so the
     source is never embedded into J.  For a graded source whose support
@@ -497,8 +498,7 @@ def _source_rows(W: np.ndarray, src: LocalOperator, I: Interval, M: int,
     else:  # J = [b o a], L = b, R = 1: rows (l, i), columns (b, o, a)
         Wc = W.reshape(o, a, 2).conj().transpose(2, 0, 1)  # [i, o, a]
         out = w.reshape(b, o, b * o).transpose(0, 2, 1)[:, None] @ Wc  # [l, i, (b o), a]
-    out = out.reshape(2 * b, -1)
-    return np.broadcast_to(out, (2, *out.shape)) if src.graded else out
+    return out.reshape(2 * b, -1)
 
 
 def _zero(J: Interval, M: int, graded: bool) -> LocalOperator:
