@@ -1,4 +1,4 @@
-"""Dense operator algebra on interval subspaces.
+"""Dense operator algebra on interval subspaces, whole or as parity blocks.
 
 Operators live on the tensor factors of their support interval, with the
 leftmost site as the most significant base-M digit, and act as the identity
@@ -17,9 +17,19 @@ Hermitian spectra (``excited_spectrum``, ``spectral_range``, which
 matrix of size 2^n, from 32 up, whose
 entries across the popcount-parity split of its basis indices
 (``parity_sectors``) are all exactly 0.0 is diagonalized as its two parity
-blocks, at half the size each.  A restricted Kitaev chain stays exactly even through the whole
-sweep; any other matrix, a random chain's or one of size 3^n, takes one
-eigvalsh of the whole matrix, as before.
+blocks, at half the size each; any other matrix, a random chain's or one
+of size 3^n, takes one eigvalsh of the whole matrix.  The oracle's
+matrices are dense and take this route.
+
+An exactly even operator of size 2^n may be stored graded
+(``LocalOperator.graded``): as its two parity blocks, stacked, each indexed
+by the sites but the last, whose bit the block's parity fixes
+(``parity_blocks``).  The sweep stores every potential of an exactly even
+chain so, and ``embed``, ``conjugate_by_unitary``, ``spectral_range`` and
+``vacuum_part`` read the blocks themselves: an operator on sites that
+leave out the last acts on each block as 1_L (x) A (x) 1_{R/2}, and one on
+sites that hold it acts on row block l of block e as A's block of parity
+e + p(l).  ``LocalOperator.matrix`` builds the dense matrix on each read.
 
 The sweep's generators have rank two, S = y vac^dag - vac y^dag with y
 orthogonal to vac, so exp(S) is a rotation by theta = ||y|| in
@@ -272,7 +282,7 @@ def parity_matrix(blocks: np.ndarray) -> np.ndarray:
 def vacuum_block(vac: np.ndarray) -> tuple[int, np.ndarray]:
     """The parity of a basis vector vac of size 2^n, and vac in the basis of
     that parity block (``parity_blocks``)."""
-    i = int(np.flatnonzero(vac)[0])
+    i = int(vac.nonzero()[0][0])
     v = np.zeros(vac.shape[0] // 2, dtype=complex)
     v[i >> 1] = vac[i]
     return i.bit_count() & 1, v
@@ -530,11 +540,12 @@ def conjugate_by_unitary(op_matrix: np.ndarray, W: np.ndarray, C: np.ndarray,
     ``op_matrix`` may also be the two parity blocks of a graded potential
     stacked as one 2D x D array, and ``rows`` theirs stacked alike, or one
     2LR x D array that both share: both blocks are updated with the same
-    factors, in one pass through P, and returned stacked.  With ``left_parity`` p the rotation acts on the row
-    blocks l of block e with p(l) = e + p, and as the identity on the
-    others: W' holds W on those blocks and zero on the rest.  That is
-    1_L (x) exp(S) on the blocks of a potential whose last site the rotated
-    interval holds, with W the rows of the rotation's own parity block p.
+    factors, in one pass through P, and returned stacked.  With
+    ``left_parity`` p the rotation acts on the row blocks l of block e with
+    p(l) = e + p, and as the identity on the others: W' holds W on those
+    blocks and zero on the rest.  That is 1_L (x) exp(S) on the blocks of a
+    potential whose last site the rotated interval holds, with W the rows of
+    the rotation's own parity block p.
     """
     A = op_matrix
     D = A.shape[1]

@@ -81,6 +81,21 @@ potential, never as an embedded unitary:
     are contracted from its own small matrix with W over the sites it
     shares with I, so no source is embedded into J.  Intervals with no
     prior potential can be created here.
+
+An exactly even chain (``exactly_even``: M = 2, exact 0.0 entries across
+the popcount-parity split in the on-site matrix and in every interaction,
+and omega a basis vector, read from the model alone) is swept graded:
+every potential, G and K are kept as their two parity blocks
+(``operators.LocalOperator``), which every rotation of the sweep keeps.
+The vacuum and every frame vector lie in one block, e0, so the series, the
+Cholesky factor and the replaced potential read that block alone, and the
+other block of V_I is kept as it is; the step's eigvalsh is of the shifted
+block and of the other one.  A containing J is conjugated as its two
+blocks stacked, in one thin update: by 1_L (x) exp(S) (x) 1_{R/2} where I
+leaves out J's last site, and where I holds it by exp(S)'s own block e0 on
+the row blocks l of block e with p(l) = e + e0 and by the identity on the
+rest.  Any other chain (M = 3, a vacuum that is no basis vector, one
+nonzero entry across parity) runs the dense code.
 """
 
 from __future__ import annotations
@@ -469,7 +484,7 @@ def _block_rows(n_b: int, n_J: int, vacuum_parity: int) -> tuple[np.ndarray, ...
 
 
 def _source_rows(W: np.ndarray, src: LocalOperator, I: Interval, M: int,
-                 vacuum_parity: int = 0) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+                 vacuum_parity: int = 0) -> np.ndarray:
     """W'^dag (1 (x) w (x) 1) on J = I u src, for W' = 1_L (x) W (x) 1_R and
     the potential w of a growth source, in the row layout (l, i, r) of
     ``operators.conjugate_by_unitary``: one array, which both parity blocks
