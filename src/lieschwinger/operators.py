@@ -189,7 +189,8 @@ def embed(op: LocalOperator, target: Interval, M: int, *,
         blocks = op.data if op.graded else parity_blocks(op.data)
         d = blocks.shape[1]
         sb, s0, s1 = acc.strides
-        view = np.lib.stride_tricks.as_strided(  # [e, l, a, b]: row block l of block e, its diagonal tile
+        # [e, l, a, b]: the diagonal tile of row block l of block e
+        view = np.lib.stride_tricks.as_strided(
             acc, shape=(2, L, d, d), strides=(sb, d * (s0 + s1), s0, s1), writeable=True)
         for p, lefts in enumerate(parity_sectors(L.bit_length() - 1)):
             view[:, lefts] += scale * blocks[::1 - 2 * p, None]

@@ -595,7 +595,8 @@ def advance(state: BlockDiagState, model: ChainModel,
             W_J = W if holds_last else W_I
             # a created J starts from a read-only zero view: no D x D array
             V_J = (old or _zero(J, model.M, graded)).data
-            rows = sum(_source_rows(W_J, src, I, model.M, e0) for src in sources) if sources else None
+            rows = (sum(_source_rows(W_J, src, I, model.M, e0) for src in sources)
+                    if sources else None)
             # a graded V_J is conjugated as its two blocks stacked
             new = conjugate_by_unitary(V_J.reshape(-1, V_J.shape[-1]), W_J, C,
                                        model.M ** (I.q - J.q), rows=rows,

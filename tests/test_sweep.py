@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (SX, anchor_model, dense_generator, dense_generator_series, ising_chain_model,
-                      kron_chain,
-                      looped_assemble_full, looped_local_hamiltonian,
+from conftest import (SX, anchor_model, dense_generator, dense_generator_series,
+                      ising_chain_model, kron_chain, looped_assemble_full,
+                      looped_local_hamiltonian,
                       near_hermitian_chain_file, non_basis_vacuum_model,
                       one_table_generator_series, orthogonal_complement_basis, plus_block_eigh,
                       random_hermitian, run_series, s_term_norms, series_terms)
@@ -31,8 +31,6 @@ from lieschwinger.operators import (
 )
 from lieschwinger import sweep as sweep_module
 from lieschwinger.oracle import compare
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 from lieschwinger.sweep import (
     BlockDiagState,
     _growth_sources,
@@ -47,6 +45,8 @@ from lieschwinger.sweep import (
     sweep,
     vacuum_energy,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def summed_diagonal_series(res, V, vac, t):
@@ -907,7 +907,8 @@ class TestGradedPath:
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: _ising_with_one_cross_entry(5, 0.1), id="one-cross-parity-entry"),
         pytest.param(lambda: load_model(CONFIGS / "chain_n5_m3_k2.json"), id="chain_n5_m3_k2"),
-        pytest.param(lambda: load_model(CONFIGS / "nonbasis_n5_m3_k2.json"), id="nonbasis_n5_m3_k2"),
+        pytest.param(lambda: load_model(CONFIGS / "nonbasis_n5_m3_k2.json"),
+                     id="nonbasis_n5_m3_k2"),
     ])
     def test_any_other_chain_runs_the_dense_path(self, make):
         model = make()
