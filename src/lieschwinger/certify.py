@@ -20,11 +20,11 @@ about E_vac = energy_offset + t sum_I e_I.  A positive value certifies a
 unique product-vacuum ground state and that gap; the decay of the c_I makes
 each site's sum converge uniformly in N.
 
-On a state swept graded (``sweep.exactly_even``) K is assembled as its two
-parity blocks: its residual, ground energy and shifted eigvalsh read the
-block that holds the vacuum, the other block's whole spectrum is excited,
-and each ledger entry reads its potential's blocks, both for the spectral
-range and the vacuum's for e and r.
+On an exactly even chain (``ChainModel.exactly_even``) K is assembled as
+its two parity blocks: its residual, ground energy and shifted eigvalsh
+read the block that holds the vacuum, the other block's whole spectrum is
+excited, and each ledger entry reads its potential's blocks, both for the
+spectral range and the vacuum's for e and r.
 """
 
 from __future__ import annotations

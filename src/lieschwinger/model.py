@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .intervals import Interval
-from .operators import LocalOperator, op_norm, require_hermitian
+from .operators import LocalOperator, op_norm, parity_even, require_hermitian
 
 ONSITE_GAP_MIN = 1.0
 _TOL = 1e-9
@@ -44,6 +44,17 @@ class ChainModel:
     def omega(self) -> np.ndarray:
         """The on-site vacuum, derived from ``onsite`` (``ground_vector``)."""
         return ground_vector(self.onsite)
+
+    @cached_property
+    def exactly_even(self) -> bool:
+        """Whether the sweep keeps every potential as its two parity blocks:
+        M = 2, exact 0.0 entries across the popcount-parity split in the
+        on-site matrix and in every interaction (``operators.parity_even``),
+        and omega a basis vector.  Every vacuum is then a basis vector, and
+        every generator and potential of the sweep stays exactly even."""
+        return (self.M == 2 and np.count_nonzero(self.omega) == 1
+                and parity_even(self.onsite)
+                and all(parity_even(op.matrix) for op in self.interactions.values()))
 
 
 def _require_finite(m: np.ndarray, what: str) -> None:

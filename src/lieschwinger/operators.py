@@ -9,8 +9,8 @@ The product vacuum of an interval is one unit vector vac
 complement 1 - vac vac^dag is never given a basis.  One vacuum shift,
 ``vacuum_shifted``, moves the vacuum eigenvalue above the rest.  The
 sweep's ``advance`` diagonalizes that array itself and then factors it for
-the resolvent; ``excited_spectrum``, which only ``certify`` calls,
-diagonalizes it for the fully swept Hamiltonian.
+the resolvent (``shifted_excited``); ``excited_spectrum``, which only
+``certify`` calls, diagonalizes it for the fully swept Hamiltonian.
 
 Hermitian spectra (``excited_spectrum``, ``spectral_range``, which
 ``op_norm`` reads, and the oracle's) go through ``parity_eigvalsh``: a
@@ -22,14 +22,16 @@ of size 3^n, takes one eigvalsh of the whole matrix.  The oracle's
 matrices are dense and take this route.
 
 An exactly even operator of size 2^n may be stored graded
-(``LocalOperator.graded``): as its two parity blocks, stacked, each indexed
-by the sites but the last, whose bit the block's parity fixes
+(``LocalOperator.from_blocks``): as its two parity blocks, stacked, each
+indexed by the sites but the last, whose bit the block's parity fixes
 (``parity_blocks``).  The sweep stores every potential of an exactly even
 chain so, and ``embed``, ``conjugate_by_unitary``, ``spectral_range`` and
 ``vacuum_part`` read the blocks themselves: an operator on sites that
 leave out the last acts on each block as 1_L (x) A (x) 1_{R/2}, and one on
 sites that hold it acts on row block l of block e as A's block of parity
 e + p(l).  ``LocalOperator.matrix`` builds the dense matrix on each read.
+A vacuum shift of the vacuum's block leaves the other block unshifted, so
+the excited spectrum drops the shifted level from the vacuum's block alone.
 
 The sweep's generators have rank two, S = y vac^dag - vac y^dag with y
 orthogonal to vac, so exp(S) is a rotation by theta = ||y|| in
@@ -98,8 +100,8 @@ def _as_matrix(m) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
     """An operator on the Hilbert space of one interval, stored as ``data``:
-    a dense matrix, or, for an exactly even operator of size 2^n, its two
-    parity blocks stacked in a 2 x 2^(n-1) x 2^(n-1) array
+    a dense matrix, or, for a graded operator built by ``from_blocks``, its
+    two parity blocks stacked in a 2 x 2^(n-1) x 2^(n-1) array
     (``parity_blocks``).  ``dim`` is the full size either way, and
     ``matrix`` the dense matrix, which a graded operator builds from its
     blocks on each read."""
@@ -108,14 +110,23 @@ class LocalOperator:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
-        if data.ndim == 3:
-            if data.shape[0] != 2 or data.shape[1] != data.shape[2]:
-                raise ValidationError("a graded operator is two square parity blocks of one size")
-        else:
-            data = _as_matrix(data)
+        data = _as_matrix(self.data)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
+
+    @classmethod
+    def from_blocks(cls, support: Interval, blocks) -> LocalOperator:
+        """The graded operator on ``support`` of size 2^n whose two parity
+        blocks, stacked, are ``blocks``."""
+        blocks = np.asarray(blocks, dtype=complex)
+        if blocks.ndim != 3 or blocks.shape[0] != 2 or blocks.shape[1] != blocks.shape[2]:
+            raise ValidationError(
+                f"expected two square parity blocks of one size, got shape {blocks.shape}")
+        blocks.flags.writeable = False
+        op = object.__new__(cls)
+        object.__setattr__(op, "support", support)
+        object.__setattr__(op, "data", blocks)
+        return op
 
     @property
     def graded(self) -> bool:
@@ -194,7 +205,9 @@ def embed(op: LocalOperator, target: Interval, M: int, *,
             acc, shape=(2, L, d, d), strides=(sb, d * (s0 + s1), s0, s1), writeable=True)
         for p, lefts in enumerate(parity_sectors(L.bit_length() - 1)):
             view[:, lefts] += scale * blocks[::1 - 2 * p, None]
-    return LocalOperator(target, acc) if out is None else out
+    if out is not None:
+        return out
+    return LocalOperator.from_blocks(target, acc) if acc.ndim == 3 else LocalOperator(target, acc)
 
 
 def _embed_dense(A: np.ndarray, L: int, R: int, acc: np.ndarray, scale: complex) -> None:
@@ -255,27 +268,11 @@ def parity_blocks(m: np.ndarray) -> np.ndarray:
     return np.stack((m[grids[0]], m[grids[1]]))
 
 
-# Most sites for which ``parity_matrix`` keeps the flat positions of the
-# blocks' entries (1/2 MB at 8) and writes them in one scatter.
-_SCATTER_MAX_SITES = 8
-
-
-@cache
-def _block_positions(n: int) -> np.ndarray:
-    """Flat positions in a matrix of size 2^n of its stacked parity blocks' entries."""
-    positions = np.arange(4 ** n).reshape(2 ** n, 2 ** n)
-    return np.stack([positions[grid] for grid in _sector_grids(n)[:2]]).ravel()
-
-
 def parity_matrix(blocks: np.ndarray) -> np.ndarray:
     """The matrix of size 2^n whose ``parity_blocks`` are ``blocks``."""
     D = 2 * blocks.shape[1]
-    n = D.bit_length() - 1
     m = np.zeros((D, D), dtype=complex)
-    if n <= _SCATTER_MAX_SITES:
-        m.ravel()[_block_positions(n)] = blocks.ravel()
-        return m
-    for grid, block in zip(_sector_grids(n), blocks):
+    for grid, block in zip(_sector_grids(D.bit_length() - 1), blocks):
         m[grid] = block
     return m
 
@@ -368,12 +365,22 @@ def vacuum_shifted(G: np.ndarray, vac: np.ndarray, E: float) -> np.ndarray:
 def excited_spectrum(G: np.ndarray, vac: np.ndarray, E: float,
                      rest: np.ndarray | None = None) -> np.ndarray:
     """Ascending spectrum on the complement of vac of a Hermitian G
-    block-diagonal for it, E = vac^dag G vac: all but the largest eigenvalue
-    of ``vacuum_shifted``, whose parity blocks an even G keeps.  For G the
-    block of a graded operator that holds vac (``vacuum_part``), ``rest`` is
-    its other block, whose whole spectrum is excited."""
-    A = vacuum_shifted(G, vac, E)
-    return parity_eigvalsh(A if rest is None else (A, rest))[:-1]
+    block-diagonal for it, E = vac^dag G vac, read from
+    ``vacuum_shifted`` (``shifted_excited``).  For G the block of a graded
+    operator that holds vac (``vacuum_part``), ``rest`` is its other block,
+    whose whole spectrum is excited."""
+    return shifted_excited(vacuum_shifted(G, vac, E), rest)
+
+
+def shifted_excited(A: np.ndarray, rest: np.ndarray | None = None) -> np.ndarray:
+    """The excited spectrum, ascending, from A = ``vacuum_shifted`` of G: all
+    but A's largest eigenvalue, the shifted vacuum level, whose parity
+    blocks an even A keeps, and the whole spectrum of ``rest``, G's other
+    parity block where G is the vacuum's block, which may reach above that
+    level: its shift c reads G's block alone."""
+    if rest is None:
+        return parity_eigvalsh(A)[:-1]
+    return np.sort(np.concatenate([np.linalg.eigvalsh(A)[:-1], np.linalg.eigvalsh(rest)]))
 
 
 def unitary_exp(S: np.ndarray) -> np.ndarray:

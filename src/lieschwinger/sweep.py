@@ -82,11 +82,12 @@ potential, never as an embedded unitary:
     shares with I, so no source is embedded into J.  Intervals with no
     prior potential can be created here.
 
-An exactly even chain (``exactly_even``: M = 2, exact 0.0 entries across
-the popcount-parity split in the on-site matrix and in every interaction,
-and omega a basis vector, read from the model alone) is swept graded:
-every potential, G and K are kept as their two parity blocks
-(``operators.LocalOperator``), which every rotation of the sweep keeps.
+An exactly even chain (``ChainModel.exactly_even``: M = 2, exact 0.0
+entries across the popcount-parity split in the on-site matrix and in
+every interaction, and omega a basis vector, read from the model alone,
+once) is swept graded: every potential, G and K are kept as their two
+parity blocks (``operators.LocalOperator.from_blocks``), which every
+rotation of the sweep keeps.
 The vacuum and every frame vector lie in one block, e0, so the series, the
 Cholesky factor and the replaced potential read that block alone, and the
 other block of V_I is kept as it is; the step's eigvalsh is of the shifted
@@ -120,10 +121,9 @@ from .operators import (
     embed,
     op_norm,
     parity_blocks,
-    parity_eigvalsh,
-    parity_even,
     parity_sectors,
     rotation_factors,
+    shifted_excited,
     unitary_exp,  # unused here; perfbench/tracing.py looks it up on this module
     vacuum_block,
     vacuum_part,
@@ -177,14 +177,14 @@ class BlockDiagState:
 
     On-site terms are never stored: they are fixed throughout the sweep.
     Intervals carrying an exactly zero potential are absent from the map.
-    On a ``graded`` state every potential is stored as its two parity
-    blocks (``exactly_even``).
+    For an exactly even chain (``ChainModel.exactly_even``) every potential
+    is stored as its two parity blocks (``LocalOperator.from_blocks``), for
+    any other chain dense.
     """
 
     step: Interval | None
     potentials: dict[Interval, LocalOperator]
     diagnostics: tuple[StepDiagnostics, ...] = ()
-    graded: bool = False
 
 
 @dataclass(frozen=True)
@@ -203,32 +203,21 @@ class SeriesResult:
     y_terms: tuple[np.ndarray, ...]
 
 
-def exactly_even(model: ChainModel) -> bool:
-    """Whether the sweep keeps every potential of ``model`` as its two parity
-    blocks: M = 2, exact 0.0 entries across the popcount-parity split in the
-    on-site matrix and in every interaction (``operators.parity_even``), and
-    omega a basis vector.  Every vacuum is then a basis vector, and every
-    generator and potential of the sweep stays exactly even."""
-    return (model.M == 2 and np.count_nonzero(model.omega) == 1 and parity_even(model.onsite)
-            and all(parity_even(op.matrix) for op in model.interactions.values()))
-
-
 def initial_state(model: ChainModel) -> BlockDiagState:
-    if not exactly_even(model):
+    if not model.exactly_even:
         return BlockDiagState(None, dict(model.interactions))
-    return BlockDiagState(None, {iv: LocalOperator(iv, parity_blocks(op.matrix))
-                                 for iv, op in model.interactions.items()}, graded=True)
+    return BlockDiagState(None, {iv: LocalOperator.from_blocks(iv, parity_blocks(op.matrix))
+                                 for iv, op in model.interactions.items()})
 
 
-def _assemble(model: ChainModel, interval: Interval, ops, offset: float = 0.0,
-              graded: bool = False) -> LocalOperator:
+def _assemble(model: ChainModel, interval: Interval, ops, offset: float = 0.0) -> LocalOperator:
     """offset 1 + on-site terms + t sum ``ops`` on ``interval``, embedded in
     that order, dense or as its two parity blocks.  The on-site matrix of a
     graded chain is diagonal, and its terms are summed on the diagonal alone,
     in the same order."""
     n = interval.k + 1
     D = dense_dim(model.M, n)
-    if graded:
+    if model.exactly_even:
         diag = np.full(D, offset, dtype=complex)
         bits = np.arange(D)
         for j in range(n):
@@ -243,7 +232,13 @@ def _assemble(model: ChainModel, interval: Interval, ops, offset: float = 0.0,
             embed(LocalOperator(Interval(0, site), model.onsite), interval, model.M, out=out)
     for op in ops:
         embed(op, interval, model.M, out=out, scale=model.t)
-    return LocalOperator(interval, out)
+    return _operator(interval, out)
+
+
+def _operator(support: Interval, data: np.ndarray) -> LocalOperator:
+    """A LocalOperator of dense ``data``, or graded of stacked parity blocks."""
+    return LocalOperator.from_blocks(support, data) if data.ndim == 3 \
+        else LocalOperator(support, data)
 
 
 def local_hamiltonian(state: BlockDiagState, model: ChainModel, interval: Interval,
@@ -256,7 +251,7 @@ def local_hamiltonian(state: BlockDiagState, model: ChainModel, interval: Interv
     which the step's own checks report under a tol_od below it."""
     subs = [op for sub, op in state.potentials.items()
             if interval.contains(sub) and sub != interval]
-    G = _assemble(model, interval, subs, graded=state.graded)
+    G = _assemble(model, interval, subs)
     bound = tol_od * (1 + len(subs))
     if _offdiag_norm(*vacuum_part(G, vac)[:2]) > bound:
         alone = sum((embed(op, interval, model.M).matrix for op in subs),
@@ -342,9 +337,9 @@ def generator_series(G: np.ndarray, A: np.ndarray, vac: np.ndarray, V: np.ndarra
     above E (``local_gap``); where the factor fails all the same, GapError
     with reason "gap-assumption-violated" is raised.
 
-    On a graded state G, A, vac and V are their parity blocks that hold vac,
-    where every frame vector lies, and ``rest`` is V's other block, which
-    only ||V|| at order one reads.
+    On an exactly even chain G, A, vac and V are their parity blocks that
+    hold vac, where every frame vector lies, and ``rest`` is V's other
+    block, which only ||V|| at order one reads.
     """
     try:
         R = cholesky_solver(A)
@@ -520,7 +515,7 @@ def _zero(J: Interval, M: int, graded: bool) -> LocalOperator:
     """A zero potential on J, dense or as two parity blocks: read-only zero
     views, no D x D array."""
     D = J.dim(M)
-    return LocalOperator(J, np.broadcast_to(0j, (2, D // 2, D // 2) if graded else (D, D)))
+    return _operator(J, np.broadcast_to(0j, (2, D // 2, D // 2) if graded else (D, D)))
 
 
 def advance(state: BlockDiagState, model: ChainModel,
@@ -528,8 +523,8 @@ def advance(state: BlockDiagState, model: ChainModel,
     """Run the first step of ``iter_steps`` after ``state.step`` and
     transport every potential across it.
 
-    On a graded state the step reads the parity block e0 that holds the
-    vacuum alone: its series, factor and replaced potential, whose other
+    On an exactly even chain the step reads the parity block e0 that holds
+    the vacuum alone: its series, factor and replaced potential, whose other
     block stays as it is.  Its rotation keeps every potential's parity
     blocks, and a potential on J is conjugated block by block: as
     1_L (x) exp(S) (x) 1_{R/2} where I leaves out J's last site, and where
@@ -539,17 +534,20 @@ def advance(state: BlockDiagState, model: ChainModel,
     I = next((J for J in iter_steps(model.N) if state.step is None or J > state.step), None)
     if I is None:
         raise ValidationError(f"sweep complete: no step follows {state.step} for N={model.N}")
-    graded = state.graded
+    graded = model.exactly_even
+    if any(op.graded != graded for op in state.potentials.values()):
+        raise ValidationError(
+            "the potentials of an exactly even chain are stored as their parity blocks, of any "
+            "other chain dense; start from initial_state(model)")
     vac = build_projectors(I, model.omega)
     G = local_hamiltonian(state, model, I, vac, controls.tol_od)
     G_v, vac_v, G_rest = vacuum_part(G, vac)
     e0 = vacuum_block(vac)[0] if graded else 0
     E = vacuum_energy(G_v, vac_v)
-    # one shifted array per step: its eigensolve is ``excited_spectrum``, and
+    # one shifted array per step: its eigensolve is ``shifted_excited``, and
     # with E taken off its diagonal it is the matrix the resolvent factors
     A = vacuum_shifted(G_v, vac_v, E)
-    gap = local_gap(E, parity_eigvalsh(A if G_rest is None else (A, G_rest))[:-1],
-                    controls.gap_min, controls.tol_od, I)
+    gap = local_gap(E, shifted_excited(A, G_rest), controls.gap_min, controls.tol_od, I)
     A.flat[::A.shape[0] + 1] -= E
 
     V_op = state.potentials.get(I) or _zero(I, model.M, graded)
@@ -562,7 +560,7 @@ def advance(state: BlockDiagState, model: ChainModel,
         # Zero generator (t = 0, zero potential, or already block-diagonal):
         # every conjugation is the identity and the map is reused as is.
         diag = StepDiagnostics(I, E, gap, series.order, _offdiag_norm(V, vac_v), 0.0)
-        return BlockDiagState(I, state.potentials, state.diagnostics + (diag,), graded)
+        return BlockDiagState(I, state.potentials, state.diagnostics + (diag,))
 
     W, C = rotation_factors(series.y, vac_v)
     V_new, residual = diagonalized_potential(G_v, V, W, C, model.t, vac_v,
@@ -570,7 +568,7 @@ def advance(state: BlockDiagState, model: ChainModel,
     new_pots = dict(state.potentials)
     if graded:
         V_new = np.stack((V_new, V_rest) if e0 == 0 else (V_rest, V_new))
-    new_pots[I] = LocalOperator(I, V_new)
+    new_pots[I] = _operator(I, V_new)
     W_I = W  # the whole rotation's W
     if graded:
         W_I = np.zeros((G.dim, 2), dtype=complex)
@@ -601,10 +599,10 @@ def advance(state: BlockDiagState, model: ChainModel,
             new = conjugate_by_unitary(V_J.reshape(-1, V_J.shape[-1]), W_J, C,
                                        model.M ** (I.q - J.q), rows=rows,
                                        left_parity=e0 if holds_last else None)
-            new_pots[J] = LocalOperator(J, new.reshape(V_J.shape))
+            new_pots[J] = _operator(J, new.reshape(V_J.shape))
 
     diag = StepDiagnostics(I, E, gap, series.order, residual, s_norm)
-    return BlockDiagState(I, new_pots, state.diagnostics + (diag,), graded)
+    return BlockDiagState(I, new_pots, state.diagnostics + (diag,))
 
 
 def sweep(model: ChainModel, controls: SeriesControls = SeriesControls()) -> BlockDiagState:
@@ -625,7 +623,8 @@ def sweep(model: ChainModel, controls: SeriesControls = SeriesControls()) -> Blo
 
 
 def assemble_full(state: BlockDiagState, model: ChainModel) -> LocalOperator:
-    """Embed on-site terms and every stored potential into the full chain,
-    as two parity blocks on a graded state."""
+    """Embed on-site terms and every stored potential into the full chain:
+    K as a LocalOperator, dense, or for an exactly even chain its two
+    parity blocks, whose dense matrix is ``.matrix``."""
     return _assemble(model, Interval(model.N - 1, 1), state.potentials.values(),
-                     model.energy_offset, state.graded)
+                     model.energy_offset)

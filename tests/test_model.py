@@ -88,6 +88,12 @@ def test_validation_rejects_non_finite_onsite_of_a_built_model():
         validate_chain_model(model)
 
 
+def test_rejects_an_interaction_that_is_no_square_matrix():
+    # a 2 x 2 x 2 array is not read as a pair of parity blocks
+    with pytest.raises(ValidationError, match="square matrix"):
+        build_chain_model(3, 2, np.diag([0.0, 1.0]), {Interval(1, 1): np.zeros((2, 2, 2))}, 0.1)
+
+
 def test_rejects_support_outside_chain():
     with pytest.raises(ValidationError, match="fit"):
         build_chain_model(2, 2, np.diag([0.0, 1.0]),

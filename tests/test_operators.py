@@ -15,6 +15,7 @@ from lieschwinger.operators import (
     embed,
     excited_spectrum,
     op_norm,
+    parity_blocks,
     parity_eigvalsh,
     parity_sectors,
     require_hermitian,
@@ -25,6 +26,24 @@ from lieschwinger.operators import (
     vector_norm,
 )
 from lieschwinger.sweep import vacuum_energy
+
+
+class TestLocalOperator:
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2,), (2, 3)])
+    def test_plain_constructor_takes_a_square_matrix_only(self, shape):
+        with pytest.raises(ValidationError, match="square matrix"):
+            LocalOperator(Interval(1, 1), np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 2, 2), (2, 2, 3)])
+    def test_from_blocks_takes_two_square_blocks_only(self, shape):
+        with pytest.raises(ValidationError, match="parity blocks"):
+            LocalOperator.from_blocks(Interval(1, 1), np.zeros(shape))
+
+    def test_from_blocks_keeps_the_full_size_and_builds_the_matrix(self):
+        m = np.diag([0.0, 1.0, 2.0, 3.0]) + np.kron(SX, SX)
+        op = LocalOperator.from_blocks(Interval(1, 1), parity_blocks(m))
+        assert op.graded and op.dim == 4
+        assert np.array_equal(op.matrix, m)
 
 
 class TestEmbed:
@@ -335,6 +354,14 @@ class TestParityEigvalsh:
         got = excited_spectrum(G, vac, vacuum_energy(G, vac))
         assert eigvalsh_sizes == [2 ** n]
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, op_norm(G))
+
+    def test_excited_spectrum_keeps_the_other_block_above_the_shifted_level(self):
+        # the vacuum's block diag(0, 4) shifts its vacuum level to
+        # c = 1 + 4 = 5, below the other block's top eigenvalue 6: only the
+        # shifted level is dropped, and 6 stays excited
+        G_v, rest = np.diag([0.0, 4.0]).astype(complex), np.diag([6.0, 2.0]).astype(complex)
+        vac = np.array([1.0, 0.0], dtype=complex)
+        assert np.array_equal(excited_spectrum(G_v, vac, 0.0, rest), [2.0, 4.0, 6.0])
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_op_norm_of_an_even_matrix(self, n, eigvalsh_sizes):

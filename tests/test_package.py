@@ -96,7 +96,8 @@ def test_traced_run_matches_untraced(tmp_path):
 
     def run_once(tag):
         fits = [BlockDiagonalizer().fit(model) for model in models]
-        assert [fitted.state_.graded for fitted in fits] == [False, True]
+        assert [all(op.graded for op in fitted.state_.potentials.values())
+                for fitted in fits] == [False, True]
         out = tmp_path / f"{tag}.json"
         assert main(["--config", str(config), "--t-sweep", "0.01,0.02",
                      "--report", str(out)]) == 0

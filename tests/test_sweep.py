@@ -14,10 +14,11 @@ from conftest import (SX, anchor_model, dense_generator, dense_generator_series,
                       random_hermitian, run_series, s_term_norms, series_terms)
 from lieschwinger.certify import certify
 from lieschwinger.cli import load_model
-from lieschwinger.errors import DimensionError, GapError, OrderError, SeriesError
+from lieschwinger.errors import (DimensionError, GapError, OrderError, SeriesError,
+                                 ValidationError)
 from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.intervals import Interval, iter_steps
-from lieschwinger.model import build_chain_model, random_chain_model
+from lieschwinger.model import ChainModel, build_chain_model, random_chain_model
 from lieschwinger.operators import (
     LocalOperator,
     build_projectors,
@@ -28,8 +29,8 @@ from lieschwinger.operators import (
     parity_blocks,
     rotation_factors,
     unitary_exp,
+    vacuum_part,
 )
-from lieschwinger import sweep as sweep_module
 from lieschwinger.oracle import compare
 from lieschwinger.sweep import (
     BlockDiagState,
@@ -38,7 +39,6 @@ from lieschwinger.sweep import (
     advance,
     assemble_full,
     diagonalized_potential,
-    exactly_even,
     initial_state,
     local_gap,
     local_hamiltonian,
@@ -808,13 +808,13 @@ class TestAssembleFull:
         # where the loop never writes, +0 in the blocks)
         configs = Path(__file__).resolve().parent.parent / "configs"
         if source == "kitaev-dense":
-            monkeypatch.setattr(sweep_module, "exactly_even", lambda model: False)
+            _force_dense(monkeypatch)
         kitaev = lambda: load_model(configs / "kitaev_n6.json").reduce().at()[0]
         model = {"random": lambda: random_chain_model(5, 0.05, 2, 2, seed=3),
                  "non_basis": lambda: non_basis_vacuum_model(4, 3, 2, 0.03, 1),
                  "kitaev": kitaev, "kitaev-dense": kitaev}[source]()
         state = initial_state(model)
-        assert state.graded == (source == "kitaev")
+        assert model.exactly_even == (source == "kitaev")
 
         def same_bits(op, reference):
             if op.graded:
@@ -849,14 +849,28 @@ def _ising_with_one_cross_entry(N, t):
                               Interval(1, 1): first}, t)
 
 
+def _wide_onsite_chain():
+    """N = 3 with on-site diag(0, 2) and XX bonds at t = 0.01: the vacuum's
+    block of K has diagonal 0, 4, 4, 4, the other block's top is about 6."""
+    return build_chain_model(3, 2, np.diag([0.0, 2.0]),
+                             {Interval(1, q): np.kron(SX, SX) for q in (1, 2)}, 0.01)
+
+
+def _force_dense(patch):
+    """Patch the evenness predicate of every ChainModel to False, over any
+    value a model has cached, which sends a fit down the dense path."""
+    patch.setattr(ChainModel, "exactly_even", property(lambda model: False))
+
+
 def _graded_and_dense(model, monkeypatch, controls=SeriesControls()):
     """The fit of an exactly even model, and the same fit with its evenness
     predicate patched to False, which forces the dense path."""
     graded = BlockDiagonalizer(controls, oracle="off").fit(model)
     with monkeypatch.context() as patch:
-        patch.setattr(sweep_module, "exactly_even", lambda model: False)
+        _force_dense(patch)
         dense = BlockDiagonalizer(controls, oracle="off").fit(model)
-    assert graded.state_.graded and not dense.state_.graded
+    assert all(op.graded for op in graded.state_.potentials.values())
+    assert not any(op.graded for op in dense.state_.potentials.values())
     return graded, dense
 
 
@@ -877,6 +891,7 @@ class TestGradedPath:
         pytest.param(lambda: build_chain_model(
             6, 2, np.diag([1.0, 0.0]), {Interval(1, q): np.kron(SX, SX) for q in range(1, 6)},
             0.1), id="odd-vacuum"),
+        pytest.param(lambda: _wide_onsite_chain(), id="other-block-above-the-shift"),
     ])
     def test_matches_the_dense_path(self, make, monkeypatch):
         model = make()
@@ -904,6 +919,23 @@ class TestGradedPath:
             np.testing.assert_allclose(op.matrix, dense.state_.potentials[interval].matrix,
                                        rtol=0, atol=1e-14 * max(1.0, op_norm(op)))
 
+    def test_other_block_above_the_shifted_vacuum_level_matches_the_oracle(self):
+        # K's vacuum block shifts its vacuum level to c = 1 + ||K_v||_inf,
+        # about 5 here, below the other block's top, about 6: the certified
+        # spectrum keeps that top, as ED does (the dense path's is compared
+        # in test_matches_the_dense_path)
+        model = _wide_onsite_chain()
+        graded = BlockDiagonalizer(oracle="force").fit(model)
+        K_v, _, K_rest = vacuum_part(assemble_full(graded.state_, model),
+                                     build_projectors(Interval(2, 1), model.omega))
+        assert np.linalg.eigvalsh(K_rest)[-1] > 1 + np.linalg.norm(K_v, np.inf) + 0.5
+        assert graded.comparison_.spectrum_distance <= 1e-12
+
+    def test_a_dense_state_of_an_even_chain_is_refused(self):
+        model = ising_chain_model(4, 0.1)
+        with pytest.raises(ValidationError, match="parity blocks"):
+            advance(BlockDiagState(None, dict(model.interactions)), model)
+
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: _ising_with_one_cross_entry(5, 0.1), id="one-cross-parity-entry"),
         pytest.param(lambda: load_model(CONFIGS / "chain_n5_m3_k2.json"), id="chain_n5_m3_k2"),
@@ -912,7 +944,6 @@ class TestGradedPath:
     ])
     def test_any_other_chain_runs_the_dense_path(self, make):
         model = make()
-        assert not exactly_even(model)
+        assert not model.exactly_even
         state = sweep(model)
-        assert not state.graded
         assert not any(op.graded for op in state.potentials.values())
