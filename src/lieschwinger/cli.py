@@ -55,6 +55,8 @@ LEDGER_FIELDS = ("r", "interval_q", "norm", "bound", "ok")
 
 def _parse_matrix(rows, what: str) -> np.ndarray:
     try:
+        if any(isinstance(part, bool) for row in rows for entry in row for part in entry):
+            raise TypeError("JSON true and false are no numbers")
         mat = np.array([[complex(re, im) for re, im in row] for row in rows])
     except (TypeError, ValueError) as err:
         raise ValidationError(f"{what}: matrix entries must be [re, im] pairs") from err

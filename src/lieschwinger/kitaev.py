@@ -328,6 +328,8 @@ def perturbation_matrix(terms, n: int, first: int = 1) -> FlipOperator:
                     f"fermion site {site} is outside sites [{first}, {first + n - 1}]")
             if kind not in ("c", "cdag"):
                 raise ValidationError(f"unknown fermion factor kind {kind!r}")
+        if any(isinstance(part, bool) for part in term["coeff"][:2]):  # JSON true, false
+            raise ValidationError(f"coefficient {term['coeff']!r} must be two numbers")
         coeff = complex(term["coeff"][0], term["coeff"][1])
         if not cmath.isfinite(coeff):  # before the product, which would warn on inf * 0
             raise ValidationError("coefficients must be finite")

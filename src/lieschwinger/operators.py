@@ -13,13 +13,8 @@ the resolvent (``shifted_excited``); ``excited_spectrum``, which only
 ``certify`` calls, diagonalizes it for the fully swept Hamiltonian.
 
 Hermitian spectra (``excited_spectrum``, ``spectral_range``, which
-``op_norm`` reads, and the oracle's) go through ``parity_eigvalsh``: a
-matrix of size 2^n, from 32 up, whose
-entries across the popcount-parity split of its basis indices
-(``parity_sectors``) are all exactly 0.0 is diagonalized as its two parity
-blocks, at half the size each; any other matrix, a random chain's or one
-of size 3^n, takes one eigvalsh of the whole matrix.  The oracle's
-matrices are dense and take this route.
+``op_norm`` reads) take one eigvalsh of a dense matrix, or one of each
+block of a graded one.
 
 An exactly even operator of size 2^n may be stored graded
 (``LocalOperator.from_blocks``): as its two parity blocks, stacked, each
@@ -223,12 +218,6 @@ def _embed_dense(A: np.ndarray, L: int, R: int, acc: np.ndarray, scale: complex)
     view += scale * A[None, :, None, :]
 
 
-# Smallest size diagonalized as two parity blocks: below it the gather and the
-# second eigvalsh cost more than they save (one BLAS thread: 16 x 16 takes
-# 32 us whole and 60 us as blocks, 32 x 32 105 us and 93 us).
-_PARITY_MIN_DIM = 32
-
-
 @cache
 def parity_sectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Even and odd indices of 0..2^n-1 by the parity of their popcount,
@@ -299,26 +288,6 @@ def vacuum_part(op: LocalOperator, vac: np.ndarray
     return op.data[parity], v, op.data[1 - parity]
 
 
-def parity_eigvalsh(m: np.ndarray | tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, or of the matrix whose
-    two parity blocks ``m`` holds (stacked, or as a pair).
-
-    A matrix of size 2^n of at least _PARITY_MIN_DIM that is ``parity_even``
-    is diagonalized as its two parity blocks; any other takes one eigvalsh
-    of the whole matrix.  Row 0 is looked at before the cross blocks are
-    gathered, so a matrix with no such blocks pays for one row of the check
-    only.
-    """
-    if not isinstance(m, tuple) and m.ndim == 2:
-        D = m.shape[0]
-        n = D.bit_length() - 1
-        if D < _PARITY_MIN_DIM or D != 2 ** n or m[0, parity_sectors(n)[1]].any() \
-                or not parity_even(m):
-            return np.linalg.eigvalsh(m)
-        m = parity_blocks(m)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in m]))
-
-
 def spectral_range(op: LocalOperator | np.ndarray) -> tuple[float, float]:
     """Lowest and highest eigenvalue of a matrix, or of one given as its
     stacked parity blocks, Hermitian by ``require_hermitian``, read from its
@@ -327,10 +296,10 @@ def spectral_range(op: LocalOperator | np.ndarray) -> tuple[float, float]:
     if m.size == 0:
         return 0.0, 0.0
     # eigvalsh reads one triangle, so an exactly Hermitian part needs no symmetrized copy
-    parts = tuple(p if require_hermitian(p, "op_norm supports Hermitian matrices only") == 0.0
-                  else (p + p.conj().T) / 2 for p in (m if m.ndim == 3 else (m,)))
-    evals = parity_eigvalsh(parts if m.ndim == 3 else parts[0])
-    return float(evals[0]), float(evals[-1])
+    evals = [np.linalg.eigvalsh(
+        p if require_hermitian(p, "op_norm supports Hermitian matrices only") == 0.0
+        else (p + p.conj().T) / 2) for p in (m if m.ndim == 3 else (m,))]
+    return float(min(e[0] for e in evals)), float(max(e[-1] for e in evals))
 
 
 def op_norm(op: LocalOperator | np.ndarray) -> float:
@@ -374,12 +343,12 @@ def excited_spectrum(G: np.ndarray, vac: np.ndarray, E: float,
 
 def shifted_excited(A: np.ndarray, rest: np.ndarray | None = None) -> np.ndarray:
     """The excited spectrum, ascending, from A = ``vacuum_shifted`` of G: all
-    but A's largest eigenvalue, the shifted vacuum level, whose parity
-    blocks an even A keeps, and the whole spectrum of ``rest``, G's other
-    parity block where G is the vacuum's block, which may reach above that
-    level: its shift c reads G's block alone."""
+    but A's largest eigenvalue, the shifted vacuum level, and the whole
+    spectrum of ``rest``, G's other parity block where G is the vacuum's
+    block, which may reach above that level: its shift c reads G's block
+    alone."""
     if rest is None:
-        return parity_eigvalsh(A)[:-1]
+        return np.linalg.eigvalsh(A)[:-1]
     return np.sort(np.concatenate([np.linalg.eigvalsh(A)[:-1], np.linalg.eigvalsh(rest)]))
 
 

@@ -6,6 +6,8 @@ diagonal view that einsum gives over its (left, support, right) digit
 blocks, so no identity padding is materialised and ``operators.embed`` is
 not used.  ``compare`` reads the sweep's side from the certificate alone,
 so K is diagonalized once per fit.
+``ed_spectrum`` alone looks for parity blocks in a dense matrix
+(``parity_eigvalsh``); the sweep and ``certify`` hand theirs over.
 """
 
 from __future__ import annotations
@@ -17,10 +19,14 @@ import numpy as np
 
 from .certify import GapReport
 from .model import ChainModel
-from .operators import dense_dim, parity_eigvalsh
+from .operators import dense_dim, parity_blocks, parity_even, parity_sectors
 from .sweep import SeriesControls
 
 DEGENERACY_TOL = 1e-9
+# Smallest size diagonalized as two parity blocks: below it the gather and the
+# second eigvalsh cost more than they save (one BLAS thread: 16 x 16 takes
+# 32 us whole and 60 us as blocks, 32 x 32 105 us and 93 us).
+_PARITY_MIN_DIM = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,9 +66,23 @@ def assemble_direct(model: ChainModel) -> np.ndarray:
     return K
 
 
+def parity_eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix: from its two parity
+    blocks (``operators.parity_blocks``) if it has size 2^n, from
+    _PARITY_MIN_DIM up, and is ``operators.parity_even``, else from one
+    eigvalsh of it.  Row 0 is looked at before the cross blocks are
+    gathered, so a matrix with no such blocks pays for one row only."""
+    D = m.shape[0]
+    n = D.bit_length() - 1
+    if D < _PARITY_MIN_DIM or D != 2 ** n or m[0, parity_sectors(n)[1]].any() \
+            or not parity_even(m):
+        return np.linalg.eigvalsh(m)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in parity_blocks(m)]))
+
+
 def ed_spectrum(model: ChainModel) -> np.ndarray:
     """All eigenvalues of the model Hamiltonian, ascending; from its two
-    parity blocks when it has them (``operators.parity_eigvalsh``)."""
+    parity blocks when it has them (``parity_eigvalsh``)."""
     return parity_eigvalsh(assemble_direct(model))
 
 

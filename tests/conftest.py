@@ -764,3 +764,16 @@ def walked_gap_lower_bound(state: BlockDiagState, model: ChainModel,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    """The sizes that np.linalg.eigvalsh is called on, in order."""
+    sizes, original = [], np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return sizes

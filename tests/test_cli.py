@@ -568,6 +568,13 @@ class TestBadInputs:
         pytest.param(lambda p: _kitaev_file(p, supports=[(1, 2)], ops=[["cdag", True], ["c", 1]]),
                      [], None, "perturbation on [1, 2]: fermion site True must be an integer",
                      id="kitaev-site-bool"),
+        # a matrix entry and a coefficient are two numbers: no part is a bool
+        pytest.param(lambda p: _anchor_file(p, H=[[[0, False], [0, 0]], [[0, 0], [1, 0]]]), [],
+                     None, "on-site matrix: matrix entries must be [re, im] pairs",
+                     id="H-entry-bool"),
+        pytest.param(lambda p: _kitaev_file(p, coeff=True), [], None,
+                     "perturbation on [3, 3]: coefficient [True, 0.0] must be two numbers",
+                     id="kitaev-coeff-bool"),
     ])
     def test_exit_two_with_report(self, demo_config, tmp_path, make_config, flags, bad_index,
                                   names):

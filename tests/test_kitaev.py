@@ -20,8 +20,8 @@ from lieschwinger.errors import ValidationError
 from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.intervals import Interval, iter_steps
 from lieschwinger.model import validate_chain_model
-from lieschwinger.operators import parity_eigvalsh, parity_sectors
-from lieschwinger.oracle import assemble_direct, ed_spectrum
+from lieschwinger.operators import parity_sectors
+from lieschwinger.oracle import assemble_direct, ed_spectrum, parity_eigvalsh
 from lieschwinger.sweep import advance, initial_state
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -292,8 +292,8 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("N", range(2, 8))
     def test_sector_spectrum_matches_dense(self, N):
-        # H0 + beta X from the parity blocks of a pencil, and from
-        # parity_eigvalsh of the dense matrix, against one eigvalsh of it
+        # H0 + beta X from the parity blocks of a pencil, and from the
+        # oracle's parity_eigvalsh of the dense matrix, against one eigvalsh of it
         rng = np.random.default_rng(N)
         H0 = kit.kitaev_hamiltonian(N)
         even_idx, odd_idx = popcount_sectors(N)
@@ -630,18 +630,6 @@ def two_block_spectrum(H):
                                    for idx in popcount_sectors(H.shape[0].bit_length() - 1)]))
 
 
-def recorded_eigvalsh_sizes(monkeypatch):
-    """Patch np.linalg.eigvalsh to record the size of each matrix it gets."""
-    eigvalsh, sizes = np.linalg.eigvalsh, []
-
-    def recorded(m, *args, **kwargs):
-        sizes.append(m.shape[0])
-        return eigvalsh(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-    return sizes
-
-
 ENDS = {"bulk": ((), True, True), "left": (("left",), True, False),
         "right": (("right",), True, False), "both-ends": (("left", "right"), False, False)}
 
@@ -695,7 +683,7 @@ class TestZeroModeSectors:
             assert np.max(np.abs(p.spectrum(beta) - want)) <= 1e-12 * max(1.0, abs(want).max())
 
     @pytest.mark.parametrize("N", [4, 7])
-    def test_one_changed_entry_takes_the_two_block_path(self, N, monkeypatch):
+    def test_one_changed_entry_takes_the_two_block_path(self, N, eigvalsh_sizes):
         # a bulk-only pencil, with one diagonal entry of X moved: still even
         # and Hermitian, but no zero-mode flip commutes with it any more
         terms = end_terms(N, np.random.default_rng(N), ())
@@ -703,27 +691,27 @@ class TestZeroModeSectors:
         X[5, 5] += 0.25
         p = kit.SectorPencil(kit.kitaev_hamiltonian(N), keyed(X))
         assert (p.majorana, p.zero_parity) == (False, False)
-        sizes = recorded_eigvalsh_sizes(monkeypatch)
+        eigvalsh_sizes.clear()
         got = p.spectrum(0.1)
-        assert sizes == [2 ** (N - 1)] * 2
+        assert eigvalsh_sizes == [2 ** (N - 1)] * 2
         want = two_block_spectrum(dense(kit.kitaev_hamiltonian(N)) + 0.1 * X)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, abs(want).max())
 
     @pytest.mark.parametrize("N", [4, 7])
-    def test_the_zero_mode_parity_alone_halves_both_blocks(self, N, monkeypatch):
+    def test_the_zero_mode_parity_alone_halves_both_blocks(self, N, eigvalsh_sizes):
         # X = d^dag_0 d_0, a function of i gamma_(A,1) gamma_(B,N) that
         # anticommutes with each Majorana: four halves, none doubled
         dm = d_modes(kron_fermion_algebra(N))
         X = dense(dm.ddag(0) @ dm.d[0])
         p = kit.SectorPencil(kit.kitaev_hamiltonian(N), keyed(X))
         assert (p.majorana, p.zero_parity) == (False, True)
-        sizes = recorded_eigvalsh_sizes(monkeypatch)
+        eigvalsh_sizes.clear()
         got = p.spectrum(0.3)
-        assert sizes == [2 ** (N - 2)] * 4
+        assert eigvalsh_sizes == [2 ** (N - 2)] * 4
         want = two_block_spectrum(dense(kit.kitaev_hamiltonian(N)) + 0.3 * X)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, abs(want).max())
 
-    def test_one_coupling_diagonalizes_one_block_and_two_halves(self, monkeypatch):
+    def test_one_coupling_diagonalizes_one_block_and_two_halves(self, eigvalsh_sizes):
         # a kitaev_tsweep-shaped file at N = 9, bond terms on [2, 3]..[7, 8]
         # and [1, 2]: the boundary check diagonalizes the even block alone
         # (256), the doubling check the two halves of the bulk's (128 each),
@@ -732,14 +720,14 @@ class TestZeroModeSectors:
         beta = 0.04
         chain = replace(reduction.chain, t=beta * reduction.chain.seed_info["norm_scale"])
         restricted = ed_spectrum(chain)
-        sizes = recorded_eigvalsh_sizes(monkeypatch)
+        eigvalsh_sizes.clear()
         validate_chain_model(chain)
-        chain_sizes = Counter(sizes)
-        sizes.clear()
+        chain_sizes = Counter(eigvalsh_sizes)
+        eigvalsh_sizes.clear()
         _, block = reduction.at(beta)
         reduction.check_doubling(block, restricted)
         assert block["doubling_ok"] is True
-        assert Counter(sizes) == chain_sizes + Counter({256: 1, 128: 2})
+        assert Counter(eigvalsh_sizes) == chain_sizes + Counter({256: 1, 128: 2})
 
     def test_a_right_end_file_reports_an_exactly_degenerate_pair(self):
         reduction = load_model(CONFIGS / "kitaev_right_n7.json").reduce()

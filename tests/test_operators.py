@@ -16,7 +16,6 @@ from lieschwinger.operators import (
     excited_spectrum,
     op_norm,
     parity_blocks,
-    parity_eigvalsh,
     parity_sectors,
     require_hermitian,
     rotation_factors,
@@ -25,6 +24,7 @@ from lieschwinger.operators import (
     vacuum_shifted,
     vector_norm,
 )
+from lieschwinger.oracle import parity_eigvalsh
 from lieschwinger.sweep import vacuum_energy
 
 
@@ -263,7 +263,7 @@ class TestExcitedSpectrum:
         A = vacuum_shifted(G, vac, E)
         assert A.tobytes() == (G + (c - E) * np.outer(vac, vac.conj())).tobytes()
         assert np.max(np.abs(A @ vac - c * vac)) <= 1e-13 * c
-        evals = parity_eigvalsh(A)
+        evals = np.linalg.eigvalsh(A)
         assert evals[-1] == pytest.approx(c, rel=1e-13)
         assert np.array_equal(evals[:-1], excited_spectrum(G, vac, E))
 
@@ -277,20 +277,10 @@ def random_even_hermitian(rng, n):
     return m
 
 
-@pytest.fixture
-def eigvalsh_sizes(monkeypatch):
-    """The sizes that np.linalg.eigvalsh is called on, in order."""
-    sizes, original = [], np.linalg.eigvalsh
-
-    def recording(a, *args, **kwargs):
-        sizes.append(a.shape[0])
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    return sizes
-
-
 class TestParityEigvalsh:
+    """The oracle's parity detection (``oracle.parity_eigvalsh``) on dense
+    matrices, and the one eigvalsh that every spectrum here takes of them."""
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_even_matrix_matches_eigvalsh_from_two_blocks(self, n, eigvalsh_sizes):
         # from 32 up as two blocks; smaller sizes take one eigvalsh, bit for bit
@@ -325,8 +315,9 @@ class TestParityEigvalsh:
     @pytest.mark.parametrize("vac_index", [0, 5], ids=["even-vacuum", "odd-vacuum"])
     def test_excited_spectrum_with_a_basis_vacuum_in_either_sector(self, vac_index,
                                                                     eigvalsh_sizes):
-        # G even and block-diagonal for a basis vacuum; reference: eigvalsh
-        # of G with the vacuum's row and column deleted
+        # G even and block-diagonal for a basis vacuum, dense: one eigvalsh of
+        # the whole shifted matrix; reference: eigvalsh of G with the
+        # vacuum's row and column deleted
         n, E = 6, -2.5
         G = random_even_hermitian(np.random.default_rng(vac_index), n)
         G[vac_index, :] = G[:, vac_index] = 0.0
@@ -337,11 +328,11 @@ class TestParityEigvalsh:
         want = np.linalg.eigvalsh(G[np.ix_(rest, rest)])
         eigvalsh_sizes.clear()
         got = excited_spectrum(G, vac, vacuum_energy(G, vac))
-        assert eigvalsh_sizes == [2 ** (n - 1)] * 2
+        assert eigvalsh_sizes == [2 ** n]
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, op_norm(G))
 
     def test_excited_spectrum_with_a_non_basis_vacuum(self, eigvalsh_sizes):
-        # a vacuum across both sectors makes the shifted matrix odd: one
+        # a vacuum across both sectors makes the shifted matrix odd; one
         # eigvalsh of the whole matrix, against the Householder reference
         rng = np.random.default_rng(11)
         n = 4
@@ -365,11 +356,12 @@ class TestParityEigvalsh:
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_op_norm_of_an_even_matrix(self, n, eigvalsh_sizes):
+        # dense, so one eigvalsh of the whole matrix
         m = random_even_hermitian(np.random.default_rng(100 + n), n)
         want = float(np.linalg.svd(m, compute_uv=False)[0])
         eigvalsh_sizes.clear()
         assert op_norm(m) == pytest.approx(want, rel=1e-13)
-        assert eigvalsh_sizes == [2 ** (n - 1)] * 2
+        assert eigvalsh_sizes == [2 ** n]
 
 
 class TestUnitaryExp:

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -909,7 +910,10 @@ class TestGradedPath:
         assert np.max(np.abs(g.spectrum - d.spectrum)) <= 1e-14 * scale
         for a, b in zip(graded.state_.diagnostics, dense.state_.diagnostics, strict=True):
             assert a.step == b.step and a.series_order == b.series_order
-            assert close(a.gap, b.gap) and close(a.E, b.E)
+            # the dense path diagonalizes each step's whole matrix, of scale
+            # (k + 1) max|onsite|, where the graded path takes its blocks
+            step_scale = max(1.0, (a.step.k + 1) * float(np.max(np.abs(model.onsite))))
+            assert close(a.gap, b.gap, step_scale) and close(a.E, b.E, step_scale)
         for a, b in zip(g.ledger, d.ledger, strict=True):
             assert a.interval == b.interval
             assert close(a.e, b.e, b.norm) and close(a.r, b.r, b.norm) and close(a.c, b.c, b.norm)
@@ -947,3 +951,26 @@ class TestGradedPath:
         assert not model.exactly_even
         state = sweep(model)
         assert not any(op.graded for op in state.potentials.values())
+
+    @pytest.mark.parametrize("make, force_dense", [
+        pytest.param(lambda: ising_chain_model(8, 0.1), True, id="ising_n8-forced-dense"),
+        pytest.param(lambda: random_chain_model(6, 0.05, seed=0), False, id="random_n6"),
+    ])
+    def test_a_dense_fit_looks_for_no_parity_blocks(self, make, force_dense, monkeypatch,
+                                                    eigvalsh_sizes):
+        # parity detection belongs to the oracle: once the model's evenness
+        # is known, a fit without it calls parity_even and parity_blocks
+        # nowhere, and diagonalizes every dense matrix whole, K's of 2^N too
+        model = make()
+        if force_dense:
+            _force_dense(monkeypatch)
+        assert not model.exactly_even
+        calls = []
+        for module in [m for name, m in sys.modules.items() if name.startswith("lieschwinger")]:
+            for name in ("parity_even", "parity_blocks"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *args, name=name,
+                                        f=getattr(module, name): calls.append(name) or f(*args))
+        BlockDiagonalizer(oracle="off").fit(model)
+        assert calls == []
+        assert max(eigvalsh_sizes) == 2 ** model.N
