@@ -18,7 +18,16 @@ for the off-diagonal parts
 
 about E_vac = energy_offset + t sum_I e_I.  A positive value certifies a
 unique product-vacuum ground state and that gap; the decay of the c_I makes
-each site's sum converge uniformly in N.
+each site's sum converge uniformly in N.  ``sweep.gap_bound`` is that sum;
+on the proper subintervals of a step interval and its sites it is the
+sweep's step bound.
+
+The ledger rows are the sweep's: each potential's row is recorded at the
+end of its own step (``sweep.ledger_row``), after which no step changes the
+potential, and ``check_ledger`` computes a row only for a potential no step
+has swept.  Up to ``sweep.EXACT_DIM`` a row's range is exact; above it the
+range is [-F, F] for the Frobenius norm F >= ||V_I||, so c_I = F + |e_I|
+plus the margin, and the bound holds as it stands.
 
 On an exactly even chain (``ChainModel.exactly_even``) K is assembled as
 its two parity blocks: its residual, ground energy and shifted eigvalsh
@@ -29,7 +38,6 @@ spectral range and the vacuum's for e and r.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,44 +45,12 @@ import numpy as np
 from .errors import CertificationError, ValidationError
 from .intervals import Interval
 from .model import ChainModel
-from .operators import build_projectors, excited_spectrum, spectral_range, vacuum_part
+from .operators import BOUND_MARGIN  # unused here; exported with the ledger it margins
+from .operators import build_projectors, excited_spectrum, vacuum_part
 from .operators import embed, op_norm  # unused here; perfbench/tracing.py looks them up on this module
-from .sweep import BlockDiagState, SeriesControls, _offdiag_norm, assemble_full, vacuum_energy
-
-# The gap bound's rounding margin: each eigenvalue it reads gives way by
-# this fraction of its matrix's norm (the on-site gap shrinks, each c_I
-# grows).  The rounding of eigvalsh, of e_I and of r_I is about D 2^-52 of
-# the norm, under 1e-12 for every D within the dense guard.
-BOUND_MARGIN = 1e-10
-
-
-def _saturated(x: float) -> float:
-    """x clipped to the float range, so a report can hold it."""
-    return min(max(x, -sys.float_info.max), sys.float_info.max)
-
-
-def decay_bound(r: int, t: float) -> float:
-    """Decay bound 8 |t|^((r-1)/3) / (r+1)^2 for an r-edge interval, or the
-    largest float where it lies past the float range: every float norm
-    meets that bound, and a report can hold it."""
-    try:
-        bound = 8.0 * abs(t) ** ((r - 1) / 3.0) / (r + 1) ** 2
-    except OverflowError:  # the power; the product overflows to inf instead
-        return sys.float_info.max
-    return _saturated(bound)
-
-
-@dataclass(frozen=True)
-class NormLedgerEntry:
-    interval: Interval
-    norm: float
-    bound: float
-    ok: bool
-    lo: float  # the potential's spectral range
-    hi: float
-    e: float  # the gap bound's inputs: vacuum scalar e_I, residual r_I and c_I
-    r: float
-    c: float
+from .sweep import decay_bound  # unused here; exported with the ledger
+from .sweep import (BlockDiagState, NormLedgerEntry, SeriesControls, _offdiag_norm, _saturated,
+                    assemble_full, gap_bound, ledger_row, vacuum_energy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,38 +68,18 @@ class GapReport:
 
 def check_ledger(state: BlockDiagState, model: ChainModel) -> list[NormLedgerEntry]:
     """One entry per stored potential, with the gap bound's inputs (see the
-    module docstring); violations are data, not failures."""
-    entries = []
-    for interval, op in sorted(state.potentials.items()):
-        lo, hi = spectral_range(op)
-        norm = max(abs(lo), abs(hi))  # op_norm(op), from the same eigvalsh
-        bound = decay_bound(interval.k, model.t)
-        part, vac, _ = vacuum_part(op, build_projectors(interval, model.omega))
-        e = vacuum_energy(part, vac)
-        entries.append(NormLedgerEntry(
-            interval=interval, norm=norm, bound=bound, ok=norm <= bound * (1 + 1e-9),
-            lo=lo, hi=hi, e=e, r=_offdiag_norm(part, vac),
-            c=max(hi - e, e - lo) + BOUND_MARGIN * norm,
-        ))
-    return entries
+    module docstring): the row the sweep recorded at the potential's own
+    step, or for a potential no step has swept, as on ``initial_state``, one
+    computed here (``sweep.ledger_row``); violations are data, not failures."""
+    return [state.ledger.get(interval) or ledger_row(interval, op, model)
+            for interval, op in sorted(state.potentials.items())]
 
 
 def gap_lower_bound(model: ChainModel, ledger: list[NormLedgerEntry]) -> tuple[float, float, float]:
     """(gap lower bound, E_vac, residual term) of a complete sweep from its
     ``check_ledger`` records (module docstring), each saturated at the largest
-    float."""
-    onsite = np.linalg.eigvalsh(model.onsite)
-    delta = float(onsite[1] - onsite[0]) - BOUND_MARGIN * float(np.max(np.abs(onsite)))
-    charge = [0.0] * model.N  # per site: the sum of c_I over the I that contain it
-    e_sum = r_sum = 0.0
-    for entry in ledger:
-        for site in entry.interval.sites:
-            charge[site - 1] += entry.c
-        e_sum += entry.e
-        r_sum += entry.r
-    t = abs(model.t)
-    residual = _saturated(2.0 * (t * r_sum))  # t * r_sum first: 2 t overflows at t = 1e308
-    bound = _saturated(delta - t * max(charge) - residual)
+    float: ``sweep.gap_bound`` over every row and site."""
+    bound, e_sum, residual = gap_bound(model, ledger, range(1, model.N + 1))
     return bound, _saturated(model.energy_offset + model.t * e_sum), residual
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .intervals import Interval
-from .operators import LocalOperator, op_norm, parity_even, require_hermitian
+from .operators import BOUND_MARGIN, LocalOperator, op_norm, parity_even, require_hermitian
 
 ONSITE_GAP_MIN = 1.0
 _TOL = 1e-9
@@ -44,6 +44,14 @@ class ChainModel:
     def omega(self) -> np.ndarray:
         """The on-site vacuum, derived from ``onsite`` (``ground_vector``)."""
         return ground_vector(self.onsite)
+
+    @cached_property
+    def onsite_gap(self) -> float:
+        """delta, the on-site gap every gap bound reads (``sweep.gap_bound``):
+        the gap above the lowest eigenvalue of ``onsite``, less BOUND_MARGIN
+        of its norm for rounding, from one eigvalsh, taken once."""
+        levels = np.linalg.eigvalsh(self.onsite)
+        return float(levels[1] - levels[0]) - BOUND_MARGIN * float(np.max(np.abs(levels)))
 
     @cached_property
     def exactly_even(self) -> bool:

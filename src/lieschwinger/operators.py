@@ -68,6 +68,12 @@ from .intervals import Interval
 
 TOL_HERMITIAN = 1e-9  # a given matrix (``hermitian_rule``)
 TOL_GENERATOR = 1e-10  # a generator (``rotation_factors``, ``unitary_exp``)
+# The gap bounds' rounding margin: each eigenvalue or norm a bound reads
+# gives way by this fraction of its matrix's norm (the on-site gap shrinks,
+# each c_I grows).  The rounding of eigvalsh, of a Frobenius norm, of e_I
+# and of r_I is about D 2^-52 of the norm, under 1e-12 for every D within
+# the dense guard.
+BOUND_MARGIN = 1e-10
 # Largest full-space dimension that any dense assembly or check may reach.
 DENSE_GUARD = 4096
 

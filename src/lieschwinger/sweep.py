@@ -50,16 +50,33 @@ max(||V vac||, ||V||_F / sqrt(D)) below leave the stop test open.
 Once the leak check has passed, G is block-diagonal and
 spec G = {E} u spec(excited block).  One eigvalsh per step, of G with E
 shifted to c = 1 + ||G||_inf (``operators.vacuum_shifted``), gives the
-excited spectrum for the ground-state check and the gap.  The resolvent
-needs no eigenvectors: R = (G - E + (c - E) vac vac^dag)^{-1}, the same
-shifted matrix with E taken off its diagonal, is (G - E)^{-1} on the
-excited block and 1/(c - E) on vac, which P+ projects out on both sides.
-It is Hermitian positive definite with smallest eigenvalue at least
+excited spectrum for the ground-state check and the gap.
+
+Above EXACT_DIM (256) a step first takes the paper's induction instead.
+Each potential is final after its own step, which records its ledger row
+(``ledger_row``: its spectral range, vacuum scalar e, residual r and
+c = max(hi - e, e - lo) plus the margin), and G is the on-site terms plus t
+times the potentials on the proper subintervals of I.  The per-site bound
+of ``certify`` on those rows and the sites of I (``gap_bound``,
+``step_gap_bound``),
+
+    delta - |t| max_{i in I} sum_{J < I, J contains i} c_J - 2 |t| sum_{J < I} r_J,
+
+bounds gap(G) from below with no eigensolve.  Where it reaches gap_min and
+is positive, the vacuum is G's unique ground state and the bound is the
+step's gap; anywhere else the eigvalsh above runs.  A row of a potential
+above EXACT_DIM takes the Frobenius norm F >= ||V|| as its norm and
+[-F, F] as its range, so no step or row above EXACT_DIM eigensolves.
+
+The resolvent needs no eigenvectors: R = (G - E + (c - E) vac vac^dag)^{-1},
+the same shifted matrix with E taken off its diagonal, is (G - E)^{-1} on
+the excited block and 1/(c - E) on vac, which P+ projects out on both
+sides.  It is Hermitian positive definite with smallest eigenvalue at least
 min(1, gap), so one Cholesky factor per step (``operators.cholesky_solver``)
 applies R to each series vector by forward and back substitution, and
 every y_j = P+ R P+ (V)_j vac follows at O(D^2).  A factor that fails,
 which a gap at rounding level allowed through ``local_gap`` can cause,
-raises GapError.
+raises GapError; a step that took its bound factors the same way.
 
 Transport of the other potentials follows the support relation between
 their interval J and the step interval I.  The rotation acts on the sites
@@ -102,7 +119,8 @@ nonzero entry across parity) runs the dense code.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from functools import cache
 from math import inf, isfinite, sqrt
 from numbers import Real
@@ -113,6 +131,7 @@ from .errors import ChainError, GapError, OrderError, SeriesError, ValidationErr
 from .intervals import Interval, iter_steps
 from .model import ChainModel
 from .operators import (
+    BOUND_MARGIN,
     LocalOperator,
     build_projectors,
     cholesky_solver,
@@ -124,12 +143,19 @@ from .operators import (
     parity_sectors,
     rotation_factors,
     shifted_excited,
+    spectral_range,
     unitary_exp,  # unused here; perfbench/tracing.py looks it up on this module
     vacuum_block,
     vacuum_part,
     vacuum_shifted,
     vector_norm,
 )
+
+# Largest dimension of an interval whose step gap and ledger row are exact,
+# from eigvalsh.  Above it, a step whose bound from the rows of its
+# subintervals (``step_gap_bound``) certifies gap_min takes that bound as
+# its gap, and a ledger row holds the Frobenius norm as its norm and range.
+EXACT_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -170,10 +196,24 @@ class StepDiagnostics:
     s_norm: float
 
 
+@dataclass(frozen=True)
+class NormLedgerEntry:
+    interval: Interval
+    norm: float
+    bound: float
+    ok: bool
+    lo: float  # the potential's spectral range
+    hi: float
+    e: float  # the gap bound's inputs: vacuum scalar e_I, residual r_I and c_I
+    r: float
+    c: float
+
+
 @dataclass(frozen=True, eq=False)
 class BlockDiagState:
     """Potential map after the last step swept (``None`` before the first),
-    plus the diagnostics trail.
+    the diagnostics trail, and the ledger row of each potential whose own
+    step has run, recorded there (``ledger_row``): no later step changes it.
 
     On-site terms are never stored: they are fixed throughout the sweep.
     Intervals carrying an exactly zero potential are absent from the map.
@@ -185,6 +225,7 @@ class BlockDiagState:
     step: Interval | None
     potentials: dict[Interval, LocalOperator]
     diagnostics: tuple[StepDiagnostics, ...] = ()
+    ledger: dict[Interval, NormLedgerEntry] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -300,6 +341,79 @@ def local_gap(E: float, excited: np.ndarray, gap_min: float = SeriesControls.gap
         raise GapError("excited block of the local Hamiltonian reaches the vacuum energy",
                        step=step, reason="gap-assumption-violated", value=gap)
     return gap
+
+
+def _saturated(x: float) -> float:
+    """x clipped to the float range, so a report can hold it."""
+    return min(max(x, -sys.float_info.max), sys.float_info.max)
+
+
+def decay_bound(r: int, t: float) -> float:
+    """Decay bound 8 |t|^((r-1)/3) / (r+1)^2 for an r-edge interval, or the
+    largest float where it lies past the float range: every float norm
+    meets that bound, and a report can hold it."""
+    try:
+        bound = 8.0 * abs(t) ** ((r - 1) / 3.0) / (r + 1) ** 2
+    except OverflowError:  # the power; the product overflows to inf instead
+        return sys.float_info.max
+    return _saturated(bound)
+
+
+def ledger_row(interval: Interval, op: LocalOperator, model: ChainModel) -> NormLedgerEntry:
+    """The ledger row of the potential ``op`` on ``interval``: its norm
+    against the decay bound, and the gap bound's inputs (``gap_bound``).
+
+    Up to EXACT_DIM the norm and the range [lo, hi] are exact, from one
+    eigvalsh (one per parity block); above it the range is [-F, F] for the
+    Frobenius norm F >= ||op||, and the norm is F.  e and r are exact."""
+    if op.dim <= EXACT_DIM:
+        lo, hi = spectral_range(op)
+        norm = max(abs(lo), abs(hi))  # op_norm(op), from the same eigvalsh
+    else:
+        norm = vector_norm(op.data.ravel())
+        lo, hi = -norm, norm
+    bound = decay_bound(interval.k, model.t)
+    part, vac, _ = vacuum_part(op, build_projectors(interval, model.omega))
+    e = vacuum_energy(part, vac)
+    return NormLedgerEntry(
+        interval=interval, norm=norm, bound=bound, ok=norm <= bound * (1 + 1e-9),
+        lo=lo, hi=hi, e=e, r=_offdiag_norm(part, vac),
+        c=max(hi - e, e - lo) + BOUND_MARGIN * norm,
+    )
+
+
+def gap_bound(model: ChainModel, rows, sites) -> tuple[float, float, float]:
+    """(delta - |t| max_{i in sites} sum_{rows on i} c - 2 |t| sum r, sum e,
+    2 |t| sum r) over the ledger ``rows``, the bound and the residual term
+    saturated at the largest float.
+
+    With every row's potential block-diagonal for its vacuum up to r, the
+    first is a lower bound on the gap above the vacuum energy of the on-site
+    terms on ``sites`` plus t times the rows' potentials, and a positive
+    value makes the vacuum its unique ground state (``certify`` module
+    docstring): over every row and site it is K's bound, over the proper
+    subintervals of a step interval and its sites the step's."""
+    charge = dict.fromkeys(sites, 0.0)  # per site: the sum of c over the rows on it
+    e_sum = r_sum = 0.0
+    for row in rows:
+        for site in row.interval.sites:
+            charge[site] += row.c
+        e_sum += row.e
+        r_sum += row.r
+    t = abs(model.t)
+    residual = _saturated(2.0 * (t * r_sum))  # t * r_sum first: 2 t overflows at t = 1e308
+    bound = _saturated(model.onsite_gap - t * max(charge.values()) - residual)
+    return bound, e_sum, residual
+
+
+def step_gap_bound(state: BlockDiagState, model: ChainModel, interval: Interval) -> float:
+    """``gap_bound`` on gap(G) for the local Hamiltonian G on ``interval``,
+    from the ledger rows of the potentials on its proper subintervals: the
+    rows the sweep recorded, and one computed here for any other."""
+    rows = [state.ledger.get(sub) or ledger_row(sub, op, model)
+            for sub, op in sorted(state.potentials.items())
+            if interval.contains(sub) and sub != interval]
+    return gap_bound(model, rows, interval.sites)[0]
 
 
 def _term_norm(t: float, j: int, norm: float) -> float:
@@ -521,7 +635,10 @@ def _zero(J: Interval, M: int, graded: bool) -> LocalOperator:
 def advance(state: BlockDiagState, model: ChainModel,
             controls: SeriesControls = SeriesControls()) -> BlockDiagState:
     """Run the first step of ``iter_steps`` after ``state.step`` and
-    transport every potential across it.
+    transport every potential across it; the step's potential, now final,
+    has its ledger row recorded.  Above EXACT_DIM the step's gap is its
+    ``step_gap_bound`` where that reaches gap_min and is positive, with no
+    eigensolve, and its exact gap anywhere else (module docstring).
 
     On an exactly even chain the step reads the parity block e0 that holds
     the vacuum alone: its series, factor and replaced potential, whose other
@@ -544,10 +661,14 @@ def advance(state: BlockDiagState, model: ChainModel,
     G_v, vac_v, G_rest = vacuum_part(G, vac)
     e0 = vacuum_block(vac)[0] if graded else 0
     E = vacuum_energy(G_v, vac_v)
-    # one shifted array per step: its eigensolve is ``shifted_excited``, and
-    # with E taken off its diagonal it is the matrix the resolvent factors
+    # one shifted array per step: with E taken off its diagonal it is the
+    # matrix the resolvent factors, and its eigensolve (``shifted_excited``)
+    # gives the gap, unless above EXACT_DIM the bound from the rows of I's
+    # subintervals certifies gap_min
     A = vacuum_shifted(G_v, vac_v, E)
-    gap = local_gap(E, shifted_excited(A, G_rest), controls.gap_min, controls.tol_od, I)
+    gap = step_gap_bound(state, model, I) if G.dim > EXACT_DIM else -inf
+    if not (gap >= controls.gap_min and gap > 0):
+        gap = local_gap(E, shifted_excited(A, G_rest), controls.gap_min, controls.tol_od, I)
     A.flat[::A.shape[0] + 1] -= E
 
     V_op = state.potentials.get(I) or _zero(I, model.M, graded)
@@ -560,7 +681,7 @@ def advance(state: BlockDiagState, model: ChainModel,
         # Zero generator (t = 0, zero potential, or already block-diagonal):
         # every conjugation is the identity and the map is reused as is.
         diag = StepDiagnostics(I, E, gap, series.order, _offdiag_norm(V, vac_v), 0.0)
-        return BlockDiagState(I, state.potentials, state.diagnostics + (diag,))
+        return _recorded(I, state.potentials, state, diag, model)
 
     W, C = rotation_factors(series.y, vac_v)
     V_new, residual = diagonalized_potential(G_v, V, W, C, model.t, vac_v,
@@ -602,7 +723,16 @@ def advance(state: BlockDiagState, model: ChainModel,
             new_pots[J] = _operator(J, new.reshape(V_J.shape))
 
     diag = StepDiagnostics(I, E, gap, series.order, residual, s_norm)
-    return BlockDiagState(I, new_pots, state.diagnostics + (diag,))
+    return _recorded(I, new_pots, state, diag, model)
+
+
+def _recorded(I: Interval, potentials: dict[Interval, LocalOperator], state: BlockDiagState,
+              diag: StepDiagnostics, model: ChainModel) -> BlockDiagState:
+    """The state after step I, with the ledger row of its potential, now final."""
+    ledger = state.ledger
+    if I in potentials:
+        ledger = {**ledger, I: ledger_row(I, potentials[I], model)}
+    return BlockDiagState(I, potentials, state.diagnostics + (diag,), ledger)
 
 
 def sweep(model: ChainModel, controls: SeriesControls = SeriesControls()) -> BlockDiagState:

@@ -1,12 +1,14 @@
-"""Write every golden report of tests/test_cli.py's GOLDEN table.
+"""Write the golden reports of tests/test_cli.py's GOLDEN table: every case,
+or only the cases of the names given.
 
-    python tests/regenerate_golden.py
+    python tests/regenerate_golden.py [NAME ...]
 
 Each case runs through ``cli.main`` under GOLDEN_ENV (set before numpy
 loads, by importing conftest first), and its report, with "timings" removed
 from every JSON report, replaces tests/data/<name>_report.json or .csv.
 Run it only with a change meant to move outputs, and first show that the
-fresh reports equal the committed ones apart from the parts that change.
+fresh reports equal the committed ones apart from the parts that change;
+name a new case to write its report alone.
 """
 
 import json
@@ -23,9 +25,14 @@ from test_cli import CONFIGS, GOLDEN, golden_path  # noqa: E402
 from lieschwinger.cli import emit, main  # noqa: E402
 
 
-def regenerate() -> None:
+def regenerate(names=()) -> None:
+    unknown = set(names) - {name for name, _ in GOLDEN}
+    if unknown:
+        raise SystemExit(f"no GOLDEN case named {', '.join(sorted(unknown))}")
     with tempfile.TemporaryDirectory() as tmp:
         for name, flags in GOLDEN:
+            if names and name not in names:
+                continue
             golden = golden_path(name, flags)
             out = Path(tmp) / golden.name
             code = main(["--config", str(CONFIGS / f"{name}.json"), *flags, "--report", str(out)])
@@ -43,4 +50,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

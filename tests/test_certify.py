@@ -17,12 +17,12 @@ from test_cli import GOLDEN
 from lieschwinger.certify import BOUND_MARGIN, check_ledger, certify, decay_bound, gap_lower_bound
 from lieschwinger.cli import emit, load_model, main, run
 from lieschwinger.estimator import BlockDiagonalizer
-from lieschwinger.errors import ValidationError
-from lieschwinger.intervals import Interval
-from lieschwinger.model import build_chain_model, random_chain_model
+from lieschwinger.errors import GapError, ValidationError
+from lieschwinger.intervals import Interval, iter_steps
+from lieschwinger.model import ChainModel, build_chain_model, random_chain_model
 from lieschwinger.operators import build_projectors, op_norm, spectral_range
-from lieschwinger.sweep import (SeriesControls, _offdiag_norm, advance, initial_state,
-                                local_hamiltonian, sweep, vacuum_energy)
+from lieschwinger.sweep import (EXACT_DIM, SeriesControls, _offdiag_norm, advance, initial_state,
+                                local_hamiltonian, step_gap_bound, sweep, vacuum_energy)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -338,7 +338,11 @@ class TestGapLowerBound:
 
     def test_adds_no_eigensolve_above_the_onsite_dimension(self, monkeypatch):
         # one fit of random_chain_model(9, 0.01, seed=0) made 174 eigvalsh
-        # and eigh calls above M = 2 before the bound; it adds one at M, for delta
+        # and eigh calls above M = 2 before the bound, which adds one at M,
+        # for delta.  172 since the sweep bounds what lies above EXACT_DIM:
+        # the last step's gap, by the bound from its subintervals' rows, and
+        # the full-chain potential's ledger row, by its Frobenius norm, take
+        # no eigvalsh at D = 512
         model = random_chain_model(9, 0.01, seed=0)
         sizes = []
         for name in ("eigvalsh", "eigh"):
@@ -347,7 +351,13 @@ class TestGapLowerBound:
                 return _solve(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         BlockDiagonalizer().fit(model)
-        assert sum(size > model.M for size in sizes) == 174
+        assert sum(size > model.M for size in sizes) == 172
+
+    def test_a_dense_n9_fit_diagonalizes_the_whole_space_twice(self, eigvalsh_sizes):
+        # at D = 512 only K's excited spectrum (certify) and the oracle's ED
+        # remain: the gap reported and its independent yardstick
+        BlockDiagonalizer().fit(random_chain_model(9, 0.01, seed=0))
+        assert eigvalsh_sizes.count(512) == 2 and max(eigvalsh_sizes) == 512
 
     def test_saturates_at_the_largest_float(self):
         # two block-diagonal interactions at t = 1e308 meet on site 1, so
@@ -362,3 +372,96 @@ class TestGapLowerBound:
         assert report["gap_report"]["gap_lower_bound"] == -sys.float_info.max
         assert report["gap_report"]["residual_term"] == 0.0
         assert json.loads(emit(report))["gap_report"]["gap_lower_bound"] == -sys.float_info.max
+
+
+def _assert_step_bounds(model, controls=SeriesControls()):
+    """Sweep ``model`` step by step: each step's bound from the ledger rows
+    of its subintervals lies at most at the gap of its G from a dense
+    eigvalsh, and where it is positive the vacuum is G's ground state.  Above
+    EXACT_DIM a bound that reaches gap_min is the gap the step reports; any
+    other step reports the exact gap."""
+    state = initial_state(model)
+    for I in iter_steps(model.N):
+        vac = build_projectors(I, model.omega)
+        G = local_hamiltonian(state, model, I, vac).matrix
+        levels = np.linalg.eigvalsh(G)
+        scale = max(1.0, float(np.max(np.abs(levels))))
+        bound = step_gap_bound(state, model, I)
+        assert bound <= levels[1] - levels[0], I
+        if bound > 0:
+            assert abs(vacuum_energy(G, vac) - levels[0]) <= 1e-12 * scale, I
+        state = advance(state, model, controls)
+        reported = state.diagnostics[-1].gap
+        if I.dim(model.M) > EXACT_DIM and bound >= controls.gap_min:
+            assert reported == bound, I
+        else:
+            assert abs(reported - (levels[1] - levels[0])) <= 1e-12 * scale, I
+
+
+def _long_range_chain(t: float, sites: tuple[int, int]) -> ChainModel:
+    """N = 9, M = 2, on-site diag(0, 1) and two interactions alone, on sites
+    1-8 and 2-9: each is -|x><x| for x the basis state with one site
+    excited, ``sites[0]`` and ``sites[1]``.  They are diagonal, so no step
+    rotates, and no G but the last, the whole chain's, holds a potential:
+    every other step has gap 1.  The last lowers those states by t each, to
+    a gap of 1 - 2t where they are one state and 1 - t otherwise, and its
+    bound from the two rows (c = 1 each, both on sites 2-8) is 1 - 2t."""
+    interactions = {}
+    for q, site in zip((1, 2), sites):
+        V = np.zeros((256, 256))
+        index = 1 << (8 - 1 - (site - q))  # sites are bits, the first the highest
+        V[index, index] = -1.0
+        interactions[Interval(7, q)] = V
+    return build_chain_model(9, 2, np.diag([0.0, 1.0]), interactions, t, kbar=7)
+
+
+class TestStepBound:
+    """Above EXACT_DIM a step whose bound from the rows of its subintervals
+    reaches gap_min takes no eigvalsh; the bound is K's per-site bound on the
+    step interval."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(N=st.integers(3, 6), M=st.sampled_from([2, 3]), kbar=st.sampled_from([1, 2]),
+           t=st.floats(-0.1, 0.1).filter(lambda t: t == 0.0 or abs(t) >= 1e-300),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_lies_below_each_step_gap(self, N, M, kbar, t, seed):
+        _assert_step_bounds(non_basis_vacuum_model(N, M, kbar, t, seed))
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_lies_below_each_step_gap_on_every_config(self, config):
+        source = load_model(config)
+        _assert_step_bounds(source.reduce().chain if config.stem.startswith("kitaev") else source)
+
+    def test_lies_below_each_step_gap_on_frobenius_rows(self):
+        # N = 10: the last step's bound reads the Frobenius rows of the two
+        # potentials of dimension 512, and that step's 1024 exceeds EXACT_DIM
+        _assert_step_bounds(ising_chain_model(10, 0.1))
+
+    def test_reports_the_exact_gap_where_the_bound_falls_below_gap_min(self):
+        # the last step's bound is 1 - 2t = 0.6 and its gap 1 - t = 0.8:
+        # the bound below gap_min = 0.7 sends the step to the eigensolve
+        model = _long_range_chain(0.2, (4, 6))
+        gaps = {}
+        for gap_min in (0.5, 0.7):
+            state = sweep(model, SeriesControls(gap_min=gap_min))
+            assert [d.gap for d in state.diagnostics[:-1]] == pytest.approx([1.0] * 35, abs=1e-12)
+            gaps[gap_min] = state.diagnostics[-1].gap
+        assert gaps[0.5] == pytest.approx(0.6, abs=1e-9) and gaps[0.5] < 0.6
+        assert gaps[0.7] == pytest.approx(0.8, abs=1e-12)
+
+    def test_a_gap_below_gap_min_fails_as_the_eigensolve_reports_it(self):
+        # both potentials lower the state with site 5 excited: the last
+        # step's gap is 0.6 < gap_min, which its eigensolve reports, with
+        # the reason, value and exit code of the exact gap check
+        model = _long_range_chain(0.2, (5, 5))
+        controls = SeriesControls(gap_min=0.7)
+        with pytest.raises(GapError) as info:
+            sweep(model, controls)
+        err = info.value
+        assert (err.step, err.reason) == (Interval(8, 1), "gap-too-small")
+        assert err.value == pytest.approx(0.6, abs=1e-12)
+        report, code = run(model, controls)
+        assert code == GapError.exit_code == 4
+        assert report["error"]["step"] == [8, 1]
+        assert report["error"]["message"] == (
+            f"local gap {err.value:.6f} fell below the abort threshold 0.7")

@@ -840,6 +840,9 @@ GOLDEN = (
     # the same with a boundary term on sites 1-2 as well: no zero-mode symmetry
     ("kitaev_ends_n7", ("--t-sweep", "0.01,0.04")),
     ("chain_n7_m2_k1", ("--format", "csv")),
+    # random_chain_model(9, 0.01, 2, 1, seed=0): its last step (D = 512) reports
+    # the bound from its subintervals' rows, its last ledger row a Frobenius norm
+    ("chain_n9_m2_k1", ()),
 )
 
 
