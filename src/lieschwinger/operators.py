@@ -8,9 +8,10 @@ The product vacuum of an interval is one unit vector vac
 (``build_projectors``), and its projector vac vac^dag is never stored: the
 complement 1 - vac vac^dag is never given a basis.  One vacuum shift,
 ``vacuum_shifted``, moves the vacuum eigenvalue above the rest.  The
-sweep's ``advance`` diagonalizes that array itself and then factors it for
-the resolvent (``shifted_excited``); ``excited_spectrum``, which only
-``certify`` calls, diagonalizes it for the fully swept Hamiltonian.
+sweep's ``advance`` factors that array for the resolvent and diagonalizes
+it (``shifted_excited``) only where its step bound falls short of gap_min;
+``excited_spectrum``, which only ``certify`` calls, diagonalizes it for
+the fully swept Hamiltonian.
 
 Hermitian spectra (``excited_spectrum``, ``spectral_range``, which
 ``op_norm`` reads) take one eigvalsh of a dense matrix, or one of each

@@ -47,26 +47,24 @@ the dense work is G y_j, V y_j and R applied to one vector.  Order one
 takes ||V|| by eigvalsh only where the bounds ||V||_F above and
 max(||V vac||, ||V||_F / sqrt(D)) below leave the stop test open.
 
-Once the leak check has passed, G is block-diagonal and
-spec G = {E} u spec(excited block).  One eigvalsh per step, of G with E
-shifted to c = 1 + ||G||_inf (``operators.vacuum_shifted``), gives the
-excited spectrum for the ground-state check and the gap.
-
-Above EXACT_DIM (256) a step first takes the paper's induction instead.
-Each potential is final after its own step, which records its ledger row
-(``ledger_row``: its spectral range, vacuum scalar e, residual r and
-c = max(hi - e, e - lo) plus the margin), and G is the on-site terms plus t
-times the potentials on the proper subintervals of I.  The per-site bound
-of ``certify`` on those rows and the sites of I (``gap_bound``,
-``step_gap_bound``),
+Each step first takes the paper's induction.  A potential is final
+after its own step, which records its ledger row (``ledger_row``: its
+spectral range, vacuum scalar e, residual r and c = max(hi - e, e - lo)
+plus the margin), and G is the on-site terms plus t times the potentials
+on the proper subintervals of I.  The per-site bound of ``certify`` on
+those rows and the sites of I (``gap_bound``, ``step_gap_bound``),
 
     delta - |t| max_{i in I} sum_{J < I, J contains i} c_J - 2 |t| sum_{J < I} r_J,
 
 bounds gap(G) from below with no eigensolve.  Where it reaches gap_min and
 is positive, the vacuum is G's unique ground state and the bound is the
-step's gap; anywhere else the eigvalsh above runs.  A row of a potential
-above EXACT_DIM takes the Frobenius norm F >= ||V|| as its norm and
-[-F, F] as its range, so no step or row above EXACT_DIM eigensolves.
+step's gap.  Anywhere else G, block-diagonal once the leak check has
+passed (spec G = {E} u spec(excited block)), takes one eigvalsh with E
+shifted to c = 1 + ||G||_inf (``operators.vacuum_shifted``), which gives
+the excited spectrum for the ground-state check and the exact gap.  A
+ledger row is exact up to EXACT_DIM (256), from one eigvalsh; above it a
+row takes the Frobenius norm F >= ||V|| as its norm and [-F, F] as its
+range, with no eigensolve.
 
 The resolvent needs no eigenvectors: R = (G - E + (c - E) vac vac^dag)^{-1},
 the same shifted matrix with E taken off its diagonal, is (G - E)^{-1} on
@@ -107,13 +105,13 @@ parity blocks (``operators.LocalOperator.from_blocks``), which every
 rotation of the sweep keeps.
 The vacuum and every frame vector lie in one block, e0, so the series, the
 Cholesky factor and the replaced potential read that block alone, and the
-other block of V_I is kept as it is; the step's eigvalsh is of the shifted
-block and of the other one.  A containing J is conjugated as its two
-blocks stacked, in one thin update: by 1_L (x) exp(S) (x) 1_{R/2} where I
-leaves out J's last site, and where I holds it by exp(S)'s own block e0 on
-the row blocks l of block e with p(l) = e + e0 and by the identity on the
-rest.  Any other chain (M = 3, a vacuum that is no basis vector, one
-nonzero entry across parity) runs the dense code.
+other block of V_I is kept as it is; a step's eigvalsh, where it runs, is
+of the shifted block and of the other one.  A containing J is conjugated as
+its two blocks stacked, in one thin update: by 1_L (x) exp(S) (x) 1_{R/2}
+where I leaves out J's last site, and where I holds it by exp(S)'s own
+block e0 on the row blocks l of block e with p(l) = e + e0 and by the
+identity on the rest.  Any other chain (M = 3, a vacuum that is no basis
+vector, one nonzero entry across parity) runs the dense code.
 """
 
 from __future__ import annotations
@@ -151,10 +149,9 @@ from .operators import (
     vector_norm,
 )
 
-# Largest dimension of an interval whose step gap and ledger row are exact,
-# from eigvalsh.  Above it, a step whose bound from the rows of its
-# subintervals (``step_gap_bound``) certifies gap_min takes that bound as
-# its gap, and a ledger row holds the Frobenius norm as its norm and range.
+# Largest dimension of a potential whose ledger row is exact, from
+# eigvalsh.  Above it a row holds the Frobenius norm as its norm and range,
+# which would loosen K's gap_lower_bound if taken at every size.
 EXACT_DIM = 256
 
 
@@ -636,9 +633,9 @@ def advance(state: BlockDiagState, model: ChainModel,
             controls: SeriesControls = SeriesControls()) -> BlockDiagState:
     """Run the first step of ``iter_steps`` after ``state.step`` and
     transport every potential across it; the step's potential, now final,
-    has its ledger row recorded.  Above EXACT_DIM the step's gap is its
-    ``step_gap_bound`` where that reaches gap_min and is positive, with no
-    eigensolve, and its exact gap anywhere else (module docstring).
+    has its ledger row recorded.  The step's gap is its ``step_gap_bound``
+    where that reaches gap_min and is positive, with no eigensolve, and its
+    exact gap anywhere else (module docstring).
 
     On an exactly even chain the step reads the parity block e0 that holds
     the vacuum alone: its series, factor and replaced potential, whose other
@@ -662,11 +659,11 @@ def advance(state: BlockDiagState, model: ChainModel,
     e0 = vacuum_block(vac)[0] if graded else 0
     E = vacuum_energy(G_v, vac_v)
     # one shifted array per step: with E taken off its diagonal it is the
-    # matrix the resolvent factors, and its eigensolve (``shifted_excited``)
-    # gives the gap, unless above EXACT_DIM the bound from the rows of I's
-    # subintervals certifies gap_min
+    # matrix the resolvent factors; its eigensolve (``shifted_excited``)
+    # gives the gap only where the bound from the rows of I's subintervals
+    # falls short of gap_min
     A = vacuum_shifted(G_v, vac_v, E)
-    gap = step_gap_bound(state, model, I) if G.dim > EXACT_DIM else -inf
+    gap = step_gap_bound(state, model, I)
     if not (gap >= controls.gap_min and gap > 0):
         gap = local_gap(E, shifted_excited(A, G_rest), controls.gap_min, controls.tol_od, I)
     A.flat[::A.shape[0] + 1] -= E

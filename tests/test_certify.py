@@ -20,7 +20,7 @@ from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.errors import GapError, ValidationError
 from lieschwinger.intervals import Interval, iter_steps
 from lieschwinger.model import ChainModel, build_chain_model, random_chain_model
-from lieschwinger.operators import build_projectors, op_norm, spectral_range
+from lieschwinger.operators import build_projectors, op_norm, shifted_excited, spectral_range
 from lieschwinger.sweep import (EXACT_DIM, SeriesControls, _offdiag_norm, advance, initial_state,
                                 local_hamiltonian, step_gap_bound, sweep, vacuum_energy)
 
@@ -339,10 +339,12 @@ class TestGapLowerBound:
     def test_adds_no_eigensolve_above_the_onsite_dimension(self, monkeypatch):
         # one fit of random_chain_model(9, 0.01, seed=0) made 174 eigvalsh
         # and eigh calls above M = 2 before the bound, which adds one at M,
-        # for delta.  172 since the sweep bounds what lies above EXACT_DIM:
-        # the last step's gap, by the bound from its subintervals' rows, and
-        # the full-chain potential's ledger row, by its Frobenius norm, take
-        # no eigvalsh at D = 512
+        # for delta.  137 since every step takes the bound from its
+        # subintervals' rows: none of the 36 steps diagonalizes its G (35 of
+        # them at D = 4..256), and the full-chain potential's ledger row, by
+        # its Frobenius norm, takes no eigvalsh at D = 512.  What is left is
+        # the ledger rows up to EXACT_DIM, the series' frame matrices, K's
+        # excited spectrum and the oracle's ED
         model = random_chain_model(9, 0.01, seed=0)
         sizes = []
         for name in ("eigvalsh", "eigh"):
@@ -351,7 +353,7 @@ class TestGapLowerBound:
                 return _solve(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         BlockDiagonalizer().fit(model)
-        assert sum(size > model.M for size in sizes) == 172
+        assert sum(size > model.M for size in sizes) == 137
 
     def test_a_dense_n9_fit_diagonalizes_the_whole_space_twice(self, eigvalsh_sizes):
         # at D = 512 only K's excited spectrum (certify) and the oracle's ED
@@ -377,9 +379,9 @@ class TestGapLowerBound:
 def _assert_step_bounds(model, controls=SeriesControls()):
     """Sweep ``model`` step by step: each step's bound from the ledger rows
     of its subintervals lies at most at the gap of its G from a dense
-    eigvalsh, and where it is positive the vacuum is G's ground state.  Above
-    EXACT_DIM a bound that reaches gap_min is the gap the step reports; any
-    other step reports the exact gap."""
+    eigvalsh, and where it is positive the vacuum is G's ground state.  At
+    every dimension a bound that reaches gap_min is the gap the step
+    reports; any other step reports the exact gap."""
     state = initial_state(model)
     for I in iter_steps(model.N):
         vac = build_projectors(I, model.omega)
@@ -392,7 +394,7 @@ def _assert_step_bounds(model, controls=SeriesControls()):
             assert abs(vacuum_energy(G, vac) - levels[0]) <= 1e-12 * scale, I
         state = advance(state, model, controls)
         reported = state.diagnostics[-1].gap
-        if I.dim(model.M) > EXACT_DIM and bound >= controls.gap_min:
+        if bound >= controls.gap_min:
             assert reported == bound, I
         else:
             assert abs(reported - (levels[1] - levels[0])) <= 1e-12 * scale, I
@@ -416,9 +418,9 @@ def _long_range_chain(t: float, sites: tuple[int, int]) -> ChainModel:
 
 
 class TestStepBound:
-    """Above EXACT_DIM a step whose bound from the rows of its subintervals
-    reaches gap_min takes no eigvalsh; the bound is K's per-site bound on the
-    step interval."""
+    """A step whose bound from the rows of its subintervals reaches gap_min
+    takes no eigvalsh, at any dimension; the bound is K's per-site bound on
+    the step interval."""
 
     @settings(max_examples=10, deadline=None)
     @given(N=st.integers(3, 6), M=st.sampled_from([2, 3]), kbar=st.sampled_from([1, 2]),
@@ -434,20 +436,44 @@ class TestStepBound:
 
     def test_lies_below_each_step_gap_on_frobenius_rows(self):
         # N = 10: the last step's bound reads the Frobenius rows of the two
-        # potentials of dimension 512, and that step's 1024 exceeds EXACT_DIM
+        # potentials of dimension 512, which exceeds EXACT_DIM
         _assert_step_bounds(ising_chain_model(10, 0.1))
 
     def test_reports_the_exact_gap_where_the_bound_falls_below_gap_min(self):
         # the last step's bound is 1 - 2t = 0.6 and its gap 1 - t = 0.8:
-        # the bound below gap_min = 0.7 sends the step to the eigensolve
+        # the bound below gap_min = 0.7 sends the step to the eigensolve.
+        # Every step before it has no potential inside its interval, so its
+        # bound is delta, the on-site gap 1 less the margin, which it reports
         model = _long_range_chain(0.2, (4, 6))
         gaps = {}
         for gap_min in (0.5, 0.7):
             state = sweep(model, SeriesControls(gap_min=gap_min))
-            assert [d.gap for d in state.diagnostics[:-1]] == pytest.approx([1.0] * 35, abs=1e-12)
+            assert [d.gap for d in state.diagnostics[:-1]] == [model.onsite_gap] * 35
             gaps[gap_min] = state.diagnostics[-1].gap
+        assert model.onsite_gap == 1.0 - BOUND_MARGIN
         assert gaps[0.5] == pytest.approx(0.6, abs=1e-9) and gaps[0.5] < 0.6
         assert gaps[0.7] == pytest.approx(0.8, abs=1e-12)
+
+    def test_a_certified_fit_diagonalizes_no_step(self, monkeypatch):
+        # every step of random_chain_model(9, 0.01, seed=0) has a bound of at
+        # least gap_min, so advance never calls shifted_excited, the step's
+        # only eigensolve of its G; on the long-range chain under gap_min =
+        # 0.7 only the last step, whose bound is 0.6, calls it, on the
+        # 256-row vacuum block of that exactly even chain's 512-row G
+        calls = []
+
+        def recording(A, rest=None):
+            calls.append(A.shape[0])
+            return shifted_excited(A, rest)
+
+        monkeypatch.setattr("lieschwinger.sweep.shifted_excited", recording)
+        model = random_chain_model(9, 0.01, seed=0)
+        state = BlockDiagonalizer(oracle="off").fit(model).state_
+        assert calls == []
+        assert len(state.diagnostics) == 36
+        assert min(d.gap for d in state.diagnostics) >= SeriesControls.gap_min
+        sweep(_long_range_chain(0.2, (4, 6)), SeriesControls(gap_min=0.7))
+        assert calls == [256]
 
     def test_a_gap_below_gap_min_fails_as_the_eigensolve_reports_it(self):
         # both potentials lower the state with site 5 excited: the last
