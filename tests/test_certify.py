@@ -21,7 +21,7 @@ from lieschwinger.errors import GapError, ValidationError
 from lieschwinger.intervals import Interval, iter_steps
 from lieschwinger.model import ChainModel, build_chain_model, random_chain_model
 from lieschwinger.operators import build_projectors, op_norm, shifted_excited, spectral_range
-from lieschwinger.sweep import (EXACT_DIM, SeriesControls, _offdiag_norm, advance, initial_state,
+from lieschwinger.sweep import (SeriesControls, _offdiag_norm, advance, initial_state,
                                 local_hamiltonian, step_gap_bound, sweep, vacuum_energy)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -911,8 +911,9 @@ class TestGradedPath:
         assert np.max(np.abs(g.spectrum - d.spectrum)) <= 1e-14 * scale
         for a, b in zip(graded.state_.diagnostics, dense.state_.diagnostics, strict=True):
             assert a.step == b.step and a.series_order == b.series_order
-            # the dense path diagonalizes each step's whole matrix, of scale
-            # (k + 1) max|onsite|, where the graded path takes its blocks
+            # a step's gap is its bound, or where that falls short its exact
+            # gap: the dense path diagonalizes the step's whole matrix, of
+            # scale (k + 1) max|onsite|, where the graded path takes its blocks
             step_scale = max(1.0, (a.step.k + 1) * float(np.max(np.abs(model.onsite))))
             assert close(a.gap, b.gap, step_scale) and close(a.E, b.E, step_scale)
         for a, b in zip(g.ledger, d.ledger, strict=True):
