@@ -40,6 +40,14 @@ class ChainModel:
     energy_offset: float = 0.0
     seed_info: dict = field(default_factory=dict)
 
+    def __post_init__(self):  # a read-only copy: omega, onsite_gap and exactly_even cache it
+        object.__setattr__(self, "onsite", np.array(self.onsite, dtype=complex))
+        self.onsite.flags.writeable = False
+
+    def __setstate__(self, state):  # an unpickled array is writable again
+        self.__dict__.update(state)
+        self.__post_init__()
+
     @cached_property
     def omega(self) -> np.ndarray:
         """The on-site vacuum, derived from ``onsite`` (``ground_vector``)."""
@@ -80,7 +88,6 @@ def ground_vector(onsite: np.ndarray) -> np.ndarray:
 def build_chain_model(N, M, onsite, interactions, t, kbar=None,
                       energy_offset=0.0, seed_info=None) -> ChainModel:
     """Assemble and validate a ChainModel; interactions as {Interval: matrix}."""
-    onsite = np.asarray(onsite, dtype=complex)
     ops = {}
     for iv, mat in interactions.items():
         iv = Interval(*iv)
@@ -94,8 +101,8 @@ def build_chain_model(N, M, onsite, interactions, t, kbar=None,
     validate_chain_model(model)
     # validated as given, stored exactly Hermitian: the sweep and the oracle
     # must read one operator
-    onsite = (onsite + onsite.conj().T) / 2
-    return replace(model, onsite=onsite, interactions={
+    H = model.onsite
+    return replace(model, onsite=(H + H.conj().T) / 2, interactions={
         iv: LocalOperator(iv, (op.matrix + op.matrix.conj().T) / 2) for iv, op in ops.items()})
 
 

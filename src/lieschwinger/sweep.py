@@ -51,15 +51,16 @@ Each step first takes the paper's induction.  A potential is final
 after its own step, which records its ledger row (``ledger_row``: its
 spectral range, vacuum scalar e, residual r and c = max(hi - e, e - lo)
 plus the margin), and G is the on-site terms plus t times the potentials
-on the proper subintervals of I.  The per-site bound of ``certify`` on
-those rows and the sites of I (``gap_bound``, ``step_gap_bound``),
+on the proper subintervals of I, all final (one with no row is out of
+sweep order: OrderError).  The per-site bound of ``certify`` on those rows
+and the sites of I (``gap_bound``, ``step_gap_bound``),
 
     delta - |t| max_{i in I} sum_{J < I, J contains i} c_J - 2 |t| sum_{J < I} r_J,
 
 bounds gap(G) from below with no eigensolve.  Where it reaches gap_min and
 is positive, the vacuum is G's unique ground state and the bound is the
-step's gap.  Anywhere else G, block-diagonal once the leak check has
-passed (spec G = {E} u spec(excited block)), takes one eigvalsh with E
+step's gap.  Anywhere else G, block-diagonal up to those potentials'
+residuals (spec G = {E} u spec(excited block)), takes one eigvalsh with E
 shifted to c = 1 + ||G||_inf (``operators.vacuum_shifted``), which gives
 the excited spectrum for the ground-state check and the exact gap.  A
 ledger row is exact up to EXACT_DIM (256), from one eigvalsh; above it a
@@ -252,7 +253,9 @@ def _assemble(model: ChainModel, interval: Interval, ops, offset: float = 0.0) -
     """offset 1 + on-site terms + t sum ``ops`` on ``interval``, embedded in
     that order, dense or as its two parity blocks.  The on-site matrix of a
     graded chain is diagonal, and its terms are summed on the diagonal alone,
-    in the same order."""
+    in the same order: bit for bit what ``embed`` gives, 5 to 6.5 times
+    faster (28 assemblies of an N = 8 Ising sweep: 0.59 against 3.83 ms; at
+    N = 10, 1.68 against 8.27 ms; one BLAS thread)."""
     n = interval.k + 1
     D = dense_dim(model.M, n)
     if model.exactly_even:
@@ -279,28 +282,22 @@ def _operator(support: Interval, data: np.ndarray) -> LocalOperator:
         else LocalOperator(support, data)
 
 
-def local_hamiltonian(state: BlockDiagState, model: ChainModel, interval: Interval,
-                      vac: np.ndarray, tol_od: float = SeriesControls.tol_od) -> LocalOperator:
-    """On-site terms plus every transported shorter potential inside
-    ``interval``, block-diagonal for its product vacuum ``vac`` once all
-    proper subintervals are.  Only a leak of the n_sub subinterval potentials
-    beyond tol_od (1 + n_sub) means the sweep order was violated: the on-site
-    terms of a vacuum that is not a basis vector leak at rounding level,
-    which the step's own checks report under a tol_od below it."""
-    subs = [op for sub, op in state.potentials.items()
-            if interval.contains(sub) and sub != interval]
-    G = _assemble(model, interval, subs)
-    bound = tol_od * (1 + len(subs))
-    if _offdiag_norm(*vacuum_part(G, vac)[:2]) > bound:
-        alone = sum((embed(op, interval, model.M).matrix for op in subs),
-                    np.zeros((G.dim,) * 2, dtype=complex))
-        leak = abs(model.t) * _offdiag_norm(alone, vac)
-        if leak > bound:
-            raise OrderError(
-                f"local Hamiltonian on {interval} has off-diagonal leak {leak:.3e} from its "
-                "subinterval potentials; they are not yet block-diagonalized"
-            )
-    return G
+def _subpotentials(state: BlockDiagState, interval: Interval) -> dict[Interval, LocalOperator]:
+    """The potentials on the proper subintervals of ``interval``, in map
+    order, each final: OrderError names every one with no ledger row yet."""
+    subs = {sub: op for sub, op in state.potentials.items()
+            if interval.contains(sub) and sub != interval}
+    missing = ", ".join(str(sub) for sub in subs if sub not in state.ledger)
+    if missing:
+        raise OrderError(f"local Hamiltonian on {interval}: the subinterval potentials on "
+                         f"{missing} are not yet block-diagonalized (no step has swept them)")
+    return subs
+
+
+def local_hamiltonian(state: BlockDiagState, model: ChainModel, interval: Interval) -> LocalOperator:
+    """On-site terms plus t times the ``_subpotentials`` of ``interval``, all
+    final, so block-diagonal for its product vacuum up to their residuals."""
+    return _assemble(model, interval, _subpotentials(state, interval).values())
 
 
 def _offdiag_norm(mat: np.ndarray, vac: np.ndarray) -> float:
@@ -405,11 +402,8 @@ def gap_bound(model: ChainModel, rows, sites) -> tuple[float, float, float]:
 
 def step_gap_bound(state: BlockDiagState, model: ChainModel, interval: Interval) -> float:
     """``gap_bound`` on gap(G) for the local Hamiltonian G on ``interval``,
-    from the ledger rows of the potentials on its proper subintervals: the
-    rows the sweep recorded, and one computed here for any other."""
-    rows = [state.ledger.get(sub) or ledger_row(sub, op, model)
-            for sub, op in sorted(state.potentials.items())
-            if interval.contains(sub) and sub != interval]
+    from the ledger rows the sweep recorded for its ``_subpotentials``."""
+    rows = [state.ledger[sub] for sub in sorted(_subpotentials(state, interval))]
     return gap_bound(model, rows, interval.sites)[0]
 
 
@@ -654,14 +648,13 @@ def advance(state: BlockDiagState, model: ChainModel,
             "the potentials of an exactly even chain are stored as their parity blocks, of any "
             "other chain dense; start from initial_state(model)")
     vac = build_projectors(I, model.omega)
-    G = local_hamiltonian(state, model, I, vac, controls.tol_od)
+    G = local_hamiltonian(state, model, I)
     G_v, vac_v, G_rest = vacuum_part(G, vac)
     e0 = vacuum_block(vac)[0] if graded else 0
     E = vacuum_energy(G_v, vac_v)
-    # one shifted array per step: with E taken off its diagonal it is the
-    # matrix the resolvent factors; its eigensolve (``shifted_excited``)
-    # gives the gap only where the bound from the rows of I's subintervals
-    # falls short of gap_min
+    # one shifted array per step: with E taken off its diagonal, the matrix
+    # the resolvent factors; its eigensolve (``shifted_excited``) gives the
+    # gap only where the step bound falls short of gap_min
     A = vacuum_shifted(G_v, vac_v, E)
     gap = step_gap_bound(state, model, I)
     if not (gap >= controls.gap_min and gap > 0):

@@ -22,15 +22,15 @@ from scipy import sparse  # noqa: E402
 from lieschwinger import build_chain_model, random_chain_model  # noqa: E402
 from lieschwinger import kitaev as kit  # noqa: E402
 from lieschwinger.errors import ValidationError  # noqa: E402
-from lieschwinger.intervals import Interval  # noqa: E402
+from lieschwinger.intervals import Interval, iter_steps  # noqa: E402
 from lieschwinger.model import ChainModel  # noqa: E402
 from lieschwinger.operators import (  # noqa: E402
     LocalOperator, build_projectors, dense_dim, embed, excited_spectrum, op_norm, vacuum_shifted)
 from lieschwinger.oracle import ed_spectrum  # noqa: E402
 from lieschwinger.certify import BOUND_MARGIN, _saturated  # noqa: E402
 from lieschwinger.sweep import (  # noqa: E402
-    BlockDiagState, SeriesControls, _offdiag_norm, generator_series, local_hamiltonian,
-    vacuum_energy)
+    BlockDiagState, SeriesControls, _offdiag_norm, advance, generator_series, initial_state,
+    local_hamiltonian, vacuum_energy)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -687,6 +687,17 @@ def projector_inequalities(n: int, M: int, r: int = 1,
     return True
 
 
+def state_before(model: ChainModel, interval: Interval) -> BlockDiagState:
+    """The sweep's state after every step that precedes ``interval``, where
+    the local Hamiltonian on ``interval`` is formed."""
+    state = initial_state(model)
+    for I in iter_steps(model.N):
+        if I == interval:
+            return state
+        state = advance(state, model)
+    raise ValueError(f"{interval} is no step of an {model.N}-site sweep")
+
+
 def excited_block_lower_bound(state: BlockDiagState, model: ChainModel,
                               interval: Interval) -> tuple[float, float]:
     """Compare the excited block of the local Hamiltonian, less its vacuum
@@ -696,7 +707,7 @@ def excited_block_lower_bound(state: BlockDiagState, model: ChainModel,
     """
     t = abs(model.t)
     vac = build_projectors(interval, model.omega)
-    G = local_hamiltonian(state, model, interval, vac)
+    G = local_hamiltonian(state, model, interval)
     shift = 0.0
     for sub, op in state.potentials.items():
         if interval.contains(sub) and sub != interval:

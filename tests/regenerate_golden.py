@@ -1,7 +1,8 @@
 """Write the golden reports of tests/test_cli.py's GOLDEN table: every case,
-or only the cases of the names given.
+or only the cases of the names given; or, with --check, compare them.
 
     python tests/regenerate_golden.py [NAME ...]
+    python tests/regenerate_golden.py --check [NAME ...]
 
 Each case runs through ``cli.main`` under GOLDEN_ENV (set before numpy
 loads, by importing conftest first), and its report, with "timings" removed
@@ -9,6 +10,9 @@ from every JSON report, replaces tests/data/<name>_report.json or .csv.
 Run it only with a change meant to move outputs, and first show that the
 fresh reports equal the committed ones apart from the parts that change;
 name a new case to write its report alone.
+
+--check writes nothing: it compares each fresh report byte for byte with
+the one in tests/data/, lists the files that differ and exits 1 if any do.
 """
 
 import json
@@ -25,7 +29,9 @@ from test_cli import CONFIGS, GOLDEN, golden_path  # noqa: E402
 from lieschwinger.cli import emit, main  # noqa: E402
 
 
-def regenerate(names=()) -> None:
+def fresh_reports(names=()):
+    """(golden path, fresh report text) for each GOLDEN case named, or every
+    case, each run in a temporary directory."""
     unknown = set(names) - {name for name, _ in GOLDEN}
     if unknown:
         raise SystemExit(f"no GOLDEN case named {', '.join(sorted(unknown))}")
@@ -45,9 +51,29 @@ def regenerate(names=()) -> None:
                 for rep in report if isinstance(report, list) else [report]:
                     del rep["timings"]
                 text = emit(report)
-            golden.write_text(text)
-            print(f"wrote {golden.relative_to(TESTS.parent)} ({len(text)} bytes)")
+            yield golden, text
+
+
+def regenerate(names=()) -> None:
+    for golden, text in fresh_reports(names):
+        golden.write_text(text)
+        print(f"wrote {golden.relative_to(TESTS.parent)} ({len(text)} bytes)")
+
+
+def check(names=()) -> int:
+    """1 if any fresh report differs from tests/data/ by a byte, else 0."""
+    checked, differ = 0, []
+    for golden, text in fresh_reports(names):
+        checked += 1
+        if not golden.is_file() or golden.read_bytes() != text.encode():
+            differ.append(golden)
+            print(f"differs: {golden.relative_to(TESTS.parent)}")
+    print(f"{checked - len(differ)} of {checked} golden reports byte-identical")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    regenerate(sys.argv[1:])
+    args = sys.argv[1:]
+    if args[:1] == ["--check"]:
+        sys.exit(check(args[1:]))
+    regenerate(args)

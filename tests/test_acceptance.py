@@ -147,7 +147,7 @@ def test_ac6_piecewise_conjugation_identity():
             state = advance(state, model, controls)
             I = state.step
             vac = build_projectors(I, model.omega)
-            G = local_hamiltonian(before, model, I, vac)
+            G = local_hamiltonian(before, model, I)
             E = vacuum_energy(G.matrix, vac)
             dim = I.dim(model.M)
             V = (before.potentials[I].matrix if I in before.potentials
@@ -198,7 +198,7 @@ def test_ac7_appendix_suite(suite):
             if I not in before.potentials:
                 continue
             vac = build_projectors(I, model.omega)
-            G = local_hamiltonian(before, model, I, vac)
+            G = local_hamiltonian(before, model, I)
             V = before.potentials[I].matrix
             res = run_series(G.matrix, diag.E, vac, V, model.t, controls)
             vn = (op_norm(V),) + res.v_term_norms

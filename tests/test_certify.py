@@ -11,17 +11,18 @@ from hypothesis import strategies as st
 
 from conftest import (SX, anchor_model, check_series_majorant, excited_block_lower_bound,
                       ising_bdg, ising_chain_model, non_basis_vacuum_model,
-                      projector_inequalities, run_series, solve_majorant, walked_gap_lower_bound)
+                      projector_inequalities, run_series, solve_majorant, state_before,
+                      walked_gap_lower_bound)
 from test_cli import GOLDEN
 
 from lieschwinger.certify import BOUND_MARGIN, check_ledger, certify, decay_bound, gap_lower_bound
 from lieschwinger.cli import emit, load_model, main, run
 from lieschwinger.estimator import BlockDiagonalizer
-from lieschwinger.errors import GapError, ValidationError
+from lieschwinger.errors import GapError, OrderError, ValidationError
 from lieschwinger.intervals import Interval, iter_steps
 from lieschwinger.model import ChainModel, build_chain_model, random_chain_model
 from lieschwinger.operators import build_projectors, op_norm, shifted_excited, spectral_range
-from lieschwinger.sweep import (SeriesControls, _offdiag_norm, advance, initial_state,
+from lieschwinger.sweep import (SeriesControls, _offdiag_norm, advance, gap_bound, initial_state,
                                 local_hamiltonian, step_gap_bound, sweep, vacuum_energy)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -173,7 +174,7 @@ class TestMajorant:
         state = initial_state(model)
         I = Interval(1, 1)
         vac = build_projectors(I, model.omega)
-        G = local_hamiltonian(state, model, I, vac)
+        G = local_hamiltonian(state, model, I)
         V = state.potentials[I].matrix
         res = run_series(G.matrix, 0.0, vac, V, model.t, SeriesControls())
         norms = (op_norm(V),) + res.v_term_norms
@@ -215,8 +216,8 @@ class TestProjectorInequalities:
 class TestExcitedBlockBound:
     def test_zero_coupling(self):
         model = random_chain_model(3, 0.0, seed=4)
-        state = initial_state(model)
-        lhs, rhs = excited_block_lower_bound(state, model, Interval(2, 1))
+        lhs, rhs = excited_block_lower_bound(state_before(model, Interval(2, 1)), model,
+                                             Interval(2, 1))
         assert lhs == pytest.approx(1.0, abs=1e-12)
         assert rhs == pytest.approx(1.0, abs=1e-12)
 
@@ -385,7 +386,7 @@ def _assert_step_bounds(model, controls=SeriesControls()):
     state = initial_state(model)
     for I in iter_steps(model.N):
         vac = build_projectors(I, model.omega)
-        G = local_hamiltonian(state, model, I, vac).matrix
+        G = local_hamiltonian(state, model, I).matrix
         levels = np.linalg.eigvalsh(G)
         scale = max(1.0, float(np.max(np.abs(levels))))
         bound = step_gap_bound(state, model, I)
@@ -474,6 +475,16 @@ class TestStepBound:
         assert min(d.gap for d in state.diagnostics) >= SeriesControls.gap_min
         sweep(_long_range_chain(0.2, (4, 6)), SeriesControls(gap_min=0.7))
         assert calls == [256]
+
+    def test_reads_only_recorded_rows(self):
+        # out of sweep order the potentials on (2, 1)'s subintervals have no
+        # ledger row, and the bound computes none for them
+        model = random_chain_model(3, 0.03, seed=1)
+        with pytest.raises(OrderError, match=r"subinterval potentials on \[1, 2\], \[2, 3\]"):
+            step_gap_bound(initial_state(model), model, Interval(2, 1))
+        state = state_before(model, Interval(2, 1))
+        assert step_gap_bound(state, model, Interval(2, 1)) == gap_bound(
+            model, [state.ledger[Interval(1, 1)], state.ledger[Interval(1, 2)]], range(1, 4))[0]
 
     def test_a_gap_below_gap_min_fails_as_the_eigensolve_reports_it(self):
         # both potentials lower the state with site 5 excited: the last

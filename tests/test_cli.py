@@ -697,7 +697,8 @@ class TestBadInputs:
         # the on-site terms of a vacuum that is not a basis vector leak at
         # rounding level (3.3e-16 on the first interval): a --tol-od below it
         # fails the step's residual check, or at t = 0 the certificate of K,
-        # never the sweep-order check (OrderError, exit 1)
+        # never the sweep-order check (OrderError, exit 1), which reads the
+        # ledger and no tolerance
         out = tmp_path / "report.json"
         assert main(["--config", str(CONFIGS / "nonbasis_n5_m3_k2.json"), "--tol-od", "1e-17",
                      *flags, "--report", str(out)]) == code

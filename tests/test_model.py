@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import SX, anchor_model, near_hermitian_chain_file
 from lieschwinger.certify import certify
 from lieschwinger.cli import load_model
+from lieschwinger.estimator import BlockDiagonalizer
 from lieschwinger.errors import ValidationError
 from lieschwinger.intervals import Interval
 from lieschwinger.model import build_chain_model, random_chain_model, validate_chain_model
@@ -139,3 +141,30 @@ def test_exactly_hermitian_input_stored_unchanged():
         assert np.array_equal(op.matrix, given[iv])
     assert np.array_equal(rebuilt.onsite, base.onsite)
     assert np.array_equal(rebuilt.omega, base.omega)
+
+
+def test_onsite_matrix_of_a_built_model_cannot_be_edited_in_place():
+    # delta, omega and exactly_even are cached on first read: an on-site
+    # entry changed in place after a fit would leave them stale, and the
+    # refit would certify delta = 2 against an exact gap of 0.84
+    onsite = np.diag([0.0, 2.0])
+    model = build_chain_model(4, 2, onsite, {Interval(1, q): np.kron(SX, SX) for q in (1, 2, 3)},
+                              t=0.1)
+    BlockDiagonalizer().fit(model)
+    with pytest.raises(ValueError, match="read-only"):
+        model.onsite[1, 1] = 1.0
+    onsite[1, 1] = 1.0  # the model keeps its own copy
+    assert model.onsite[1, 1] == 2.0 and model.onsite_gap == pytest.approx(2.0)
+
+
+def test_a_model_pickles_with_its_onsite_matrix_read_only():
+    # fits may run in parallel across models, each model pickled to a worker
+    model = random_chain_model(4, 0.03, seed=1)
+    assert model.exactly_even is False
+    copy = pickle.loads(pickle.dumps(model))
+    assert np.array_equal(copy.onsite, model.onsite) and not copy.onsite.flags.writeable
+    assert copy.interactions.keys() == model.interactions.keys()
+    with pytest.raises(ValueError, match="read-only"):
+        copy.onsite[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        replace(model, t=0.05).onsite[0, 0] = 1.0

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from conftest import (SX, anchor_model, dense_generator, dense_generator_series,
                       looped_local_hamiltonian,
                       near_hermitian_chain_file, non_basis_vacuum_model,
                       one_table_generator_series, orthogonal_complement_basis, plus_block_eigh,
-                      random_hermitian, run_series, s_term_norms, series_terms)
+                      random_hermitian, run_series, s_term_norms, series_terms, state_before)
 from lieschwinger.certify import certify
 from lieschwinger.cli import load_model
 from lieschwinger.errors import (DimensionError, GapError, OrderError, SeriesError,
@@ -74,7 +75,7 @@ def anchor_pieces(t=0.1):
     state = initial_state(model)
     I = Interval(1, 1)
     vac = build_projectors(I, model.omega)
-    G = local_hamiltonian(state, model, I, vac)
+    G = local_hamiltonian(state, model, I)
     V = state.potentials[I].matrix
     return model, state, I, G, vac, V
 
@@ -135,9 +136,8 @@ class TestLocalHamiltonian:
 
     def test_zero_coupling_eigenvalues_are_digit_sums(self):
         model = random_chain_model(4, 0.0, seed=5)
-        state = initial_state(model)
         I = Interval(2, 2)
-        G = local_hamiltonian(state, model, I, build_projectors(I, model.omega))
+        G = local_hamiltonian(state_before(model, I), model, I)
         np.testing.assert_allclose(
             np.linalg.eigvalsh(G.matrix), sorted(a + b + c for a in (0, 1) for b in (0, 1) for c in (0, 1)),
             atol=1e-12,
@@ -155,7 +155,7 @@ class TestLocalHamiltonian:
         state = advance(state, model)
         state = advance(state, model)
         I = Interval(2, 1)
-        G = local_hamiltonian(state, model, I, build_projectors(I, model.omega))
+        G = local_hamiltonian(state, model, I)
         h = np.diag([0.0, 1.0]).astype(complex)
         eye = np.eye(2, dtype=complex)
         brute = (kron_chain([h, eye, eye]) + kron_chain([eye, h, eye])
@@ -173,6 +173,23 @@ class TestLocalHamiltonian:
         state = BlockDiagState(Interval(1, 2), dict(model.interactions))
         with pytest.raises(OrderError, match="subinterval potentials"):
             advance(state, model)
+
+    @pytest.mark.parametrize("N,step,named", [
+        (3, Interval(2, 1), "[1, 2], [2, 3]"),
+        (5, Interval(3, 1), "[1, 2], [2, 3], [3, 4], [1, 3], [2, 4]"),
+    ])
+    def test_a_swept_state_without_its_ledger_raises_order_error(self, N, step, named):
+        # the same potentials the sweep holds before ``step``, every one of
+        # them final, but with no ledger row: the order check reads the
+        # ledger alone, never the potentials, and names every subinterval
+        model = random_chain_model(N, 0.03, kbar=1, seed=N)
+        state = state_before(model, step)
+        advance(state, model)  # with its ledger the step runs
+        bare = BlockDiagState(state.step, state.potentials)
+        with pytest.raises(OrderError, match=re.escape(f"on {named} are not yet")):
+            advance(bare, model)
+        with pytest.raises(OrderError, match=re.escape(named)):
+            local_hamiltonian(bare, model, step)
 
 
 class TestVacuumEnergyAndGap:
@@ -195,7 +212,7 @@ class TestVacuumEnergyAndGap:
             state = initial_state(model)
             I = Interval(1, 1)
             vac = build_projectors(I, model.omega)
-            G = local_hamiltonian(state, model, I, vac)
+            G = local_hamiltonian(state, model, I)
             E = vacuum_energy(G.matrix, vac)
             local_gap(E, excited_spectrum(G.matrix, vac, E))  # E is the ground energy
             assert E == pytest.approx(float(np.linalg.eigvalsh(G.matrix)[0]), abs=1e-10)
@@ -546,7 +563,7 @@ class TestAdvance:
                 state = advance(state, model, controls)
                 I = state.step
                 vac = build_projectors(I, model.omega)
-                G = local_hamiltonian(before, model, I, vac)
+                G = local_hamiltonian(before, model, I)
                 E = vacuum_energy(G.matrix, vac)
                 V = (before.potentials[I].matrix if I in before.potentials
                      else np.zeros((I.dim(2), I.dim(2)), dtype=complex))
@@ -563,7 +580,7 @@ def per_source_transport(state, model, controls):
     Reference for ``advance``."""
     I = next(J for J in iter_steps(model.N) if state.step is None or J > state.step)
     vac = build_projectors(I, model.omega)
-    G = local_hamiltonian(state, model, I, vac, controls.tol_od).matrix
+    G = local_hamiltonian(state, model, I).matrix
     E = vacuum_energy(G, vac)
     V = (state.potentials[I].matrix if I in state.potentials
          else np.zeros((I.dim(model.M),) * 2, dtype=complex))
@@ -825,7 +842,7 @@ class TestAssembleFull:
 
         assert same_bits(assemble_full(state, model), looped_assemble_full(state, model))
         for I in iter_steps(model.N):
-            G = local_hamiltonian(state, model, I, build_projectors(I, model.omega))
+            G = local_hamiltonian(state, model, I)
             assert same_bits(G, looped_local_hamiltonian(state, model, I)), I
             state = advance(state, model)
         assert same_bits(assemble_full(state, model), looped_assemble_full(state, model))
